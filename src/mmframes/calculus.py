@@ -5,6 +5,7 @@ in the mu-weighted inner product.  Kernels follow the convention
 (Kf)(x) = sum_y K(x,y) f(y) mu(y).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,24 +207,41 @@ def make_cutoff(kind: str, b: float = 2.0) -> Cutoff:
     raise ValueError("kind must be 'a', 'b' or 'c'")
 
 
+def _logistic(z):
+    """1/(1 + exp(-z)) without overflow for large |z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _lowpass_jet(x, b: float, order: int):
+    """Taylor coefficients y_0..y_order in t of the transition bump.
+
+    On (1, b) the type (a) cutoff is y = logistic(s) with
+    s = 1/t - 1/(1-t) and t = (x-1)/(b-1).  The Taylor coefficients of s
+    are (-1)^k t^{-k-1} - (1-t)^{-k-1}, and y' = y (1-y) s' gives those of
+    y by Cauchy products; 1-y is carried separately as logistic(-s) so the
+    plateau ends keep full relative precision.
+    """
+    t = (x - 1.0) / (b - 1.0)
+    s = [(-1.0) ** k / t ** (k + 1) - 1.0 / (1.0 - t) ** (k + 1)
+         for k in range(order + 1)]
+    y = [_logistic(s[0])]
+    w = [_logistic(-s[0])]  # Taylor coefficients of 1 - y
+    z = []  # Taylor coefficients of y (1 - y)
+    for k in range(order):
+        z.append(sum(y[i] * w[k - i] for i in range(k + 1)))
+        y.append(sum(z[i] * (k - i + 1) * s[k - i + 1] for i in range(k + 1))
+                 / (k + 1))
+        w.append(-y[-1])
+    return y
+
+
 def lowpass_derivatives(b: float, max_order: int):
-    """Analytic derivatives of the type (a) cutoff, via symbolic
-    differentiation of the transition bump; returns callables for orders
+    """Analytic derivatives of the type (a) cutoff, from the closed-form
+    Taylor jet of the transition bump; returns callables for orders
     0..max_order."""
-    import sympy
-
-    u = sympy.symbols("u")
-    t = (u - 1) / (b - 1)
-
-    def g(x):
-        return sympy.exp(-1 / x)
-
-    expr = g(1 - t) / (g(1 - t) + g(t))
-    lams = [np.vectorize(sympy.lambdify(u, sympy.diff(expr, u, k), "numpy"))
-            for k in range(max_order + 1)]
 
     def make(k):
-        fk = lams[k]
 
         def f(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -232,10 +250,8 @@ def lowpass_derivatives(b: float, max_order: int):
                 out[x <= 1.0] = 1.0
             inside = (x > 1.0 + 1e-9) & (x < b - 1e-9)
             if np.any(inside):
-                with np.errstate(all="ignore"):
-                    vals = np.asarray(fk(x[inside]), dtype=float)
-                out[inside] = np.nan_to_num(vals, nan=0.0, posinf=0.0,
-                                            neginf=0.0)
+                yk = _lowpass_jet(x[inside], b, k)[k]
+                out[inside] = math.factorial(k) * yk / (b - 1.0) ** k
             return out
 
         return f
@@ -302,23 +318,6 @@ def measure_localization(kernel: Kernel, delta: float, N, space: ModelSpace) -> 
         w = (1.0 + space.dist / delta) ** float(order)
         out[float(order)] = float(np.abs(kernel.table * vb * w).max())
     return out
-
-
-def holder_profile(kernel: Kernel, delta: float, space: ModelSpace) -> float:
-    """Worst ratio |K(x,y) - K(x,y')| / (rho(y,y')/delta) over pairs with
-    rho(y,y') <= delta, normalized by the kernel sup."""
-    K = np.abs(kernel.table)
-    kmax = K.max()
-    if kmax == 0:
-        return 0.0
-    worst = 0.0
-    n = space.n
-    for y in range(n):
-        close = np.nonzero((space.dist[y] <= delta) & (space.dist[y] > 0))[0]
-        for yp in close:
-            diff = np.abs(kernel.table[:, y] - kernel.table[:, yp]).max()
-            worst = max(worst, diff / (space.dist[y, yp] / delta) / kmax)
-    return worst
 
 
 def fit_speed_constant(spec: SpectralData, times=(0.5, 1.0, 2.0)) -> float:

@@ -690,12 +690,30 @@ def load_config(path) -> dict:
         if k not in cfg:
             raise ConfigError(f"unknown config key: {k}")
         if k == "theta":
+            if not isinstance(v, dict):
+                raise ConfigError("theta must be an object")
+            unknown = sorted(set(v) - set(theta))
+            if unknown:
+                raise ConfigError(f"unknown theta keys: {unknown}")
             theta.update(v)
         else:
             cfg[k] = v
+    for k, v in theta.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not np.isfinite(v):
+            raise ConfigError(f"theta.{k} must be a finite number, got {v!r}")
+        if k in ("N", "K") and v != int(v):
+            raise ConfigError(f"theta.{k} must be an integer, got {v!r}")
     cfg["theta"] = theta
-    if cfg["suites"] != "all":
-        unknown = [s for s in cfg["suites"] if s not in SUITES]
+    suites = cfg["suites"]
+    if isinstance(suites, str):
+        if suites != "all":
+            raise ConfigError(
+                f'suites must be "all" or a list of suite names, got {suites!r}')
+    elif not isinstance(suites, list):
+        raise ConfigError("suites must be \"all\" or a list of suite names")
+    else:
+        unknown = [s for s in suites if not isinstance(s, str) or s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
     return cfg

@@ -227,60 +227,6 @@ def check_band_containment(spec: SpectralData, frame: Frame, tol=1e-10) -> float
     return worst / max(scale, 1e-300)
 
 
-def check_frame_properties(spec: SpectralData, frame: Frame,
-                           dual: Frame = None, p_list=(1.0, 2.0, np.inf)) -> dict:
-    """Measured localization, band containment and norm comparability."""
-    space = spec.space
-    hier = frame.hierarchy
-    b = hier.b
-    out = {"kind": frame.kind}
-
-    # (d) norm comparability against |B(xi, b^{-j})|^{1/p - 1/2}
-    from mmframes.space import ball  # local import to avoid a cycle at top
-
-    norm_bands = {}
-    for p in p_list:
-        ratios = []
-        for k in range(frame.size):
-            j = int(hier.xi_level[k])
-            xi = int(hier.xi_point[k])
-            vol = ball(space, xi, b ** (-j))[1]
-            expo = (1.0 / p if not np.isinf(p) else 0.0) - 0.5
-            ratios.append(space.lp_norm(frame.columns[:, k], p) / vol**expo)
-        ratios = np.array(ratios)
-        norm_bands[float(p)] = (float(ratios.min()), float(ratios.max()))
-    out["norm_ratio_bands"] = norm_bands
-
-    # (b) localization: fit |psi_xi(x)| ~ |B(xi,b^{-j})|^{-1/2} exp(-k (b^j rho)^beta)
-    xs, ys = [], []
-    for k in range(frame.size):
-        j = int(hier.xi_level[k])
-        xi = int(hier.xi_point[k])
-        from mmframes.space import ball as _ball
-
-        vol = _ball(space, xi, b ** (-j))[1]
-        rel = np.abs(frame.columns[:, k]) * np.sqrt(vol)
-        rho = space.dist[xi]
-        mask = (rho > 0) & (rel > 1e-280) & (rel < 1.0)
-        if np.any(mask):
-            xs.append(np.log(b ** j * rho[mask]))
-            ys.append(np.log(-np.log(rel[mask])))
-    if xs:
-        X = np.concatenate(xs)
-        Y = np.concatenate(ys)
-        beta, logk = np.polyfit(X, Y, 1)
-        out["localization_fit"] = {"beta": float(beta), "kappa": float(np.exp(logk))}
-    else:
-        out["localization_fit"] = None
-
-    # (c) spectral band containment
-    if frame.kind in ("primal", "dual"):
-        out["band_leak"] = check_band_containment(spec, frame)
-    if dual is not None and dual.kind in ("primal", "dual"):
-        out["dual_band_leak"] = check_band_containment(spec, dual)
-    return out
-
-
 def reconstruct(frame: Frame, dual: Frame, f) -> np.ndarray:
     """sum_xi <f, dual_xi> frame_xi."""
     return frame.synthesize(dual.analyze(f))
@@ -353,6 +299,26 @@ def _num_derivative(vals, du, nu):
     return out
 
 
+def _cosine_transform(Psi, support: float, n: int, dt: float,
+                      du_max: float) -> np.ndarray:
+    """2 int_0^support Psi(u) cos(k dt u) du for k = 0..n-1.
+
+    Trapezoid rule with step du = pi/(M dt) <= du_max, so that
+    cos(k dt u_i) = cos(pi k i / M) and the whole transform is one DCT-I of
+    the zero-padded samples Psi(u_i), i = 0..M.  The integrand is a smooth
+    bump, so the rule is spectrally accurate once du resolves the
+    oscillation.
+    """
+    from scipy import fft
+
+    M = int(np.ceil(np.pi / (dt * du_max)))
+    du = np.pi / (M * dt)
+    samples = np.zeros(M + 1)
+    live = int(support / du) + 1
+    samples[:live] = np.asarray(Psi(np.arange(live) * du), dtype=float)
+    return fft.dct(samples, type=1)[:n] * du
+
+
 def build_band_limited_theta(Psi, N: int, K: int, eps: float,
                              b: float = 2.0, R0: float = 1024.0,
                              R_max: float = 4096.0,
@@ -365,28 +331,28 @@ def build_band_limited_theta(Psi, N: int, K: int, eps: float,
     |Psi^(nu) - Theta^(nu)| <= eps u^N/(1+u)^{2N} holds for nu <= K on a
     dense grid.  Returns the best attempt when the tolerance is
     unreachable below R_max (caller inspects .passed).
+
+    The nodes t_k = k dt are uniform, so both transforms are DCT-I/DST-I
+    evaluations.  The forward transform samples Psi at u_i = i du,
+    i = 0..M, with dt du = pi/M.  The validation grid is
+    u_j = j pi/(L dt), j = 0..L, which spans [0, pi/dt] with spacing no
+    coarser than (4b - 0.05)/3999; the bound is checked on its points in
+    [0.05, 4b].
     """
+    from scipy import fft
+
     if not (N >= K >= 1):
         raise ValueError("need N >= K >= 1")
     jet = N + K
-    u_hi = 4.0 * b
+    u_lo, u_hi = 0.05, 4.0 * b
     psi_support = 1.25 * b  # band symbol vanishes beyond b
+    dt = min(0.08, np.pi / (4.0 * u_hi))
     R = R0
     best = None
     while R <= R_max:
-        # integration grid for the forward transform: the integrand is a
-        # smooth bump, so the trapezoid rule is spectrally accurate as long
-        # as the oscillation is resolved
-        du = min(0.25 / R, 2.5e-4)
-        ug_f = np.arange(0.0, psi_support + du, du)
-        psi_f = np.asarray(Psi(ug_f), dtype=float)
-        dt = min(0.08, np.pi / (4.0 * u_hi))
         t = np.arange(0.0, R + dt, dt)
-        hhat = np.empty_like(t)
-        chunk = 512
-        for i in range(0, len(t), chunk):
-            blk = t[i:i + chunk]
-            hhat[i:i + chunk] = 2.0 * (np.cos(np.outer(blk, ug_f)) @ (psi_f * du))
+        hhat = _cosine_transform(Psi, psi_support, len(t), dt,
+                                 min(0.25 / R, 2.5e-4))
         win = _smooth_step((t - R / 2.0) / (R / 2.0))
         coeffs = hhat * win * dt / np.pi
         coeffs[0] *= 0.5
@@ -410,25 +376,33 @@ def build_band_limited_theta(Psi, N: int, K: int, eps: float,
                   / max(np.sum(np.abs(coeffs) * (t / R) ** o), 1e-300))
             for o in orders)
 
-        theta = ThetaSymbol(R=R, nodes=t, coeffs=coeffs, jet_order=jet,
-                            eps_target=eps, eps_achieved=np.inf, passed=False,
-                            N=N, K=K, jet_residuals=jet_resid)
         # validation grid: near u = 0 the bound is covered analytically by
         # the vanishing jets (the error is O(u^{jet+4-nu}) there), so the
         # grid starts where the target envelope clears float64 noise
-        ug = np.linspace(0.05, u_hi, 4000)
-        dug = ug[1] - ug[0]
-        psi_vals = np.asarray(Psi(ug), dtype=float)
+        L = max(len(t), int(np.ceil(3999 * np.pi / (dt * (u_hi - u_lo)))))
+        ug = np.arange(L + 1) * (np.pi / (L * dt))
+        keep = (ug >= u_lo) & (ug <= u_hi)
+        ug = ug[keep]
         weight = ug**N / (1.0 + ug) ** (2 * N)
+        if Psi_derivs is None:
+            psi_vals = np.asarray(Psi(ug), dtype=float)
         worst = 0.0
         for nu in range(0, K + 1):
+            # Theta^(nu)(u_j) = (-1)^{ceil(nu/2)} sum_k c_k t_k^nu
+            # {cos, sin}(pi k j / L) for nu {even, odd}
+            a = np.zeros(L + 1)
+            a[:len(t)] = coeffs * t**nu
+            if nu % 2 == 0:
+                vals = (fft.dct(a, type=1) + a[0]) / 2.0
+            else:
+                vals = np.pad(fft.dst(a[1:L], type=1), 1) / 2.0
+            vals = (-1.0) ** ((nu + 1) // 2) * vals[keep]
             if Psi_derivs is not None:
                 ref = np.asarray(Psi_derivs[nu](ug), dtype=float)
             else:
-                ref = psi_vals if nu == 0 else _num_derivative(psi_vals, dug, nu)
-            diff = np.abs(theta.deriv(ug, nu) - ref)
-            ratio = diff / weight
-            worst = max(worst, float(ratio.max()))
+                ref = psi_vals if nu == 0 else \
+                    _num_derivative(psi_vals, ug[1] - ug[0], nu)
+            worst = max(worst, float((np.abs(vals - ref) / weight).max()))
         theta = ThetaSymbol(R=R, nodes=t, coeffs=coeffs, jet_order=jet,
                             eps_target=eps, eps_achieved=worst,
                             passed=worst <= eps, N=N, K=K,

@@ -193,9 +193,9 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData,
     direct = apply_symbol_to(spec, fn, fv)
     mvals = np.asarray(fn(np.sqrt(spec.eigenvalues)), dtype=float) + \
         0.0 * spec.eigenvalues
-    C = spec.eigenfunctions.T @ (spec.space.mu[:, None] * frame.columns)
-    cols_m = spec.eigenfunctions @ (mvals[:, None] * C)
-    framed = cols_m @ dual.analyze(fv)
+    E = spec.eigenfunctions
+    framed = E @ (mvals * (E.T @ (spec.space.mu
+                                  * (frame.columns @ dual.analyze(fv)))))
     scale = max(1.0, float(np.abs(direct).max()))
     resid = float(np.abs(framed - direct).max() / scale)
     if resid > tol:

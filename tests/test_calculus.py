@@ -128,6 +128,27 @@ def test_band_derivatives_chain_rule():
     assert np.abs(np.asarray(derivs[0](u)) - psi).max() < 1e-12
 
 
+def test_closed_form_derivatives_match_sympy():
+    import sympy
+
+    b = 2.0
+    u = sympy.symbols("u")
+    t = (u - 1) / (b - 1)
+    g = lambda x: sympy.exp(-1 / x)
+    low = sympy.Piecewise((1, u <= 1), (g(1 - t) / (g(1 - t) + g(t)), u < b),
+                          (0, True))
+    band = low - low.subs(u, b * u)
+    x = np.linspace(0.3, 3.0, 2001)
+    for closed, expr in ((ca.lowpass_derivatives(b, 4), low),
+                         (ca.band_derivatives(b, 4), band)):
+        for k in range(5):
+            with np.errstate(all="ignore"):
+                ref = sympy.lambdify(u, sympy.diff(expr, u, k), "numpy")(x)
+            ref = np.asarray(ref, dtype=float) + 0.0 * x
+            err = np.abs(closed[k](x) - ref).max()
+            assert err <= 1e-10 * np.abs(ref).max(), (k, err)
+
+
 # ---------------------------------------------------------------------------
 # windows, telescoping, localization
 

@@ -56,6 +56,24 @@ def test_config_errors(tmp_path):
     assert _run(["run"]).returncode == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"theta": 5},
+    {"theta": {"dt": 1}},
+    {"theta": {"N": "4"}},
+    {"theta": {"K": 2.5}},
+    {"theta": {"eps": None}},
+    {"theta": {"R0": True}},
+    {"theta": {"R_max": [4096]}},
+    {"suites": "doubling"},
+    {"suites": [["doubling"]]},
+])
+def test_bad_config_is_a_config_error(tmp_path, capsys, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_empty_suite_list_writes_manifest_only(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"suites": [], "model": "C_32",

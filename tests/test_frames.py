@@ -112,6 +112,45 @@ def test_theta_transform_band_is_certified(theta):
     assert theta.eps_achieved <= theta.eps_target
 
 
+def test_cosine_transform_matches_dense_sum(Phi):
+    # the DCT-I route against the direct cosine sum on the grid
+    # u_i = i du, du = 2.5e-4 (the step used at R = 64)
+    Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
+    dt = 0.08
+    t = np.arange(0.0, 64.0 + dt, dt)
+    du = 2.5e-4
+    u = np.arange(0.0, 2.5 + du, du)
+    dense = 2.0 * (np.cos(np.outer(t, u)) @ (Psi(u) * du))
+    fast = fr._cosine_transform(Psi, 2.5, len(t), dt, du)
+    assert np.abs(fast - dense).max() <= 1e-15
+
+
+def test_theta_eps_achieved_matches_dense_evaluation(theta, Phi):
+    # rebuild the validation grid u_j = j pi/(L dt) restricted to [0.05, 8]
+    # and evaluate the (6.16) ratio with the dense cosine representation
+    dt = theta.nodes[1]
+    L = max(len(theta.nodes), int(np.ceil(3999 * np.pi / (dt * 7.95))))
+    u = np.arange(L + 1) * (np.pi / (L * dt))
+    u = u[(u >= 0.05) & (u <= 8.0)]
+    assert u[1] - u[0] <= 7.95 / 3999
+    derivs = ca.band_derivatives(2.0, theta.K)
+    weight = u**theta.N / (1.0 + u) ** (2 * theta.N)
+    worst, floor = 0.0, 0.0
+    for nu in range(theta.K + 1):
+        ratio = np.concatenate([
+            np.abs(theta.deriv(u[blk], nu) - derivs[nu](u[blk])) / weight[blk]
+            for blk in np.array_split(np.arange(len(u)), 16)])
+        if ratio.max() > worst:
+            # either sum rounds at eps * sum |c_k| t_k^nu, seen through the
+            # weight at the worst point
+            worst = float(ratio.max())
+            floor = np.finfo(float).eps * float(
+                np.sum(np.abs(theta.coeffs) * theta.nodes**nu)) \
+                / weight[ratio.argmax()]
+    assert abs(theta.eps_achieved - worst) <= 10.0 * floor
+    assert 10.0 * floor <= 1e-6 * worst
+
+
 def test_theta_rejects_bad_orders(Phi):
     Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
     with pytest.raises(ValueError):

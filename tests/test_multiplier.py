@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -80,6 +82,10 @@ def test_frame_route_agrees_with_calculus(spectra, frame_sets, params022):
     f = np.sin(np.arange(64.0) / 2.0)
     out = mp.apply_multiplier(sym, f, frame, dual, spec)
     assert out.shape == (64,)
+    # a dual that no longer reconstructs must trip the cross-check
+    bad = dataclasses.replace(dual, columns=dual.columns * (1.0 + 1e-6))
+    with pytest.raises(RuntimeError, match="frame route disagrees"):
+        mp.apply_multiplier(sym, f, frame, bad, spec)
 
 
 def test_l2_ratio_below_symbol_sup(spectra, params022, Phi):
