@@ -38,11 +38,37 @@ class SpectralData:
         return float(nz[0])
 
     def coefficients(self, f) -> np.ndarray:
-        """mu-inner products <f, e_i> for all i."""
-        return self.eigenfunctions.T @ (self.space.mu * np.asarray(f))
+        """mu-inner products <f, e_i> for all i; an (n, k) f gives one
+        column of coefficients per column of f."""
+        f = np.asarray(f)
+        mu = self.space.mu if f.ndim == 1 else self.space.mu[:, None]
+        return self.eigenfunctions.T @ (mu * f)
 
     def synthesize(self, coeffs) -> np.ndarray:
         return self.eigenfunctions @ np.asarray(coeffs)
+
+    def symbol(self, fn, scale: float = 1.0) -> np.ndarray:
+        """fn(scale*sqrt(lambda_i)) for every eigenvalue, in one vectorized
+        call; a scalar result is broadcast."""
+        u = scale * np.sqrt(self.eigenvalues)
+        return np.broadcast_to(np.asarray(fn(u), dtype=float), u.shape).copy()
+
+    def apply(self, values, f) -> np.ndarray:
+        """Synthesis of symbol values times the coefficients of f.
+
+        (n,) values with an (n,) f or an (n, k) table of functions, or
+        (n, k) values (one symbol per column) with one (n,) f; a table in
+        gives a table out, column by column.
+        """
+        values = np.asarray(values, dtype=float)
+        c = self.coefficients(f)
+        return self.synthesize((values.T * c.T).T)
+
+    def kernel(self, values, points=slice(None)) -> np.ndarray:
+        """Columns at points of the kernel table E diag(values) E^T, which
+        acts by integration against mu."""
+        E = self.eigenfunctions
+        return (E * np.asarray(values)[None, :]) @ E[points].T
 
     def project_mean_zero(self, f) -> np.ndarray:
         """Remove the nullspace (constant) component."""
@@ -75,7 +101,7 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     data = SpectralData(space=space, eigenvalues=w, eigenfunctions=E,
                         nullspace_dim=nullspace_dim)
     # reconstruction guard
-    R = E @ (w[:, None] * E.T) @ np.diag(space.mu)
+    R = data.kernel(w) * space.mu[None, :]
     scale = max(1.0, np.abs(space.L).max())
     if np.abs(R - space.L).max() > 1e-9 * scale:
         raise ValueError("eigendecomposition reconstruction failed")
@@ -95,46 +121,32 @@ class Kernel:
 
 def apply_symbol(spec: SpectralData, f, delta: float = 1.0) -> Kernel:
     """Kernel of f(delta*sqrt(L)): K = E diag(f(delta*sqrt(lam))) E^T."""
-    lam = spec.eigenvalues
-    vals = np.array([float(f(delta * np.sqrt(l))) for l in lam])
-    E = spec.eigenfunctions
-    K = (E * vals[None, :]) @ E.T
+    vals = spec.symbol(f, delta)
     live = np.abs(vals) > 1e-14 * max(1.0, np.abs(vals).max())
     if np.any(live):
-        roots = np.sqrt(lam[live])
+        roots = np.sqrt(spec.eigenvalues[live])
         band = (float(roots.min()), float(roots.max()))
     else:
         band = (0.0, 0.0)
-    return Kernel(table=K, band=band)
-
-
-def symbol_values(spec: SpectralData, f, delta: float = 1.0) -> np.ndarray:
-    return np.array([float(f(delta * np.sqrt(l))) for l in spec.eigenvalues])
-
-
-def apply_symbol_to(spec: SpectralData, f, g, delta: float = 1.0) -> np.ndarray:
-    """f(delta*sqrt(L)) g without forming the kernel table."""
-    vals = symbol_values(spec, f, delta)
-    return spec.synthesize(vals * spec.coefficients(g))
+    return Kernel(table=spec.kernel(vals), band=band)
 
 
 def apply_L_power(spec: SpectralData, g, m: int, mod_nullspace=False) -> np.ndarray:
-    """L^m g; negative m requires mod_nullspace and a mean-zero g."""
-    c = spec.coefficients(g)
+    """L^m g for a function or an (n, k) column table; negative m requires
+    mod_nullspace and mean-zero columns."""
     lam = spec.eigenvalues
-    out = np.zeros_like(c)
     nz = lam > 0
     if m < 0:
         if not mod_nullspace:
             raise ValueError("negative powers need mod_nullspace")
+        c = spec.coefficients(g)
         null_mass = np.abs(c[~nz]).max() if np.any(~nz) else 0.0
         if null_mass > 1e-10 * max(1.0, np.abs(c).max()):
             raise ValueError("negative power on a function with nullspace component")
-        out[nz] = lam[nz] ** m * c[nz]
-    else:
-        out[nz] = lam[nz] ** m * c[nz]
-        out[~nz] = c[~nz] if m == 0 else 0.0
-    return spec.synthesize(out)
+    vals = np.zeros_like(lam)
+    vals[nz] = lam[nz] ** m
+    vals[~nz] = 1.0 if m == 0 else 0.0
+    return spec.apply(vals, g)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +306,10 @@ def telescope(spec: SpectralData, Phi: Cutoff, b: float, window, f) -> np.ndarra
     Psi(u) = Phi(u) - Phi(b u); equals the mean-zero part of f when the
     window covers the nonzero spectrum."""
     j_min, j_max = window
-    lam = np.sqrt(spec.eigenvalues)
-    total = np.zeros(len(lam))
+    total = np.zeros(len(spec.eigenvalues))
     for j in range(j_min, j_max + 1):
-        total += Phi(b ** (-j) * lam) - Phi(b ** (-j + 1) * lam)
-    return spec.synthesize(total * spec.coefficients(f))
+        total += spec.symbol(Phi, b ** (-j)) - spec.symbol(Phi, b ** (-j + 1))
+    return spec.apply(total, f)
 
 
 # ---------------------------------------------------------------------------

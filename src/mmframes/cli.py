@@ -11,8 +11,11 @@ byte-identical machine report.  Exit codes: 0 all hard checks pass,
 1 hard failure, 2 configuration error.
 """
 
+import dataclasses
 import json
+import math
 import os
+import re
 import sys
 import time
 
@@ -29,7 +32,6 @@ from mmframes import multiplier as mx
 
 DEFAULT_CONFIG = {
     "model": "C_64",
-    "refined_model": None,
     "b": 2.0,
     "gamma": 0.5,
     "mode": "homogeneous",
@@ -41,7 +43,6 @@ DEFAULT_CONFIG = {
     "theta": {"N": 4, "K": 2, "eps": 1e-3, "R0": 1024.0, "R_max": 4096.0},
     "suites": "all",
     "output_dir": "reports",
-    "tolerances": {},
 }
 
 
@@ -63,6 +64,13 @@ def _fmt(v):
 # lazily built shared resources
 
 
+# resources whose builder returns (value, by-product), and the by-product's
+# own resource name
+BYPRODUCTS = {"hier": "sampling_eps", "compact": "compact_supports",
+              "compact_dual": "compact_dual_report"}
+BUILT_BY = {product: name for name, product in BYPRODUCTS.items()}
+
+
 class Context:
     def __init__(self, cfg):
         self.cfg = cfg
@@ -72,12 +80,17 @@ class Context:
     def get(self, name):
         if name in self._errors:
             raise self._errors[name]
+        if name in BUILT_BY and name not in self._cache:
+            self.get(BUILT_BY[name])
         if name not in self._cache:
             try:
-                self._cache[name] = getattr(self, "_build_" + name)()
+                value = getattr(self, "_build_" + name)()
             except Exception as exc:
                 self._errors[name] = exc
                 raise
+            if name in BYPRODUCTS:
+                value, self._cache[BYPRODUCTS[name]] = value
+            self._cache[name] = value
         return self._cache[name]
 
     def _build_space(self):
@@ -98,15 +111,9 @@ class Context:
                               d=prof.d, dstar=max(prof.dstar, 0.0))
 
     def _build_hier(self):
-        hier, eps = fr.build_standard_hierarchy(
+        return fr.build_standard_hierarchy(
             self.get("spec"), b=self.cfg["b"], gamma=self.cfg["gamma"],
             mode=self.cfg["mode"])
-        self._cache["sampling_eps"] = eps
-        return hier
-
-    def _build_sampling_eps(self):
-        self.get("hier")
-        return self._cache["sampling_eps"]
 
     def _build_Phi(self):
         return ca.make_cutoff("a", self.cfg["b"])
@@ -116,14 +123,8 @@ class Context:
                                self.get("Phi"))
 
     def _build_dual(self):
-        dual, report = fr.build_dual_frame(self.get("spec"), self.get("hier"),
-                                           self.get("Phi"))
-        self._cache["dual_report"] = report
-        return dual
-
-    def _build_dual_report(self):
-        self.get("dual")
-        return self._cache["dual_report"]
+        return fr.build_dual_frame(self.get("spec"), self.get("hier"),
+                                   self.get("Phi"))[0]
 
     def _build_theta(self):
         tc = self.cfg["theta"]
@@ -136,25 +137,13 @@ class Context:
             R0=float(tc["R0"]), R_max=float(tc["R_max"]), Psi_derivs=derivs)
 
     def _build_compact(self):
-        compact, supports = fr.build_compact_frame(
-            self.get("spec"), self.get("hier"), self.get("theta"))
-        self._cache["compact_supports"] = supports
-        return compact
-
-    def _build_compact_supports(self):
-        self.get("compact")
-        return self._cache["compact_supports"]
+        return fr.build_compact_frame(self.get("spec"), self.get("hier"),
+                                      self.get("theta"))
 
     def _build_compact_dual(self):
-        cdual, report = fr.build_compact_dual(
+        return fr.build_compact_dual(
             self.get("spec"), self.get("frame"), self.get("dual"),
             self.get("compact"), self.get("params"))
-        self._cache["compact_dual_report"] = report
-        return cdual
-
-    def _build_compact_dual_report(self):
-        self.get("compact_dual")
-        return self._cache["compact_dual_report"]
 
     def _build_battery(self):
         return sq.random_battery(self.get("space"), self.get("spec"),
@@ -297,14 +286,11 @@ def _suite_bands(ctx):
 
 def _characterization(ctx, family):
     spec = ctx.get("spec")
-    s, p, q = ctx.cfg["spq"]
     out = {}
     ok = True
     for flavor in ("classical", "tilde"):
-        prm = sq.SpaceParams(s=float(s), p=float(p), q=float(q),
-                             flavor=flavor, family=family,
-                             d=ctx.get("profile").d,
-                             dstar=max(ctx.get("profile").dstar, 0.0))
+        prm = dataclasses.replace(ctx.get("params"), flavor=flavor,
+                                  family=family)
         rep = sq.check_frame_characterization(
             ctx.get("battery"), prm, spec, ctx.get("frame"), ctx.get("dual"),
             ctx.get("Phi"), ctx.cfg["b"])
@@ -550,6 +536,22 @@ def _suite_multiplier(ctx):
         "multiplicativity": mult}
 
 
+def _suite_hardy(ctx):
+    rng = np.random.default_rng(int(ctx.cfg["seed"]))
+    worst = {10: 0.0, 20: 0.0, 40: 0.0}
+    for m in worst:
+        for _ in range(1000 // 3 + 1):
+            a = np.abs(rng.standard_normal(m))
+            rep = sq.hardy_check(a, gamma=0.5, q=2.0, b=ctx.cfg["b"])
+            worst[m] = max(worst[m], rep["down"], rep["up"])
+    vals = list(worst.values())
+    spread = max(vals) / min(vals)
+    ok = all(np.isfinite(v) for v in vals) and spread < 2.0
+    return ("pass" if ok else "fail"), {
+        "c_10": worst[10], "c_20": worst[20], "c_40": worst[40],
+        "spread": spread}
+
+
 def _suite_inhomogeneous(ctx):
     spec = ctx.get("spec")
     hier, eps = fr.build_standard_hierarchy(spec, b=ctx.cfg["b"],
@@ -625,30 +627,11 @@ SUITES = {
     "thm8.1-multiplier": ("Thm 8.1", "Mihlin multiplier checks",
                           _suite_multiplier),
     "lemma9.4-hardy": ("Lemma 9.4", "discrete Hardy inequalities",
-                       None),   # bound below
+                       _suite_hardy),
     "inhomogeneous-mode": ("§8 inhomogeneous case", "level-0 conventions",
                            _suite_inhomogeneous),
 }
 
-
-def _suite_hardy(ctx):
-    rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    worst = {10: 0.0, 20: 0.0, 40: 0.0}
-    for m in worst:
-        for _ in range(1000 // 3 + 1):
-            a = np.abs(rng.standard_normal(m))
-            rep = sq.hardy_check(a, gamma=0.5, q=2.0, b=ctx.cfg["b"])
-            worst[m] = max(worst[m], rep["down"], rep["up"])
-    vals = list(worst.values())
-    spread = max(vals) / min(vals)
-    ok = all(np.isfinite(v) for v in vals) and spread < 2.0
-    return ("pass" if ok else "fail"), {
-        "c_10": worst[10], "c_20": worst[20], "c_40": worst[40],
-        "spread": spread}
-
-
-SUITES["lemma9.4-hardy"] = ("Lemma 9.4", "discrete Hardy inequalities",
-                            _suite_hardy)
 
 # execution order respects resource dependencies
 SUITE_ORDER = [
@@ -676,6 +659,41 @@ DOWNSTREAM = {
 }
 
 
+def _is_number(v):
+    """A finite JSON number; true and false are not numbers here."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+
+
+def _is_count(v, least):
+    return _is_number(v) and v == int(v) and v >= least
+
+
+# the names build_model parses; a dict describes a custom model
+MODEL_NAME = re.compile(r"[CP]_[1-9][0-9]*|T_[1-9][0-9]*(x[1-9][0-9]*)?")
+
+CHECKS = {
+    "model": (lambda v: isinstance(v, dict) or isinstance(v, str)
+              and MODEL_NAME.fullmatch(v) is not None,
+              "a model name like C_64, P_10, T_8 or T_8x4, or an object"),
+    "b": (lambda v: _is_number(v) and v > 1, "a number above 1"),
+    "gamma": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "mode": (lambda v: v in ("homogeneous", "inhomogeneous"),
+             '"homogeneous" or "inhomogeneous"'),
+    "seed": (lambda v: _is_count(v, 0), "a nonnegative integer"),
+    "battery": (lambda v: _is_count(v, 1), "a positive integer"),
+    "spq": (lambda v: isinstance(v, list) and len(v) == 3
+            and all(_is_number(x) for x in v) and v[1] > 0 and v[2] > 0,
+            "a list [s, p, q] of numbers with p, q > 0"),
+    "flavor": (lambda v: v in ("classical", "tilde"),
+               '"classical" or "tilde"'),
+    "family": (lambda v: v in ("besov", "triebel_lizorkin"),
+               '"besov" or "triebel_lizorkin"'),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -698,9 +716,11 @@ def load_config(path) -> dict:
             theta.update(v)
         else:
             cfg[k] = v
+    for k, (ok, what) in CHECKS.items():
+        if not ok(cfg[k]):
+            raise ConfigError(f"{k} must be {what}, got {cfg[k]!r}")
     for k, v in theta.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not np.isfinite(v):
+        if not _is_number(v):
             raise ConfigError(f"theta.{k} must be a finite number, got {v!r}")
         if k in ("N", "K") and v != int(v):
             raise ConfigError(f"theta.{k} must be an integer, got {v!r}")

@@ -54,11 +54,6 @@ class DualBuildReport:
     level_epsilons: dict           # level -> epsilon
 
 
-def _band_symbol_values(spec: SpectralData, fn, j: int, b: float) -> np.ndarray:
-    roots = np.sqrt(spec.eigenvalues)
-    return np.asarray(fn(b ** (-j) * roots), dtype=float)
-
-
 def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Frame:
     """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with
     Psi(u) = Phi(u) - Phi(b u)."""
@@ -67,14 +62,12 @@ def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Fr
     if abs(Phi.b - hierarchy.b) > 0:
         raise ValueError("hierarchy/cutoff base mismatch")
     b = hierarchy.b
-    E = spec.eigenfunctions
     cols = []
     bands = {}
     for net in hierarchy.levels:
         j = net.level
-        vals = _band_symbol_values(spec, Phi, j, b) - _band_symbol_values(spec, Phi, j - 1, b)
-        P = (E * vals[None, :]) @ E.T
-        block = P[:, net.centers] * np.sqrt(net.a_vol)[None, :]
+        vals = spec.symbol(Phi, b ** (-j)) - spec.symbol(Phi, b ** (-j + 1))
+        block = spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
         cols.append(block)
         bands[j] = (b ** (j - 1), b ** (j + 1))
     return Frame(hierarchy=hierarchy, columns=np.hstack(cols), kind="primal", bands=bands)
@@ -133,16 +126,11 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
     psi~_xi = |A_xi|^{1/2}/(1+eps_j) * T[G_j(., xi)].
     """
     b = hierarchy.b
-    space = spec.space
-    E = spec.eigenfunctions
-    mu = space.mu
+    mu = spec.space.mu
     cols = []
     bands = {}
     ratios, epsilons = {}, {}
     worst_terms, worst_tail = 0, 0.0
-
-    def Gsym(u):
-        return Phi(np.asarray(u) / b**2) - Phi(np.asarray(u) * b)
 
     for net in hierarchy.levels:
         j = net.level
@@ -159,9 +147,10 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={eps}")
 
         # scale so the plateau [1, b^2] covers the primal band [b^{j-1}, b^{j+1}]
-        gvals = _band_symbol_values(spec, Gsym, j - 1, b)
-        G = (E * gvals[None, :]) @ E.T
-        G2 = (E * (gvals**2)[None, :]) @ E.T
+        gvals = spec.symbol(Phi, b ** (-j - 1)) - \
+            spec.symbol(Phi, b ** (-j + 2))
+        G = spec.kernel(gvals)
+        G2 = spec.kernel(gvals**2)
         w = net.a_vol / (1.0 + eps)
         Gc = G[:, net.centers]
         V = (Gc * w[None, :]) @ Gc.T
@@ -216,7 +205,7 @@ def check_band_containment(spec: SpectralData, frame: Frame, tol=1e-10) -> float
     level band; construction should keep it at rounding level."""
     worst = 0.0
     roots = np.sqrt(spec.eigenvalues)
-    coeffs = spec.eigenfunctions.T @ (spec.space.mu[:, None] * frame.columns)
+    coeffs = spec.coefficients(frame.columns)
     scale = np.abs(coeffs).max()
     for k in range(frame.size):
         j = frame.hierarchy.xi_level[k]
@@ -420,13 +409,11 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
     """Compactly supported frame theta_xi = |A_xi|^{1/2} Theta(b^{-j}
     sqrt(L))(., xi); returns (Frame, per-level effective support radii)."""
     b = hierarchy.b
-    E = spec.eigenfunctions
     cols = []
     supports = {}
     for net in hierarchy.levels:
         j = net.level
-        vals = _band_symbol_values(spec, theta, j, b)
-        P = (E * vals[None, :]) @ E.T
+        P = spec.kernel(spec.symbol(theta, b ** (-j)))
         supports[j] = effective_support_radius(
             Kernel(table=P, band=(0.0, 0.0)), spec.space, threshold)
         cols.append(P[:, net.centers] * np.sqrt(net.a_vol)[None, :])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mmframes.space import NetHierarchy
-from mmframes.calculus import SpectralData
+from mmframes.calculus import SpectralData, apply_L_power
 from mmframes.seqspace import SpaceParams, seq_norm, function_norm
 
 
@@ -115,20 +115,30 @@ def _envelope(hier: NetHierarchy, decay: float) -> np.ndarray:
     return hier.xi_bvol[None, :] ** -0.5 * (1.0 + rho / ell) ** (-decay)
 
 
-def _L_power_columns(spec: SpectralData, cols: np.ndarray, m: int) -> np.ndarray:
-    """L^m applied to every column; negative m inverts on the mean-zero
-    part and requires each column to be mean-zero."""
-    c = spec.eigenfunctions.T @ (spec.space.mu[:, None] * cols)
-    lam = spec.eigenvalues
-    nz = lam > 0
-    if m < 0:
-        null_mass = np.abs(c[~nz]).max() if np.any(~nz) else 0.0
-        if null_mass > 1e-10 * max(1.0, np.abs(c).max()):
-            raise ValueError(
-                "negative power of L on a family with nullspace component")
-    out = np.zeros_like(c)
-    out[nz] = lam[nz, None] ** m * c[nz]
-    return spec.eigenfunctions @ out
+def _ladder(spec: SpectralData, cols: np.ndarray, top: int):
+    """L^nu cols for nu = 0..top, each from the one before."""
+    for nu in range(top + 1):
+        yield cols
+        if nu < top:
+            cols = apply_L_power(spec, cols, 1, mod_nullspace=True)
+
+
+def _companion(spec: SpectralData, cols, K: int, companions, hier,
+               mask) -> tuple:
+    """Cancellation companion h with L^K h = cols, spectral L^{-K} cols
+    unless given (K = 0 gives cols itself), and the relative factorization
+    residual |L^K h - cols| over the centers in mask."""
+    if K == 0:
+        return cols.copy(), 0.0
+    if companions is None:
+        companion = apply_L_power(spec, cols, -K, mod_nullspace=True)
+    else:
+        companion = _as_columns(companions, hier)
+    rebuilt = apply_L_power(spec, companion, K, mod_nullspace=True)
+    scale = max(1.0, np.abs(cols).max())
+    resid = float(np.abs(rebuilt - cols)[:, mask].max() / scale) \
+        if mask.any() else 0.0
+    return companion, resid
 
 
 def _worst_constant(cols, env, mask=None) -> float:
@@ -174,71 +184,29 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     if inhomogeneous:
         canc_mask = hier.xi_level != 0
 
+    # synthesis: smoothness through L^N when s >= 0 (from nu = 1 in the
+    # classical flavor), cancellation through L^K when s is below the cap
+    # (and s >= 0 in the tilde flavor); analysis: smoothness through L^K
+    # and cancellation through L^N
+    classical = space_flavor == "classical"
     if flavor == "synthesis":
-        # smoothness in L up to order N when s >= 0
-        if not orders.N_void:
-            worst = 0.0
-            g = cols
-            lo = 1 if space_flavor == "classical" else 0
-            for nu in range(orders.N + 1):
-                if nu >= lo:
-                    worst = max(worst, _worst_constant(g * ell2**nu, env))
-                if nu < orders.N:
-                    g = _L_power_columns(spec, g, 1)
-            constants["smoothness"] = worst
-        # cancellation through L^K when s is below the cap
-        canc_applies = (not orders.K_void) if space_flavor == "classical" \
-            else (not orders.K_void and s >= 0)
-        if canc_applies:
-            K = orders.K
-            if companions is None:
-                companion = _L_power_columns(spec, cols, -K)
-            else:
-                companion = _as_columns(companions, hier)
-            rebuilt = _L_power_columns(spec, companion, K)
-            scale = max(1.0, np.abs(cols).max())
-            fact_resid = float(np.abs(rebuilt - cols)[:, canc_mask].max()
-                               / scale) if canc_mask.any() else 0.0
-            worst = 0.0
-            g = companion
-            hi = K - 1 if space_flavor == "classical" else K
-            for nu in range(hi + 1):
-                worst = max(worst,
-                            _worst_constant(g / ell2 ** (K - nu), env,
-                                            canc_mask))
-                if nu < hi:
-                    g = _L_power_columns(spec, g, 1)
-            constants["companion_size"] = worst
+        smooth, lo = (None if orders.N_void else orders.N), int(classical)
+        canc = None if orders.K_void or (not classical and s < 0) \
+            else orders.K
+        canc_top = None if canc is None else canc - int(classical)
     else:
-        # analysis: smoothness up to order K when s is below the cap
-        if not orders.K_void:
-            worst = 0.0
-            g = cols
-            for nu in range(orders.K + 1):
-                worst = max(worst, _worst_constant(g * ell2**nu, env))
-                if nu < orders.K:
-                    g = _L_power_columns(spec, g, 1)
-            constants["smoothness"] = worst
-        # cancellation through L^N when s >= 0
-        if not orders.N_void:
-            N = orders.N
-            if companions is None:
-                companion = _L_power_columns(spec, cols, -N)
-            else:
-                companion = _as_columns(companions, hier)
-            rebuilt = _L_power_columns(spec, companion, N)
-            scale = max(1.0, np.abs(cols).max())
-            fact_resid = float(np.abs(rebuilt - cols)[:, canc_mask].max()
-                               / scale) if canc_mask.any() else 0.0
-            worst = 0.0
-            g = companion
-            for nu in range(N + 1):
-                worst = max(worst,
-                            _worst_constant(g / ell2 ** (N - nu), env,
-                                            canc_mask))
-                if nu < N:
-                    g = _L_power_columns(spec, g, 1)
-            constants["companion_size"] = worst
+        smooth, lo = (None if orders.K_void else orders.K), 0
+        canc = canc_top = None if orders.N_void else orders.N
+    if smooth is not None:
+        constants["smoothness"] = max(
+            _worst_constant(g * ell2**nu, env)
+            for nu, g in enumerate(_ladder(spec, cols, smooth)) if nu >= lo)
+    if canc is not None:
+        companion, fact_resid = _companion(spec, cols, canc, companions,
+                                           hier, canc_mask)
+        constants["companion_size"] = max(
+            _worst_constant(g / ell2 ** (canc - nu), env, canc_mask)
+            for nu, g in enumerate(_ladder(spec, companion, canc_top)))
 
     passed = all(c <= budget for c in constants.values()) and \
         fact_resid <= 1e-9
@@ -376,32 +344,17 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     ell2 = hier.xi_ell[None, :] ** 2
     base = hier.xi_bvol[None, :] ** -0.5
 
-    constants = {}
-    worst = 0.0
-    g = cols
-    for n in range(K_tilde + 1):
-        worst = max(worst, _worst_constant(g * ell2**n, base))
-        if n < K_tilde:
-            g = _L_power_columns(spec, g, 1)
-    constants["smoothness"] = worst
-
-    if K > 0:
-        if companions is None:
-            companion = _L_power_columns(spec, cols, -K)
-        else:
-            companion = _as_columns(companions, hier)
-    else:
-        companion = cols.copy()
-    rebuilt = _L_power_columns(spec, companion, K) if K > 0 else companion
-    fact_resid = float(np.abs(rebuilt - cols).max()
-                       / max(1.0, np.abs(cols).max()))
+    constants = {"smoothness": max(
+        _worst_constant(g * ell2**nu, base)
+        for nu, g in enumerate(_ladder(spec, cols, K_tilde)))}
+    companion, fact_resid = _companion(spec, cols, K, companions, hier,
+                                       np.ones(hier.size, dtype=bool))
 
     worst = 0.0
     supp_c = 0.0
     radii = {}
     dist = hier.space.dist
-    g = companion
-    for nu in range(K + 1):
+    for nu, g in enumerate(_ladder(spec, companion, K)):
         worst = max(worst, _worst_constant(g / ell2 ** (K - nu), base))
         gmax = np.abs(g).max(axis=0)
         level_worst = {}
@@ -418,8 +371,6 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
                     supp_c = max(supp_c, r / net.delta)
             level_worst[net.level] = rmax
         radii[nu] = level_worst
-        if nu < K:
-            g = _L_power_columns(spec, g, 1)
     constants["companion_size"] = worst
 
     passed = all(c <= budget for c in constants.values()) and \

@@ -4,33 +4,34 @@ the frame expansion with a cross-check against plain functional calculus,
 and measured boundedness on the four space flavors.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from mmframes.space import ModelSpace, ball_volumes
-from mmframes.calculus import SpectralData, apply_symbol_to
+from mmframes.calculus import SpectralData
 from mmframes.seqspace import SpaceParams, function_norm
 
 
-_LAM = sympy.Symbol("lam", real=True)
-
+# named symbols, as sources for parse_symbol in the variable lam
 BUILTIN_SYMBOLS = {
-    "one": sympy.Integer(1),
-    "heat": sympy.exp(-(_LAM**2)),
-    "rational": _LAM**2 / (1 + _LAM**2),
-    "linear": _LAM,
+    "one": "1",
+    "heat": "exp(-lam**2)",
+    "rational": "lam**2/(1 + lam**2)",
+    "linear": "lam",
 }
 
 
-def parse_symbol(text: str) -> sympy.Expr:
-    """Symbol from a named built-in or a small arithmetic expression in
-    lam (+, -, *, /, **, exp)."""
-    if text in BUILTIN_SYMBOLS:
-        return BUILTIN_SYMBOLS[text]
-    expr = sympy.sympify(text, locals={"lam": _LAM, "exp": sympy.exp})
-    extra = expr.free_symbols - {_LAM}
+def parse_symbol(text: str):
+    """Sympy expression from a named built-in or a small arithmetic
+    expression in lam (+, -, *, /, **, exp)."""
+    import sympy
+
+    lam = sympy.Symbol("lam", real=True)
+    expr = sympy.sympify(BUILTIN_SYMBOLS.get(text, text),
+                         locals={"lam": lam, "exp": sympy.exp})
+    extra = expr.free_symbols - {lam}
     if extra:
         raise ValueError(f"unknown names in symbol expression: {extra}")
     return expr
@@ -62,8 +63,7 @@ def _richardson_derivative(fn, x, order, h):
 
     def central(hh):
         k = np.arange(order + 1)
-        w = (-1.0) ** k * np.array(
-            [float(sympy.binomial(order, int(i))) for i in k])
+        w = (-1.0) ** k * np.array([math.comb(order, int(i)) for i in k])
         pts = x[:, None] + (order / 2.0 - k)[None, :] * hh[:, None]
         return (w[None, :] * fn(pts)).sum(axis=1) / hh**order
 
@@ -107,12 +107,8 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     """
     if isinstance(m, str):
         m = parse_symbol(m)
-    expr = m if isinstance(m, sympy.Expr) else None
-    if expr is not None:
-        fn = sympy.lambdify(_LAM, expr, "numpy")
-        base_fn = lambda u: np.asarray(fn(u), dtype=float) + 0.0 * np.asarray(u)
-    else:
-        base_fn = lambda u: np.asarray(m(u), dtype=float)
+    # a sympy expression, recognized without importing sympy
+    expr = m if hasattr(m, "free_symbols") else None
 
     scan = ahlfors_scan(spec.space, params.d)
     threshold = params.J + (0.0 if scan["band"] <= ahlfors_band
@@ -121,6 +117,17 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
         raise ValueError(
             f"smoothness order {ell} does not exceed the threshold "
             f"{threshold:.4g}")
+
+    if expr is not None:
+        import sympy
+
+        lam = sympy.Symbol("lam", real=True)
+        derivs = [sympy.lambdify(lam, sympy.diff(expr, lam, nu), "numpy")
+                  for nu in range(ell + 1)]
+        base_fn = lambda u: np.asarray(derivs[0](u), dtype=float) + \
+            0.0 * np.asarray(u)
+    else:
+        base_fn = lambda u: np.asarray(m(u), dtype=float)
 
     lo = np.sqrt(spec.lambda_2) / b**2
     hi = b**2 * np.sqrt(spec.lambda_max)
@@ -138,11 +145,13 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
         # derivatives below are taken on the (positive) grid, where the
         # even extension agrees with the original expression
 
+    # the sups, and range restriction: does a weighted sup keep growing
+    # toward the edge of the extended range?
     sups = []
+    restricted = False
     for nu in range(ell + 1):
         if expr is not None:
-            dnu = sympy.lambdify(_LAM, sympy.diff(expr, _LAM, nu), "numpy")
-            vals = np.asarray(dnu(grid), dtype=float) + 0.0 * grid
+            vals = np.asarray(derivs[nu](grid), dtype=float) + 0.0 * grid
         else:
             if nu == 0:
                 vals = base_fn(grid)
@@ -152,28 +161,16 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
                 h = np.maximum(grid, 1.0) * \
                     np.finfo(float).eps ** (1.0 / (nu + 4))
                 vals, disc = _richardson_derivative(base_fn, grid, nu, h)
-                wd = disc * grid**nu
-                wv = np.abs(grid**nu * vals)
-                if wd.max() > 1e-3 * max(1.0, float(wv.max())):
+                if (disc * grid**nu).max() > \
+                        1e-3 * max(1.0, float(np.abs(grid**nu * vals).max())):
                     raise ValueError(
                         "finite-difference derivative did not stabilize")
-        sups.append(float(np.abs(grid**nu * vals).max()))
-
-    # range restriction: does a weighted sup keep growing toward the edge
-    # of the extended range?
-    restricted = False
-    for nu in range(ell + 1):
-        if expr is not None:
-            dnu = sympy.lambdify(_LAM, sympy.diff(expr, _LAM, nu), "numpy")
-            wv = np.abs(grid**nu * (np.asarray(dnu(grid), dtype=float)
-                                    + 0.0 * grid))
-        else:
-            wv = np.abs(grid**nu * base_fn(grid)) if nu == 0 else None
-        if wv is None:
-            continue
-        head = max(float(wv[:-200].max()), 1e-300)
-        if float(wv[-1]) > 2.0 * head and wv[-1] >= wv[-100]:
-            restricted = True
+        wv = np.abs(grid**nu * vals)
+        sups.append(float(wv.max()))
+        if expr is not None or nu == 0:
+            head = max(float(wv[:-200].max()), 1e-300)
+            if float(wv[-1]) > 2.0 * head and wv[-1] >= wv[-100]:
+                restricted = True
 
     return MihlinSymbol(expr=expr, fn=base_fn, ell=ell,
                         mihlin_sup=float(max(sups)), order_sups=tuple(sups),
@@ -190,12 +187,9 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData,
     spectral application."""
     fn = symbol.fn if isinstance(symbol, MihlinSymbol) else symbol
     fv = spec.project_mean_zero(np.asarray(f, dtype=float))
-    direct = apply_symbol_to(spec, fn, fv)
-    mvals = np.asarray(fn(np.sqrt(spec.eigenvalues)), dtype=float) + \
-        0.0 * spec.eigenvalues
-    E = spec.eigenfunctions
-    framed = E @ (mvals * (E.T @ (spec.space.mu
-                                  * (frame.columns @ dual.analyze(fv)))))
+    mvals = spec.symbol(fn)
+    direct = spec.apply(mvals, fv)
+    framed = spec.apply(mvals, frame.columns @ dual.analyze(fv))
     scale = max(1.0, float(np.abs(direct).max()))
     resid = float(np.abs(framed - direct).max() / scale)
     if resid > tol:
@@ -211,6 +205,7 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
     flavors, with the per-flavor smoothness requirement recorded."""
     s = params.s
     out = {"mihlin_sup": symbol.mihlin_sup}
+    mvals = spec.symbol(symbol.fn)
     base = params.J if symbol.threshold == params.J else params.J + params.d / 2.0
     for key, family, flavor, extra in (
             ("f", "triebel_lizorkin", "classical", 0.0),
@@ -225,7 +220,7 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
             denom = function_norm(fv, prm, spec, phi, b, window)
             if denom == 0:
                 continue
-            g = apply_symbol_to(spec, symbol.fn, fv)
+            g = spec.apply(mvals, fv)
             worst = max(worst, function_norm(g, prm, spec, phi, b, window)
                         / denom)
         out[key] = {"ratio": worst, "required_order": base + extra,
@@ -235,9 +230,8 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
 
 def multiplicativity_residual(m1, m2, f, spec: SpectralData) -> float:
     """|m1(sqrt(L)) m2(sqrt(L)) f - (m1 m2)(sqrt(L)) f| (relative sup)."""
-    f1 = lambda u: np.asarray(m1(u), dtype=float)
-    f2 = lambda u: np.asarray(m2(u), dtype=float)
+    v1, v2 = spec.symbol(m1), spec.symbol(m2)
     fv = spec.project_mean_zero(np.asarray(f, dtype=float))
-    seq = apply_symbol_to(spec, f1, apply_symbol_to(spec, f2, fv))
-    prod = apply_symbol_to(spec, lambda u: f1(u) * f2(u), fv)
+    seq = spec.apply(v1, spec.apply(v2, fv))
+    prod = spec.apply(v1 * v2, fv)
     return float(np.abs(seq - prod).max() / max(1.0, np.abs(prod).max()))

@@ -54,34 +54,29 @@ def _lq(values, q, axis=0):
 # function-space norms
 
 
-def _level_pieces(f, spec: SpectralData, phi, b, window):
-    """phi(b^{-j} sqrt(L)) f for j across the window; f projected mean-zero
-    first."""
-    j_min, j_max = window
-    roots = np.sqrt(spec.eigenvalues)
-    c = spec.coefficients(f)
-    c[: spec.nullspace_dim] = 0.0
-    pieces = []
-    for j in range(j_min, j_max + 1):
-        vals = np.asarray(phi(b ** (-j) * roots), dtype=float)
-        pieces.append(spec.synthesize(vals * c))
-    return np.array(pieces)  # (levels, n)
+def _level_pieces(f, params: SpaceParams, spec: SpectralData, phi, b,
+                  window):
+    """|phi(b^{-j} sqrt(L)) f| for j across the window, one row per level,
+    weighted by b^{js} (classical) or |B(x, b^{-j})|^{-s/d} (tilde); f is
+    projected mean-zero first."""
+    levels = range(window[0], window[1] + 1)
+    vals = np.stack([spec.symbol(phi, b ** (-j)) for j in levels], axis=1)
+    vals[: spec.nullspace_dim] = 0.0
+    pieces = np.abs(spec.apply(vals, f).T)
+    for row, j in zip(pieces, levels):
+        if params.flavor == "classical":
+            row *= b ** (j * params.s)
+        else:
+            row *= ball_volumes(spec.space, b ** (-j)) ** (-params.s / params.d)
+    return pieces
 
 
 def besov_norm(f, params: SpaceParams, spec: SpectralData, phi,
                b: float = 2.0, window=None) -> float:
     if window is None:
         window = level_window(spec, b)
-    pieces = _level_pieces(f, spec, phi, b, window)
-    space = spec.space
-    j_min, j_max = window
-    terms = []
-    for idx, j in enumerate(range(j_min, j_max + 1)):
-        if params.flavor == "classical":
-            terms.append(b ** (j * params.s) * space.lp_norm(pieces[idx], params.p))
-        else:
-            w = ball_volumes(space, b ** (-j)) ** (-params.s / params.d)
-            terms.append(space.lp_norm(w * pieces[idx], params.p))
+    pieces = _level_pieces(f, params, spec, phi, b, window)
+    terms = [spec.space.lp_norm(row, params.p) for row in pieces]
     return float(_lq(np.array(terms), params.q))
 
 
@@ -91,18 +86,8 @@ def tl_norm(f, params: SpaceParams, spec: SpectralData, phi,
         raise ValueError("p must be finite for the TL norm")
     if window is None:
         window = level_window(spec, b)
-    pieces = _level_pieces(f, spec, phi, b, window)
-    space = spec.space
-    j_min, j_max = window
-    weighted = np.empty_like(pieces)
-    for idx, j in enumerate(range(j_min, j_max + 1)):
-        if params.flavor == "classical":
-            weighted[idx] = b ** (j * params.s) * np.abs(pieces[idx])
-        else:
-            w = ball_volumes(space, b ** (-j)) ** (-params.s / params.d)
-            weighted[idx] = w * np.abs(pieces[idx])
-    inner = _lq(weighted, params.q, axis=0)
-    return float(space.lp_norm(inner, params.p))
+    pieces = _level_pieces(f, params, spec, phi, b, window)
+    return float(spec.space.lp_norm(_lq(pieces, params.q, axis=0), params.p))
 
 
 def function_norm(f, params: SpaceParams, spec: SpectralData, phi,

@@ -40,9 +40,26 @@ def test_symbol_application_routes_agree(spectra):
     spec = spectra["C_64"]
     g = np.sin(np.arange(64) / 5.0)
     sym = lambda u: np.exp(-(u**2))
+    vals = spec.symbol(sym)
     via_kernel = ca.apply_symbol(spec, sym).apply(spec.space, g)
-    direct = ca.apply_symbol_to(spec, sym, g)
+    direct = spec.apply(vals, g)
     assert np.allclose(via_kernel, direct, atol=1e-10)
+    assert np.allclose(spec.kernel(vals, [3, 7]),
+                       ca.apply_symbol(spec, sym).table[:, [3, 7]], atol=1e-14)
+    # a table of functions is applied column by column; the square table
+    # catches values broadcast along the wrong axis
+    rng = np.random.default_rng(0)
+    for k in (3, 64):
+        G = rng.standard_normal((64, k))
+        cols = np.column_stack([spec.apply(vals, G[:, i]) for i in range(k)])
+        assert np.allclose(spec.apply(vals, G), cols, atol=1e-12)
+    # a table of symbols applied to one function gives one column each
+    table = np.column_stack([spec.symbol(sym, d) for d in (0.5, 1.0, 2.0)])
+    cols = np.column_stack([spec.apply(spec.symbol(sym, d), g)
+                            for d in (0.5, 1.0, 2.0)])
+    assert np.allclose(spec.apply(table, g), cols, atol=1e-12)
+    # a scalar symbol is broadcast over the spectrum
+    assert np.array_equal(spec.symbol(lambda u: 2.0), np.full(64, 2.0))
 
 
 def test_L_power_roundtrip(spectra):
@@ -51,6 +68,11 @@ def test_L_power_roundtrip(spectra):
     g = ca.apply_L_power(spec, f, 2)
     back = ca.apply_L_power(spec, g, -2, mod_nullspace=True)
     assert np.allclose(back, f, atol=1e-8)
+    F = spec.project_mean_zero(
+        np.random.default_rng(1).standard_normal((32, 32)))
+    G = ca.apply_L_power(spec, F, 2)
+    back = ca.apply_L_power(spec, G, -2, mod_nullspace=True)
+    assert np.allclose(back, F, atol=1e-8)
 
 
 def test_negative_power_requires_flag_and_mean_zero(spectra):
@@ -66,6 +88,9 @@ def test_apply_L_power_matches_matrix_action(spectra):
     spec = spectra["C_32"]
     f = np.cos(np.arange(32) / 3.0)
     assert np.allclose(ca.apply_L_power(spec, f, 1), spec.space.L @ f,
+                       atol=1e-9)
+    cols = np.random.default_rng(2).standard_normal((32, 5))
+    assert np.allclose(ca.apply_L_power(spec, cols, 1), spec.space.L @ cols,
                        atol=1e-9)
 
 

@@ -66,12 +66,31 @@ def test_config_errors(tmp_path):
     {"theta": {"R_max": [4096]}},
     {"suites": "doubling"},
     {"suites": [["doubling"]]},
+    {"b": 1.0},
+    {"b": "x"},
+    {"model": "Q_5"},
+    {"gamma": -1},
+    {"spq": [0, 2]},
+    {"mode": "foo"},
+    {"seed": "a"},
+    {"battery": 0},
+    {"refined_model": "C_128"},
+    {"tolerances": {}},
 ])
 def test_bad_config_is_a_config_error(tmp_path, capsys, cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert cli.main(["run", str(p)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mmframes.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_empty_suite_list_writes_manifest_only(tmp_path):

@@ -11,7 +11,7 @@ from mmframes import seqspace as sq
 def test_parse_symbol_builtins_and_expressions():
     assert mp.parse_symbol("one") == sympy.Integer(1)
     expr = mp.parse_symbol("lam**2/(1+lam**2)")
-    assert expr == mp.BUILTIN_SYMBOLS["rational"]
+    assert expr == mp.parse_symbol("rational")
     with pytest.raises(ValueError):
         mp.parse_symbol("lam + nu")
 
