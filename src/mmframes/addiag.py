@@ -2,7 +2,7 @@
 the weighted sup norm, composition bounds and Neumann inversion.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,35 +29,37 @@ class AdNorm:
     argmax: tuple
 
 
-def _pair_tables(hier: NetHierarchy):
-    ell = hier.xi_ell
-    rho = hier.space.dist[np.ix_(hier.xi_point, hier.xi_point)]
-    bv = hier.xi_bvol
-    return ell, rho, bv
+def _log_omega(lam, lb, t, beta, gamma, params):
+    """log omega_{xi,eta}(beta, gamma) of Def 6.1, from lam = log(l_xi/l_eta),
+    lb = log(|B_xi|/|B_eta|) and t = rho/max(l_xi, l_eta); broadcasts.
+
+    Classical: s lam + lb/2 - (J+beta) log1p(t)
+               + min{gamma lam, -(J+gamma) lam};
+    tilde: the level term becomes (s/d + 1/2) lb.  Every term is exactly 0
+    when xi = eta.
+    """
+    if params.flavor == "classical":
+        head = params.s * lam + 0.5 * lb
+    else:
+        head = (params.s / params.d + 0.5) * lb
+    J = params.J
+    return (head - (J + beta) * np.log1p(t)
+            + np.minimum(gamma * lam, -(J + gamma) * lam))
 
 
 def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
                   params: SpaceParams) -> np.ndarray:
-    """Two-parameter decay weight for every ordered pair (xi, eta).
-
-    Classical: (l_xi/l_eta)^s (|B_xi|/|B_eta|)^{1/2}
-               (1 + rho/max(l_xi,l_eta))^{-J-beta}
-               min{(l_xi/l_eta)^gamma, (l_eta/l_xi)^{J+gamma}};
-    tilde: the level factor becomes (|B_xi|/|B_eta|)^{s/d + 1/2}.
-    """
+    """Def 6.1 decay weight omega_{xi,eta}(beta, gamma) for every ordered
+    pair (xi, eta)."""
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta, gamma must be positive")
-    ell, rho, bv = _pair_tables(hier)
-    J = params.J
-    lr = ell[:, None] / ell[None, :]
-    br = bv[:, None] / bv[None, :]
-    if params.flavor == "classical":
-        head = lr**params.s * br**0.5
-    else:
-        head = br ** (params.s / params.d + 0.5)
-    dist_f = (1.0 + rho / np.maximum(ell[:, None], ell[None, :])) ** (-(J + beta))
-    min_f = np.minimum(lr**gamma, (1.0 / lr) ** (J + gamma))
-    return head * dist_f * min_f
+    ell, pts = hier.xi_ell, hier.xi_point
+    le, lb = np.log(ell), np.log(hier.xi_bvol)
+    t = hier.space.dist[np.ix_(pts, pts)]
+    t /= np.maximum(ell[:, None], ell[None, :])
+    W = _log_omega(le[:, None] - le[None, :], lb[:, None] - lb[None, :], t,
+                   beta, gamma, params)
+    return np.exp(W, out=W)
 
 
 def omega_matrix(hier: NetHierarchy, delta: float, params: SpaceParams) -> np.ndarray:
@@ -72,19 +74,11 @@ def omega(hier: NetHierarchy, i: int, k: int, delta: float,
 
 def omega2(hier: NetHierarchy, i: int, k: int, beta: float, gamma: float,
            params: SpaceParams) -> float:
-    ell = hier.xi_ell
+    ell, bv = hier.xi_ell, hier.xi_bvol
     rho = hier.space.dist[hier.xi_point[i], hier.xi_point[k]]
-    bv = hier.xi_bvol
-    J = params.J
-    lr = ell[i] / ell[k]
-    br = bv[i] / bv[k]
-    if params.flavor == "classical":
-        head = lr**params.s * br**0.5
-    else:
-        head = br ** (params.s / params.d + 0.5)
-    dist_f = (1.0 + rho / max(ell[i], ell[k])) ** (-(J + beta))
-    min_f = min(lr**gamma, (1.0 / lr) ** (J + gamma))
-    return float(head * dist_f * min_f)
+    return float(np.exp(_log_omega(
+        np.log(ell[i]) - np.log(ell[k]), np.log(bv[i]) - np.log(bv[k]),
+        rho / max(ell[i], ell[k]), beta, gamma, params)))
 
 
 def ad_norm(A: NetMatrix, delta: float) -> AdNorm:
@@ -148,19 +142,10 @@ def lemma64_check(hier: NetHierarchy, params: SpaceParams, beta: float,
         raise ValueError("requires beta < gamma1 + gamma2")
     W1 = omega2_matrix(hier, beta, gamma1, params)
     W2 = omega2_matrix(hier, beta, gamma2, params)
-    W = W1 @ W2
-    target = omega2_matrix(hier, beta, min(gamma1, gamma2), params)
-    R = W / target
+    R = W1 @ W2
+    R /= W1 if gamma1 < gamma2 else W2
     idx = np.unravel_index(np.argmax(R), R.shape)
     return {"max_ratio": float(R[idx]), "argmax": (int(idx[0]), int(idx[1]))}
-
-
-def composition_constant(hier: NetHierarchy, params: SpaceParams,
-                         eps1: float, eps: float) -> float:
-    """Measured constant c* with Omega(eps1,eps) @ Omega(eps1,eps1)
-    <= c* omega(eps1) entrywise; drives the Neumann decay bound."""
-    res = lemma64_check(hier, params, beta=eps1, gamma1=eps, gamma2=eps1)
-    return res["max_ratio"]
 
 
 def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
@@ -170,8 +155,8 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
     of the terms in the eps1-weighted norm.
 
     Preconditions: ||I - A||_epsilon < delta_threshold and
-    delta_threshold * c* < 1 with the measured composition constant c* at
-    (eps1, epsilon).
+    delta_threshold * c* < 1 with the measured composition constant c*:
+    Omega(eps1,epsilon) @ Omega(eps1,eps1) <= c* omega(eps1) entrywise.
     """
     if eps1 is None:
         eps1 = epsilon / 2.0
@@ -183,7 +168,8 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
         raise RuntimeError(
             f"Neumann precondition failed: ||I-A||_eps = {delta_hat:.4g} >= "
             f"{delta_threshold}")
-    cstar = composition_constant(hier, params, eps1, epsilon)
+    cstar = lemma64_check(hier, params, eps1, epsilon, eps1)["max_ratio"]
+    W = omega_matrix(hier, eps1, params)
     term = D.copy()
     total = np.eye(hier.size)
     first = np.linalg.norm(term)
@@ -194,9 +180,7 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
         for n in range(1, max_terms):
             total += term
             terms = n
-            term_ad_norms.append(
-                ad_norm(NetMatrix(hierarchy=hier, entries=term, params=params),
-                        eps1).value)
+            term_ad_norms.append(float((np.abs(term) / W).max()))
             term = term @ D
             cur = np.linalg.norm(term)
             if cur > 0.999 * prev:
@@ -206,7 +190,7 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
             else:
                 stall = 0
             prev = cur
-            if first > 0 and cur / first < tail_tol:
+            if cur / first < tail_tol:
                 break
         else:
             raise RuntimeError("Neumann series did not settle")
@@ -224,7 +208,7 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
         "c_star": cstar,
         "terms": terms,
         "residual": float(resid),
-        "inverse_ad_norm": ad_norm(Ainv, eps1).value,
+        "inverse_ad_norm": float((np.abs(total) / W).max()),
         "term_ad_norms": term_ad_norms,
         "geometric_decay_ok": bool(geometric_ok),
     }

@@ -222,21 +222,25 @@ def _suite_cutoffs(ctx):
                                         "partition_err": part_err}
 
 
+def _speed_checks(ctx):
+    """(radius / bound, passed) per level: the compact frame's support radius
+    against the Prop 2.1 bound c~ R b^{-j}, which passes when it reaches
+    the diameter."""
+    diameter = ctx.get("spec").space.diameter
+    ct, R, b = ctx.get("ctilde"), ctx.get("theta").R, ctx.get("hier").b
+    out = []
+    for j, r in ctx.get("compact_supports").items():
+        bound = ct * b ** (-j) * R
+        out.append((r / bound, r <= bound or bound >= diameter))
+    return out
+
+
 def _suite_finite_speed(ctx):
-    spec, hier = ctx.get("spec"), ctx.get("hier")
-    theta = ctx.get("theta")
-    ct = ctx.get("ctilde")
-    b = hier.b
-    ok = True
-    worst = 0.0
-    for net in hier.levels:
-        kern = ca.apply_symbol(spec, theta, delta=b ** (-net.level))
-        rep = ca.check_finite_speed(spec, kern, theta.R, b ** (-net.level),
-                                    c_tilde=ct)
-        ok = ok and rep["passed"]
-        worst = max(worst, rep["radius"] / rep["bound"])
-    return ("pass" if ok else "fail"), {"c_tilde": ct, "R": theta.R,
-                                        "worst_ratio": worst}
+    checks = _speed_checks(ctx)
+    ok = all(passed for _, passed in checks)
+    return ("pass" if ok else "fail"), {
+        "c_tilde": ctx.get("ctilde"), "R": ctx.get("theta").R,
+        "worst_ratio": max(ratio for ratio, _ in checks)}
 
 
 def _suite_localization(ctx):
@@ -490,13 +494,8 @@ def _suite_compact_dual(ctx):
 def _suite_atoms(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     compact = ctx.get("compact")
-    th = ctx.get("theta")
-    ct = ctx.get("ctilde")
     cert = mo.validate_atoms(compact.columns, hier, params, spec)
-    supp_ok = True
-    for j, r in ctx.get("compact_supports").items():
-        bound = ct * th.R * hier.b ** (-j)
-        supp_ok = supp_ok and (r <= bound or bound >= spec.space.diameter)
+    supp_ok = all(passed for _, passed in _speed_checks(ctx))
     cstar = mo.scaling_for_budget(
         mo.MoleculeCertificate(flavor="synthesis", space_flavor="classical",
                                orders=None, M=0.0, constants=cert.constants,

@@ -10,8 +10,6 @@ measured constants, never assumed.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,9 @@ def _graph_model(name, n, edges, mu=None, l_scale=1.0):
     the operator; for the bundled unit-weight graphs the two conventions
     coincide.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     rows, cols, wts = [], [], []
     for u, v, w in edges:
         rows += [u, v]

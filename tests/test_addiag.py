@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,29 @@ def test_omega_matrix_matches_entrywise(hierarchies, params022):
         i, k = (int(v) for v in rng.integers(0, hier.size, size=2))
         assert abs(W[i, k] - ad.omega2(hier, i, k, 0.7, 0.3, params022)) \
             <= 1e-14 * max(W[i, k], 1e-300)
+
+
+@pytest.mark.parametrize("flavor", ["classical", "tilde"])
+def test_omega2_matrix_matches_def61_power_form(flavor, hierarchies,
+                                                 params022):
+    # the literal Def 6.1 product of powers, against the log-space build
+    hier, _ = hierarchies["C_64"]
+    prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
+    beta, gamma, J = 0.7, 0.3, prm.J
+    ell, bv = hier.xi_ell, hier.xi_bvol
+    rho = hier.space.dist[np.ix_(hier.xi_point, hier.xi_point)]
+    lr = ell[:, None] / ell[None, :]
+    br = bv[:, None] / bv[None, :]
+    if flavor == "classical":
+        head = lr**prm.s * br**0.5
+    else:
+        head = br ** (prm.s / prm.d + 0.5)
+    dist_f = (1.0 + rho / np.maximum(ell[:, None], ell[None, :])) \
+        ** (-(J + beta))
+    ref = head * dist_f * np.minimum(lr**gamma, (1.0 / lr) ** (J + gamma))
+    W = ad.omega2_matrix(hier, beta, gamma, prm)
+    assert np.abs(W / ref - 1.0).max() <= 1e-13
+    assert np.all(np.diag(W) == 1.0)
 
 
 def test_omega_monotone_in_beta(hierarchies, params022):

@@ -84,10 +84,11 @@ def test_bad_config_is_a_config_error(tmp_path, capsys, cfg):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_cli_import_leaves_sympy_unloaded():
+@pytest.mark.parametrize("module", ["sympy", "scipy.sparse"])
+def test_cli_import_leaves_sympy_unloaded(module):
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mmframes.cli; print('sympy' in sys.modules)"],
+         f"import sys, mmframes.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
