@@ -29,22 +29,62 @@ class AdNorm:
     argmax: tuple
 
 
-def _log_omega(lam, lb, t, beta, gamma, params):
-    """log omega_{xi,eta}(beta, gamma) of Def 6.1, from lam = log(l_xi/l_eta),
-    lb = log(|B_xi|/|B_eta|) and t = rho/max(l_xi, l_eta); broadcasts.
+class NeumannPreconditionError(RuntimeError):
+    """||I - A||_epsilon = delta_hat is not below neumann_invert's threshold."""
+
+    def __init__(self, delta_hat, threshold):
+        super().__init__(f"Neumann precondition failed: ||I-A||_eps = "
+                         f"{delta_hat:.4g} >= {threshold}")
+        self.delta_hat = delta_hat
+
+
+def _level_term(lam, gamma, J, out=None):
+    """min{gamma lam, -(J+gamma) lam}, the level term of log omega; out may
+    be lam itself."""
+    g = gamma * lam
+    return np.minimum(g, np.multiply(lam, -(J + gamma), out=out), out=out)
+
+
+def _log_omega(t, lr, lc, br, bc, beta, gamma, params, buf=None):
+    """log omega_{xi,eta}(beta, gamma) of Def 6.1 from t = rho/max(l_xi, l_eta)
+    and the logs of l and |B| at xi (lr, br) and at eta (lc, bc).
 
     Classical: s lam + lb/2 - (J+beta) log1p(t)
-               + min{gamma lam, -(J+gamma) lam};
-    tilde: the level term becomes (s/d + 1/2) lb.  Every term is exactly 0
-    when xi = eta.
+               + min{gamma lam, -(J+gamma) lam},
+    with lam = lr - lc and lb = br - bc; tilde: the level term becomes
+    (s/d + 1/2) lb.  Every term is exactly 0 when xi = eta.  gamma=None
+    leaves out the min{...} term.  For a table, the logs are an (m,1) and a
+    (1,m) vector, t is overwritten and buf is one more scratch table, so the
+    build needs two beyond t; for one pair all are scalars and buf is None.
     """
+    W = np.log1p(t, out=None if buf is None else t)
+    W *= -(params.J + beta)
+    head = np.subtract(br, bc, out=buf)
     if params.flavor == "classical":
-        head = params.s * lam + 0.5 * lb
+        head *= 0.5
+        lam = lr - lc
+        lam *= params.s
+        head += lam
     else:
-        head = (params.s / params.d + 0.5) * lb
-    J = params.J
-    return (head - (J + beta) * np.log1p(t)
-            + np.minimum(gamma * lam, -(J + gamma) * lam))
+        head *= params.s / params.d + 0.5
+    W += head
+    if gamma is not None:
+        lam = np.subtract(lr, lc, out=buf)
+        W += _level_term(lam, gamma, params.J, out=buf)
+    return W
+
+
+def _weight_table(hier, beta, gamma, params):
+    """omega(beta, gamma) for every ordered pair, built in place; without
+    its level term when gamma is None."""
+    ell, pts = hier.xi_ell, hier.xi_point
+    le, lb = np.log(ell), np.log(hier.xi_bvol)
+    W = hier.space.dist[np.ix_(pts, pts)]
+    buf = np.maximum(ell[:, None], ell[None, :])
+    W /= buf
+    W = _log_omega(W, le[:, None], le[None, :], lb[:, None], lb[None, :],
+                   beta, gamma, params, buf)
+    return np.exp(W, out=W)
 
 
 def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
@@ -53,13 +93,7 @@ def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
     pair (xi, eta)."""
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta, gamma must be positive")
-    ell, pts = hier.xi_ell, hier.xi_point
-    le, lb = np.log(ell), np.log(hier.xi_bvol)
-    t = hier.space.dist[np.ix_(pts, pts)]
-    t /= np.maximum(ell[:, None], ell[None, :])
-    W = _log_omega(le[:, None] - le[None, :], lb[:, None] - lb[None, :], t,
-                   beta, gamma, params)
-    return np.exp(W, out=W)
+    return _weight_table(hier, beta, gamma, params)
 
 
 def omega_matrix(hier: NetHierarchy, delta: float, params: SpaceParams) -> np.ndarray:
@@ -77,8 +111,8 @@ def omega2(hier: NetHierarchy, i: int, k: int, beta: float, gamma: float,
     ell, bv = hier.xi_ell, hier.xi_bvol
     rho = hier.space.dist[hier.xi_point[i], hier.xi_point[k]]
     return float(np.exp(_log_omega(
-        np.log(ell[i]) - np.log(ell[k]), np.log(bv[i]) - np.log(bv[k]),
-        rho / max(ell[i], ell[k]), beta, gamma, params)))
+        rho / max(ell[i], ell[k]), np.log(ell[i]), np.log(ell[k]),
+        np.log(bv[i]), np.log(bv[k]), beta, gamma, params)))
 
 
 def ad_norm(A: NetMatrix, delta: float) -> AdNorm:
@@ -128,24 +162,73 @@ def compose(A: NetMatrix, B: NetMatrix) -> NetMatrix:
                      params=A.params)
 
 
-def lemma64_check(hier: NetHierarchy, params: SpaceParams, beta: float,
-                  gamma1: float, gamma2: float) -> dict:
-    """Brute-force convolution bound for the decay weights.
+def _lemma64(hier, params, beta, pairs):
+    """lemma64_grid for nonempty pairs; also returns K, the level slices of
+    the flat index and lam, the split below of omega(beta, .).
+
+    l is constant on a level (ValueError if not), so the level term of
+    log omega depends on the pair only through lam = log(l_j/l_l), one value
+    per level pair: omega(beta, gamma) = K (.) E_gamma[j, l] with K the
+    m x m weights without it.  On level blocks, (W1 @ W2)[j, q] =
+    sum_l E1[j,l] E2[l,q] K[j,l] @ K[l,q], so every pair shares the products
+    K[j,l] @ K[l,:], one m^3 in all.  Row level j holds them transposed, an
+    (m, m_j) table per l, so that column level q is one strided 2-D view.
+    """
+    for gamma1, gamma2 in pairs:
+        if beta <= 0 or gamma1 <= 0 or gamma2 <= 0:
+            raise ValueError("beta, gamma must be positive")
+        if gamma1 == gamma2:
+            raise ValueError("requires gamma1 != gamma2")
+        if not (beta < gamma1 + gamma2):
+            raise ValueError("requires beta < gamma1 + gamma2")
+    le = np.log(hier.xi_ell)
+    blocks = [hier.level_slice(net.level) for net in hier.levels]
+    if any(np.any(le[sl] != le[sl.start]) for sl in blocks):
+        raise ValueError("xi_ell is not constant on a level")
+    lev = le[[sl.start for sl in blocks]]
+    lam = lev[:, None] - lev[None, :]
+    K = _weight_table(hier, beta, None, params)
+    E = {g: np.exp(_level_term(lam, g, params.J)) for p in pairs for g in p}
+    E1 = np.array([E[g1] for g1, _ in pairs])
+    E2 = np.array([E[g2] for _, g2 in pairs])
+    Emin = np.array([E[min(p)] for p in pairs])
+    L, m = len(blocks), hier.size
+    buf = np.empty(L * m * max(sl.stop - sl.start for sl in blocks))
+    best = [(-np.inf, None)] * len(pairs)
+    for j, rj in enumerate(blocks):
+        mj = rj.stop - rj.start
+        Pt = buf[:L * m * mj].reshape(L, m, mj)
+        for l, rl in enumerate(blocks):
+            np.matmul(K[rl].T, K[rj, rl].T, out=Pt[l])
+        for q, rq in enumerate(blocks):
+            R = (E1[:, j, :] * E2[:, :, q]) @ Pt[:, rq].reshape(L, -1)
+            R /= K[rj, rq].T.reshape(-1)
+            for p, a in enumerate(np.argmax(R, axis=1)):
+                v = R[p, a] / Emin[p, j, q]
+                if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
+                    aq, aj = divmod(int(a), mj)
+                    best[p] = (v, (rj.start + aj, rq.start + aq))
+    res = [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
+    return res, K, blocks, lam
+
+
+def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
+                 pairs) -> list:
+    """Brute-force convolution bound for the decay weights, for every
+    (gamma1, gamma2) in pairs at one beta.
 
     W = Omega(beta,gamma1) @ Omega(beta,gamma2) entrywise against
-    omega(beta, min(gamma1,gamma2)); hypotheses gamma1 != gamma2 and
-    beta < gamma1 + gamma2 are enforced.
+    omega(beta, min(gamma1,gamma2)); one {"max_ratio", "argmax"} per pair.
+    Hypotheses gamma1 != gamma2 and beta < gamma1 + gamma2 are enforced,
+    and l must be constant on every level (as build_hierarchy makes it).
     """
-    if gamma1 == gamma2:
-        raise ValueError("requires gamma1 != gamma2")
-    if not (beta < gamma1 + gamma2):
-        raise ValueError("requires beta < gamma1 + gamma2")
-    W1 = omega2_matrix(hier, beta, gamma1, params)
-    W2 = omega2_matrix(hier, beta, gamma2, params)
-    R = W1 @ W2
-    R /= W1 if gamma1 < gamma2 else W2
-    idx = np.unravel_index(np.argmax(R), R.shape)
-    return {"max_ratio": float(R[idx]), "argmax": (int(idx[0]), int(idx[1]))}
+    return _lemma64(hier, params, beta, pairs)[0] if pairs else []
+
+
+def lemma64_check(hier: NetHierarchy, params: SpaceParams, beta: float,
+                  gamma1: float, gamma2: float) -> dict:
+    """lemma64_grid for the one pair (gamma1, gamma2)."""
+    return lemma64_grid(hier, params, beta, [(gamma1, gamma2)])[0]
 
 
 def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
@@ -165,11 +248,14 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
     dn = ad_norm(NetMatrix(hierarchy=hier, entries=D, params=params), epsilon)
     delta_hat = dn.value
     if delta_hat >= delta_threshold:
-        raise RuntimeError(
-            f"Neumann precondition failed: ||I-A||_eps = {delta_hat:.4g} >= "
-            f"{delta_threshold}")
-    cstar = lemma64_check(hier, params, eps1, epsilon, eps1)["max_ratio"]
-    W = omega_matrix(hier, eps1, params)
+        raise NeumannPreconditionError(delta_hat, delta_threshold)
+    # c* as in lemma64_check; its K times the eps1 level term is omega(eps1)
+    (res,), W, blocks, lam = _lemma64(hier, params, eps1, [(epsilon, eps1)])
+    cstar = res["max_ratio"]
+    E = np.exp(_level_term(lam, eps1, params.J))
+    for j, rj in enumerate(blocks):
+        for l, rl in enumerate(blocks):
+            W[rj, rl] *= E[j, l]
     term = D.copy()
     total = np.eye(hier.size)
     first = np.linalg.norm(term)

@@ -448,15 +448,15 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     mu = space.mu
     hier = frame1.hierarchy
     Dm = dual.columns.T @ (mu[:, None] * (frame1.columns - compact.columns))
-    pert = addiag.ad_norm(addiag.NetMatrix(hierarchy=hier, entries=Dm,
-                                           params=params), epsilon)
-    if pert.value >= delta_threshold:
-        raise RuntimeError(
-            f"compact-dual precondition failed: ||I - A||_eps = {pert.value:.3g}"
-            " >= threshold; shrink eps in the band-limited symbol")
     A = addiag.NetMatrix(hierarchy=hier, entries=np.eye(hier.size) - Dm,
                          params=params)
-    Ainv, inv_report = addiag.neumann_invert(A, epsilon, delta_threshold)
+    try:
+        Ainv, inv_report = addiag.neumann_invert(A, epsilon, delta_threshold)
+    except addiag.NeumannPreconditionError as exc:
+        raise RuntimeError(
+            f"compact-dual precondition failed: ||I - A||_eps = "
+            f"{exc.delta_hat:.3g} >= threshold; shrink eps in the "
+            "band-limited symbol") from exc
     B = dual.columns.T @ (mu[:, None] * frame1.columns)
     C = Ainv.entries @ B
 
@@ -471,7 +471,7 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
         t = C @ dual.analyze(f)
         resid = space.norm2(compact.synthesize(t) - f) / space.norm2(f)
         worst = max(worst, resid)
-    report = CompactDualReport(perturbation_ad_norm=pert.value,
+    report = CompactDualReport(perturbation_ad_norm=inv_report["delta_hat"],
                                neumann_terms=inv_report["terms"],
                                duality_residual=worst, coeff_matrix=C)
     return compact_dual, report

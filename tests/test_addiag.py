@@ -155,6 +155,53 @@ def test_lemma64_grid_stable_under_refinement(hierarchies, params022):
     assert worst["C_64"] <= 2.0 * worst["C_32"]
 
 
+@pytest.fixture(scope="module")
+def p64_hierarchy():
+    # ball volumes vary per point on P_64, so the weights' head term does too
+    from mmframes import calculus as ca, frames as fr, space as sp
+    return fr.build_standard_hierarchy(
+        ca.eigendecompose(sp.build_model("P_64")))[0]
+
+
+@pytest.mark.parametrize("flavor", ["classical", "tilde"])
+@pytest.mark.parametrize("model", ["C_64", "P_64"])
+def test_lemma64_grid_matches_dense_products(model, flavor, hierarchies,
+                                             p64_hierarchy, params022):
+    # the level-block grid against (W1 @ W2) / omega(beta, min gamma) built
+    # densely, over the whole grid of the lemma6.4-W-bound suite
+    from mmframes.cli import _LEMMA64_GRID
+    hier = p64_hierarchy if model == "P_64" else hierarchies[model][0]
+    prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
+    betas, g1s, g2s = _LEMMA64_GRID
+    for beta in betas:
+        W = {g: ad.omega2_matrix(hier, beta, g, prm) for g in g1s + g2s}
+        pairs = [(g1, g2) for g1 in g1s for g2 in g2s if beta < g1 + g2]
+        for (g1, g2), res in zip(pairs, ad.lemma64_grid(hier, prm, beta,
+                                                        pairs)):
+            R = (W[g1] @ W[g2]) / W[min(g1, g2)]
+            assert abs(res["max_ratio"] / R.max() - 1.0) <= 1e-13
+            assert abs(R[res["argmax"]] / R.max() - 1.0) <= 1e-13
+
+
+def test_lemma64_check_is_the_one_pair_grid(hierarchies, params022):
+    hier, _ = hierarchies["C_64"]
+    for beta, g1, g2 in ((0.5, 1.0, 0.6), (1.0, 0.5, 2.4)):
+        assert ad.lemma64_check(hier, params022, beta, g1, g2) \
+            == ad.lemma64_grid(hier, params022, beta, [(g1, g2)])[0]
+    assert ad.lemma64_grid(hier, params022, 0.5, []) == []
+
+
+def test_lemma64_grid_requires_constant_ell_per_level(hierarchies,
+                                                      params022):
+    hier, _ = hierarchies["C_64"]
+    sl = hier.level_slice(hier.levels[-1].level)
+    ell = hier.xi_ell.copy()
+    ell[sl.start] *= 1.5
+    bad = dataclasses.replace(hier, xi_ell=ell)
+    with pytest.raises(ValueError, match="not constant"):
+        ad.lemma64_grid(bad, params022, 0.5, [(1.0, 0.6)])
+
+
 # ---------------------------------------------------------------------------
 # boundedness and inversion
 
@@ -192,6 +239,8 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     assert rep["residual"] <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
+    assert rep["c_star"] == ad.lemma64_check(hier, params022, 0.5, 1.0,
+                                             0.5)["max_ratio"]
     norms = rep["term_ad_norms"]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -201,5 +250,8 @@ def test_neumann_rejects_large_perturbation(hierarchies, params022):
     W = ad.omega_matrix(hier, 0.5, params022)
     A = NetMatrix(hierarchy=hier, entries=np.eye(hier.size) - 0.6 * W,
                   params=params022)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ad.NeumannPreconditionError) as err:
         ad.neumann_invert(A, epsilon=1.0, delta_threshold=0.5)
+    D = NetMatrix(hierarchy=hier, entries=np.eye(hier.size) - A.entries,
+                  params=params022)
+    assert err.value.delta_hat == ad.ad_norm(D, 1.0).value >= 0.5

@@ -152,3 +152,12 @@ def test_load_config_defaults(tmp_path):
     assert cfg["theta"]["N"] == 3
     assert cfg["theta"]["K"] == cli.DEFAULT_CONFIG["theta"]["K"]
     assert cfg["model"] == cli.DEFAULT_CONFIG["model"]
+
+
+def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_32"))
+    status, metrics = cli._suite_lemma64(ctx)
+    assert status == "pass" and metrics["max_ratio"] > 0
+    # every beta >= gamma1 + gamma2: no combination is measured
+    monkeypatch.setattr(cli, "_LEMMA64_GRID", ((2.0,), (0.5, 1.0), (0.6,)))
+    assert cli._suite_lemma64(ctx)[0] == "fail"

@@ -188,3 +188,13 @@ def test_default_frames_one_call():
     f = spec.project_mean_zero(np.sin(np.arange(32.0)))
     r = spec.space.norm2(fr.reconstruct(frame, dual, f) - f)
     assert r <= 1e-9 * spec.space.norm2(f)
+
+
+def test_compact_dual_precondition_message(compact_pipeline, spectra,
+                                           frame_sets, params022):
+    compact = compact_pipeline[0]
+    frame, dual, _ = frame_sets["C_64"]
+    with pytest.raises(RuntimeError,
+                       match="compact-dual precondition failed"):
+        fr.build_compact_dual(spectra["C_64"], frame, dual, compact,
+                              params022, delta_threshold=1e-12)
