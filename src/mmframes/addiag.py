@@ -132,11 +132,14 @@ def apply(A: NetMatrix, h) -> np.ndarray:
 def boundedness_probe(A: NetMatrix, delta: float, battery,
                       spq=None) -> dict:
     """Measured boundedness ratio max ||A h|| / (||A||_delta ||h||) over a
-    battery of sequences, for each of the four sequence-space flavors."""
+    battery of sequences (one per row), for each of the four sequence-space
+    flavors; sequences of norm 0 are left out."""
     nrm = ad_norm(A, delta).value
     if nrm == 0:
         return {"b": 0.0, "b~": 0.0, "f": 0.0, "f~": 0.0, "ad_norm": 0.0}
     s, p, q = (A.params.s, A.params.p, A.params.q) if spq is None else spq
+    H = np.asarray(battery, dtype=float).T
+    AH = A.entries @ H
     out = {"ad_norm": nrm}
     for key, family, flavor in (("b", "besov", "classical"),
                                 ("b~", "besov", "tilde"),
@@ -144,14 +147,10 @@ def boundedness_probe(A: NetMatrix, delta: float, battery,
                                 ("f~", "triebel_lizorkin", "tilde")):
         prm = SpaceParams(s=s, p=p, q=q, flavor=flavor, family=family,
                           d=A.params.d, dstar=A.params.dstar)
-        worst = 0.0
-        for h in battery:
-            denom = seq_norm(h, prm, A.hierarchy)
-            if denom == 0:
-                continue
-            worst = max(worst, seq_norm(A.entries @ h, prm, A.hierarchy)
-                        / (nrm * denom))
-        out[key] = worst
+        denom = seq_norm(H, prm, A.hierarchy)
+        live = denom > 0
+        ratios = seq_norm(AH[:, live], prm, A.hierarchy) / (nrm * denom[live])
+        out[key] = float(ratios.max(initial=0.0))
     return out
 
 

@@ -56,13 +56,16 @@ class SpectralData:
     def apply(self, values, f) -> np.ndarray:
         """Synthesis of symbol values times the coefficients of f.
 
-        (n,) values with an (n,) f or an (n, k) table of functions, or
-        (n, k) values (one symbol per column) with one (n,) f; a table in
-        gives a table out, column by column.
+        values is (n,) or (n, L), one symbol per column; f is (n,) or an
+        (n, k) table of functions.  Every symbol is applied to every
+        function: the result is (n,), (n, k), (n, L) or (n, L, k).
         """
         values = np.asarray(values, dtype=float)
         c = self.coefficients(f)
-        return self.synthesize((values.T * c.T).T)
+        n = len(c)
+        prod = values.reshape(values.shape + (1,) * (c.ndim - 1)) * \
+            c.reshape((n,) + (1,) * (values.ndim - 1) + c.shape[1:])
+        return self.synthesize(prod.reshape(n, -1)).reshape(prod.shape)
 
     def kernel(self, values, points=slice(None)) -> np.ndarray:
         """Columns at points of the kernel table E diag(values) E^T, which
@@ -363,22 +366,3 @@ def effective_support_radius(kernel: Kernel, space: ModelSpace,
         return 0.0
     live = K > threshold * kmax
     return float(space.dist[live].max())
-
-
-def check_finite_speed(spec: SpectralData, kernel: Kernel, R: float,
-                       delta: float, c_tilde: float = None,
-                       threshold: float = 1e-9) -> dict:
-    """Support check for a certified band-limited symbol: the kernel of
-    f(delta*sqrt(L)) should be 1e-9-supported within c_tilde * delta * R."""
-    if R is None:
-        raise ValueError("symbol lacks a certified band limit")
-    if c_tilde is None:
-        c_tilde = fit_speed_constant(spec)
-    radius = effective_support_radius(kernel, spec.space, threshold)
-    bound = c_tilde * delta * R
-    return {
-        "radius": radius,
-        "bound": bound,
-        "c_tilde": c_tilde,
-        "passed": bool(radius <= bound or bound >= spec.space.diameter),
-    }

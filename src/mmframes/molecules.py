@@ -260,20 +260,35 @@ def gram(synth_family, anal_family, hier: NetHierarchy,
 # synthesis / analysis operators
 
 
+def _per_column(x, out, report):
+    """(out, report) for the table form of x, or for its one column when x
+    is a vector: out's column and the report's values as floats."""
+    if np.ndim(x) == 2:
+        return out, report
+    return out[:, 0], {k: float(v[0]) for k, v in report.items()}
+
+
+def _ratio(num, den):
+    """num / den per column, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
+
+
 def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
                         spec: SpectralData, phi, b: float = 2.0,
                         window=None):
     """f = sum_xi t_xi m_xi with the measured norm ratio
-    ||f||_F / ||t||_f."""
+    ||f||_F / ||t||_f; an (m, k) table of sequences gives k functions and
+    k of each report value."""
     cols = _as_columns(family, hier)
     t = np.asarray(t, dtype=float)
-    if t.shape != (hier.size,):
+    if t.ndim not in (1, 2) or t.shape[0] != hier.size:
         raise ValueError("coefficient sequence does not match the hierarchy")
-    f = cols @ t
-    tn = seq_norm(t, params, hier)
+    T = t.reshape(hier.size, -1)
+    f = cols @ T
+    tn = seq_norm(T, params, hier)
     fn = function_norm(f, params, spec, phi, b, window)
-    ratio = 0.0 if tn == 0 else fn / tn
-    return f, {"function_norm": fn, "seq_norm": tn, "ratio": ratio}
+    return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
+                              "ratio": _ratio(fn, tn)})
 
 
 def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
@@ -281,25 +296,26 @@ def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
                        b: float = 2.0, window=None):
     """Coefficients <f, m~_xi> through the frame expansion
     sum_eta <m~_xi, psi_eta> <f, psi~_eta>, with the measured ratio
-    ||coeffs||_f / ||f||_F.
+    ||coeffs||_f / ||f||_F; an (n, k) table of functions gives an (m, k)
+    table and k of each report value, from one Gram product.
 
     On a finite model the expansion collapses to the direct mu-inner
     product for mean-zero f; the residual between the two is reported.
     """
     cols = _as_columns(anal_family, hier)
-    mu = hier.space.mu
-    f = spec.project_mean_zero(np.asarray(f, dtype=float))
-    A = cols.T @ (mu[:, None] * frame.columns)    # <m~_xi, psi_eta>
-    s = dual.analyze(f)                           # <f, psi~_eta>
-    coeffs = A @ s
-    direct = cols.T @ (mu * f)
-    scale = max(1.0, np.abs(direct).max())
-    identity_residual = float(np.abs(coeffs - direct).max() / scale)
-    fn = function_norm(f, params, spec, phi, b, window)
+    mu = hier.space.mu[:, None]
+    F = spec.project_mean_zero(
+        np.asarray(f, dtype=float).reshape(hier.space.n, -1))
+    A = cols.T @ (mu * frame.columns)             # <m~_xi, psi_eta>
+    coeffs = A @ dual.analyze(F)                  # <f, psi~_eta>
+    direct = cols.T @ (mu * F)
+    scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
+    fn = function_norm(F, params, spec, phi, b, window)
     cn = seq_norm(coeffs, params, hier)
-    ratio = 0.0 if fn == 0 else cn / fn
-    return coeffs, {"seq_norm": cn, "function_norm": fn, "ratio": ratio,
-                    "identity_residual": identity_residual}
+    return _per_column(f, coeffs, {
+        "seq_norm": cn, "function_norm": fn, "ratio": _ratio(cn, fn),
+        "identity_residual": np.abs(coeffs - direct).max(axis=0, initial=0.0)
+        / scale})
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +401,18 @@ def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,
                      b: float = 2.0, window=None, cstar: float = None,
                      atom_cert: AtomCertificate = None):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
-    compact frame and t_xi = <f, theta~_xi> / cstar.
+    compact frame and t_xi = <f, theta~_xi> / cstar; an (n, k) table of
+    functions gives an (m, k) table t and k of each report value.
 
-    Reports the reconstruction residual and both measured norm constants
-    ||t||_f / ||f||_F and ||sum t a|| / ||t||.
+    Reports the reconstruction residual relative to l2_norm, the L^2 norm
+    of f, and both measured norm constants ||t||_f / ||f||_F and
+    ||sum t a|| / ||t||.
     """
-    fv = spec.project_mean_zero(np.asarray(f, dtype=float))
     space = spec.space
-    raw = compact_dual.analyze(fv)
-    recon = compact.synthesize(raw)
-    nf = space.norm2(fv)
-    residual = 0.0 if nf == 0 else float(space.norm2(recon - fv) / nf)
+    F = spec.project_mean_zero(np.asarray(f, dtype=float).reshape(space.n, -1))
+    raw = compact_dual.analyze(F)
+    nf = space.norm2(F)
+    residual = _ratio(space.norm2(compact.synthesize(raw) - F), nf)
     if cstar is None:
         if atom_cert is not None:
             worst = max(atom_cert.constants.values())
@@ -404,13 +421,13 @@ def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,
             cstar = 1.0
     t = raw / cstar
     atoms = compact.columns * cstar
-    fn = function_norm(fv, params, spec, phi, b, window)
+    fn = function_norm(F, params, spec, phi, b, window)
     tn = seq_norm(t, params, hier)
-    report = {
-        "residual": residual,
-        "cstar": cstar,
-        "analysis_constant": 0.0 if fn == 0 else tn / fn,
-        "synthesis_constant": 0.0 if tn == 0 else
-        function_norm(atoms @ t, params, spec, phi, b, window) / tn,
-    }
+    t, report = _per_column(f, t, {
+        "residual": residual, "l2_norm": nf,
+        "analysis_constant": _ratio(tn, fn),
+        "synthesis_constant": _ratio(
+            function_norm(atoms @ t, params, spec, phi, b, window), tn),
+    })
+    report["cstar"] = cstar
     return t, atoms, report

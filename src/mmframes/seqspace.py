@@ -56,42 +56,54 @@ def _lq(values, q, axis=0):
 
 def _level_pieces(f, params: SpaceParams, spec: SpectralData, phi, b,
                   window):
-    """|phi(b^{-j} sqrt(L)) f| for j across the window, one row per level,
+    """|phi(b^{-j} sqrt(L)) f| for j across the window and every column of
+    f, one (n,) function or an (n, k) table, as an (L, k, n) table,
     weighted by b^{js} (classical) or |B(x, b^{-j})|^{-s/d} (tilde); f is
     projected mean-zero first."""
     levels = range(window[0], window[1] + 1)
     vals = np.stack([spec.symbol(phi, b ** (-j)) for j in levels], axis=1)
     vals[: spec.nullspace_dim] = 0.0
-    pieces = np.abs(spec.apply(vals, f).T)
-    for row, j in zip(pieces, levels):
+    F = np.asarray(f, dtype=float).reshape(spec.space.n, -1)
+    pieces = np.abs(spec.apply(vals, F).transpose(1, 2, 0), order="C")
+    for slab, j in zip(pieces, levels):
         if params.flavor == "classical":
-            row *= b ** (j * params.s)
+            slab *= b ** (j * params.s)
         else:
-            row *= ball_volumes(spec.space, b ** (-j)) ** (-params.s / params.d)
+            slab *= ball_volumes(spec.space, b ** (-j)) ** (-params.s / params.d)
     return pieces
 
 
+def _one_or_many(out, x):
+    """out, one value per column of x, as a float when x is one vector."""
+    return float(out[0]) if np.ndim(x) == 1 else out
+
+
 def besov_norm(f, params: SpaceParams, spec: SpectralData, phi,
-               b: float = 2.0, window=None) -> float:
+               b: float = 2.0, window=None):
     if window is None:
         window = level_window(spec, b)
     pieces = _level_pieces(f, params, spec, phi, b, window)
-    terms = [spec.space.lp_norm(row, params.p) for row in pieces]
-    return float(_lq(np.array(terms), params.q))
+    L, k, n = pieces.shape
+    terms = spec.space.lp_norm(pieces.reshape(L * k, n).T, params.p)
+    terms = np.ascontiguousarray(terms.reshape(L, k).T)
+    return _one_or_many(_lq(terms, params.q, axis=1), f)
 
 
 def tl_norm(f, params: SpaceParams, spec: SpectralData, phi,
-            b: float = 2.0, window=None) -> float:
+            b: float = 2.0, window=None):
     if np.isinf(params.p):
         raise ValueError("p must be finite for the TL norm")
     if window is None:
         window = level_window(spec, b)
     pieces = _level_pieces(f, params, spec, phi, b, window)
-    return float(spec.space.lp_norm(_lq(pieces, params.q, axis=0), params.p))
+    inner = _lq(pieces, params.q, axis=0)
+    return _one_or_many(spec.space.lp_norm(inner.T, params.p), f)
 
 
 def function_norm(f, params: SpaceParams, spec: SpectralData, phi,
-                  b: float = 2.0, window=None) -> float:
+                  b: float = 2.0, window=None):
+    """Norm of f in the function space of params: one (n,) function gives a
+    float, an (n, k) table gives k norms, one per column."""
     if params.family == "besov":
         return besov_norm(f, params, spec, phi, b, window)
     return tl_norm(f, params, spec, phi, b, window)
@@ -112,37 +124,41 @@ def _scale_ball_vols(hier: NetHierarchy):
     return out
 
 
-def seq_norm(a, params: SpaceParams, hier: NetHierarchy) -> float:
+def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
+    """Norm of a in the sequence space of params: one (m,) sequence gives a
+    float, an (m, k) table gives k norms, one per column.  Every sum runs
+    along one contiguous row per sequence, so a table's norms equal its
+    columns' norms bit for bit."""
     a = np.abs(np.asarray(a, dtype=float))
-    if a.shape != (hier.size,):
+    if a.ndim not in (1, 2) or a.shape[0] != hier.size:
         raise ValueError("coefficient sequence does not match the hierarchy")
+    rows = np.ascontiguousarray(a.reshape(hier.size, -1).T)
     s, p, q = params.s, params.p, params.q
     if params.family == "besov":
         svols = _scale_ball_vols(hier)
-        terms = []
-        for net in hier.levels:
+        terms = np.empty((len(rows), len(hier.levels)))
+        for term, net in zip(terms.T, hier.levels):
             sl = hier.level_slice(net.level)
             if params.flavor == "classical":
                 w = svols[sl] ** (1.0 / p - 0.5) if not np.isinf(p) else svols[sl] ** (-0.5)
-                inner = _lq(w * a[sl], p)
-                terms.append(hier.b ** (net.level * s) * inner)
+                inner = _lq(w * rows[:, sl], p, axis=1)
+                term[:] = hier.b ** (net.level * s) * inner
             else:
                 expo = -s / params.d + (1.0 / p if not np.isinf(p) else 0.0) - 0.5
-                terms.append(_lq(svols[sl] ** expo * a[sl], p))
-        return float(_lq(np.array(terms), q))
-    # TL family: pointwise level stack through the partition indicators
-    space = hier.space
-    stack = np.empty((len(hier.levels), space.n))
-    for row, net in enumerate(hier.levels):
-        sl = hier.level_slice(net.level)
-        av = hier.xi_avol[sl]
-        vals = a[sl] * av ** (-0.5)  # |a_xi| * normalized indicator height
-        if params.flavor == "classical":
-            stack[row] = hier.b ** (net.level * s) * vals[net.owner]
-        else:
-            stack[row] = (av ** (-s / params.d) * vals)[net.owner]
-    inner = _lq(stack, q, axis=0)
-    return float(space.lp_norm(inner, p))
+                term[:] = _lq(svols[sl] ** expo * rows[:, sl], p, axis=1)
+        return _one_or_many(_lq(terms, q, axis=1), a)
+    # TL family: pointwise level stack through the partition indicators,
+    # |a_xi| * normalized indicator height times the level weight
+    av = hier.xi_avol
+    if params.flavor == "classical":
+        weight = np.repeat([hier.b ** (net.level * s) for net in hier.levels],
+                           [net.size for net in hier.levels])
+    else:
+        weight = av ** (-s / params.d)
+    owners = np.array([hier.level_slice(net.level).start + net.owner
+                       for net in hier.levels])
+    stack = (weight * (rows * av ** (-0.5)))[:, owners]
+    return _one_or_many(hier.space.lp_norm(_lq(stack, q, axis=1).T, p), a)
 
 
 # ---------------------------------------------------------------------------
@@ -224,45 +240,30 @@ def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
 
 def check_frame_characterization(battery, params: SpaceParams,
                                  spec: SpectralData, frame, dual,
-                                 phi, b: float = 2.0, window=None,
-                                 phi_alt=None) -> dict:
-    """Measured equivalence of coefficient and function norms over a battery.
+                                 phi, b: float = 2.0, window=None) -> dict:
+    """Measured equivalence of coefficient and function norms over a battery
+    (one function per row), taken on one table.
 
     Reports min/max of ||coeff||_seq / ||f||_func with dual-frame analysis,
-    the same with the frame roles interchanged, the worst reconstruction
-    residual, and (optionally) the ratio band between two admissible phi.
+    the same with the frame roles interchanged and the worst reconstruction
+    residual, over the samples: the functions with a nonzero norm.
     """
     space = spec.space
     hier = frame.hierarchy
-    lo = lo2 = np.inf
-    hi = hi2 = 0.0
-    worst_resid = 0.0
-    phi_band = [np.inf, 0.0] if phi_alt is not None else None
-    for f0 in battery:
-        f = spec.project_mean_zero(np.asarray(f0, dtype=float))
-        fn = function_norm(f, params, spec, phi, b, window)
-        if fn == 0:
-            continue
-        c1 = dual.analyze(f)
-        c2 = frame.analyze(f)
-        r1 = seq_norm(c1, params, hier) / fn
-        r2 = seq_norm(c2, params, hier) / fn
-        lo, hi = min(lo, r1), max(hi, r1)
-        lo2, hi2 = min(lo2, r2), max(hi2, r2)
-        recon = frame.synthesize(c1)
-        worst_resid = max(worst_resid, space.norm2(recon - f) / space.norm2(f))
-        if phi_alt is not None:
-            fn2 = function_norm(f, params, spec, phi_alt, b, window)
-            phi_band[0] = min(phi_band[0], fn2 / fn)
-            phi_band[1] = max(phi_band[1], fn2 / fn)
-    out = {
-        "ratio_band": (lo, hi),
-        "ratio_band_swapped": (lo2, hi2),
-        "reconstruction_residual": worst_resid,
+    F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
+    fn = function_norm(F, params, spec, phi, b, window)
+    live = fn > 0
+    F, fn = F[:, live], fn[live]
+    c1 = dual.analyze(F)
+    r1 = seq_norm(c1, params, hier) / fn
+    r2 = seq_norm(frame.analyze(F), params, hier) / fn
+    resid = space.norm2(frame.synthesize(c1) - F) / space.norm2(F)
+    return {
+        "ratio_band": (r1.min(initial=np.inf), r1.max(initial=0.0)),
+        "ratio_band_swapped": (r2.min(initial=np.inf), r2.max(initial=0.0)),
+        "reconstruction_residual": resid.max(initial=0.0),
+        "samples": int(live.sum()),
     }
-    if phi_alt is not None:
-        out["phi_ratio_band"] = tuple(phi_band)
-    return out
 
 
 def random_battery(space: ModelSpace, spec: SpectralData, count: int,

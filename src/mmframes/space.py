@@ -47,15 +47,23 @@ class ModelSpace:
         """mu-weighted inner product <f, g>."""
         return float(np.sum(np.conj(f) * g * self.mu).real)
 
-    def norm2(self, f) -> float:
-        return float(np.sqrt(np.sum(np.abs(f) ** 2 * self.mu)))
+    def norm2(self, f):
+        return self.lp_norm(f, 2.0)
 
-    def lp_norm(self, f, p) -> float:
-        """L^p norm against mu; p = inf gives the sup norm."""
+    def lp_norm(self, f, p):
+        """L^p norm against mu along axis 0; p = inf gives the sup norm.
+
+        A vector gives a float and an (n, k) table gives k norms.  Each
+        column is summed as one contiguous row, so a table's norms equal
+        its columns' norms bit for bit.
+        """
         a = np.abs(np.asarray(f, dtype=float))
+        rows = np.ascontiguousarray(a.reshape(a.shape[0], -1).T)
         if np.isinf(p):
-            return float(a.max()) if a.size else 0.0
-        return float(np.sum(a**p * self.mu) ** (1.0 / p))
+            out = rows.max(axis=1, initial=0.0)
+        else:
+            out = np.sum(rows**p * self.mu, axis=1) ** (1.0 / p)
+        return float(out[0]) if a.ndim == 1 else out
 
 
 def _validate_model(space: ModelSpace) -> None:

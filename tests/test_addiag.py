@@ -217,6 +217,39 @@ def test_boundedness_probe_all_flavors(hierarchies, params022):
         assert 0 < rep[key] < np.inf
 
 
+def test_boundedness_probe_matches_per_vector_loop(hierarchies, params022):
+    hier, _ = hierarchies["C_64"]
+    rng = np.random.default_rng(6)
+    W = ad.omega_matrix(hier, 0.5, params022)
+    A = NetMatrix(hierarchy=hier, entries=W * rng.uniform(-1, 1, W.shape),
+                  params=params022)
+    battery = rng.standard_normal((100, hier.size))
+    battery[3] = 0.0
+    rep = ad.boundedness_probe(A, 0.5, battery)
+    nrm = ad.ad_norm(A, 0.5).value
+    AH = A.entries @ battery.T
+    for key, family, flavor in (("b", "besov", "classical"),
+                                ("b~", "besov", "tilde"),
+                                ("f", "triebel_lizorkin", "classical"),
+                                ("f~", "triebel_lizorkin", "tilde")):
+        prm = dataclasses.replace(params022, family=family, flavor=flavor)
+        # the loop the probe replaced, one mat-vec per sequence
+        worst = 0.0
+        for h in battery:
+            denom = sq.seq_norm(h, prm, hier)
+            if denom == 0:
+                continue
+            worst = max(worst, sq.seq_norm(A.entries @ h, prm, hier)
+                        / (nrm * denom))
+        # one mat-vec and one matrix product sum in different orders, so
+        # the two agree to rounding; on the product's columns, exactly
+        assert abs(rep[key] - worst) <= 1e-14 * worst
+        on_columns = max(sq.seq_norm(AH[:, i], prm, hier)
+                         / (nrm * sq.seq_norm(h, prm, hier))
+                         for i, h in enumerate(battery) if h.any())
+        assert rep[key] == on_columns
+
+
 def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
     rng = np.random.default_rng(7)
     worst = {}

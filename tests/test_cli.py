@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mmframes import cli
@@ -161,3 +162,14 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
     # every beta >= gamma1 + gamma2: no combination is measured
     monkeypatch.setattr(cli, "_LEMMA64_GRID", ((2.0,), (0.5, 1.0), (0.6,)))
     assert cli._suite_lemma64(ctx)[0] == "fail"
+
+
+def test_battery_suites_fail_on_an_all_zero_battery():
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
+    names = ("thm3.4-telescoping", "thm5.5-besov", "thm5.6-tl",
+             "thm7.5-analysis", "thm7.9-atoms", "thm8.1-multiplier")
+    for name in names:
+        assert cli.SUITES[name][2](ctx)[0] == "pass", name
+    ctx._cache["battery"] = np.zeros_like(ctx.get("battery"))
+    for name in names:
+        assert cli.SUITES[name][2](ctx)[0] == "fail", name

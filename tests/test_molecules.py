@@ -154,6 +154,28 @@ def test_molecular_analysis_identity(molecule_setup, params022, Phi):
     assert rep["ratio"] > 0
 
 
+def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
+                                                       params022, Phi):
+    frame, dual, hier, spec, M, c = molecule_setup
+    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    F = np.random.default_rng(9).standard_normal((64, 5))
+    F[:, 2] = 0.0
+    coeffs, rep = mo.molecular_analysis(F, dual.columns, frame, dual, hier,
+                                        params022, spec, psi)
+    assert coeffs.shape == (hier.size, 5)
+    assert rep["function_norm"][2] == 0.0 and rep["ratio"][2] == 0.0
+    for i in range(5):
+        ci, ri = mo.molecular_analysis(F[:, i], dual.columns, frame, dual,
+                                       hier, params022, spec, psi)
+        assert np.abs(coeffs[:, i] - ci).max() <= \
+            1e-12 * max(np.abs(ci).max(), 1.0)
+        for key, value in ri.items():
+            assert isinstance(value, float)
+            # the identity residual is itself rounding, so held absolutely
+            scale = 1.0 if key == "identity_residual" else abs(value)
+            assert abs(rep[key][i] - value) <= 1e-12 * scale
+
+
 def test_molecular_round_trip(molecule_setup, params022, Phi):
     frame, dual, hier, spec, M, c = molecule_setup
     psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +78,61 @@ def test_seq_norm_homogeneity(c, seed, hierarchies, params022):
     a = np.random.default_rng(seed).standard_normal(hier.size)
     n1 = sq.seq_norm(a, params022, hier)
     assert abs(sq.seq_norm(c * a, params022, hier) - c * n1) <= 1e-9 * c * n1
+
+
+# (family, flavor, s, p, q): both families and flavors, s != 0, q = inf and
+# Besov p = inf
+TABLE_CASES = [
+    ("besov", "classical", 0.5, 2.0, 2.0),
+    ("besov", "tilde", -0.5, 1.0, np.inf),
+    ("besov", "classical", 0.75, np.inf, 1.5),
+    ("besov", "tilde", 0.5, np.inf, np.inf),
+    ("triebel_lizorkin", "classical", 0.5, 2.0, np.inf),
+    ("triebel_lizorkin", "tilde", -0.75, 1.5, 1.0),
+]
+
+
+@pytest.mark.parametrize("family,flavor,s,p,q", TABLE_CASES)
+def test_norms_of_a_table_match_column_by_column(family, flavor, s, p, q,
+                                                 spectra, hierarchies,
+                                                 params022, Phi):
+    spec = spectra["C_64"]
+    hier, _ = hierarchies["C_64"]
+    prm = dataclasses.replace(params022, family=family, flavor=flavor,
+                              s=s, p=p, q=q)
+    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((hier.size, 7))
+    F = rng.standard_normal((spec.space.n, 7))
+    for table, norm in ((A, lambda x: sq.seq_norm(x, prm, hier)),
+                        (F, lambda x: sq.function_norm(x, prm, spec, psi))):
+        out = norm(table)
+        cols = np.array([norm(table[:, i]) for i in range(table.shape[1])])
+        assert out.shape == (7,) and type(norm(table[:, 0])) is float
+        assert np.all(cols > 0)
+        assert np.abs(out - cols).max() <= 1e-14 * cols.max()
+
+
+@pytest.mark.parametrize("family,flavor,s,p,q", TABLE_CASES)
+def test_zero_column_has_norm_zero(family, flavor, s, p, q, spectra,
+                                   hierarchies, params022, Phi):
+    spec = spectra["C_64"]
+    hier, _ = hierarchies["C_64"]
+    prm = dataclasses.replace(params022, family=family, flavor=flavor,
+                              s=s, p=p, q=q)
+    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((hier.size, 3))
+    F = rng.standard_normal((spec.space.n, 3))
+    A[:, 1] = F[:, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = sq.seq_norm(A, prm, hier)
+        f = sq.function_norm(F, prm, spec, psi)
+        one = sq.seq_norm(A[:, 1], prm, hier)
+    for out in (a, f):
+        assert out[1] == 0.0 and np.all(out[[0, 2]] > 0)
+    assert one == 0.0
 
 
 # ---------------------------------------------------------------------------
