@@ -18,7 +18,7 @@ from mmframes.space import (
     build_maximal_net,
     build_partition,
 )
-from mmframes.calculus import SpectralData, Kernel, Cutoff, eigendecompose, make_cutoff
+from mmframes.calculus import SpectralData, Cutoff, eigendecompose, make_cutoff
 
 __all__ = [
     "ModelSpace",
@@ -31,7 +31,6 @@ __all__ = [
     "build_maximal_net",
     "build_partition",
     "SpectralData",
-    "Kernel",
     "Cutoff",
     "eigendecompose",
     "make_cutoff",

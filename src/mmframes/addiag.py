@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mmframes.calculus import neumann_series
 from mmframes.space import NetHierarchy
 from mmframes.seqspace import SpaceParams, seq_norm
 
@@ -231,8 +232,7 @@ def lemma64_check(hier: NetHierarchy, params: SpaceParams, beta: float,
 
 
 def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
-                   eps1: float = None, tail_tol: float = 1e-12,
-                   max_terms: int = 10000):
+                   eps1: float = None):
     """Invert A = I - D through the geometric series, certifying the decay
     of the terms in the eps1-weighted norm.
 
@@ -255,30 +255,11 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
     for j, rj in enumerate(blocks):
         for l, rl in enumerate(blocks):
             W[rj, rl] *= E[j, l]
-    term = D.copy()
     total = np.eye(hier.size)
-    first = np.linalg.norm(term)
     term_ad_norms = []
-    terms = 0
-    stall, prev = 0, first
-    if first > 0:
-        for n in range(1, max_terms):
-            total += term
-            terms = n
-            term_ad_norms.append(float((np.abs(term) / W).max()))
-            term = term @ D
-            cur = np.linalg.norm(term)
-            if cur > 0.999 * prev:
-                stall += 1
-                if stall >= 5:
-                    raise RuntimeError("Neumann series divergence detected")
-            else:
-                stall = 0
-            prev = cur
-            if cur / first < tail_tol:
-                break
-        else:
-            raise RuntimeError("Neumann series did not settle")
+    terms, _ = neumann_series(
+        total, D, D,
+        lambda term: term_ad_norms.append(float((np.abs(term) / W).max())))
     Ainv = NetMatrix(hierarchy=hier, entries=total, params=params)
     resid = max(
         np.abs(A.entries @ total - np.eye(hier.size)).max(),

@@ -1,8 +1,8 @@
 """Spectral functional calculus, cutoff symbols and localization checks.
 
 Operators f(delta*sqrt(L)) are realized exactly through the eigenbasis of L
-in the mu-weighted inner product.  Kernels follow the convention
-(Kf)(x) = sum_y K(x,y) f(y) mu(y).
+in the mu-weighted inner product.  A kernel table K acts by integration
+against mu: (Kf)(x) = sum_y K(x,y) f(y) mu(y).
 """
 
 import math
@@ -109,29 +109,6 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     if np.abs(R - space.L).max() > 1e-9 * scale:
         raise ValueError("eigendecomposition reconstruction failed")
     return data
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Two-point kernel acting by integration against mu."""
-
-    table: np.ndarray
-    band: tuple  # (lo, hi) in sqrt(L) units; smallest interval of live modes
-
-    def apply(self, space: ModelSpace, f) -> np.ndarray:
-        return self.table @ (space.mu * np.asarray(f))
-
-
-def apply_symbol(spec: SpectralData, f, delta: float = 1.0) -> Kernel:
-    """Kernel of f(delta*sqrt(L)): K = E diag(f(delta*sqrt(lam))) E^T."""
-    vals = spec.symbol(f, delta)
-    live = np.abs(vals) > 1e-14 * max(1.0, np.abs(vals).max())
-    if np.any(live):
-        roots = np.sqrt(spec.eigenvalues[live])
-        band = (float(roots.min()), float(roots.max()))
-    else:
-        band = (0.0, 0.0)
-    return Kernel(table=spec.kernel(vals), band=band)
 
 
 def apply_L_power(spec: SpectralData, g, m: int, mod_nullspace=False) -> np.ndarray:
@@ -319,10 +296,10 @@ def telescope(spec: SpectralData, Phi: Cutoff, b: float, window, f) -> np.ndarra
 # localization / finite-speed measurements
 
 
-def measure_localization(kernel: Kernel, delta: float, N, space: ModelSpace) -> dict:
+def measure_localization(table, delta: float, N, space: ModelSpace) -> dict:
     """Effective localization constants A_N_eff = max over (x,y) of
-    |K(x,y)| * sqrt(|B(x,delta)| |B(y,delta)|) * (1 + rho/delta)^N,
-    for a ladder of decay orders N."""
+    |K(x,y)| * sqrt(|B(x,delta)| |B(y,delta)|) * (1 + rho/delta)^N for the
+    kernel table K, for a ladder of decay orders N."""
     from mmframes.space import ball_volumes
 
     vols = ball_volumes(space, delta)
@@ -330,7 +307,7 @@ def measure_localization(kernel: Kernel, delta: float, N, space: ModelSpace) -> 
     out = {}
     for order in np.atleast_1d(N):
         w = (1.0 + space.dist / delta) ** float(order)
-        out[float(order)] = float(np.abs(kernel.table * vb * w).max())
+        out[float(order)] = float(np.abs(table * vb * w).max())
     return out
 
 
@@ -344,7 +321,7 @@ def fit_speed_constant(spec: SpectralData, times=(0.5, 1.0, 2.0)) -> float:
     space = spec.space
     cstars = []
     for t in times:
-        K = apply_symbol(spec, lambda u: np.exp(-(u**2)), delta=np.sqrt(t)).table
+        K = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2)), np.sqrt(t)))
         rel = np.abs(K) / np.abs(K).max()
         mask = (space.dist > 0) & (rel > 1e-280) & (rel < 1.0)
         if not np.any(mask):
@@ -357,12 +334,44 @@ def fit_speed_constant(spec: SpectralData, times=(0.5, 1.0, 2.0)) -> float:
     return 1.0 / (2.0 * np.sqrt(c_star))
 
 
-def effective_support_radius(kernel: Kernel, space: ModelSpace,
+def effective_support_radius(table, space: ModelSpace,
                              threshold: float = 1e-9) -> float:
-    """Largest rho(x,y) with |K(x,y)| > threshold * max|K|."""
-    K = np.abs(kernel.table)
+    """Largest rho(x,y) with |table(x,y)| > threshold * max|table|."""
+    K = np.abs(table)
     kmax = K.max()
     if kmax == 0:
         return 0.0
     live = K > threshold * kmax
     return float(space.dist[live].max())
+
+
+# ---------------------------------------------------------------------------
+# geometric (Neumann) series
+
+NEUMANN_TAIL = 1e-12  # stop once ||next term||_F / ||first term||_F is below
+NEUMANN_CAP = 500     # most terms one series may take
+
+
+def neumann_series(total, term, step, on_term=None) -> tuple:
+    """Add term, term @ step, term @ step @ step, ... to total in place and
+    in order, calling on_term on each, until the next term's Frobenius norm
+    is below NEUMANN_TAIL times the first's; returns (terms, that ratio).
+    RuntimeError when five terms running barely shrink (the series
+    diverges), or at NEUMANN_CAP terms."""
+    first = np.linalg.norm(term)
+    if first == 0:
+        return 0, 0.0
+    prev, stall = first, 0
+    for terms in range(1, NEUMANN_CAP + 1):
+        total += term
+        if on_term is not None:
+            on_term(term)
+        term = term @ step
+        cur = np.linalg.norm(term)
+        stall = stall + 1 if cur > 0.999 * prev else 0
+        if stall >= 5:
+            raise RuntimeError("Neumann series diverges")
+        prev = cur
+        if cur / first < NEUMANN_TAIL:
+            return terms, cur / first
+    raise RuntimeError(f"Neumann series did not settle in {NEUMANN_CAP} terms")

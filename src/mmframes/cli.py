@@ -131,10 +131,10 @@ class Context:
         b = self.cfg["b"]
         Phi = self.get("Phi")
         Psi = lambda u: Phi(u) - Phi(np.asarray(u) * b)
-        derivs = ca.band_derivatives(b, int(tc["K"]))
         return fr.build_band_limited_theta(
-            Psi, N=int(tc["N"]), K=int(tc["K"]), eps=float(tc["eps"]), b=b,
-            R0=float(tc["R0"]), R_max=float(tc["R_max"]), Psi_derivs=derivs)
+            Psi, ca.band_derivatives(b, int(tc["K"])), N=int(tc["N"]),
+            K=int(tc["K"]), eps=float(tc["eps"]), b=b, R0=float(tc["R0"]),
+            R_max=float(tc["R_max"]))
 
     def _build_compact(self):
         return fr.build_compact_frame(self.get("spec"), self.get("hier"),
@@ -245,7 +245,7 @@ def _suite_finite_speed(ctx):
 
 def _suite_localization(ctx):
     spec, space = ctx.get("spec"), ctx.get("space")
-    kern = ca.apply_symbol(spec, lambda u: np.exp(-(u**2)), delta=1.0)
+    kern = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2))))
     out = ca.measure_localization(kern, 1.0, (1.0, 2.0, 4.0), space)
     return "record", {"A_%g" % k: v for k, v in out.items()}
 
@@ -564,6 +564,7 @@ def _suite_inhomogeneous(ctx):
                                         "eps_max": max(eps.values())}
 
 
+# in run order: every gate in DOWNSTREAM runs before its dependents
 SUITES = {
     "doubling": ("§1 (1.1)-(1.2),(1.7)-(1.8)", "measured doubling profile",
                  _suite_doubling),
@@ -577,8 +578,6 @@ SUITES = {
                        _suite_net_invariants),
     "def2.1-cutoffs": ("Def 2.1", "cutoff types (a)/(c) closed-form checks",
                        _suite_cutoffs),
-    "prop2.1-finite-speed": ("Prop 2.1", "band-limited kernel support",
-                             _suite_finite_speed),
     "thm2.2-localization": ("Thm 2.2", "kernel localization ladder",
                             _suite_localization),
     "thm3.4-telescoping": ("Thm 3.4", "multiscale telescoping identity",
@@ -607,6 +606,8 @@ SUITES = {
                        _suite_neumann),
     "prop6.6-theta": ("Prop 6.6/(6.16)", "band-limited surrogate symbol",
                       _suite_theta),
+    "prop2.1-finite-speed": ("Prop 2.1", "band-limited kernel support",
+                             _suite_finite_speed),
     "thm6.7-compact-dual": ("Thm 6.7", "compact frame dual pipeline",
                             _suite_compact_dual),
     "lemma7.2-molecules": ("Lemma 7.2", "scaled frames are molecules",
@@ -627,19 +628,6 @@ SUITES = {
                            _suite_inhomogeneous),
 }
 
-
-# execution order respects resource dependencies
-SUITE_ORDER = [
-    "doubling", "lemma9.1", "lemma9.2", "lemma2.3", "net-invariants",
-    "def2.1-cutoffs", "thm2.2-localization", "thm3.4-telescoping",
-    "lemma4.1-sampling", "thm4.2-reconstruction", "thm4.2-bands",
-    "thm5.5-besov", "thm5.6-tl", "sec2.3-maximal", "lemma9.3",
-    "def6.1-omega", "thm6.2-boundedness", "lemma6.4-W-bound",
-    "thm6.3-neumann", "prop6.6-theta", "prop2.1-finite-speed",
-    "thm6.7-compact-dual", "lemma7.2-molecules", "lemma7.3-gram",
-    "thm7.4-synthesis", "thm7.5-analysis", "thm7.9-atoms",
-    "thm8.1-multiplier", "lemma9.4-hardy", "inhomogeneous-mode",
-]
 
 # suites whose failure invalidates later pipeline stages
 DOWNSTREAM = {
@@ -719,6 +707,10 @@ def load_config(path) -> dict:
             raise ConfigError(f"theta.{k} must be a finite number, got {v!r}")
         if k in ("N", "K") and v != int(v):
             raise ConfigError(f"theta.{k} must be an integer, got {v!r}")
+    if not (theta["N"] >= theta["K"] >= 1 and theta["eps"] > 0
+            and 0 < theta["R0"] <= theta["R_max"]):
+        raise ConfigError("theta needs N >= K >= 1, eps > 0 and "
+                          f"0 < R0 <= R_max, got {theta}")
     cfg["theta"] = theta
     suites = cfg["suites"]
     if isinstance(suites, str):
@@ -735,8 +727,8 @@ def load_config(path) -> dict:
 
 
 def run(cfg) -> int:
-    selected = SUITE_ORDER if cfg["suites"] == "all" else [
-        s for s in SUITE_ORDER if s in cfg["suites"]]
+    selected = [s for s in SUITES
+                if cfg["suites"] == "all" or s in cfg["suites"]]
     ctx = Context(cfg)
     outdir = os.environ.get("MMFRAMES_OUTPUT_DIR", cfg["output_dir"])
     os.makedirs(outdir, exist_ok=True)
@@ -750,12 +742,12 @@ def run(cfg) -> int:
         if name in skip:
             records.append((name, anchor, "skip", {"reason": "dependency"}))
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             status, metrics = fn(ctx)
         except Exception as exc:
             status, metrics = "error", {"reason": type(exc).__name__}
-        runtimes[name] = time.time() - t0
+        runtimes[name] = time.perf_counter() - t0
         records.append((name, anchor, status, metrics))
         if status in ("fail", "error"):
             hard_fail = True
@@ -804,8 +796,7 @@ def main(argv=None) -> int:
         return 2
     cmd = argv[0]
     if cmd == "list-suites":
-        for name in SUITE_ORDER:
-            anchor, desc, _ = SUITES[name]
+        for name, (anchor, desc, _) in SUITES.items():
             print(f"{name}\t{anchor}\t{desc}")
         return 0
     if cmd == "describe":

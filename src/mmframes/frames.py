@@ -3,7 +3,7 @@ Neumann correction operator, and a compactly supported variant built from a
 band-limited surrogate symbol.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from mmframes.calculus import (
     level_window,
     _smooth_step,
     effective_support_radius,
-    Kernel,
+    neumann_series,
 )
 
 
@@ -53,7 +53,6 @@ class DualBuildReport:
     neumann_terms: int             # max series length over levels
     neumann_tail: float            # worst relative tail norm
     sampling_ratios: dict          # level -> (lower, upper) of the sampling form
-    level_epsilons: dict           # level -> epsilon
 
 
 def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Frame:
@@ -117,7 +116,7 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
 
 
 def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
-                     Phi: Cutoff, tail_tol: float = 1e-12):
+                     Phi: Cutoff):
     """Dual frame via the per-level correction operator.
 
     Per level j the band symbol G(u) = Phi(b^{-2}u) - Phi(b u) scaled to
@@ -131,20 +130,15 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
     mu = spec.space.mu
     cols = []
     bands = {}
-    ratios, epsilons = {}, {}
-    worst_terms, worst_tail = 0, 0.0
+    ratios = {}
+    worst_eps, worst_terms, worst_tail = 0.0, 0, 0.0
 
     for net in hierarchy.levels:
         j = net.level
-        res = check_sampling(spec, hierarchy, j)
-        if res is None:
-            lo_hi = (1.0, 1.0)
-            eps = 0.0
-        else:
-            lo_hi = res
-            eps = max(1.0 - lo_hi[0], lo_hi[1] - 1.0)
+        lo_hi = check_sampling(spec, hierarchy, j) or (1.0, 1.0)
+        eps = max(1.0 - lo_hi[0], lo_hi[1] - 1.0)
         ratios[j] = lo_hi
-        epsilons[j] = eps
+        worst_eps = max(worst_eps, eps)
         if eps >= 0.5:
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={eps}")
 
@@ -159,31 +153,11 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
         R = G2 - V
 
         # Neumann sum S = sum_{k>=1} R^k under kernel composition
-        term = R.copy()
         S = np.zeros_like(R)
-        first = np.linalg.norm(term)
-        terms, tail = 0, 0.0
-        stall = 0
-        prev = first
-        if first > 0:
-            for k in range(1, 500):
-                S += term
-                terms = k
-                term = term @ (mu[:, None] * R)
-                cur = np.linalg.norm(term)
-                tail = cur / first if first > 0 else 0.0
-                if cur > 0.999 * prev:
-                    stall += 1
-                    if stall >= 5:
-                        raise RuntimeError(
-                            f"Neumann divergence at level {j}; gamma too coarse")
-                else:
-                    stall = 0
-                prev = cur
-                if tail < tail_tol:
-                    break
-            else:
-                raise RuntimeError(f"Neumann series did not settle at level {j}")
+        try:
+            terms, tail = neumann_series(S, R, mu[:, None] * R)
+        except RuntimeError as exc:
+            raise RuntimeError(f"{exc} at level {j}; gamma too coarse") from exc
         worst_terms = max(worst_terms, terms)
         worst_tail = max(worst_tail, tail)
 
@@ -195,14 +169,12 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols), kind="dual",
                   bands=bands)
     report = DualBuildReport(
-        epsilon=max(epsilons.values()) if epsilons else 0.0,
-        gamma=hierarchy.gamma, neumann_terms=worst_terms,
-        neumann_tail=worst_tail, sampling_ratios=ratios,
-        level_epsilons=epsilons)
+        epsilon=worst_eps, gamma=hierarchy.gamma, neumann_terms=worst_terms,
+        neumann_tail=worst_tail, sampling_ratios=ratios)
     return frame, report
 
 
-def check_band_containment(spec: SpectralData, frame: Frame, tol=1e-10) -> float:
+def check_band_containment(spec: SpectralData, frame: Frame) -> float:
     """Worst coefficient of any frame element on eigenfunctions outside its
     level band; construction should keep it at rounding level."""
     worst = 0.0
@@ -278,13 +250,6 @@ class ThetaSymbol:
         return osc @ (self.coeffs * self.nodes**nu)
 
 
-def _num_derivative(vals, du, nu):
-    out = vals
-    for _ in range(nu):
-        out = np.gradient(out, du)
-    return out
-
-
 def _cosine_transform(Psi, support: float, n: int, dt: float,
                       du_max: float) -> np.ndarray:
     """2 int_0^support Psi(u) cos(k dt u) du for k = 0..n-1.
@@ -305,11 +270,11 @@ def _cosine_transform(Psi, support: float, n: int, dt: float,
     return fft.dct(samples, type=1)[:n] * du
 
 
-def build_band_limited_theta(Psi, N: int, K: int, eps: float,
+def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
                              b: float = 2.0, R0: float = 1024.0,
-                             R_max: float = 4096.0,
-                             Psi_derivs=None) -> ThetaSymbol:
-    """Band-limited surrogate for the band symbol Psi.
+                             R_max: float = 4096.0) -> ThetaSymbol:
+    """Band-limited surrogate for the band symbol Psi, whose derivatives of
+    orders 0..K are the callables Psi_derivs[0..K].
 
     Truncates the cosine transform of Psi to [0, R] with a smooth window,
     adds a small band-limited jet correction so that derivatives at 0
@@ -370,8 +335,6 @@ def build_band_limited_theta(Psi, N: int, K: int, eps: float,
         keep = (ug >= u_lo) & (ug <= u_hi)
         ug = ug[keep]
         weight = ug**N / (1.0 + ug) ** (2 * N)
-        if Psi_derivs is None:
-            psi_vals = np.asarray(Psi(ug), dtype=float)
         worst = 0.0
         for nu in range(0, K + 1):
             # Theta^(nu)(u_j) = (-1)^{ceil(nu/2)} sum_k c_k t_k^nu
@@ -383,11 +346,7 @@ def build_band_limited_theta(Psi, N: int, K: int, eps: float,
             else:
                 vals = np.pad(fft.dst(a[1:L], type=1), 1) / 2.0
             vals = (-1.0) ** ((nu + 1) // 2) * vals[keep]
-            if Psi_derivs is not None:
-                ref = np.asarray(Psi_derivs[nu](ug), dtype=float)
-            else:
-                ref = psi_vals if nu == 0 else \
-                    _num_derivative(psi_vals, ug[1] - ug[0], nu)
+            ref = np.asarray(Psi_derivs[nu](ug), dtype=float)
             worst = max(worst, float((np.abs(vals - ref) / weight).max()))
         theta = ThetaSymbol(R=R, nodes=t, coeffs=coeffs, jet_order=jet,
                             eps_target=eps, eps_achieved=worst,
@@ -411,8 +370,7 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
     for net in hierarchy.levels:
         j = net.level
         P = spec.kernel(spec.symbol(theta, b ** (-j)))
-        supports[j] = effective_support_radius(
-            Kernel(table=P, band=(0.0, 0.0)), spec.space, threshold)
+        supports[j] = effective_support_radius(P, spec.space, threshold)
         cols.append(P[:, net.centers] * np.sqrt(net.a_vol)[None, :])
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols),
                   kind="compact", bands={n.level: None for n in hierarchy.levels})
@@ -424,7 +382,6 @@ class CompactDualReport:
     perturbation_ad_norm: float
     neumann_terms: int
     duality_residual: float
-    coeff_matrix: np.ndarray = field(repr=False, default=None)
 
 
 def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
@@ -467,8 +424,7 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
         / space.norm2(F)
     report = CompactDualReport(perturbation_ad_norm=inv_report["delta_hat"],
                                neumann_terms=inv_report["terms"],
-                               duality_residual=resid.max(initial=0.0),
-                               coeff_matrix=C)
+                               duality_residual=resid.max(initial=0.0))
     return compact_dual, report
 
 

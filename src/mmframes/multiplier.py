@@ -48,8 +48,6 @@ class MihlinSymbol:
     range_restricted: bool = False
     grid: tuple = (0.0, 0.0)
     threshold: float = np.inf
-    threshold_met: bool = False
-    ahlfors: dict = None
 
     def __call__(self, u):
         return self.fn(u)
@@ -176,8 +174,7 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
                         mihlin_sup=float(max(sups)), order_sups=tuple(sups),
                         even_ok=even_ok,
                         range_restricted=restricted or forced_even,
-                        grid=(float(lo), float(hi)), threshold=threshold,
-                        threshold_met=True, ahlfors=scan)
+                        grid=(float(lo), float(hi)), threshold=threshold)
 
 
 def apply_multiplier(symbol, f, frame, dual, spec: SpectralData,

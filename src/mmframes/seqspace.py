@@ -267,18 +267,13 @@ def check_frame_characterization(battery, params: SpaceParams,
 
 
 def random_battery(space: ModelSpace, spec: SpectralData, count: int,
-                   seed: int = 0, shaping: str = "flat") -> np.ndarray:
-    """Deterministic battery of mean-zero test functions.
-
-    shaping "flat": white spectral coefficients; "decaying": coefficients
-    damped like 1/(1+lambda)."""
+                   seed: int = 0) -> np.ndarray:
+    """Deterministic battery of mean-zero test functions with white
+    spectral coefficients."""
     rng = np.random.default_rng(seed)
     out = []
-    lam = spec.eigenvalues
     for _ in range(count):
         c = rng.standard_normal(space.n)
         c[: spec.nullspace_dim] = 0.0
-        if shaping == "decaying":
-            c = c / (1.0 + lam)
         out.append(spec.synthesize(c))
     return np.array(out)

@@ -40,9 +40,6 @@ class ModelSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def total_mass(self) -> float:
-        return float(self.mu.sum())
-
     def inner(self, f, g):
         """mu-weighted inner product <f, g>."""
         return float(np.sum(np.conj(f) * g * self.mu).real)

@@ -248,6 +248,9 @@ def test_criterion_14_hardy_suite():
 
 
 def test_criterion_15_deterministic_reports(tmp_path):
+    # separate processes, so that nothing keyed on the process (string
+    # hashing, say) can hide; the default C_64 config runs clean: no suite
+    # fails, errors or skips
     reports = []
     for tag in ("a", "b"):
         out = tmp_path / tag
@@ -258,4 +261,7 @@ def test_criterion_15_deterministic_reports(tmp_path):
             capture_output=True, text=True)
         assert res.returncode == 0, res.stdout + res.stderr
         reports.append((out / "report.txt").read_bytes())
+        statuses = {line.split(" status=")[1].split()[0]
+                    for line in reports[-1].decode().splitlines()[1:]}
+        assert statuses <= {"pass", "record"}, statuses
     assert reports[0] == reports[1]

@@ -30,10 +30,10 @@ def test_kernel_convention_identity(spectra):
     # the identity symbol gives the reproducing kernel of the whole space:
     # applying it against mu returns the function unchanged
     spec = spectra["C_32"]
-    K = ca.apply_symbol(spec, lambda u: 1.0)
+    K = spec.kernel(spec.symbol(lambda u: 1.0))
     rng = np.random.default_rng(0)
     f = rng.standard_normal(spec.space.n)
-    assert np.allclose(K.apply(spec.space, f), f, atol=1e-9)
+    assert np.allclose(K @ (spec.space.mu * f), f, atol=1e-9)
 
 
 def test_symbol_application_routes_agree(spectra):
@@ -41,11 +41,11 @@ def test_symbol_application_routes_agree(spectra):
     g = np.sin(np.arange(64) / 5.0)
     sym = lambda u: np.exp(-(u**2))
     vals = spec.symbol(sym)
-    via_kernel = ca.apply_symbol(spec, sym).apply(spec.space, g)
+    via_kernel = spec.kernel(vals) @ (spec.space.mu * g)
     direct = spec.apply(vals, g)
     assert np.allclose(via_kernel, direct, atol=1e-10)
     assert np.allclose(spec.kernel(vals, [3, 7]),
-                       ca.apply_symbol(spec, sym).table[:, [3, 7]], atol=1e-14)
+                       spec.kernel(vals)[:, [3, 7]], atol=1e-14)
     # a table of functions is applied column by column; the square table
     # catches values broadcast along the wrong axis
     rng = np.random.default_rng(0)
@@ -198,7 +198,7 @@ def test_telescoping_identity(spectra, Phi):
 
 def test_localization_ladder_increases_with_order(spectra):
     spec = spectra["C_64"]
-    kern = ca.apply_symbol(spec, lambda u: np.exp(-(u**2)))
+    kern = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2))))
     out = ca.measure_localization(kern, 1.0, (1.0, 2.0, 4.0), spec.space)
     assert out[1.0] <= out[2.0] <= out[4.0]
 
@@ -218,5 +218,27 @@ def test_finite_speed_saturates_on_small_models():
 
 def test_effective_support_radius_of_identity(spectra):
     spec = spectra["C_32"]
-    K = ca.Kernel(table=np.eye(32), band=(0.0, 0.0))
-    assert ca.effective_support_radius(K, spec.space) == 0.0
+    assert ca.effective_support_radius(np.eye(32), spec.space) == 0.0
+
+
+def test_neumann_series_of_a_zero_term_adds_nothing():
+    total = np.eye(4)
+    assert ca.neumann_series(total, np.zeros((4, 4)), np.eye(4)) == (0, 0.0)
+    assert np.array_equal(total, np.eye(4))
+
+
+def test_neumann_series_sums_the_geometric_series():
+    rng = np.random.default_rng(0)
+    term = rng.standard_normal((5, 5))
+    total = np.zeros((5, 5))
+    seen = []
+    terms, tail = ca.neumann_series(total, term, 0.5 * np.eye(5), seen.append)
+    # 0.5^terms < NEUMANN_TAIL stops the series at 40 terms
+    assert terms == len(seen) == 40 and tail < ca.NEUMANN_TAIL
+    assert np.allclose(total, 2.0 * term, rtol=0, atol=1e-11)
+    assert np.array_equal(seen[1], 0.5 * term)
+
+
+def test_neumann_series_rejects_a_series_that_does_not_shrink():
+    with pytest.raises(RuntimeError, match="diverges"):
+        ca.neumann_series(np.zeros((3, 3)), np.eye(3), np.eye(3))

@@ -31,7 +31,7 @@ def test_list_suites():
     for required in ("lemma9.1", "thm4.2-reconstruction",
                      "lemma6.4-W-bound", "lemma9.4-hardy"):
         assert required in names
-    assert names == cli.SUITE_ORDER
+    assert names == list(cli.SUITES)
 
 
 def test_describe():
@@ -65,6 +65,13 @@ def test_config_errors(tmp_path):
     {"theta": {"eps": None}},
     {"theta": {"R0": True}},
     {"theta": {"R_max": [4096]}},
+    {"theta": {"N": 0, "K": 0}},
+    {"theta": {"N": 1, "K": 2}},
+    {"theta": {"eps": 0}},
+    {"theta": {"eps": -1e-3}},
+    {"theta": {"R0": 0}},
+    {"theta": {"R0": 8192}},
+    {"theta": {"R0": 512, "R_max": 256}},
     {"suites": "doubling"},
     {"suites": [["doubling"]]},
     {"b": 1.0},
@@ -173,3 +180,34 @@ def test_battery_suites_fail_on_an_all_zero_battery():
     ctx._cache["battery"] = np.zeros_like(ctx.get("battery"))
     for name in names:
         assert cli.SUITES[name][2](ctx)[0] == "fail", name
+
+
+def test_run_order_puts_every_gate_before_its_dependents(capsys):
+    assert cli.main(["list-suites"]) == 0
+    order = [line.split("\t")[0]
+             for line in capsys.readouterr().out.splitlines()]
+    for gate, dependents in cli.DOWNSTREAM.items():
+        assert gate in cli.SUITES
+        for name in dependents:
+            assert name in cli.SUITES
+            assert order.index(gate) < order.index(name), (gate, name)
+
+
+def test_failed_theta_skips_exactly_its_dependents(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"theta": {"R0": 512, "R_max": 512},
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 1
+    capsys.readouterr()
+    lines = (tmp_path / "out" / "report.txt").read_text().splitlines()[1:]
+    status = {line.split()[0][len("suite="):]: line.split(" status=")[1]
+              for line in lines}
+    assert status["prop6.6-theta"].startswith("fail ")
+    skipped = {name for name, rest in status.items()
+               if rest.startswith("skip")}
+    assert skipped == {"prop2.1-finite-speed", "thm6.7-compact-dual",
+                       "thm7.9-atoms"}
+    assert all(status[name] == "skip reason=dependency" for name in skipped)
+    assert all(rest.split()[0] in ("pass", "record")
+               for name, rest in status.items()
+               if name != "prop6.6-theta" and name not in skipped)

@@ -154,7 +154,8 @@ def test_theta_eps_achieved_matches_dense_evaluation(theta, Phi):
 def test_theta_rejects_bad_orders(Phi):
     Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
     with pytest.raises(ValueError):
-        fr.build_band_limited_theta(Psi, N=1, K=2, eps=1e-3)
+        fr.build_band_limited_theta(Psi, ca.band_derivatives(2.0, 2),
+                                    N=1, K=2, eps=1e-3)
 
 
 # ---------------------------------------------------------------------------
