@@ -2,7 +2,7 @@
 the weighted sup norm, composition bounds and Neumann inversion.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,15 +23,8 @@ class NetMatrix:
             raise ValueError("entry table does not match the hierarchy")
 
 
-@dataclass(frozen=True)
-class AdNorm:
-    delta: float
-    value: float
-    argmax: tuple
-
-
 class NeumannPreconditionError(RuntimeError):
-    """||I - A||_epsilon = delta_hat is not below neumann_invert's threshold."""
+    """||D||_epsilon = delta_hat is not below neumann_invert's threshold."""
 
     def __init__(self, delta_hat, threshold):
         super().__init__(f"Neumann precondition failed: ||I-A||_eps = "
@@ -116,29 +109,20 @@ def omega2(hier: NetHierarchy, i: int, k: int, beta: float, gamma: float,
         np.log(bv[i]), np.log(bv[k]), beta, gamma, params)))
 
 
-def ad_norm(A: NetMatrix, delta: float) -> AdNorm:
+def ad_norm(A: NetMatrix, delta: float) -> float:
+    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta)."""
     W = omega_matrix(A.hierarchy, delta, A.params)
-    R = np.abs(A.entries) / W
-    idx = np.unravel_index(np.argmax(R), R.shape)
-    return AdNorm(delta=delta, value=float(R[idx]), argmax=(int(idx[0]), int(idx[1])))
+    np.divide(np.abs(A.entries), W, out=W)
+    return float(W.max())
 
 
-def apply(A: NetMatrix, h) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != (A.hierarchy.size,):
-        raise ValueError("sequence does not match the hierarchy")
-    return A.entries @ h
-
-
-def boundedness_probe(A: NetMatrix, delta: float, battery,
-                      spq=None) -> dict:
+def boundedness_probe(A: NetMatrix, delta: float, battery) -> dict:
     """Measured boundedness ratio max ||A h|| / (||A||_delta ||h||) over a
     battery of sequences (one per row), for each of the four sequence-space
     flavors; sequences of norm 0 are left out."""
-    nrm = ad_norm(A, delta).value
+    nrm = ad_norm(A, delta)
     if nrm == 0:
         return {"b": 0.0, "b~": 0.0, "f": 0.0, "f~": 0.0, "ad_norm": 0.0}
-    s, p, q = (A.params.s, A.params.p, A.params.q) if spq is None else spq
     H = np.asarray(battery, dtype=float).T
     AH = A.entries @ H
     out = {"ad_norm": nrm}
@@ -146,20 +130,12 @@ def boundedness_probe(A: NetMatrix, delta: float, battery,
                                 ("b~", "besov", "tilde"),
                                 ("f", "triebel_lizorkin", "classical"),
                                 ("f~", "triebel_lizorkin", "tilde")):
-        prm = SpaceParams(s=s, p=p, q=q, flavor=flavor, family=family,
-                          d=A.params.d, dstar=A.params.dstar)
+        prm = replace(A.params, flavor=flavor, family=family)
         denom = seq_norm(H, prm, A.hierarchy)
         live = denom > 0
         ratios = seq_norm(AH[:, live], prm, A.hierarchy) / (nrm * denom[live])
         out[key] = float(ratios.max(initial=0.0))
     return out
-
-
-def compose(A: NetMatrix, B: NetMatrix) -> NetMatrix:
-    if A.hierarchy is not B.hierarchy:
-        raise ValueError("operands indexed by different hierarchies")
-    return NetMatrix(hierarchy=A.hierarchy, entries=A.entries @ B.entries,
-                     params=A.params)
 
 
 def _lemma64(hier, params, beta, pairs):
@@ -231,23 +207,20 @@ def lemma64_check(hier: NetHierarchy, params: SpaceParams, beta: float,
     return lemma64_grid(hier, params, beta, [(gamma1, gamma2)])[0]
 
 
-def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
-                   eps1: float = None):
-    """Invert A = I - D through the geometric series, certifying the decay
-    of the terms in the eps1-weighted norm.
+def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
+    """Invert I - D through the geometric series I + D + D^2 + ...,
+    certifying the decay of the terms in the eps1-weighted norm, eps1 =
+    epsilon/2.
 
-    Preconditions: ||I - A||_epsilon < delta_threshold and
+    Preconditions: ||D||_epsilon < delta_threshold and
     delta_threshold * c* < 1 with the measured composition constant c*:
     Omega(eps1,epsilon) @ Omega(eps1,eps1) <= c* omega(eps1) entrywise.
     """
-    if eps1 is None:
-        eps1 = epsilon / 2.0
-    hier, params = A.hierarchy, A.params
-    D = np.eye(hier.size) - A.entries
-    dn = ad_norm(NetMatrix(hierarchy=hier, entries=D, params=params), epsilon)
-    delta_hat = dn.value
+    delta_hat = ad_norm(D, epsilon)
     if delta_hat >= delta_threshold:
         raise NeumannPreconditionError(delta_hat, delta_threshold)
+    eps1 = epsilon / 2.0
+    hier, params, D = D.hierarchy, D.params, D.entries
     # c* as in lemma64_check; its K times the eps1 level term is omega(eps1)
     (res,), W, blocks, lam = _lemma64(hier, params, eps1, [(epsilon, eps1)])
     cstar = res["max_ratio"]
@@ -255,16 +228,24 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
     for j, rj in enumerate(blocks):
         for l, rl in enumerate(blocks):
             W[rj, rl] *= E[j, l]
-    total = np.eye(hier.size)
     term_ad_norms = []
-    terms, _ = neumann_series(
-        total, D, D,
-        lambda term: term_ad_norms.append(float((np.abs(term) / W).max())))
-    Ainv = NetMatrix(hierarchy=hier, entries=total, params=params)
-    resid = max(
-        np.abs(A.entries @ total - np.eye(hier.size)).max(),
-        np.abs(total @ A.entries - np.eye(hier.size)).max(),
-    )
+
+    def on_term(term):
+        q = np.abs(term)
+        q /= W
+        term_ad_norms.append(float(q.max()))
+
+    total = np.eye(hier.size)
+    terms, _ = neumann_series(total, D, D, on_term)
+    del W
+    # |(I - D) T - I| = |D T - T + I|, and likewise on the right, one at a time
+    resid = 0.0
+    for left, right in ((D, total), (total, D)):
+        P = left @ right
+        P -= total
+        P.flat[::hier.size + 1] += 1.0
+        resid = max(resid, np.abs(P, out=P).max())
+        del P
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     geometric_ok = all(
         term_ad_norms[n - 1] <= delta_hat**n * cstar ** (n - 1) * (1.0 + 1e-9)
@@ -274,8 +255,7 @@ def neumann_invert(A: NetMatrix, epsilon: float, delta_threshold: float,
         "c_star": cstar,
         "terms": terms,
         "residual": float(resid),
-        "inverse_ad_norm": float((np.abs(total) / W).max()),
         "term_ad_norms": term_ad_norms,
         "geometric_decay_ok": bool(geometric_ok),
     }
-    return Ainv, report
+    return NetMatrix(hierarchy=hier, entries=total, params=params), report

@@ -408,11 +408,12 @@ def _suite_neumann(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     eps = 1.0
-    W = ad.omega_matrix(hier, eps, params)
-    D = 0.01 * W * rng.uniform(-1, 1, W.shape)
-    A = ad.NetMatrix(hierarchy=hier, entries=np.eye(hier.size) - D,
-                     params=params)
-    Ainv, rep = ad.neumann_invert(A, eps, 0.5)
+    # D = 0.01 omega(1) (.) U(-1, 1), scaled in place
+    D = ad.omega_matrix(hier, eps, params)
+    D *= 0.01
+    D *= rng.uniform(-1, 1, D.shape)
+    _, rep = ad.neumann_invert(
+        ad.NetMatrix(hierarchy=hier, entries=D, params=params), eps, 0.5)
     ok = rep["residual"] <= 1e-9 and rep["geometric_decay_ok"]
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
@@ -492,10 +493,7 @@ def _suite_atoms(ctx):
     compact = ctx.get("compact")
     cert = mo.validate_atoms(compact.columns, hier, params, spec)
     supp_ok = all(passed for _, passed in _speed_checks(ctx))
-    cstar = mo.scaling_for_budget(
-        mo.MoleculeCertificate(flavor="synthesis", space_flavor="classical",
-                               orders=None, M=0.0, constants=cert.constants,
-                               passed=True, budget=cert.budget))
+    cstar = mo.scaling_for_budget(cert)
     _, _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
                                     ctx.get("compact_dual"), hier, params,
                                     spec, ctx.get("Phi"), ctx.cfg["b"],

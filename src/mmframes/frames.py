@@ -48,8 +48,6 @@ class Frame:
 
 @dataclass(frozen=True)
 class DualBuildReport:
-    epsilon: float                 # worst sampling epsilon across levels
-    gamma: float
     neumann_terms: int             # max series length over levels
     neumann_tail: float            # worst relative tail norm
     sampling_ratios: dict          # level -> (lower, upper) of the sampling form
@@ -131,14 +129,13 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
     cols = []
     bands = {}
     ratios = {}
-    worst_eps, worst_terms, worst_tail = 0.0, 0, 0.0
+    worst_terms, worst_tail = 0, 0.0
 
     for net in hierarchy.levels:
         j = net.level
         lo_hi = check_sampling(spec, hierarchy, j) or (1.0, 1.0)
         eps = max(1.0 - lo_hi[0], lo_hi[1] - 1.0)
         ratios[j] = lo_hi
-        worst_eps = max(worst_eps, eps)
         if eps >= 0.5:
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={eps}")
 
@@ -168,9 +165,8 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
 
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols), kind="dual",
                   bands=bands)
-    report = DualBuildReport(
-        epsilon=worst_eps, gamma=hierarchy.gamma, neumann_terms=worst_terms,
-        neumann_tail=worst_tail, sampling_ratios=ratios)
+    report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail,
+                             sampling_ratios=ratios)
     return frame, report
 
 
@@ -402,15 +398,16 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     mu = space.mu
     hier = frame1.hierarchy
     Dm = dual.columns.T @ (mu[:, None] * (frame1.columns - compact.columns))
-    A = addiag.NetMatrix(hierarchy=hier, entries=np.eye(hier.size) - Dm,
-                         params=params)
     try:
-        Ainv, inv_report = addiag.neumann_invert(A, epsilon, delta_threshold)
+        Ainv, inv_report = addiag.neumann_invert(
+            addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params),
+            epsilon, delta_threshold)
     except addiag.NeumannPreconditionError as exc:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{exc.delta_hat:.3g} >= threshold; shrink eps in the "
             "band-limited symbol") from exc
+    del Dm
     B = dual.columns.T @ (mu[:, None] * frame1.columns)
     C = Ainv.entries @ B
 

@@ -217,8 +217,9 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
                                factorization_residual=fact_resid)
 
 
-def scaling_for_budget(cert: MoleculeCertificate) -> float:
-    """The largest c such that scaling the family by c passes the budget."""
+def scaling_for_budget(cert) -> float:
+    """The largest c such that scaling the family by c passes the budget,
+    from a MoleculeCertificate or an AtomCertificate."""
     worst = max(cert.constants.values())
     return np.inf if worst == 0 else cert.budget / worst
 
@@ -247,7 +248,7 @@ def gram(synth_family, anal_family, hier: NetHierarchy,
     best = None
     scan = {}
     for delta in deltas:
-        c = addiag.ad_norm(A, delta).value
+        c = addiag.ad_norm(A, delta)
         scan[delta] = c
         if best is None or c < best[1]:
             best = (delta, c)
@@ -274,8 +275,7 @@ def _ratio(num, den):
 
 
 def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
-                        spec: SpectralData, phi, b: float = 2.0,
-                        window=None):
+                        spec: SpectralData, phi, b: float = 2.0):
     """f = sum_xi t_xi m_xi with the measured norm ratio
     ||f||_F / ||t||_f; an (m, k) table of sequences gives k functions and
     k of each report value."""
@@ -286,14 +286,14 @@ def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
     T = t.reshape(hier.size, -1)
     f = cols @ T
     tn = seq_norm(T, params, hier)
-    fn = function_norm(f, params, spec, phi, b, window)
+    fn = function_norm(f, params, spec, phi, b)
     return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
                               "ratio": _ratio(fn, tn)})
 
 
 def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
                        params: SpaceParams, spec: SpectralData, phi,
-                       b: float = 2.0, window=None):
+                       b: float = 2.0):
     """Coefficients <f, m~_xi> through the frame expansion
     sum_eta <m~_xi, psi_eta> <f, psi~_eta>, with the measured ratio
     ||coeffs||_f / ||f||_F; an (n, k) table of functions gives an (m, k)
@@ -310,7 +310,7 @@ def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
     coeffs = A @ dual.analyze(F)                  # <f, psi~_eta>
     direct = cols.T @ (mu * F)
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
-    fn = function_norm(F, params, spec, phi, b, window)
+    fn = function_norm(F, params, spec, phi, b)
     cn = seq_norm(coeffs, params, hier)
     return _per_column(f, coeffs, {
         "seq_norm": cn, "function_norm": fn, "ratio": _ratio(cn, fn),
@@ -398,8 +398,7 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
 
 def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,
                      params: SpaceParams, spec: SpectralData, phi,
-                     b: float = 2.0, window=None, cstar: float = None,
-                     atom_cert: AtomCertificate = None):
+                     b: float = 2.0, cstar: float = 1.0):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
     compact frame and t_xi = <f, theta~_xi> / cstar; an (n, k) table of
     functions gives an (m, k) table t and k of each report value.
@@ -413,21 +412,15 @@ def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,
     raw = compact_dual.analyze(F)
     nf = space.norm2(F)
     residual = _ratio(space.norm2(compact.synthesize(raw) - F), nf)
-    if cstar is None:
-        if atom_cert is not None:
-            worst = max(atom_cert.constants.values())
-            cstar = atom_cert.budget / worst if worst > 0 else 1.0
-        else:
-            cstar = 1.0
     t = raw / cstar
     atoms = compact.columns * cstar
-    fn = function_norm(F, params, spec, phi, b, window)
+    fn = function_norm(F, params, spec, phi, b)
     tn = seq_norm(t, params, hier)
     t, report = _per_column(f, t, {
         "residual": residual, "l2_norm": nf,
         "analysis_constant": _ratio(tn, fn),
         "synthesis_constant": _ratio(
-            function_norm(atoms @ t, params, spec, phi, b, window), tn),
+            function_norm(atoms @ t, params, spec, phi, b), tn),
     })
     report["cstar"] = cstar
     return t, atoms, report

@@ -196,8 +196,7 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData,
 
 
 def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
-                       spec: SpectralData, phi, b: float = 2.0,
-                       window=None) -> dict:
+                       spec: SpectralData, phi, b: float = 2.0) -> dict:
     """Max over the battery (one function per row) of ||m(sqrt(L)) f|| / ||f||
     in each of the four flavors, with the per-flavor smoothness requirement
     recorded.  Functions of norm 0 are left out; samples is the fewest
@@ -215,10 +214,9 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
             ("b~", "besov", "tilde", abs(s))):
         prm = SpaceParams(s=s, p=params.p, q=params.q, flavor=flavor,
                           family=family, d=params.d, dstar=params.dstar)
-        denom = function_norm(F, prm, spec, phi, b, window)
+        denom = function_norm(F, prm, spec, phi, b)
         live = denom > 0
-        ratios = function_norm(G[:, live], prm, spec, phi, b, window) \
-            / denom[live]
+        ratios = function_norm(G[:, live], prm, spec, phi, b) / denom[live]
         samples.append(int(live.sum()))
         out[key] = {"ratio": float(ratios.max(initial=0.0)),
                     "required_order": base + extra,

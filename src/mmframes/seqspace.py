@@ -54,13 +54,13 @@ def _lq(values, q, axis=0):
 # function-space norms
 
 
-def _level_pieces(f, params: SpaceParams, spec: SpectralData, phi, b,
-                  window):
-    """|phi(b^{-j} sqrt(L)) f| for j across the window and every column of
+def _level_pieces(f, params: SpaceParams, spec: SpectralData, phi, b):
+    """|phi(b^{-j} sqrt(L)) f| for j across level_window and every column of
     f, one (n,) function or an (n, k) table, as an (L, k, n) table,
     weighted by b^{js} (classical) or |B(x, b^{-j})|^{-s/d} (tilde); f is
     projected mean-zero first."""
-    levels = range(window[0], window[1] + 1)
+    j_min, j_max = level_window(spec, b)
+    levels = range(j_min, j_max + 1)
     vals = np.stack([spec.symbol(phi, b ** (-j)) for j in levels], axis=1)
     vals[: spec.nullspace_dim] = 0.0
     F = np.asarray(f, dtype=float).reshape(spec.space.n, -1)
@@ -79,34 +79,29 @@ def _one_or_many(out, x):
 
 
 def besov_norm(f, params: SpaceParams, spec: SpectralData, phi,
-               b: float = 2.0, window=None):
-    if window is None:
-        window = level_window(spec, b)
-    pieces = _level_pieces(f, params, spec, phi, b, window)
+               b: float = 2.0):
+    pieces = _level_pieces(f, params, spec, phi, b)
     L, k, n = pieces.shape
     terms = spec.space.lp_norm(pieces.reshape(L * k, n).T, params.p)
     terms = np.ascontiguousarray(terms.reshape(L, k).T)
     return _one_or_many(_lq(terms, params.q, axis=1), f)
 
 
-def tl_norm(f, params: SpaceParams, spec: SpectralData, phi,
-            b: float = 2.0, window=None):
+def tl_norm(f, params: SpaceParams, spec: SpectralData, phi, b: float = 2.0):
     if np.isinf(params.p):
         raise ValueError("p must be finite for the TL norm")
-    if window is None:
-        window = level_window(spec, b)
-    pieces = _level_pieces(f, params, spec, phi, b, window)
+    pieces = _level_pieces(f, params, spec, phi, b)
     inner = _lq(pieces, params.q, axis=0)
     return _one_or_many(spec.space.lp_norm(inner.T, params.p), f)
 
 
 def function_norm(f, params: SpaceParams, spec: SpectralData, phi,
-                  b: float = 2.0, window=None):
+                  b: float = 2.0):
     """Norm of f in the function space of params: one (n,) function gives a
     float, an (n, k) table gives k norms, one per column."""
     if params.family == "besov":
-        return besov_norm(f, params, spec, phi, b, window)
-    return tl_norm(f, params, spec, phi, b, window)
+        return besov_norm(f, params, spec, phi, b)
+    return tl_norm(f, params, spec, phi, b)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
 
 def check_frame_characterization(battery, params: SpaceParams,
                                  spec: SpectralData, frame, dual,
-                                 phi, b: float = 2.0, window=None) -> dict:
+                                 phi, b: float = 2.0) -> dict:
     """Measured equivalence of coefficient and function norms over a battery
     (one function per row), taken on one table.
 
@@ -251,7 +246,7 @@ def check_frame_characterization(battery, params: SpaceParams,
     space = spec.space
     hier = frame.hierarchy
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
-    fn = function_norm(F, params, spec, phi, b, window)
+    fn = function_norm(F, params, spec, phi, b)
     live = fn > 0
     F, fn = F[:, live], fn[live]
     c1 = dual.analyze(F)

@@ -146,7 +146,7 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
         hier, _ = hierarchies[name]
         W = ad.omega_matrix(hier, 0.5, params022)
         A = ad.NetMatrix(hierarchy=hier, entries=W, params=params022)
-        assert abs(ad.ad_norm(A, 0.5).value - 1.0) < 1e-12
+        assert abs(ad.ad_norm(A, 0.5) - 1.0) < 1e-12
         battery = rng.standard_normal((100, hier.size))
         rep = ad.boundedness_probe(A, 0.5, battery)
         vals = [rep[k] for k in ("b", "b~", "f", "f~")]
@@ -158,9 +158,8 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
 def test_criterion_10_neumann_inversion(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega_matrix(hier, 0.5, params022)
-    A = ad.NetMatrix(hierarchy=hier, entries=np.eye(hier.size) + 0.01 * W,
-                     params=params022)
-    Ainv, rep = ad.neumann_invert(A, epsilon=1.0, delta_threshold=0.5)
+    D = ad.NetMatrix(hierarchy=hier, entries=-0.01 * W, params=params022)
+    Ainv, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
     assert rep["residual"] <= 1e-9
     assert rep["geometric_decay_ok"]
     for n, val in enumerate(rep["term_ad_norms"], start=1):
@@ -206,12 +205,13 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, hierarchies,
             assert r <= bound or bound >= spec.space.diameter
 
     psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, atoms, rep = mo.atomic_decompose(f, compact, cdual, hier,
                                             params022, spec, psi,
-                                            atom_cert=cert)
+                                            cstar=cstar)
         assert rep["residual"] <= 1e-6
         assert spec.space.norm2(atoms @ t - f) <= 1e-6 * spec.space.norm2(f)
 

@@ -211,3 +211,23 @@ def test_failed_theta_skips_exactly_its_dependents(tmp_path, capsys):
     assert all(rest.split()[0] in ("pass", "record")
                for name, rest in status.items()
                if name != "prop6.6-theta" and name not in skipped)
+
+
+def test_neumann_suites_peak_memory():
+    # thm6.3-neumann and thm6.7-compact-dual, each run alone on a C_64
+    # context whose frames are built, allocate at most 5.5 m x m float64
+    # tables at their peak
+    import tracemalloc
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
+    for name in ("hier", "params", "frame", "dual", "compact"):
+        ctx.get(name)
+    table = ctx.get("hier").size ** 2 * 8
+    for suite in ("thm6.3-neumann", "thm6.7-compact-dual"):
+        tracemalloc.start()
+        try:
+            status, _ = cli.SUITES[suite][2](ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == "pass"
+        assert peak <= 5.5 * table, (suite, peak / table)

@@ -76,10 +76,14 @@ def test_frame_column_norms_track_ball_volumes(frame_sets, spectra):
         assert ratios.max() / ratios.min() < 50.0
 
 
-def test_dual_report_contents(frame_sets):
-    _, _, report = frame_sets["C_64"]
-    assert report.neumann_tail <= 1e-10
-    assert max(report.sampling_ratios) is not None
+def test_dual_report_contents(frame_sets, hierarchies):
+    for name in ("C_64", "C_128", "T_8x8"):
+        _, _, report = frame_sets[name]
+        _, eps = hierarchies[name]
+        assert report.neumann_tail <= 1e-10
+        assert sorted(report.sampling_ratios) == sorted(eps)
+        for j, (lo, hi) in report.sampling_ratios.items():
+            assert max(1.0 - lo, hi - 1.0) == eps[j] < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -226,12 +226,13 @@ def test_atom_certificate_and_decomposition(compact_pipeline, hierarchies,
         assert max(level_radii.values()) <= spec.space.diameter
 
     psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, atoms, rep = mo.atomic_decompose(f, compact, cdual, hier,
                                             params022, spec, psi,
-                                            atom_cert=cert)
+                                            cstar=cstar)
         assert rep["residual"] <= 1e-6
         recon = atoms @ t
         assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
