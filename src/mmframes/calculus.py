@@ -111,14 +111,12 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     return data
 
 
-def apply_L_power(spec: SpectralData, g, m: int, mod_nullspace=False) -> np.ndarray:
-    """L^m g for a function or an (n, k) column table; negative m requires
-    mod_nullspace and mean-zero columns."""
+def apply_L_power(spec: SpectralData, g, m: int) -> np.ndarray:
+    """L^m g for a function or an (n, k) column table; negative m, taken
+    modulo the nullspace, requires mean-zero columns."""
     lam = spec.eigenvalues
     nz = lam > 0
     if m < 0:
-        if not mod_nullspace:
-            raise ValueError("negative powers need mod_nullspace")
         c = spec.coefficients(g)
         null_mass = np.abs(c[~nz]).max() if np.any(~nz) else 0.0
         if null_mass > 1e-10 * max(1.0, np.abs(c).max()):
@@ -311,16 +309,16 @@ def measure_localization(table, delta: float, N, space: ModelSpace) -> dict:
     return out
 
 
-def fit_speed_constant(spec: SpectralData, times=(0.5, 1.0, 2.0)) -> float:
+def fit_speed_constant(spec: SpectralData) -> float:
     """Calibrate the propagation constant c_tilde from the heat kernel.
 
     Fits the Gaussian envelope |p_t(x,y)| <= C exp(-c_star rho^2 / t) as a
-    lower envelope of t*(-log relative kernel)/rho^2 and returns
-    c_tilde = 1 / (2 sqrt(c_star)).
+    lower envelope of t*(-log relative kernel)/rho^2 over t = 1/2, 1, 2
+    and returns c_tilde = 1 / (2 sqrt(c_star)).
     """
     space = spec.space
     cstars = []
-    for t in times:
+    for t in (0.5, 1.0, 2.0):
         K = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2)), np.sqrt(t)))
         rel = np.abs(K) / np.abs(K).max()
         mask = (space.dist > 0) & (rel > 1e-280) & (rel < 1.0)
@@ -334,14 +332,18 @@ def fit_speed_constant(spec: SpectralData, times=(0.5, 1.0, 2.0)) -> float:
     return 1.0 / (2.0 * np.sqrt(c_star))
 
 
-def effective_support_radius(table, space: ModelSpace,
-                             threshold: float = 1e-9) -> float:
-    """Largest rho(x,y) with |table(x,y)| > threshold * max|table|."""
+# an entry below this fraction of its table's (or column's) largest is
+# outside the effective support
+SUPPORT_THRESHOLD = 1e-9
+
+
+def effective_support_radius(table, space: ModelSpace) -> float:
+    """Largest rho(x,y) with |table(x,y)| > SUPPORT_THRESHOLD * max|table|."""
     K = np.abs(table)
     kmax = K.max()
     if kmax == 0:
         return 0.0
-    live = K > threshold * kmax
+    live = K > SUPPORT_THRESHOLD * kmax
     return float(space.dist[live].max())
 
 

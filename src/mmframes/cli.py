@@ -34,7 +34,6 @@ DEFAULT_CONFIG = {
     "model": "C_64",
     "b": 2.0,
     "gamma": 0.5,
-    "mode": "homogeneous",
     "seed": 0,
     "battery": 20,
     "spq": [0.0, 2.0, 2.0],
@@ -112,8 +111,7 @@ class Context:
 
     def _build_hier(self):
         return fr.build_standard_hierarchy(
-            self.get("spec"), b=self.cfg["b"], gamma=self.cfg["gamma"],
-            mode=self.cfg["mode"])
+            self.get("spec"), b=self.cfg["b"], gamma=self.cfg["gamma"])
 
     def _build_Phi(self):
         return ca.make_cutoff("a", self.cfg["b"])
@@ -481,7 +479,8 @@ def _suite_theta(ctx):
 
 def _suite_compact_dual(ctx):
     rep = ctx.get("compact_dual_report")
-    ok = rep.perturbation_ad_norm < 0.5 and rep.duality_residual <= 1e-6
+    ok = rep.perturbation_ad_norm < fr.COMPACT_DUAL_THRESHOLD and \
+        rep.duality_residual <= 1e-6
     return ("pass" if ok else "fail"), {
         "perturbation": rep.perturbation_ad_norm,
         "residual": rep.duality_residual,
@@ -651,17 +650,72 @@ def _is_count(v, least):
     return _is_number(v) and v == int(v) and v >= least
 
 
-# the names build_model parses; a dict describes a custom model
-MODEL_NAME = re.compile(r"[CP]_[1-9][0-9]*|T_[1-9][0-9]*(x[1-9][0-9]*)?")
+# the names build_model parses; an object describes a custom model
+MODEL_NAME = re.compile(r"([CP])_([1-9]\d*)|T_([1-9]\d*)(?:x([1-9]\d*))?")
+
+
+def _model_sizes(obj):
+    """(kind, sizes) of a custom model object, a torus's as [nx, ny];
+    ConfigError unless its keys and value types are those build_model
+    takes."""
+    kind = obj.get("kind")
+    if kind not in ("cycle", "path", "torus", "tree"):
+        raise ConfigError('model.kind must be "cycle", "path", "torus" or '
+                          f'"tree", got {kind!r}')
+    size_keys = ["nx" if "nx" in obj else "n", "ny"] if kind == "torus" \
+        else ["n"]
+    unknown = sorted(set(obj) - set(size_keys) - {"kind", "mu", "l_scale"}
+                     - ({"edges"} if kind == "tree" else set()))
+    if unknown:
+        raise ConfigError(f"unknown keys of a {kind} model: {unknown}")
+    # a torus without ny is square
+    sizes = [obj.get(k, obj.get(size_keys[0])) for k in size_keys]
+    for k, v in zip(size_keys, sizes):
+        if not _is_count(v, 1):
+            raise ConfigError(f"model.{k} must be a positive integer, got {v!r}")
+    n = int(math.prod(sizes))
+    edges = obj.get("edges")
+    if kind == "tree" and not (
+            isinstance(edges, list) and len(edges) == n - 1 and all(
+                isinstance(e, list) and len(e) == 3 and _is_number(e[2])
+                and e[2] > 0 and all(_is_count(u, 0) and u < n for u in e[:2])
+                for e in edges)):
+        raise ConfigError(f"model.edges must be n - 1 = {n - 1} lists "
+                          "[u, v, w] with 0 <= u, v < n and w > 0")
+    mu, scale = obj.get("mu"), obj.get("l_scale", 1.0)
+    if "mu" in obj and not (isinstance(mu, list) and len(mu) == n and all(
+            _is_number(x) and x > 0 for x in mu)):
+        raise ConfigError(f"model.mu must be a list of {n} positive numbers")
+    if not (_is_number(scale) and scale > 0):
+        raise ConfigError("model.l_scale must be a positive number")
+    return kind, sizes
+
+
+def _check_model(model):
+    """ConfigError unless build_model takes the model and, for a cycle, path
+    or torus, its diameter is at least 2: below that the measured dimension
+    d is 0 and the norms divide by it."""
+    if isinstance(model, dict):
+        kind, sizes = _model_sizes(model)
+    elif isinstance(model, str) and (name := MODEL_NAME.fullmatch(model)):
+        cp, n, a, b = name.groups()
+        kind, sizes = ({"C": "cycle", "P": "path"}[cp], [int(n)]) if cp \
+            else ("torus", [int(a), int(b or a)])
+    else:
+        raise ConfigError("model must be a name like C_64, P_10, T_8 or "
+                          f"T_8x4, or an object, got {model!r}")
+    diameter = {"cycle": sizes[0] // 2, "path": sizes[0] - 1,
+                "torus": sum(k // 2 for k in sizes)}.get(kind)
+    if diameter is not None and diameter < 2:
+        raise ConfigError(
+            "a model needs diameter >= 2 (n//2 for C_n and cycles, n-1 for "
+            "P_n and paths, a//2 + b//2 for T_axb and tori), got "
+            f"{model!r} of diameter {diameter}")
+
 
 CHECKS = {
-    "model": (lambda v: isinstance(v, dict) or isinstance(v, str)
-              and MODEL_NAME.fullmatch(v) is not None,
-              "a model name like C_64, P_10, T_8 or T_8x4, or an object"),
     "b": (lambda v: _is_number(v) and v > 1, "a number above 1"),
     "gamma": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "mode": (lambda v: v in ("homogeneous", "inhomogeneous"),
-             '"homogeneous" or "inhomogeneous"'),
     "seed": (lambda v: _is_count(v, 0), "a nonnegative integer"),
     "battery": (lambda v: _is_count(v, 1), "a positive integer"),
     "spq": (lambda v: isinstance(v, list) and len(v) == 3
@@ -700,6 +754,7 @@ def load_config(path) -> dict:
     for k, (ok, what) in CHECKS.items():
         if not ok(cfg[k]):
             raise ConfigError(f"{k} must be {what}, got {cfg[k]!r}")
+    _check_model(cfg["model"])
     for k, v in theta.items():
         if not _is_number(v):
             raise ConfigError(f"theta.{k} must be a finite number, got {v!r}")
@@ -754,9 +809,9 @@ def run(cfg) -> int:
 
     # machine report: deterministic, line oriented
     model = cfg["model"] if isinstance(cfg["model"], str) else "custom"
-    lines = ["manifest model=%s b=%s gamma=%s mode=%s seed=%d battery=%d" %
-             (model, _fmt(cfg["b"]), _fmt(cfg["gamma"]), cfg["mode"],
-              int(cfg["seed"]), int(cfg["battery"]))]
+    lines = ["manifest model=%s b=%s gamma=%s seed=%d battery=%d" %
+             (model, _fmt(cfg["b"]), _fmt(cfg["gamma"]), int(cfg["seed"]),
+              int(cfg["battery"]))]
     csv_lines = ["suite,constant,value"]
     for name, anchor, status, metrics in records:
         parts = [f"suite={name}", f'anchor="{anchor}"', f"status={status}"]

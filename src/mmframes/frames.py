@@ -18,6 +18,9 @@ from mmframes.calculus import (
     neumann_series,
 )
 
+MAX_GAMMA_HALVINGS = 8        # halvings of gamma before the hierarchy gives up
+COMPACT_DUAL_THRESHOLD = 0.5  # the compact dual needs ||I - A||_eps below this
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -28,7 +31,6 @@ class Frame:
 
     hierarchy: NetHierarchy
     columns: np.ndarray
-    kind: str  # primal | dual | compact | compact_dual
     bands: dict  # level -> (lo, hi) in sqrt(L) units (None for compact kinds)
 
     @property
@@ -69,7 +71,7 @@ def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Fr
         block = spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
         cols.append(block)
         bands[j] = (b ** (j - 1), b ** (j + 1))
-    return Frame(hierarchy=hierarchy, columns=np.hstack(cols), kind="primal", bands=bands)
+    return Frame(hierarchy=hierarchy, columns=np.hstack(cols), bands=bands)
 
 
 def check_sampling(spec: SpectralData, hierarchy: NetHierarchy, j: int):
@@ -89,12 +91,12 @@ def check_sampling(spec: SpectralData, hierarchy: NetHierarchy, j: int):
 
 
 def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
-                             gamma: float = 0.5, mode: str = "homogeneous",
-                             max_halvings: int = 8):
-    """Hierarchy over the default spectral window with gamma auto-halved
-    until every level passes the sampling check with epsilon < 1/2."""
+                             gamma: float = 0.5, mode: str = "homogeneous"):
+    """Hierarchy over the default spectral window with gamma halved, at most
+    MAX_GAMMA_HALVINGS times, until every level passes the sampling check
+    with epsilon < 1/2."""
     j_min, j_max = level_window(spec, b)
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_GAMMA_HALVINGS + 1):
         hier = build_hierarchy(spec.space, b, gamma, j_min, j_max, mode=mode)
         eps = {}
         ok = True
@@ -163,8 +165,7 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
         cols.append(block)
         bands[j] = (b ** (j - 2), b ** (j + 2))
 
-    frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols), kind="dual",
-                  bands=bands)
+    frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols), bands=bands)
     report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail,
                              sampling_ratios=ratios)
     return frame, report
@@ -216,14 +217,13 @@ class ThetaSymbol:
     """Even symbol given by a cosine series over nodes in [0, R].
 
     Its transform is supported in [-R, R] by construction, and the jet
-    correction forces derivatives at 0 to vanish through order jet_order-1,
-    which keeps u^{-m} Theta band-limited for m <= jet_order.
+    correction forces derivatives at 0 to vanish through order N + K - 1,
+    which keeps u^{-m} Theta band-limited for m <= N + K.
     """
 
     R: float
     nodes: np.ndarray
     coeffs: np.ndarray
-    jet_order: int
     eps_target: float
     eps_achieved: float
     passed: bool
@@ -344,10 +344,9 @@ def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
             vals = (-1.0) ** ((nu + 1) // 2) * vals[keep]
             ref = np.asarray(Psi_derivs[nu](ug), dtype=float)
             worst = max(worst, float((np.abs(vals - ref) / weight).max()))
-        theta = ThetaSymbol(R=R, nodes=t, coeffs=coeffs, jet_order=jet,
-                            eps_target=eps, eps_achieved=worst,
-                            passed=worst <= eps, N=N, K=K,
-                            jet_residuals=jet_resid)
+        theta = ThetaSymbol(R=R, nodes=t, coeffs=coeffs, eps_target=eps,
+                            eps_achieved=worst, passed=worst <= eps, N=N,
+                            K=K, jet_residuals=jet_resid)
         if best is None or worst < best.eps_achieved:
             best = theta
         if worst <= eps:
@@ -357,7 +356,7 @@ def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
 
 
 def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
-                        theta: ThetaSymbol, threshold: float = 1e-9) -> tuple:
+                        theta: ThetaSymbol) -> tuple:
     """Compactly supported frame theta_xi = |A_xi|^{1/2} Theta(b^{-j}
     sqrt(L))(., xi); returns (Frame, per-level effective support radii)."""
     b = hierarchy.b
@@ -366,10 +365,10 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
     for net in hierarchy.levels:
         j = net.level
         P = spec.kernel(spec.symbol(theta, b ** (-j)))
-        supports[j] = effective_support_radius(P, spec.space, threshold)
+        supports[j] = effective_support_radius(P, spec.space)
         cols.append(P[:, net.centers] * np.sqrt(net.a_vol)[None, :])
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols),
-                  kind="compact", bands={n.level: None for n in hierarchy.levels})
+                  bands={n.level: None for n in hierarchy.levels})
     return frame, supports
 
 
@@ -381,16 +380,16 @@ class CompactDualReport:
 
 
 def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
-                       compact: Frame, params, epsilon: float = 1.0,
-                       delta_threshold: float = 0.5,
-                       n_probe: int = 10, seed: int = 0):
+                       compact: Frame, params):
     """Dual of the compact frame, computed wholly at coefficient level.
 
     With D_{xi,eta} = <psi_eta - theta_eta, psi~_xi> the transfer operator
     T f = sum <f, psi~_xi> theta_xi satisfies coeff((I-T)g) = D coeff(g),
-    so T^{-1} comes from the Neumann inverse of A = I - D.  The dual
+    so T^{-1} comes from the Neumann inverse of A = I - D, taken at decay
+    eps = 1 when ||I - A||_eps < COMPACT_DUAL_THRESHOLD.  The dual
     coefficients are t = (A^{-1} B) s with B the primal/dual cross Gram and
-    s the dual-frame coefficients of f.
+    s the dual-frame coefficients of f; the duality residual is the worst
+    over ten seeded mean-zero probes.
     """
     from mmframes import addiag
 
@@ -401,7 +400,7 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     try:
         Ainv, inv_report = addiag.neumann_invert(
             addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params),
-            epsilon, delta_threshold)
+            1.0, COMPACT_DUAL_THRESHOLD)
     except addiag.NeumannPreconditionError as exc:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
@@ -412,11 +411,11 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     C = Ainv.entries @ B
 
     dual_cols = dual.columns @ C.T
-    compact_dual = Frame(hierarchy=hier, columns=dual_cols, kind="compact_dual",
+    compact_dual = Frame(hierarchy=hier, columns=dual_cols,
                          bands={n.level: None for n in hier.levels})
 
-    rng = np.random.default_rng(seed)
-    F = spec.project_mean_zero(rng.standard_normal((n_probe, space.n)).T)
+    rng = np.random.default_rng(0)
+    F = spec.project_mean_zero(rng.standard_normal((10, space.n)).T)
     resid = space.norm2(compact.synthesize(C @ dual.analyze(F)) - F) \
         / space.norm2(F)
     report = CompactDualReport(perturbation_ad_norm=inv_report["delta_hat"],
@@ -425,15 +424,14 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     return compact_dual, report
 
 
-def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5,
-                   mode: str = "homogeneous"):
+def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):
     """One-call setup: model, spectrum, hierarchy, primal and dual frames."""
     from mmframes.space import build_model
     from mmframes.calculus import eigendecompose
 
     space = build_model(model_name)
     spec = eigendecompose(space)
-    hier, eps = build_standard_hierarchy(spec, b=b, gamma=gamma, mode=mode)
+    hier, eps = build_standard_hierarchy(spec, b=b, gamma=gamma)
     Phi = make_cutoff("a", b)
     frame = build_frame1(spec, hier, Phi)
     dual, report = build_dual_frame(spec, hier, Phi)

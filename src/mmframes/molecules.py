@@ -8,12 +8,12 @@ smallest constant making each bound hold, exhaustively over all centers
 and points; atoms additionally carry a compact-support certificate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from mmframes.space import NetHierarchy
-from mmframes.calculus import SpectralData, apply_L_power
+from mmframes.calculus import SpectralData, SUPPORT_THRESHOLD, apply_L_power
 from mmframes.seqspace import SpaceParams, seq_norm, function_norm
 
 
@@ -34,11 +34,8 @@ class MoleculeOrders:
     J: float
     K: int
     N: int
-    K_void: bool
-    N_void: bool
     M_threshold: float
     smoothness_cap: float        # largest s for which cancellation applies
-    boundary_agreement: bool = True
 
     def __post_init__(self):
         if self.K is not None and self.K < 0:
@@ -57,31 +54,22 @@ def compute_orders(params: SpaceParams, flavor: str = "classical") -> MoleculeOr
     if flavor not in ("classical", "tilde"):
         raise ValueError("flavor must be classical or tilde")
     s, J, d = params.s, params.J, params.d
-    boundary = True
     if flavor == "classical":
         cap = J
-        K_void = s > cap
-        K = int(np.floor((J - s) / 2.0)) + 1 if not K_void else None
+        K = int(np.floor((J - s) / 2.0)) + 1 if s <= cap else None
         thresh = J
     else:
         cap = J * d / params.dstar if params.dstar > 0 else np.inf
-        K_void = s > cap
-        if K_void:
+        if s > cap:
             K = None
         elif s < 0:
             K = int(np.floor((J - s) / 2.0)) + 1
         else:
             K = int(np.floor((J - s * params.dstar / d) / 2.0)) + 1
-        # at s = 0 the two K branches must coincide
-        k_neg_limit = int(np.floor((J - 0.0) / 2.0)) + 1
-        k_pos_limit = int(np.floor((J - 0.0 * params.dstar / d) / 2.0)) + 1
-        boundary = k_neg_limit == k_pos_limit
         thresh = J + abs(s)
-    N_void = s < 0
-    N = int(np.floor(s / 2.0)) + 1 if not N_void else None
-    return MoleculeOrders(flavor=flavor, J=J, K=K, N=N, K_void=K_void,
-                          N_void=N_void, M_threshold=thresh,
-                          smoothness_cap=cap, boundary_agreement=boundary)
+    N = int(np.floor(s / 2.0)) + 1 if s >= 0 else None
+    return MoleculeOrders(flavor=flavor, J=J, K=K, N=N, M_threshold=thresh,
+                          smoothness_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +84,7 @@ class MoleculeCertificate:
     M: float
     constants: dict
     passed: bool
-    budget: float
-    companion: np.ndarray = field(repr=False, default=None)
-    factorization_residual: float = 0.0
+    factorization_residual: float
 
 
 def _as_columns(family, hier: NetHierarchy) -> np.ndarray:
@@ -120,7 +106,7 @@ def _ladder(spec: SpectralData, cols: np.ndarray, top: int):
     for nu in range(top + 1):
         yield cols
         if nu < top:
-            cols = apply_L_power(spec, cols, 1, mod_nullspace=True)
+            cols = apply_L_power(spec, cols, 1)
 
 
 def _companion(spec: SpectralData, cols, K: int, companions, hier,
@@ -131,10 +117,10 @@ def _companion(spec: SpectralData, cols, K: int, companions, hier,
     if K == 0:
         return cols.copy(), 0.0
     if companions is None:
-        companion = apply_L_power(spec, cols, -K, mod_nullspace=True)
+        companion = apply_L_power(spec, cols, -K)
     else:
         companion = _as_columns(companions, hier)
-    rebuilt = apply_L_power(spec, companion, K, mod_nullspace=True)
+    rebuilt = apply_L_power(spec, companion, K)
     scale = max(1.0, np.abs(cols).max())
     resid = float(np.abs(rebuilt - cols)[:, mask].max() / scale) \
         if mask.any() else 0.0
@@ -153,9 +139,9 @@ def _worst_constant(cols, env, mask=None) -> float:
 def validate_molecule(family, hier: NetHierarchy, flavor: str,
                       space_flavor: str, params: SpaceParams,
                       spec: SpectralData, M: float, companions=None,
-                      budget: float = 1.0,
                       inhomogeneous: bool = False) -> MoleculeCertificate:
-    """Smallest constants making the molecule bounds hold for the family.
+    """Smallest constants making the molecule bounds hold for the family,
+    which passes when none exceeds 1.
 
     flavor selects synthesis or analysis conditions; space_flavor selects
     the classical or tilde order rules.  Cancellation companions default
@@ -176,7 +162,6 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     ell2 = hier.xi_ell[None, :] ** 2
 
     constants = {"size": _worst_constant(cols, env)}
-    companion = None
     fact_resid = 0.0
 
     # which centers the cancellation condition applies to
@@ -190,13 +175,12 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     # and cancellation through L^N
     classical = space_flavor == "classical"
     if flavor == "synthesis":
-        smooth, lo = (None if orders.N_void else orders.N), int(classical)
-        canc = None if orders.K_void or (not classical and s < 0) \
-            else orders.K
+        smooth, lo = orders.N, int(classical)
+        canc = None if not classical and s < 0 else orders.K
         canc_top = None if canc is None else canc - int(classical)
     else:
-        smooth, lo = (None if orders.K_void else orders.K), 0
-        canc = canc_top = None if orders.N_void else orders.N
+        smooth, lo = orders.K, 0
+        canc = canc_top = orders.N
     if smooth is not None:
         constants["smoothness"] = max(
             _worst_constant(g * ell2**nu, env)
@@ -208,31 +192,29 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
             _worst_constant(g / ell2 ** (canc - nu), env, canc_mask)
             for nu, g in enumerate(_ladder(spec, companion, canc_top)))
 
-    passed = all(c <= budget for c in constants.values()) and \
+    passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9
     return MoleculeCertificate(flavor=flavor, space_flavor=space_flavor,
                                orders=orders, M=M, constants=constants,
-                               passed=passed, budget=budget,
-                               companion=companion,
+                               passed=passed,
                                factorization_residual=fact_resid)
 
 
 def scaling_for_budget(cert) -> float:
-    """The largest c such that scaling the family by c passes the budget,
-    from a MoleculeCertificate or an AtomCertificate."""
+    """The largest c such that scaling the family by c keeps every constant
+    within 1, from a MoleculeCertificate or an AtomCertificate."""
     worst = max(cert.constants.values())
-    return np.inf if worst == 0 else cert.budget / worst
+    return np.inf if worst == 0 else 1.0 / worst
 
 
 # ---------------------------------------------------------------------------
 # Gram matrices
 
 
-def gram(synth_family, anal_family, hier: NetHierarchy,
-         params: SpaceParams, deltas=None):
+def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
     """Cross Gram a_{xi,eta} = <m_eta, m~_xi>_mu with a decay certificate.
 
-    Scans a delta grid and reports the smallest measured c with
+    Scans delta = 1/8, 1/4, 1/2, 1, 2 and reports the smallest measured c with
     |a_{xi,eta}| <= c omega_{xi,eta}(delta), together with the delta
     attaining it.  Returns (NetMatrix, certificate dict).
     """
@@ -243,11 +225,9 @@ def gram(synth_family, anal_family, hier: NetHierarchy,
     mu = hier.space.mu
     A = addiag.NetMatrix(hierarchy=hier, entries=ma.T @ (mu[:, None] * ms),
                          params=params)
-    if deltas is None:
-        deltas = (0.125, 0.25, 0.5, 1.0, 2.0)
     best = None
     scan = {}
-    for delta in deltas:
+    for delta in (0.125, 0.25, 0.5, 1.0, 2.0):
         c = addiag.ad_norm(A, delta)
         scan[delta] = c
         if best is None or c < best[1]:
@@ -330,8 +310,6 @@ class AtomCertificate:
     support_constant: float
     support_radii: dict
     passed: bool
-    budget: float
-    companion: np.ndarray = field(repr=False, default=None)
 
 
 def minimal_atom_orders(params: SpaceParams) -> tuple:
@@ -342,20 +320,15 @@ def minimal_atom_orders(params: SpaceParams) -> tuple:
 
 
 def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
-                   spec: SpectralData, K: int = None, K_tilde: int = None,
-                   budget: float = 1.0, support_threshold: float = 1e-9,
-                   companions=None) -> AtomCertificate:
-    """Atom certificate: factorization through L^K, plain (undecayed) size
-    bounds for powers of L, and the compact-support constant.
+                   spec: SpectralData, companions=None) -> AtomCertificate:
+    """Atom certificate at the minimal orders (K, K~): factorization through
+    L^K, plain (undecayed) size bounds for powers of L up to K~, and the
+    compact-support constant; it passes when no constant exceeds 1.
 
     The support constant is the smallest c with every effective support
-    (relative threshold support_threshold) inside c B_xi.
+    (relative threshold SUPPORT_THRESHOLD) inside c B_xi.
     """
-    K_min, Kt_min = minimal_atom_orders(params)
-    K = K_min if K is None else K
-    K_tilde = Kt_min if K_tilde is None else K_tilde
-    if K < K_min or K_tilde < Kt_min:
-        raise ValueError("orders below the admissible thresholds")
+    K, K_tilde = minimal_atom_orders(params)
     cols = _as_columns(family, hier)
     ell2 = hier.xi_ell[None, :] ** 2
     base = hier.xi_bvol[None, :] ** -0.5
@@ -379,7 +352,7 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
             rmax = 0.0
             for k, center in enumerate(net.centers):
                 col = np.abs(g[:, sl][:, k])
-                tol = support_threshold * max(gmax[sl][k], 1e-300)
+                tol = SUPPORT_THRESHOLD * max(gmax[sl][k], 1e-300)
                 live = col > tol
                 if live.any():
                     r = float(dist[live, center].max())
@@ -389,11 +362,11 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
         radii[nu] = level_worst
     constants["companion_size"] = worst
 
-    passed = all(c <= budget for c in constants.values()) and \
+    passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9
     return AtomCertificate(K=K, K_tilde=K_tilde, constants=constants,
                            support_constant=supp_c, support_radii=radii,
-                           passed=passed, budget=budget, companion=companion)
+                           passed=passed)
 
 
 def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,

@@ -91,15 +91,19 @@ def ahlfors_scan(space: ModelSpace, d: float) -> dict:
     return {"c4": c4, "band": hi / lo, "d": d}
 
 
+# volume growth within this band of the two-sided power bound counts as
+# Ahlfors regular, and relaxes the Mihlin smoothness threshold to J
+AHLFORS_BAND = 50.0
+
+
 def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
-                 b: float = 2.0, grid_points: int = 4000,
-                 ahlfors_band: float = 50.0) -> MihlinSymbol:
+                 b: float = 2.0) -> MihlinSymbol:
     """Weighted derivative sups sup_lam |lam^nu m^(nu)(lam)| for nu <= ell
-    on a dense log grid covering the model's spectral range extended by
-    b^2 on both sides.
+    on a log grid of 4000 points covering the model's spectral range
+    extended by b^2 on both sides.
 
     The smoothness threshold is J + d/2 in general and relaxes to J when
-    the volume growth fits the two-sided power bound within ahlfors_band.
+    the volume growth fits the two-sided power bound within AHLFORS_BAND.
     Symbols whose sups blow up only beyond the extended range are flagged
     range_restricted rather than rejected.
     """
@@ -109,7 +113,7 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     expr = m if hasattr(m, "free_symbols") else None
 
     scan = ahlfors_scan(spec.space, params.d)
-    threshold = params.J + (0.0 if scan["band"] <= ahlfors_band
+    threshold = params.J + (0.0 if scan["band"] <= AHLFORS_BAND
                             else params.d / 2.0)
     if not (ell > threshold):
         raise ValueError(
@@ -129,7 +133,7 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
 
     lo = np.sqrt(spec.lambda_2) / b**2
     hi = b**2 * np.sqrt(spec.lambda_max)
-    grid = np.geomspace(lo, hi, grid_points)
+    grid = np.geomspace(lo, hi, 4000)
 
     # evenness on the grid; a symbol given only on the positive axis is
     # extended evenly and flagged rather than rejected (the calculus only
@@ -177,11 +181,10 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
                         grid=(float(lo), float(hi)), threshold=threshold)
 
 
-def apply_multiplier(symbol, f, frame, dual, spec: SpectralData,
-                     tol: float = 1e-9) -> np.ndarray:
+def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
     """m(sqrt(L)) f computed through the frame expansion
     sum_xi <f, psi~_xi> m(sqrt(L)) psi_xi, cross-checked against direct
-    spectral application."""
+    spectral application to a relative 1e-9."""
     fn = symbol.fn if isinstance(symbol, MihlinSymbol) else symbol
     fv = spec.project_mean_zero(np.asarray(f, dtype=float))
     mvals = spec.symbol(fn)
@@ -189,7 +192,7 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData,
     framed = spec.apply(mvals, frame.columns @ dual.analyze(fv))
     scale = max(1.0, float(np.abs(direct).max()))
     resid = float(np.abs(framed - direct).max() / scale)
-    if resid > tol:
+    if resid > 1e-9:
         raise RuntimeError(
             f"frame route disagrees with direct calculus: {resid:.3g}")
     return direct

@@ -192,10 +192,10 @@ def fs_maximal_probe(family, p, q, t, space: ModelSpace) -> dict:
     fam = np.asarray(family, dtype=float)
     rhs = space.lp_norm(_lq(fam, q, axis=0), p)
     if rhs == 0:
-        return {"ratio": 0.0, "degenerate": True}
+        return {"ratio": 0.0}
     mfam = np.array([maximal_Mt(fv, t, space) for fv in fam])
     lhs = space.lp_norm(_lq(mfam, q, axis=0), p)
-    return {"ratio": float(lhs / rhs), "degenerate": False}
+    return {"ratio": float(lhs / rhs)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +218,11 @@ def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
     idx = np.arange(m)
     rhs = _lq(a, q)
     if rhs == 0:
-        return {"down": 0.0, "up": 0.0, "degenerate": True}
+        return {"down": 0.0, "up": 0.0}
     K = idx[None, :] - idx[:, None]  # m - j
     down = np.where(K >= 0, b ** (-gamma * np.maximum(K, 0)), 0.0) @ a
     up = np.where(K <= 0, b ** (gamma * np.minimum(K, 0)), 0.0) @ a
-    return {
-        "down": float(_lq(down, q) / rhs),
-        "up": float(_lq(up, q) / rhs),
-        "degenerate": False,
-    }
+    return {"down": float(_lq(down, q) / rhs), "up": float(_lq(up, q) / rhs)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +235,9 @@ def check_frame_characterization(battery, params: SpaceParams,
     """Measured equivalence of coefficient and function norms over a battery
     (one function per row), taken on one table.
 
-    Reports min/max of ||coeff||_seq / ||f||_func with dual-frame analysis,
-    the same with the frame roles interchanged and the worst reconstruction
-    residual, over the samples: the functions with a nonzero norm.
+    Reports min/max of ||coeff||_seq / ||f||_func with dual-frame analysis
+    and the worst reconstruction residual, over the samples: the functions
+    with a nonzero norm.
     """
     space = spec.space
     hier = frame.hierarchy
@@ -251,11 +247,9 @@ def check_frame_characterization(battery, params: SpaceParams,
     F, fn = F[:, live], fn[live]
     c1 = dual.analyze(F)
     r1 = seq_norm(c1, params, hier) / fn
-    r2 = seq_norm(frame.analyze(F), params, hier) / fn
     resid = space.norm2(frame.synthesize(c1) - F) / space.norm2(F)
     return {
         "ratio_band": (r1.min(initial=np.inf), r1.max(initial=0.0)),
-        "ratio_band_swapped": (r2.min(initial=np.inf), r2.max(initial=0.0)),
         "reconstruction_residual": resid.max(initial=0.0),
         "samples": int(live.sum()),
     }

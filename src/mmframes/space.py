@@ -40,10 +40,6 @@ class ModelSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def inner(self, f, g):
-        """mu-weighted inner product <f, g>."""
-        return float(np.sum(np.conj(f) * g * self.mu).real)
-
     def norm2(self, f):
         return self.lp_norm(f, 2.0)
 
@@ -217,30 +213,23 @@ class DoublingProfile:
     d: float
     c2: float
     dstar: float
-    radius_range: tuple
     truncated: bool = False  # some radii skipped because 2r > diameter
 
 
-def measure_doubling(space: ModelSpace, radius_range=None) -> DoublingProfile:
+def measure_doubling(space: ModelSpace) -> DoublingProfile:
     """Measure doubling and reverse-doubling constants exhaustively.
 
     Scans every point and every distinct positive distance value (plus the
-    half values, where open balls change) inside radius_range.  Radii with
-    2r beyond the diameter are excluded and flagged as truncation.
+    half values, where open balls change).  Radii with 2r beyond the
+    diameter are excluded and flagged as truncation.
     """
     diam = space.diameter
-    if radius_range is None:
-        radius_range = (0.0, diam)
-    lo, hi = radius_range
-    if not (0 <= lo < hi):
-        raise ValueError("degenerate radius range")
     vals = np.unique(space.dist[space.dist > 0])
     radii = np.unique(np.concatenate([vals, vals / 2.0]))
-    radii = radii[(radii > lo) & (radii <= hi)]
     truncated = bool(np.any(2 * radii > diam))
     radii = radii[2 * radii <= diam]
     if radii.size == 0:
-        raise ValueError("no admissible radii in range")
+        raise ValueError("no admissible radii")
     c0, c2 = 1.0, np.inf
     for r in radii:
         v1 = ball_volumes(space, r)
@@ -248,27 +237,24 @@ def measure_doubling(space: ModelSpace, radius_range=None) -> DoublingProfile:
         ratios = v2 / v1
         c0 = max(c0, float(ratios.max()))
         c2 = min(c2, float(ratios.min()))
-    return DoublingProfile(
-        c0=c0, d=float(np.log2(c0)), c2=c2, dstar=float(np.log2(c2)),
-        radius_range=(float(lo), float(hi)), truncated=truncated)
+    return DoublingProfile(c0=c0, d=float(np.log2(c0)), c2=c2,
+                           dstar=float(np.log2(c2)), truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
 # maximal nets and partitions
 
 
-def build_maximal_net(space: ModelSpace, delta: float, order=None) -> np.ndarray:
-    """Greedy maximal delta-net: insert points in the given order whenever
+def build_maximal_net(space: ModelSpace, delta: float) -> np.ndarray:
+    """Greedy maximal delta-net: insert points in index order whenever
     they are >= delta away from every already-chosen center."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if order is None:
-        order = range(space.n)
     centers = []
-    for x in order:
+    for x in range(space.n):
         if all(space.dist[x, c] >= delta for c in centers):
-            centers.append(int(x))
-    return np.array(sorted(centers), dtype=int)
+            centers.append(x)
+    return np.array(centers, dtype=int)
 
 
 def build_partition(space: ModelSpace, centers, delta: float) -> np.ndarray:
@@ -389,10 +375,7 @@ def build_hierarchy(space: ModelSpace, b: float, gamma: float,
 @dataclass(frozen=True)
 class CheckReport:
     passed: bool
-    lhs_max: float
-    rhs_min: float
-    worst_ratio: float
-    detail: dict = field(default_factory=dict)
+    worst_ratio: float  # largest left side over right side
 
 
 def check_net_count(space: ModelSpace, net_centers, delta, delta_star,
@@ -405,9 +388,7 @@ def check_net_count(space: ModelSpace, net_centers, delta, delta_star,
     counts = (space.dist[:, centers] < delta_star).sum(axis=1)
     lhs = int(counts.max())
     rhs = profile.c0 * 6.0**profile.d * (delta_star / delta) ** profile.d
-    argmax = int(np.argmax(counts))
-    return CheckReport(passed=lhs <= rhs, lhs_max=float(lhs), rhs_min=rhs,
-                       worst_ratio=lhs / rhs, detail={"argmax_x": argmax})
+    return CheckReport(passed=lhs <= rhs, worst_ratio=lhs / rhs)
 
 
 def _geom_series_const(c0, d, sigma):
@@ -453,12 +434,8 @@ def check_discrete_sum(space: ModelSpace, net_centers, sigma,
     ratio_two = float((lhs / rhs).max())
 
     passed = (ratio_one <= 1.0) and (ratio_two <= 1.0)
-    return CheckReport(
-        passed=bool(passed), lhs_max=float(lhs.max()), rhs_min=float(rhs.min()),
-        worst_ratio=max(float(ratio_one), ratio_two),
-        detail={"one_sided_ratio": float(ratio_one),
-                "two_sided_ratio": ratio_two,
-                "C_L": CL, "c_two_sided": c2s})
+    return CheckReport(passed=bool(passed),
+                       worst_ratio=max(float(ratio_one), ratio_two))
 
 
 def check_peetre_integrals(space: ModelSpace, sigma1, sigma2,
@@ -499,11 +476,8 @@ def check_peetre_integrals(space: ModelSpace, sigma1, sigma2,
                + vy[None, :] / (1.0 + space.dist / delta1) ** sigma1)
     worst_two = float((I / rhs).max())
     passed = worst_single <= 1.0 and worst_two <= 1.0
-    return CheckReport(passed=bool(passed), lhs_max=float(I.max()),
-                       rhs_min=float(rhs.min()),
-                       worst_ratio=max(worst_single, worst_two),
-                       detail={"single_ratio": worst_single,
-                               "two_center_ratio": worst_two})
+    return CheckReport(passed=bool(passed),
+                       worst_ratio=max(worst_single, worst_two))
 
 
 def verify_net_invariants(space: ModelSpace, net: Net) -> None:

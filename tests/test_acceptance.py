@@ -191,8 +191,7 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, hierarchies,
     compact, supports, cdual, _ = compact_pipeline
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    raw = mo.validate_atoms(compact.columns, hier, params022, spec,
-                            budget=1e12)
+    raw = mo.validate_atoms(compact.columns, hier, params022, spec)
     scale = (1.0 - 1e-9) / max(raw.constants.values())
     cert = mo.validate_atoms(scale * compact.columns, hier, params022, spec)
     assert cert.passed
@@ -223,7 +222,7 @@ def test_criterion_13_multiplier(spectra, frame_sets, params022):
         frame, dual, _ = frame_sets[name]
         sym = mp.check_mihlin("rational", 4, params022, spec)
         f = np.sin(np.arange(spec.space.n) / 3.0)
-        mp.apply_multiplier(sym, f, frame, dual, spec, tol=1e-9)
+        mp.apply_multiplier(sym, f, frame, dual, spec)
         phi = ca.make_cutoff("c", 2.0)
         battery = sq.random_battery(spec.space, spec, 30, seed=6)
         rep = mp.boundedness_report(sym, params022, battery, spec, phi)

@@ -84,12 +84,52 @@ def test_config_errors(tmp_path):
     {"battery": 0},
     {"refined_model": "C_128"},
     {"tolerances": {}},
+    {"mode": "inhomogeneous"},
+    {"model": {"kind": "foo"}},
+    {"model": {"kind": "cycle"}},
+    {"model": {"kind": "cycle", "n": 8, "mu": [1, 2]}},
+    {"model": {"kind": "cycle", "n": 8, "nx": 8}},
+    {"model": {"kind": "cycle", "n": 8.5}},
+    {"model": {"kind": "cycle", "n": 8, "l_scale": "1"}},
+    {"model": {"kind": "tree", "n": 3, "edges": [[0, 1, 1.0]]}},
+    {"model": {"kind": "tree", "n": 3, "edges": [[0, 1, 1.0], [1, 3, 1.0]]}},
+    {"model": {"kind": "torus", "nx": 3, "ny": 1}},
+    {"model": {"kind": "path", "n": 2}},
+    {"model": 64},
 ])
 def test_bad_config_is_a_config_error(tmp_path, capsys, cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert cli.main(["run", str(p)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("model", ["C_1", "C_2", "C_3", "P_1", "P_2", "T_1",
+                                   "T_2x1", "T_3x1", "T_1x3"])
+def test_models_below_diameter_two_are_config_errors(tmp_path, capsys,
+                                                    monkeypatch, model):
+    def no_build(*args):
+        raise AssertionError("a rejected model must not be built")
+
+    monkeypatch.setattr(cli.sp, "build_model", no_build)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": model}))
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a model needs diameter >= 2")
+    assert "n//2 for C_n" in err
+
+
+@pytest.mark.parametrize("model", ["C_4", "P_3", "T_2x2"])
+def test_smallest_models_run_clean(tmp_path, capsys, model):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": model,
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert len(report) == 1 + len(cli.SUITES)
+    assert all(" status=pass" in line or " status=record" in line
+               for line in report[1:])
 
 
 @pytest.mark.parametrize("module", ["sympy", "scipy.sparse"])

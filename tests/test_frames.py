@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,7 +201,8 @@ def test_compact_dual_precondition_message(compact_pipeline, spectra,
                                            frame_sets, params022):
     compact = compact_pipeline[0]
     frame, dual, _ = frame_sets["C_64"]
+    # scaled compact columns move D = <psi - theta, psi~> far from 0
+    scaled = dataclasses.replace(compact, columns=3.0 * compact.columns)
     with pytest.raises(RuntimeError,
                        match="compact-dual precondition failed"):
-        fr.build_compact_dual(spectra["C_64"], frame, dual, compact,
-                              params022, delta_threshold=1e-12)
+        fr.build_compact_dual(spectra["C_64"], frame, dual, scaled, params022)

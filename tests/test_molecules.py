@@ -10,29 +10,27 @@ def test_orders_oracle_d1():
     p0 = SpaceParams(s=0.0, p=2.0, q=2.0, d=1.0)
     o = mo.compute_orders(p0)
     assert (o.J, o.K, o.N) == (1.0, 1, 1)
-    assert not o.K_void and not o.N_void
     assert o.M_threshold == 1.0
 
     p3 = SpaceParams(s=3.0, p=2.0, q=2.0, d=1.0)
     o3 = mo.compute_orders(p3)
-    assert o3.K_void and o3.K is None
+    assert o3.K is None
     assert o3.N == 2
 
     pm = SpaceParams(s=-1.0, p=2.0, q=2.0, d=1.0)
     om = mo.compute_orders(pm)
-    assert om.N_void and om.N is None
+    assert om.N is None
     assert om.K == 2
 
 
 def test_tilde_orders_boundary_agreement():
     p = SpaceParams(s=0.0, p=2.0, q=2.0, d=2.0, dstar=1.0, flavor="tilde")
     o = mo.compute_orders(p, flavor="tilde")
-    assert o.boundary_agreement
     assert o.smoothness_cap == p.J * 2.0 / 1.0
     assert o.M_threshold == p.J
     # with no reverse-doubling information the cancellation cap is open
     p2 = SpaceParams(s=5.0, p=2.0, q=2.0, d=2.0, dstar=0.0)
-    assert not mo.compute_orders(p2, flavor="tilde").K_void
+    assert mo.compute_orders(p2, flavor="tilde").K is not None
 
 
 def test_orders_reject_bad_flavor(params022):
@@ -66,7 +64,7 @@ def molecule_setup(frame_sets, hierarchies, spectra, params022):
     spec = spectra["C_64"]
     M = params022.J + 1.0
     raw = mo.validate_molecule(frame.columns, hier, "synthesis", "classical",
-                               params022, spec, M=M, budget=1.0)
+                               params022, spec, M=M)
     c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
     return frame, dual, hier, spec, M, c
 
@@ -78,7 +76,7 @@ def test_rescaled_frame_is_a_molecule_family(molecule_setup, params022):
     assert cert.passed
     assert cert.factorization_residual <= 1e-9
     raw = mo.validate_molecule(dual.columns, hier, "analysis", "classical",
-                               params022, spec, M=M, budget=1.0)
+                               params022, spec, M=M)
     ca = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
     anal = mo.validate_molecule(ca * dual.columns, hier, "analysis",
                                 "classical", params022, spec, M=M)
@@ -214,8 +212,7 @@ def test_atom_certificate_and_decomposition(compact_pipeline, hierarchies,
     compact, supports, cdual, _ = compact_pipeline
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    raw = mo.validate_atoms(compact.columns, hier, params022, spec,
-                            budget=1e12)
+    raw = mo.validate_atoms(compact.columns, hier, params022, spec)
     scale = 1.0 / max(raw.constants.values()) * (1.0 - 1e-9)
     cert = mo.validate_atoms(scale * compact.columns, hier, params022, spec)
     assert cert.passed
@@ -238,12 +235,3 @@ def test_atom_certificate_and_decomposition(compact_pipeline, hierarchies,
         assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
         assert rep["analysis_constant"] > 0
         assert rep["synthesis_constant"] > 0
-
-
-def test_validate_atoms_rejects_low_orders(compact_pipeline, hierarchies,
-                                           spectra, params022):
-    compact, _, _, _ = compact_pipeline
-    hier, _ = hierarchies["C_64"]
-    with pytest.raises(ValueError):
-        mo.validate_atoms(compact.columns, hier, params022, spectra["C_64"],
-                          K_tilde=0)
