@@ -13,15 +13,14 @@ byte-identical machine report.  Exit codes: 0 all hard checks pass,
 
 import dataclasses
 import json
-import math
 import os
-import re
 import sys
 import time
 
 import numpy as np
 
 from mmframes import space as sp
+from mmframes.space import _is_count, _is_number
 from mmframes import calculus as ca
 from mmframes import frames as fr
 from mmframes import seqspace as sq
@@ -639,80 +638,6 @@ DOWNSTREAM = {
 }
 
 
-def _is_number(v):
-    """A finite JSON number; true and false are not numbers here."""
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
-
-
-def _is_count(v, least):
-    return _is_number(v) and v == int(v) and v >= least
-
-
-# the names build_model parses; an object describes a custom model
-MODEL_NAME = re.compile(r"([CP])_([1-9]\d*)|T_([1-9]\d*)(?:x([1-9]\d*))?")
-
-
-def _model_sizes(obj):
-    """(kind, sizes) of a custom model object, a torus's as [nx, ny];
-    ConfigError unless its keys and value types are those build_model
-    takes."""
-    kind = obj.get("kind")
-    if kind not in ("cycle", "path", "torus", "tree"):
-        raise ConfigError('model.kind must be "cycle", "path", "torus" or '
-                          f'"tree", got {kind!r}')
-    size_keys = ["nx" if "nx" in obj else "n", "ny"] if kind == "torus" \
-        else ["n"]
-    unknown = sorted(set(obj) - set(size_keys) - {"kind", "mu", "l_scale"}
-                     - ({"edges"} if kind == "tree" else set()))
-    if unknown:
-        raise ConfigError(f"unknown keys of a {kind} model: {unknown}")
-    # a torus without ny is square
-    sizes = [obj.get(k, obj.get(size_keys[0])) for k in size_keys]
-    for k, v in zip(size_keys, sizes):
-        if not _is_count(v, 1):
-            raise ConfigError(f"model.{k} must be a positive integer, got {v!r}")
-    n = int(math.prod(sizes))
-    edges = obj.get("edges")
-    if kind == "tree" and not (
-            isinstance(edges, list) and len(edges) == n - 1 and all(
-                isinstance(e, list) and len(e) == 3 and _is_number(e[2])
-                and e[2] > 0 and all(_is_count(u, 0) and u < n for u in e[:2])
-                for e in edges)):
-        raise ConfigError(f"model.edges must be n - 1 = {n - 1} lists "
-                          "[u, v, w] with 0 <= u, v < n and w > 0")
-    mu, scale = obj.get("mu"), obj.get("l_scale", 1.0)
-    if "mu" in obj and not (isinstance(mu, list) and len(mu) == n and all(
-            _is_number(x) and x > 0 for x in mu)):
-        raise ConfigError(f"model.mu must be a list of {n} positive numbers")
-    if not (_is_number(scale) and scale > 0):
-        raise ConfigError("model.l_scale must be a positive number")
-    return kind, sizes
-
-
-def _check_model(model):
-    """ConfigError unless build_model takes the model and, for a cycle, path
-    or torus, its diameter is at least 2: below that the measured dimension
-    d is 0 and the norms divide by it."""
-    if isinstance(model, dict):
-        kind, sizes = _model_sizes(model)
-    elif isinstance(model, str) and (name := MODEL_NAME.fullmatch(model)):
-        cp, n, a, b = name.groups()
-        kind, sizes = ({"C": "cycle", "P": "path"}[cp], [int(n)]) if cp \
-            else ("torus", [int(a), int(b or a)])
-    else:
-        raise ConfigError("model must be a name like C_64, P_10, T_8 or "
-                          f"T_8x4, or an object, got {model!r}")
-    diameter = {"cycle": sizes[0] // 2, "path": sizes[0] - 1,
-                "torus": sum(k // 2 for k in sizes)}.get(kind)
-    if diameter is not None and diameter < 2:
-        raise ConfigError(
-            "a model needs diameter >= 2 (n//2 for C_n and cycles, n-1 for "
-            "P_n and paths, a//2 + b//2 for T_axb and tori), got "
-            f"{model!r} of diameter {diameter}")
-
-
 CHECKS = {
     "b": (lambda v: _is_number(v) and v > 1, "a number above 1"),
     "gamma": (lambda v: _is_number(v) and v > 0, "a positive number"),
@@ -754,7 +679,10 @@ def load_config(path) -> dict:
     for k, (ok, what) in CHECKS.items():
         if not ok(cfg[k]):
             raise ConfigError(f"{k} must be {what}, got {cfg[k]!r}")
-    _check_model(cfg["model"])
+    try:
+        sp.parse_model(cfg["model"])
+    except ValueError as exc:
+        raise ConfigError(exc) from None
     for k, v in theta.items():
         if not _is_number(v):
             raise ConfigError(f"theta.{k} must be a finite number, got {v!r}")
@@ -784,7 +712,10 @@ def run(cfg) -> int:
                 if cfg["suites"] == "all" or s in cfg["suites"]]
     ctx = Context(cfg)
     outdir = os.environ.get("MMFRAMES_OUTPUT_DIR", cfg["output_dir"])
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {outdir!r}: {exc}")
 
     records = []
     skip = set()
@@ -864,11 +795,10 @@ def main(argv=None) -> int:
             print("usage: mmframes run <config.json>", file=sys.stderr)
             return 2
         try:
-            cfg = load_config(argv[1])
+            return run(load_config(argv[1]))
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        return run(cfg)
     print(f"unknown command: {cmd}", file=sys.stderr)
     return 2
 

@@ -7,6 +7,8 @@ exhaustively; the counting and summation inequalities are checked with the
 measured constants, never assumed.
 """
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,8 +112,6 @@ def _graph_model(name, n, edges, mu=None, l_scale=1.0):
         wts += [w, w]
     adj = csr_matrix((wts, (rows, cols)), shape=(n, n))
     dist = shortest_path(adj, method="D", directed=False)
-    if not np.isfinite(dist).all():
-        raise ValueError("disconnected graph rejected")
     W = np.zeros((n, n))
     for u, v, w in edges:
         W[u, v] += w
@@ -123,70 +123,110 @@ def _graph_model(name, n, edges, mu=None, l_scale=1.0):
                       mu=np.asarray(mu, dtype=float), L=L)
 
 
-def cycle(n, mu=None, l_scale=1.0) -> ModelSpace:
-    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    return _graph_model(f"C_{n}", n, edges, mu=mu, l_scale=l_scale)
+def _is_number(v):
+    """A finite JSON number; true and false are not numbers here."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
 
 
-def path(n, mu=None, l_scale=1.0) -> ModelSpace:
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
-    return _graph_model(f"P_{n}", n, edges, mu=mu, l_scale=l_scale)
+def _is_count(v, least):
+    return _is_number(v) and v == int(v) and v >= least
 
 
-def grid_torus(nx, ny=None, mu=None, l_scale=1.0) -> ModelSpace:
-    if ny is None:
-        ny = nx
-    n = nx * ny
-
-    def idx(i, j):
-        return (i % nx) * ny + (j % ny)
-
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            edges.append((idx(i, j), idx(i + 1, j), 1.0))
-            edges.append((idx(i, j), idx(i, j + 1), 1.0))
-    return _graph_model(f"T_{nx}x{ny}", n, edges, mu=mu, l_scale=l_scale)
+# the model names parse_model reads; an object describes a custom model
+MODEL_NAME = re.compile(r"([CP])_([1-9]\d*)|T_([1-9]\d*)(?:x([1-9]\d*))?")
 
 
-def weighted_tree(n, edges, mu=None, l_scale=1.0) -> ModelSpace:
-    """Tree from an explicit weighted edge list [(u, v, w), ...]."""
-    if len(edges) != n - 1:
-        raise ValueError("a tree on n points needs exactly n-1 edges")
-    return _graph_model(f"tree_{n}", n, list(edges), mu=mu, l_scale=l_scale)
+def parse_model(desc):
+    """Check a model description; return (name, n, edges, mu, l_scale).
 
-
-def build_model(spec) -> ModelSpace:
-    """Build a bundled model from a description.
-
-    Accepts either a name string ("C_64", "P_10", "T_8x8") or a dict with
-    keys kind (cycle | path | torus | tree), n (or nx/ny), optional mu,
-    l_scale and, for trees, edges.
+    desc is a name C_<n>, P_<n>, T_<a> or T_<a>x<b> (T_a is T_axa), or an
+    object with keys kind (cycle | path | torus | tree), n (a torus takes
+    nx, or n, and an optional ny), optional mu and l_scale and, for trees,
+    edges: n - 1 lists [u, v, w].  Builds nothing.  Raises ValueError
+    unless the keys and types are these, the edges connect the n points
+    and some two points share no edge (hop diameter >= 2): below that the
+    measured doubling dimension d is 0 and the norms divide by it.
     """
-    if isinstance(spec, str):
-        kind, _, size = spec.partition("_")
-        if kind == "C":
-            return cycle(int(size))
-        if kind == "P":
-            return path(int(size))
-        if kind == "T":
-            a, _, b = size.partition("x")
-            return grid_torus(int(a), int(b) if b else None)
-        raise ValueError(f"unknown model name {spec!r}")
-    kind = spec["kind"]
-    mu = np.asarray(spec["mu"], dtype=float) if "mu" in spec else None
-    scale = float(spec.get("l_scale", 1.0))
+    if isinstance(desc, str) and (match := MODEL_NAME.fullmatch(desc)):
+        cp, n, a, b = match.groups()
+        obj = {"kind": {"C": "cycle", "P": "path"}[cp], "n": int(n)} if cp \
+            else {"kind": "torus", "nx": int(a), "ny": int(b or a)}
+    elif isinstance(desc, dict):
+        obj = desc
+    else:
+        raise ValueError("model must be a name like C_64, P_10, T_8 or "
+                         f"T_8x4, or an object, got {desc!r}")
+    kind = obj.get("kind")
+    if kind not in ("cycle", "path", "torus", "tree"):
+        raise ValueError('model.kind must be "cycle", "path", "torus" or '
+                         f'"tree", got {kind!r}')
+    size_keys = ["nx" if "nx" in obj else "n", "ny"] if kind == "torus" \
+        else ["n"]
+    unknown = sorted(set(obj) - set(size_keys) - {"kind", "mu", "l_scale"}
+                     - ({"edges"} if kind == "tree" else set()))
+    if unknown:
+        raise ValueError(f"unknown keys of a {kind} model: {unknown}")
+    # a torus without ny is square
+    sizes = [obj.get(k, obj.get(size_keys[0])) for k in size_keys]
+    for k, v in zip(size_keys, sizes):
+        if not _is_count(v, 1):
+            raise ValueError(f"model.{k} must be a positive integer, got {v!r}")
+    sizes = [int(v) for v in sizes]
+    n = math.prod(sizes)
+    edges = obj.get("edges")
+    if kind == "tree" and not (
+            isinstance(edges, list) and len(edges) == n - 1 and all(
+                isinstance(e, list) and len(e) == 3 and _is_number(e[2])
+                and e[2] > 0 and all(_is_count(u, 0) and u < n for u in e[:2])
+                for e in edges)):
+        raise ValueError(f"model.edges must be n - 1 = {n - 1} lists "
+                         "[u, v, w] with 0 <= u, v < n and w > 0")
+    mu, scale = obj.get("mu"), obj.get("l_scale", 1.0)
+    if "mu" in obj and not (isinstance(mu, list) and len(mu) == n and all(
+            _is_number(x) and x > 0 for x in mu)):
+        raise ValueError(f"model.mu must be a list of {n} positive numbers")
+    if not (_is_number(scale) and scale > 0):
+        raise ValueError("model.l_scale must be a positive number")
     if kind == "cycle":
-        return cycle(int(spec["n"]), mu=mu, l_scale=scale)
-    if kind == "path":
-        return path(int(spec["n"]), mu=mu, l_scale=scale)
-    if kind == "torus":
-        return grid_torus(int(spec.get("nx", spec.get("n"))),
-                          int(spec["ny"]) if "ny" in spec else None,
-                          mu=mu, l_scale=scale)
-    if kind == "tree":
-        return weighted_tree(int(spec["n"]), spec["edges"], mu=mu, l_scale=scale)
-    raise ValueError(f"unknown model kind {kind!r}")
+        name, edges = f"C_{n}", [(i, (i + 1) % n, 1.0) for i in range(n)]
+    elif kind == "path":
+        name, edges = f"P_{n}", [(i, i + 1, 1.0) for i in range(n - 1)]
+    elif kind == "torus":
+        nx, ny = sizes
+        name = f"T_{nx}x{ny}"
+        edges = [(i * ny + j, k, 1.0) for i in range(nx) for j in range(ny)
+                 for k in ((i + 1) % nx * ny + j, i * ny + (j + 1) % ny)]
+    else:
+        name, edges = f"tree_{n}", [(int(u), int(v), w) for u, v, w in edges]
+    # union-find over the edges: one root means the points are connected
+    root = list(range(n))
+
+    def find(u):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for u, v, _ in edges:
+        root[find(u)] = find(v)
+    if len({find(u) for u in range(n)}) > 1:
+        raise ValueError(f"model edges must connect all {n} points, "
+                         f"got {desc!r}")
+    if len({(min(u, v), max(u, v)) for u, v, _ in edges if u != v}) \
+            == n * (n - 1) // 2:
+        raise ValueError(
+            "a model needs diameter >= 2 (n//2 for C_n and cycles, n-1 for "
+            "P_n and paths, a//2 + b//2 for T_axb and tori, n >= 3 for "
+            f"trees), got {desc!r} of diameter {min(n - 1, 1)}")
+    return name, n, edges, mu, float(scale)
+
+
+def build_model(desc) -> ModelSpace:
+    """Build the model that parse_model reads from desc; ValueError, with
+    parse_model's message, when it rejects desc."""
+    return _graph_model(*parse_model(desc))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ def test_config_errors(tmp_path):
     assert _run(["run"]).returncode == 2
 
 
+def _no_build(*args):
+    raise AssertionError("a rejected model must not be built")
+
+
 @pytest.mark.parametrize("cfg", [
     {"theta": 5},
     {"theta": {"dt": 1}},
@@ -96,8 +100,15 @@ def test_config_errors(tmp_path):
     {"model": {"kind": "torus", "nx": 3, "ny": 1}},
     {"model": {"kind": "path", "n": 2}},
     {"model": 64},
+    {"model": {"kind": "tree", "n": 4,
+               "edges": [[0, 1, 1.0], [0, 1, 1.0], [2, 3, 1.0]]}},
+    {"output_dir": ""},
+    # the test runs in tmp_path, where cfg.json is a file
+    {"output_dir": "cfg.json"},
 ])
-def test_bad_config_is_a_config_error(tmp_path, capsys, cfg):
+def test_bad_config_is_a_config_error(tmp_path, capsys, monkeypatch, cfg):
+    monkeypatch.setattr(cli.sp, "build_model", _no_build)
+    monkeypatch.chdir(tmp_path)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert cli.main(["run", str(p)]) == 2
@@ -105,13 +116,12 @@ def test_bad_config_is_a_config_error(tmp_path, capsys, cfg):
 
 
 @pytest.mark.parametrize("model", ["C_1", "C_2", "C_3", "P_1", "P_2", "T_1",
-                                   "T_2x1", "T_3x1", "T_1x3"])
+                                   "T_2x1", "T_3x1", "T_1x3",
+                                   {"kind": "tree", "n": 2,
+                                    "edges": [[0, 1, 1.0]]}])
 def test_models_below_diameter_two_are_config_errors(tmp_path, capsys,
                                                     monkeypatch, model):
-    def no_build(*args):
-        raise AssertionError("a rejected model must not be built")
-
-    monkeypatch.setattr(cli.sp, "build_model", no_build)
+    monkeypatch.setattr(cli.sp, "build_model", _no_build)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": model}))
     assert cli.main(["run", str(p)]) == 2
@@ -120,7 +130,9 @@ def test_models_below_diameter_two_are_config_errors(tmp_path, capsys,
     assert "n//2 for C_n" in err
 
 
-@pytest.mark.parametrize("model", ["C_4", "P_3", "T_2x2"])
+@pytest.mark.parametrize("model", ["C_4", "P_3", "T_2x2",
+                                   {"kind": "tree", "n": 3,
+                                    "edges": [[0, 1, 1.0], [1, 2, 1.0]]}])
 def test_smallest_models_run_clean(tmp_path, capsys, model):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": model,
@@ -162,6 +174,10 @@ def test_output_dir_env_override(tmp_path):
     assert res.returncode == 0
     assert (tmp_path / "redirect" / "report.txt").exists()
     assert not (tmp_path / "ignored").exists()
+    # an override naming a file is a config error
+    res = _run(["run", str(p)], env={"MMFRAMES_OUTPUT_DIR": str(p)})
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error: cannot create output_dir")
 
 
 def test_small_run_is_deterministic(tmp_path):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmframes import cli
 from mmframes import space as sp
 
 
@@ -147,7 +150,35 @@ def test_hierarchy_flat_arrays_consistent(hierarchies):
 
 
 def test_weighted_tree_edges_set_both_metric_and_operator():
-    edges = [(0, 1, 2.0), (1, 2, 1.0)]
-    m = sp.weighted_tree(3, edges)
+    m = sp.build_model({"kind": "tree", "n": 3,
+                        "edges": [[0, 1, 2.0], [1, 2, 1.0]]})
     assert m.dist[0, 2] == 3.0
     assert m.L[0, 1] != 0.0
+
+
+# every model description the config rejects; build_model rejects it too,
+# with the config's message
+@pytest.mark.parametrize("desc", [
+    "C_064", "T_8x", "P_+5", "Q_5", 64,
+    {"kind": "foo"},
+    {"kind": "cycle"},
+    {"kind": "cycle", "n": 8, "mu": [1, 2]},
+    {"kind": "cycle", "n": 8, "nx": 8},
+    {"kind": "cycle", "n": 8.5},
+    {"kind": "cycle", "n": 8, "l_scale": "1"},
+    {"kind": "tree", "n": 3, "edges": [[0, 1, 1.0]]},
+    {"kind": "tree", "n": 3, "edges": [[0, 1, 1.0], [1, 3, 1.0]]},
+    {"kind": "tree", "n": 4, "edges": [[0, 1, 1.0], [0, 1, 1.0], [2, 3, 1.0]]},
+    {"kind": "tree", "n": 2, "edges": [[0, 1, 1.0]]},
+    {"kind": "torus", "nx": 3, "ny": 1},
+    {"kind": "path", "n": 2},
+    "C_1", "C_2", "C_3", "P_1", "P_2", "T_1", "T_2x1", "T_3x1", "T_1x3",
+])
+def test_build_model_rejects_what_the_config_rejects(tmp_path, desc):
+    with pytest.raises(ValueError) as built:
+        sp.build_model(desc)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": desc}))
+    with pytest.raises(cli.ConfigError) as loaded:
+        cli.load_config(str(p))
+    assert str(loaded.value) == str(built.value)
