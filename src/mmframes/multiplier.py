@@ -14,33 +14,25 @@ from mmframes.calculus import SpectralData
 from mmframes.seqspace import SpaceParams, function_norm
 
 
-# named symbols, as sources for parse_symbol in the variable lam
+def _rational(u, nu):
+    # m = u^2/(1 + u^2) = 1 - Im 1/(u - i), so for nu >= 1
+    # m^(nu) = -Im[(-1)^nu nu! / (u - i)^(nu + 1)]
+    if nu == 0:
+        return u**2 / (1 + u**2)
+    return -((-1.0) ** nu * math.factorial(nu) / (u - 1j) ** (nu + 1)).imag
+
+
+# the built-in symbols as jets (u, nu) -> m^(nu)(u) on float arrays
 BUILTIN_SYMBOLS = {
-    "one": "1",
-    "heat": "exp(-lam**2)",
-    "rational": "lam**2/(1 + lam**2)",
-    "linear": "lam",
+    "one": lambda u, nu: np.full_like(u, float(nu == 0)),
+    "rational": _rational,
+    "linear": lambda u, nu: u if nu == 0 else np.full_like(u, float(nu == 1)),
 }
-
-
-def parse_symbol(text: str):
-    """Sympy expression from a named built-in or a small arithmetic
-    expression in lam (+, -, *, /, **, exp)."""
-    import sympy
-
-    lam = sympy.Symbol("lam", real=True)
-    expr = sympy.sympify(BUILTIN_SYMBOLS.get(text, text),
-                         locals={"lam": lam, "exp": sympy.exp})
-    extra = expr.free_symbols - {lam}
-    if extra:
-        raise ValueError(f"unknown names in symbol expression: {extra}")
-    return expr
 
 
 @dataclass(frozen=True)
 class MihlinSymbol:
-    expr: object                 # sympy expression or None for callables
-    fn: object = field(repr=False, default=None)
+    fn: object = field(repr=False)
     ell: int = 0
     mihlin_sup: float = np.inf
     order_sups: tuple = ()
@@ -102,15 +94,24 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     on a log grid of 4000 points covering the model's spectral range
     extended by b^2 on both sides.
 
+    m is a built-in name ("one", "rational", "linear"), whose derivatives
+    are taken in closed form, or a callable on arrays, whose derivatives
+    are taken by Richardson-extrapolated central differences.
+
     The smoothness threshold is J + d/2 in general and relaxes to J when
     the volume growth fits the two-sided power bound within AHLFORS_BAND.
     Symbols whose sups blow up only beyond the extended range are flagged
     range_restricted rather than rejected.
     """
     if isinstance(m, str):
-        m = parse_symbol(m)
-    # a sympy expression, recognized without importing sympy
-    expr = m if hasattr(m, "free_symbols") else None
+        if m not in BUILTIN_SYMBOLS:
+            raise ValueError(f"unknown symbol {m!r}; the built-in symbols "
+                             f"are {', '.join(BUILTIN_SYMBOLS)}")
+        jet = BUILTIN_SYMBOLS[m]
+        base_fn = lambda u: jet(np.asarray(u, dtype=float), 0)
+    else:
+        jet = None
+        base_fn = lambda u: np.asarray(m(u), dtype=float)
 
     scan = ahlfors_scan(spec.space, params.d)
     threshold = params.J + (0.0 if scan["band"] <= AHLFORS_BAND
@@ -119,17 +120,6 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
         raise ValueError(
             f"smoothness order {ell} does not exceed the threshold "
             f"{threshold:.4g}")
-
-    if expr is not None:
-        import sympy
-
-        lam = sympy.Symbol("lam", real=True)
-        derivs = [sympy.lambdify(lam, sympy.diff(expr, lam, nu), "numpy")
-                  for nu in range(ell + 1)]
-        base_fn = lambda u: np.asarray(derivs[0](u), dtype=float) + \
-            0.0 * np.asarray(u)
-    else:
-        base_fn = lambda u: np.asarray(m(u), dtype=float)
 
     lo = np.sqrt(spec.lambda_2) / b**2
     hi = b**2 * np.sqrt(spec.lambda_max)
@@ -152,29 +142,28 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     sups = []
     restricted = False
     for nu in range(ell + 1):
-        if expr is not None:
-            vals = np.asarray(derivs[nu](grid), dtype=float) + 0.0 * grid
+        if jet is not None:
+            vals = jet(grid, nu)
+        elif nu == 0:
+            vals = base_fn(grid)
         else:
-            if nu == 0:
-                vals = base_fn(grid)
-            else:
-                # step chosen to balance roundoff (eps / h^nu) against the
-                # O(h^4) truncation left after Richardson extrapolation
-                h = np.maximum(grid, 1.0) * \
-                    np.finfo(float).eps ** (1.0 / (nu + 4))
-                vals, disc = _richardson_derivative(base_fn, grid, nu, h)
-                if (disc * grid**nu).max() > \
-                        1e-3 * max(1.0, float(np.abs(grid**nu * vals).max())):
-                    raise ValueError(
-                        "finite-difference derivative did not stabilize")
+            # step chosen to balance roundoff (eps / h^nu) against the
+            # O(h^4) truncation left after Richardson extrapolation
+            h = np.maximum(grid, 1.0) * \
+                np.finfo(float).eps ** (1.0 / (nu + 4))
+            vals, disc = _richardson_derivative(base_fn, grid, nu, h)
+            if (disc * grid**nu).max() > \
+                    1e-3 * max(1.0, float(np.abs(grid**nu * vals).max())):
+                raise ValueError(
+                    "finite-difference derivative did not stabilize")
         wv = np.abs(grid**nu * vals)
         sups.append(float(wv.max()))
-        if expr is not None or nu == 0:
+        if jet is not None or nu == 0:
             head = max(float(wv[:-200].max()), 1e-300)
             if float(wv[-1]) > 2.0 * head and wv[-1] >= wv[-100]:
                 restricted = True
 
-    return MihlinSymbol(expr=expr, fn=base_fn, ell=ell,
+    return MihlinSymbol(fn=base_fn, ell=ell,
                         mihlin_sup=float(max(sups)), order_sups=tuple(sups),
                         even_ok=even_ok,
                         range_restricted=restricted or forced_even,

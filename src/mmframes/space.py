@@ -99,28 +99,23 @@ def _graph_model(name, n, edges, mu=None, l_scale=1.0):
     """Assemble a ModelSpace from a weighted undirected edge list.
 
     Edge weights act as lengths for the distance and as conductances for
-    the operator; for the bundled unit-weight graphs the two conventions
-    coincide.
+    the operator; parallel edges give the shortest length and the summed
+    conductance.  The operator is L = M^{-1}(D - W) * l_scale, with W the
+    conductances, D their row sums and M = diag(mu): it is symmetric in
+    the mu-inner product and kills constants.
     """
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    rows, cols, wts = [], [], []
-    for u, v, w in edges:
-        rows += [u, v]
-        cols += [v, u]
-        wts += [w, w]
-    adj = csr_matrix((wts, (rows, cols)), shape=(n, n))
-    dist = shortest_path(adj, method="D", directed=False)
+    length = np.full((n, n), np.inf)  # inf: no edge
     W = np.zeros((n, n))
     for u, v, w in edges:
+        length[u, v] = length[v, u] = min(length[u, v], w)
         W[u, v] += w
         W[v, u] += w
-    L = (np.diag(W.sum(axis=1)) - W) * l_scale
-    if mu is None:
-        mu = np.ones(n)
-    return ModelSpace(name=name, dist=np.asarray(dist, dtype=float),
-                      mu=np.asarray(mu, dtype=float), L=L)
+    dist = shortest_path(length, method="D", directed=False)
+    mu = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
+    L = (np.diag(W.sum(axis=1)) - W) * l_scale / mu[:, None]
+    return ModelSpace(name=name, dist=dist, mu=mu, L=L)
 
 
 def _is_number(v):

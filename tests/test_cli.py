@@ -144,14 +144,23 @@ def test_smallest_models_run_clean(tmp_path, capsys, model):
                for line in report[1:])
 
 
-@pytest.mark.parametrize("module", ["sympy", "scipy.sparse"])
-def test_cli_import_leaves_sympy_unloaded(module):
+@pytest.mark.parametrize("module, suites", [
+    ("sympy", None), ("scipy.sparse", None),
+    ("sympy", ["thm8.1-multiplier"])],
+    ids=["sympy", "scipy.sparse", "sympy-after-multiplier-run"])
+def test_cli_import_leaves_sympy_unloaded(tmp_path, module, suites):
+    script = "import sys, mmframes.cli"
+    if suites:
+        # a multiplier run takes its Mihlin derivatives without sympy
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "C_4", "suites": suites,
+                                   "output_dir": str(tmp_path / "out")}))
+        script += f"; assert mmframes.cli.main(['run', {str(cfg)!r}]) == 0"
     res = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, mmframes.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"{script}; print({module!r} in sys.modules)"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_empty_suite_list_writes_manifest_only(tmp_path):

@@ -8,12 +8,28 @@ from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 
 
-def test_parse_symbol_builtins_and_expressions():
-    assert mp.parse_symbol("one") == sympy.Integer(1)
-    expr = mp.parse_symbol("lam**2/(1+lam**2)")
-    assert expr == mp.parse_symbol("rational")
-    with pytest.raises(ValueError):
-        mp.parse_symbol("lam + nu")
+@pytest.mark.parametrize("name, source", [
+    ("one", "1"), ("rational", "lam**2/(1 + lam**2)"), ("linear", "lam")],
+    ids=["one", "rational", "linear"])
+def test_builtin_jets_match_sympy(spectra, name, source):
+    # on check_mihlin's grid, weighted by lam^nu and relative to the
+    # weighted sup: a pointwise relative bound fails near sign changes
+    spec = spectra["C_64"]
+    grid = np.geomspace(np.sqrt(spec.lambda_2) / 4.0,
+                        4.0 * np.sqrt(spec.lambda_max), 4000)
+    lam = sympy.Symbol("lam", real=True)
+    expr = sympy.sympify(source, locals={"lam": lam})
+    for nu in range(5):
+        ref = sympy.lambdify(lam, sympy.diff(expr, lam, nu), "numpy")(grid)
+        ref = np.broadcast_to(np.asarray(ref, dtype=float), grid.shape)
+        got = mp.BUILTIN_SYMBOLS[name](grid, nu)
+        scale = max(1.0, float(np.abs(grid**nu * ref).max()))
+        assert np.abs(grid**nu * (got - ref)).max() <= 1e-13 * scale
+
+
+def test_unknown_symbol_name_lists_the_builtins(spectra, params022):
+    with pytest.raises(ValueError, match="one, rational, linear"):
+        mp.check_mihlin("heat", 4, params022, spectra["C_64"])
 
 
 def test_constant_symbol_sups(spectra, params022):
@@ -58,10 +74,9 @@ def test_odd_callable_gets_even_extension(spectra, params022):
 
 
 def test_finite_difference_matches_closed_form(spectra, params022):
-    expr = mp.parse_symbol("rational")
-    fn = sympy.lambdify(sympy.Symbol("lam", real=True), expr, "numpy")
-    sym_cf = mp.check_mihlin(expr, 4, params022, spectra["C_64"])
-    sym_fd = mp.check_mihlin(lambda u: np.asarray(fn(u), dtype=float), 4,
+    sym_cf = mp.check_mihlin("rational", 4, params022, spectra["C_64"])
+    sym_fd = mp.check_mihlin(lambda u: np.asarray(u) ** 2 /
+                             (1.0 + np.asarray(u) ** 2), 4,
                              params022, spectra["C_64"])
     for a, b in zip(sym_cf.order_sups, sym_fd.order_sups):
         assert abs(a - b) < 1e-4 * max(1.0, a)

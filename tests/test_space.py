@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmframes import calculus as ca
 from mmframes import cli
 from mmframes import space as sp
 
@@ -19,6 +20,10 @@ def test_torus_distance_is_wrapped_l1():
     m = sp.build_model("T_8x8")
     # node (0,0) to (4,4): 4 + 4 hops
     assert m.dist[0, 4 * 8 + 4] == 8.0
+    # a side of 2 has parallel wrap edges: the shorter length counts, so
+    # the diameter is a//2 + b//2
+    assert sp.build_model("T_2x2").diameter == 2.0
+    assert sp.build_model("T_3x2").diameter == 2.0
 
 
 def test_validation_rejects_asymmetric_measure():
@@ -32,6 +37,42 @@ def test_validation_rejects_asymmetric_measure():
 def test_laplacian_annihilates_constants(models):
     for m in models.values():
         assert np.abs(m.L @ np.ones(m.n)).max() < 1e-12
+
+
+# cycles and a weighted tree with non-constant measure
+MU_MODELS = [
+    {"kind": "cycle", "n": 16, "mu": [1 + i % 2 for i in range(16)]},
+    {"kind": "cycle", "n": 9, "mu": [1.0 + i / 4 for i in range(9)]},
+    {"kind": "tree", "n": 4, "mu": [3, 1, 0.5, 2], "l_scale": 2.0,
+     "edges": [[0, 1, 2.0], [1, 2, 1.0], [1, 3, 0.5]]},
+]
+
+
+@pytest.mark.parametrize("desc", MU_MODELS)
+def test_operator_divides_by_the_measure(desc):
+    m = sp.build_model(desc)
+    mu = np.asarray(desc["mu"], dtype=float)
+    assert np.array_equal(m.mu, mu)
+    # mu-symmetric: diag(mu) L is symmetric, and L kills constants
+    ML = mu[:, None] * m.L
+    assert np.abs(ML - ML.T).max() <= 1e-14 * np.abs(ML).max()
+    assert np.abs(m.L @ np.ones(m.n)).max() <= 1e-14 * np.abs(m.L).max()
+    # diag(mu) L is the operator of the same graph under counting measure
+    plain = sp.build_model({k: v for k, v in desc.items() if k != "mu"})
+    assert np.abs(ML - plain.L).max() <= 1e-14 * np.abs(ML).max()
+
+
+@pytest.mark.parametrize("desc", MU_MODELS)
+def test_eigenbasis_is_mu_orthonormal_and_scales_with_mu(desc):
+    spec = ca.eigendecompose(sp.build_model(desc))
+    E, mu = spec.eigenfunctions, spec.space.mu
+    assert np.abs(E.T @ (mu[:, None] * E) - np.eye(len(mu))).max() < 1e-12
+    # scaling mu by c scales the spectrum by 1/c
+    c = 4.0
+    scaled = ca.eigendecompose(sp.build_model(
+        {**desc, "mu": [c * x for x in desc["mu"]]}))
+    assert np.allclose(scaled.eigenvalues, spec.eigenvalues / c,
+                       rtol=1e-12, atol=1e-12 * spec.lambda_max)
 
 
 def test_ball_is_open_and_radius_must_be_positive():
