@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from mmframes.space import ModelSpace
 
@@ -47,10 +46,11 @@ class SpectralData:
     def synthesize(self, coeffs) -> np.ndarray:
         return self.eigenfunctions @ np.asarray(coeffs)
 
-    def symbol(self, fn, scale: float = 1.0) -> np.ndarray:
+    def symbol(self, fn, scale=1.0) -> np.ndarray:
         """fn(scale*sqrt(lambda_i)) for every eigenvalue, in one vectorized
-        call; a scalar result is broadcast."""
-        u = scale * np.sqrt(self.eigenvalues)
+        call: (n,) for one scale, and the (n, L) table with one column per
+        scale for a 1-D array of L scales; a scalar result is broadcast."""
+        u = np.multiply.outer(np.sqrt(self.eigenvalues), scale)
         return np.broadcast_to(np.asarray(fn(u), dtype=float), u.shape).copy()
 
     def apply(self, values, f) -> np.ndarray:
@@ -86,6 +86,8 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     Symmetrizes with diag(sqrt(mu)): H = S L S^{-1} with S = diag(sqrt(mu))
     is plainly symmetric, and e_i = S^{-1} v_i are mu-orthonormal.
     """
+    from scipy.linalg import eigh
+
     s = np.sqrt(space.mu)
     H = s[:, None] * space.L / s[None, :]
     H = (H + H.T) / 2.0
@@ -279,14 +281,21 @@ def level_window(spec: SpectralData, b: float = 2.0) -> tuple:
     return j_min, j_max
 
 
-def telescope(spec: SpectralData, Phi: Cutoff, b: float, window, f) -> np.ndarray:
-    """Windowed multiscale sum: sum_j Psi(b^{-j} sqrt(L)) f with
-    Psi(u) = Phi(u) - Phi(b u); equals the mean-zero part of f when the
-    window covers the nonzero spectrum."""
+def band_symbols(spec: SpectralData, Phi: Cutoff, b: float, window):
+    """(n, L) table of Psi(b^{-j} sqrt(lambda_i)), Psi(u) = Phi(u) - Phi(b u),
+    one column per level j of the window, from one symbol call."""
     j_min, j_max = window
+    scales = np.array([b ** (-j) for j in range(j_min - 1, j_max + 1)])
+    vals = spec.symbol(Phi, scales)
+    return vals[:, 1:] - vals[:, :-1]
+
+
+def telescope(spec: SpectralData, Phi: Cutoff, b: float, window, f) -> np.ndarray:
+    """Windowed multiscale sum: sum_j Psi(b^{-j} sqrt(L)) f (band_symbols);
+    equals the mean-zero part of f when the window covers the nonzero spectrum."""
     total = np.zeros(len(spec.eigenvalues))
-    for j in range(j_min, j_max + 1):
-        total += spec.symbol(Phi, b ** (-j)) - spec.symbol(Phi, b ** (-j + 1))
+    for band in band_symbols(spec, Phi, b, window).T:
+        total += band
     return spec.apply(total, f)
 
 

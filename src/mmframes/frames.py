@@ -12,6 +12,7 @@ from mmframes.calculus import (
     SpectralData,
     Cutoff,
     make_cutoff,
+    band_symbols,
     level_window,
     _smooth_step,
     effective_support_radius,
@@ -63,11 +64,11 @@ def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Fr
     if abs(Phi.b - hierarchy.b) > 0:
         raise ValueError("hierarchy/cutoff base mismatch")
     b = hierarchy.b
+    psi = band_symbols(spec, Phi, b, (hierarchy.j_min, hierarchy.j_max))
     cols = []
     bands = {}
-    for net in hierarchy.levels:
+    for net, vals in zip(hierarchy.levels, psi.T):
         j = net.level
-        vals = spec.symbol(Phi, b ** (-j)) - spec.symbol(Phi, b ** (-j + 1))
         block = spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
         cols.append(block)
         bands[j] = (b ** (j - 1), b ** (j + 1))

@@ -61,10 +61,12 @@ def _level_pieces(f, params: SpaceParams, spec: SpectralData, phi, b):
     projected mean-zero first."""
     j_min, j_max = level_window(spec, b)
     levels = range(j_min, j_max + 1)
-    vals = np.stack([spec.symbol(phi, b ** (-j)) for j in levels], axis=1)
+    vals = spec.symbol(phi, np.array([b ** (-j) for j in levels]))
     vals[: spec.nullspace_dim] = 0.0
     F = np.asarray(f, dtype=float).reshape(spec.space.n, -1)
     pieces = np.abs(spec.apply(vals, F).transpose(1, 2, 0), order="C")
+    if params.s == 0:
+        return pieces  # every level weight is exactly 1
     for slab, j in zip(pieces, levels):
         if params.flavor == "classical":
             slab *= b ** (j * params.s)
@@ -108,17 +110,6 @@ def function_norm(f, params: SpaceParams, spec: SpectralData, phi,
 # sequence-space norms
 
 
-def _scale_ball_vols(hier: NetHierarchy):
-    """|B(xi, b^{-j})| per flat index (ball at the level scale, not at the
-    net separation)."""
-    out = np.empty(hier.size)
-    for net in hier.levels:
-        sl = hier.level_slice(net.level)
-        vols = ball_volumes(hier.space, hier.b ** (-net.level))
-        out[sl] = vols[net.centers]
-    return out
-
-
 def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
     """Norm of a in the sequence space of params: one (m,) sequence gives a
     float, an (m, k) table gives k norms, one per column.  Every sum runs
@@ -130,17 +121,14 @@ def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
     rows = np.ascontiguousarray(a.reshape(hier.size, -1).T)
     s, p, q = params.s, params.p, params.q
     if params.family == "besov":
-        svols = _scale_ball_vols(hier)
+        classical = params.flavor == "classical"
+        expo = (0.0 if classical else -s / params.d) + \
+            (1.0 / p if not np.isinf(p) else 0.0) - 0.5
         terms = np.empty((len(rows), len(hier.levels)))
         for term, net in zip(terms.T, hier.levels):
             sl = hier.level_slice(net.level)
-            if params.flavor == "classical":
-                w = svols[sl] ** (1.0 / p - 0.5) if not np.isinf(p) else svols[sl] ** (-0.5)
-                inner = _lq(w * rows[:, sl], p, axis=1)
-                term[:] = hier.b ** (net.level * s) * inner
-            else:
-                expo = -s / params.d + (1.0 / p if not np.isinf(p) else 0.0) - 0.5
-                term[:] = _lq(svols[sl] ** expo * rows[:, sl], p, axis=1)
+            inner = _lq(hier.xi_svol[sl] ** expo * rows[:, sl], p, axis=1)
+            term[:] = hier.b ** (net.level * s) * inner if classical else inner
         return _one_or_many(_lq(terms, q, axis=1), a)
     # TL family: pointwise level stack through the partition indicators,
     # |a_xi| * normalized indicator height times the level weight

@@ -361,6 +361,7 @@ class NetHierarchy:
     xi_ell: np.ndarray = field(default=None)
     xi_avol: np.ndarray = field(default=None)
     xi_bvol: np.ndarray = field(default=None)
+    xi_svol: np.ndarray = field(default=None)   # |B(xi, b^{-j})|, level scale
 
     @property
     def size(self) -> int:
@@ -388,19 +389,20 @@ def build_hierarchy(space: ModelSpace, b: float, gamma: float,
     if mode == "inhomogeneous":
         j_min = max(j_min, 0)
     nets = tuple(build_net(space, j, b, gamma) for j in range(j_min, j_max + 1))
-    lv, pt, el, av, bv = [], [], [], [], []
+    lv, pt, el, av, bv, sv = [], [], [], [], [], []
     for net in nets:
         lv += [net.level] * net.size
         pt += list(net.centers)
         el += [net.ell] * net.size
         av += list(net.a_vol)
         bv += list(net.b_vol)
+        sv += list(ball_volumes(space, net.ell)[net.centers])
     return NetHierarchy(
         space=space, b=b, gamma=gamma, mode=mode, levels=nets,
         j_min=j_min, j_max=j_max,
         xi_level=np.array(lv, dtype=int), xi_point=np.array(pt, dtype=int),
         xi_ell=np.array(el, dtype=float), xi_avol=np.array(av, dtype=float),
-        xi_bvol=np.array(bv, dtype=float))
+        xi_bvol=np.array(bv, dtype=float), xi_svol=np.array(sv, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,19 @@ def test_level_window_covers_spectrum(spectra):
     assert 2.0 ** (j_min + 1) <= np.sqrt(spec.lambda_2)
 
 
+@pytest.mark.parametrize("kind", ["a", "b", "c", "scalar"])
+def test_symbol_of_many_scales_stacks_the_single_scales(spectra, kind):
+    # one call over an array of scales gives the (n, L) table of the
+    # per-scale calls, bit for bit
+    spec = spectra["T_8x8"]
+    fn = (lambda u: 2.5) if kind == "scalar" else ca.make_cutoff(kind, 2.0)
+    scales = np.array([2.0 ** (-j) for j in range(-6, 4)] + [0.3, 1.7])
+    table = spec.symbol(fn, scales)
+    assert table.shape == (spec.space.n, len(scales))
+    assert np.array_equal(
+        table, np.stack([spec.symbol(fn, s) for s in scales], axis=1))
+
+
 def test_telescoping_identity(spectra, Phi):
     spec = spectra["C_64"]
     window = ca.level_window(spec, 2.0)

@@ -145,9 +145,9 @@ def test_smallest_models_run_clean(tmp_path, capsys, model):
 
 
 @pytest.mark.parametrize("module, suites", [
-    ("sympy", None), ("scipy.sparse", None),
+    ("sympy", None), ("scipy.sparse", None), ("scipy", None),
     ("sympy", ["thm8.1-multiplier"])],
-    ids=["sympy", "scipy.sparse", "sympy-after-multiplier-run"])
+    ids=["sympy", "scipy.sparse", "scipy", "sympy-after-multiplier-run"])
 def test_cli_import_leaves_sympy_unloaded(tmp_path, module, suites):
     script = "import sys, mmframes.cli"
     if suites:

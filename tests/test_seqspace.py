@@ -135,6 +135,43 @@ def test_zero_column_has_norm_zero(family, flavor, s, p, q, spectra,
     assert one == 0.0
 
 
+@pytest.mark.parametrize("s", [0.0, 0.75])
+@pytest.mark.parametrize("flavor", ["classical", "tilde"])
+@pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
+def test_function_norm_matches_an_explicitly_weighted_reference(
+        family, flavor, s, spectra, params022, Phi):
+    # level by level: |psi(2^{-j} sqrt(L)) f| times the weight table
+    # 2^{js} (classical) or |B(x, 2^{-j})|^{-s/d} (tilde), applied also
+    # where it is 1
+    spec = spectra["C_64"]
+    space = spec.space
+    prm = dataclasses.replace(params022, family=family, flavor=flavor,
+                              s=s, p=1.5, q=3.0)
+    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    F = spec.project_mean_zero(
+        np.random.default_rng(13).standard_normal((space.n, 4)))
+    j_min, j_max = ca.level_window(spec, 2.0)
+    pieces = []
+    for j in range(j_min, j_max + 1):
+        vals = spec.symbol(psi, 2.0 ** (-j))
+        vals[: spec.nullspace_dim] = 0.0
+        if flavor == "classical":
+            weight = np.full(space.n, 2.0 ** (j * s))
+        else:
+            weight = sp.ball_volumes(space, 2.0 ** (-j)) ** (-s / prm.d)
+        pieces.append(weight[:, None] * np.abs(spec.apply(vals, F)))
+    pieces = np.array(pieces)  # (L, n, k)
+    if family == "besov":
+        terms = np.array([space.lp_norm(piece, prm.p) for piece in pieces])
+        ref = (terms**prm.q).sum(axis=0) ** (1.0 / prm.q)
+    else:
+        ref = space.lp_norm((pieces**prm.q).sum(axis=0) ** (1.0 / prm.q),
+                            prm.p)
+    out = sq.function_norm(F, prm, spec, psi)
+    assert np.all(ref > 0)
+    assert np.abs(out - ref).max() <= 1e-13 * ref.max()
+
+
 # ---------------------------------------------------------------------------
 # maximal operator
 

@@ -190,6 +190,16 @@ def test_hierarchy_flat_arrays_consistent(hierarchies):
         assert np.allclose(hier.xi_ell[sl], hier.b ** (-net.level))
 
 
+@pytest.mark.parametrize("desc", ["C_64", MU_MODELS[0]], ids=["C_64", "mu_16"])
+def test_hierarchy_holds_level_scale_ball_volumes(desc):
+    spec = ca.eigendecompose(sp.build_model(desc))
+    hier = sp.build_hierarchy(spec.space, 2.0, 0.5, *ca.level_window(spec))
+    for net in hier.levels:
+        vols = sp.ball_volumes(spec.space, 2.0 ** (-net.level))
+        assert np.array_equal(hier.xi_svol[hier.level_slice(net.level)],
+                              vols[net.centers])
+
+
 def test_weighted_tree_edges_set_both_metric_and_operator():
     m = sp.build_model({"kind": "tree", "n": 3,
                         "edges": [[0, 1, 2.0], [1, 2, 1.0]]})
