@@ -49,7 +49,8 @@ def _log_omega(t, lr, lc, br, bc, beta, gamma, params, buf=None):
     (s/d + 1/2) lb.  Every term is exactly 0 when xi = eta.  gamma=None
     leaves out the min{...} term.  For a table, the logs are an (m,1) and a
     (1,m) vector, t is overwritten and buf is one more scratch table, so the
-    build needs two beyond t; for one pair all are scalars and buf is None.
+    build needs two beyond t; for a list of pairs, all are scalars or
+    arrays of the pairs' shape and buf is None.
     """
     W = np.log1p(t, out=None if buf is None else t)
     W *= -(params.J + beta)
@@ -94,19 +95,20 @@ def omega_matrix(hier: NetHierarchy, delta: float, params: SpaceParams) -> np.nd
     return omega2_matrix(hier, delta, delta, params)
 
 
-def omega(hier: NetHierarchy, i: int, k: int, delta: float,
-          params: SpaceParams) -> float:
-    """Single-pair weight (one-parameter form)."""
+def omega(hier: NetHierarchy, i, k, delta, params: SpaceParams):
+    """One-parameter form omega2(hier, i, k, delta, delta, params)."""
     return omega2(hier, i, k, delta, delta, params)
 
 
-def omega2(hier: NetHierarchy, i: int, k: int, beta: float, gamma: float,
-           params: SpaceParams) -> float:
+def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
+    """Def 6.1 weight omega_{xi_i, xi_k}(beta, gamma) for flat indices i and
+    k; each of i, k, beta and gamma is a scalar or an array, and they
+    broadcast together."""
     ell, bv = hier.xi_ell, hier.xi_bvol
     rho = hier.space.dist[hier.xi_point[i], hier.xi_point[k]]
-    return float(np.exp(_log_omega(
-        rho / max(ell[i], ell[k]), np.log(ell[i]), np.log(ell[k]),
-        np.log(bv[i]), np.log(bv[k]), beta, gamma, params)))
+    return np.exp(_log_omega(
+        rho / np.maximum(ell[i], ell[k]), np.log(ell[i]), np.log(ell[k]),
+        np.log(bv[i]), np.log(bv[k]), beta, gamma, params))
 
 
 def ad_norm(A: NetMatrix, delta: float) -> float:
@@ -201,12 +203,6 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     return _lemma64(hier, params, beta, pairs)[0] if pairs else []
 
 
-def lemma64_check(hier: NetHierarchy, params: SpaceParams, beta: float,
-                  gamma1: float, gamma2: float) -> dict:
-    """lemma64_grid for the one pair (gamma1, gamma2)."""
-    return lemma64_grid(hier, params, beta, [(gamma1, gamma2)])[0]
-
-
 def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
     """Invert I - D through the geometric series I + D + D^2 + ...,
     certifying the decay of the terms in the eps1-weighted norm, eps1 =
@@ -221,7 +217,8 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
         raise NeumannPreconditionError(delta_hat, delta_threshold)
     eps1 = epsilon / 2.0
     hier, params, D = D.hierarchy, D.params, D.entries
-    # c* as in lemma64_check; its K times the eps1 level term is omega(eps1)
+    # c* is lemma64_grid's ratio for the one pair (epsilon, eps1); its K
+    # times the eps1 level term is omega(eps1)
     (res,), W, blocks, lam = _lemma64(hier, params, eps1, [(epsilon, eps1)])
     cstar = res["max_ratio"]
     E = np.exp(_level_term(lam, eps1, params.J))

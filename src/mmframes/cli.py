@@ -38,10 +38,12 @@ DEFAULT_CONFIG = {
     "spq": [0.0, 2.0, 2.0],
     "flavor": "classical",
     "family": "triebel_lizorkin",
-    "theta": {"N": 4, "K": 2, "eps": 1e-3, "R0": 1024.0, "R_max": 4096.0},
     "suites": "all",
     "output_dir": "reports",
 }
+
+# Prop 6.6 orders, tolerance and transform band of the surrogate symbol
+THETA = {"N": 4, "K": 2, "eps": 1e-3, "R0": 1024.0, "R_max": 4096.0}
 
 
 class ConfigError(Exception):
@@ -124,14 +126,10 @@ class Context:
                                    self.get("Phi"))[0]
 
     def _build_theta(self):
-        tc = self.cfg["theta"]
         b = self.cfg["b"]
-        Phi = self.get("Phi")
-        Psi = lambda u: Phi(u) - Phi(np.asarray(u) * b)
         return fr.build_band_limited_theta(
-            Psi, ca.band_derivatives(b, int(tc["K"])), N=int(tc["N"]),
-            K=int(tc["K"]), eps=float(tc["eps"]), b=b, R0=float(tc["R0"]),
-            R_max=float(tc["R_max"]))
+            ca.make_cutoff("b", b), ca.band_derivatives(b, THETA["K"]), b=b,
+            **THETA)
 
     def _build_compact(self):
         return fr.build_compact_frame(self.get("spec"), self.get("hier"),
@@ -155,12 +153,32 @@ class Context:
 # suites
 
 
+SUITES = {}  # name -> (anchor, description, fn), in run order
+AFTER = {}   # name -> the gates it follows
+
+
+def _suite(name, anchor, description, after=()):
+    """Register the decorated suite.  Suites run in the order they are
+    defined; a suite is skipped when one of the gates in after failed or
+    errored earlier in the same run."""
+    def register(fn):
+        if name in SUITES or not set(after) <= SUITES.keys():
+            raise ValueError(f"suite {name!r} is registered twice or follows "
+                             f"a suite not yet registered: {after}")
+        SUITES[name] = (anchor, description, fn)
+        AFTER[name] = after
+        return fn
+    return register
+
+
+@_suite("doubling", "§1 (1.1)-(1.2),(1.7)-(1.8)", "measured doubling profile")
 def _suite_doubling(ctx):
     prof = ctx.get("profile")
     return "record", {"c0": prof.c0, "d": prof.d, "c2": prof.c2,
                       "dstar": prof.dstar, "truncated": prof.truncated}
 
 
+@_suite("lemma9.1", "Lemma 9.1", "net counting bound, exhaustive")
 def _suite_lemma91(ctx):
     space, prof, hier = ctx.get("space"), ctx.get("profile"), ctx.get("hier")
     worst = 0.0
@@ -174,6 +192,8 @@ def _suite_lemma91(ctx):
     return ("pass" if ok else "fail"), {"worst_ratio": worst}
 
 
+@_suite("lemma9.2", "Lemma 9.2",
+        "discrete net sums against explicit constants")
 def _suite_lemma92(ctx):
     space, prof, hier = ctx.get("space"), ctx.get("profile"), ctx.get("hier")
     sigma = prof.d + 1.0
@@ -187,6 +207,7 @@ def _suite_lemma92(ctx):
     return ("pass" if ok else "fail"), {"sigma": sigma, "worst_ratio": worst}
 
 
+@_suite("lemma2.3", "Lemma 2.3", "weighted volume sums (Peetre type)")
 def _suite_lemma23(ctx):
     space, prof = ctx.get("space"), ctx.get("profile")
     sigma = prof.d + 1.0
@@ -195,6 +216,7 @@ def _suite_lemma23(ctx):
         "worst_ratio": rep.worst_ratio}
 
 
+@_suite("net-invariants", "(2.6)-(2.7)", "separation/maximality/sandwich")
 def _suite_net_invariants(ctx):
     space, hier = ctx.get("space"), ctx.get("hier")
     for net in hier.levels:
@@ -202,6 +224,7 @@ def _suite_net_invariants(ctx):
     return "pass", {"levels": len(hier.levels)}
 
 
+@_suite("def2.1-cutoffs", "Def 2.1", "cutoff types (a)/(c) closed-form checks")
 def _suite_cutoffs(ctx):
     b = ctx.cfg["b"]
     Phi = ca.make_cutoff("a", b)
@@ -219,27 +242,7 @@ def _suite_cutoffs(ctx):
                                         "partition_err": part_err}
 
 
-def _speed_checks(ctx):
-    """(radius / bound, passed) per level: the compact frame's support radius
-    against the Prop 2.1 bound c~ R b^{-j}, which passes when it reaches
-    the diameter."""
-    diameter = ctx.get("spec").space.diameter
-    ct, R, b = ctx.get("ctilde"), ctx.get("theta").R, ctx.get("hier").b
-    out = []
-    for j, r in ctx.get("compact_supports").items():
-        bound = ct * b ** (-j) * R
-        out.append((r / bound, r <= bound or bound >= diameter))
-    return out
-
-
-def _suite_finite_speed(ctx):
-    checks = _speed_checks(ctx)
-    ok = all(passed for _, passed in checks)
-    return ("pass" if ok else "fail"), {
-        "c_tilde": ctx.get("ctilde"), "R": ctx.get("theta").R,
-        "worst_ratio": max(ratio for ratio, _ in checks)}
-
-
+@_suite("thm2.2-localization", "Thm 2.2", "kernel localization ladder")
 def _suite_localization(ctx):
     spec, space = ctx.get("spec"), ctx.get("space")
     kern = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2))))
@@ -247,6 +250,7 @@ def _suite_localization(ctx):
     return "record", {"A_%g" % k: v for k, v in out.items()}
 
 
+@_suite("thm3.4-telescoping", "Thm 3.4", "multiscale telescoping identity")
 def _suite_telescoping(ctx):
     spec, Phi = ctx.get("spec"), ctx.get("Phi")
     b = ctx.cfg["b"]
@@ -263,6 +267,7 @@ def _suite_telescoping(ctx):
                                         "j_max": window[1]}
 
 
+@_suite("lemma4.1-sampling", "Lemma 4.1", "sampling perturbation constants")
 def _suite_sampling(ctx):
     eps = ctx.get("sampling_eps")
     worst = max(eps.values())
@@ -270,6 +275,8 @@ def _suite_sampling(ctx):
         "eps_max": worst, "gamma": ctx.get("hier").gamma}
 
 
+@_suite("thm4.2-reconstruction", "Thm 4.2", "two-sided frame reconstruction",
+        after=("lemma4.1-sampling",))
 def _suite_reconstruction(ctx):
     spec, frame, dual = ctx.get("spec"), ctx.get("frame"), ctx.get("dual")
     probe = fr.frame_bounds_probe(frame, dual, spec,
@@ -281,6 +288,8 @@ def _suite_reconstruction(ctx):
                                         "upper": probe["upper"]}
 
 
+@_suite("thm4.2-bands", "Thm 4.2/(4.10)", "dual frame spectral bands",
+        after=("lemma4.1-sampling",))
 def _suite_bands(ctx):
     leak = fr.check_band_containment(ctx.get("spec"), ctx.get("dual"))
     return ("pass" if leak <= 1e-10 else "fail"), {"leak": leak}
@@ -305,20 +314,26 @@ def _characterization(ctx, family):
     return ("pass" if ok else "fail"), out
 
 
+@_suite("thm5.5-besov", "Thm 5.5", "Besov norm equivalence bands",
+        after=("lemma4.1-sampling",))
 def _suite_besov_equiv(ctx):
     return _characterization(ctx, "besov")
 
 
+@_suite("thm5.6-tl", "Thm 5.6", "Triebel-Lizorkin norm equivalence bands",
+        after=("lemma4.1-sampling",))
 def _suite_tl_equiv(ctx):
     return _characterization(ctx, "triebel_lizorkin")
 
 
+@_suite("sec2.3-maximal", "(2.22)-(2.23)", "vector maximal ratio probe")
 def _suite_maximal(ctx):
     space = ctx.get("space")
     out = sq.fs_maximal_probe(ctx.get("battery"), p=2.0, q=2.0, t=1.0, space=space)
     return "record", {"ratio": out["ratio"]}
 
 
+@_suite("lemma9.3", "Lemma 9.3", "maximal domination of net sums")
 def _suite_lemma93(ctx):
     space, hier, prof = ctx.get("space"), ctx.get("hier"), ctx.get("profile")
     t, M = 1.0, prof.d + 1.0
@@ -341,35 +356,31 @@ def _suite_lemma93(ctx):
     return "record", {"constant": worst}
 
 
+@_suite("def6.1-omega", "Def 6.1", "decay weight identities")
 def _suite_omega(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    m = hier.size
     # diagonal identity
-    diag_err = max(abs(ad.omega(hier, i, i, 0.7, params) - 1.0)
-                   for i in range(m))
-    # one-parameter form equals the two-parameter form on the diagonal of
-    # (beta, gamma)
-    pair_err = 0.0
-    mono_ok = True
-    for _ in range(1000):
-        i, k = rng.integers(0, m, 2)
-        beta = float(rng.uniform(0.05, 2.0))
-        pair_err = max(pair_err, abs(
-            ad.omega(hier, int(i), int(k), beta, params)
-            - ad.omega2(hier, int(i), int(k), beta, beta, params)))
-        eps = float(rng.uniform(0.05, 2.0))
-        bg = sorted(rng.uniform(0.05, eps, 2))
-        mono_ok = mono_ok and (
-            ad.omega(hier, int(i), int(k), eps, params)
-            <= ad.omega2(hier, int(i), int(k), bg[0], bg[1], params)
-            * (1 + 1e-12))
+    idx = np.arange(hier.size)
+    diag_err = np.abs(ad.omega(hier, idx, idx, 0.7, params) - 1.0).max()
+    # on 1000 random pairs: the one-parameter form equals the two-parameter
+    # form on the diagonal of (beta, gamma), and omega(eps) is at most
+    # omega(beta, gamma) for beta <= gamma < eps
+    i, k = rng.integers(0, hier.size, (2, 1000))
+    beta, eps = rng.uniform(0.05, 2.0, (2, 1000))
+    bg = np.sort(rng.uniform(0.05, eps, (2, 1000)), axis=0)
+    pair_err = np.abs(ad.omega(hier, i, k, beta, params)
+                      - ad.omega2(hier, i, k, beta, beta, params)).max()
+    mono_ok = bool(np.all(ad.omega(hier, i, k, eps, params)
+                          <= ad.omega2(hier, i, k, bg[0], bg[1], params)
+                          * (1 + 1e-12)))
     ok = diag_err == 0.0 and pair_err <= 1e-14 and mono_ok
     return ("pass" if ok else "fail"), {"diag_err": diag_err,
                                         "pair_err": pair_err,
                                         "monotone": mono_ok}
 
 
+@_suite("thm6.2-boundedness", "Thm 6.2", "almost-diagonal boundedness probe")
 def _suite_ad_boundedness(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
@@ -389,6 +400,7 @@ def _suite_ad_boundedness(ctx):
 _LEMMA64_GRID = ((0.25, 0.5, 1.0), (0.5, 1.0, 2.0), (0.6, 1.2, 2.4))
 
 
+@_suite("lemma6.4-W-bound", "Lemma 6.4", "weight composition bound grid")
 def _suite_lemma64(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     betas, g1s, g2s = _LEMMA64_GRID
@@ -401,6 +413,7 @@ def _suite_lemma64(ctx):
     return ("pass" if ok else "fail"), {"max_ratio": max(ratios, default=0.0)}
 
 
+@_suite("thm6.3-neumann", "Thm 6.3(ii)", "Neumann inversion with decay cert")
 def _suite_neumann(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
@@ -418,6 +431,52 @@ def _suite_neumann(ctx):
         "geometric": rep["geometric_decay_ok"]}
 
 
+@_suite("prop6.6-theta", "Prop 6.6/(6.16)", "band-limited surrogate symbol")
+def _suite_theta(ctx):
+    th = ctx.get("theta")
+    out = {"R": th.R, "eps_target": th.eps_target,
+           "eps_achieved": th.eps_achieved,
+           "jet_residual": max(th.jet_residuals) if th.jet_residuals else 0.0}
+    return ("pass" if th.passed else "fail"), out
+
+
+def _speed_checks(ctx):
+    """(radius / bound, passed) per level: the compact frame's support radius
+    against the Prop 2.1 bound c~ R b^{-j}, which passes when it reaches
+    the diameter."""
+    diameter = ctx.get("spec").space.diameter
+    ct, R, b = ctx.get("ctilde"), ctx.get("theta").R, ctx.get("hier").b
+    out = []
+    for j, r in ctx.get("compact_supports").items():
+        bound = ct * b ** (-j) * R
+        out.append((r / bound, r <= bound or bound >= diameter))
+    return out
+
+
+@_suite("prop2.1-finite-speed", "Prop 2.1", "band-limited kernel support",
+        after=("prop6.6-theta",))
+def _suite_finite_speed(ctx):
+    checks = _speed_checks(ctx)
+    ok = all(passed for _, passed in checks)
+    return ("pass" if ok else "fail"), {
+        "c_tilde": ctx.get("ctilde"), "R": ctx.get("theta").R,
+        "worst_ratio": max(ratio for ratio, _ in checks)}
+
+
+@_suite("thm6.7-compact-dual", "Thm 6.7", "compact frame dual pipeline",
+        after=("lemma4.1-sampling", "prop6.6-theta"))
+def _suite_compact_dual(ctx):
+    rep = ctx.get("compact_dual_report")
+    ok = rep.perturbation_ad_norm < fr.COMPACT_DUAL_THRESHOLD and \
+        rep.duality_residual <= 1e-6
+    return ("pass" if ok else "fail"), {
+        "perturbation": rep.perturbation_ad_norm,
+        "residual": rep.duality_residual,
+        "terms": rep.neumann_terms}
+
+
+@_suite("lemma7.2-molecules", "Lemma 7.2", "scaled frames are molecules",
+        after=("lemma4.1-sampling",))
 def _suite_molecule_constants(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     M = params.J + 0.5
@@ -437,6 +496,8 @@ def _suite_molecule_constants(ctx):
     return ("pass" if ok else "fail"), out
 
 
+@_suite("lemma7.3-gram", "Lemma 7.3", "Gram matrix decay certificate",
+        after=("lemma4.1-sampling",))
 def _suite_gram(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     A, cert = mo.gram(ctx.get("frame").columns, ctx.get("dual").columns,
@@ -446,6 +507,8 @@ def _suite_gram(ctx):
                                         "c": cert["c"]}
 
 
+@_suite("thm7.4-synthesis", "Thm 7.4", "molecular synthesis ratios",
+        after=("lemma4.1-sampling",))
 def _suite_synthesis(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
@@ -455,6 +518,8 @@ def _suite_synthesis(ctx):
     return "record", {"max_ratio": rep["ratio"].max(initial=0.0)}
 
 
+@_suite("thm7.5-analysis", "Thm 7.5/(7.11)", "molecular analysis identity",
+        after=("lemma4.1-sampling",))
 def _suite_analysis(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     _, rep = mo.molecular_analysis(ctx.get("battery").T,
@@ -468,24 +533,8 @@ def _suite_analysis(ctx):
         "identity_residual": worst_resid}
 
 
-def _suite_theta(ctx):
-    th = ctx.get("theta")
-    out = {"R": th.R, "eps_target": th.eps_target,
-           "eps_achieved": th.eps_achieved,
-           "jet_residual": max(th.jet_residuals) if th.jet_residuals else 0.0}
-    return ("pass" if th.passed else "fail"), out
-
-
-def _suite_compact_dual(ctx):
-    rep = ctx.get("compact_dual_report")
-    ok = rep.perturbation_ad_norm < fr.COMPACT_DUAL_THRESHOLD and \
-        rep.duality_residual <= 1e-6
-    return ("pass" if ok else "fail"), {
-        "perturbation": rep.perturbation_ad_norm,
-        "residual": rep.duality_residual,
-        "terms": rep.neumann_terms}
-
-
+@_suite("thm7.9-atoms", "Thm 7.9", "atomic decomposition",
+        after=("lemma4.1-sampling", "prop6.6-theta", "thm6.7-compact-dual"))
 def _suite_atoms(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     compact = ctx.get("compact")
@@ -505,6 +554,7 @@ def _suite_atoms(ctx):
         "support_ok": supp_ok}
 
 
+@_suite("thm8.1-multiplier", "Thm 8.1", "Mihlin multiplier checks")
 def _suite_multiplier(ctx):
     spec, params = ctx.get("spec"), ctx.get("params")
     sym = mx.check_mihlin("rational", 4, params, spec, b=ctx.cfg["b"])
@@ -527,6 +577,7 @@ def _suite_multiplier(ctx):
         "multiplicativity": mult}
 
 
+@_suite("lemma9.4-hardy", "Lemma 9.4", "discrete Hardy inequalities")
 def _suite_hardy(ctx):
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     worst = {10: 0.0, 20: 0.0, 40: 0.0}
@@ -543,6 +594,7 @@ def _suite_hardy(ctx):
         "spread": spread}
 
 
+@_suite("inhomogeneous-mode", "§8 inhomogeneous case", "level-0 conventions")
 def _suite_inhomogeneous(ctx):
     spec = ctx.get("spec")
     hier, eps = fr.build_standard_hierarchy(spec, b=ctx.cfg["b"],
@@ -553,89 +605,10 @@ def _suite_inhomogeneous(ctx):
     Phi = ctx.get("Phi")
     frame = fr.build_frame1(spec, hier, Phi)
     cert = mo.validate_molecule(frame.columns, hier, "synthesis",
-                                "classical", params, spec, params.J + 0.5,
-                                inhomogeneous=True)
+                                "classical", params, spec, params.J + 0.5)
     ok = ok and np.isfinite(max(cert.constants.values()))
     return ("pass" if ok else "fail"), {"j_min": hier.j_min,
                                         "eps_max": max(eps.values())}
-
-
-# in run order: every gate in DOWNSTREAM runs before its dependents
-SUITES = {
-    "doubling": ("§1 (1.1)-(1.2),(1.7)-(1.8)", "measured doubling profile",
-                 _suite_doubling),
-    "lemma9.1": ("Lemma 9.1", "net counting bound, exhaustive",
-                 _suite_lemma91),
-    "lemma9.2": ("Lemma 9.2", "discrete net sums against explicit constants",
-                 _suite_lemma92),
-    "lemma2.3": ("Lemma 2.3", "weighted volume sums (Peetre type)",
-                 _suite_lemma23),
-    "net-invariants": ("(2.6)-(2.7)", "separation/maximality/sandwich",
-                       _suite_net_invariants),
-    "def2.1-cutoffs": ("Def 2.1", "cutoff types (a)/(c) closed-form checks",
-                       _suite_cutoffs),
-    "thm2.2-localization": ("Thm 2.2", "kernel localization ladder",
-                            _suite_localization),
-    "thm3.4-telescoping": ("Thm 3.4", "multiscale telescoping identity",
-                           _suite_telescoping),
-    "lemma4.1-sampling": ("Lemma 4.1", "sampling perturbation constants",
-                          _suite_sampling),
-    "thm4.2-reconstruction": ("Thm 4.2", "two-sided frame reconstruction",
-                              _suite_reconstruction),
-    "thm4.2-bands": ("Thm 4.2/(4.10)", "dual frame spectral bands",
-                     _suite_bands),
-    "thm5.5-besov": ("Thm 5.5", "Besov norm equivalence bands",
-                     _suite_besov_equiv),
-    "thm5.6-tl": ("Thm 5.6", "Triebel-Lizorkin norm equivalence bands",
-                  _suite_tl_equiv),
-    "sec2.3-maximal": ("(2.22)-(2.23)", "vector maximal ratio probe",
-                       _suite_maximal),
-    "lemma9.3": ("Lemma 9.3", "maximal domination of net sums",
-                 _suite_lemma93),
-    "def6.1-omega": ("Def 6.1", "decay weight identities",
-                     _suite_omega),
-    "thm6.2-boundedness": ("Thm 6.2", "almost-diagonal boundedness probe",
-                           _suite_ad_boundedness),
-    "lemma6.4-W-bound": ("Lemma 6.4", "weight composition bound grid",
-                         _suite_lemma64),
-    "thm6.3-neumann": ("Thm 6.3(ii)", "Neumann inversion with decay cert",
-                       _suite_neumann),
-    "prop6.6-theta": ("Prop 6.6/(6.16)", "band-limited surrogate symbol",
-                      _suite_theta),
-    "prop2.1-finite-speed": ("Prop 2.1", "band-limited kernel support",
-                             _suite_finite_speed),
-    "thm6.7-compact-dual": ("Thm 6.7", "compact frame dual pipeline",
-                            _suite_compact_dual),
-    "lemma7.2-molecules": ("Lemma 7.2", "scaled frames are molecules",
-                           _suite_molecule_constants),
-    "lemma7.3-gram": ("Lemma 7.3", "Gram matrix decay certificate",
-                      _suite_gram),
-    "thm7.4-synthesis": ("Thm 7.4", "molecular synthesis ratios",
-                         _suite_synthesis),
-    "thm7.5-analysis": ("Thm 7.5/(7.11)", "molecular analysis identity",
-                        _suite_analysis),
-    "thm7.9-atoms": ("Thm 7.9", "atomic decomposition",
-                     _suite_atoms),
-    "thm8.1-multiplier": ("Thm 8.1", "Mihlin multiplier checks",
-                          _suite_multiplier),
-    "lemma9.4-hardy": ("Lemma 9.4", "discrete Hardy inequalities",
-                       _suite_hardy),
-    "inhomogeneous-mode": ("§8 inhomogeneous case", "level-0 conventions",
-                           _suite_inhomogeneous),
-}
-
-
-# suites whose failure invalidates later pipeline stages
-DOWNSTREAM = {
-    "lemma4.1-sampling": ["thm4.2-reconstruction", "thm4.2-bands",
-                          "thm5.5-besov", "thm5.6-tl", "thm6.7-compact-dual",
-                          "lemma7.2-molecules", "lemma7.3-gram",
-                          "thm7.4-synthesis", "thm7.5-analysis",
-                          "thm7.9-atoms"],
-    "prop6.6-theta": ["prop2.1-finite-speed", "thm6.7-compact-dual",
-                      "thm7.9-atoms"],
-    "thm6.7-compact-dual": ["thm7.9-atoms"],
-}
 
 
 CHECKS = {
@@ -662,20 +635,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = dict(DEFAULT_CONFIG)
-    theta = dict(cfg["theta"])
-    for k, v in user.items():
-        if k not in cfg:
+    for k in user:
+        if k not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key: {k}")
-        if k == "theta":
-            if not isinstance(v, dict):
-                raise ConfigError("theta must be an object")
-            unknown = sorted(set(v) - set(theta))
-            if unknown:
-                raise ConfigError(f"unknown theta keys: {unknown}")
-            theta.update(v)
-        else:
-            cfg[k] = v
+    cfg = dict(DEFAULT_CONFIG, **user)
     for k, (ok, what) in CHECKS.items():
         if not ok(cfg[k]):
             raise ConfigError(f"{k} must be {what}, got {cfg[k]!r}")
@@ -683,16 +646,6 @@ def load_config(path) -> dict:
         sp.parse_model(cfg["model"])
     except ValueError as exc:
         raise ConfigError(exc) from None
-    for k, v in theta.items():
-        if not _is_number(v):
-            raise ConfigError(f"theta.{k} must be a finite number, got {v!r}")
-        if k in ("N", "K") and v != int(v):
-            raise ConfigError(f"theta.{k} must be an integer, got {v!r}")
-    if not (theta["N"] >= theta["K"] >= 1 and theta["eps"] > 0
-            and 0 < theta["R0"] <= theta["R_max"]):
-        raise ConfigError("theta needs N >= K >= 1, eps > 0 and "
-                          f"0 < R0 <= R_max, got {theta}")
-    cfg["theta"] = theta
     suites = cfg["suites"]
     if isinstance(suites, str):
         if suites != "all":
@@ -718,12 +671,11 @@ def run(cfg) -> int:
         raise ConfigError(f"cannot create output_dir {outdir!r}: {exc}")
 
     records = []
-    skip = set()
-    hard_fail = False
+    bad = set()
     runtimes = {}
     for name in selected:
         anchor, desc, fn = SUITES[name]
-        if name in skip:
+        if bad.intersection(AFTER[name]):
             records.append((name, anchor, "skip", {"reason": "dependency"}))
             continue
         t0 = time.perf_counter()
@@ -734,9 +686,7 @@ def run(cfg) -> int:
         runtimes[name] = time.perf_counter() - t0
         records.append((name, anchor, status, metrics))
         if status in ("fail", "error"):
-            hard_fail = True
-            for dep in DOWNSTREAM.get(name, []):
-                skip.add(dep)
+            bad.add(name)
 
     # machine report: deterministic, line oriented
     model = cfg["model"] if isinstance(cfg["model"], str) else "custom"
@@ -770,7 +720,7 @@ def run(cfg) -> int:
             rts = "" if rt is None else f" ({rt:.2f}s)"
             fh.write(f"  {status:6s} {name} [{anchor}]{rts}\n")
     print("\n".join(lines))
-    return 1 if hard_fail else 0
+    return 1 if bad else 0
 
 
 def main(argv=None) -> int:

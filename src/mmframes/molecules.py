@@ -138,8 +138,8 @@ def _worst_constant(cols, env, mask=None) -> float:
 
 def validate_molecule(family, hier: NetHierarchy, flavor: str,
                       space_flavor: str, params: SpaceParams,
-                      spec: SpectralData, M: float, companions=None,
-                      inhomogeneous: bool = False) -> MoleculeCertificate:
+                      spec: SpectralData, M: float,
+                      companions=None) -> MoleculeCertificate:
     """Smallest constants making the molecule bounds hold for the family,
     which passes when none exceeds 1.
 
@@ -147,8 +147,8 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     the classical or tilde order rules.  Cancellation companions default
     to spectral negative powers of L applied to the family (requires
     mean-zero columns); pass companions explicitly for adversarial tests.
-    In inhomogeneous mode the cancellation condition is skipped for
-    centers at level 0.
+    On an inhomogeneous hierarchy the cancellation condition is skipped
+    for centers at level 0.
     """
     if flavor not in ("synthesis", "analysis"):
         raise ValueError("flavor must be synthesis or analysis")
@@ -166,7 +166,7 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
 
     # which centers the cancellation condition applies to
     canc_mask = np.ones(hier.size, dtype=bool)
-    if inhomogeneous:
+    if hier.mode == "inhomogeneous":
         canc_mask = hier.xi_level != 0
 
     # synthesis: smoothness through L^N when s >= 0 (from nu = 1 in the

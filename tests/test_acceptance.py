@@ -131,7 +131,8 @@ def test_criterion_08_weight_composition_grid(hierarchies, params022):
             for g1 in (0.3, 0.6, 1.2):
                 for g2 in (0.4, 0.8, 1.5):
                     if beta < g1 + g2 and g1 != g2:
-                        res = ad.lemma64_check(hier, params022, beta, g1, g2)
+                        res = ad.lemma64_grid(hier, params022, beta,
+                                              [(g1, g2)])[0]
                         assert np.isfinite(res["max_ratio"])
                         vals.append(res["max_ratio"])
         worst[name] = max(vals)

@@ -33,6 +33,13 @@ def test_omega_matrix_matches_entrywise(hierarchies, params022):
         i, k = (int(v) for v in rng.integers(0, hier.size, size=2))
         assert abs(W[i, k] - ad.omega2(hier, i, k, 0.7, 0.3, params022)) \
             <= 1e-14 * max(W[i, k], 1e-300)
+    # arrays of indices and of (beta, gamma) against one call per pair
+    I, K = rng.integers(0, hier.size, (2, 200))
+    B, G = rng.uniform(0.05, 2.0, (2, 200))
+    ref = [ad.omega2(hier, i, k, b, g, params022)
+           for i, k, b, g in zip(I, K, B, G)]
+    assert np.allclose(ad.omega2(hier, I, K, B, G, params022), ref,
+                       rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])
@@ -110,9 +117,9 @@ def test_lemma64_hypotheses_enforced(beta, g1, g2, hierarchies, params022):
     hier, _ = hierarchies["C_32"]
     if g1 == g2 or beta >= g1 + g2:
         with pytest.raises(ValueError):
-            ad.lemma64_check(hier, params022, beta, g1, g2)
+            ad.lemma64_grid(hier, params022, beta, [(g1, g2)])
     else:
-        res = ad.lemma64_check(hier, params022, beta, g1, g2)
+        res = ad.lemma64_grid(hier, params022, beta, [(g1, g2)])[0]
         assert np.isfinite(res["max_ratio"]) and res["max_ratio"] > 0
 
 
@@ -128,8 +135,8 @@ def test_lemma64_grid_stable_under_refinement(hierarchies, params022):
             for g1 in g1s:
                 for g2 in g2s:
                     if beta < g1 + g2:
-                        vals.append(ad.lemma64_check(hier, params022,
-                                                     beta, g1, g2)["max_ratio"])
+                        vals.append(ad.lemma64_grid(
+                            hier, params022, beta, [(g1, g2)])[0]["max_ratio"])
         worst[name] = max(vals)
     assert worst["C_64"] <= 2.0 * worst["C_32"]
 
@@ -160,14 +167,6 @@ def test_lemma64_grid_matches_dense_products(model, flavor, hierarchies,
             R = (W[g1] @ W[g2]) / W[min(g1, g2)]
             assert abs(res["max_ratio"] / R.max() - 1.0) <= 1e-13
             assert abs(R[res["argmax"]] / R.max() - 1.0) <= 1e-13
-
-
-def test_lemma64_check_is_the_one_pair_grid(hierarchies, params022):
-    hier, _ = hierarchies["C_64"]
-    for beta, g1, g2 in ((0.5, 1.0, 0.6), (1.0, 0.5, 2.4)):
-        assert ad.lemma64_check(hier, params022, beta, g1, g2) \
-            == ad.lemma64_grid(hier, params022, beta, [(g1, g2)])[0]
-    assert ad.lemma64_grid(hier, params022, 0.5, []) == []
 
 
 def test_lemma64_grid_requires_constant_ell_per_level(hierarchies,
@@ -252,8 +251,8 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     assert np.abs((I - D.entries) @ Ainv.entries - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
-    assert rep["c_star"] == ad.lemma64_check(hier, params022, 0.5, 1.0,
-                                             0.5)["max_ratio"]
+    assert rep["c_star"] == ad.lemma64_grid(hier, params022, 0.5,
+                                            [(1.0, 0.5)])[0]["max_ratio"]
     norms = rep["term_ad_norms"]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 

@@ -62,33 +62,32 @@ def _no_build(*args):
 
 
 @pytest.mark.parametrize("cfg", [
-    {"theta": 5},
-    {"theta": {"dt": 1}},
-    {"theta": {"N": "4"}},
-    {"theta": {"K": 2.5}},
-    {"theta": {"eps": None}},
-    {"theta": {"R0": True}},
-    {"theta": {"R_max": [4096]}},
-    {"theta": {"N": 0, "K": 0}},
-    {"theta": {"N": 1, "K": 2}},
-    {"theta": {"eps": 0}},
-    {"theta": {"eps": -1e-3}},
-    {"theta": {"R0": 0}},
-    {"theta": {"R0": 8192}},
-    {"theta": {"R0": 512, "R_max": 256}},
+    {"theta": {"N": 4}},
     {"suites": "doubling"},
     {"suites": [["doubling"]]},
+    {"suites": 5},
     {"b": 1.0},
     {"b": "x"},
+    {"b": True},
     {"model": "Q_5"},
     {"gamma": -1},
+    {"gamma": 0},
+    {"gamma": None},
     {"spq": [0, 2]},
+    {"spq": "0 2 2"},
+    {"spq": [0, [2], 2]},
+    {"spq": [0, 2, 0]},
+    {"flavor": "weak"},
+    {"family": "sobolev"},
     {"mode": "foo"},
     {"seed": "a"},
+    {"seed": -1},
     {"battery": 0},
+    {"battery": 2.5},
     {"refined_model": "C_128"},
     {"tolerances": {}},
     {"mode": "inhomogeneous"},
+    [],
     {"model": {"kind": "foo"}},
     {"model": {"kind": "cycle"}},
     {"model": {"kind": "cycle", "n": 8, "mu": [1, 2]}},
@@ -103,6 +102,7 @@ def _no_build(*args):
     {"model": {"kind": "tree", "n": 4,
                "edges": [[0, 1, 1.0], [0, 1, 1.0], [2, 3, 1.0]]}},
     {"output_dir": ""},
+    {"output_dir": 7},
     # the test runs in tmp_path, where cfg.json is a file
     {"output_dir": "cfg.json"},
 ])
@@ -220,11 +220,9 @@ def test_suite_metrics_in_report(tmp_path):
 
 def test_load_config_defaults(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"theta": {"N": 3}}))
+    p.write_text(json.dumps({"seed": 3}))
     cfg = cli.load_config(str(p))
-    assert cfg["theta"]["N"] == 3
-    assert cfg["theta"]["K"] == cli.DEFAULT_CONFIG["theta"]["K"]
-    assert cfg["model"] == cli.DEFAULT_CONFIG["model"]
+    assert cfg == dict(cli.DEFAULT_CONFIG, seed=3)
 
 
 def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
@@ -251,31 +249,83 @@ def test_run_order_puts_every_gate_before_its_dependents(capsys):
     assert cli.main(["list-suites"]) == 0
     order = [line.split("\t")[0]
              for line in capsys.readouterr().out.splitlines()]
-    for gate, dependents in cli.DOWNSTREAM.items():
-        assert gate in cli.SUITES
-        for name in dependents:
-            assert name in cli.SUITES
+    assert order == list(cli.SUITES) == list(cli.AFTER)
+    for name, gates in cli.AFTER.items():
+        for gate in gates:
             assert order.index(gate) < order.index(name), (gate, name)
+    # a suite may follow only a suite registered before it, and each name
+    # is registered once
+    for name, after in (("late", ("no-such-suite",)), ("doubling", ())):
+        with pytest.raises(ValueError):
+            cli._suite(name, "anchor", "description", after)(_no_build)
+    assert "late" not in cli.SUITES and "late" not in cli.AFTER
 
 
-def test_failed_theta_skips_exactly_its_dependents(tmp_path, capsys):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"theta": {"R0": 512, "R_max": 512},
-                             "output_dir": str(tmp_path / "out")}))
-    assert cli.main(["run", str(p)]) == 1
-    capsys.readouterr()
-    lines = (tmp_path / "out" / "report.txt").read_text().splitlines()[1:]
-    status = {line.split()[0][len("suite="):]: line.split(" status=")[1]
-              for line in lines}
-    assert status["prop6.6-theta"].startswith("fail ")
+def _statuses(outdir):
+    """suite name -> the rest of its report line from status= on"""
+    lines = (outdir / "report.txt").read_text().splitlines()[1:]
+    return {line.split()[0][len("suite="):]: line.split(" status=")[1]
+            for line in lines}
+
+
+# the suites that each gate skips when it fails or errors
+GATED = {
+    "lemma4.1-sampling": {"thm4.2-reconstruction", "thm4.2-bands",
+                          "thm5.5-besov", "thm5.6-tl", "thm6.7-compact-dual",
+                          "lemma7.2-molecules", "lemma7.3-gram",
+                          "thm7.4-synthesis", "thm7.5-analysis",
+                          "thm7.9-atoms"},
+    "prop6.6-theta": {"prop2.1-finite-speed", "thm6.7-compact-dual",
+                      "thm7.9-atoms"},
+    "thm6.7-compact-dual": {"thm7.9-atoms"},
+}
+
+
+def _assert_skips_exactly(status, gate):
+    assert status[gate].startswith("fail")
     skipped = {name for name, rest in status.items()
                if rest.startswith("skip")}
-    assert skipped == {"prop2.1-finite-speed", "thm6.7-compact-dual",
-                       "thm7.9-atoms"}
+    assert skipped == GATED[gate]
     assert all(status[name] == "skip reason=dependency" for name in skipped)
     assert all(rest.split()[0] in ("pass", "record")
                for name, rest in status.items()
-               if name != "prop6.6-theta" and name not in skipped)
+               if name != gate and name not in skipped)
+
+
+@pytest.mark.parametrize("gate", sorted(GATED))
+def test_failed_gate_skips_exactly_its_dependents(tmp_path, capsys,
+                                                  monkeypatch, gate):
+    anchor, desc, _ = cli.SUITES[gate]
+    monkeypatch.setitem(cli.SUITES, gate,
+                        (anchor, desc, lambda ctx: ("fail", {})))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_16",
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 1
+    capsys.readouterr()
+    _assert_skips_exactly(_statuses(tmp_path / "out"), gate)
+
+
+def test_gate_that_did_not_run_skips_nothing(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_16", "suites": ["thm7.9-atoms"],
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    assert _statuses(tmp_path / "out")["thm7.9-atoms"].startswith("pass ")
+
+
+def test_failed_theta_skips_exactly_its_dependents(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setitem(cli.THETA, "R0", 512.0)
+    monkeypatch.setitem(cli.THETA, "R_max", 512.0)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 1
+    capsys.readouterr()
+    status = _statuses(tmp_path / "out")
+    assert status["prop6.6-theta"].startswith("fail ")
+    _assert_skips_exactly(status, "prop6.6-theta")
 
 
 def test_neumann_suites_peak_memory():

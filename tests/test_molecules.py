@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,9 +116,10 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
                                params022, spec, M=params022.J + 1.0,
                                companions=zeros)
     assert not hom.passed
-    inh = mo.validate_molecule(fam, hier, "synthesis", "classical",
+    inh_hier = dataclasses.replace(hier, mode="inhomogeneous")
+    inh = mo.validate_molecule(fam, inh_hier, "synthesis", "classical",
                                params022, spec, M=params022.J + 1.0,
-                               companions=zeros, inhomogeneous=True)
+                               companions=zeros)
     assert inh.factorization_residual <= 1e-9
     assert inh.passed
 
