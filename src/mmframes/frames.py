@@ -194,19 +194,20 @@ def reconstruct(frame: Frame, dual: Frame, f) -> np.ndarray:
 
 
 def frame_bounds_probe(frame: Frame, dual: Frame, spec: SpectralData,
-                       n_samples: int = 20, seed: int = 0) -> dict:
-    """Measured two-sided L2 frame bounds of the dual coefficient map on
-    random mean-zero functions."""
-    rng = np.random.default_rng(seed)
+                       battery) -> dict:
+    """Measured two-sided L2 frame bounds of the dual coefficient map and the
+    worst reconstruction residual on a battery of mean-zero functions (one
+    per row), over the samples: the functions with a nonzero norm."""
     space = spec.space
-    F = spec.project_mean_zero(rng.standard_normal((n_samples, space.n)).T)
+    F = np.asarray(battery, dtype=float).T
     nf = space.norm2(F)
-    quad = np.sum(np.ascontiguousarray(dual.analyze(F).T) ** 2, axis=1) \
-        / nf**2
+    live = nf > 0
+    quad = np.sum(np.ascontiguousarray(dual.analyze(F).T) ** 2, axis=1)
     resid = np.maximum(space.norm2(reconstruct(frame, dual, F) - F),
-                       space.norm2(reconstruct(dual, frame, F) - F)) / nf
+                       space.norm2(reconstruct(dual, frame, F) - F))
+    quad, resid = quad[live] / nf[live] ** 2, resid[live] / nf[live]
     return {"lower": quad.min(initial=np.inf), "upper": quad.max(initial=0.0),
-            "residual": resid.max(initial=0.0)}
+            "residual": resid.max(initial=0.0), "samples": int(live.sum())}
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,6 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
 class CompactDualReport:
     perturbation_ad_norm: float
     neumann_terms: int
-    duality_residual: float
 
 
 def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
@@ -386,43 +386,31 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
 
     With D_{xi,eta} = <psi_eta - theta_eta, psi~_xi> the transfer operator
     T f = sum <f, psi~_xi> theta_xi satisfies coeff((I-T)g) = D coeff(g),
-    so T^{-1} comes from the Neumann inverse of A = I - D, taken at decay
-    eps = 1 when ||I - A||_eps < COMPACT_DUAL_THRESHOLD.  The dual
+    so T^{-1} comes from the Neumann series of A^{-1} = (I - D)^{-1}, taken
+    when ||I - A||_eps < COMPACT_DUAL_THRESHOLD at decay eps = 1.  The dual
     coefficients are t = (A^{-1} B) s with B the primal/dual cross Gram and
-    s the dual-frame coefficients of f; the duality residual is the worst
-    over ten seeded mean-zero probes.
+    s the dual-frame coefficients of f.
     """
     from mmframes import addiag
 
-    space = spec.space
-    mu = space.mu
+    mu = spec.space.mu
     hier = frame1.hierarchy
     Dm = dual.columns.T @ (mu[:, None] * (frame1.columns - compact.columns))
-    try:
-        Ainv, inv_report = addiag.neumann_invert(
-            addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params),
-            1.0, COMPACT_DUAL_THRESHOLD)
-    except addiag.NeumannPreconditionError as exc:
+    delta_hat = addiag.ad_norm(
+        addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params), 1.0)
+    if delta_hat >= COMPACT_DUAL_THRESHOLD:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
-            f"{exc.delta_hat:.3g} >= threshold; shrink eps in the "
-            "band-limited symbol") from exc
+            f"{delta_hat:.3g} >= threshold; shrink eps in the "
+            "band-limited symbol")
+    Ainv = np.eye(hier.size)
+    terms, _ = neumann_series(Ainv, Dm, Dm)
     del Dm
     B = dual.columns.T @ (mu[:, None] * frame1.columns)
-    C = Ainv.entries @ B
-
-    dual_cols = dual.columns @ C.T
-    compact_dual = Frame(hierarchy=hier, columns=dual_cols,
+    compact_dual = Frame(hierarchy=hier, columns=dual.columns @ (Ainv @ B).T,
                          bands={n.level: None for n in hier.levels})
-
-    rng = np.random.default_rng(0)
-    F = spec.project_mean_zero(rng.standard_normal((10, space.n)).T)
-    resid = space.norm2(compact.synthesize(C @ dual.analyze(F)) - F) \
-        / space.norm2(F)
-    report = CompactDualReport(perturbation_ad_norm=inv_report["delta_hat"],
-                               neumann_terms=inv_report["terms"],
-                               duality_residual=resid.max(initial=0.0))
-    return compact_dual, report
+    return compact_dual, CompactDualReport(perturbation_ad_norm=delta_hat,
+                                           neumann_terms=terms)
 
 
 def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):

@@ -342,24 +342,17 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     worst = 0.0
     supp_c = 0.0
     radii = {}
-    dist = hier.space.dist
+    dist = hier.space.dist[:, hier.xi_point]
+    delta = np.repeat([net.delta for net in hier.levels],
+                      [net.size for net in hier.levels])
     for nu, g in enumerate(_ladder(spec, companion, K)):
         worst = max(worst, _worst_constant(g / ell2 ** (K - nu), base))
-        gmax = np.abs(g).max(axis=0)
-        level_worst = {}
-        for net in hier.levels:
-            sl = hier.level_slice(net.level)
-            rmax = 0.0
-            for k, center in enumerate(net.centers):
-                col = np.abs(g[:, sl][:, k])
-                tol = SUPPORT_THRESHOLD * max(gmax[sl][k], 1e-300)
-                live = col > tol
-                if live.any():
-                    r = float(dist[live, center].max())
-                    rmax = max(rmax, r)
-                    supp_c = max(supp_c, r / net.delta)
-            level_worst[net.level] = rmax
-        radii[nu] = level_worst
+        g = np.abs(g)
+        live = g > SUPPORT_THRESHOLD * np.maximum(g.max(axis=0), 1e-300)
+        r = np.where(live, dist, 0.0).max(axis=0, initial=0.0)
+        supp_c = max(supp_c, float((r / delta).max(initial=0.0)))
+        radii[nu] = {net.level: float(r[hier.level_slice(net.level)].max(
+            initial=0.0)) for net in hier.levels}
     constants["companion_size"] = worst
 
     passed = all(c <= 1.0 for c in constants.values()) and \

@@ -173,7 +173,8 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
 def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
     """m(sqrt(L)) f computed through the frame expansion
     sum_xi <f, psi~_xi> m(sqrt(L)) psi_xi, cross-checked against direct
-    spectral application to a relative 1e-9."""
+    spectral application to a relative 1e-9; f is one function or an (n, k)
+    table."""
     fn = symbol.fn if isinstance(symbol, MihlinSymbol) else symbol
     fv = spec.project_mean_zero(np.asarray(f, dtype=float))
     mvals = spec.symbol(fn)

@@ -66,7 +66,8 @@ def test_criterion_04_frame_duality(frame_sets, spectra):
                 <= 1e-9 * nf
             assert spec.space.norm2(fr.reconstruct(dual, frame, f) - f) \
                 <= 1e-9 * nf
-        probe = fr.frame_bounds_probe(frame, dual, spec)
+        probe = fr.frame_bounds_probe(
+            frame, dual, spec, sq.random_battery(spec.space, spec, 20))
         assert 0 < probe["lower"] <= probe["upper"] < np.inf
 
 

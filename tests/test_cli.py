@@ -236,13 +236,35 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
 
 def test_battery_suites_fail_on_an_all_zero_battery():
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
-    names = ("thm3.4-telescoping", "thm5.5-besov", "thm5.6-tl",
-             "thm7.5-analysis", "thm7.9-atoms", "thm8.1-multiplier")
+    names = ("thm3.4-telescoping", "thm4.2-reconstruction", "thm5.5-besov",
+             "thm5.6-tl", "thm6.7-compact-dual", "thm7.5-analysis",
+             "thm7.9-atoms", "thm8.1-multiplier")
     for name in names:
         assert cli.SUITES[name][2](ctx)[0] == "pass", name
     ctx._cache["battery"] = np.zeros_like(ctx.get("battery"))
     for name in names:
         assert cli.SUITES[name][2](ctx)[0] == "fail", name
+
+
+def test_norm_suites_measure_with_a_band_symbol(monkeypatch):
+    # every function norm a suite takes goes through _level_pieces, whose
+    # phi must be a band symbol: it vanishes at 0 and at b
+    seen = []
+    level_pieces = cli.sq._level_pieces
+
+    def record(f, params, spec, phi, b):
+        seen.append(phi)
+        return level_pieces(f, params, spec, phi, b)
+
+    monkeypatch.setattr(cli.sq, "_level_pieces", record)
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
+    b = ctx.cfg["b"]
+    for name in ("thm5.5-besov", "thm5.6-tl", "thm7.4-synthesis",
+                 "thm7.5-analysis", "thm7.9-atoms", "thm8.1-multiplier"):
+        seen.clear()
+        assert cli.SUITES[name][2](ctx)[0] in ("pass", "record"), name
+        assert seen, name
+        assert all(phi(0.0) == 0.0 and phi(b) == 0.0 for phi in seen), name
 
 
 def test_run_order_puts_every_gate_before_its_dependents(capsys):

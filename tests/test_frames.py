@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mmframes import addiag as ad
 from mmframes import calculus as ca
 from mmframes import frames as fr
+from mmframes import seqspace as sq
 
 
 def test_standard_hierarchy_sampling_epsilons(hierarchies):
@@ -50,9 +52,19 @@ def test_dual_bands_exact(frame_sets, spectra):
 
 def test_frame_bounds_probe_finite(frame_sets, spectra):
     frame, dual, _ = frame_sets["C_64"]
-    probe = fr.frame_bounds_probe(frame, dual, spectra["C_64"])
+    spec = spectra["C_64"]
+    battery = sq.random_battery(spec.space, spec, 20, seed=0)
+    probe = fr.frame_bounds_probe(frame, dual, spec, battery)
     assert 0 < probe["lower"] <= probe["upper"] < np.inf
     assert probe["residual"] <= 1e-9
+    assert probe["samples"] == 20
+    # a zero function is left out of every ratio, not counted as a sample
+    battery[3] = 0.0
+    probe = fr.frame_bounds_probe(frame, dual, spec, battery)
+    assert probe["samples"] == 19 and 0 < probe["lower"]
+    empty = fr.frame_bounds_probe(frame, dual, spec, 0.0 * battery)
+    assert empty == {"lower": np.inf, "upper": 0.0, "residual": 0.0,
+                     "samples": 0}
 
 
 def test_frame_column_norms_track_ball_volumes(frame_sets, spectra):
@@ -181,13 +193,33 @@ def test_compact_frame_supports_within_speed_bound(compact_pipeline,
 def test_compact_dual_reconstructs(compact_pipeline, spectra):
     compact, _, cdual, report = compact_pipeline
     assert report.perturbation_ad_norm < 0.5
-    assert report.duality_residual <= 1e-6
     spec = spectra["C_64"]
+    F = sq.random_battery(spec.space, spec, 10, seed=0).T
+    resid = spec.space.norm2(fr.reconstruct(compact, cdual, F) - F) \
+        / spec.space.norm2(F)
+    assert resid.max() <= 1e-6
     rng = np.random.default_rng(11)
     f = spec.project_mean_zero(rng.standard_normal(64))
     t = cdual.analyze(f)
     recon = compact.synthesize(t)
     assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
+
+
+def test_compact_dual_matches_the_certified_inverse(compact_pipeline,
+                                                    spectra, frame_sets,
+                                                    params022):
+    # reference route: the certified Neumann inverse of Thm 6.3(ii)
+    compact, _, cdual, report = compact_pipeline
+    frame, dual, _ = frame_sets["C_64"]
+    mu = spectra["C_64"].space.mu
+    D = dual.columns.T @ (mu[:, None] * (frame.columns - compact.columns))
+    Ainv, rep = ad.neumann_invert(
+        ad.NetMatrix(hierarchy=frame.hierarchy, entries=D, params=params022),
+        1.0, fr.COMPACT_DUAL_THRESHOLD)
+    B = dual.columns.T @ (mu[:, None] * frame.columns)
+    assert np.array_equal(cdual.columns, dual.columns @ (Ainv.entries @ B).T)
+    assert report.neumann_terms == rep["terms"]
+    assert report.perturbation_ad_norm == rep["delta_hat"]
 
 
 def test_default_frames_one_call():

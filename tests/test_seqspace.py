@@ -289,3 +289,26 @@ def test_random_battery_is_deterministic_and_mean_zero(models, spectra):
     b2 = sq.random_battery(m, spec, 5, seed=3)
     assert np.array_equal(b1, b2)
     assert np.abs(b1 @ m.mu).max() < 1e-10
+
+
+@pytest.mark.parametrize("model", [
+    "C_16", {"kind": "cycle", "n": 16, "mu": [1 + i % 2 for i in range(16)]}],
+    ids=["C_16", "alternating_mu_C_16"])
+def test_random_battery_ignores_the_eigenbasis(model):
+    space = sp.build_model(model)
+    spec = ca.eigendecompose(space)
+    # rotate every 2-D eigenspace by 0.7 rad: another mu-orthonormal
+    # eigenbasis that LAPACK could as well have returned
+    E = spec.eigenfunctions.copy()
+    lam = spec.eigenvalues
+    c, s = np.cos(0.7), np.sin(0.7)
+    pairs = [i for i in range(len(lam) - 1)
+             if abs(lam[i + 1] - lam[i]) <= 1e-9 * spec.lambda_max]
+    assert pairs
+    for i in pairs:
+        E[:, [i, i + 1]] = E[:, [i, i + 1]] @ np.array([[c, s], [-s, c]])
+    rotated = dataclasses.replace(spec, eigenfunctions=E)
+    assert np.allclose(rotated.kernel(lam), spec.kernel(lam), atol=1e-12)
+    b1 = sq.random_battery(space, spec, 20, seed=3)
+    b2 = sq.random_battery(space, rotated, 20, seed=3)
+    assert np.abs(b2 - b1).max() <= 1e-12 * np.abs(b1).max()
