@@ -86,12 +86,10 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     Symmetrizes with diag(sqrt(mu)): H = S L S^{-1} with S = diag(sqrt(mu))
     is plainly symmetric, and e_i = S^{-1} v_i are mu-orthonormal.
     """
-    from scipy.linalg import eigh
-
     s = np.sqrt(space.mu)
     H = s[:, None] * space.L / s[None, :]
     H = (H + H.T) / 2.0
-    w, V = eigh(H)
+    w, V = np.linalg.eigh(H)
     w = np.where(np.abs(w) < 1e-12 * max(1.0, np.abs(w).max()), 0.0, w)
     if w[0] < 0:
         raise ValueError("negative eigenvalue: L not PSD")
@@ -187,10 +185,10 @@ def make_cutoff(kind: str, b: float = 2.0) -> Cutoff:
             if np.any(pos):
                 up = u[pos]
                 total = np.zeros_like(up)
-                # only levels with b^{-j} u in (1/b, b) contribute
-                jlo = np.floor(np.log(up.min()) / np.log(b)) - 2
-                jhi = np.ceil(np.log(up.max()) / np.log(b)) + 2
-                for j in np.arange(jlo, jhi + 1):
+                # only levels with b^{-j} u in (1/b, b) contribute: those
+                # within one of j0 = floor(log_b u), summed in ascending order
+                j0 = np.floor(np.log(up) / np.log(b))
+                for j in j0 + np.arange(-2, 3)[:, None]:
                     total += band(b ** (-j) * up) ** 2
                 out[pos] = band(up) / np.sqrt(total)
             return out if out.shape != (1,) else float(out[0])
@@ -318,19 +316,26 @@ def measure_localization(table, delta: float, N, space: ModelSpace) -> dict:
     return out
 
 
+# heat-kernel entries below this multiple of n * eps_mach, relative to the
+# largest, are synthesis rounding rather than the Gaussian envelope
+SPEED_FIT_FLOOR = 1e4
+
+
 def fit_speed_constant(spec: SpectralData) -> float:
     """Calibrate the propagation constant c_tilde from the heat kernel.
 
     Fits the Gaussian envelope |p_t(x,y)| <= C exp(-c_star rho^2 / t) as a
-    lower envelope of t*(-log relative kernel)/rho^2 over t = 1/2, 1, 2
-    and returns c_tilde = 1 / (2 sqrt(c_star)).
+    lower envelope of t*(-log relative kernel)/rho^2 over t = 1/2, 1, 2,
+    on the entries above SPEED_FIT_FLOOR * n * eps_mach, and returns
+    c_tilde = 1 / (2 sqrt(c_star)).
     """
     space = spec.space
+    floor = SPEED_FIT_FLOOR * space.n * np.finfo(float).eps
     cstars = []
     for t in (0.5, 1.0, 2.0):
         K = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2)), np.sqrt(t)))
         rel = np.abs(K) / np.abs(K).max()
-        mask = (space.dist > 0) & (rel > 1e-280) & (rel < 1.0)
+        mask = (space.dist > 0) & (rel > floor) & (rel < 1.0)
         if not np.any(mask):
             continue
         vals = t * (-np.log(rel[mask])) / space.dist[mask] ** 2

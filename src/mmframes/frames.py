@@ -234,38 +234,45 @@ class ThetaSymbol:
     jet_residuals: tuple = ()
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(np.abs(u))
-        out = np.cos(np.outer(u, self.nodes)) @ self.coeffs
-        return float(out[0]) if scalar else out
+        """Theta(u) for u of any shape: with t_k = k dt the series is
+        sum_k c_k T_k(cos(dt u)), one Clenshaw pass over all points."""
+        from numpy.polynomial.chebyshev import chebval
 
-    def deriv(self, u, nu: int):
-        """Exact nu-th derivative via the cosine representation."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        phase = nu * np.pi / 2.0
-        osc = np.cos(np.outer(u, self.nodes) + phase)
-        return osc @ (self.coeffs * self.nodes**nu)
+        u = np.asarray(u, dtype=float)
+        out = chebval(np.cos(self.nodes[1] * u), self.coeffs)
+        return float(out) if u.ndim == 0 else out
+
+
+def _dct1(x) -> np.ndarray:
+    """DCT-I, y_k = x_0 + (-1)^k x_{N-1} + 2 sum_{0<i<N-1} x_i cos(pi k i/(N-1)):
+    the real FFT of the even extension of x."""
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
+
+
+def _dst1(x) -> np.ndarray:
+    """DST-I, y_k = 2 sum_i x_i sin(pi (k+1)(i+1)/(N+1)): the real FFT of the
+    odd extension of x."""
+    z = np.zeros(1)
+    return -np.fft.rfft(np.concatenate([z, x, z, -x[::-1]])).imag[1:-1]
 
 
 def _cosine_transform(Psi, support: float, n: int, dt: float,
                       du_max: float) -> np.ndarray:
     """2 int_0^support Psi(u) cos(k dt u) du for k = 0..n-1.
 
-    Trapezoid rule with step du = pi/(M dt) <= du_max, so that
-    cos(k dt u_i) = cos(pi k i / M) and the whole transform is one DCT-I of
-    the zero-padded samples Psi(u_i), i = 0..M.  The integrand is a smooth
-    bump, so the rule is spectrally accurate once du resolves the
-    oscillation.
+    Trapezoid rule with step du = pi/(M dt) <= du_max, M a power of two, so
+    that cos(k dt u_i) = cos(pi k i / M) and the whole transform is one
+    DCT-I (an FFT of length 2M) of the zero-padded samples Psi(u_i),
+    i = 0..M.  The integrand is a smooth bump, so the rule is spectrally
+    accurate once du resolves the oscillation.
     """
-    from scipy import fft
-
-    M = int(np.ceil(np.pi / (dt * du_max)))
+    # the least power of two M with pi/(M dt) <= du_max
+    M = 1 << (int(np.ceil(np.pi / (dt * du_max))) - 1).bit_length()
     du = np.pi / (M * dt)
     samples = np.zeros(M + 1)
     live = int(support / du) + 1
     samples[:live] = np.asarray(Psi(np.arange(live) * du), dtype=float)
-    return fft.dct(samples, type=1)[:n] * du
+    return _dct1(samples)[:n] * du
 
 
 def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
@@ -288,8 +295,6 @@ def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
     coarser than (4b - 0.05)/3999; the bound is checked on its points in
     [0.05, 4b].
     """
-    from scipy import fft
-
     if not (N >= K >= 1):
         raise ValueError("need N >= K >= 1")
     jet = N + K
@@ -340,9 +345,9 @@ def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
             a = np.zeros(L + 1)
             a[:len(t)] = coeffs * t**nu
             if nu % 2 == 0:
-                vals = (fft.dct(a, type=1) + a[0]) / 2.0
+                vals = (_dct1(a) + a[0]) / 2.0
             else:
-                vals = np.pad(fft.dst(a[1:L], type=1), 1) / 2.0
+                vals = np.pad(_dst1(a[1:L]), 1) / 2.0
             vals = (-1.0) ** ((nu + 1) // 2) * vals[keep]
             ref = np.asarray(Psi_derivs[nu](ug), dtype=float)
             worst = max(worst, float((np.abs(vals - ref) / weight).max()))
@@ -362,12 +367,12 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
     """Compactly supported frame theta_xi = |A_xi|^{1/2} Theta(b^{-j}
     sqrt(L))(., xi); returns (Frame, per-level effective support radii)."""
     b = hierarchy.b
+    levels = np.array([net.level for net in hierarchy.levels])
     cols = []
     supports = {}
-    for net in hierarchy.levels:
-        j = net.level
-        P = spec.kernel(spec.symbol(theta, b ** (-j)))
-        supports[j] = effective_support_radius(P, spec.space)
+    for net, vals in zip(hierarchy.levels, spec.symbol(theta, b ** -levels).T):
+        P = spec.kernel(vals)
+        supports[net.level] = effective_support_radius(P, spec.space)
         cols.append(P[:, net.centers] * np.sqrt(net.a_vol)[None, :])
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols),
                   bands={n.level: None for n in hierarchy.levels})

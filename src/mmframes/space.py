@@ -104,15 +104,17 @@ def _graph_model(name, n, edges, mu=None, l_scale=1.0):
     conductances, D their row sums and M = diag(mu): it is symmetric in
     the mu-inner product and kills constants.
     """
-    from scipy.sparse.csgraph import shortest_path
-
-    length = np.full((n, n), np.inf)  # inf: no edge
+    dist = np.full((n, n), np.inf)  # inf: no edge
+    np.fill_diagonal(dist, 0.0)
     W = np.zeros((n, n))
     for u, v, w in edges:
-        length[u, v] = length[v, u] = min(length[u, v], w)
+        dist[u, v] = dist[v, u] = min(dist[u, v], w)
         W[u, v] += w
         W[v, u] += w
-    dist = shortest_path(length, method="D", directed=False)
+    # Floyd-Warshall: after step k, dist holds the shortest paths whose
+    # inner points are all at most k
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     mu = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
     L = (np.diag(W.sum(axis=1)) - W) * l_scale / mu[:, None]
     return ModelSpace(name=name, dist=dist, mu=mu, L=L)

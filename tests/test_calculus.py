@@ -26,6 +26,27 @@ def test_eigendecompose_is_deterministic(models):
     assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
 
 
+@pytest.mark.parametrize("desc", [
+    "C_64", "T_8x8", {"kind": "cycle", "n": 16, "mu": [1, 2] * 8}])
+def test_eigendecompose_kernels_match_scipy_eigh(monkeypatch, desc):
+    from scipy.linalg import eigh
+
+    space = sp.build_model(desc)
+    ours = ca.eigendecompose(space)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    ref = ca.eigendecompose(space)
+    lam = ref.eigenvalues
+    assert np.abs(ours.eigenvalues - lam).max() <= 1e-12 * lam.max()
+    # kernels do not depend on the basis inside an eigenspace
+    for fn in (lambda u: np.exp(-(u**2)), lambda u: u**2):
+        K = ref.kernel(ref.symbol(fn))
+        assert np.abs(ours.kernel(ours.symbol(fn)) - K).max() \
+            <= 1e-12 * np.abs(K).max()
+    # the envelope fit reads no rounding noise, so the solver barely moves it
+    ct = ca.fit_speed_constant(ref)
+    assert abs(ca.fit_speed_constant(ours) - ct) <= 1e-6 * ct
+
+
 def test_kernel_convention_identity(spectra):
     # the identity symbol gives the reproducing kernel of the whole space:
     # applying it against mu returns the function unchanged
@@ -119,6 +140,18 @@ def test_quadratic_partition_is_exact():
     for j in range(-40, 41):
         total += phi(2.0 ** (-j) * t) ** 2
     assert np.abs(total - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("b", [2.0, 3.0])
+def test_type_c_cutoff_sums_the_nearby_levels_only(b):
+    # the five levels around floor(log_b u) give the sum over every level
+    # bit for bit: the others add exact zeros
+    band = ca.make_cutoff("b", b)
+    u = np.geomspace(1e-6, 1e6, 1001)
+    total = np.zeros_like(u)
+    for j in np.arange(-30.0, 31.0):
+        total += band(b ** (-j) * u) ** 2
+    assert np.array_equal(ca.make_cutoff("c", b)(u), band(u) / np.sqrt(total))
 
 
 def test_cutoffs_are_even():

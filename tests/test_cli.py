@@ -144,17 +144,19 @@ def test_smallest_models_run_clean(tmp_path, capsys, model):
                for line in report[1:])
 
 
-@pytest.mark.parametrize("module, suites", [
+@pytest.mark.parametrize("module, run", [
     ("sympy", None), ("scipy.sparse", None), ("scipy", None),
-    ("sympy", ["thm8.1-multiplier"])],
-    ids=["sympy", "scipy.sparse", "scipy", "sympy-after-multiplier-run"])
-def test_cli_import_leaves_sympy_unloaded(tmp_path, module, suites):
+    ("sympy", {"model": "C_4", "suites": ["thm8.1-multiplier"]}),
+    ("scipy", {"model": "C_16"})],
+    ids=["sympy", "scipy.sparse", "scipy", "sympy-after-multiplier-run",
+         "scipy-after-full-run"])
+def test_cli_import_leaves_sympy_unloaded(tmp_path, module, run):
     script = "import sys, mmframes.cli"
-    if suites:
-        # a multiplier run takes its Mihlin derivatives without sympy
+    if run:
+        # a multiplier run takes its Mihlin derivatives without sympy, and
+        # a full run needs numpy only
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": "C_4", "suites": suites,
-                                   "output_dir": str(tmp_path / "out")}))
+        cfg.write_text(json.dumps({**run, "output_dir": str(tmp_path / "out")}))
         script += f"; assert mmframes.cli.main(['run', {str(cfg)!r}]) == 0"
     res = subprocess.run(
         [sys.executable, "-c", f"{script}; print({module!r} in sys.modules)"],

@@ -104,6 +104,13 @@ def test_dual_report_contents(frame_sets, hierarchies):
 # band-limited surrogate symbol
 
 
+def _dense_theta_deriv(theta, u, nu):
+    """Theta^(nu)(u) = sum_k c_k t_k^nu cos(t_k u + nu pi/2), from the dense
+    cosine table."""
+    osc = np.cos(np.outer(u, theta.nodes) + nu * np.pi / 2.0)
+    return osc @ (theta.coeffs * theta.nodes**nu)
+
+
 def test_theta_reproduces_band_symbol(theta, Phi):
     u = np.linspace(0.05, 8.0, 500)
     psi = Phi(u) - Phi(2.0 * u)
@@ -121,7 +128,32 @@ def test_theta_derivative_matches_finite_difference(theta):
     u = np.linspace(0.5, 3.0, 101)
     h = 1e-5
     num = (theta(u + h) - theta(u - h)) / (2 * h)
-    assert np.abs(theta.deriv(u, 1) - num).max() < 1e-5
+    assert np.abs(_dense_theta_deriv(theta, u, 1) - num).max() < 1e-5
+
+
+def test_theta_clenshaw_matches_dense_sum(theta):
+    # the Chebyshev route against the dense cosine sum over [0, 256], with
+    # the points u = k pi/dt where cos(dt u) = +-1
+    dt = theta.nodes[1]
+    u = np.concatenate([np.linspace(0.0, 256.0, 4001),
+                        np.arange(int(256.0 * dt / np.pi) + 1) * np.pi / dt])
+    dense = _dense_theta_deriv(theta, u, 0)
+    tol = 1e-12 * np.abs(dense).max()
+    assert np.abs(theta(u) - dense).max() <= tol
+    # an (n, L) table, as build_compact_frame passes it, keeps its shape
+    table = u[:4000].reshape(400, 10)
+    assert theta(table).shape == (400, 10)
+    assert np.abs(theta(table) - dense[:4000].reshape(400, 10)).max() <= tol
+    assert theta(u[7]) == theta(u[7:8])[0]
+
+
+@pytest.mark.parametrize("size", [2, 3, 16, 17, 1000, 19755])
+def test_numpy_dct1_dst1_match_scipy(size):
+    from scipy import fft
+
+    x = np.random.default_rng(size).standard_normal(size)
+    assert np.array_equal(fr._dct1(x), fft.dct(x, type=1))
+    assert np.array_equal(fr._dst1(x), fft.dst(x, type=1))
 
 
 def test_theta_transform_band_is_certified(theta):
@@ -131,15 +163,16 @@ def test_theta_transform_band_is_certified(theta):
 
 
 def test_cosine_transform_matches_dense_sum(Phi):
-    # the DCT-I route against the direct cosine sum on the grid
-    # u_i = i du, du = 2.5e-4 (the step used at R = 64)
+    # the DCT-I route against the direct cosine sum on its grid u_i = i du:
+    # du_max = 2.5e-4 (the step used at R = 64) gives M = 2^18 and
+    # du = pi/(M dt)
     Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
     dt = 0.08
     t = np.arange(0.0, 64.0 + dt, dt)
-    du = 2.5e-4
-    u = np.arange(0.0, 2.5 + du, du)
+    du = np.pi / (2**18 * dt)
+    u = np.arange(int(2.5 / du) + 1) * du
     dense = 2.0 * (np.cos(np.outer(t, u)) @ (Psi(u) * du))
-    fast = fr._cosine_transform(Psi, 2.5, len(t), dt, du)
+    fast = fr._cosine_transform(Psi, 2.5, len(t), dt, 2.5e-4)
     assert np.abs(fast - dense).max() <= 1e-15
 
 
@@ -156,7 +189,8 @@ def test_theta_eps_achieved_matches_dense_evaluation(theta, Phi):
     worst, floor = 0.0, 0.0
     for nu in range(theta.K + 1):
         ratio = np.concatenate([
-            np.abs(theta.deriv(u[blk], nu) - derivs[nu](u[blk])) / weight[blk]
+            np.abs(_dense_theta_deriv(theta, u[blk], nu) - derivs[nu](u[blk]))
+            / weight[blk]
             for blk in np.array_split(np.arange(len(u)), 16)])
         if ratio.max() > worst:
             # either sum rounds at eps * sum |c_k| t_k^nu, seen through the

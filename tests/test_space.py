@@ -207,6 +207,33 @@ def test_weighted_tree_edges_set_both_metric_and_operator():
     assert m.L[0, 1] != 0.0
 
 
+def _dijkstra(n, edges):
+    from scipy.sparse.csgraph import shortest_path
+
+    length = np.full((n, n), np.inf)
+    for u, v, w in edges:
+        length[u, v] = length[v, u] = min(length[u, v], w)
+    return shortest_path(length, method="D", directed=False)
+
+
+@pytest.mark.parametrize("name", ["C_64", "P_64", "T_16x16", "C_256",
+                                  "C_512"])
+def test_floyd_warshall_matches_dijkstra_on_named_models(name):
+    _, n, edges, mu, scale = sp.parse_model(name)
+    m = sp._graph_model(name, n, edges, mu, scale)
+    assert np.array_equal(m.dist, _dijkstra(n, edges))
+
+
+def test_floyd_warshall_matches_dijkstra_on_a_weighted_tree():
+    rng = np.random.default_rng(3)
+    n = 120
+    edges = [[int(rng.integers(i)), i, float(rng.uniform(0.1, 3.0))]
+             for i in range(1, n)]
+    m = sp.build_model({"kind": "tree", "n": n, "edges": edges})
+    ref = _dijkstra(n, edges)
+    assert np.abs(m.dist - ref).max() <= 1e-12 * ref.max()
+
+
 # every model description the config rejects; build_model rejects it too,
 # with the config's message
 @pytest.mark.parametrize("desc", [
