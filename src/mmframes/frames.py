@@ -366,11 +366,11 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
                         theta: ThetaSymbol) -> tuple:
     """Compactly supported frame theta_xi = |A_xi|^{1/2} Theta(b^{-j}
     sqrt(L))(., xi); returns (Frame, per-level effective support radii)."""
-    b = hierarchy.b
-    levels = np.array([net.level for net in hierarchy.levels])
+    scales = np.array([hierarchy.b ** (-net.level)
+                       for net in hierarchy.levels])
     cols = []
     supports = {}
-    for net, vals in zip(hierarchy.levels, spec.symbol(theta, b ** -levels).T):
+    for net, vals in zip(hierarchy.levels, spec.symbol(theta, scales).T):
         P = spec.kernel(vals)
         supports[net.level] = effective_support_radius(P, spec.space)
         cols.append(P[:, net.centers] * np.sqrt(net.a_vol)[None, :])

@@ -220,6 +220,24 @@ def test_suite_metrics_in_report(tmp_path):
     assert "doubling" in summary
 
 
+def test_integer_b_runs_the_compact_frame_suites(tmp_path, capsys):
+    # load_config accepts an integer b; the compact frame scales b^{-j}
+    # must come out as the float b gives
+    suites = ["prop2.1-finite-speed", "thm6.7-compact-dual", "thm7.9-atoms"]
+    reports = []
+    for b in (3, 3.0):
+        out = tmp_path / str(b)
+        p = tmp_path / f"cfg_{b}.json"
+        p.write_text(json.dumps({"model": "C_16", "b": b, "suites": suites,
+                                 "output_dir": str(out)}))
+        assert cli.main(["run", str(p)]) == 0
+        reports.append((out / "report.txt").read_text().splitlines()[1:])
+    capsys.readouterr()
+    assert [line.split(" status=")[1][:4] for line in reports[0]] == \
+        ["pass"] * len(suites)
+    assert reports[0] == reports[1]
+
+
 def test_load_config_defaults(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"seed": 3}))

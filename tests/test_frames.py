@@ -151,9 +151,11 @@ def test_theta_clenshaw_matches_dense_sum(theta):
 def test_numpy_dct1_dst1_match_scipy(size):
     from scipy import fft
 
+    # two FFT libraries agree to rounding, a few ulps of the input scale
     x = np.random.default_rng(size).standard_normal(size)
-    assert np.array_equal(fr._dct1(x), fft.dct(x, type=1))
-    assert np.array_equal(fr._dst1(x), fft.dst(x, type=1))
+    tol = 1e-14 * np.abs(x).sum()
+    assert np.abs(fr._dct1(x) - fft.dct(x, type=1)).max() <= tol
+    assert np.abs(fr._dst1(x) - fft.dst(x, type=1)).max() <= tol
 
 
 def test_theta_transform_band_is_certified(theta):
