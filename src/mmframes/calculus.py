@@ -87,13 +87,18 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     is plainly symmetric, and e_i = S^{-1} v_i are mu-orthonormal.
     """
     s = np.sqrt(space.mu)
+    # E is returned; H, V and LAPACK's workspace are freed here.  E is
+    # allocated first, so their freed memory is not left as a hole below it
+    # in the heap
+    E = np.empty_like(space.L)
     H = s[:, None] * space.L / s[None, :]
     H = (H + H.T) / 2.0
     w, V = np.linalg.eigh(H)
     w = np.where(np.abs(w) < 1e-12 * max(1.0, np.abs(w).max()), 0.0, w)
     if w[0] < 0:
         raise ValueError("negative eigenvalue: L not PSD")
-    E = V / s[:, None]
+    np.divide(V, s[:, None], out=E)
+    del H, V
     # fix signs deterministically: first nonzero component positive
     for i in range(E.shape[1]):
         col = E[:, i]

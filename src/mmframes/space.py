@@ -106,17 +106,23 @@ def _graph_model(name, n, edges, mu=None, l_scale=1.0):
     """
     dist = np.full((n, n), np.inf)  # inf: no edge
     np.fill_diagonal(dist, 0.0)
-    W = np.zeros((n, n))
+    L = np.zeros((n, n))  # the conductances W, made into L in place below
     for u, v, w in edges:
         dist[u, v] = dist[v, u] = min(dist[u, v], w)
-        W[u, v] += w
-        W[v, u] += w
+        L[u, v] += w
+        L[v, u] += w
     # Floyd-Warshall: after step k, dist holds the shortest paths whose
     # inner points are all at most k
     for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     mu = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
-    L = (np.diag(W.sum(axis=1)) - W) * l_scale / mu[:, None]
+    # L = (diag(W 1) - W) * l_scale / mu with no n x n temporary; 0 - W
+    # keeps the zeros +0.0, as diag(W 1) - W does
+    degree = L.sum(axis=1)
+    np.subtract(0.0, L, out=L)
+    L[np.diag_indices(n)] += degree
+    L *= l_scale
+    L /= mu[:, None]
     return ModelSpace(name=name, dist=dist, mu=mu, L=L)
 
 

@@ -234,6 +234,21 @@ def test_floyd_warshall_matches_dijkstra_on_a_weighted_tree():
     assert np.abs(m.dist - ref).max() <= 1e-12 * ref.max()
 
 
+# T_1x4 has self-loops, whose conductance cancels on the diagonal
+@pytest.mark.parametrize("desc", ["C_64", "T_16x16", "T_1x4", "T_3x2",
+                                  *MU_MODELS])
+def test_operator_built_in_place_equals_the_dense_formula(desc):
+    _, n, edges, mu, scale = sp.parse_model(desc)
+    W = np.zeros((n, n))
+    for u, v, w in edges:
+        W[u, v] += w
+        W[v, u] += w
+    mu = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
+    ref = (np.diag(W.sum(axis=1)) - W) * scale / mu[:, None]
+    L = sp.build_model(desc).L
+    assert L.tobytes() == ref.tobytes()
+
+
 # every model description the config rejects; build_model rejects it too,
 # with the config's message
 @pytest.mark.parametrize("desc", [
