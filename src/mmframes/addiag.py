@@ -32,53 +32,65 @@ class NeumannPreconditionError(RuntimeError):
         self.delta_hat = delta_hat
 
 
-def _level_term(lam, gamma, J, out=None):
-    """min{gamma lam, -(J+gamma) lam}, the level term of log omega; out may
-    be lam itself."""
-    g = gamma * lam
-    return np.minimum(g, np.multiply(lam, -(J + gamma), out=out), out=out)
+def _levels(hier):
+    """The level slices of the flat index and l on each level.  l must be
+    constant on a level (build_hierarchy makes it b^-j); ValueError if not."""
+    blocks = [hier.level_slice(net.level) for net in hier.levels]
+    ell = hier.xi_ell
+    if any(np.any(ell[sl] != ell[sl.start]) for sl in blocks):
+        raise ValueError("xi_ell is not constant on a level")
+    return blocks, ell[[sl.start for sl in blocks]]
 
 
-def _log_omega(t, lr, lc, br, bc, beta, gamma, params, buf=None):
-    """log omega_{xi,eta}(beta, gamma) of Def 6.1 from t = rho/max(l_xi, l_eta)
-    and the logs of l and |B| at xi (lr, br) and at eta (lc, bc).
+def _level_term(lam, gamma, J):
+    """min{gamma lam, -(J+gamma) lam} = -J lam^+ - gamma |lam|, the level
+    term of log omega."""
+    return np.minimum(gamma * lam, -(J + gamma) * lam)
 
-    Classical: s lam + lb/2 - (J+beta) log1p(t)
-               + min{gamma lam, -(J+gamma) lam},
-    with lam = lr - lc and lb = br - bc; tilde: the level term becomes
-    (s/d + 1/2) lb.  Every term is exactly 0 when xi = eta.  gamma=None
-    leaves out the min{...} term.  For a table, the logs are an (m,1) and a
-    (1,m) vector, t is overwritten and buf is one more scratch table, so the
-    build needs two beyond t; for a list of pairs, all are scalars or
-    arrays of the pairs' shape and buf is None.
-    """
-    W = np.log1p(t, out=None if buf is None else t)
-    W *= -(params.J + beta)
-    head = np.subtract(br, bc, out=buf)
+
+def _head(ell, bvol, params):
+    """h with log omega_{xi,eta} = h_xi - h_eta + (terms in rho and lam):
+    s log l + log|B|/2 (classical) or (s/d + 1/2) log|B| (tilde)."""
     if params.flavor == "classical":
-        head *= 0.5
-        lam = lr - lc
-        lam *= params.s
-        head += lam
-    else:
-        head *= params.s / params.d + 0.5
-    W += head
-    if gamma is not None:
-        lam = np.subtract(lr, lc, out=buf)
-        W += _level_term(lam, gamma, params.J, out=buf)
-    return W
+        return params.s * np.log(ell) + 0.5 * np.log(bvol)
+    return (params.s / params.d + 0.5) * np.log(bvol)
+
+
+def _log_table(hier, blocks, scale, shift=None):
+    """scale G + shift(lam) for every ordered pair (xi, eta), with
+    G = log1p(rho / max(l_xi, l_eta)) and lam = log l_xi - log l_eta.
+
+    Built in place in the one gathered rho table, a row level at a time: l
+    is constant on the row level, so max(l_xi, l_eta) and lam are rows.
+    """
+    ell, pts = hier.xi_ell, hier.xi_point
+    le = np.log(ell)
+    T = hier.space.dist[np.ix_(pts, pts)]
+    for sl in blocks:
+        t = T[sl]
+        t /= np.maximum(ell[sl.start], ell)
+        np.log1p(t, out=t)
+        t *= scale
+        if shift is not None:
+            t += shift(le[sl.start] - le)
+    return T
 
 
 def _weight_table(hier, beta, gamma, params):
-    """omega(beta, gamma) for every ordered pair, built in place; without
-    its level term when gamma is None."""
-    ell, pts = hier.xi_ell, hier.xi_point
-    le, lb = np.log(ell), np.log(hier.xi_bvol)
-    W = hier.space.dist[np.ix_(pts, pts)]
-    buf = np.maximum(ell[:, None], ell[None, :])
-    W /= buf
-    W = _log_omega(W, le[:, None], le[None, :], lb[:, None], lb[None, :],
-                   beta, gamma, params, buf)
+    """omega(beta, gamma) for every ordered pair; without its level term
+    when gamma is None.
+
+    log omega(beta, gamma) = h_xi - h_eta - (J+beta) G
+    + min{gamma lam, -(J+gamma) lam}, and every term is exactly 0 on the
+    diagonal.
+    """
+    blocks, _ = _levels(hier)
+    J = params.J
+    W = _log_table(hier, blocks, -(J + beta), None if gamma is None
+                   else lambda lam: _level_term(lam, gamma, J))
+    h = _head(hier.xi_ell, hier.xi_bvol, params)
+    W += h[:, None]
+    W -= h
     return np.exp(W, out=W)
 
 
@@ -103,19 +115,46 @@ def omega(hier: NetHierarchy, i, k, delta, params: SpaceParams):
 def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
     """Def 6.1 weight omega_{xi_i, xi_k}(beta, gamma) for flat indices i and
     k; each of i, k, beta and gamma is a scalar or an array, and they
-    broadcast together."""
-    ell, bv = hier.xi_ell, hier.xi_bvol
-    rho = hier.space.dist[hier.xi_point[i], hier.xi_point[k]]
-    return np.exp(_log_omega(
-        rho / np.maximum(ell[i], ell[k]), np.log(ell[i]), np.log(ell[k]),
-        np.log(bv[i]), np.log(bv[k]), beta, gamma, params))
+    broadcast together.  The same formula as omega2_matrix, pair by pair."""
+    ell, bv, pts = hier.xi_ell, hier.xi_bvol, hier.xi_point
+    W = np.log1p(hier.space.dist[pts[i], pts[k]] / np.maximum(ell[i], ell[k]))
+    W = W * -(params.J + beta) + _level_term(np.log(ell[i]) - np.log(ell[k]),
+                                             gamma, params.J)
+    return np.exp(W + _head(ell[i], bv[i], params)
+                  - _head(ell[k], bv[k], params))
 
 
-def ad_norm(A: NetMatrix, delta: float) -> float:
-    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta)."""
-    W = omega_matrix(A.hierarchy, delta, A.params)
-    np.divide(np.abs(A.entries), W, out=W)
-    return float(W.max())
+def ad_norm(A: NetMatrix, delta):
+    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta) for a scalar
+    delta (a float) or a 1-D array of them (an array).
+
+    log omega(delta) = log omega(0, 0) - delta Y with Y = G + |lam|, so the
+    norm is exp(max(X + delta Y)) with X = log|a| - log omega(0, 0)
+    = log|a| - h_xi + h_eta + J Y - J lam^-, taken a row level at a time;
+    no omega table is built.
+    """
+    hier, J = A.hierarchy, A.params.J
+    deltas = np.asarray(delta, dtype=float)
+    blocks, _ = _levels(hier)
+    Y = _log_table(hier, blocks, 1.0, np.abs)
+    h = _head(hier.xi_ell, hier.xi_bvol, A.params)
+    le = np.log(hier.xi_ell)
+    best = np.full(deltas.size, -np.inf)
+    buf = np.empty((2, max(sl.stop - sl.start for sl in blocks), hier.size))
+    for sl in blocks:
+        X, Z = buf[:, :sl.stop - sl.start]
+        np.abs(A.entries[sl], out=X)
+        with np.errstate(divide="ignore"):  # log 0 = -inf, a zero entry
+            np.log(X, out=X)
+        X += np.multiply(Y[sl], J, out=Z)
+        X += h + J * np.minimum(le[sl.start] - le, 0.0)
+        X -= h[sl, None]
+        for n, d in enumerate(deltas.flat):
+            np.multiply(Y[sl], d, out=Z)
+            Z += X
+            best[n] = np.maximum(best[n], Z.max())
+    out = np.exp(best)
+    return float(out[0]) if deltas.ndim == 0 else out
 
 
 def boundedness_probe(A: NetMatrix, delta: float, battery) -> dict:
@@ -159,11 +198,8 @@ def _lemma64(hier, params, beta, pairs):
             raise ValueError("requires gamma1 != gamma2")
         if not (beta < gamma1 + gamma2):
             raise ValueError("requires beta < gamma1 + gamma2")
-    le = np.log(hier.xi_ell)
-    blocks = [hier.level_slice(net.level) for net in hier.levels]
-    if any(np.any(le[sl] != le[sl.start]) for sl in blocks):
-        raise ValueError("xi_ell is not constant on a level")
-    lev = le[[sl.start for sl in blocks]]
+    blocks, ell = _levels(hier)
+    lev = np.log(ell)
     lam = lev[:, None] - lev[None, :]
     K = _weight_table(hier, beta, None, params)
     E = {g: np.exp(_level_term(lam, g, params.J)) for p in pairs for g in p}

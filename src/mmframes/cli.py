@@ -603,6 +603,9 @@ def _suite_hardy(ctx):
 @_suite("inhomogeneous-mode", "§8 inhomogeneous case", "level-0 conventions")
 def _suite_inhomogeneous(ctx):
     spec = ctx.get("spec")
+    # no level at j >= 0 leaves nothing to check
+    if ca.level_window(spec, ctx.cfg["b"])[1] < 0:
+        return "fail", {"levels": 0}
     hier, eps = fr.build_standard_hierarchy(spec, b=ctx.cfg["b"],
                                             gamma=ctx.cfg["gamma"],
                                             mode="inhomogeneous")

@@ -225,15 +225,11 @@ def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
     mu = hier.space.mu
     A = addiag.NetMatrix(hierarchy=hier, entries=ma.T @ (mu[:, None] * ms),
                          params=params)
-    best = None
-    scan = {}
-    for delta in (0.125, 0.25, 0.5, 1.0, 2.0):
-        c = addiag.ad_norm(A, delta)
-        scan[delta] = c
-        if best is None or c < best[1]:
-            best = (delta, c)
-    cert = {"delta": best[0], "c": best[1], "scan": scan,
-            "passed": np.isfinite(best[1])}
+    deltas = (0.125, 0.25, 0.5, 1.0, 2.0)
+    scan = dict(zip(deltas, addiag.ad_norm(A, np.array(deltas)).tolist()))
+    delta = min(scan, key=scan.get)
+    cert = {"delta": delta, "c": scan[delta], "scan": scan,
+            "passed": np.isfinite(scan[delta])}
     return A, cert
 
 

@@ -294,9 +294,11 @@ def build_maximal_net(space: ModelSpace, delta: float) -> np.ndarray:
     if delta <= 0:
         raise ValueError("delta must be positive")
     centers = []
+    free = np.ones(space.n, dtype=bool)  # >= delta from every center so far
     for x in range(space.n):
-        if all(space.dist[x, c] >= delta for c in centers):
+        if free[x]:
             centers.append(x)
+            free &= space.dist[x] >= delta
     return np.array(centers, dtype=int)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,61 @@ def test_lemma64_grid_requires_constant_ell_per_level(hierarchies,
     bad = dataclasses.replace(hier, xi_ell=ell)
     with pytest.raises(ValueError, match="not constant"):
         ad.lemma64_grid(bad, params022, 0.5, [(1.0, 0.6)])
+
+
+@pytest.mark.parametrize("call", ["omega2_matrix", "ad_norm"])
+def test_weights_require_constant_ell_per_level(call, hierarchies, params022):
+    hier, _ = hierarchies["C_64"]
+    sl = hier.level_slice(hier.levels[0].level)
+    ell = hier.xi_ell.copy()
+    ell[sl.stop - 1] *= 0.5
+    bad = dataclasses.replace(hier, xi_ell=ell)
+    with pytest.raises(ValueError, match="not constant"):
+        if call == "omega2_matrix":
+            ad.omega2_matrix(bad, 0.7, 0.3, params022)
+        else:
+            ad.ad_norm(NetMatrix(hierarchy=bad, entries=np.eye(bad.size),
+                                 params=params022), 0.5)
+
+
+@pytest.fixture(scope="module")
+def mu_hierarchy():
+    # a ramp measure on a 9-cycle: ball volumes differ from point to point
+    from mmframes import calculus as ca, frames as fr, space as sp
+    from test_space import MU_MODELS
+    return fr.build_standard_hierarchy(
+        ca.eigendecompose(sp.build_model(MU_MODELS[1])))[0]
+
+
+@pytest.mark.parametrize("flavor", ["classical", "tilde"])
+@pytest.mark.parametrize("model", ["C_64", "mu_9"])
+def test_ad_norm_over_deltas_matches_scalar_and_literal(model, flavor,
+                                                        hierarchies,
+                                                        mu_hierarchy,
+                                                        params022):
+    # the log-space pass for an array of deltas, against one call per delta
+    # (bit for bit) and against max |a| / omega(delta) on the built table
+    hier = mu_hierarchy if model == "mu_9" else hierarchies[model][0]
+    prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
+    rng = np.random.default_rng(8)
+    E = ad.omega_matrix(hier, 1.0, prm) * rng.uniform(-1, 1, (hier.size,) * 2)
+    E[rng.random(E.shape) < 0.2] = 0.0
+    A = NetMatrix(hierarchy=hier, entries=E, params=prm)
+    deltas = np.array([0.125, 0.25, 0.5, 1.0, 2.0])
+    zero = NetMatrix(hierarchy=hier, entries=np.zeros_like(E), params=prm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = ad.ad_norm(A, deltas)
+        assert norms.shape == deltas.shape
+        for d, nrm in zip(deltas, norms):
+            scalar = ad.ad_norm(A, float(d))
+            assert type(scalar) is float and scalar == nrm
+            W = ad.omega2_matrix(hier, d, d, prm)
+            assert np.all(np.diag(W) == 1.0)
+            assert abs(nrm / (np.abs(E) / W).max() - 1.0) <= 1e-13
+        # an all-zero matrix has norm 0, and log 0 warns of nothing
+        assert ad.ad_norm(zero, 0.5) == 0.0
+        assert np.array_equal(ad.ad_norm(zero, deltas), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,20 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path, module, run):
     assert res.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_inhomogeneous_mode_without_a_level_fails(tmp_path):
+    # l_scale 0.01 puts the whole spectrum below level 0, so the
+    # inhomogeneous window is empty: a fail on no sample, not an error
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({
+        "model": {"kind": "cycle", "n": 64, "l_scale": 0.01},
+        "suites": ["inhomogeneous-mode"],
+        "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 1
+    line = (tmp_path / "out" / "report.txt").read_text().splitlines()[1]
+    assert line.startswith("suite=inhomogeneous-mode ")
+    assert line.endswith(" status=fail levels=0")
+
+
 def test_empty_suite_list_writes_manifest_only(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"suites": [], "model": "C_32",

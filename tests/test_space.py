@@ -119,6 +119,35 @@ def test_maximal_net_properties(delta):
     assert m.dist[:, centers].min(axis=1).max() < delta   # maximality
 
 
+def _greedy_net_loop(space, delta):
+    # the greedy loop build_maximal_net replaced: a point joins when it is
+    # >= delta away from every center chosen before it
+    centers = []
+    for x in range(space.n):
+        if all(space.dist[x, c] >= delta for c in centers):
+            centers.append(x)
+    return np.array(centers, dtype=int)
+
+
+def _weighted_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    return {"kind": "tree", "n": n,
+            "edges": [[int(rng.integers(0, i)), i, float(rng.uniform(0.25, 2))]
+                      for i in range(1, n)]}
+
+
+@pytest.mark.parametrize("model", ["C_64", "P_64", "T_16x16", "C_256",
+                                   _weighted_tree(48, 11)],
+                         ids=["C_64", "P_64", "T_16x16", "C_256", "tree_48"])
+def test_maximal_net_matches_greedy_loop(model):
+    m = sp.build_model(model)
+    radii = [0.3, 0.5, 1.0, 1.5, 2.0, 4.0, 7.5, m.diameter / 2, m.diameter,
+             *np.unique(m.dist)[1:6]]
+    for delta in radii:
+        assert np.array_equal(sp.build_maximal_net(m, delta),
+                              _greedy_net_loop(m, delta))
+
+
 def test_partition_tie_break_is_first_minimizer():
     m = sp.build_model("C_8")
     centers = np.array([0, 4])
