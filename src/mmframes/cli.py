@@ -67,7 +67,7 @@ def _fmt(v):
 # resources whose builder returns (value, by-product), and the by-product's
 # own resource name
 BYPRODUCTS = {"hier": "sampling_eps", "compact": "compact_supports",
-              "compact_dual": "compact_dual_report"}
+              "compact_dual": "compact_dual_perturbation"}
 BUILT_BY = {product: name for name, product in BYPRODUCTS.items()}
 
 
@@ -467,7 +467,7 @@ def _suite_finite_speed(ctx):
 @_suite("thm6.7-compact-dual", "Thm 6.7", "compact frame dual pipeline",
         after=("lemma4.1-sampling", "prop6.6-theta"))
 def _suite_compact_dual(ctx):
-    rep = ctx.get("compact_dual_report")
+    delta_hat = ctx.get("compact_dual_perturbation")
     space, F = ctx.get("space"), ctx.get("battery").T
     nf = space.norm2(F)
     live = nf > 0
@@ -476,10 +476,9 @@ def _suite_compact_dual(ctx):
     worst = np.divide(err, nf, out=np.zeros_like(nf), where=live).max(
         initial=0.0)
     ok = live.any() and worst <= 1e-6 and \
-        rep.perturbation_ad_norm < fr.COMPACT_DUAL_THRESHOLD
+        delta_hat < fr.COMPACT_DUAL_THRESHOLD
     return ("pass" if ok else "fail"), {
-        "perturbation": rep.perturbation_ad_norm, "residual": worst,
-        "terms": rep.neumann_terms}
+        "perturbation": delta_hat, "residual": worst}
 
 
 @_suite("lemma7.2-molecules", "Lemma 7.2", "scaled frames are molecules",
@@ -682,6 +681,7 @@ def run(cfg) -> int:
     records = []
     bad = set()
     runtimes = {}
+    messages = {}  # name -> first line of the error message
     for name in selected:
         anchor, desc, fn = SUITES[name]
         if bad.intersection(AFTER[name]):
@@ -692,6 +692,7 @@ def run(cfg) -> int:
             status, metrics = fn(ctx)
         except Exception as exc:
             status, metrics = "error", {"reason": type(exc).__name__}
+            messages[name] = str(exc).partition("\n")[0]
         runtimes[name] = time.perf_counter() - t0
         records.append((name, anchor, status, metrics))
         if status in ("fail", "error"):
@@ -727,7 +728,8 @@ def run(cfg) -> int:
         for name, anchor, status, _ in records:
             rt = runtimes.get(name)
             rts = "" if rt is None else f" ({rt:.2f}s)"
-            fh.write(f"  {status:6s} {name} [{anchor}]{rts}\n")
+            msg = f": {messages[name]}" if messages.get(name) else ""
+            fh.write(f"  {status:6s} {name} [{anchor}]{rts}{msg}\n")
     print("\n".join(lines))
     return 1 if bad else 0
 

@@ -379,43 +379,39 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
     return frame, supports
 
 
-@dataclass(frozen=True)
-class CompactDualReport:
-    perturbation_ad_norm: float
-    neumann_terms: int
-
-
 def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
                        compact: Frame, params):
-    """Dual of the compact frame, computed wholly at coefficient level.
+    """Dual of the compact frame and the perturbation ||I - A||_eps.
 
     With D_{xi,eta} = <psi_eta - theta_eta, psi~_xi> the transfer operator
     T f = sum <f, psi~_xi> theta_xi satisfies coeff((I-T)g) = D coeff(g),
-    so T^{-1} comes from the Neumann series of A^{-1} = (I - D)^{-1}, taken
-    when ||I - A||_eps < COMPACT_DUAL_THRESHOLD at decay eps = 1.  The dual
-    coefficients are t = (A^{-1} B) s with B the primal/dual cross Gram and
-    s the dual-frame coefficients of f.
+    so T is invertible when ||D||_eps < COMPACT_DUAL_THRESHOLD at decay
+    eps = 1, and the dual columns are psi~ ((I - D)^{-1} B)^T with B the
+    primal/dual cross Gram.  D = Q^T M P has rank <= n (Q = psi~,
+    P = psi - theta, M = diag(mu)), so by push-through
+    (I - D)^{-1} B = Q^T (I_n - M P Q^T)^{-1} M psi, and the dual columns
+    are (Q psi^T M) solve(I_n - Q P^T M, Q): one n x n solve.
     """
     from mmframes import addiag
 
     mu = spec.space.mu
     hier = frame1.hierarchy
-    Dm = dual.columns.T @ (mu[:, None] * (frame1.columns - compact.columns))
+    Q = dual.columns
+    Dm = Q.T @ (mu[:, None] * (frame1.columns - compact.columns))
     delta_hat = addiag.ad_norm(
         addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params), 1.0)
+    del Dm
     if delta_hat >= COMPACT_DUAL_THRESHOLD:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{delta_hat:.3g} >= threshold; shrink eps in the "
             "band-limited symbol")
-    Ainv = np.eye(hier.size)
-    terms, _ = neumann_series(Ainv, Dm, Dm)
-    del Dm
-    B = dual.columns.T @ (mu[:, None] * frame1.columns)
-    compact_dual = Frame(hierarchy=hier, columns=dual.columns @ (Ainv @ B).T,
+    QP = Q @ (frame1.columns - compact.columns).T
+    G = np.linalg.solve(np.eye(len(mu)) - QP * mu[None, :], Q)
+    X = (Q @ frame1.columns.T) * mu[None, :]
+    compact_dual = Frame(hierarchy=hier, columns=X @ G,
                          bands={n.level: None for n in hier.levels})
-    return compact_dual, CompactDualReport(perturbation_ad_norm=delta_hat,
-                                           neumann_terms=terms)
+    return compact_dual, delta_hat
 
 
 def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):

@@ -273,7 +273,8 @@ def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
     """Coefficients <f, m~_xi> through the frame expansion
     sum_eta <m~_xi, psi_eta> <f, psi~_eta>, with the measured ratio
     ||coeffs||_f / ||f||_F; an (n, k) table of functions gives an (m, k)
-    table and k of each report value, from one Gram product.
+    table and k of each report value.  The expansion is taken as
+    <m~_xi, sum_eta <f, psi~_eta> psi_eta>, so no m x m Gram is formed.
 
     On a finite model the expansion collapses to the direct mu-inner
     product for mean-zero f; the residual between the two is reported.
@@ -282,8 +283,7 @@ def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
     mu = hier.space.mu[:, None]
     F = spec.project_mean_zero(
         np.asarray(f, dtype=float).reshape(hier.space.n, -1))
-    A = cols.T @ (mu * frame.columns)             # <m~_xi, psi_eta>
-    coeffs = A @ dual.analyze(F)                  # <f, psi~_eta>
+    coeffs = cols.T @ (mu * frame.synthesize(dual.analyze(F)))
     direct = cols.T @ (mu * F)
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
     fn = function_norm(F, params, spec, phi, b)

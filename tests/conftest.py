@@ -77,6 +77,6 @@ def compact_pipeline(spectra, hierarchies, frame_sets, theta, params022):
     hier, _ = hierarchies["C_64"]
     frame, dual, _ = frame_sets["C_64"]
     compact, supports = fr.build_compact_frame(spec, hier, theta)
-    cdual, report = fr.build_compact_dual(spec, frame, dual, compact,
-                                          params022)
-    return compact, supports, cdual, report
+    cdual, delta_hat = fr.build_compact_dual(spec, frame, dual, compact,
+                                             params022)
+    return compact, supports, cdual, delta_hat

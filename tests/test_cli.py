@@ -234,6 +234,28 @@ def test_suite_metrics_in_report(tmp_path):
     assert "doubling" in summary
 
 
+def test_summary_shows_the_first_line_of_an_error(tmp_path, capsys,
+                                                  monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("doubling broke here\nsecond line")
+
+    anchor, desc, _ = cli.SUITES["doubling"]
+    monkeypatch.setitem(cli.SUITES, "doubling", (anchor, desc, boom))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"suites": ["doubling"], "model": "C_16",
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 1
+    capsys.readouterr()
+    line = [line for line in (tmp_path / "out" / "summary.txt")
+            .read_text().splitlines() if " doubling " in line][0]
+    assert line.startswith("  error ")
+    assert line.endswith("s): doubling broke here")
+    # report.txt keeps only the exception type
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "status=error reason=RuntimeError\n" in report
+    assert "broke" not in report
+
+
 def test_integer_b_runs_the_compact_frame_suites(tmp_path, capsys):
     # load_config accepts an integer b; the compact frame scales b^{-j}
     # must come out as the float b gives
@@ -386,14 +408,15 @@ def test_failed_theta_skips_exactly_its_dependents(tmp_path, capsys,
 
 def test_neumann_suites_peak_memory():
     # thm6.3-neumann and thm6.7-compact-dual, each run alone on a C_64
-    # context whose frames are built, allocate at most 5.5 m x m float64
-    # tables at their peak
+    # context whose frames are built, allocate at most 5.5 and 2.5 m x m
+    # float64 tables at their peak
     import tracemalloc
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
     for name in ("hier", "params", "frame", "dual", "compact"):
         ctx.get(name)
     table = ctx.get("hier").size ** 2 * 8
-    for suite in ("thm6.3-neumann", "thm6.7-compact-dual"):
+    for suite, bound in (("thm6.3-neumann", 5.5),
+                         ("thm6.7-compact-dual", 2.5)):
         tracemalloc.start()
         try:
             status, _ = cli.SUITES[suite][2](ctx)
@@ -401,4 +424,4 @@ def test_neumann_suites_peak_memory():
         finally:
             tracemalloc.stop()
         assert status == "pass"
-        assert peak <= 5.5 * table, (suite, peak / table)
+        assert peak <= bound * table, (suite, peak / table)

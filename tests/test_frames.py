@@ -7,6 +7,8 @@ from mmframes import addiag as ad
 from mmframes import calculus as ca
 from mmframes import frames as fr
 from mmframes import seqspace as sq
+from mmframes import space as sp
+from test_space import MU_MODELS
 
 
 def test_standard_hierarchy_sampling_epsilons(hierarchies):
@@ -227,8 +229,8 @@ def test_compact_frame_supports_within_speed_bound(compact_pipeline,
 
 
 def test_compact_dual_reconstructs(compact_pipeline, spectra):
-    compact, _, cdual, report = compact_pipeline
-    assert report.perturbation_ad_norm < 0.5
+    compact, _, cdual, delta_hat = compact_pipeline
+    assert delta_hat < 0.5
     spec = spectra["C_64"]
     F = sq.random_battery(spec.space, spec, 10, seed=0).T
     resid = spec.space.norm2(fr.reconstruct(compact, cdual, F) - F) \
@@ -241,21 +243,33 @@ def test_compact_dual_reconstructs(compact_pipeline, spectra):
     assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
 
 
-def test_compact_dual_matches_the_certified_inverse(compact_pipeline,
-                                                    spectra, frame_sets,
-                                                    params022):
-    # reference route: the certified Neumann inverse of Thm 6.3(ii)
-    compact, _, cdual, report = compact_pipeline
-    frame, dual, _ = frame_sets["C_64"]
-    mu = spectra["C_64"].space.mu
+@pytest.mark.parametrize("desc", ["C_64", MU_MODELS[0]], ids=["C_64", "mu_16"])
+def test_compact_dual_matches_the_dense_and_certified_inverses(desc, theta,
+                                                               Phi):
+    # the n x n route against two m x m references: the dense
+    # solve(I - D, B) and the certified Neumann inverse of Thm 6.3(ii)
+    spec = ca.eigendecompose(sp.build_model(desc))
+    hier, _ = fr.build_standard_hierarchy(spec)
+    prof = sp.measure_doubling(spec.space)
+    params = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
+                            dstar=max(prof.dstar, 0.0))
+    frame = fr.build_frame1(spec, hier, Phi)
+    dual, _ = fr.build_dual_frame(spec, hier, Phi)
+    compact, _ = fr.build_compact_frame(spec, hier, theta)
+    cdual, delta_hat = fr.build_compact_dual(spec, frame, dual, compact,
+                                             params)
+    mu = spec.space.mu
     D = dual.columns.T @ (mu[:, None] * (frame.columns - compact.columns))
-    Ainv, rep = ad.neumann_invert(
-        ad.NetMatrix(hierarchy=frame.hierarchy, entries=D, params=params022),
-        1.0, fr.COMPACT_DUAL_THRESHOLD)
     B = dual.columns.T @ (mu[:, None] * frame.columns)
-    assert np.array_equal(cdual.columns, dual.columns @ (Ainv.entries @ B).T)
-    assert report.neumann_terms == rep["terms"]
-    assert report.perturbation_ad_norm == rep["delta_hat"]
+    Ainv, rep = ad.neumann_invert(
+        ad.NetMatrix(hierarchy=hier, entries=D, params=params),
+        1.0, fr.COMPACT_DUAL_THRESHOLD)
+    dense = dual.columns @ np.linalg.solve(np.eye(hier.size) - D, B).T
+    certified = dual.columns @ (Ainv.entries @ B).T
+    for ref in (dense, certified):
+        err = np.abs(cdual.columns - ref).max() / np.abs(ref).max()
+        assert err <= 1e-12, err
+    assert delta_hat == rep["delta_hat"]
 
 
 def test_default_frames_one_call():
