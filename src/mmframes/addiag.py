@@ -32,16 +32,6 @@ class NeumannPreconditionError(RuntimeError):
         self.delta_hat = delta_hat
 
 
-def _levels(hier):
-    """The level slices of the flat index and l on each level.  l must be
-    constant on a level (build_hierarchy makes it b^-j); ValueError if not."""
-    blocks = [hier.level_slice(net.level) for net in hier.levels]
-    ell = hier.xi_ell
-    if any(np.any(ell[sl] != ell[sl.start]) for sl in blocks):
-        raise ValueError("xi_ell is not constant on a level")
-    return blocks, ell[[sl.start for sl in blocks]]
-
-
 def _level_term(lam, gamma, J):
     """min{gamma lam, -(J+gamma) lam} = -J lam^+ - gamma |lam|, the level
     term of log omega."""
@@ -56,7 +46,7 @@ def _head(ell, bvol, params):
     return (params.s / params.d + 0.5) * np.log(bvol)
 
 
-def _log_table(hier, blocks, scale, shift=None):
+def _log_table(hier, scale, shift=None):
     """scale G + shift(lam) for every ordered pair (xi, eta), with
     G = log1p(rho / max(l_xi, l_eta)) and lam = log l_xi - log l_eta.
 
@@ -66,7 +56,7 @@ def _log_table(hier, blocks, scale, shift=None):
     ell, pts = hier.xi_ell, hier.xi_point
     le = np.log(ell)
     T = hier.space.dist[np.ix_(pts, pts)]
-    for sl in blocks:
+    for sl in hier.blocks:
         t = T[sl]
         t /= np.maximum(ell[sl.start], ell)
         np.log1p(t, out=t)
@@ -84,9 +74,8 @@ def _weight_table(hier, beta, gamma, params):
     + min{gamma lam, -(J+gamma) lam}, and every term is exactly 0 on the
     diagonal.
     """
-    blocks, _ = _levels(hier)
     J = params.J
-    W = _log_table(hier, blocks, -(J + beta), None if gamma is None
+    W = _log_table(hier, -(J + beta), None if gamma is None
                    else lambda lam: _level_term(lam, gamma, J))
     h = _head(hier.xi_ell, hier.xi_bvol, params)
     W += h[:, None]
@@ -135,8 +124,8 @@ def ad_norm(A: NetMatrix, delta):
     """
     hier, J = A.hierarchy, A.params.J
     deltas = np.asarray(delta, dtype=float)
-    blocks, _ = _levels(hier)
-    Y = _log_table(hier, blocks, 1.0, np.abs)
+    blocks = hier.blocks
+    Y = _log_table(hier, 1.0, np.abs)
     h = _head(hier.xi_ell, hier.xi_bvol, A.params)
     le = np.log(hier.xi_ell)
     best = np.full(deltas.size, -np.inf)
@@ -179,18 +168,25 @@ def boundedness_probe(A: NetMatrix, delta: float, battery) -> dict:
     return out
 
 
-def _lemma64(hier, params, beta, pairs):
-    """lemma64_grid for nonempty pairs; also returns K, the level slices of
-    the flat index and lam, the split below of omega(beta, .).
+def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
+                 pairs) -> list:
+    """Brute-force convolution bound for the decay weights, for every
+    (gamma1, gamma2) in pairs at one beta.
 
-    l is constant on a level (ValueError if not), so the level term of
-    log omega depends on the pair only through lam = log(l_j/l_l), one value
-    per level pair: omega(beta, gamma) = K (.) E_gamma[j, l] with K the
-    m x m weights without it.  On level blocks, (W1 @ W2)[j, q] =
+    W = Omega(beta,gamma1) @ Omega(beta,gamma2) entrywise against
+    omega(beta, min(gamma1,gamma2)); one {"max_ratio", "argmax"} per pair.
+    Hypotheses gamma1 != gamma2 and beta < gamma1 + gamma2 are enforced.
+
+    l is constant on a level, so the level term of log omega depends on the
+    pair only through lam = log(l_j/l_l), one value per level pair:
+    omega(beta, gamma) = K (.) E_gamma[j, l] with K the m x m weights
+    without it.  On level blocks, (W1 @ W2)[j, q] =
     sum_l E1[j,l] E2[l,q] K[j,l] @ K[l,q], so every pair shares the products
     K[j,l] @ K[l,:], one m^3 in all.  Row level j holds them transposed, an
     (m, m_j) table per l, so that column level q is one strided 2-D view.
     """
+    if not pairs:
+        return []
     for gamma1, gamma2 in pairs:
         if beta <= 0 or gamma1 <= 0 or gamma2 <= 0:
             raise ValueError("beta, gamma must be positive")
@@ -198,8 +194,8 @@ def _lemma64(hier, params, beta, pairs):
             raise ValueError("requires gamma1 != gamma2")
         if not (beta < gamma1 + gamma2):
             raise ValueError("requires beta < gamma1 + gamma2")
-    blocks, ell = _levels(hier)
-    lev = np.log(ell)
+    blocks = hier.blocks
+    lev = np.log([net.ell for net in hier.levels])
     lam = lev[:, None] - lev[None, :]
     K = _weight_table(hier, beta, None, params)
     E = {g: np.exp(_level_term(lam, g, params.J)) for p in pairs for g in p}
@@ -222,21 +218,7 @@ def _lemma64(hier, params, beta, pairs):
                 if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
                     aq, aj = divmod(int(a), mj)
                     best[p] = (v, (rj.start + aj, rq.start + aq))
-    res = [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
-    return res, K, blocks, lam
-
-
-def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
-                 pairs) -> list:
-    """Brute-force convolution bound for the decay weights, for every
-    (gamma1, gamma2) in pairs at one beta.
-
-    W = Omega(beta,gamma1) @ Omega(beta,gamma2) entrywise against
-    omega(beta, min(gamma1,gamma2)); one {"max_ratio", "argmax"} per pair.
-    Hypotheses gamma1 != gamma2 and beta < gamma1 + gamma2 are enforced,
-    and l must be constant on every level (as build_hierarchy makes it).
-    """
-    return _lemma64(hier, params, beta, pairs)[0] if pairs else []
+    return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 
 def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
@@ -253,14 +235,14 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
         raise NeumannPreconditionError(delta_hat, delta_threshold)
     eps1 = epsilon / 2.0
     hier, params, D = D.hierarchy, D.params, D.entries
-    # c* is lemma64_grid's ratio for the one pair (epsilon, eps1); its K
-    # times the eps1 level term is omega(eps1)
-    (res,), W, blocks, lam = _lemma64(hier, params, eps1, [(epsilon, eps1)])
-    cstar = res["max_ratio"]
-    E = np.exp(_level_term(lam, eps1, params.J))
-    for j, rj in enumerate(blocks):
-        for l, rl in enumerate(blocks):
-            W[rj, rl] *= E[j, l]
+    # c* is lemma64_grid's ratio for the one pair (epsilon, eps1), from one
+    # dense product: one pair shares no block product with another, and W
+    # = omega(eps1) is the table the term certificate reads anyway
+    W = omega_matrix(hier, eps1, params)
+    C = omega2_matrix(hier, eps1, epsilon, params) @ W
+    C /= W
+    cstar = float(C.max())
+    del C
     term_ad_norms = []
 
     def on_term(term):

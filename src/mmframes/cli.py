@@ -364,14 +364,13 @@ def _suite_omega(ctx):
     # diagonal identity
     idx = np.arange(hier.size)
     diag_err = np.abs(ad.omega(hier, idx, idx, 0.7, params) - 1.0).max()
-    # on 1000 random pairs: the one-parameter form equals the two-parameter
-    # form on the diagonal of (beta, gamma), and omega(eps) is at most
-    # omega(beta, gamma) for beta <= gamma < eps
+    # on 1000 random pairs: the pairwise form equals the table, and
+    # omega(eps) is at most omega(beta, gamma) for beta <= gamma < eps
     i, k = rng.integers(0, hier.size, (2, 1000))
-    beta, eps = rng.uniform(0.05, 2.0, (2, 1000))
+    eps = rng.uniform(0.05, 2.0, 1000)
     bg = np.sort(rng.uniform(0.05, eps, (2, 1000)), axis=0)
-    pair_err = np.abs(ad.omega(hier, i, k, beta, params)
-                      - ad.omega2(hier, i, k, beta, beta, params)).max()
+    W = ad.omega2_matrix(hier, 0.7, 0.3, params)[i, k]
+    pair_err = np.abs(ad.omega2(hier, i, k, 0.7, 0.3, params) / W - 1.0).max()
     mono_ok = bool(np.all(ad.omega(hier, i, k, eps, params)
                           <= ad.omega2(hier, i, k, bg[0], bg[1], params)
                           * (1 + 1e-12)))

@@ -34,10 +34,6 @@ class Frame:
     columns: np.ndarray
     bands: dict  # level -> (lo, hi) in sqrt(L) units (None for compact kinds)
 
-    @property
-    def size(self) -> int:
-        return self.columns.shape[1]
-
     def analyze(self, f) -> np.ndarray:
         """Coefficients <f, psi_xi> in the mu-inner product; an (n, k) table
         of functions gives an (m, k) table, one column per function."""
@@ -179,12 +175,12 @@ def check_band_containment(spec: SpectralData, frame: Frame) -> float:
     roots = np.sqrt(spec.eigenvalues)
     coeffs = spec.coefficients(frame.columns)
     scale = np.abs(coeffs).max()
-    for k in range(frame.size):
-        j = frame.hierarchy.xi_level[k]
-        lo, hi = frame.bands[j]
+    hier = frame.hierarchy
+    for net, sl in zip(hier.levels, hier.blocks):
+        lo, hi = frame.bands[net.level]
         outside = (roots < lo - 1e-12) | (roots > hi + 1e-12)
         if np.any(outside):
-            worst = max(worst, float(np.abs(coeffs[outside, k]).max()))
+            worst = max(worst, float(np.abs(coeffs[outside, sl]).max()))
     return worst / max(scale, 1e-300)
 
 

@@ -347,8 +347,8 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
         live = g > SUPPORT_THRESHOLD * np.maximum(g.max(axis=0), 1e-300)
         r = np.where(live, dist, 0.0).max(axis=0, initial=0.0)
         supp_c = max(supp_c, float((r / delta).max(initial=0.0)))
-        radii[nu] = {net.level: float(r[hier.level_slice(net.level)].max(
-            initial=0.0)) for net in hier.levels}
+        radii[nu] = {net.level: float(r[sl].max(initial=0.0))
+                     for net, sl in zip(hier.levels, hier.blocks)}
     constants["companion_size"] = worst
 
     passed = all(c <= 1.0 for c in constants.values()) and \

@@ -125,8 +125,7 @@ def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
         expo = (0.0 if classical else -s / params.d) + \
             (1.0 / p if not np.isinf(p) else 0.0) - 0.5
         terms = np.empty((len(rows), len(hier.levels)))
-        for term, net in zip(terms.T, hier.levels):
-            sl = hier.level_slice(net.level)
+        for term, net, sl in zip(terms.T, hier.levels, hier.blocks):
             inner = _lq(hier.xi_svol[sl] ** expo * rows[:, sl], p, axis=1)
             term[:] = hier.b ** (net.level * s) * inner if classical else inner
         return _one_or_many(_lq(terms, q, axis=1), a)
@@ -134,12 +133,11 @@ def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
     # |a_xi| * normalized indicator height times the level weight
     av = hier.xi_avol
     if params.flavor == "classical":
-        weight = np.repeat([hier.b ** (net.level * s) for net in hier.levels],
-                           [net.size for net in hier.levels])
+        weight = float(hier.b) ** (hier.xi_level * s)
     else:
         weight = av ** (-s / params.d)
-    owners = np.array([hier.level_slice(net.level).start + net.owner
-                       for net in hier.levels])
+    owners = np.array([sl.start + net.owner
+                       for net, sl in zip(hier.levels, hier.blocks)])
     stack = (weight * (rows * av ** (-0.5)))[:, owners]
     return _one_or_many(hier.space.lp_norm(_lq(stack, q, axis=1).T, p), a)
 

@@ -9,7 +9,7 @@ measured constants, never assumed.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -334,6 +334,7 @@ class Net:
     ell: float           # b^{-level}
     a_vol: np.ndarray    # |A_xi| per center
     b_vol: np.ndarray    # |B(xi, delta)| per center
+    s_vol: np.ndarray    # |B(xi, ell)| per center, the level-scale ball
 
     @property
     def size(self) -> int:
@@ -342,54 +343,73 @@ class Net:
 
 def build_net(space: ModelSpace, level: int, b: float, gamma: float) -> Net:
     delta = gamma * b ** (-level - 2)
+    ell = b ** (-level)
     centers = build_maximal_net(space, delta)
     owner = build_partition(space, centers, delta)
     a_vol = np.array([space.mu[owner == k].sum() for k in range(len(centers))])
     b_vol = np.array([ball(space, xi, delta)[1] for xi in centers])
     return Net(level=level, delta=delta, centers=centers, owner=owner,
-               ell=b ** (-level), a_vol=a_vol, b_vol=b_vol)
+               ell=ell, a_vol=a_vol, b_vol=b_vol,
+               s_vol=ball_volumes(space, ell)[centers])
 
 
 @dataclass(frozen=True)
 class NetHierarchy:
     """Ordered family of level nets sharing one base and density constant.
 
-    Flattened index arrays (xi_*) enumerate the full center set across
-    levels; frames, coefficient sequences and net matrices all index
-    against this flattening.
+    The flat index enumerates every center, level by level; frames,
+    coefficient sequences and net matrices all index against it.  The flat
+    arrays (xi_*) and blocks, the slice of the flat index on each level,
+    are derived from the nets.
     """
 
     space: ModelSpace
     b: float
     gamma: float
     mode: str  # "homogeneous" | "inhomogeneous"
-    levels: tuple  # of Net, ordered by level ascending
-    j_min: int
-    j_max: int
-    xi_level: np.ndarray = field(default=None)   # level j per flat index
-    xi_point: np.ndarray = field(default=None)   # center point per flat index
-    xi_ell: np.ndarray = field(default=None)
-    xi_avol: np.ndarray = field(default=None)
-    xi_bvol: np.ndarray = field(default=None)
-    xi_svol: np.ndarray = field(default=None)   # |B(xi, b^{-j})|, level scale
+    levels: tuple  # of Net, one per level j_min, j_min + 1, ..., j_max
+
+    def __post_init__(self):
+        if [net.level for net in self.levels] != list(
+                range(self.j_min, self.j_min + len(self.levels))):
+            raise ValueError("levels must be consecutive and ascending")
+        sizes = [net.size for net in self.levels]
+        ends = np.cumsum([0] + sizes).tolist()
+        derived = {
+            "blocks": tuple(map(slice, ends[:-1], ends[1:])),
+            "xi_level": np.repeat([net.level for net in self.levels], sizes),
+            "xi_point": np.concatenate([net.centers for net in self.levels]),
+            "xi_ell": np.repeat([float(net.ell) for net in self.levels],
+                                sizes),
+            "xi_avol": np.concatenate([net.a_vol for net in self.levels]),
+            "xi_bvol": np.concatenate([net.b_vol for net in self.levels]),
+            "xi_svol": np.concatenate([net.s_vol for net in self.levels]),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def j_min(self) -> int:
+        return self.levels[0].level
+
+    @property
+    def j_max(self) -> int:
+        return self.levels[-1].level
 
     @property
     def size(self) -> int:
         return len(self.xi_level)
 
+    def _offset(self, j: int) -> int:
+        if not self.j_min <= j <= self.j_max:
+            raise KeyError(f"level {j} not in hierarchy")
+        return j - self.j_min
+
     def level_slice(self, j: int) -> slice:
-        start = 0
-        for net in self.levels:
-            if net.level == j:
-                return slice(start, start + net.size)
-            start += net.size
-        raise KeyError(f"level {j} not in hierarchy")
+        return self.blocks[self._offset(j)]
 
     def net(self, j: int) -> Net:
-        for net in self.levels:
-            if net.level == j:
-                return net
-        raise KeyError(f"level {j} not in hierarchy")
+        return self.levels[self._offset(j)]
 
 
 def build_hierarchy(space: ModelSpace, b: float, gamma: float,
@@ -398,21 +418,12 @@ def build_hierarchy(space: ModelSpace, b: float, gamma: float,
         raise ValueError("mode must be homogeneous or inhomogeneous")
     if mode == "inhomogeneous":
         j_min = max(j_min, 0)
-    nets = tuple(build_net(space, j, b, gamma) for j in range(j_min, j_max + 1))
-    lv, pt, el, av, bv, sv = [], [], [], [], [], []
-    for net in nets:
-        lv += [net.level] * net.size
-        pt += list(net.centers)
-        el += [net.ell] * net.size
-        av += list(net.a_vol)
-        bv += list(net.b_vol)
-        sv += list(ball_volumes(space, net.ell)[net.centers])
+    if j_min > j_max:
+        raise ValueError(f"empty level window [{j_min}, {j_max}]")
     return NetHierarchy(
-        space=space, b=b, gamma=gamma, mode=mode, levels=nets,
-        j_min=j_min, j_max=j_max,
-        xi_level=np.array(lv, dtype=int), xi_point=np.array(pt, dtype=int),
-        xi_ell=np.array(el, dtype=float), xi_avol=np.array(av, dtype=float),
-        xi_bvol=np.array(bv, dtype=float), xi_svol=np.array(sv, dtype=float))
+        space=space, b=b, gamma=gamma, mode=mode,
+        levels=tuple(build_net(space, j, b, gamma)
+                     for j in range(j_min, j_max + 1)))
 
 
 # ---------------------------------------------------------------------------

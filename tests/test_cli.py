@@ -290,6 +290,18 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
     assert cli._suite_lemma64(ctx)[0] == "fail"
 
 
+def test_omega_suite_fails_when_the_table_and_pairs_disagree(monkeypatch):
+    # pair_err compares omega2 pair by pair with the omega2_matrix table, so
+    # a table off by 1e-12 relative fails the 1e-14 gate
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
+    assert cli.SUITES["def6.1-omega"][2](ctx)[0] == "pass"
+    table = cli.ad.omega2_matrix
+    monkeypatch.setattr(cli.ad, "omega2_matrix",
+                        lambda *args: table(*args) * (1 + 1e-12))
+    status, metrics = cli.SUITES["def6.1-omega"][2](ctx)
+    assert status == "fail" and metrics["pair_err"] > 1e-14
+
+
 def test_battery_suites_fail_on_an_all_zero_battery():
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
     names = ("thm3.4-telescoping", "thm4.2-reconstruction", "thm5.5-besov",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -210,13 +211,54 @@ def test_peetre_bounds(models, profiles):
 
 
 def test_hierarchy_flat_arrays_consistent(hierarchies):
+    # every flat array and level slice is derived from the nets, also when
+    # the hierarchy is rebuilt through dataclasses.replace
+    built, _ = hierarchies["C_64"]
+    for hier in (built, dataclasses.replace(built, mode="inhomogeneous")):
+        assert [f.name for f in dataclasses.fields(hier)] == \
+            ["space", "b", "gamma", "mode", "levels"]
+        assert (hier.j_min, hier.j_max) == (hier.levels[0].level,
+                                            hier.levels[-1].level)
+        assert hier.size == sum(net.size for net in hier.levels)
+        assert hier.blocks[0].start == 0
+        assert hier.blocks[-1].stop == hier.size
+        for arr in (hier.xi_level, hier.xi_point, hier.xi_ell, hier.xi_avol,
+                    hier.xi_bvol, hier.xi_svol):
+            assert arr.shape == (hier.size,)
+        for net, sl in zip(hier.levels, hier.blocks):
+            assert hier.level_slice(net.level) == sl
+            assert hier.net(net.level) is net
+            assert sl.stop - sl.start == net.size
+            assert net.ell == hier.b ** (-net.level)
+            assert np.all(hier.xi_level[sl] == net.level)
+            assert np.all(hier.xi_ell[sl] == net.ell)
+            assert np.array_equal(hier.xi_point[sl], net.centers)
+            assert np.array_equal(hier.xi_avol[sl], net.a_vol)
+            assert np.array_equal(hier.xi_bvol[sl], net.b_vol)
+            assert np.array_equal(hier.xi_svol[sl], net.s_vol)
+            assert np.array_equal(net.s_vol, sp.ball_volumes(
+                hier.space, net.ell)[net.centers])
+
+
+def test_hierarchy_lookups_outside_the_window(hierarchies):
     hier, _ = hierarchies["C_64"]
-    total = sum(len(net.centers) for net in hier.levels)
-    assert hier.size == total
-    for net in hier.levels:
-        sl = hier.level_slice(net.level)
-        assert np.array_equal(hier.xi_point[sl], net.centers)
-        assert np.allclose(hier.xi_ell[sl], hier.b ** (-net.level))
+    for j in (hier.j_min - 1, hier.j_max + 1):
+        with pytest.raises(KeyError, match=f"level {j} not in hierarchy"):
+            hier.level_slice(j)
+        with pytest.raises(KeyError, match=f"level {j} not in hierarchy"):
+            hier.net(j)
+    # the lookups index by j - j_min, so a gap in the levels is refused
+    with pytest.raises(ValueError, match="consecutive"):
+        dataclasses.replace(hier, levels=hier.levels[::2])
+
+
+def test_empty_level_window_is_refused(models):
+    with pytest.raises(ValueError, match=r"empty level window \[3, 2\]"):
+        sp.build_hierarchy(models["C_64"], 2.0, 0.5, 3, 2)
+    # the inhomogeneous mode starts at level 0
+    with pytest.raises(ValueError, match=r"empty level window \[0, -1\]"):
+        sp.build_hierarchy(models["C_64"], 2.0, 0.5, -4, -1,
+                           mode="inhomogeneous")
 
 
 @pytest.mark.parametrize("desc", ["C_64", MU_MODELS[0]], ids=["C_64", "mu_16"])
