@@ -250,8 +250,7 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
         q /= W
         term_ad_norms.append(float(q.max()))
 
-    total = np.eye(hier.size)
-    terms, _ = neumann_series(total, D, D, on_term)
+    total, terms, _ = neumann_series(D, on_term)
     del W
     # |(I - D) T - I| = |D T - T + I|, and likewise on the right, one at a time
     resid = 0.0

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mmframes.space import ModelSpace
+from mmframes.space import ModelSpace, ball_volumes
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,6 @@ def measure_localization(table, delta: float, N, space: ModelSpace) -> dict:
     """Effective localization constants A_N_eff = max over (x,y) of
     |K(x,y)| * sqrt(|B(x,delta)| |B(y,delta)|) * (1 + rho/delta)^N for the
     kernel table K, for a ladder of decay orders N."""
-    from mmframes.space import ball_volumes
-
     vols = ball_volumes(space, delta)
     vb = np.sqrt(vols[:, None] * vols[None, :])
     out = {}
@@ -373,16 +371,17 @@ NEUMANN_TAIL = 1e-12  # stop once ||next term||_F / ||first term||_F is below
 NEUMANN_CAP = 500     # most terms one series may take
 
 
-def neumann_series(total, term, step, on_term=None) -> tuple:
-    """Add term, term @ step, term @ step @ step, ... to total in place and
-    in order, calling on_term on each, until the next term's Frobenius norm
-    is below NEUMANN_TAIL times the first's; returns (terms, that ratio).
-    RuntimeError when five terms running barely shrink (the series
-    diverges), or at NEUMANN_CAP terms."""
-    first = np.linalg.norm(term)
+def neumann_series(step, on_term=None) -> tuple:
+    """Sum I + step + step @ step + ... in order, calling on_term on each
+    power of step, until the next power's Frobenius norm is below
+    NEUMANN_TAIL times step's; returns (total, terms, that ratio), terms
+    the number of powers added.  RuntimeError when five terms running
+    barely shrink (the series diverges), or at NEUMANN_CAP terms."""
+    total = np.eye(len(step))
+    first = np.linalg.norm(step)
     if first == 0:
-        return 0, 0.0
-    prev, stall = first, 0
+        return total, 0, 0.0
+    term, prev, stall = step, first, 0
     for terms in range(1, NEUMANN_CAP + 1):
         total += term
         if on_term is not None:
@@ -394,5 +393,5 @@ def neumann_series(total, term, step, on_term=None) -> tuple:
             raise RuntimeError("Neumann series diverges")
         prev = cur
         if cur / first < NEUMANN_TAIL:
-            return terms, cur / first
+            return total, terms, cur / first
     raise RuntimeError(f"Neumann series did not settle in {NEUMANN_CAP} terms")

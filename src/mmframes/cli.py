@@ -361,16 +361,16 @@ def _suite_lemma93(ctx):
 def _suite_omega(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    # diagonal identity
-    idx = np.arange(hier.size)
-    diag_err = np.abs(ad.omega(hier, idx, idx, 0.7, params) - 1.0).max()
-    # on 1000 random pairs: the pairwise form equals the table, and
-    # omega(eps) is at most omega(beta, gamma) for beta <= gamma < eps
+    # the table's diagonal is 1; on 1000 random pairs the pairwise form
+    # equals the table, and omega(eps) is at most omega(beta, gamma) for
+    # beta <= gamma < eps
+    W = ad.omega2_matrix(hier, 0.7, 0.3, params)
+    diag_err = np.abs(np.diagonal(W) - 1.0).max()
     i, k = rng.integers(0, hier.size, (2, 1000))
     eps = rng.uniform(0.05, 2.0, 1000)
     bg = np.sort(rng.uniform(0.05, eps, (2, 1000)), axis=0)
-    W = ad.omega2_matrix(hier, 0.7, 0.3, params)[i, k]
-    pair_err = np.abs(ad.omega2(hier, i, k, 0.7, 0.3, params) / W - 1.0).max()
+    pair_err = np.abs(ad.omega2(hier, i, k, 0.7, 0.3, params) / W[i, k]
+                      - 1.0).max()
     mono_ok = bool(np.all(ad.omega(hier, i, k, eps, params)
                           <= ad.omega2(hier, i, k, bg[0], bg[1], params)
                           * (1 + 1e-12)))

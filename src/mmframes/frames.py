@@ -1,16 +1,18 @@
 """Frame construction: primal multiscale frame, its dual via a per-level
-Neumann correction operator, and a compactly supported variant built from a
-band-limited surrogate symbol.
+Neumann correction summed on the level's sampling Gram, and a compactly
+supported variant built from a band-limited surrogate symbol.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from mmframes.space import ModelSpace, NetHierarchy, build_hierarchy
+from mmframes import addiag
+from mmframes.space import NetHierarchy, build_hierarchy, build_model
 from mmframes.calculus import (
     SpectralData,
     Cutoff,
+    eigendecompose,
     make_cutoff,
     band_symbols,
     level_window,
@@ -71,19 +73,23 @@ def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Fr
     return Frame(hierarchy=hierarchy, columns=np.hstack(cols), bands=bands)
 
 
+def _sampling_gram(spec: SpectralData, hierarchy: NetHierarchy, j: int):
+    """Gram of the sampling form on the spectral space sel = {sqrt(lambda)
+    <= b^{j+2}} (never empty: lambda = 0 lies in it): returns (sel, X, G),
+    X = E[centres, sel] and G = X^T diag(|A_xi|) X, symmetrised."""
+    net = hierarchy.net(j)
+    sel = np.sqrt(spec.eigenvalues) <= hierarchy.b ** (j + 2)
+    X = spec.eigenfunctions[np.ix_(net.centers, np.nonzero(sel)[0])]
+    G = X.T @ (net.a_vol[:, None] * X)
+    return sel, X, (G + G.T) / 2
+
+
 def check_sampling(spec: SpectralData, hierarchy: NetHierarchy, j: int):
     """Extremal constants of the sampling quadratic form on the spectral
     space {sqrt(lambda) <= b^{j+2}}: returns (lower, upper) with
-    lower*||f||^2 <= sum |A_xi||f(xi)|^2 <= upper*||f||^2, or None when the
-    spectral space is empty."""
-    b = hierarchy.b
-    net = hierarchy.net(j)
-    sel = np.sqrt(spec.eigenvalues) <= b ** (j + 2)
-    if not np.any(sel):
-        return None
-    Es = spec.eigenfunctions[np.ix_(net.centers, np.nonzero(sel)[0])]
-    G = Es.T @ (net.a_vol[:, None] * Es)
-    w = np.linalg.eigvalsh((G + G.T) / 2)
+    lower*||f||^2 <= sum |A_xi||f(xi)|^2 <= upper*||f||^2, the extreme
+    eigenvalues of the level's sampling Gram."""
+    w = np.linalg.eigvalsh(_sampling_gram(spec, hierarchy, j)[2])
     return float(w[0]), float(w[-1])
 
 
@@ -96,17 +102,10 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
     for _ in range(MAX_GAMMA_HALVINGS + 1):
         hier = build_hierarchy(spec.space, b, gamma, j_min, j_max, mode=mode)
         eps = {}
-        ok = True
         for net in hier.levels:
-            res = check_sampling(spec, hier, net.level)
-            if res is None:
-                continue
-            lo, hi = res
-            e = max(1.0 - lo, hi - 1.0)
-            eps[net.level] = e
-            if e >= 0.5:
-                ok = False
-        if ok:
+            lo, hi = check_sampling(spec, hier, net.level)
+            eps[net.level] = max(1.0 - lo, hi - 1.0)
+        if not any(e >= 0.5 for e in eps.values()):
             return hier, eps
         gamma /= 2.0
     raise RuntimeError("sampling epsilon < 1/2 unreachable; gamma exhausted")
@@ -116,15 +115,23 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
                      Phi: Cutoff):
     """Dual frame via the per-level correction operator.
 
-    Per level j the band symbol G(u) = Phi(b^{-2}u) - Phi(b u) scaled to
-    level j equals 1 on the primal band; with sampling weights
-    w_eta = |A_eta|/(1+eps_j) the operator R = G^2 - V (V the sampled
-    quadrature of G^2) has small norm, T = I + sum_k R^k inverts the
-    sampling defect, and the dual elements are
-    psi~_xi = |A_xi|^{1/2}/(1+eps_j) * T[G_j(., xi)].
+    Per level j the band symbol g(u) = Phi(b^{-2}u) - Phi(b u) scaled to
+    level j equals 1 on the primal band and vanishes beyond b^{j+2}; with
+    sampling weights w_eta = |A_eta|/(1+eps_j) the operator R = g^2 - V
+    (V the sampled quadrature of g^2) inverts the sampling defect through
+    T = I + sum_k R^k, and the dual elements are
+    psi~_xi = |A_xi|^{1/2}/(1+eps_j) * T[g_j(sqrt(L))(., xi)].
+
+    The eigenfunctions E are mu-orthonormal, so on the spectral space sel
+    of the level's sampling Gram G, R M = E K E^T M with
+    K = diag(g^2) - (g g^T * G)/(1+eps_j), and the series is summed on K.
+    K = diag(g) (I - G/(1+eps_j)) diag(g) with |g| <= 1 and the spectrum
+    of G in [1-eps_j, 1+eps_j], so ||K||_2 <= 2 eps_j/(1+eps_j) < 2/3 and
+    the series converges whenever eps_j < 1/2.
     """
+    if abs(Phi.b - hierarchy.b) > 0:
+        raise ValueError("hierarchy/cutoff base mismatch")
     b = hierarchy.b
-    mu = spec.space.mu
     cols = []
     bands = {}
     ratios = {}
@@ -132,34 +139,23 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
 
     for net in hierarchy.levels:
         j = net.level
-        lo_hi = check_sampling(spec, hierarchy, j) or (1.0, 1.0)
-        eps = max(1.0 - lo_hi[0], lo_hi[1] - 1.0)
-        ratios[j] = lo_hi
+        sel, X, G = _sampling_gram(spec, hierarchy, j)
+        w = np.linalg.eigvalsh(G)
+        lo, hi = ratios[j] = float(w[0]), float(w[-1])
+        eps = max(1.0 - lo, hi - 1.0)
         if eps >= 0.5:
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={eps}")
 
         # scale so the plateau [1, b^2] covers the primal band [b^{j-1}, b^{j+1}]
-        gvals = spec.symbol(Phi, b ** (-j - 1)) - \
-            spec.symbol(Phi, b ** (-j + 2))
-        G = spec.kernel(gvals)
-        G2 = spec.kernel(gvals**2)
-        w = net.a_vol / (1.0 + eps)
-        Gc = G[:, net.centers]
-        V = (Gc * w[None, :]) @ Gc.T
-        R = G2 - V
-
-        # Neumann sum S = sum_{k>=1} R^k under kernel composition
-        S = np.zeros_like(R)
-        try:
-            terms, tail = neumann_series(S, R, mu[:, None] * R)
-        except RuntimeError as exc:
-            raise RuntimeError(f"{exc} at level {j}; gamma too coarse") from exc
+        g = (spec.symbol(Phi, b ** (-j - 1))
+             - spec.symbol(Phi, b ** (-j + 2)))[sel]
+        K = np.diag(g**2) - np.outer(g, g) * G / (1.0 + eps)
+        T, terms, tail = neumann_series(K)
         worst_terms = max(worst_terms, terms)
         worst_tail = max(worst_tail, tail)
 
-        TG = Gc + S @ (mu[:, None] * Gc)
-        block = TG * (np.sqrt(net.a_vol) / (1.0 + eps))[None, :]
-        cols.append(block)
+        block = spec.eigenfunctions[:, sel] @ (T @ (g[:, None] * X.T))
+        cols.append(block * (np.sqrt(net.a_vol) / (1.0 + eps))[None, :])
         bands[j] = (b ** (j - 2), b ** (j + 2))
 
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols), bands=bands)
@@ -388,8 +384,6 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     (I - D)^{-1} B = Q^T (I_n - M P Q^T)^{-1} M psi, and the dual columns
     are (Q psi^T M) solve(I_n - Q P^T M, Q): one n x n solve.
     """
-    from mmframes import addiag
-
     mu = spec.space.mu
     hier = frame1.hierarchy
     Q = dual.columns
@@ -412,9 +406,6 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
 
 def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):
     """One-call setup: model, spectrum, hierarchy, primal and dual frames."""
-    from mmframes.space import build_model
-    from mmframes.calculus import eigendecompose
-
     space = build_model(model_name)
     spec = eigendecompose(space)
     hier, eps = build_standard_hierarchy(spec, b=b, gamma=gamma)

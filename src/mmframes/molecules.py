@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mmframes import addiag
 from mmframes.space import NetHierarchy
 from mmframes.calculus import SpectralData, SUPPORT_THRESHOLD, apply_L_power
 from mmframes.seqspace import SpaceParams, seq_norm, function_norm
@@ -218,8 +219,6 @@ def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
     |a_{xi,eta}| <= c omega_{xi,eta}(delta), together with the delta
     attaining it.  Returns (NetMatrix, certificate dict).
     """
-    from mmframes import addiag
-
     ms = _as_columns(synth_family, hier)
     ma = _as_columns(anal_family, hier)
     mu = hier.space.mu

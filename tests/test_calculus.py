@@ -265,23 +265,25 @@ def test_effective_support_radius_of_identity(spectra):
 
 
 def test_neumann_series_of_a_zero_term_adds_nothing():
-    total = np.eye(4)
-    assert ca.neumann_series(total, np.zeros((4, 4)), np.eye(4)) == (0, 0.0)
-    assert np.array_equal(total, np.eye(4))
+    total, terms, tail = ca.neumann_series(np.zeros((4, 4)))
+    assert np.array_equal(total, np.eye(4)) and (terms, tail) == (0, 0.0)
 
 
 def test_neumann_series_sums_the_geometric_series():
     rng = np.random.default_rng(0)
-    term = rng.standard_normal((5, 5))
-    total = np.zeros((5, 5))
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    step = 0.5 * q
     seen = []
-    terms, tail = ca.neumann_series(total, term, 0.5 * np.eye(5), seen.append)
-    # 0.5^terms < NEUMANN_TAIL stops the series at 40 terms
+    total, terms, tail = ca.neumann_series(step, seen.append)
+    # ||step^k||_F / ||step||_F = 0.5^(k-1) < NEUMANN_TAIL stops the series
+    # at 40 terms
     assert terms == len(seen) == 40 and tail < ca.NEUMANN_TAIL
-    assert np.allclose(total, 2.0 * term, rtol=0, atol=1e-11)
-    assert np.array_equal(seen[1], 0.5 * term)
+    assert np.allclose(total, np.linalg.inv(np.eye(5) - step),
+                       rtol=0, atol=1e-11)
+    assert np.array_equal(seen[0], step)
+    assert np.array_equal(seen[1], step @ step)
 
 
 def test_neumann_series_rejects_a_series_that_does_not_shrink():
     with pytest.raises(RuntimeError, match="diverges"):
-        ca.neumann_series(np.zeros((3, 3)), np.eye(3), np.eye(3))
+        ca.neumann_series(np.eye(3))

@@ -302,6 +302,24 @@ def test_omega_suite_fails_when_the_table_and_pairs_disagree(monkeypatch):
     assert status == "fail" and metrics["pair_err"] > 1e-14
 
 
+def test_omega_suite_fails_when_the_table_diagonal_is_not_one(monkeypatch):
+    # a diagonal one ulp off 1 leaves pair_err at rounding level, so only
+    # diag_err, read from the table itself, can catch it
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
+    assert cli.SUITES["def6.1-omega"][2](ctx)[0] == "pass"
+    table = cli.ad.omega2_matrix
+
+    def off_diagonal(*args):
+        W = table(*args)
+        W[np.diag_indices_from(W)] *= 1 + 2.0 ** -52
+        return W
+
+    monkeypatch.setattr(cli.ad, "omega2_matrix", off_diagonal)
+    status, metrics = cli.SUITES["def6.1-omega"][2](ctx)
+    assert status == "fail" and metrics["diag_err"] > 0
+    assert metrics["pair_err"] < 1e-14
+
+
 def test_battery_suites_fail_on_an_all_zero_battery():
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
     names = ("thm3.4-telescoping", "thm4.2-reconstruction", "thm5.5-besov",

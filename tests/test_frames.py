@@ -24,6 +24,14 @@ def test_frame1_requires_lowpass_cutoff(spectra, hierarchies):
         fr.build_frame1(spectra["C_64"], hier, ca.make_cutoff("b", 2.0))
 
 
+def test_dual_frame_requires_the_hierarchy_base(spectra, hierarchies):
+    # the series runs on {sqrt(lambda) <= b^{j+2}}, where a cutoff of a
+    # larger base would not vanish
+    hier, _ = hierarchies["C_64"]
+    with pytest.raises(ValueError, match="base mismatch"):
+        fr.build_dual_frame(spectra["C_64"], hier, ca.make_cutoff("a", 3.0))
+
+
 def test_frame_analysis_synthesis_shapes(frame_sets, spectra):
     frame, dual, _ = frame_sets["C_64"]
     f = spectra["C_64"].project_mean_zero(np.arange(64.0))
@@ -100,6 +108,61 @@ def test_dual_report_contents(frame_sets, hierarchies):
         assert sorted(report.sampling_ratios) == sorted(eps)
         for j, (lo, hi) in report.sampling_ratios.items():
             assert max(1.0 - lo, hi - 1.0) == eps[j] < 0.5
+
+
+def _dual_on_kernel_tables(spec, hier, Phi):
+    """Reference dual of Thm 4.2 on n x n kernel tables composed under M:
+    R = G2 - V, S = R + R M R + ..., columns (G_c + S M G_c) scaled per
+    centre; returns (columns, the longest series)."""
+    mu, b = spec.space.mu, hier.b
+    cols, most = [], 0
+    for net in hier.levels:
+        j = net.level
+        lo, hi = fr.check_sampling(spec, hier, j)
+        eps = max(1.0 - lo, hi - 1.0)
+        g = spec.symbol(Phi, b ** (-j - 1)) - spec.symbol(Phi, b ** (-j + 2))
+        G, G2 = spec.kernel(g), spec.kernel(g**2)
+        Gc = G[:, net.centers]
+        R = G2 - (Gc * (net.a_vol / (1.0 + eps))[None, :]) @ Gc.T
+        S, term, first, terms = np.zeros_like(R), R, np.linalg.norm(R), 0
+        while first > 0 and terms < ca.NEUMANN_CAP:
+            S += term
+            terms += 1
+            term = term @ (mu[:, None] * R)
+            if np.linalg.norm(term) < ca.NEUMANN_TAIL * first:
+                break
+        most = max(most, terms)
+        TG = Gc + S @ (mu[:, None] * Gc)
+        cols.append(TG * (np.sqrt(net.a_vol) / (1.0 + eps))[None, :])
+    return np.hstack(cols), most
+
+
+RAMP_PATH = {"kind": "path", "n": 64,
+             "mu": np.linspace(1.0, 8.0, 64).tolist()}
+
+
+@pytest.mark.parametrize("desc", ["C_64", "T_8x8", MU_MODELS[0], RAMP_PATH],
+                         ids=["C_64", "T_8x8", "mu_16", "ramp_path_64"])
+def test_dual_on_the_sampling_gram_matches_kernel_tables(desc, Phi):
+    spec = ca.eigendecompose(sp.build_model(desc))
+    hier, _ = fr.build_standard_hierarchy(spec)
+    dual, report = fr.build_dual_frame(spec, hier, Phi)
+    ref, terms = _dual_on_kernel_tables(spec, hier, Phi)
+    err = np.abs(dual.columns - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12
+    assert report.neumann_terms == terms
+
+
+def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
+                                             hierarchies, frame_sets, Phi):
+    _, ref, _ = frame_sets["C_64"]
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the dual frame built a kernel table")
+
+    monkeypatch.setattr(ca.SpectralData, "kernel", no_kernel)
+    dual, _ = fr.build_dual_frame(spectra["C_64"], hierarchies["C_64"][0], Phi)
+    assert np.array_equal(dual.columns, ref.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +340,8 @@ def test_default_frames_one_call():
     f = spec.project_mean_zero(np.sin(np.arange(32.0)))
     r = spec.space.norm2(fr.reconstruct(frame, dual, f) - f)
     assert r <= 1e-9 * spec.space.norm2(f)
+    # the contract a caller reads: the longest per-level series
+    assert type(report.neumann_terms) is int and report.neumann_terms >= 1
 
 
 def test_compact_dual_precondition_message(compact_pipeline, spectra,
