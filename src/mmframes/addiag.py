@@ -66,30 +66,23 @@ def _log_table(hier, scale, shift=None):
     return T
 
 
-def _weight_table(hier, beta, gamma, params):
-    """omega(beta, gamma) for every ordered pair; without its level term
-    when gamma is None.
+def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
+                  params: SpaceParams) -> np.ndarray:
+    """Def 6.1 decay weight omega_{xi,eta}(beta, gamma) for every ordered
+    pair (xi, eta).
 
     log omega(beta, gamma) = h_xi - h_eta - (J+beta) G
     + min{gamma lam, -(J+gamma) lam}, and every term is exactly 0 on the
     diagonal.
     """
+    if beta <= 0 or gamma <= 0:
+        raise ValueError("beta, gamma must be positive")
     J = params.J
-    W = _log_table(hier, -(J + beta), None if gamma is None
-                   else lambda lam: _level_term(lam, gamma, J))
+    W = _log_table(hier, -(J + beta), lambda lam: _level_term(lam, gamma, J))
     h = _head(hier.xi_ell, hier.xi_bvol, params)
     W += h[:, None]
     W -= h
     return np.exp(W, out=W)
-
-
-def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
-                  params: SpaceParams) -> np.ndarray:
-    """Def 6.1 decay weight omega_{xi,eta}(beta, gamma) for every ordered
-    pair (xi, eta)."""
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("beta, gamma must be positive")
-    return _weight_table(hier, beta, gamma, params)
 
 
 def omega_matrix(hier: NetHierarchy, delta: float, params: SpaceParams) -> np.ndarray:
@@ -177,13 +170,15 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     omega(beta, min(gamma1,gamma2)); one {"max_ratio", "argmax"} per pair.
     Hypotheses gamma1 != gamma2 and beta < gamma1 + gamma2 are enforced.
 
-    l is constant on a level, so the level term of log omega depends on the
-    pair only through lam = log(l_j/l_l), one value per level pair:
-    omega(beta, gamma) = K (.) E_gamma[j, l] with K the m x m weights
-    without it.  On level blocks, (W1 @ W2)[j, q] =
-    sum_l E1[j,l] E2[l,q] K[j,l] @ K[l,q], so every pair shares the products
-    K[j,l] @ K[l,:], one m^3 in all.  Row level j holds them transposed, an
-    (m, m_j) table per l, so that column level q is one strided 2-D view.
+    The head h_xi - h_eta of log omega cancels in that ratio, and l is
+    constant on a level, so the level term depends on the pair only through
+    lam = log(l_j/l_l), one value per level pair: up to the head,
+    omega(beta, gamma) = K (.) E_gamma[j, l] with K = exp(-(J+beta) G),
+    which is symmetric.  On level blocks, (W1 @ W2)[q, j] =
+    sum_l E1[q,l] E2[l,j] K[q,l] @ K[l,j], so every pair shares the
+    products K[q,l] @ K[l,j]; block (j, q) is block (q, j)'s products
+    transposed, so row level j takes them only for q >= j, half an m^3 in
+    all.
     """
     if not pairs:
         return []
@@ -197,27 +192,36 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     blocks = hier.blocks
     lev = np.log([net.ell for net in hier.levels])
     lam = lev[:, None] - lev[None, :]
-    K = _weight_table(hier, beta, None, params)
+    K = _log_table(hier, -(params.J + beta))
+    np.exp(K, out=K)
     E = {g: np.exp(_level_term(lam, g, params.J)) for p in pairs for g in p}
     E1 = np.array([E[g1] for g1, _ in pairs])
     E2 = np.array([E[g2] for _, g2 in pairs])
     Emin = np.array([E[min(p)] for p in pairs])
     L, m = len(blocks), hier.size
-    buf = np.empty(L * m * max(sl.stop - sl.start for sl in blocks))
+    buf = np.empty(max(L * (m - sl.start) * (sl.stop - sl.start)
+                       for sl in blocks))
     best = [(-np.inf, None)] * len(pairs)
     for j, rj in enumerate(blocks):
         mj = rj.stop - rj.start
-        Pt = buf[:L * m * mj].reshape(L, m, mj)
+        # Pt[l] stacks K[q, l] @ K[l, j] for every column level q >= j
+        Pt = buf[:L * (m - rj.start) * mj].reshape(L, m - rj.start, mj)
         for l, rl in enumerate(blocks):
-            np.matmul(K[rl].T, K[rj, rl].T, out=Pt[l])
-        for q, rq in enumerate(blocks):
-            R = (E1[:, j, :] * E2[:, :, q]) @ Pt[:, rq].reshape(L, -1)
-            R /= K[rj, rq].T.reshape(-1)
-            for p, a in enumerate(np.argmax(R, axis=1)):
-                v = R[p, a] / Emin[p, j, q]
-                if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
-                    aq, aj = divmod(int(a), mj)
-                    best[p] = (v, (rj.start + aj, rq.start + aq))
+            np.matmul(K[rj.start:, rl], K[rl, rj], out=Pt[l])
+        for q in range(j, L):
+            rq = blocks[q]
+            P = Pt[:, rq.start - rj.start:rq.stop - rj.start].reshape(L, -1)
+            Kqj = K[rq, rj].reshape(-1)
+            # block (q, j) reads P as it is, block (j, q) as its transpose
+            for r, c in ((q, j), (j, q))[:1 + (q > j)]:
+                R = (E1[:, r, :] * E2[:, :, c]) @ P
+                R /= Kqj
+                for p, a in enumerate(np.argmax(R, axis=1)):
+                    v = R[p, a] / Emin[p, r, c]
+                    if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
+                        aq, aj = divmod(int(a), mj)
+                        xi, eta = rq.start + aq, rj.start + aj
+                        best[p] = (v, (xi, eta) if r == q else (eta, xi))
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 
@@ -226,9 +230,13 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
     certifying the decay of the terms in the eps1-weighted norm, eps1 =
     epsilon/2.
 
-    Preconditions: ||D||_epsilon < delta_threshold and
-    delta_threshold * c* < 1 with the measured composition constant c*:
+    Preconditions: delta_hat = ||D||_epsilon < delta_threshold
+    (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
+    measured composition constant c*:
     Omega(eps1,epsilon) @ Omega(eps1,eps1) <= c* omega(eps1) entrywise.
+    The report's dhat_cstar is delta_hat * c*; the certified bound
+    ||D^n||_{eps1} <= delta_hat^n c*^(n-1) decays only while it is below
+    1, so geometric_decay_ok is false when it is not.
     """
     delta_hat = ad_norm(D, epsilon)
     if delta_hat >= delta_threshold:
@@ -243,12 +251,18 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
     C /= W
     cstar = float(C.max())
     del C
+    blocks = hier.blocks
+    buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
     term_ad_norms = []
 
     def on_term(term):
-        q = np.abs(term)
-        q /= W
-        term_ad_norms.append(float(q.max()))
+        # max |term| / W a row level at a time, through one buffer
+        best = 0.0
+        for sl in blocks:
+            q = np.abs(term[sl], out=buf[:sl.stop - sl.start])
+            q /= W[sl]
+            best = np.maximum(best, q.max())
+        term_ad_norms.append(float(best))
 
     total, terms, _ = neumann_series(D, on_term)
     del W
@@ -261,12 +275,14 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
         resid = max(resid, np.abs(P, out=P).max())
         del P
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
-    geometric_ok = all(
+    dhat_cstar = delta_hat * cstar
+    geometric_ok = dhat_cstar < 1 and all(
         term_ad_norms[n - 1] <= delta_hat**n * cstar ** (n - 1) * (1.0 + 1e-9)
         for n in range(1, len(term_ad_norms) + 1))
     report = {
         "delta_hat": delta_hat,
         "c_star": cstar,
+        "dhat_cstar": dhat_cstar,
         "terms": terms,
         "residual": float(resid),
         "term_ad_norms": term_ad_norms,

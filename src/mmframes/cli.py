@@ -427,7 +427,8 @@ def _suite_neumann(ctx):
     ok = rep["residual"] <= 1e-9 and rep["geometric_decay_ok"]
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
-        "c_star": rep["c_star"], "terms": rep["terms"],
+        "c_star": rep["c_star"], "dhat_cstar": rep["dhat_cstar"],
+        "terms": rep["terms"],
         "geometric": rep["geometric_decay_ok"]}
 
 

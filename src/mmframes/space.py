@@ -33,6 +33,9 @@ class ModelSpace:
 
     def __post_init__(self):
         _validate_model(self)
+        # exactly symmetric, which addiag.lemma64_grid relies on; bit for
+        # bit a no-op on a table that already is
+        object.__setattr__(self, "dist", (self.dist + self.dist.T) / 2)
 
     @property
     def n(self) -> int:

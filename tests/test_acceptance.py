@@ -159,7 +159,7 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
 
 def test_criterion_10_neumann_inversion(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega_matrix(hier, 1.0, params022)
     D = ad.NetMatrix(hierarchy=hier, entries=-0.01 * W, params=params022)
     Ainv, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
     assert rep["residual"] <= 1e-9

@@ -150,14 +150,30 @@ def p64_hierarchy():
         ca.eigendecompose(sp.build_model("P_64")))[0]
 
 
+@pytest.fixture(scope="module")
+def skewed_hierarchy():
+    # C_32 with one distance 1e-15 off its mirror: the model stores the
+    # table exactly symmetric, which the grid's transposed blocks read
+    from mmframes import calculus as ca, frames as fr, space as sp
+    m = sp.build_model("C_32")
+    dist = m.dist.copy()
+    dist[0, 1] += 1e-15
+    assert dist[0, 1] != dist[1, 0]
+    space = sp.ModelSpace(name="C_32~", dist=dist, mu=m.mu, L=m.L)
+    assert np.array_equal(space.dist, space.dist.T)
+    return fr.build_standard_hierarchy(ca.eigendecompose(space))[0]
+
+
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])
-@pytest.mark.parametrize("model", ["C_64", "P_64"])
+@pytest.mark.parametrize("model", ["C_64", "P_64", "C_32~"])
 def test_lemma64_grid_matches_dense_products(model, flavor, hierarchies,
-                                             p64_hierarchy, params022):
+                                             p64_hierarchy, skewed_hierarchy,
+                                             params022):
     # the level-block grid against (W1 @ W2) / omega(beta, min gamma) built
     # densely, over the whole grid of the lemma6.4-W-bound suite
     from mmframes.cli import _LEMMA64_GRID
-    hier = p64_hierarchy if model == "P_64" else hierarchies[model][0]
+    hier = {"P_64": p64_hierarchy, "C_32~": skewed_hierarchy}.get(model) \
+        or hierarchies[model][0]
     prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
     betas, g1s, g2s = _LEMMA64_GRID
     for beta in betas:
@@ -272,8 +288,9 @@ def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
 
 
 def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
+    # ||D||_1 = 0.01, so delta_hat * c* is about 0.51 < 1
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega_matrix(hier, 1.0, params022)
     D = NetMatrix(hierarchy=hier, entries=0.01 * W, params=params022)
     Ainv, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
     assert rep["residual"] <= 1e-9
@@ -281,6 +298,7 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     assert np.abs((I - D.entries) @ Ainv.entries - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
+    assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] < 1
     # c* = max (Omega(1/2, 1) @ Omega(1/2, 1/2)) / omega(1/2), taken densely;
     # the level-block grid sums in another order, so it agrees to rounding
     W1 = ad.omega_matrix(hier, 0.5, params022)
@@ -290,6 +308,27 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     assert abs(rep["c_star"] / grid - 1.0) <= 1e-13
     norms = rep["term_ad_norms"]
     assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("model, scale, delta", [("T_8x8", 0.03, 1.0),
+                                                  ("C_64", 0.01, 0.5)])
+def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
+                                                        hierarchies,
+                                                        profiles):
+    # delta_hat < 1/2 passes the threshold, and the series still inverts
+    # I - D, but delta_hat * c* >= 1: the certified bound does not decay
+    hier, _ = hierarchies[model]
+    prof = profiles[model]
+    prm = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
+                         dstar=max(prof.dstar, 0.0))
+    E = scale * ad.omega_matrix(hier, delta, prm)
+    if model == "T_8x8":  # c* = 45.1, delta_hat = 0.03
+        E *= np.random.default_rng(0).uniform(-1, 1, E.shape)
+    D = NetMatrix(hierarchy=hier, entries=E, params=prm)
+    _, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
+    assert rep["residual"] <= 1e-9 and rep["delta_hat"] < 0.5
+    assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] >= 1
+    assert not rep["geometric_decay_ok"]
 
 
 def test_neumann_rejects_large_perturbation(hierarchies, params022):

@@ -274,7 +274,8 @@ def test_neumann_series_sums_the_geometric_series():
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     step = 0.5 * q
     seen = []
-    total, terms, tail = ca.neumann_series(step, seen.append)
+    # on_term sees one reused array, so it keeps copies
+    total, terms, tail = ca.neumann_series(step, lambda t: seen.append(t.copy()))
     # ||step^k||_F / ||step||_F = 0.5^(k-1) < NEUMANN_TAIL stops the series
     # at 40 terms
     assert terms == len(seen) == 40 and tail < ca.NEUMANN_TAIL
@@ -282,6 +283,28 @@ def test_neumann_series_sums_the_geometric_series():
                        rtol=0, atol=1e-11)
     assert np.array_equal(seen[0], step)
     assert np.array_equal(seen[1], step @ step)
+
+
+def test_neumann_series_matches_the_plain_product_loop():
+    # n = 300 takes its powers in row blocks of 38, the last one 34 rows.
+    # BLAS may round a row block's product in another order than the whole
+    # product's (OpenBLAS does where 300 columns leave a kernel tail), so
+    # each power agrees with the loop to k n eps of its largest entry
+    n = 300
+    rng = np.random.default_rng(3)
+    step = rng.uniform(-1, 1, (n, n)) / 60
+    seen = []
+    total, terms, tail = ca.neumann_series(step, lambda t: seen.append(t.copy()))
+    assert terms > 3 and len(seen) == terms
+    ref, term = np.eye(n), step
+    for k, got in enumerate(seen, start=1):
+        tol = k * n * np.finfo(float).eps * np.abs(term).max()
+        assert np.abs(got - term).max() <= tol, k
+        ref += term
+        term = term @ step
+    assert np.abs(total - ref).max() <= terms * n * np.finfo(float).eps
+    assert tail < ca.NEUMANN_TAIL
+    assert abs(tail / (np.linalg.norm(term) / np.linalg.norm(step)) - 1) <= 1e-6
 
 
 def test_neumann_series_rejects_a_series_that_does_not_shrink():
