@@ -13,7 +13,6 @@ from mmframes.space import (
     Net,
     NetHierarchy,
     build_model,
-    ball,
     measure_doubling,
     build_maximal_net,
     build_partition,
@@ -26,7 +25,6 @@ __all__ = [
     "Net",
     "NetHierarchy",
     "build_model",
-    "ball",
     "measure_doubling",
     "build_maximal_net",
     "build_partition",

@@ -574,7 +574,7 @@ def _suite_multiplier(ctx):
                                 ctx.get("psi"), ctx.cfg["b"])
     l2_ok = rep["f"]["ratio"] <= sym.order_sups[0] + 1e-9
     mult = mx.multiplicativity_residual(
-        sym.fn, lambda u: np.exp(-np.asarray(u) ** 2), F, spec)
+        sym, lambda u: np.exp(-np.asarray(u) ** 2), F, spec)
     ok = rep["samples"] > 0 and route_ok and l2_ok and mult <= 1e-10
     return ("pass" if ok else "fail"), {
         "mihlin_sup": sym.mihlin_sup, "ratio_f": rep["f"]["ratio"],

@@ -5,7 +5,7 @@ and measured boundedness on the four space flavors.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,25 +45,6 @@ class MihlinSymbol:
         return self.fn(u)
 
 
-def _richardson_derivative(fn, x, order, h):
-    """Central difference of given order with one step-halving Richardson
-    extrapolation; returns (value, discrepancy estimate)."""
-
-    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
-
-    def central(hh):
-        k = np.arange(order + 1)
-        w = (-1.0) ** k * np.array([math.comb(order, int(i)) for i in k])
-        pts = x[:, None] + (order / 2.0 - k)[None, :] * hh[:, None]
-        return (w[None, :] * fn(pts)).sum(axis=1) / hh**order
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    # central differences are O(h^2): eliminate the leading term
-    val = (4.0 * d2 - d1) / 3.0
-    return val, np.abs(d2 - d1)
-
-
 def ahlfors_scan(space: ModelSpace, d: float) -> dict:
     """Fit of the two-sided volume bound |B(x,r)| asymptotically r^d.
 
@@ -95,23 +76,18 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     extended by b^2 on both sides.
 
     m is a built-in name ("one", "rational", "linear"), whose derivatives
-    are taken in closed form, or a callable on arrays, whose derivatives
-    are taken by Richardson-extrapolated central differences.
+    are taken in closed form from its jet in BUILTIN_SYMBOLS.
 
     The smoothness threshold is J + d/2 in general and relaxes to J when
     the volume growth fits the two-sided power bound within AHLFORS_BAND.
-    Symbols whose sups blow up only beyond the extended range are flagged
-    range_restricted rather than rejected.
+    Symbols whose sups blow up only beyond the extended range, or that are
+    not even (the calculus only evaluates them at sqrt(lam) >= 0), are
+    flagged range_restricted rather than rejected.
     """
-    if isinstance(m, str):
-        if m not in BUILTIN_SYMBOLS:
-            raise ValueError(f"unknown symbol {m!r}; the built-in symbols "
-                             f"are {', '.join(BUILTIN_SYMBOLS)}")
-        jet = BUILTIN_SYMBOLS[m]
-        base_fn = lambda u: jet(np.asarray(u, dtype=float), 0)
-    else:
-        jet = None
-        base_fn = lambda u: np.asarray(m(u), dtype=float)
+    if not isinstance(m, str) or m not in BUILTIN_SYMBOLS:
+        raise ValueError(f"unknown symbol {m!r}; the built-in symbols "
+                         f"are {', '.join(BUILTIN_SYMBOLS)}")
+    jet = BUILTIN_SYMBOLS[m]
 
     scan = ahlfors_scan(spec.space, params.d)
     threshold = params.J + (0.0 if scan["band"] <= AHLFORS_BAND
@@ -125,48 +101,26 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     hi = b**2 * np.sqrt(spec.lambda_max)
     grid = np.geomspace(lo, hi, 4000)
 
-    # evenness on the grid; a symbol given only on the positive axis is
-    # extended evenly and flagged rather than rejected (the calculus only
-    # evaluates it at nonnegative arguments)
-    even_err = float(np.abs(base_fn(grid) - base_fn(-grid)).max())
-    even_ok = even_err <= 1e-12 * max(1.0, float(np.abs(base_fn(grid)).max()))
-    forced_even = not even_ok
-    if forced_even:
-        inner = base_fn
-        base_fn = lambda u: inner(np.abs(np.asarray(u, dtype=float)))
-        # derivatives below are taken on the (positive) grid, where the
-        # even extension agrees with the original expression
+    m0 = jet(grid, 0)
+    even_err = float(np.abs(m0 - jet(-grid, 0)).max())
+    even_ok = even_err <= 1e-12 * max(1.0, float(np.abs(m0).max()))
 
     # the sups, and range restriction: does a weighted sup keep growing
     # toward the edge of the extended range?
     sups = []
     restricted = False
     for nu in range(ell + 1):
-        if jet is not None:
-            vals = jet(grid, nu)
-        elif nu == 0:
-            vals = base_fn(grid)
-        else:
-            # step chosen to balance roundoff (eps / h^nu) against the
-            # O(h^4) truncation left after Richardson extrapolation
-            h = np.maximum(grid, 1.0) * \
-                np.finfo(float).eps ** (1.0 / (nu + 4))
-            vals, disc = _richardson_derivative(base_fn, grid, nu, h)
-            if (disc * grid**nu).max() > \
-                    1e-3 * max(1.0, float(np.abs(grid**nu * vals).max())):
-                raise ValueError(
-                    "finite-difference derivative did not stabilize")
-        wv = np.abs(grid**nu * vals)
+        wv = np.abs(grid**nu * jet(grid, nu))
         sups.append(float(wv.max()))
-        if jet is not None or nu == 0:
-            head = max(float(wv[:-200].max()), 1e-300)
-            if float(wv[-1]) > 2.0 * head and wv[-1] >= wv[-100]:
-                restricted = True
+        head = max(float(wv[:-200].max()), 1e-300)
+        if float(wv[-1]) > 2.0 * head and wv[-1] >= wv[-100]:
+            restricted = True
 
-    return MihlinSymbol(fn=base_fn, ell=ell,
+    return MihlinSymbol(fn=lambda u: jet(np.asarray(u, dtype=float), 0),
+                        ell=ell,
                         mihlin_sup=float(max(sups)), order_sups=tuple(sups),
                         even_ok=even_ok,
-                        range_restricted=restricted or forced_even,
+                        range_restricted=restricted or not even_ok,
                         grid=(float(lo), float(hi)), threshold=threshold)
 
 
@@ -175,9 +129,8 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
     sum_xi <f, psi~_xi> m(sqrt(L)) psi_xi, cross-checked against direct
     spectral application to a relative 1e-9; f is one function or an (n, k)
     table."""
-    fn = symbol.fn if isinstance(symbol, MihlinSymbol) else symbol
     fv = spec.project_mean_zero(np.asarray(f, dtype=float))
-    mvals = spec.symbol(fn)
+    mvals = spec.symbol(symbol)
     direct = spec.apply(mvals, fv)
     framed = spec.apply(mvals, frame.columns @ dual.analyze(fv))
     scale = max(1.0, float(np.abs(direct).max()))
@@ -197,16 +150,15 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
     s = params.s
     out = {"mihlin_sup": symbol.mihlin_sup}
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
-    G = spec.apply(spec.symbol(symbol.fn), F)
-    base = params.J if symbol.threshold == params.J else params.J + params.d / 2.0
+    G = spec.apply(spec.symbol(symbol), F)
+    base = symbol.threshold
     samples = []
     for key, family, flavor, extra in (
             ("f", "triebel_lizorkin", "classical", 0.0),
             ("f~", "triebel_lizorkin", "tilde", abs(s)),
             ("b", "besov", "classical", 0.0),
             ("b~", "besov", "tilde", abs(s))):
-        prm = SpaceParams(s=s, p=params.p, q=params.q, flavor=flavor,
-                          family=family, d=params.d, dstar=params.dstar)
+        prm = replace(params, family=family, flavor=flavor)
         denom = function_norm(F, prm, spec, phi, b)
         live = denom > 0
         ratios = function_norm(G[:, live], prm, spec, phi, b) / denom[live]

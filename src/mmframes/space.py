@@ -239,14 +239,6 @@ def build_model(desc) -> ModelSpace:
 # balls and doubling
 
 
-def ball(space: ModelSpace, x: int, r: float):
-    """Open ball: indices {y : dist(x,y) < r} and their mu-volume."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    members = np.nonzero(space.dist[x] < r)[0]
-    return members, float(space.mu[members].sum())
-
-
 def ball_volumes(space: ModelSpace, r) -> np.ndarray:
     """Vector of |B(x, r)| for every x (open balls)."""
     inside = space.dist < r
@@ -350,9 +342,8 @@ def build_net(space: ModelSpace, level: int, b: float, gamma: float) -> Net:
     centers = build_maximal_net(space, delta)
     owner = build_partition(space, centers, delta)
     a_vol = np.array([space.mu[owner == k].sum() for k in range(len(centers))])
-    b_vol = np.array([ball(space, xi, delta)[1] for xi in centers])
     return Net(level=level, delta=delta, centers=centers, owner=owner,
-               ell=ell, a_vol=a_vol, b_vol=b_vol,
+               ell=ell, a_vol=a_vol, b_vol=ball_volumes(space, delta)[centers],
                s_vol=ball_volumes(space, ell)[centers])
 
 

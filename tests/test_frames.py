@@ -83,7 +83,7 @@ def test_frame_column_norms_track_ball_volumes(frame_sets, spectra):
     frame, _, _ = frame_sets["C_64"]
     spec = spectra["C_64"]
     hier = frame.hierarchy
-    from mmframes.space import ball
+    from mmframes.space import ball_volumes
     norms = np.linalg.norm(frame.columns, axis=0)
     live = norms > 1e-12
     assert live.any() and not live.all()
@@ -92,7 +92,7 @@ def test_frame_column_norms_track_ball_volumes(frame_sets, spectra):
         for k in np.nonzero(live)[0]:
             j = int(hier.xi_level[k])
             xi = int(hier.xi_point[k])
-            vol = ball(spec.space, xi, hier.b ** (-j))[1]
+            vol = ball_volumes(spec.space, hier.b ** (-j))[xi]
             ratios.append(spec.space.lp_norm(frame.columns[:, k], p)
                           / vol ** (1.0 / p - 0.5))
         ratios = np.array(ratios)

@@ -28,8 +28,11 @@ def test_builtin_jets_match_sympy(spectra, name, source):
 
 
 def test_unknown_symbol_name_lists_the_builtins(spectra, params022):
-    with pytest.raises(ValueError, match="one, rational, linear"):
-        mp.check_mihlin("heat", 4, params022, spectra["C_64"])
+    # a callable is refused like an unknown name: symbols are read only
+    # through the closed-form jets
+    for m in ("heat", lambda u: u**2):
+        with pytest.raises(ValueError, match="one, rational, linear"):
+            mp.check_mihlin(m, 4, params022, spectra["C_64"])
 
 
 def test_constant_symbol_sups(spectra, params022):
@@ -61,25 +64,9 @@ def test_threshold_enforced(spectra, params022):
 
 def test_linear_symbol_flagged_not_rejected(spectra, params022):
     sym = mp.check_mihlin("linear", 4, params022, spectra["C_64"])
-    assert sym.range_restricted
-    assert np.isfinite(sym.mihlin_sup)
-
-
-def test_odd_callable_gets_even_extension(spectra, params022):
-    sym = mp.check_mihlin(lambda u: np.asarray(u, dtype=float) ** 3, 4,
-                          params022, spectra["C_64"])
     assert not sym.even_ok
     assert sym.range_restricted
-    assert sym(-2.0) == sym(2.0)
-
-
-def test_finite_difference_matches_closed_form(spectra, params022):
-    sym_cf = mp.check_mihlin("rational", 4, params022, spectra["C_64"])
-    sym_fd = mp.check_mihlin(lambda u: np.asarray(u) ** 2 /
-                             (1.0 + np.asarray(u) ** 2), 4,
-                             params022, spectra["C_64"])
-    for a, b in zip(sym_cf.order_sups, sym_fd.order_sups):
-        assert abs(a - b) < 1e-4 * max(1.0, a)
+    assert np.isfinite(sym.mihlin_sup)
 
 
 def test_sups_stable_under_refinement(spectra, params022):

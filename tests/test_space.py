@@ -76,12 +76,10 @@ def test_eigenbasis_is_mu_orthonormal_and_scales_with_mu(desc):
                        rtol=1e-12, atol=1e-12 * spec.lambda_max)
 
 
-def test_ball_is_open_and_radius_must_be_positive():
+def test_ball_volumes_are_open_balls():
+    # at r = 1 on C_8 each open ball holds only its center
     m = sp.build_model("C_8")
-    members, vol = sp.ball(m, 0, 1.0)
-    assert list(members) == [0]
-    with pytest.raises(ValueError):
-        sp.ball(m, 0, 0.0)
+    assert np.array_equal(sp.ball_volumes(m, 1.0), np.ones(8))
 
 
 def test_doubling_profile_oracle_cycle(profiles):
@@ -236,6 +234,8 @@ def test_hierarchy_flat_arrays_consistent(hierarchies):
             assert np.array_equal(hier.xi_avol[sl], net.a_vol)
             assert np.array_equal(hier.xi_bvol[sl], net.b_vol)
             assert np.array_equal(hier.xi_svol[sl], net.s_vol)
+            assert np.array_equal(net.b_vol, sp.ball_volumes(
+                hier.space, net.delta)[net.centers])
             assert np.array_equal(net.s_vol, sp.ball_volumes(
                 hier.space, net.ell)[net.centers])
 
