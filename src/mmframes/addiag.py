@@ -243,14 +243,8 @@ def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
         raise NeumannPreconditionError(delta_hat, delta_threshold)
     eps1 = epsilon / 2.0
     hier, params, D = D.hierarchy, D.params, D.entries
-    # c* is lemma64_grid's ratio for the one pair (epsilon, eps1), from one
-    # dense product: one pair shares no block product with another, and W
-    # = omega(eps1) is the table the term certificate reads anyway
+    cstar = lemma64_grid(hier, params, eps1, [(epsilon, eps1)])[0]["max_ratio"]
     W = omega_matrix(hier, eps1, params)
-    C = omega2_matrix(hier, eps1, epsilon, params) @ W
-    C /= W
-    cstar = float(C.max())
-    del C
     blocks = hier.blocks
     buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
     term_ad_norms = []

@@ -5,7 +5,6 @@ in the mu-weighted inner product.  A kernel table K acts by integration
 against mu: (Kf)(x) = sum_y K(x,y) f(y) mu(y).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,74 +201,6 @@ def make_cutoff(kind: str, b: float = 2.0) -> Cutoff:
     raise ValueError("kind must be 'a', 'b' or 'c'")
 
 
-def _logistic(z):
-    """1/(1 + exp(-z)) without overflow for large |z|."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _lowpass_jet(x, b: float, order: int):
-    """Taylor coefficients y_0..y_order in t of the transition bump.
-
-    On (1, b) the type (a) cutoff is y = logistic(s) with
-    s = 1/t - 1/(1-t) and t = (x-1)/(b-1).  The Taylor coefficients of s
-    are (-1)^k t^{-k-1} - (1-t)^{-k-1}, and y' = y (1-y) s' gives those of
-    y by Cauchy products; 1-y is carried separately as logistic(-s) so the
-    plateau ends keep full relative precision.
-    """
-    t = (x - 1.0) / (b - 1.0)
-    s = [(-1.0) ** k / t ** (k + 1) - 1.0 / (1.0 - t) ** (k + 1)
-         for k in range(order + 1)]
-    y = [_logistic(s[0])]
-    w = [_logistic(-s[0])]  # Taylor coefficients of 1 - y
-    z = []  # Taylor coefficients of y (1 - y)
-    for k in range(order):
-        z.append(sum(y[i] * w[k - i] for i in range(k + 1)))
-        y.append(sum(z[i] * (k - i + 1) * s[k - i + 1] for i in range(k + 1))
-                 / (k + 1))
-        w.append(-y[-1])
-    return y
-
-
-def lowpass_derivatives(b: float, max_order: int):
-    """Analytic derivatives of the type (a) cutoff, from the closed-form
-    Taylor jet of the transition bump; returns callables for orders
-    0..max_order."""
-
-    def make(k):
-
-        def f(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.zeros_like(x)
-            if k == 0:
-                out[x <= 1.0] = 1.0
-            inside = (x > 1.0 + 1e-9) & (x < b - 1e-9)
-            if np.any(inside):
-                yk = _lowpass_jet(x[inside], b, k)[k]
-                out[inside] = math.factorial(k) * yk / (b - 1.0) ** k
-            return out
-
-        return f
-
-    return [make(k) for k in range(max_order + 1)]
-
-
-def band_derivatives(b: float, max_order: int):
-    """Analytic derivatives of the band symbol Phi(u) - Phi(b*u)."""
-    low = lowpass_derivatives(b, max_order)
-
-    def make(k):
-        fk = low[k]
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return fk(x) - b**k * fk(b * x)
-
-        return f
-
-    return [make(k) for k in range(max_order + 1)]
-
-
 # ---------------------------------------------------------------------------
 # level window and telescoping
 
@@ -354,14 +285,16 @@ def fit_speed_constant(spec: SpectralData) -> float:
 SUPPORT_THRESHOLD = 1e-9
 
 
-def effective_support_radius(table, space: ModelSpace) -> float:
-    """Largest rho(x,y) with |table(x,y)| > SUPPORT_THRESHOLD * max|table|."""
+def effective_support_radius(table, space: ModelSpace,
+                             points=slice(None)) -> float:
+    """Largest rho(x,y) with |table(x,y)| > SUPPORT_THRESHOLD * max|table|,
+    for a table whose columns are the kernel's at points (all by default)."""
     K = np.abs(table)
     kmax = K.max()
     if kmax == 0:
         return 0.0
     live = K > SUPPORT_THRESHOLD * kmax
-    return float(space.dist[live].max())
+    return float(space.dist[:, points][live].max())
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ DEFAULT_CONFIG = {
     "output_dir": "reports",
 }
 
-# Prop 6.6 orders, tolerance and transform band of the surrogate symbol
-THETA = {"N": 4, "K": 2, "eps": 1e-3, "R0": 1024.0, "R_max": 4096.0}
-
-
 class ConfigError(Exception):
     pass
 
@@ -128,15 +124,9 @@ class Context:
         return fr.build_dual_frame(self.get("spec"), self.get("hier"),
                                    self.get("Phi"))[0]
 
-    def _build_theta(self):
-        b = self.cfg["b"]
-        return fr.build_band_limited_theta(
-            self.get("psi"), ca.band_derivatives(b, THETA["K"]), b=b,
-            **THETA)
-
     def _build_compact(self):
         return fr.build_compact_frame(self.get("spec"), self.get("hier"),
-                                      self.get("theta"))
+                                      self.get("Phi"))
 
     def _build_compact_dual(self):
         return fr.build_compact_dual(
@@ -418,10 +408,13 @@ def _suite_neumann(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     eps = 1.0
-    # D = 0.01 omega(1) (.) U(-1, 1), scaled in place
-    D = ad.omega_matrix(hier, eps, params)
-    D *= 0.01
-    D *= rng.uniform(-1, 1, D.shape)
+    # D = omega(1) (.) U(-1, 1) scaled in place to ||D||_1 = 1/(2 c*), so
+    # delta_hat c* = 1/2 < 1 as Thm 6.3(ii) requires, with c* the
+    # composition constant neumann_invert measures
+    grid = ad.lemma64_grid(hier, params, eps / 2, [(eps, eps / 2)])
+    D = rng.uniform(-1, 1, (hier.size, hier.size))
+    D /= 2.0 * grid[0]["max_ratio"] * np.abs(D).max()
+    D *= ad.omega_matrix(hier, eps, params)
     _, rep = ad.neumann_invert(
         ad.NetMatrix(hierarchy=hier, entries=D, params=params), eps, 0.5)
     ok = rep["residual"] <= 1e-9 and rep["geometric_decay_ok"]
@@ -432,35 +425,36 @@ def _suite_neumann(ctx):
         "geometric": rep["geometric_decay_ok"]}
 
 
-@_suite("prop6.6-theta", "Prop 6.6/(6.16)", "band-limited surrogate symbol")
+@_suite("prop6.6-theta", "Prop 6.6", "per-level polynomial symbols")
 def _suite_theta(ctx):
-    th = ctx.get("theta")
-    out = {"R": th.R, "eps_target": th.eps_target,
-           "eps_achieved": th.eps_achieved,
-           "jet_residual": max(th.jet_residuals) if th.jet_residuals else 0.0}
-    return ("pass" if th.passed else "fail"), out
+    # degree 0 marks a level that keeps the band symbol; const is the
+    # support constant degree * b^j in units of the level's scale b^{-j}
+    b = ctx.get("hier").b
+    out = {}
+    for j, lv in ctx.get("compact_supports").items():
+        out.update({f"level{j}_degree": lv.degree,
+                    f"level{j}_support": lv.support,
+                    f"level{j}_const": lv.degree * b ** j,
+                    f"level{j}_sup_err": lv.sup_err})
+    return "record", out
 
 
 def _speed_checks(ctx):
-    """(radius / bound, passed) per level: the compact frame's support radius
-    against the Prop 2.1 bound c~ R b^{-j}, which passes when it reaches
-    the diameter."""
-    diameter = ctx.get("spec").space.diameter
-    ct, R, b = ctx.get("ctilde"), ctx.get("theta").R, ctx.get("hier").b
-    out = []
-    for j, r in ctx.get("compact_supports").items():
-        bound = ct * b ** (-j) * R
-        out.append((r / bound, r <= bound or bound >= diameter))
-    return out
+    """(radius / reach, passed) per polynomial level: the compact frame's
+    support radius against k e, where a degree-k polynomial's kernel ends.
+    Never empty: the finest level's band symbol vanishes on [0, lambda_max],
+    so it is the zero polynomial of degree 1."""
+    return [(lv.support / lv.reach, lv.support <= lv.reach)
+            for lv in ctx.get("compact_supports").values() if lv.degree]
 
 
-@_suite("prop2.1-finite-speed", "Prop 2.1", "band-limited kernel support",
+@_suite("prop2.1-finite-speed", "Prop 2.1", "polynomial kernel support",
         after=("prop6.6-theta",))
 def _suite_finite_speed(ctx):
     checks = _speed_checks(ctx)
     ok = all(passed for _, passed in checks)
     return ("pass" if ok else "fail"), {
-        "c_tilde": ctx.get("ctilde"), "R": ctx.get("theta").R,
+        "c_tilde": ctx.get("ctilde"), "levels": len(checks),
         "worst_ratio": max(ratio for ratio, _ in checks)}
 
 

@@ -1,6 +1,6 @@
 """Frame construction: primal multiscale frame, its dual via a per-level
 Neumann correction summed on the level's sampling Gram, and a compactly
-supported variant built from a band-limited surrogate symbol.
+supported variant built from per-level polynomials in L.
 """
 
 from dataclasses import dataclass
@@ -16,13 +16,13 @@ from mmframes.calculus import (
     make_cutoff,
     band_symbols,
     level_window,
-    _smooth_step,
     effective_support_radius,
     neumann_series,
 )
 
 MAX_GAMMA_HALVINGS = 8        # halvings of gamma before the hierarchy gives up
 COMPACT_DUAL_THRESHOLD = 0.5  # the compact dual needs ||I - A||_eps below this
+COMPACT_SUP_ERR = 1e-6        # a compact level's polynomial error, relative sup
 
 
 @dataclass(frozen=True)
@@ -203,172 +203,101 @@ def frame_bounds_probe(frame: Frame, dual: Frame, spec: SpectralData,
 
 
 # ---------------------------------------------------------------------------
-# band-limited surrogate symbol and compactly supported frame
+# compactly supported frame: per-level polynomials in L
 
 
 @dataclass(frozen=True)
-class ThetaSymbol:
-    """Even symbol given by a cosine series over nodes in [0, R].
+class CompactLevel:
+    """One level of the compact frame (build_compact_frame); degree 0 marks
+    a level that keeps its band symbol Psi_j."""
 
-    Its transform is supported in [-R, R] by construction, and the jet
-    correction forces derivatives at 0 to vanish through order N + K - 1,
-    which keeps u^{-m} Theta band-limited for m <= N + K.
+    degree: int
+    reach: float     # degree * e: a polynomial level's kernel ends there
+    support: float   # effective support radius of the level's columns
+    sup_err: float   # max |p - Psi_j| / max |Psi_j| over the spectrum
+
+
+def longest_edge(space) -> float:
+    """Largest rho(x, y) over the pairs x != y with L(x, y) != 0: one
+    application of L moves a kernel's support by at most this much."""
+    edges = space.L != 0
+    np.fill_diagonal(edges, False)
+    return float(space.dist[edges].max())
+
+
+def _level_polynomial(lam, vander, psi, band):
+    """Least k for which p(lambda) = lambda q(lambda), q the Chebyshev
+    interpolant of degree k - 1 of band(lambda)/lambda on [0, lambda_max],
+    is within COMPACT_SUP_ERR * max |psi| of psi = band(lam) on the spectrum
+    lam; returns (k, p(lam), that error relative to max |psi|), or
+    (0, psi, 0.0), the band symbol itself, when the highest degree on
+    offer, vander's column count, misses it: one fit settles such a level.
+    vander is chebvander(2 lam / lambda_max - 1, K - 1), so p(lam) is
+    lam * (vander[:, :k] @ q).
     """
+    from numpy.polynomial.chebyshev import chebinterpolate
 
-    R: float
-    nodes: np.ndarray
-    coeffs: np.ndarray
-    eps_target: float
-    eps_achieved: float
-    passed: bool
-    N: int
-    K: int
-    jet_residuals: tuple = ()
+    half = lam[-1] / 2.0
+    scale = np.abs(psi).max()
 
-    def __call__(self, u):
-        """Theta(u) for u of any shape: with t_k = k dt the series is
-        sum_k c_k T_k(cos(dt u)), one Clenshaw pass over all points."""
-        from numpy.polynomial.chebyshev import chebval
+    def target(t):
+        # Chebyshev points lie inside (-1, 1), so lambda > 0 here
+        mu = (t + 1.0) * half
+        return band(mu) / mu
 
-        u = np.asarray(u, dtype=float)
-        out = chebval(np.cos(self.nodes[1] * u), self.coeffs)
-        return float(out) if u.ndim == 0 else out
+    def fit(k):
+        p = lam * (vander[:, :k] @ chebinterpolate(target, k - 1))
+        return p, np.abs(p - psi).max()
 
-
-def _dct1(x) -> np.ndarray:
-    """DCT-I, y_k = x_0 + (-1)^k x_{N-1} + 2 sum_{0<i<N-1} x_i cos(pi k i/(N-1)):
-    the real FFT of the even extension of x."""
-    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
-
-
-def _dst1(x) -> np.ndarray:
-    """DST-I, y_k = 2 sum_i x_i sin(pi (k+1)(i+1)/(N+1)): the real FFT of the
-    odd extension of x."""
-    z = np.zeros(1)
-    return -np.fft.rfft(np.concatenate([z, x, z, -x[::-1]])).imag[1:-1]
-
-
-def _cosine_transform(Psi, support: float, n: int, dt: float,
-                      du_max: float) -> np.ndarray:
-    """2 int_0^support Psi(u) cos(k dt u) du for k = 0..n-1.
-
-    Trapezoid rule with step du = pi/(M dt) <= du_max, M a power of two, so
-    that cos(k dt u_i) = cos(pi k i / M) and the whole transform is one
-    DCT-I (an FFT of length 2M) of the zero-padded samples Psi(u_i),
-    i = 0..M.  The integrand is a smooth bump, so the rule is spectrally
-    accurate once du resolves the oscillation.
-    """
-    # the least power of two M with pi/(M dt) <= du_max
-    M = 1 << (int(np.ceil(np.pi / (dt * du_max))) - 1).bit_length()
-    du = np.pi / (M * dt)
-    samples = np.zeros(M + 1)
-    live = int(support / du) + 1
-    samples[:live] = np.asarray(Psi(np.arange(live) * du), dtype=float)
-    return _dct1(samples)[:n] * du
-
-
-def build_band_limited_theta(Psi, Psi_derivs, N: int, K: int, eps: float,
-                             b: float = 2.0, R0: float = 1024.0,
-                             R_max: float = 4096.0) -> ThetaSymbol:
-    """Band-limited surrogate for the band symbol Psi, whose derivatives of
-    orders 0..K are the callables Psi_derivs[0..K].
-
-    Truncates the cosine transform of Psi to [0, R] with a smooth window,
-    adds a small band-limited jet correction so that derivatives at 0
-    vanish through order N + K - 1, and grows R until
-    |Psi^(nu) - Theta^(nu)| <= eps u^N/(1+u)^{2N} holds for nu <= K on a
-    dense grid.  Returns the best attempt when the tolerance is
-    unreachable below R_max (caller inspects .passed).
-
-    The nodes t_k = k dt are uniform, so both transforms are DCT-I/DST-I
-    evaluations.  The forward transform samples Psi at u_i = i du,
-    i = 0..M, with dt du = pi/M.  The validation grid is
-    u_j = j pi/(L dt), j = 0..L, which spans [0, pi/dt] with spacing no
-    coarser than (4b - 0.05)/3999; the bound is checked on its points in
-    [0.05, 4b].
-    """
-    if not (N >= K >= 1):
-        raise ValueError("need N >= K >= 1")
-    jet = N + K
-    u_lo, u_hi = 0.05, 4.0 * b
-    psi_support = 1.25 * b  # band symbol vanishes beyond b
-    dt = min(0.08, np.pi / (4.0 * u_hi))
-    R = R0
-    best = None
-    while R <= R_max:
-        t = np.arange(0.0, R + dt, dt)
-        hhat = _cosine_transform(Psi, psi_support, len(t), dt,
-                                 min(0.25 / R, 2.5e-4))
-        win = _smooth_step((t - R / 2.0) / (R / 2.0))
-        coeffs = hhat * win * dt / np.pi
-        coeffs[0] *= 0.5
-        coeffs[-1] *= 0.5
-
-        # jet correction: even derivatives at 0 are (+-) sum c_k t_k^o, so
-        # kill sum c_k t_k^o for even o < jet with a band-limited basis
-        # (odd derivatives vanish by evenness); two extra even orders keep
-        # the validated ratio from plateauing near u = 0
-        orders = [2 * j for j in range((jet + 1) // 2 + 2)]
-        bump = _smooth_step((np.abs(t - R / 2.0) - R / 8.0) / (R / 8.0))
-        basis = np.array([(t / R) ** (2 * m) * bump for m in range(len(orders))])
-        Mmat = np.array([[float(np.sum(bvec * (t / R) ** o)) for bvec in basis]
-                         for o in orders])
-        # refinement pass soaks up roundoff in the solve
-        for _ in range(2):
-            jets = np.array([float(np.sum(coeffs * (t / R) ** o)) for o in orders])
-            coeffs = coeffs - np.linalg.solve(Mmat, jets) @ basis
-        jet_resid = tuple(
-            float(abs(np.sum(coeffs * (t / R) ** o))
-                  / max(np.sum(np.abs(coeffs) * (t / R) ** o), 1e-300))
-            for o in orders)
-
-        # validation grid: near u = 0 the bound is covered analytically by
-        # the vanishing jets (the error is O(u^{jet+4-nu}) there), so the
-        # grid starts where the target envelope clears float64 noise
-        L = max(len(t), int(np.ceil(3999 * np.pi / (dt * (u_hi - u_lo)))))
-        ug = np.arange(L + 1) * (np.pi / (L * dt))
-        keep = (ug >= u_lo) & (ug <= u_hi)
-        ug = ug[keep]
-        weight = ug**N / (1.0 + ug) ** (2 * N)
-        worst = 0.0
-        for nu in range(0, K + 1):
-            # Theta^(nu)(u_j) = (-1)^{ceil(nu/2)} sum_k c_k t_k^nu
-            # {cos, sin}(pi k j / L) for nu {even, odd}
-            a = np.zeros(L + 1)
-            a[:len(t)] = coeffs * t**nu
-            if nu % 2 == 0:
-                vals = (_dct1(a) + a[0]) / 2.0
-            else:
-                vals = np.pad(_dst1(a[1:L]), 1) / 2.0
-            vals = (-1.0) ** ((nu + 1) // 2) * vals[keep]
-            ref = np.asarray(Psi_derivs[nu](ug), dtype=float)
-            worst = max(worst, float((np.abs(vals - ref) / weight).max()))
-        theta = ThetaSymbol(R=R, nodes=t, coeffs=coeffs, eps_target=eps,
-                            eps_achieved=worst, passed=worst <= eps, N=N,
-                            K=K, jet_residuals=jet_resid)
-        if best is None or worst < best.eps_achieved:
-            best = theta
-        if worst <= eps:
-            return theta
-        R *= 2.0
-    return best
+    top = vander.shape[1]
+    if fit(top)[1] > COMPACT_SUP_ERR * scale:
+        return 0, psi, 0.0
+    for k in range(1, top + 1):
+        p, err = fit(k)
+        if err <= COMPACT_SUP_ERR * scale:
+            return k, p, float(err / scale) if scale > 0 else 0.0
 
 
 def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
-                        theta: ThetaSymbol) -> tuple:
-    """Compactly supported frame theta_xi = |A_xi|^{1/2} Theta(b^{-j}
-    sqrt(L))(., xi); returns (Frame, per-level effective support radii)."""
-    scales = np.array([hierarchy.b ** (-net.level)
-                       for net in hierarchy.levels])
+                        Phi: Cutoff) -> tuple:
+    """Compactly supported frame theta_xi = |A_xi|^{1/2} p_j(L)(., xi);
+    returns (Frame, {level: CompactLevel}).
+
+    p_j is the least-degree lambda q_j(lambda) within COMPACT_SUP_ERR of the
+    band symbol Psi_j(lambda) = Psi(b^{-j} sqrt(lambda)) on the spectrum
+    (_level_polynomial).  L has the graph's sparsity, so the kernel of a
+    degree-k polynomial in L vanishes beyond k edges, that is beyond k e in
+    rho: an exact finite speed.  A level that no degree with k e below the
+    diameter fits keeps Psi_j, so its block is build_frame1's.  The factor
+    lambda makes every column mean-zero.
+    """
+    if abs(Phi.b - hierarchy.b) > 0:
+        raise ValueError("hierarchy/cutoff base mismatch")
+    from numpy.polynomial.chebyshev import chebvander
+
+    b, space, lam = hierarchy.b, spec.space, spec.eigenvalues
+    edge = longest_edge(space)
+    # the degrees k with k e below the diameter.  Every accepted model has
+    # diameter above e: unit edges with hop diameter >= 2, or a tree, where
+    # the heaviest edge continues into a longer path
+    vander = chebvander(2.0 * lam / lam[-1] - 1.0,
+                        int(np.ceil(space.diameter / edge)) - 2)
+    psi = band_symbols(spec, Phi, b, (hierarchy.j_min, hierarchy.j_max))
     cols = []
-    supports = {}
-    for net, vals in zip(hierarchy.levels, spec.symbol(theta, scales).T):
-        P = spec.kernel(vals)
-        supports[net.level] = effective_support_radius(P, spec.space)
-        cols.append(P[:, net.centers] * np.sqrt(net.a_vol)[None, :])
+    levels = {}
+    for net, vals in zip(hierarchy.levels, psi.T):
+        j = net.level
+        degree, vals, err = _level_polynomial(
+            lam, vander, vals, lambda mu: Phi(b ** -j * np.sqrt(mu))
+            - Phi(b ** (1 - j) * np.sqrt(mu)))
+        P = spec.kernel(vals, net.centers)
+        levels[j] = CompactLevel(
+            degree=degree, reach=degree * edge, sup_err=err,
+            support=effective_support_radius(P, space, net.centers))
+        cols.append(P * np.sqrt(net.a_vol)[None, :])
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols),
                   bands={n.level: None for n in hierarchy.levels})
-    return frame, supports
+    return frame, levels
 
 
 def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
@@ -394,8 +323,7 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     if delta_hat >= COMPACT_DUAL_THRESHOLD:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
-            f"{delta_hat:.3g} >= threshold; shrink eps in the "
-            "band-limited symbol")
+            f"{delta_hat:.3g} >= threshold")
     QP = Q @ (frame1.columns - compact.columns).T
     G = np.linalg.solve(np.eye(len(mu)) - QP * mu[None, :], Q)
     X = (Q @ frame1.columns.T) * mu[None, :]

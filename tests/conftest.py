@@ -1,4 +1,5 @@
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
 from mmframes import space as sp
@@ -61,22 +62,19 @@ def params022(profiles):
 
 
 @pytest.fixture(scope="session")
-def theta(Phi):
-    """The band-limited surrogate symbol; built once, reused everywhere."""
-    Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
-    derivs = ca.band_derivatives(2.0, 2)
-    th = fr.build_band_limited_theta(Psi, N=4, K=2, eps=1e-3,
-                                     Psi_derivs=derivs)
-    assert th.passed
-    return th
-
-
-@pytest.fixture(scope="session")
-def compact_pipeline(spectra, hierarchies, frame_sets, theta, params022):
+def compact_pipeline(spectra, params022):
+    """The compact frame and its dual on C_64 at b = 4, where level 1 is a
+    polynomial of degree 31 below the diameter 32; at b = 2 every level
+    of C_64 but the finest, whose band symbol vanishes on the spectrum,
+    keeps its band symbol."""
     spec = spectra["C_64"]
-    hier, _ = hierarchies["C_64"]
-    frame, dual, _ = frame_sets["C_64"]
-    compact, supports = fr.build_compact_frame(spec, hier, theta)
+    hier, _ = fr.build_standard_hierarchy(spec, b=4.0)
+    Phi = ca.make_cutoff("a", 4.0)
+    frame = fr.build_frame1(spec, hier, Phi)
+    dual, _ = fr.build_dual_frame(spec, hier, Phi)
+    compact, levels = fr.build_compact_frame(spec, hier, Phi)
     cdual, delta_hat = fr.build_compact_dual(spec, frame, dual, compact,
                                              params022)
-    return compact, supports, cdual, delta_hat
+    return SimpleNamespace(spec=spec, hier=hier, Phi=Phi, frame=frame,
+                           dual=dual, compact=compact, levels=levels,
+                           cdual=cdual, delta_hat=delta_hat)

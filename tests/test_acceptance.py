@@ -188,30 +188,32 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
     assert cert["delta"] > 0 and np.isfinite(cert["c"])
 
 
-def test_criterion_12_atomic_decomposition(compact_pipeline, hierarchies,
-                                           spectra, theta, params022, Phi):
-    compact, supports, cdual, _ = compact_pipeline
-    hier, _ = hierarchies["C_64"]
-    spec = spectra["C_64"]
-    raw = mo.validate_atoms(compact.columns, hier, params022, spec)
+def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
+    cp = compact_pipeline
+    hier, spec = cp.hier, cp.spec
+    raw = mo.validate_atoms(cp.compact.columns, hier, params022, spec)
     scale = (1.0 - 1e-9) / max(raw.constants.values())
-    cert = mo.validate_atoms(scale * compact.columns, hier, params022, spec)
+    cert = mo.validate_atoms(scale * cp.compact.columns, hier, params022,
+                             spec)
     assert cert.passed
-    # effective support within c~ R b^{-j} (saturated by the diameter on
-    # this small model)
-    ct = ca.fit_speed_constant(spec)
-    for level_radii in cert.support_radii.values():
-        for j, r in level_radii.items():
-            bound = ct * theta.R * hier.b ** (-j)
-            assert r <= bound or bound >= spec.space.diameter
+    # the atoms' effective support is within k e at every polynomial level:
+    # level 1 is a polynomial of degree 31 on C_64 at b = 4.  Their
+    # companions L^{-nu} a, nu > 0, are taken mean-zero, which adds a
+    # constant, so only the atoms themselves (the ladder's last rung) are
+    # compact
+    poly = {j: lv for j, lv in cp.levels.items() if lv.degree}
+    assert any(lv.degree > 1 for lv in poly.values())
+    for j, lv in poly.items():
+        assert cert.support_radii[cert.K][j] <= lv.reach
 
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    b = hier.b
+    psi = lambda u: cp.Phi(u) - cp.Phi(b * np.asarray(u))
     cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, atoms, rep = mo.atomic_decompose(f, compact, cdual, hier,
-                                            params022, spec, psi,
+        t, atoms, rep = mo.atomic_decompose(f, cp.compact, cp.cdual, hier,
+                                            params022, spec, psi, b=b,
                                             cstar=cstar)
         assert rep["residual"] <= 1e-6
         assert spec.space.norm2(atoms @ t - f) <= 1e-6 * spec.space.norm2(f)

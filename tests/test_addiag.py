@@ -299,13 +299,14 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] < 1
-    # c* = max (Omega(1/2, 1) @ Omega(1/2, 1/2)) / omega(1/2), taken densely;
-    # the level-block grid sums in another order, so it agrees to rounding
+    # c* = max (Omega(1/2, 1) @ Omega(1/2, 1/2)) / omega(1/2) is Lemma 6.4's
+    # grid ratio for the one pair (1, 1/2); the dense product sums in
+    # another order, so it agrees to rounding
+    grid = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
+    assert rep["c_star"] == grid
     W1 = ad.omega_matrix(hier, 0.5, params022)
     dense = ((ad.omega2_matrix(hier, 0.5, 1.0, params022) @ W1) / W1).max()
-    assert rep["c_star"] == dense
-    grid = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    assert abs(rep["c_star"] / grid - 1.0) <= 1e-13
+    assert abs(rep["c_star"] / dense - 1.0) <= 1e-13
     norms = rep["term_ad_norms"]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 

@@ -423,17 +423,24 @@ def test_gate_that_did_not_run_skips_nothing(tmp_path, capsys):
     assert _statuses(tmp_path / "out")["thm7.9-atoms"].startswith("pass ")
 
 
-def test_failed_theta_skips_exactly_its_dependents(tmp_path, capsys,
-                                                   monkeypatch):
-    monkeypatch.setitem(cli.THETA, "R0", 512.0)
-    monkeypatch.setitem(cli.THETA, "R_max", 512.0)
+def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
+    # P_128: level 1 is a polynomial of degree 81 below the diameter 127,
+    # whose support reaches exactly 81 hops (Prop 2.1's ratio 1), and the
+    # compact dual and the atoms pass on it
+    suites = ["prop6.6-theta", "prop2.1-finite-speed", "thm6.7-compact-dual",
+              "thm7.9-atoms"]
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
-    assert cli.main(["run", str(p)]) == 1
+    p.write_text(json.dumps({"model": "P_128", "suites": suites,
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
     capsys.readouterr()
     status = _statuses(tmp_path / "out")
-    assert status["prop6.6-theta"].startswith("fail ")
-    _assert_skips_exactly(status, "prop6.6-theta")
+    assert [status[name].split()[0] for name in suites] == \
+        ["record", "pass", "pass", "pass"]
+    assert " level1_degree=81 " in status["prop6.6-theta"]
+    assert " level1_support=81 " in status["prop6.6-theta"]
+    assert status["prop2.1-finite-speed"].endswith(" worst_ratio=1")
+    assert " support_ok=true" in status["thm7.9-atoms"]
 
 
 def test_neumann_suites_peak_memory():

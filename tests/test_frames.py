@@ -166,159 +166,134 @@ def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
 
 
 # ---------------------------------------------------------------------------
-# band-limited surrogate symbol
+# compact frame: per-level polynomials in L
 
 
-def _dense_theta_deriv(theta, u, nu):
-    """Theta^(nu)(u) = sum_k c_k t_k^nu cos(t_k u + nu pi/2), from the dense
-    cosine table."""
-    osc = np.cos(np.outer(u, theta.nodes) + nu * np.pi / 2.0)
-    return osc @ (theta.coeffs * theta.nodes**nu)
+def _level_symbols(spec, frame):
+    """{level: values on the spectrum} of the symbol behind each level's
+    block |A_xi|^{1/2} s(L)(., xi): row i of its coefficients is s_i v_i
+    with v_i = E[centres, i] |A|^{1/2}."""
+    coeffs = spec.coefficients(frame.columns)
+    hier = frame.hierarchy
+    out = {}
+    for net, sl in zip(hier.levels, hier.blocks):
+        v = spec.eigenfunctions[net.centers].T * np.sqrt(net.a_vol)
+        out[net.level] = np.sum(coeffs[:, sl] * v, axis=1) \
+            / np.sum(v * v, axis=1)
+    return out
 
 
-def test_theta_reproduces_band_symbol(theta, Phi):
-    u = np.linspace(0.05, 8.0, 500)
-    psi = Phi(u) - Phi(2.0 * u)
-    err = np.abs(theta(u) - psi)
-    weight = u**theta.N / (1.0 + u) ** (2 * theta.N)
-    assert (err / weight).max() <= theta.eps_target
+def test_theta_reproduces_band_symbol(compact_pipeline):
+    # every polynomial level's symbol is within COMPACT_SUP_ERR of Psi_j on
+    # the spectrum, relative to max |Psi_j|, and sup_err reports that error
+    cp = compact_pipeline
+    hier = cp.hier
+    psi = ca.band_symbols(cp.spec, cp.Phi, hier.b, (hier.j_min, hier.j_max))
+    symbols = _level_symbols(cp.spec, cp.compact)
+    assert max(lv.degree for lv in cp.levels.values()) > 1
+    for col, net in enumerate(hier.levels):
+        lv, ref = cp.levels[net.level], psi[:, col]
+        err = np.abs(symbols[net.level] - ref).max()
+        scale = max(np.abs(ref).max(), 1.0)
+        if lv.degree:
+            assert lv.sup_err <= fr.COMPACT_SUP_ERR
+            assert abs(err - lv.sup_err * np.abs(ref).max()) <= 1e-12 * scale
+        else:
+            assert lv.sup_err == 0.0 and err <= 1e-12 * scale
 
 
-def test_theta_jets_vanish(theta):
-    assert abs(theta(0.0)) < 1e-12
-    assert max(theta.jet_residuals) < 1e-12
+def test_theta_jets_vanish(compact_pipeline):
+    # the factor lambda: every symbol vanishes at 0, so every column is
+    # mean-zero and factors through L
+    cp = compact_pipeline
+    coeffs = cp.spec.coefficients(cp.compact.columns)
+    null = coeffs[:cp.spec.nullspace_dim]
+    assert np.abs(null).max() <= 1e-13 * np.abs(coeffs).max()
+    ca.apply_L_power(cp.spec, cp.compact.columns, -1)
 
 
-def test_theta_derivative_matches_finite_difference(theta):
-    u = np.linspace(0.5, 3.0, 101)
-    h = 1e-5
-    num = (theta(u + h) - theta(u - h)) / (2 * h)
-    assert np.abs(_dense_theta_deriv(theta, u, 1) - num).max() < 1e-5
+def test_compact_frame_supports_within_speed_bound(compact_pipeline):
+    # a degree-k level's kernel ends k edges out, so its radius is at most
+    # k e (e = 1 on a cycle); on C_64 at b = 4 level 1 reaches exactly 31,
+    # below the diameter 32
+    cp = compact_pipeline
+    poly = [lv for lv in cp.levels.values() if lv.degree]
+    assert poly
+    for lv in poly:
+        assert lv.reach == lv.degree * fr.longest_edge(cp.spec.space)
+        assert lv.support <= lv.reach
+    assert any(lv.support == lv.reach < cp.spec.space.diameter for lv in poly)
 
 
-def test_theta_clenshaw_matches_dense_sum(theta):
-    # the Chebyshev route against the dense cosine sum over [0, 256], with
-    # the points u = k pi/dt where cos(dt u) = +-1
-    dt = theta.nodes[1]
-    u = np.concatenate([np.linspace(0.0, 256.0, 4001),
-                        np.arange(int(256.0 * dt / np.pi) + 1) * np.pi / dt])
-    dense = _dense_theta_deriv(theta, u, 0)
-    tol = 1e-12 * np.abs(dense).max()
-    assert np.abs(theta(u) - dense).max() <= tol
-    # an (n, L) table, as build_compact_frame passes it, keeps its shape
-    table = u[:4000].reshape(400, 10)
-    assert theta(table).shape == (400, 10)
-    assert np.abs(theta(table) - dense[:4000].reshape(400, 10)).max() <= tol
-    assert theta(u[7]) == theta(u[7:8])[0]
+def test_fallback_level_block_is_the_primal_block(compact_pipeline):
+    cp = compact_pipeline
+    fallback = 0
+    for net, sl in zip(cp.hier.levels, cp.hier.blocks):
+        same = np.array_equal(cp.compact.columns[:, sl],
+                              cp.frame.columns[:, sl])
+        if cp.levels[net.level].degree == 0:
+            fallback += 1
+            assert same
+        elif cp.levels[net.level].degree > 1:
+            assert not same
+    assert fallback
 
 
-@pytest.mark.parametrize("size", [2, 3, 16, 17, 1000, 19755])
-def test_numpy_dct1_dst1_match_scipy(size):
-    from scipy import fft
-
-    # two FFT libraries agree to rounding, a few ulps of the input scale
-    x = np.random.default_rng(size).standard_normal(size)
-    tol = 1e-14 * np.abs(x).sum()
-    assert np.abs(fr._dct1(x) - fft.dct(x, type=1)).max() <= tol
-    assert np.abs(fr._dst1(x) - fft.dst(x, type=1)).max() <= tol
-
-
-def test_theta_transform_band_is_certified(theta):
-    assert theta.nodes.max() <= theta.R
-    assert theta.passed
-    assert theta.eps_achieved <= theta.eps_target
-
-
-def test_cosine_transform_matches_dense_sum(Phi):
-    # the DCT-I route against the direct cosine sum on its grid u_i = i du:
-    # du_max = 2.5e-4 (the step used at R = 64) gives M = 2^18 and
-    # du = pi/(M dt)
-    Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
-    dt = 0.08
-    t = np.arange(0.0, 64.0 + dt, dt)
-    du = np.pi / (2**18 * dt)
-    u = np.arange(int(2.5 / du) + 1) * du
-    dense = 2.0 * (np.cos(np.outer(t, u)) @ (Psi(u) * du))
-    fast = fr._cosine_transform(Psi, 2.5, len(t), dt, 2.5e-4)
-    assert np.abs(fast - dense).max() <= 1e-15
+def test_polynomial_kernel_vanishes_beyond_its_reach():
+    # P_128 at b = 2: level 1 is a polynomial of degree 81 < diameter 127,
+    # and every column is below SUPPORT_THRESHOLD of its largest entry
+    # beyond 81 hops
+    spec = ca.eigendecompose(sp.build_model("P_128"))
+    hier, _ = fr.build_standard_hierarchy(spec)
+    compact, levels = fr.build_compact_frame(spec, hier, ca.make_cutoff("a"))
+    assert fr.longest_edge(spec.space) == 1.0
+    assert 0 < levels[1].degree < spec.space.diameter
+    for net, sl in zip(hier.levels, hier.blocks):
+        lv = levels[net.level]
+        if not lv.degree:
+            continue
+        cols = np.abs(compact.columns[:, sl])
+        beyond = spec.space.dist[:, net.centers] > lv.reach
+        peak = cols.max(axis=0)
+        assert np.all(cols <= np.where(beyond, ca.SUPPORT_THRESHOLD * peak,
+                                       np.inf))
+    # the longest edge of a weighted tree is its heaviest edge
+    tree = sp.build_model({"kind": "tree", "n": 3,
+                           "edges": [[0, 1, 1.0], [1, 2, 2.5]]})
+    assert fr.longest_edge(tree) == 2.5
 
 
-def test_theta_eps_achieved_matches_dense_evaluation(theta, Phi):
-    # rebuild the validation grid u_j = j pi/(L dt) restricted to [0.05, 8]
-    # and evaluate the (6.16) ratio with the dense cosine representation
-    dt = theta.nodes[1]
-    L = max(len(theta.nodes), int(np.ceil(3999 * np.pi / (dt * 7.95))))
-    u = np.arange(L + 1) * (np.pi / (L * dt))
-    u = u[(u >= 0.05) & (u <= 8.0)]
-    assert u[1] - u[0] <= 7.95 / 3999
-    derivs = ca.band_derivatives(2.0, theta.K)
-    weight = u**theta.N / (1.0 + u) ** (2 * theta.N)
-    worst, floor = 0.0, 0.0
-    for nu in range(theta.K + 1):
-        ratio = np.concatenate([
-            np.abs(_dense_theta_deriv(theta, u[blk], nu) - derivs[nu](u[blk]))
-            / weight[blk]
-            for blk in np.array_split(np.arange(len(u)), 16)])
-        if ratio.max() > worst:
-            # either sum rounds at eps * sum |c_k| t_k^nu, seen through the
-            # weight at the worst point
-            worst = float(ratio.max())
-            floor = np.finfo(float).eps * float(
-                np.sum(np.abs(theta.coeffs) * theta.nodes**nu)) \
-                / weight[ratio.argmax()]
-    assert abs(theta.eps_achieved - worst) <= 10.0 * floor
-    assert 10.0 * floor <= 1e-6 * worst
-
-
-def test_theta_rejects_bad_orders(Phi):
-    Psi = lambda u: Phi(u) - Phi(np.asarray(u) * 2.0)
-    with pytest.raises(ValueError):
-        fr.build_band_limited_theta(Psi, ca.band_derivatives(2.0, 2),
-                                    N=1, K=2, eps=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# compact frame and its dual
-
-
-def test_compact_frame_supports_within_speed_bound(compact_pipeline,
-                                                   spectra, theta):
-    _, supports, _, _ = compact_pipeline
-    spec = spectra["C_64"]
-    ct = ca.fit_speed_constant(spec)
-    for j, r in supports.items():
-        bound = ct * theta.R * 2.0 ** (-j)
-        assert r <= bound or bound >= spec.space.diameter
-
-
-def test_compact_dual_reconstructs(compact_pipeline, spectra):
-    compact, _, cdual, delta_hat = compact_pipeline
-    assert delta_hat < 0.5
-    spec = spectra["C_64"]
+def test_compact_dual_reconstructs(compact_pipeline):
+    cp = compact_pipeline
+    assert 0 < cp.delta_hat < 0.5
+    spec = cp.spec
     F = sq.random_battery(spec.space, spec, 10, seed=0).T
-    resid = spec.space.norm2(fr.reconstruct(compact, cdual, F) - F) \
+    resid = spec.space.norm2(fr.reconstruct(cp.compact, cp.cdual, F) - F) \
         / spec.space.norm2(F)
     assert resid.max() <= 1e-6
     rng = np.random.default_rng(11)
     f = spec.project_mean_zero(rng.standard_normal(64))
-    t = cdual.analyze(f)
-    recon = compact.synthesize(t)
+    t = cp.cdual.analyze(f)
+    recon = cp.compact.synthesize(t)
     assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
 
 
-@pytest.mark.parametrize("desc", ["C_64", MU_MODELS[0]], ids=["C_64", "mu_16"])
-def test_compact_dual_matches_the_dense_and_certified_inverses(desc, theta,
-                                                               Phi):
+# C_64 at b = 4 has a polynomial level; mu_16 keeps every band symbol, so
+# its D is 0
+@pytest.mark.parametrize("desc, b", [("C_64", 4.0), (MU_MODELS[0], 2.0)],
+                         ids=["C_64", "mu_16"])
+def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     # the n x n route against two m x m references: the dense
     # solve(I - D, B) and the certified Neumann inverse of Thm 6.3(ii)
     spec = ca.eigendecompose(sp.build_model(desc))
-    hier, _ = fr.build_standard_hierarchy(spec)
+    hier, _ = fr.build_standard_hierarchy(spec, b=b)
     prof = sp.measure_doubling(spec.space)
     params = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
                             dstar=max(prof.dstar, 0.0))
+    Phi = ca.make_cutoff("a", b)
     frame = fr.build_frame1(spec, hier, Phi)
     dual, _ = fr.build_dual_frame(spec, hier, Phi)
-    compact, _ = fr.build_compact_frame(spec, hier, theta)
+    compact, _ = fr.build_compact_frame(spec, hier, Phi)
     cdual, delta_hat = fr.build_compact_dual(spec, frame, dual, compact,
                                              params)
     mu = spec.space.mu
@@ -333,6 +308,7 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, theta,
         err = np.abs(cdual.columns - ref).max() / np.abs(ref).max()
         assert err <= 1e-12, err
     assert delta_hat == rep["delta_hat"]
+    assert (delta_hat > 0) == (desc == "C_64")
 
 
 def test_default_frames_one_call():
@@ -344,12 +320,10 @@ def test_default_frames_one_call():
     assert type(report.neumann_terms) is int and report.neumann_terms >= 1
 
 
-def test_compact_dual_precondition_message(compact_pipeline, spectra,
-                                           frame_sets, params022):
-    compact = compact_pipeline[0]
-    frame, dual, _ = frame_sets["C_64"]
+def test_compact_dual_precondition_message(compact_pipeline, params022):
+    cp = compact_pipeline
     # scaled compact columns move D = <psi - theta, psi~> far from 0
-    scaled = dataclasses.replace(compact, columns=3.0 * compact.columns)
+    scaled = dataclasses.replace(cp.compact, columns=3.0 * cp.compact.columns)
     with pytest.raises(RuntimeError,
                        match="compact-dual precondition failed"):
-        fr.build_compact_dual(spectra["C_64"], frame, dual, scaled, params022)
+        fr.build_compact_dual(cp.spec, cp.frame, cp.dual, scaled, params022)

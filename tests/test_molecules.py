@@ -210,11 +210,9 @@ def test_minimal_atom_orders(params022):
     assert mo.minimal_atom_orders(pm)[1] == 0
 
 
-def test_atom_certificate_and_decomposition(compact_pipeline, hierarchies,
-                                            spectra, params022, Phi):
-    compact, supports, cdual, _ = compact_pipeline
-    hier, _ = hierarchies["C_64"]
-    spec = spectra["C_64"]
+def test_atom_certificate_and_decomposition(compact_pipeline, params022):
+    cp = compact_pipeline
+    compact, cdual, hier, spec = cp.compact, cp.cdual, cp.hier, cp.spec
     raw = mo.validate_atoms(compact.columns, hier, params022, spec)
     scale = 1.0 / max(raw.constants.values()) * (1.0 - 1e-9)
     cert = mo.validate_atoms(scale * compact.columns, hier, params022, spec)
@@ -225,13 +223,13 @@ def test_atom_certificate_and_decomposition(compact_pipeline, hierarchies,
     for level_radii in cert.support_radii.values():
         assert max(level_radii.values()) <= spec.space.diameter
 
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = lambda u: cp.Phi(u) - cp.Phi(hier.b * np.asarray(u))
     cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, atoms, rep = mo.atomic_decompose(f, compact, cdual, hier,
-                                            params022, spec, psi,
+                                            params022, spec, psi, b=hier.b,
                                             cstar=cstar)
         assert rep["residual"] <= 1e-6
         recon = atoms @ t
