@@ -149,7 +149,6 @@ def _smooth_step(t):
 
 @dataclass(frozen=True)
 class Cutoff:
-    kind: str  # "a" | "b" | "c"
     b: float
     _fn: object = field(repr=False, default=None)
 
@@ -173,13 +172,13 @@ def make_cutoff(kind: str, b: float = 2.0) -> Cutoff:
         return _smooth_step((u - 1.0) / (b - 1.0))
 
     if kind == "a":
-        return Cutoff(kind="a", b=b, _fn=low)
+        return Cutoff(b=b, _fn=low)
 
     def band(u):
         return low(u) - low(np.asarray(u, dtype=float) * b)
 
     if kind == "b":
-        return Cutoff(kind="b", b=b, _fn=band)
+        return Cutoff(b=b, _fn=band)
     if kind == "c":
 
         def norm_band(u):
@@ -197,7 +196,7 @@ def make_cutoff(kind: str, b: float = 2.0) -> Cutoff:
                 out[pos] = band(up) / np.sqrt(total)
             return out if out.shape != (1,) else float(out[0])
 
-        return Cutoff(kind="c", b=b, _fn=norm_band)
+        return Cutoff(b=b, _fn=norm_band)
     raise ValueError("kind must be 'a', 'b' or 'c'")
 
 
@@ -215,20 +214,22 @@ def level_window(spec: SpectralData, b: float = 2.0) -> tuple:
     return j_min, j_max
 
 
-def band_symbols(spec: SpectralData, Phi: Cutoff, b: float, window):
-    """(n, L) table of Psi(b^{-j} sqrt(lambda_i)), Psi(u) = Phi(u) - Phi(b u),
-    one column per level j of the window, from one symbol call."""
+def band_symbols(spec: SpectralData, Phi: Cutoff, window):
+    """(n, L) table of Psi(b^{-j} sqrt(lambda_i)), Psi(u) = Phi(u) - Phi(b u)
+    with b = Phi.b, one column per level j of the window, from one symbol
+    call."""
     j_min, j_max = window
+    b = Phi.b
     scales = np.array([b ** (-j) for j in range(j_min - 1, j_max + 1)])
     vals = spec.symbol(Phi, scales)
     return vals[:, 1:] - vals[:, :-1]
 
 
-def telescope(spec: SpectralData, Phi: Cutoff, b: float, window, f) -> np.ndarray:
+def telescope(spec: SpectralData, Phi: Cutoff, window, f) -> np.ndarray:
     """Windowed multiscale sum: sum_j Psi(b^{-j} sqrt(L)) f (band_symbols);
     equals the mean-zero part of f when the window covers the nonzero spectrum."""
     total = np.zeros(len(spec.eigenvalues))
-    for band in band_symbols(spec, Phi, b, window).T:
+    for band in band_symbols(spec, Phi, window).T:
         total += band
     return spec.apply(total, f)
 

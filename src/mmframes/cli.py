@@ -110,32 +110,24 @@ class Context:
         return fr.build_standard_hierarchy(
             self.get("spec"), b=self.cfg["b"], gamma=self.cfg["gamma"])
 
-    def _build_Phi(self):
-        return ca.make_cutoff("a", self.cfg["b"])
-
     def _build_psi(self):
         return ca.make_cutoff("b", self.cfg["b"])
 
     def _build_frame(self):
-        return fr.build_frame1(self.get("spec"), self.get("hier"),
-                               self.get("Phi"))
+        return fr.build_frame1(self.get("spec"), self.get("hier"))
 
     def _build_dual(self):
-        return fr.build_dual_frame(self.get("spec"), self.get("hier"),
-                                   self.get("Phi"))[0]
+        return fr.build_dual_frame(self.get("spec"), self.get("hier"))[0]
 
     def _build_compact(self):
-        return fr.build_compact_frame(self.get("spec"), self.get("hier"),
-                                      self.get("Phi"))
+        return fr.build_compact_frame(self.get("spec"), self.get("hier"))
 
     def _build_compact_dual(self):
-        return fr.build_compact_dual(
-            self.get("spec"), self.get("frame"), self.get("dual"),
-            self.get("compact"), self.get("params"))
+        return fr.build_compact_dual(self.get("frame"), self.get("dual"),
+                                     self.get("compact"), self.get("params"))
 
     def _build_battery(self):
-        return sq.random_battery(self.get("space"), self.get("spec"),
-                                 int(self.cfg["battery"]),
+        return sq.random_battery(self.get("spec"), int(self.cfg["battery"]),
                                  seed=int(self.cfg["seed"]))
 
     def _build_ctilde(self):
@@ -245,14 +237,14 @@ def _suite_localization(ctx):
 
 @_suite("thm3.4-telescoping", "Thm 3.4", "multiscale telescoping identity")
 def _suite_telescoping(ctx):
-    spec, Phi = ctx.get("spec"), ctx.get("Phi")
-    b = ctx.cfg["b"]
+    spec, b = ctx.get("spec"), ctx.cfg["b"]
     window = ca.level_window(spec, b)
     F = spec.project_mean_zero(ctx.get("battery").T)
     norms = spec.space.norm2(F)
     live = norms > 0
     F = F[:, live]
-    resid = spec.space.norm2(ca.telescope(spec, Phi, b, window, F) - F)
+    out = ca.telescope(spec, ca.make_cutoff("a", b), window, F)
+    resid = spec.space.norm2(out - F)
     worst = (resid / norms[live]).max(initial=0.0)
     ok = live.any() and worst <= 1e-10
     return ("pass" if ok else "fail"), {"residual": worst,
@@ -272,7 +264,7 @@ def _suite_sampling(ctx):
         after=("lemma4.1-sampling",))
 def _suite_reconstruction(ctx):
     spec, frame, dual = ctx.get("spec"), ctx.get("frame"), ctx.get("dual")
-    probe = fr.frame_bounds_probe(frame, dual, spec, ctx.get("battery"))
+    probe = fr.frame_bounds_probe(frame, dual, ctx.get("battery"))
     ok = probe["samples"] > 0 and probe["residual"] <= 1e-9
     return ("pass" if ok else "fail"), {"residual": probe["residual"],
                                         "lower": probe["lower"],
@@ -521,10 +513,10 @@ def _suite_synthesis(ctx):
 @_suite("thm7.5-analysis", "Thm 7.5/(7.11)", "molecular analysis identity",
         after=("lemma4.1-sampling",))
 def _suite_analysis(ctx):
-    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
+    params, spec = ctx.get("params"), ctx.get("spec")
     _, rep = mo.molecular_analysis(ctx.get("battery").T,
                                    ctx.get("dual").columns, ctx.get("frame"),
-                                   ctx.get("dual"), hier, params, spec,
+                                   ctx.get("dual"), params, spec,
                                    ctx.get("psi"), ctx.cfg["b"])
     worst_resid = rep["identity_residual"].max(initial=0.0)
     ok = np.any(rep["function_norm"] > 0) and worst_resid <= 1e-9
@@ -542,9 +534,8 @@ def _suite_atoms(ctx):
     supp_ok = all(passed for _, passed in _speed_checks(ctx))
     cstar = mo.scaling_for_budget(cert)
     _, _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
-                                    ctx.get("compact_dual"), hier, params,
-                                    spec, ctx.get("psi"), ctx.cfg["b"],
-                                    cstar=cstar)
+                                    ctx.get("compact_dual"), params, spec,
+                                    ctx.get("psi"), ctx.cfg["b"], cstar=cstar)
     worst = rep["residual"].max(initial=0.0)
     ok = np.any(rep["l2_norm"] > 0) and worst <= 1e-6 and supp_ok and \
         np.isfinite(cert.support_constant)
@@ -604,8 +595,7 @@ def _suite_inhomogeneous(ctx):
                                             mode="inhomogeneous")
     ok = hier.j_min >= 0 and max(eps.values()) < 0.5
     params = ctx.get("params")
-    Phi = ctx.get("Phi")
-    frame = fr.build_frame1(spec, hier, Phi)
+    frame = fr.build_frame1(spec, hier)
     cert = mo.validate_molecule(frame.columns, hier, "synthesis",
                                 "classical", params, spec, params.J + 0.5)
     ok = ok and np.isfinite(max(cert.constants.values()))

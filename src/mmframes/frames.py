@@ -11,7 +11,6 @@ from mmframes import addiag
 from mmframes.space import NetHierarchy, build_hierarchy, build_model
 from mmframes.calculus import (
     SpectralData,
-    Cutoff,
     eigendecompose,
     make_cutoff,
     band_symbols,
@@ -27,14 +26,13 @@ COMPACT_SUP_ERR = 1e-6        # a compact level's polynomial error, relative sup
 
 @dataclass(frozen=True)
 class Frame:
-    """Net-indexed family of functions with per-level spectral bands.
+    """Net-indexed family of functions.
 
     columns[:, k] is the element attached to flat net index k.
     """
 
     hierarchy: NetHierarchy
     columns: np.ndarray
-    bands: dict  # level -> (lo, hi) in sqrt(L) units (None for compact kinds)
 
     def analyze(self, f) -> np.ndarray:
         """Coefficients <f, psi_xi> in the mu-inner product; an (n, k) table
@@ -54,23 +52,15 @@ class DualBuildReport:
     sampling_ratios: dict          # level -> (lower, upper) of the sampling form
 
 
-def build_frame1(spec: SpectralData, hierarchy: NetHierarchy, Phi: Cutoff) -> Frame:
+def build_frame1(spec: SpectralData, hierarchy: NetHierarchy) -> Frame:
     """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with
-    Psi(u) = Phi(u) - Phi(b u)."""
-    if Phi.kind != "a":
-        raise ValueError("frame generator must be a low-pass (type a) cutoff")
-    if abs(Phi.b - hierarchy.b) > 0:
-        raise ValueError("hierarchy/cutoff base mismatch")
-    b = hierarchy.b
-    psi = band_symbols(spec, Phi, b, (hierarchy.j_min, hierarchy.j_max))
-    cols = []
-    bands = {}
-    for net, vals in zip(hierarchy.levels, psi.T):
-        j = net.level
-        block = spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
-        cols.append(block)
-        bands[j] = (b ** (j - 1), b ** (j + 1))
-    return Frame(hierarchy=hierarchy, columns=np.hstack(cols), bands=bands)
+    Psi(u) = Phi(u) - Phi(b u) and Phi the low-pass cutoff at the
+    hierarchy's base b."""
+    psi = band_symbols(spec, make_cutoff("a", hierarchy.b),
+                       (hierarchy.j_min, hierarchy.j_max))
+    cols = [spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
+            for net, vals in zip(hierarchy.levels, psi.T)]
+    return Frame(hierarchy=hierarchy, columns=np.hstack(cols))
 
 
 def _sampling_gram(spec: SpectralData, hierarchy: NetHierarchy, j: int):
@@ -111,12 +101,12 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
     raise RuntimeError("sampling epsilon < 1/2 unreachable; gamma exhausted")
 
 
-def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
-                     Phi: Cutoff):
+def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     """Dual frame via the per-level correction operator.
 
-    Per level j the band symbol g(u) = Phi(b^{-2}u) - Phi(b u) scaled to
-    level j equals 1 on the primal band and vanishes beyond b^{j+2}; with
+    Phi is the low-pass cutoff at the hierarchy's base b.  Per level j the
+    band symbol g(u) = Phi(b^{-2}u) - Phi(b u) scaled to level j equals 1
+    on the primal band and vanishes beyond b^{j+2}; with
     sampling weights w_eta = |A_eta|/(1+eps_j) the operator R = g^2 - V
     (V the sampled quadrature of g^2) inverts the sampling defect through
     T = I + sum_k R^k, and the dual elements are
@@ -129,11 +119,9 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
     of G in [1-eps_j, 1+eps_j], so ||K||_2 <= 2 eps_j/(1+eps_j) < 2/3 and
     the series converges whenever eps_j < 1/2.
     """
-    if abs(Phi.b - hierarchy.b) > 0:
-        raise ValueError("hierarchy/cutoff base mismatch")
     b = hierarchy.b
+    Phi = make_cutoff("a", b)
     cols = []
-    bands = {}
     ratios = {}
     worst_terms, worst_tail = 0, 0.0
 
@@ -156,9 +144,8 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
 
         block = spec.eigenfunctions[:, sel] @ (T @ (g[:, None] * X.T))
         cols.append(block * (np.sqrt(net.a_vol) / (1.0 + eps))[None, :])
-        bands[j] = (b ** (j - 2), b ** (j + 2))
 
-    frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols), bands=bands)
+    frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols))
     report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail,
                              sampling_ratios=ratios)
     return frame, report
@@ -166,14 +153,15 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy,
 
 def check_band_containment(spec: SpectralData, frame: Frame) -> float:
     """Worst coefficient of any frame element on eigenfunctions outside its
-    level band; construction should keep it at rounding level."""
+    level's dual band [b^{j-2}, b^{j+2}], which holds the primal band
+    [b^{j-1}, b^{j+1}]; construction should keep it at rounding level."""
     worst = 0.0
     roots = np.sqrt(spec.eigenvalues)
     coeffs = spec.coefficients(frame.columns)
     scale = np.abs(coeffs).max()
     hier = frame.hierarchy
     for net, sl in zip(hier.levels, hier.blocks):
-        lo, hi = frame.bands[net.level]
+        lo, hi = hier.b ** (net.level - 2), hier.b ** (net.level + 2)
         outside = (roots < lo - 1e-12) | (roots > hi + 1e-12)
         if np.any(outside):
             worst = max(worst, float(np.abs(coeffs[outside, sl]).max()))
@@ -185,12 +173,11 @@ def reconstruct(frame: Frame, dual: Frame, f) -> np.ndarray:
     return frame.synthesize(dual.analyze(f))
 
 
-def frame_bounds_probe(frame: Frame, dual: Frame, spec: SpectralData,
-                       battery) -> dict:
+def frame_bounds_probe(frame: Frame, dual: Frame, battery) -> dict:
     """Measured two-sided L2 frame bounds of the dual coefficient map and the
     worst reconstruction residual on a battery of mean-zero functions (one
     per row), over the samples: the functions with a nonzero norm."""
-    space = spec.space
+    space = frame.hierarchy.space
     F = np.asarray(battery, dtype=float).T
     nf = space.norm2(F)
     live = nf > 0
@@ -258,31 +245,30 @@ def _level_polynomial(lam, vander, psi, band):
             return k, p, float(err / scale) if scale > 0 else 0.0
 
 
-def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
-                        Phi: Cutoff) -> tuple:
+def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     """Compactly supported frame theta_xi = |A_xi|^{1/2} p_j(L)(., xi);
     returns (Frame, {level: CompactLevel}).
 
     p_j is the least-degree lambda q_j(lambda) within COMPACT_SUP_ERR of the
     band symbol Psi_j(lambda) = Psi(b^{-j} sqrt(lambda)) on the spectrum
-    (_level_polynomial).  L has the graph's sparsity, so the kernel of a
-    degree-k polynomial in L vanishes beyond k edges, that is beyond k e in
-    rho: an exact finite speed.  A level that no degree with k e below the
-    diameter fits keeps Psi_j, so its block is build_frame1's.  The factor
-    lambda makes every column mean-zero.
+    (_level_polynomial), Psi(u) = Phi(u) - Phi(b u) with Phi the low-pass
+    cutoff at the hierarchy's base b.  L has the graph's sparsity, so the
+    kernel of a degree-k polynomial in L vanishes beyond k edges, that is
+    beyond k e in rho: an exact finite speed.  A level that no degree with
+    k e below the diameter fits keeps Psi_j, so its block is build_frame1's.
+    The factor lambda makes every column mean-zero.
     """
-    if abs(Phi.b - hierarchy.b) > 0:
-        raise ValueError("hierarchy/cutoff base mismatch")
     from numpy.polynomial.chebyshev import chebvander
 
     b, space, lam = hierarchy.b, spec.space, spec.eigenvalues
+    Phi = make_cutoff("a", b)
     edge = longest_edge(space)
     # the degrees k with k e below the diameter.  Every accepted model has
     # diameter above e: unit edges with hop diameter >= 2, or a tree, where
     # the heaviest edge continues into a longer path
     vander = chebvander(2.0 * lam / lam[-1] - 1.0,
                         int(np.ceil(space.diameter / edge)) - 2)
-    psi = band_symbols(spec, Phi, b, (hierarchy.j_min, hierarchy.j_max))
+    psi = band_symbols(spec, Phi, (hierarchy.j_min, hierarchy.j_max))
     cols = []
     levels = {}
     for net, vals in zip(hierarchy.levels, psi.T):
@@ -295,13 +281,10 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy,
             degree=degree, reach=degree * edge, sup_err=err,
             support=effective_support_radius(P, space, net.centers))
         cols.append(P * np.sqrt(net.a_vol)[None, :])
-    frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols),
-                  bands={n.level: None for n in hierarchy.levels})
-    return frame, levels
+    return Frame(hierarchy=hierarchy, columns=np.hstack(cols)), levels
 
 
-def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
-                       compact: Frame, params):
+def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     """Dual of the compact frame and the perturbation ||I - A||_eps.
 
     With D_{xi,eta} = <psi_eta - theta_eta, psi~_xi> the transfer operator
@@ -313,8 +296,8 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     (I - D)^{-1} B = Q^T (I_n - M P Q^T)^{-1} M psi, and the dual columns
     are (Q psi^T M) solve(I_n - Q P^T M, Q): one n x n solve.
     """
-    mu = spec.space.mu
     hier = frame1.hierarchy
+    mu = hier.space.mu
     Q = dual.columns
     Dm = Q.T @ (mu[:, None] * (frame1.columns - compact.columns))
     delta_hat = addiag.ad_norm(
@@ -327,9 +310,7 @@ def build_compact_dual(spec: SpectralData, frame1: Frame, dual: Frame,
     QP = Q @ (frame1.columns - compact.columns).T
     G = np.linalg.solve(np.eye(len(mu)) - QP * mu[None, :], Q)
     X = (Q @ frame1.columns.T) * mu[None, :]
-    compact_dual = Frame(hierarchy=hier, columns=X @ G,
-                         bands={n.level: None for n in hier.levels})
-    return compact_dual, delta_hat
+    return Frame(hierarchy=hier, columns=X @ G), delta_hat
 
 
 def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):
@@ -337,7 +318,6 @@ def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):
     space = build_model(model_name)
     spec = eigendecompose(space)
     hier, eps = build_standard_hierarchy(spec, b=b, gamma=gamma)
-    Phi = make_cutoff("a", b)
-    frame = build_frame1(spec, hier, Phi)
-    dual, report = build_dual_frame(spec, hier, Phi)
-    return space, spec, hier, Phi, frame, dual, report
+    frame = build_frame1(spec, hier)
+    dual, report = build_dual_frame(spec, hier)
+    return space, spec, hier, make_cutoff("a", hier.b), frame, dual, report

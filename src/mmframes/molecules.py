@@ -266,9 +266,8 @@ def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
                               "ratio": _ratio(fn, tn)})
 
 
-def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
-                       params: SpaceParams, spec: SpectralData, phi,
-                       b: float = 2.0):
+def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
+                       spec: SpectralData, phi, b: float = 2.0):
     """Coefficients <f, m~_xi> through the frame expansion
     sum_eta <m~_xi, psi_eta> <f, psi~_eta>, with the measured ratio
     ||coeffs||_f / ||f||_F; an (n, k) table of functions gives an (m, k)
@@ -278,6 +277,7 @@ def molecular_analysis(f, anal_family, frame, dual, hier: NetHierarchy,
     On a finite model the expansion collapses to the direct mu-inner
     product for mean-zero f; the residual between the two is reported.
     """
+    hier = frame.hierarchy
     cols = _as_columns(anal_family, hier)
     mu = hier.space.mu[:, None]
     F = spec.project_mean_zero(
@@ -357,9 +357,9 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
                            passed=passed)
 
 
-def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,
-                     params: SpaceParams, spec: SpectralData, phi,
-                     b: float = 2.0, cstar: float = 1.0):
+def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
+                     spec: SpectralData, phi, b: float = 2.0,
+                     cstar: float = 1.0):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
     compact frame and t_xi = <f, theta~_xi> / cstar; an (n, k) table of
     functions gives an (m, k) table t and k of each report value.
@@ -376,7 +376,7 @@ def atomic_decompose(f, compact, compact_dual, hier: NetHierarchy,
     t = raw / cstar
     atoms = compact.columns * cstar
     fn = function_norm(F, params, spec, phi, b)
-    tn = seq_norm(t, params, hier)
+    tn = seq_norm(t, params, compact.hierarchy)
     t, report = _per_column(f, t, {
         "residual": residual, "l2_norm": nf,
         "analysis_constant": _ratio(tn, fn),

@@ -52,7 +52,6 @@ def ahlfors_scan(space: ModelSpace, d: float) -> dict:
     centers and radii up to the diameter, plus the band width c^2.
     """
     radii = np.unique(space.dist[space.dist > 0])
-    radii = radii[radii <= space.diameter]
     hi = 0.0
     lo = np.inf
     for r in radii:

@@ -241,11 +241,11 @@ def check_frame_characterization(battery, params: SpaceParams,
     }
 
 
-def random_battery(space: ModelSpace, spec: SpectralData, count: int,
-                   seed: int = 0) -> np.ndarray:
+def random_battery(spec: SpectralData, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic battery of count mean-zero test functions, one per row:
     white noise scaled by mu^{-1/2}, projected mean-zero.  sqrt(mu) E is
     orthonormal, so the spectral coefficients are white for any mu, and the
     battery does not depend on the choice of eigenbasis."""
+    space = spec.space
     G = np.random.default_rng(seed).standard_normal((count, space.n))
     return spec.project_mean_zero((G / np.sqrt(space.mu)).T).T

@@ -42,14 +42,14 @@ def Phi():
 
 
 @pytest.fixture(scope="session")
-def frame_sets(spectra, hierarchies, Phi):
+def frame_sets(spectra, hierarchies):
     """Primal and dual frames per model."""
     out = {}
     for name in ("C_64", "C_128", "T_8x8"):
         spec = spectra[name]
         hier, _ = hierarchies[name]
-        frame = fr.build_frame1(spec, hier, Phi)
-        dual, report = fr.build_dual_frame(spec, hier, Phi)
+        frame = fr.build_frame1(spec, hier)
+        dual, report = fr.build_dual_frame(spec, hier)
         out[name] = (frame, dual, report)
     return out
 
@@ -69,12 +69,11 @@ def compact_pipeline(spectra, params022):
     keeps its band symbol."""
     spec = spectra["C_64"]
     hier, _ = fr.build_standard_hierarchy(spec, b=4.0)
-    Phi = ca.make_cutoff("a", 4.0)
-    frame = fr.build_frame1(spec, hier, Phi)
-    dual, _ = fr.build_dual_frame(spec, hier, Phi)
-    compact, levels = fr.build_compact_frame(spec, hier, Phi)
-    cdual, delta_hat = fr.build_compact_dual(spec, frame, dual, compact,
-                                             params022)
-    return SimpleNamespace(spec=spec, hier=hier, Phi=Phi, frame=frame,
+    frame = fr.build_frame1(spec, hier)
+    dual, _ = fr.build_dual_frame(spec, hier)
+    compact, levels = fr.build_compact_frame(spec, hier)
+    cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params022)
+    return SimpleNamespace(spec=spec, hier=hier,
+                           Phi=ca.make_cutoff("a", hier.b), frame=frame,
                            dual=dual, compact=compact, levels=levels,
                            cdual=cdual, delta_hat=delta_hat)

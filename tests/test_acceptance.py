@@ -49,7 +49,7 @@ def test_criterion_03_telescoping(spectra, Phi):
     rng = np.random.default_rng(0)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        out = ca.telescope(spec, Phi, 2.0, window, f)
+        out = ca.telescope(spec, Phi, window, f)
         assert spec.space.norm2(out - f) <= 1e-10 * spec.space.norm2(f)
     assert time.monotonic() - t0 < 5.0
 
@@ -67,7 +67,7 @@ def test_criterion_04_frame_duality(frame_sets, spectra):
             assert spec.space.norm2(fr.reconstruct(dual, frame, f) - f) \
                 <= 1e-9 * nf
         probe = fr.frame_bounds_probe(
-            frame, dual, spec, sq.random_battery(spec.space, spec, 20))
+            frame, dual, sq.random_battery(spec, 20))
         assert 0 < probe["lower"] <= probe["upper"] < np.inf
 
 
@@ -86,7 +86,7 @@ def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
     for name in ("C_64", "C_128"):
         spec = spectra[name]
         frame, dual, _ = frame_sets[name]
-        battery = sq.random_battery(spec.space, spec, 50, seed=2)
+        battery = sq.random_battery(spec, 50, seed=2)
         worst = 0.0
         for s in (-1.0, 0.0, 1.0):
             for p in (1.0, 2.0):
@@ -212,7 +212,7 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, atoms, rep = mo.atomic_decompose(f, cp.compact, cp.cdual, hier,
+        t, atoms, rep = mo.atomic_decompose(f, cp.compact, cp.cdual,
                                             params022, spec, psi, b=b,
                                             cstar=cstar)
         assert rep["residual"] <= 1e-6
@@ -228,7 +228,7 @@ def test_criterion_13_multiplier(spectra, frame_sets, params022):
         f = np.sin(np.arange(spec.space.n) / 3.0)
         mp.apply_multiplier(sym, f, frame, dual, spec)
         phi = ca.make_cutoff("c", 2.0)
-        battery = sq.random_battery(spec.space, spec, 30, seed=6)
+        battery = sq.random_battery(spec, 30, seed=6)
         rep = mp.boundedness_report(sym, params022, battery, spec, phi)
         ratios[name] = rep["f"]["ratio"]
         roots = np.sqrt(spec.eigenvalues)

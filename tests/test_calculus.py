@@ -197,7 +197,7 @@ def test_telescoping_identity(spectra, Phi):
     rng = np.random.default_rng(3)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        out = ca.telescope(spec, Phi, 2.0, window, f)
+        out = ca.telescope(spec, Phi, window, f)
         assert spec.space.norm2(out - f) <= 1e-10 * spec.space.norm2(f)
 
 

@@ -18,20 +18,6 @@ def test_standard_hierarchy_sampling_epsilons(hierarchies):
         assert set(eps) == {net.level for net in hier.levels}
 
 
-def test_frame1_requires_lowpass_cutoff(spectra, hierarchies):
-    hier, _ = hierarchies["C_64"]
-    with pytest.raises(ValueError):
-        fr.build_frame1(spectra["C_64"], hier, ca.make_cutoff("b", 2.0))
-
-
-def test_dual_frame_requires_the_hierarchy_base(spectra, hierarchies):
-    # the series runs on {sqrt(lambda) <= b^{j+2}}, where a cutoff of a
-    # larger base would not vanish
-    hier, _ = hierarchies["C_64"]
-    with pytest.raises(ValueError, match="base mismatch"):
-        fr.build_dual_frame(spectra["C_64"], hier, ca.make_cutoff("a", 3.0))
-
-
 def test_frame_analysis_synthesis_shapes(frame_sets, spectra):
     frame, dual, _ = frame_sets["C_64"]
     f = spectra["C_64"].project_mean_zero(np.arange(64.0))
@@ -53,26 +39,29 @@ def test_two_sided_reconstruction(frame_sets, spectra):
             assert max(r1, r2) <= 1e-9 * nf
 
 
-def test_dual_bands_exact(frame_sets, spectra):
-    for name in ("C_64", "T_8x8"):
-        _, dual, _ = frame_sets[name]
-        leak = fr.check_band_containment(spectra[name], dual)
-        assert leak <= 1e-10
+def test_dual_bands_exact(frame_sets, spectra, compact_pipeline):
+    # the dual band [b^{j-2}, b^{j+2}] holds the primal band too; the
+    # compact pipeline's dual is at b = 4
+    frames = [(spectra[name], f) for name in ("C_64", "T_8x8")
+              for f in frame_sets[name][:2]]
+    frames.append((compact_pipeline.spec, compact_pipeline.dual))
+    for spec, frame in frames:
+        assert fr.check_band_containment(spec, frame) <= 1e-10
 
 
 def test_frame_bounds_probe_finite(frame_sets, spectra):
     frame, dual, _ = frame_sets["C_64"]
     spec = spectra["C_64"]
-    battery = sq.random_battery(spec.space, spec, 20, seed=0)
-    probe = fr.frame_bounds_probe(frame, dual, spec, battery)
+    battery = sq.random_battery(spec, 20, seed=0)
+    probe = fr.frame_bounds_probe(frame, dual, battery)
     assert 0 < probe["lower"] <= probe["upper"] < np.inf
     assert probe["residual"] <= 1e-9
     assert probe["samples"] == 20
     # a zero function is left out of every ratio, not counted as a sample
     battery[3] = 0.0
-    probe = fr.frame_bounds_probe(frame, dual, spec, battery)
+    probe = fr.frame_bounds_probe(frame, dual, battery)
     assert probe["samples"] == 19 and 0 < probe["lower"]
-    empty = fr.frame_bounds_probe(frame, dual, spec, 0.0 * battery)
+    empty = fr.frame_bounds_probe(frame, dual, 0.0 * battery)
     assert empty == {"lower": np.inf, "upper": 0.0, "residual": 0.0,
                      "samples": 0}
 
@@ -146,7 +135,7 @@ RAMP_PATH = {"kind": "path", "n": 64,
 def test_dual_on_the_sampling_gram_matches_kernel_tables(desc, Phi):
     spec = ca.eigendecompose(sp.build_model(desc))
     hier, _ = fr.build_standard_hierarchy(spec)
-    dual, report = fr.build_dual_frame(spec, hier, Phi)
+    dual, report = fr.build_dual_frame(spec, hier)
     ref, terms = _dual_on_kernel_tables(spec, hier, Phi)
     err = np.abs(dual.columns - ref).max() / np.abs(ref).max()
     assert err <= 1e-12
@@ -154,14 +143,14 @@ def test_dual_on_the_sampling_gram_matches_kernel_tables(desc, Phi):
 
 
 def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
-                                             hierarchies, frame_sets, Phi):
+                                             hierarchies, frame_sets):
     _, ref, _ = frame_sets["C_64"]
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the dual frame built a kernel table")
 
     monkeypatch.setattr(ca.SpectralData, "kernel", no_kernel)
-    dual, _ = fr.build_dual_frame(spectra["C_64"], hierarchies["C_64"][0], Phi)
+    dual, _ = fr.build_dual_frame(spectra["C_64"], hierarchies["C_64"][0])
     assert np.array_equal(dual.columns, ref.columns)
 
 
@@ -188,7 +177,7 @@ def test_theta_reproduces_band_symbol(compact_pipeline):
     # the spectrum, relative to max |Psi_j|, and sup_err reports that error
     cp = compact_pipeline
     hier = cp.hier
-    psi = ca.band_symbols(cp.spec, cp.Phi, hier.b, (hier.j_min, hier.j_max))
+    psi = ca.band_symbols(cp.spec, cp.Phi, (hier.j_min, hier.j_max))
     symbols = _level_symbols(cp.spec, cp.compact)
     assert max(lv.degree for lv in cp.levels.values()) > 1
     for col, net in enumerate(hier.levels):
@@ -245,7 +234,7 @@ def test_polynomial_kernel_vanishes_beyond_its_reach():
     # beyond 81 hops
     spec = ca.eigendecompose(sp.build_model("P_128"))
     hier, _ = fr.build_standard_hierarchy(spec)
-    compact, levels = fr.build_compact_frame(spec, hier, ca.make_cutoff("a"))
+    compact, levels = fr.build_compact_frame(spec, hier)
     assert fr.longest_edge(spec.space) == 1.0
     assert 0 < levels[1].degree < spec.space.diameter
     for net, sl in zip(hier.levels, hier.blocks):
@@ -267,7 +256,7 @@ def test_compact_dual_reconstructs(compact_pipeline):
     cp = compact_pipeline
     assert 0 < cp.delta_hat < 0.5
     spec = cp.spec
-    F = sq.random_battery(spec.space, spec, 10, seed=0).T
+    F = sq.random_battery(spec, 10, seed=0).T
     resid = spec.space.norm2(fr.reconstruct(cp.compact, cp.cdual, F) - F) \
         / spec.space.norm2(F)
     assert resid.max() <= 1e-6
@@ -290,12 +279,10 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     prof = sp.measure_doubling(spec.space)
     params = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
                             dstar=max(prof.dstar, 0.0))
-    Phi = ca.make_cutoff("a", b)
-    frame = fr.build_frame1(spec, hier, Phi)
-    dual, _ = fr.build_dual_frame(spec, hier, Phi)
-    compact, _ = fr.build_compact_frame(spec, hier, Phi)
-    cdual, delta_hat = fr.build_compact_dual(spec, frame, dual, compact,
-                                             params)
+    frame = fr.build_frame1(spec, hier)
+    dual, _ = fr.build_dual_frame(spec, hier)
+    compact, _ = fr.build_compact_frame(spec, hier)
+    cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params)
     mu = spec.space.mu
     D = dual.columns.T @ (mu[:, None] * (frame.columns - compact.columns))
     B = dual.columns.T @ (mu[:, None] * frame.columns)
@@ -313,6 +300,9 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
 
 def test_default_frames_one_call():
     space, spec, hier, Phi, frame, dual, report = fr.default_frames("C_32")
+    # the returned cutoff is the one every builder takes at the base
+    assert Phi.b == hier.b
+    assert np.array_equal(fr.build_frame1(spec, hier).columns, frame.columns)
     f = spec.project_mean_zero(np.sin(np.arange(32.0)))
     r = spec.space.norm2(fr.reconstruct(frame, dual, f) - f)
     assert r <= 1e-9 * spec.space.norm2(f)
@@ -326,4 +316,4 @@ def test_compact_dual_precondition_message(compact_pipeline, params022):
     scaled = dataclasses.replace(cp.compact, columns=3.0 * cp.compact.columns)
     with pytest.raises(RuntimeError,
                        match="compact-dual precondition failed"):
-        fr.build_compact_dual(cp.spec, cp.frame, cp.dual, scaled, params022)
+        fr.build_compact_dual(cp.frame, cp.dual, scaled, params022)

@@ -148,7 +148,7 @@ def test_molecular_analysis_identity(molecule_setup, params022, Phi):
     frame, dual, hier, spec, M, c = molecule_setup
     psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
     f = spec.project_mean_zero(np.cos(np.arange(64.0) / 3.0))
-    coeffs, rep = mo.molecular_analysis(f, dual.columns, frame, dual, hier,
+    coeffs, rep = mo.molecular_analysis(f, dual.columns, frame, dual,
                                         params022, spec, psi)
     assert rep["identity_residual"] <= 1e-9
     assert np.allclose(coeffs, dual.analyze(f), atol=1e-10)
@@ -161,13 +161,13 @@ def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
     psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
     F = np.random.default_rng(9).standard_normal((64, 5))
     F[:, 2] = 0.0
-    coeffs, rep = mo.molecular_analysis(F, dual.columns, frame, dual, hier,
+    coeffs, rep = mo.molecular_analysis(F, dual.columns, frame, dual,
                                         params022, spec, psi)
     assert coeffs.shape == (hier.size, 5)
     assert rep["function_norm"][2] == 0.0 and rep["ratio"][2] == 0.0
     for i in range(5):
         ci, ri = mo.molecular_analysis(F[:, i], dual.columns, frame, dual,
-                                       hier, params022, spec, psi)
+                                       params022, spec, psi)
         assert np.abs(coeffs[:, i] - ci).max() <= \
             1e-12 * max(np.abs(ci).max(), 1.0)
         for key, value in ri.items():
@@ -184,7 +184,7 @@ def test_molecular_round_trip(molecule_setup, params022, Phi):
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
         coeffs, _ = mo.molecular_analysis(f, dual.columns, frame, dual,
-                                          hier, params022, spec, psi)
+                                          params022, spec, psi)
         g, rep = mo.molecular_synthesis(coeffs, frame.columns, hier,
                                         params022, spec, psi)
         assert spec.space.norm2(g - f) <= 1e-9 * spec.space.norm2(f)
@@ -228,9 +228,8 @@ def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, atoms, rep = mo.atomic_decompose(f, compact, cdual, hier,
-                                            params022, spec, psi, b=hier.b,
-                                            cstar=cstar)
+        t, atoms, rep = mo.atomic_decompose(f, compact, cdual, params022,
+                                            spec, psi, b=hier.b, cstar=cstar)
         assert rep["residual"] <= 1e-6
         recon = atoms @ t
         assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)

@@ -96,7 +96,7 @@ def test_l2_ratio_below_symbol_sup(spectra, params022, Phi):
     sym = mp.check_mihlin("rational", 4, params022, spec)
     phi = __import__("mmframes.calculus", fromlist=["make_cutoff"]) \
         .make_cutoff("c", 2.0)
-    battery = sq.random_battery(spec.space, spec, 30, seed=1)
+    battery = sq.random_battery(spec, 30, seed=1)
     rep = mp.boundedness_report(sym, params022, battery, spec, phi)
     roots = np.sqrt(spec.eigenvalues)
     sup_on_spec = np.abs(np.asarray(sym(roots[1:]))).max()
