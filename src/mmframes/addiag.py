@@ -10,6 +10,9 @@ from mmframes.calculus import neumann_series
 from mmframes.space import NetHierarchy
 from mmframes.seqspace import SpaceParams, seq_norm
 
+NEUMANN_EPSILON = 1.0    # neumann_invert's decay epsilon; eps1 = epsilon/2
+NEUMANN_THRESHOLD = 0.5  # neumann_invert needs ||D||_epsilon below this
+
 
 @dataclass(frozen=True)
 class NetMatrix:
@@ -24,11 +27,11 @@ class NetMatrix:
 
 
 class NeumannPreconditionError(RuntimeError):
-    """||D||_epsilon = delta_hat is not below neumann_invert's threshold."""
+    """||D||_epsilon = delta_hat is not below NEUMANN_THRESHOLD."""
 
-    def __init__(self, delta_hat, threshold):
+    def __init__(self, delta_hat):
         super().__init__(f"Neumann precondition failed: ||I-A||_eps = "
-                         f"{delta_hat:.4g} >= {threshold}")
+                         f"{delta_hat:.4g} >= {NEUMANN_THRESHOLD}")
         self.delta_hat = delta_hat
 
 
@@ -225,26 +228,25 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 
-def neumann_invert(D: NetMatrix, epsilon: float, delta_threshold: float):
+def neumann_invert(D: NetMatrix, cstar: float):
     """Invert I - D through the geometric series I + D + D^2 + ...,
     certifying the decay of the terms in the eps1-weighted norm, eps1 =
-    epsilon/2.
+    epsilon/2 with epsilon = NEUMANN_EPSILON.
 
-    Preconditions: delta_hat = ||D||_epsilon < delta_threshold
+    Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
-    measured composition constant c*:
+    caller's composition constant c* = cstar, which must be
+    lemma64_grid(hier, params, eps1, [(epsilon, eps1)])[0]["max_ratio"]:
     Omega(eps1,epsilon) @ Omega(eps1,eps1) <= c* omega(eps1) entrywise.
     The report's dhat_cstar is delta_hat * c*; the certified bound
     ||D^n||_{eps1} <= delta_hat^n c*^(n-1) decays only while it is below
     1, so geometric_decay_ok is false when it is not.
     """
-    delta_hat = ad_norm(D, epsilon)
-    if delta_hat >= delta_threshold:
-        raise NeumannPreconditionError(delta_hat, delta_threshold)
-    eps1 = epsilon / 2.0
+    delta_hat = ad_norm(D, NEUMANN_EPSILON)
+    if delta_hat >= NEUMANN_THRESHOLD:
+        raise NeumannPreconditionError(delta_hat)
     hier, params, D = D.hierarchy, D.params, D.entries
-    cstar = lemma64_grid(hier, params, eps1, [(epsilon, eps1)])[0]["max_ratio"]
-    W = omega_matrix(hier, eps1, params)
+    W = omega_matrix(hier, NEUMANN_EPSILON / 2.0, params)
     blocks = hier.blocks
     buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
     term_ad_norms = []

@@ -287,7 +287,7 @@ def _characterization(ctx, family):
                                   family=family)
         rep = sq.check_frame_characterization(
             ctx.get("battery"), prm, spec, ctx.get("frame"), ctx.get("dual"),
-            ctx.get("psi"), ctx.cfg["b"])
+            ctx.get("psi"))
         lo, hi = rep["ratio_band"]
         out[f"{flavor}_lower"] = lo
         out[f"{flavor}_upper"] = hi
@@ -399,16 +399,16 @@ def _suite_lemma64(ctx):
 def _suite_neumann(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    eps = 1.0
+    eps = ad.NEUMANN_EPSILON
     # D = omega(1) (.) U(-1, 1) scaled in place to ||D||_1 = 1/(2 c*), so
-    # delta_hat c* = 1/2 < 1 as Thm 6.3(ii) requires, with c* the
-    # composition constant neumann_invert measures
-    grid = ad.lemma64_grid(hier, params, eps / 2, [(eps, eps / 2)])
+    # delta_hat c* = 1/2 < 1 as Thm 6.3(ii) requires; neumann_invert reuses c*
+    cstar = ad.lemma64_grid(hier, params, eps / 2,
+                            [(eps, eps / 2)])[0]["max_ratio"]
     D = rng.uniform(-1, 1, (hier.size, hier.size))
-    D /= 2.0 * grid[0]["max_ratio"] * np.abs(D).max()
+    D /= 2.0 * cstar * np.abs(D).max()
     D *= ad.omega_matrix(hier, eps, params)
     _, rep = ad.neumann_invert(
-        ad.NetMatrix(hierarchy=hier, entries=D, params=params), eps, 0.5)
+        ad.NetMatrix(hierarchy=hier, entries=D, params=params), cstar)
     ok = rep["residual"] <= 1e-9 and rep["geometric_decay_ok"]
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
@@ -506,7 +506,7 @@ def _suite_synthesis(ctx):
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     T = rng.standard_normal((int(ctx.cfg["battery"]), hier.size)).T
     _, rep = mo.molecular_synthesis(T, ctx.get("frame").columns, hier, params,
-                                    spec, ctx.get("psi"), ctx.cfg["b"])
+                                    spec, ctx.get("psi"))
     return "record", {"max_ratio": rep["ratio"].max(initial=0.0)}
 
 
@@ -516,8 +516,7 @@ def _suite_analysis(ctx):
     params, spec = ctx.get("params"), ctx.get("spec")
     _, rep = mo.molecular_analysis(ctx.get("battery").T,
                                    ctx.get("dual").columns, ctx.get("frame"),
-                                   ctx.get("dual"), params, spec,
-                                   ctx.get("psi"), ctx.cfg["b"])
+                                   ctx.get("dual"), params, spec, ctx.get("psi"))
     worst_resid = rep["identity_residual"].max(initial=0.0)
     ok = np.any(rep["function_norm"] > 0) and worst_resid <= 1e-9
     return ("pass" if ok else "fail"), {
@@ -535,7 +534,7 @@ def _suite_atoms(ctx):
     cstar = mo.scaling_for_budget(cert)
     _, _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
                                     ctx.get("compact_dual"), params, spec,
-                                    ctx.get("psi"), ctx.cfg["b"], cstar=cstar)
+                                    ctx.get("psi"), cstar=cstar)
     worst = rep["residual"].max(initial=0.0)
     ok = np.any(rep["l2_norm"] > 0) and worst <= 1e-6 and supp_ok and \
         np.isfinite(cert.support_constant)
@@ -556,7 +555,7 @@ def _suite_multiplier(ctx):
     except RuntimeError:
         route_ok = False
     rep = mx.boundedness_report(sym, params, ctx.get("battery"), spec,
-                                ctx.get("psi"), ctx.cfg["b"])
+                                ctx.get("psi"))
     l2_ok = rep["f"]["ratio"] <= sym.order_sups[0] + 1e-9
     mult = mx.multiplicativity_residual(
         sym, lambda u: np.exp(-np.asarray(u) ** 2), F, spec)

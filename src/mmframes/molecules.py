@@ -250,7 +250,7 @@ def _ratio(num, den):
 
 
 def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
-                        spec: SpectralData, phi, b: float = 2.0):
+                        spec: SpectralData, phi):
     """f = sum_xi t_xi m_xi with the measured norm ratio
     ||f||_F / ||t||_f; an (m, k) table of sequences gives k functions and
     k of each report value."""
@@ -261,13 +261,13 @@ def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
     T = t.reshape(hier.size, -1)
     f = cols @ T
     tn = seq_norm(T, params, hier)
-    fn = function_norm(f, params, spec, phi, b)
+    fn = function_norm(f, params, spec, phi, phi.b)
     return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
                               "ratio": _ratio(fn, tn)})
 
 
 def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
-                       spec: SpectralData, phi, b: float = 2.0):
+                       spec: SpectralData, phi):
     """Coefficients <f, m~_xi> through the frame expansion
     sum_eta <m~_xi, psi_eta> <f, psi~_eta>, with the measured ratio
     ||coeffs||_f / ||f||_F; an (n, k) table of functions gives an (m, k)
@@ -285,7 +285,7 @@ def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
     coeffs = cols.T @ (mu * frame.synthesize(dual.analyze(F)))
     direct = cols.T @ (mu * F)
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
-    fn = function_norm(F, params, spec, phi, b)
+    fn = function_norm(F, params, spec, phi, phi.b)
     cn = seq_norm(coeffs, params, hier)
     return _per_column(f, coeffs, {
         "seq_norm": cn, "function_norm": fn, "ratio": _ratio(cn, fn),
@@ -315,7 +315,7 @@ def minimal_atom_orders(params: SpaceParams) -> tuple:
 
 
 def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
-                   spec: SpectralData, companions=None) -> AtomCertificate:
+                   spec: SpectralData) -> AtomCertificate:
     """Atom certificate at the minimal orders (K, K~): factorization through
     L^K, plain (undecayed) size bounds for powers of L up to K~, and the
     compact-support constant; it passes when no constant exceeds 1.
@@ -331,7 +331,7 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     constants = {"smoothness": max(
         _worst_constant(g * ell2**nu, base)
         for nu, g in enumerate(_ladder(spec, cols, K_tilde)))}
-    companion, fact_resid = _companion(spec, cols, K, companions, hier,
+    companion, fact_resid = _companion(spec, cols, K, None, hier,
                                        np.ones(hier.size, dtype=bool))
 
     worst = 0.0
@@ -358,8 +358,7 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
 
 
 def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
-                     spec: SpectralData, phi, b: float = 2.0,
-                     cstar: float = 1.0):
+                     spec: SpectralData, phi, cstar: float = 1.0):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
     compact frame and t_xi = <f, theta~_xi> / cstar; an (n, k) table of
     functions gives an (m, k) table t and k of each report value.
@@ -375,13 +374,13 @@ def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
     residual = _ratio(space.norm2(compact.synthesize(raw) - F), nf)
     t = raw / cstar
     atoms = compact.columns * cstar
-    fn = function_norm(F, params, spec, phi, b)
+    fn = function_norm(F, params, spec, phi, phi.b)
     tn = seq_norm(t, params, compact.hierarchy)
     t, report = _per_column(f, t, {
         "residual": residual, "l2_norm": nf,
         "analysis_constant": _ratio(tn, fn),
         "synthesis_constant": _ratio(
-            function_norm(atoms @ t, params, spec, phi, b), tn),
+            function_norm(atoms @ t, params, spec, phi, phi.b), tn),
     })
     report["cstar"] = cstar
     return t, atoms, report

@@ -141,7 +141,7 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
 
 
 def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
-                       spec: SpectralData, phi, b: float = 2.0) -> dict:
+                       spec: SpectralData, phi) -> dict:
     """Max over the battery (one function per row) of ||m(sqrt(L)) f|| / ||f||
     in each of the four flavors, with the per-flavor smoothness requirement
     recorded.  Functions of norm 0 are left out; samples is the fewest
@@ -158,9 +158,9 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
             ("b", "besov", "classical", 0.0),
             ("b~", "besov", "tilde", abs(s))):
         prm = replace(params, family=family, flavor=flavor)
-        denom = function_norm(F, prm, spec, phi, b)
+        denom = function_norm(F, prm, spec, phi, phi.b)
         live = denom > 0
-        ratios = function_norm(G[:, live], prm, spec, phi, b) / denom[live]
+        ratios = function_norm(G[:, live], prm, spec, phi, phi.b) / denom[live]
         samples.append(int(live.sum()))
         out[key] = {"ratio": float(ratios.max(initial=0.0)),
                     "required_order": base + extra,

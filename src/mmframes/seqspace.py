@@ -216,8 +216,7 @@ def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
 
 
 def check_frame_characterization(battery, params: SpaceParams,
-                                 spec: SpectralData, frame, dual,
-                                 phi, b: float = 2.0) -> dict:
+                                 spec: SpectralData, frame, dual, phi) -> dict:
     """Measured equivalence of coefficient and function norms over a battery
     (one function per row), taken on one table.
 
@@ -228,7 +227,7 @@ def check_frame_characterization(battery, params: SpaceParams,
     space = spec.space
     hier = frame.hierarchy
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
-    fn = function_norm(F, params, spec, phi, b)
+    fn = function_norm(F, params, spec, phi, phi.b)
     live = fn > 0
     F, fn = F[:, live], fn[live]
     c1 = dual.analyze(F)

@@ -78,8 +78,8 @@ def test_criterion_05_dual_bands_exact(frame_sets, spectra):
 
 
 def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
-                                              profiles, Phi):
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+                                              profiles):
+    psi = ca.make_cutoff("b", 2.0)
     prof = profiles["C_64"]
     d, dstar = prof.d, max(prof.dstar, 0.0)
     widths = {}
@@ -161,7 +161,8 @@ def test_criterion_10_neumann_inversion(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega_matrix(hier, 1.0, params022)
     D = ad.NetMatrix(hierarchy=hier, entries=-0.01 * W, params=params022)
-    Ainv, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
+    cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
+    Ainv, rep = ad.neumann_invert(D, cstar)
     assert rep["residual"] <= 1e-9
     assert rep["geometric_decay_ok"]
     for n, val in enumerate(rep["term_ad_norms"], start=1):
@@ -206,14 +207,13 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     for j, lv in poly.items():
         assert cert.support_radii[cert.K][j] <= lv.reach
 
-    b = hier.b
-    psi = lambda u: cp.Phi(u) - cp.Phi(b * np.asarray(u))
+    psi = ca.make_cutoff("b", hier.b)
     cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, atoms, rep = mo.atomic_decompose(f, cp.compact, cp.cdual,
-                                            params022, spec, psi, b=b,
+                                            params022, spec, psi,
                                             cstar=cstar)
         assert rep["residual"] <= 1e-6
         assert spec.space.norm2(atoms @ t - f) <= 1e-6 * spec.space.norm2(f)

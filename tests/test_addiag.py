@@ -292,7 +292,8 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega_matrix(hier, 1.0, params022)
     D = NetMatrix(hierarchy=hier, entries=0.01 * W, params=params022)
-    Ainv, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
+    cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
+    Ainv, rep = ad.neumann_invert(D, cstar)
     assert rep["residual"] <= 1e-9
     I = np.eye(hier.size)
     assert np.abs((I - D.entries) @ Ainv.entries - I).max() <= 1e-9
@@ -302,8 +303,7 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     # c* = max (Omega(1/2, 1) @ Omega(1/2, 1/2)) / omega(1/2) is Lemma 6.4's
     # grid ratio for the one pair (1, 1/2); the dense product sums in
     # another order, so it agrees to rounding
-    grid = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    assert rep["c_star"] == grid
+    assert rep["c_star"] == cstar
     W1 = ad.omega_matrix(hier, 0.5, params022)
     dense = ((ad.omega2_matrix(hier, 0.5, 1.0, params022) @ W1) / W1).max()
     assert abs(rep["c_star"] / dense - 1.0) <= 1e-13
@@ -326,7 +326,8 @@ def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
     if model == "T_8x8":  # c* = 45.1, delta_hat = 0.03
         E *= np.random.default_rng(0).uniform(-1, 1, E.shape)
     D = NetMatrix(hierarchy=hier, entries=E, params=prm)
-    _, rep = ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
+    cstar = ad.lemma64_grid(hier, prm, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
+    _, rep = ad.neumann_invert(D, cstar)
     assert rep["residual"] <= 1e-9 and rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] >= 1
     assert not rep["geometric_decay_ok"]
@@ -336,6 +337,7 @@ def test_neumann_rejects_large_perturbation(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega_matrix(hier, 0.5, params022)
     D = NetMatrix(hierarchy=hier, entries=0.6 * W, params=params022)
+    cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     with pytest.raises(ad.NeumannPreconditionError) as err:
-        ad.neumann_invert(D, epsilon=1.0, delta_threshold=0.5)
+        ad.neumann_invert(D, cstar)
     assert err.value.delta_hat == ad.ad_norm(D, 1.0) >= 0.5

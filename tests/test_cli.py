@@ -290,6 +290,35 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
     assert cli._suite_lemma64(ctx)[0] == "fail"
 
 
+def test_neumann_suite_takes_one_lemma64_grid(tmp_path, capsys, monkeypatch):
+    # thm6.3-neumann measures c* once: the grid that scales its D also
+    # gives neumann_invert's certificate, and the suite reports it unchanged
+    grids, metrics = [], []
+    grid = cli.ad.lemma64_grid
+
+    def counted(*args):
+        grids.append(grid(*args))
+        return grids[-1]
+
+    anchor, desc, suite = cli.SUITES["thm6.3-neumann"]
+
+    def recorded(ctx):
+        status, out = suite(ctx)
+        metrics.append(out)
+        return status, out
+
+    monkeypatch.setattr(cli.ad, "lemma64_grid", counted)
+    monkeypatch.setitem(cli.SUITES, "thm6.3-neumann", (anchor, desc, recorded))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_16", "suites": ["thm6.3-neumann"],
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    assert len(grids) == 1 and len(metrics) == 1
+    assert metrics[0]["c_star"] == grids[0][0]["max_ratio"]
+    assert _statuses(tmp_path / "out")["thm6.3-neumann"].startswith("pass ")
+
+
 def test_omega_suite_fails_when_the_table_and_pairs_disagree(monkeypatch):
     # pair_err compares omega2 pair by pair with the omega2_matrix table, so
     # a table off by 1e-12 relative fails the 1e-14 gate

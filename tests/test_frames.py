@@ -286,9 +286,9 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     mu = spec.space.mu
     D = dual.columns.T @ (mu[:, None] * (frame.columns - compact.columns))
     B = dual.columns.T @ (mu[:, None] * frame.columns)
+    cstar = ad.lemma64_grid(hier, params, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     Ainv, rep = ad.neumann_invert(
-        ad.NetMatrix(hierarchy=hier, entries=D, params=params),
-        1.0, fr.COMPACT_DUAL_THRESHOLD)
+        ad.NetMatrix(hierarchy=hier, entries=D, params=params), cstar)
     dense = dual.columns @ np.linalg.solve(np.eye(hier.size) - D, B).T
     certified = dual.columns @ (Ainv.entries @ B).T
     for ref in (dense, certified):

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mmframes import calculus as ca
 from mmframes import molecules as mo
+from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
 
 
@@ -144,9 +146,9 @@ def test_gram_certificate(molecule_setup, params022):
 # synthesis / analysis operators
 
 
-def test_molecular_analysis_identity(molecule_setup, params022, Phi):
+def test_molecular_analysis_identity(molecule_setup, params022):
     frame, dual, hier, spec, M, c = molecule_setup
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     f = spec.project_mean_zero(np.cos(np.arange(64.0) / 3.0))
     coeffs, rep = mo.molecular_analysis(f, dual.columns, frame, dual,
                                         params022, spec, psi)
@@ -156,9 +158,9 @@ def test_molecular_analysis_identity(molecule_setup, params022, Phi):
 
 
 def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
-                                                       params022, Phi):
+                                                       params022):
     frame, dual, hier, spec, M, c = molecule_setup
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     F = np.random.default_rng(9).standard_normal((64, 5))
     F[:, 2] = 0.0
     coeffs, rep = mo.molecular_analysis(F, dual.columns, frame, dual,
@@ -177,9 +179,9 @@ def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
             assert abs(rep[key][i] - value) <= 1e-12 * scale
 
 
-def test_molecular_round_trip(molecule_setup, params022, Phi):
+def test_molecular_round_trip(molecule_setup, params022):
     frame, dual, hier, spec, M, c = molecule_setup
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     rng = np.random.default_rng(8)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
@@ -223,15 +225,45 @@ def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     for level_radii in cert.support_radii.values():
         assert max(level_radii.values()) <= spec.space.diameter
 
-    psi = lambda u: cp.Phi(u) - cp.Phi(hier.b * np.asarray(u))
+    psi = ca.make_cutoff("b", hier.b)
     cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, atoms, rep = mo.atomic_decompose(f, compact, cdual, params022,
-                                            spec, psi, b=hier.b, cstar=cstar)
+                                            spec, psi, cstar=cstar)
         assert rep["residual"] <= 1e-6
         recon = atoms @ t
         assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
         assert rep["analysis_constant"] > 0
         assert rep["synthesis_constant"] > 0
+
+
+def test_norm_layer_reads_the_base_from_its_cutoff(compact_pipeline,
+                                                   params022):
+    # C_64 at b = 4: each reported function norm is function_norm's at the
+    # cutoff's own base, so the level window and the weights b^{js} are
+    # base 4's, not base 2's
+    cp = compact_pipeline
+    spec, hier = cp.spec, cp.hier
+    psi = ca.make_cutoff("b", 4.0)
+    F = spec.project_mean_zero(
+        np.random.default_rng(13).standard_normal((64, 3)))
+    T = np.random.default_rng(14).standard_normal((hier.size, 3))
+    for prm in (params022, dataclasses.replace(params022, s=1.0)):
+        def norm(G):
+            return sq.function_norm(G, prm, spec, psi, 4.0)
+
+        f, rep = mo.molecular_synthesis(T, cp.frame.columns, hier, prm, spec,
+                                        psi)
+        assert np.array_equal(rep["function_norm"], norm(f))
+        _, rep = mo.molecular_analysis(F, cp.dual.columns, cp.frame, cp.dual,
+                                       prm, spec, psi)
+        assert np.array_equal(rep["function_norm"],
+                              norm(spec.project_mean_zero(F)))
+        t, atoms, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm,
+                                            spec, psi)
+        tn = sq.seq_norm(t, prm, hier)
+        assert np.array_equal(rep["analysis_constant"],
+                              tn / norm(spec.project_mean_zero(F)))
+        assert np.array_equal(rep["synthesis_constant"], norm(atoms @ t) / tn)

@@ -39,9 +39,9 @@ def test_s0_p2_q2_norm_is_L2(spectra):
         assert abs(fn - spec.space.norm2(f)) <= 1e-9 * spec.space.norm2(f)
 
 
-def test_besov_and_tl_agree_when_p_equals_q(spectra, Phi):
+def test_besov_and_tl_agree_when_p_equals_q(spectra):
     spec = spectra["C_64"]
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     f = spec.project_mean_zero(np.cos(np.arange(64.0)))
     for s, p in ((0.0, 2.0), (1.0, 1.0)):
         pb = sq.SpaceParams(s=s, p=p, q=p, family="besov")
@@ -95,12 +95,12 @@ TABLE_CASES = [
 @pytest.mark.parametrize("family,flavor,s,p,q", TABLE_CASES)
 def test_norms_of_a_table_match_column_by_column(family, flavor, s, p, q,
                                                  spectra, hierarchies,
-                                                 params022, Phi):
+                                                 params022):
     spec = spectra["C_64"]
     hier, _ = hierarchies["C_64"]
     prm = dataclasses.replace(params022, family=family, flavor=flavor,
                               s=s, p=p, q=q)
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     rng = np.random.default_rng(11)
     A = rng.standard_normal((hier.size, 7))
     F = rng.standard_normal((spec.space.n, 7))
@@ -115,12 +115,12 @@ def test_norms_of_a_table_match_column_by_column(family, flavor, s, p, q,
 
 @pytest.mark.parametrize("family,flavor,s,p,q", TABLE_CASES)
 def test_zero_column_has_norm_zero(family, flavor, s, p, q, spectra,
-                                   hierarchies, params022, Phi):
+                                   hierarchies, params022):
     spec = spectra["C_64"]
     hier, _ = hierarchies["C_64"]
     prm = dataclasses.replace(params022, family=family, flavor=flavor,
                               s=s, p=p, q=q)
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     rng = np.random.default_rng(12)
     A = rng.standard_normal((hier.size, 3))
     F = rng.standard_normal((spec.space.n, 3))
@@ -139,7 +139,7 @@ def test_zero_column_has_norm_zero(family, flavor, s, p, q, spectra,
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])
 @pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
 def test_function_norm_matches_an_explicitly_weighted_reference(
-        family, flavor, s, spectra, params022, Phi):
+        family, flavor, s, spectra, params022):
     # level by level: |psi(2^{-j} sqrt(L)) f| times the weight table
     # 2^{js} (classical) or |B(x, 2^{-j})|^{-s/d} (tilde), applied also
     # where it is 1
@@ -147,7 +147,7 @@ def test_function_norm_matches_an_explicitly_weighted_reference(
     space = spec.space
     prm = dataclasses.replace(params022, family=family, flavor=flavor,
                               s=s, p=1.5, q=3.0)
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+    psi = ca.make_cutoff("b", 2.0)
     F = spec.project_mean_zero(
         np.random.default_rng(13).standard_normal((space.n, 4)))
     j_min, j_max = ca.level_window(spec, 2.0)
@@ -266,8 +266,8 @@ def test_hardy_rejects_bad_input():
 
 
 def test_characterization_bands_finite_and_stable(spectra, frame_sets,
-                                                  params022, Phi):
-    psi = lambda u: Phi(u) - Phi(2.0 * np.asarray(u))
+                                                  params022):
+    psi = ca.make_cutoff("b", 2.0)
     bands = {}
     for name in ("C_64", "C_128"):
         spec = spectra[name]
