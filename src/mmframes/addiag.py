@@ -228,9 +228,12 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 
-def neumann_invert(D: NetMatrix, cstar: float):
-    """Invert I - D through the geometric series I + D + D^2 + ...,
-    certifying the decay of the terms in the eps1-weighted norm, eps1 =
+def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
+                   cstar: float):
+    """Invert I - D, D = left @ right (a dense D is passed as (D, I)), as
+    I + left (I - G)^{-1} right with G = right @ left (push-through), the
+    series summed on G; each power D^{n+1} = left G^n right is formed in one
+    m x m array, and its decay certified in the eps1-weighted norm, eps1 =
     epsilon/2 with epsilon = NEUMANN_EPSILON.
 
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
@@ -242,16 +245,17 @@ def neumann_invert(D: NetMatrix, cstar: float):
     ||D^n||_{eps1} <= delta_hat^n c*^(n-1) decays only while it is below
     1, so geometric_decay_ok is false when it is not.
     """
-    delta_hat = ad_norm(D, NEUMANN_EPSILON)
+    power = left @ right
+    delta_hat = ad_norm(NetMatrix(hierarchy=hier, entries=power,
+                                  params=params), NEUMANN_EPSILON)
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
-    hier, params, D = D.hierarchy, D.params, D.entries
     W = omega_matrix(hier, NEUMANN_EPSILON / 2.0, params)
     blocks = hier.blocks
     buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
     term_ad_norms = []
 
-    def on_term(term):
+    def certify(term):
         # max |term| / W a row level at a time, through one buffer
         best = 0.0
         for sl in blocks:
@@ -260,16 +264,20 @@ def neumann_invert(D: NetMatrix, cstar: float):
             best = np.maximum(best, q.max())
         term_ad_norms.append(float(best))
 
-    total, terms, _ = neumann_series(D, on_term)
-    del W
-    # |(I - D) T - I| = |D T - T + I|, and likewise on the right, one at a time
-    resid = 0.0
-    for left, right in ((D, total), (total, D)):
-        P = left @ right
+    certify(power)
+    core, terms, _ = neumann_series(
+        right @ left, lambda g: certify(np.matmul(left @ g, right, out=power)))
+    del W, power
+    total = (left @ core) @ right
+    total.flat[::hier.size + 1] += 1.0
+
+    def defect(P):
+        # |(I - D) S - I| = |P - S + I| for P = D S, one P at a time; or S D
         P -= total
         P.flat[::hier.size + 1] += 1.0
-        resid = max(resid, np.abs(P, out=P).max())
-        del P
+        return float(np.abs(P, out=P).max())
+
+    resid = max(defect(left @ (right @ total)), defect((total @ left) @ right))
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar
     geometric_ok = dhat_cstar < 1 and all(
@@ -279,8 +287,8 @@ def neumann_invert(D: NetMatrix, cstar: float):
         "delta_hat": delta_hat,
         "c_star": cstar,
         "dhat_cstar": dhat_cstar,
-        "terms": terms,
-        "residual": float(resid),
+        "terms": terms + 1,
+        "residual": resid,
         "term_ad_norms": term_ad_norms,
         "geometric_decay_ok": bool(geometric_ok),
     }

@@ -126,6 +126,18 @@ class Context:
         return fr.build_compact_dual(self.get("frame"), self.get("dual"),
                                      self.get("compact"), self.get("params"))
 
+    def _build_factors(self):
+        # (U, V) = (psi~^T M E, E^T M psi): A_m = U diag(m(sqrt(lambda))) V
+        spec = self.get("spec")
+        return (spec.coefficients(self.get("dual").columns).T,
+                spec.coefficients(self.get("frame").columns))
+
+    def _build_lemma64_half(self):
+        # lemma6.4-W-bound's pairs at beta = eps1, then Thm 6.3(ii)'s c* pair
+        eps = ad.NEUMANN_EPSILON
+        return ad.lemma64_grid(self.get("hier"), self.get("params"), eps / 2,
+                               _lemma64_pairs(eps / 2) + [(eps, eps / 2)])
+
     def _build_battery(self):
         return sq.random_battery(self.get("spec"), int(self.cfg["battery"]),
                                  seed=int(self.cfg["seed"]))
@@ -362,18 +374,22 @@ def _suite_omega(ctx):
                                         "monotone": mono_ok}
 
 
-@_suite("thm6.2-boundedness", "Thm 6.2", "almost-diagonal boundedness probe")
+def _multiplier_matrix(ctx, values):
+    # the frames' A_m = psi~^T M m(sqrt(L)) psi = U diag(m) V, from m's values
+    U, V = ctx.get("factors")
+    return ad.NetMatrix(hierarchy=ctx.get("hier"), params=ctx.get("params"),
+                        entries=(U * values) @ V)
+
+
+@_suite("thm6.2-boundedness", "Thm 6.2", "almost-diagonal boundedness probe",
+        after=("lemma4.1-sampling",))
 def _suite_ad_boundedness(ctx):
-    hier, params = ctx.get("hier"), ctx.get("params")
-    rng = np.random.default_rng(int(ctx.cfg["seed"]))
+    # A_m of 1/(1 + lambda) at ||A_m||_delta = 1, on the battery's coefficients
     delta = 0.5
-    W = ad.omega_matrix(hier, delta, params)
-    E = W * rng.uniform(-1, 1, W.shape)
-    # ||E||_delta as ad_norm takes it, from the W already built
-    A = ad.NetMatrix(hierarchy=hier, entries=E / (np.abs(E) / W).max(),
-                     params=params)
-    del W, E
-    out = ad.boundedness_probe(A, delta, rng.standard_normal((100, hier.size)))
+    A = _multiplier_matrix(ctx, 1.0 / (1.0 + ctx.get("spec").eigenvalues))
+    np.divide(A.entries, ad.ad_norm(A, delta), out=A.entries)
+    H = ctx.get("dual").analyze(ctx.get("battery").T).T
+    out = ad.boundedness_probe(A, delta, H)
     return "record", {k.replace("~", "t"): v for k, v in out.items()}
 
 
@@ -382,38 +398,46 @@ def _suite_ad_boundedness(ctx):
 _LEMMA64_GRID = ((0.25, 0.5, 1.0), (0.5, 1.0, 2.0), (0.6, 1.2, 2.4))
 
 
+def _lemma64_pairs(beta):
+    _, g1s, g2s = _LEMMA64_GRID
+    return [(g1, g2) for g1 in g1s for g2 in g2s if beta < g1 + g2]
+
+
 @_suite("lemma6.4-W-bound", "Lemma 6.4", "weight composition bound grid")
 def _suite_lemma64(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
-    betas, g1s, g2s = _LEMMA64_GRID
     ratios = []
-    for beta in betas:
-        pairs = [(g1, g2) for g1 in g1s for g2 in g2s if beta < g1 + g2]
-        ratios += [res["max_ratio"]
-                   for res in ad.lemma64_grid(hier, params, beta, pairs)]
+    for beta in _LEMMA64_GRID[0]:  # beta = eps1's grid is shared with thm6.3
+        grid = ctx.get("lemma64_half")[:-1] if beta == ad.NEUMANN_EPSILON / 2 \
+            else ad.lemma64_grid(hier, params, beta, _lemma64_pairs(beta))
+        ratios += [res["max_ratio"] for res in grid]
     ok = bool(ratios) and bool(np.all(np.isfinite(ratios)))
     return ("pass" if ok else "fail"), {"max_ratio": max(ratios, default=0.0)}
 
 
-@_suite("thm6.3-neumann", "Thm 6.3(ii)", "Neumann inversion with decay cert")
+@_suite("thm6.3-neumann", "Thm 6.3(ii)", "Neumann inversion with decay cert",
+        after=("lemma4.1-sampling",))
 def _suite_neumann(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
-    rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    eps = ad.NEUMANN_EPSILON
-    # D = omega(1) (.) U(-1, 1) scaled in place to ||D||_1 = 1/(2 c*), so
-    # delta_hat c* = 1/2 < 1 as Thm 6.3(ii) requires; neumann_invert reuses c*
-    cstar = ad.lemma64_grid(hier, params, eps / 2,
-                            [(eps, eps / 2)])[0]["max_ratio"]
-    D = rng.uniform(-1, 1, (hier.size, hier.size))
-    D /= 2.0 * cstar * np.abs(D).max()
-    D *= ad.omega_matrix(hier, eps, params)
-    _, rep = ad.neumann_invert(
-        ad.NetMatrix(hierarchy=hier, entries=D, params=params), cstar)
-    ok = rep["residual"] <= 1e-9 and rep["geometric_decay_ok"]
+    cstar = ctx.get("lemma64_half")[-1]["max_ratio"]
+    # D = c A_m of m = 1/(1 + lambda) at ||D||_1 = 1/(2 c*), so delta_hat c*
+    # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V
+    U, V = ctx.get("factors")
+    cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
+    cm /= 2.0 * cstar * ad.ad_norm(_multiplier_matrix(ctx, cm),
+                                   ad.NEUMANN_EPSILON)
+    S, rep = ad.neumann_invert(hier, params, U * cm, V, cstar)
+    S = S.entries
+    # the algebra's closed form (I - c A_m)^{-1} = I + A_{cm/(1-cm)}
+    S.flat[::hier.size + 1] -= 1.0
+    X = _multiplier_matrix(ctx, cm / (1.0 - cm)).entries
+    X -= S
+    closed = float(np.abs(X, out=X).max() / np.abs(S, out=S).max())
+    ok = max(rep["residual"], closed) <= 1e-9 and rep["geometric_decay_ok"]
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
         "c_star": rep["c_star"], "dhat_cstar": rep["dhat_cstar"],
-        "terms": rep["terms"],
+        "terms": rep["terms"], "closed_form": closed,
         "geometric": rep["geometric_decay_ok"]}
 
 
@@ -548,6 +572,7 @@ def _suite_atoms(ctx):
 def _suite_multiplier(ctx):
     spec, params = ctx.get("spec"), ctx.get("params")
     sym = mx.check_mihlin("rational", 4, params, spec, b=ctx.cfg["b"])
+    am_norm = ad.ad_norm(_multiplier_matrix(ctx, spec.symbol(sym)), 0.5)
     F = ctx.get("battery").T
     try:
         mx.apply_multiplier(sym, F, ctx.get("frame"), ctx.get("dual"), spec)
@@ -561,9 +586,9 @@ def _suite_multiplier(ctx):
         sym, lambda u: np.exp(-np.asarray(u) ** 2), F, spec)
     ok = rep["samples"] > 0 and route_ok and l2_ok and mult <= 1e-10
     return ("pass" if ok else "fail"), {
-        "mihlin_sup": sym.mihlin_sup, "ratio_f": rep["f"]["ratio"],
-        "ratio_b": rep["b"]["ratio"], "l2_ceiling_ok": l2_ok,
-        "multiplicativity": mult}
+        "mihlin_sup": sym.mihlin_sup, "am_norm": am_norm,
+        "ratio_f": rep["f"]["ratio"], "ratio_b": rep["b"]["ratio"],
+        "l2_ceiling_ok": l2_ok, "multiplicativity": mult}
 
 
 @_suite("lemma9.4-hardy", "Lemma 9.4", "discrete Hardy inequalities")

@@ -261,7 +261,7 @@ def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
     T = t.reshape(hier.size, -1)
     f = cols @ T
     tn = seq_norm(T, params, hier)
-    fn = function_norm(f, params, spec, phi, phi.b)
+    fn = function_norm(f, params, spec, phi)
     return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
                               "ratio": _ratio(fn, tn)})
 
@@ -285,7 +285,7 @@ def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
     coeffs = cols.T @ (mu * frame.synthesize(dual.analyze(F)))
     direct = cols.T @ (mu * F)
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
-    fn = function_norm(F, params, spec, phi, phi.b)
+    fn = function_norm(F, params, spec, phi)
     cn = seq_norm(coeffs, params, hier)
     return _per_column(f, coeffs, {
         "seq_norm": cn, "function_norm": fn, "ratio": _ratio(cn, fn),
@@ -374,13 +374,13 @@ def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
     residual = _ratio(space.norm2(compact.synthesize(raw) - F), nf)
     t = raw / cstar
     atoms = compact.columns * cstar
-    fn = function_norm(F, params, spec, phi, phi.b)
+    fn = function_norm(F, params, spec, phi)
     tn = seq_norm(t, params, compact.hierarchy)
     t, report = _per_column(f, t, {
         "residual": residual, "l2_norm": nf,
         "analysis_constant": _ratio(tn, fn),
         "synthesis_constant": _ratio(
-            function_norm(atoms @ t, params, spec, phi, phi.b), tn),
+            function_norm(atoms @ t, params, spec, phi), tn),
     })
     report["cstar"] = cstar
     return t, atoms, report

@@ -158,9 +158,9 @@ def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
             ("b", "besov", "classical", 0.0),
             ("b~", "besov", "tilde", abs(s))):
         prm = replace(params, family=family, flavor=flavor)
-        denom = function_norm(F, prm, spec, phi, phi.b)
+        denom = function_norm(F, prm, spec, phi)
         live = denom > 0
-        ratios = function_norm(G[:, live], prm, spec, phi, phi.b) / denom[live]
+        ratios = function_norm(G[:, live], prm, spec, phi) / denom[live]
         samples.append(int(live.sum()))
         out[key] = {"ratio": float(ratios.max(initial=0.0)),
                     "required_order": base + extra,

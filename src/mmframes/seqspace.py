@@ -58,7 +58,8 @@ def _level_pieces(f, params: SpaceParams, spec: SpectralData, phi, b):
     """|phi(b^{-j} sqrt(L)) f| for j across level_window and every column of
     f, one (n,) function or an (n, k) table, as an (L, k, n) table,
     weighted by b^{js} (classical) or |B(x, b^{-j})|^{-s/d} (tilde); f is
-    projected mean-zero first."""
+    projected mean-zero first.  b = None is phi's own base phi.b."""
+    b = phi.b if b is None else b
     j_min, j_max = level_window(spec, b)
     levels = range(j_min, j_max + 1)
     vals = spec.symbol(phi, np.array([b ** (-j) for j in levels]))
@@ -80,8 +81,7 @@ def _one_or_many(out, x):
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def besov_norm(f, params: SpaceParams, spec: SpectralData, phi,
-               b: float = 2.0):
+def besov_norm(f, params: SpaceParams, spec: SpectralData, phi, b=None):
     pieces = _level_pieces(f, params, spec, phi, b)
     L, k, n = pieces.shape
     terms = spec.space.lp_norm(pieces.reshape(L * k, n).T, params.p)
@@ -89,7 +89,7 @@ def besov_norm(f, params: SpaceParams, spec: SpectralData, phi,
     return _one_or_many(_lq(terms, params.q, axis=1), f)
 
 
-def tl_norm(f, params: SpaceParams, spec: SpectralData, phi, b: float = 2.0):
+def tl_norm(f, params: SpaceParams, spec: SpectralData, phi, b=None):
     if np.isinf(params.p):
         raise ValueError("p must be finite for the TL norm")
     pieces = _level_pieces(f, params, spec, phi, b)
@@ -97,10 +97,9 @@ def tl_norm(f, params: SpaceParams, spec: SpectralData, phi, b: float = 2.0):
     return _one_or_many(spec.space.lp_norm(inner.T, params.p), f)
 
 
-def function_norm(f, params: SpaceParams, spec: SpectralData, phi,
-                  b: float = 2.0):
+def function_norm(f, params: SpaceParams, spec: SpectralData, phi, b=None):
     """Norm of f in the function space of params: one (n,) function gives a
-    float, an (n, k) table gives k norms, one per column."""
+    float, an (n, k) table gives k norms, one per column; b = None is phi.b."""
     if params.family == "besov":
         return besov_norm(f, params, spec, phi, b)
     return tl_norm(f, params, spec, phi, b)
@@ -227,7 +226,7 @@ def check_frame_characterization(battery, params: SpaceParams,
     space = spec.space
     hier = frame.hierarchy
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
-    fn = function_norm(F, params, spec, phi, phi.b)
+    fn = function_norm(F, params, spec, phi)
     live = fn > 0
     F, fn = F[:, live], fn[live]
     c1 = dual.analyze(F)

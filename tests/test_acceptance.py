@@ -160,9 +160,9 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
 def test_criterion_10_neumann_inversion(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega_matrix(hier, 1.0, params022)
-    D = ad.NetMatrix(hierarchy=hier, entries=-0.01 * W, params=params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    Ainv, rep = ad.neumann_invert(D, cstar)
+    Ainv, rep = ad.neumann_invert(hier, params022, -0.01 * W,
+                                  np.eye(hier.size), cstar)
     assert rep["residual"] <= 1e-9
     assert rep["geometric_decay_ok"]
     for n, val in enumerate(rep["term_ad_norms"], start=1):

@@ -290,13 +290,12 @@ def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
 def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     # ||D||_1 = 0.01, so delta_hat * c* is about 0.51 < 1
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 1.0, params022)
-    D = NetMatrix(hierarchy=hier, entries=0.01 * W, params=params022)
+    D = 0.01 * ad.omega_matrix(hier, 1.0, params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    Ainv, rep = ad.neumann_invert(D, cstar)
-    assert rep["residual"] <= 1e-9
     I = np.eye(hier.size)
-    assert np.abs((I - D.entries) @ Ainv.entries - I).max() <= 1e-9
+    Ainv, rep = ad.neumann_invert(hier, params022, D, I, cstar)
+    assert rep["residual"] <= 1e-9
+    assert np.abs((I - D) @ Ainv.entries - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] < 1
@@ -325,9 +324,8 @@ def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
     E = scale * ad.omega_matrix(hier, delta, prm)
     if model == "T_8x8":  # c* = 45.1, delta_hat = 0.03
         E *= np.random.default_rng(0).uniform(-1, 1, E.shape)
-    D = NetMatrix(hierarchy=hier, entries=E, params=prm)
     cstar = ad.lemma64_grid(hier, prm, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    _, rep = ad.neumann_invert(D, cstar)
+    _, rep = ad.neumann_invert(hier, prm, E, np.eye(hier.size), cstar)
     assert rep["residual"] <= 1e-9 and rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] >= 1
     assert not rep["geometric_decay_ok"]
@@ -339,5 +337,61 @@ def test_neumann_rejects_large_perturbation(hierarchies, params022):
     D = NetMatrix(hierarchy=hier, entries=0.6 * W, params=params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     with pytest.raises(ad.NeumannPreconditionError) as err:
-        ad.neumann_invert(D, cstar)
+        ad.neumann_invert(hier, params022, D.entries, np.eye(hier.size),
+                          cstar)
     assert err.value.delta_hat == ad.ad_norm(D, 1.0) >= 0.5
+
+
+def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):
+    """thm6.3-neumann's probe D = c A_m, A_m = U diag(m) V with
+    U = psi~^T M E, V = E^T M psi and m(sqrt(lambda)) = 1/(1 + lambda),
+    scaled to ||D||_1 = 1/(2 c*); returns (hier, params, U, V, c m, c*)."""
+    spec, (hier, _) = spectra[model], hierarchies[model]
+    frame, dual, _ = frame_sets[model]
+    prof = profiles[model]
+    prm = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
+                         dstar=max(prof.dstar, 0.0))
+    U, V = spec.coefficients(dual.columns).T, spec.coefficients(frame.columns)
+    m = 1.0 / (1.0 + spec.eigenvalues)
+    cstar = ad.lemma64_grid(hier, prm, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
+    A = NetMatrix(hierarchy=hier, entries=(U * m) @ V, params=prm)
+    c = 1.0 / (2.0 * cstar * ad.ad_norm(A, 1.0))
+    return hier, prm, U, V, c * m, cstar
+
+
+def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
+                                               frame_sets, profiles):
+    # the series summed on the n x n core, and on a dense D passed as
+    # (D, I), against the powers of D and the inverse of I - D taken densely
+    hier, prm, U, V, cm, cstar = _resolvent_probe(
+        "C_64", spectra, hierarchies, frame_sets, profiles)
+    D = (U * cm) @ V
+    I = np.eye(hier.size)
+    ref = np.linalg.inv(I - D)
+    for left, right in ((U * cm, V), (D, I)):
+        S, rep = ad.neumann_invert(hier, prm, left, right, cstar)
+        assert np.abs(S.entries - ref).max() <= 1e-12
+        assert rep["geometric_decay_ok"] and rep["residual"] <= 1e-15
+        assert len(rep["term_ad_norms"]) == rep["terms"] >= 2
+        power = D
+        for got in rep["term_ad_norms"]:
+            want = ad.ad_norm(NetMatrix(hierarchy=hier, entries=power,
+                                        params=prm), 0.5)
+            assert abs(got / want - 1.0) <= 1e-12
+            power = power @ D
+
+
+@pytest.mark.parametrize("model", ["C_64", "T_8x8"])
+def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
+                                                    hierarchies, frame_sets,
+                                                    profiles):
+    # A_m1 A_m2 = A_{m1 m2} on the frames' matrices, so
+    # (I - c A_m)^{-1} = I + A_{cm/(1-cm)}; S is dense, and its diagonal
+    # 1 + O(c) rounds at 1, so the two agree to rounding at 1
+    hier, prm, U, V, cm, cstar = _resolvent_probe(
+        model, spectra, hierarchies, frame_sets, profiles)
+    S, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
+    closed = (U * (cm / (1.0 - cm))) @ V
+    closed.flat[::hier.size + 1] += 1.0
+    assert np.abs(S.entries - closed).max() <= np.finfo(float).eps
+    assert abs(rep["dhat_cstar"] - 0.5) <= 1e-14 and rep["geometric_decay_ok"]

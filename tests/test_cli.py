@@ -291,14 +291,16 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
 
 
 def test_neumann_suite_takes_one_lemma64_grid(tmp_path, capsys, monkeypatch):
-    # thm6.3-neumann measures c* once: the grid that scales its D also
-    # gives neumann_invert's certificate, and the suite reports it unchanged
+    # the grid at beta = 1/2 is one resource: thm6.3-neumann reads its c*
+    # from the pair (1, 1/2) that neumann_invert's certificate takes, and
+    # lemma6.4-W-bound reads the other pairs, so a run of both takes one
+    # grid per beta, three in all
     grids, metrics = [], []
     grid = cli.ad.lemma64_grid
 
-    def counted(*args):
-        grids.append(grid(*args))
-        return grids[-1]
+    def counted(hier, params, beta, pairs):
+        grids.append((beta, grid(hier, params, beta, pairs)))
+        return grids[-1][1]
 
     anchor, desc, suite = cli.SUITES["thm6.3-neumann"]
 
@@ -310,13 +312,20 @@ def test_neumann_suite_takes_one_lemma64_grid(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.ad, "lemma64_grid", counted)
     monkeypatch.setitem(cli.SUITES, "thm6.3-neumann", (anchor, desc, recorded))
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"model": "C_16", "suites": ["thm6.3-neumann"],
-                             "output_dir": str(tmp_path / "out")}))
-    assert cli.main(["run", str(p)]) == 0
-    capsys.readouterr()
-    assert len(grids) == 1 and len(metrics) == 1
-    assert metrics[0]["c_star"] == grids[0][0]["max_ratio"]
-    assert _statuses(tmp_path / "out")["thm6.3-neumann"].startswith("pass ")
+    for suites, betas in ((["thm6.3-neumann"], [0.5]),
+                          (["lemma6.4-W-bound", "thm6.3-neumann"],
+                           list(cli._LEMMA64_GRID[0]))):
+        grids.clear()
+        metrics.clear()
+        p.write_text(json.dumps({"model": "C_16", "suites": suites,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert cli.main(["run", str(p)]) == 0
+        capsys.readouterr()
+        assert [beta for beta, _ in grids] == betas and len(metrics) == 1
+        half = grids[betas.index(0.5)][1]
+        assert metrics[0]["c_star"] == half[-1]["max_ratio"]
+        status = _statuses(tmp_path / "out")
+        assert all(status[name].startswith("pass ") for name in suites)
 
 
 def test_omega_suite_fails_when_the_table_and_pairs_disagree(monkeypatch):
@@ -408,7 +417,8 @@ def _statuses(outdir):
 # the suites that each gate skips when it fails or errors
 GATED = {
     "lemma4.1-sampling": {"thm4.2-reconstruction", "thm4.2-bands",
-                          "thm5.5-besov", "thm5.6-tl", "thm6.7-compact-dual",
+                          "thm5.5-besov", "thm5.6-tl", "thm6.2-boundedness",
+                          "thm6.3-neumann", "thm6.7-compact-dual",
                           "lemma7.2-molecules", "lemma7.3-gram",
                           "thm7.4-synthesis", "thm7.5-analysis",
                           "thm7.9-atoms"},
@@ -474,17 +484,19 @@ def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
 
 def test_neumann_suites_peak_memory():
     # thm6.3-neumann, thm6.7-compact-dual and lemma6.4-W-bound, each run
-    # alone on a C_64 context whose frames are built, allocate at most 4.5,
-    # 2.5 and 3.0 m x m float64 tables at their peak
+    # alone on a C_64 context whose frames, frame factors and beta = 1/2
+    # grid are built, allocate at most 3.0, 2.5 and 3.0 m x m float64
+    # tables at their peak
     import tracemalloc
     # numpy imports np.random on its first use; import it here, so that
     # the peak is the suites' own tables whichever tests ran before
     import numpy.random  # noqa: F401
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
-    for name in ("hier", "params", "frame", "dual", "compact"):
+    for name in ("hier", "params", "frame", "dual", "compact", "factors",
+                 "lemma64_half"):
         ctx.get(name)
     table = ctx.get("hier").size ** 2 * 8
-    for suite, bound in (("thm6.3-neumann", 4.5),
+    for suite, bound in (("thm6.3-neumann", 3.0),
                          ("thm6.7-compact-dual", 2.5),
                          ("lemma6.4-W-bound", 3.0)):
         tracemalloc.start()

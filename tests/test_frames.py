@@ -284,11 +284,13 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     compact, _ = fr.build_compact_frame(spec, hier)
     cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params)
     mu = spec.space.mu
-    D = dual.columns.T @ (mu[:, None] * (frame.columns - compact.columns))
+    # D = Q^T (M (psi - theta)), passed to the Neumann route as its factors
+    left = dual.columns.T
+    right = mu[:, None] * (frame.columns - compact.columns)
+    D = left @ right
     B = dual.columns.T @ (mu[:, None] * frame.columns)
     cstar = ad.lemma64_grid(hier, params, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    Ainv, rep = ad.neumann_invert(
-        ad.NetMatrix(hierarchy=hier, entries=D, params=params), cstar)
+    Ainv, rep = ad.neumann_invert(hier, params, left, right, cstar)
     dense = dual.columns @ np.linalg.solve(np.eye(hier.size) - D, B).T
     certified = dual.columns @ (Ainv.entries @ B).T
     for ref in (dense, certified):

@@ -51,6 +51,22 @@ def test_besov_and_tl_agree_when_p_equals_q(spectra):
         assert abs(nb - nf) <= 1e-9 * nb
 
 
+@pytest.mark.parametrize("family", ["besov", "triebel_lizorkin"])
+def test_norm_base_defaults_to_the_cutoffs_own(family, spectra):
+    # a base-3 cutoff with b left out takes the base-3 level window, not
+    # base 2's, bit for bit as with b = 3 passed
+    spec = spectra["C_64"]
+    psi = ca.make_cutoff("b", 3.0)
+    prm = sq.SpaceParams(s=1.0, p=2.0, q=2.0, family=family)
+    F = spec.project_mean_zero(
+        np.random.default_rng(4).standard_normal((64, 5)))
+    out = sq.function_norm(F, prm, spec, psi)
+    assert np.array_equal(out, sq.function_norm(F, prm, spec, psi, 3.0))
+    assert not np.allclose(out, sq.function_norm(F, prm, spec, psi, 2.0))
+    norm = sq.besov_norm if family == "besov" else sq.tl_norm
+    assert np.array_equal(norm(F, prm, spec, psi), out)
+
+
 def test_seq_norm_small_hand_oracle(hierarchies):
     # one-hot sequence: the norm reduces to the single-term weight
     hier, _ = hierarchies["C_64"]
