@@ -69,15 +69,11 @@ def _log_table(hier, scale, shift=None):
     return T
 
 
-def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
-                  params: SpaceParams) -> np.ndarray:
-    """Def 6.1 decay weight omega_{xi,eta}(beta, gamma) for every ordered
-    pair (xi, eta).
-
-    log omega(beta, gamma) = h_xi - h_eta - (J+beta) G
-    + min{gamma lam, -(J+gamma) lam}, and every term is exactly 0 on the
-    diagonal.
-    """
+def _log_omega(hier: NetHierarchy, beta: float, gamma: float,
+               params: SpaceParams) -> np.ndarray:
+    """log omega_{xi,eta}(beta, gamma) of Def 6.1 for every ordered pair
+    (xi, eta): h_xi - h_eta - (J+beta) G + min{gamma lam, -(J+gamma) lam},
+    every term exactly 0 on the diagonal."""
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta, gamma must be positive")
     J = params.J
@@ -85,16 +81,15 @@ def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
     h = _head(hier.xi_ell, hier.xi_bvol, params)
     W += h[:, None]
     W -= h
+    return W
+
+
+def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
+                  params: SpaceParams) -> np.ndarray:
+    """Def 6.1 decay weight omega_{xi,eta}(beta, gamma) for every ordered
+    pair (xi, eta); the diagonal is exactly 1."""
+    W = _log_omega(hier, beta, gamma, params)
     return np.exp(W, out=W)
-
-
-def omega_matrix(hier: NetHierarchy, delta: float, params: SpaceParams) -> np.ndarray:
-    return omega2_matrix(hier, delta, delta, params)
-
-
-def omega(hier: NetHierarchy, i, k, delta, params: SpaceParams):
-    """One-parameter form omega2(hier, i, k, delta, delta, params)."""
-    return omega2(hier, i, k, delta, delta, params)
 
 
 def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
@@ -109,37 +104,26 @@ def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
                   - _head(ell[k], bv[k], params))
 
 
-def ad_norm(A: NetMatrix, delta):
-    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta) for a scalar
-    delta (a float) or a 1-D array of them (an array).
-
-    log omega(delta) = log omega(0, 0) - delta Y with Y = G + |lam|, so the
-    norm is exp(max(X + delta Y)) with X = log|a| - log omega(0, 0)
-    = log|a| - h_xi + h_eta + J Y - J lam^-, taken a row level at a time;
-    no omega table is built.
-    """
-    hier, J = A.hierarchy, A.params.J
-    deltas = np.asarray(delta, dtype=float)
+def _max_ratio(entries, log_w, hier: NetHierarchy) -> float:
+    """max |a| / omega = exp(max(log|a| - log omega)) for a log omega table,
+    a row level at a time through one buffer.  A zero entry has
+    log 0 = -inf and adds nothing, so an all-zero table gives 0."""
     blocks = hier.blocks
-    Y = _log_table(hier, 1.0, np.abs)
-    h = _head(hier.xi_ell, hier.xi_bvol, A.params)
-    le = np.log(hier.xi_ell)
-    best = np.full(deltas.size, -np.inf)
-    buf = np.empty((2, max(sl.stop - sl.start for sl in blocks), hier.size))
+    buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
+    best = -np.inf
     for sl in blocks:
-        X, Z = buf[:, :sl.stop - sl.start]
-        np.abs(A.entries[sl], out=X)
-        with np.errstate(divide="ignore"):  # log 0 = -inf, a zero entry
+        X = np.abs(entries[sl], out=buf[:sl.stop - sl.start])
+        with np.errstate(divide="ignore"):
             np.log(X, out=X)
-        X += np.multiply(Y[sl], J, out=Z)
-        X += h + J * np.minimum(le[sl.start] - le, 0.0)
-        X -= h[sl, None]
-        for n, d in enumerate(deltas.flat):
-            np.multiply(Y[sl], d, out=Z)
-            Z += X
-            best[n] = np.maximum(best[n], Z.max())
-    out = np.exp(best)
-    return float(out[0]) if deltas.ndim == 0 else out
+        X -= log_w[sl]
+        best = np.maximum(best, X.max())
+    return float(np.exp(best))
+
+
+def ad_norm(A: NetMatrix, delta: float) -> float:
+    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta)."""
+    return _max_ratio(A.entries, _log_omega(A.hierarchy, delta, delta,
+                                            A.params), A.hierarchy)
 
 
 def boundedness_probe(A: NetMatrix, delta: float, battery) -> dict:
@@ -230,11 +214,12 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
 
 def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
                    cstar: float):
-    """Invert I - D, D = left @ right (a dense D is passed as (D, I)), as
-    I + left (I - G)^{-1} right with G = right @ left (push-through), the
+    """(I - D)^{-1} - I for D = left @ right (a dense D is passed as (D, I)),
+    as C = left (I - G)^{-1} right with G = right @ left (push-through), the
     series summed on G; each power D^{n+1} = left G^n right is formed in one
     m x m array, and its decay certified in the eps1-weighted norm, eps1 =
-    epsilon/2 with epsilon = NEUMANN_EPSILON.
+    epsilon/2 with epsilon = NEUMANN_EPSILON.  The inverse is I + C; C is
+    returned without I, so its small entries do not round at 1.
 
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
@@ -250,34 +235,23 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
                                   params=params), NEUMANN_EPSILON)
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
-    W = omega_matrix(hier, NEUMANN_EPSILON / 2.0, params)
-    blocks = hier.blocks
-    buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
-    term_ad_norms = []
-
-    def certify(term):
-        # max |term| / W a row level at a time, through one buffer
-        best = 0.0
-        for sl in blocks:
-            q = np.abs(term[sl], out=buf[:sl.stop - sl.start])
-            q /= W[sl]
-            best = np.maximum(best, q.max())
-        term_ad_norms.append(float(best))
-
-    certify(power)
+    eps1 = NEUMANN_EPSILON / 2.0
+    log_w = _log_omega(hier, eps1, eps1, params)
+    term_ad_norms = [_max_ratio(power, log_w, hier)]
     core, terms, _ = neumann_series(
-        right @ left, lambda g: certify(np.matmul(left @ g, right, out=power)))
-    del W, power
-    total = (left @ core) @ right
-    total.flat[::hier.size + 1] += 1.0
+        right @ left, lambda g: term_ad_norms.append(_max_ratio(
+            np.matmul(left @ g, right, out=power), log_w, hier)))
+    del log_w, power
+    C = (left @ core) @ right
 
     def defect(P):
-        # |(I - D) S - I| = |P - S + I| for P = D S, one P at a time; or S D
-        P -= total
-        P.flat[::hier.size + 1] += 1.0
+        # |(I - D)(I + C) - I| = |DC + D - C| = |P - C| for P = D (I + C),
+        # one P at a time; or (I + C) D
+        P -= C
         return float(np.abs(P, out=P).max())
 
-    resid = max(defect(left @ (right @ total)), defect((total @ left) @ right))
+    resid = max(defect(left @ (right + right @ C)),
+                defect((left + C @ left) @ right))
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar
     geometric_ok = dhat_cstar < 1 and all(
@@ -292,4 +266,4 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         "term_ad_norms": term_ad_norms,
         "geometric_decay_ok": bool(geometric_ok),
     }
-    return NetMatrix(hierarchy=hier, entries=total, params=params), report
+    return NetMatrix(hierarchy=hier, entries=C, params=params), report

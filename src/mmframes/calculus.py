@@ -312,29 +312,18 @@ def neumann_series(step, on_term=None) -> tuple:
     the number of powers added.  RuntimeError when five terms running
     barely shrink (the series diverges), or at NEUMANN_CAP terms.
 
-    The first power is step itself.  Each later power overwrites the one
-    before it in one array, a block of rows at a time, so on_term sees
-    that array again and again and must copy what it keeps."""
-    n = len(step)
-    total = np.eye(n)
+    The first power is step itself; each later one is the power before it
+    @ step."""
+    total = np.eye(len(step))
     first = np.linalg.norm(step)
     if first == 0:
         return total, 0, 0.0
-    rows = -(-n // 8)
-    buf = np.empty((rows, n))
     term, prev, stall = step, first, 0
     for terms in range(1, NEUMANN_CAP + 1):
         total += term
         if on_term is not None:
             on_term(term)
-        if term is step:
-            term = step @ step
-        else:
-            # row block r of the next power is term[r] @ step
-            for r in range(0, n, rows):
-                out = buf[:min(rows, n - r)]
-                np.matmul(term[r:r + rows], step, out=out)
-                term[r:r + rows] = out
+        term = term @ step
         cur = np.linalg.norm(term)
         stall = stall + 1 if cur > 0.999 * prev else 0
         if stall >= 5:

@@ -107,7 +107,7 @@ def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
 
 def test_criterion_07_omega_identities(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     assert np.abs(np.diag(W) - 1.0).max() == 0.0
     rng = np.random.default_rng(3)
     for _ in range(1000):
@@ -115,10 +115,10 @@ def test_criterion_07_omega_identities(hierarchies, params022):
         eps = float(rng.uniform(0.1, 2.0))
         beta = float(rng.uniform(0.05, 1.0)) * eps
         gamma = float(rng.uniform(0.05, 1.0)) * eps
-        v_eps = ad.omega(hier, i, k, eps, params022)
+        v_eps = ad.omega2(hier, i, k, eps, eps, params022)
         v_bg = ad.omega2(hier, i, k, beta, gamma, params022)
-        assert abs(ad.omega2(hier, i, k, eps, eps, params022) - v_eps) \
-            <= 1e-14 * max(v_eps, 1e-300)
+        assert abs(ad.omega2(hier, i, k, 0.5, 0.5, params022) - W[i, k]) \
+            <= 1e-14 * max(W[i, k], 1e-300)
         assert v_eps <= v_bg * (1.0 + 1e-12)
 
 
@@ -146,7 +146,7 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
     rng = np.random.default_rng(4)
     for name in ("C_64", "C_128"):
         hier, _ = hierarchies[name]
-        W = ad.omega_matrix(hier, 0.5, params022)
+        W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
         A = ad.NetMatrix(hierarchy=hier, entries=W, params=params022)
         assert abs(ad.ad_norm(A, 0.5) - 1.0) < 1e-12
         battery = rng.standard_normal((100, hier.size))
@@ -159,7 +159,7 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
 
 def test_criterion_10_neumann_inversion(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 1.0, params022)
+    W = ad.omega2_matrix(hier, 1.0, 1.0, params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     Ainv, rep = ad.neumann_invert(hier, params022, -0.01 * W,
                                   np.eye(hier.size), cstar)

@@ -12,16 +12,19 @@ from mmframes.addiag import NetMatrix
 
 def test_omega_diagonal_is_one(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     assert np.abs(np.diag(W) - 1.0).max() == 0.0
 
 
 def test_omega2_collapses_to_omega(hierarchies, params022):
+    # the one-parameter weight omega(delta) is omega2 at (delta, delta): the
+    # pairwise form there matches the (delta, delta) table
     hier, _ = hierarchies["C_64"]
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     rng = np.random.default_rng(0)
     for _ in range(1000):
         i, k = rng.integers(0, hier.size, size=2)
-        v1 = ad.omega(hier, int(i), int(k), 0.5, params022)
+        v1 = W[i, k]
         v2 = ad.omega2(hier, int(i), int(k), 0.5, 0.5, params022)
         assert abs(v1 - v2) <= 1e-14 * max(v1, 1e-300)
 
@@ -70,8 +73,8 @@ def test_omega_monotone_in_beta(hierarchies, params022):
     # larger beta means faster decay, so entrywise smaller weights
     hier, _ = hierarchies["C_64"]
     rng = np.random.default_rng(2)
-    W_small = ad.omega_matrix(hier, 0.25, params022)
-    W_big = ad.omega_matrix(hier, 1.0, params022)
+    W_small = ad.omega2_matrix(hier, 0.25, 0.25, params022)
+    W_big = ad.omega2_matrix(hier, 1.0, 1.0, params022)
     for _ in range(1000):
         i, k = rng.integers(0, hier.size, size=2)
         assert W_big[i, k] <= W_small[i, k] * (1.0 + 1e-12)
@@ -80,7 +83,7 @@ def test_omega_monotone_in_beta(hierarchies, params022):
 def test_omega_rejects_bad_exponents(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     with pytest.raises(ValueError):
-        ad.omega_matrix(hier, -0.5, params022)
+        ad.omega2_matrix(hier, -0.5, -0.5, params022)
 
 
 def test_netmatrix_shape_check(hierarchies, params022):
@@ -101,7 +104,7 @@ def test_ad_norm_scales_linearly(hierarchies, params022):
 
 def test_ad_norm_of_scaled_omega_is_scale(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     A = NetMatrix(hierarchy=hier, entries=0.3 * W, params=params022)
     assert abs(ad.ad_norm(A, 0.5) - 0.3) < 1e-12
 
@@ -197,33 +200,27 @@ def mu_hierarchy():
 
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])
 @pytest.mark.parametrize("model", ["C_64", "mu_9"])
-def test_ad_norm_over_deltas_matches_scalar_and_literal(model, flavor,
-                                                        hierarchies,
-                                                        mu_hierarchy,
-                                                        params022):
-    # the log-space pass for an array of deltas, against one call per delta
-    # (bit for bit) and against max |a| / omega(delta) on the built table
+def test_ad_norm_matches_the_literal_ratio(model, flavor, hierarchies,
+                                           mu_hierarchy, params022):
+    # the log-space pass against max |a| / omega(delta) on the built table
     hier = mu_hierarchy if model == "mu_9" else hierarchies[model][0]
     prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
     rng = np.random.default_rng(8)
-    E = ad.omega_matrix(hier, 1.0, prm) * rng.uniform(-1, 1, (hier.size,) * 2)
+    E = ad.omega2_matrix(hier, 1.0, 1.0, prm) \
+        * rng.uniform(-1, 1, (hier.size,) * 2)
     E[rng.random(E.shape) < 0.2] = 0.0
     A = NetMatrix(hierarchy=hier, entries=E, params=prm)
-    deltas = np.array([0.125, 0.25, 0.5, 1.0, 2.0])
     zero = NetMatrix(hierarchy=hier, entries=np.zeros_like(E), params=prm)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = ad.ad_norm(A, deltas)
-        assert norms.shape == deltas.shape
-        for d, nrm in zip(deltas, norms):
-            scalar = ad.ad_norm(A, float(d))
-            assert type(scalar) is float and scalar == nrm
+        for d in (0.125, 0.25, 0.5, 1.0, 2.0):
+            nrm = ad.ad_norm(A, d)
+            assert type(nrm) is float
             W = ad.omega2_matrix(hier, d, d, prm)
             assert np.all(np.diag(W) == 1.0)
             assert abs(nrm / (np.abs(E) / W).max() - 1.0) <= 1e-13
         # an all-zero matrix has norm 0, and log 0 warns of nothing
         assert ad.ad_norm(zero, 0.5) == 0.0
-        assert np.array_equal(ad.ad_norm(zero, deltas), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,7 @@ def test_ad_norm_over_deltas_matches_scalar_and_literal(model, flavor,
 
 def test_boundedness_probe_all_flavors(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     A = NetMatrix(hierarchy=hier, entries=0.5 * W, params=params022)
     rng = np.random.default_rng(6)
     battery = rng.standard_normal((100, hier.size))
@@ -244,7 +241,7 @@ def test_boundedness_probe_all_flavors(hierarchies, params022):
 def test_boundedness_probe_matches_per_vector_loop(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     rng = np.random.default_rng(6)
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     A = NetMatrix(hierarchy=hier, entries=W * rng.uniform(-1, 1, W.shape),
                   params=params022)
     battery = rng.standard_normal((100, hier.size))
@@ -279,7 +276,7 @@ def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
     worst = {}
     for name in ("C_64", "C_128"):
         hier, _ = hierarchies[name]
-        W = ad.omega_matrix(hier, 0.5, params022)
+        W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
         A = NetMatrix(hierarchy=hier, entries=0.5 * W, params=params022)
         battery = rng.standard_normal((100, hier.size))
         rep = ad.boundedness_probe(A, 0.5, battery)
@@ -290,12 +287,12 @@ def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
 def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     # ||D||_1 = 0.01, so delta_hat * c* is about 0.51 < 1
     hier, _ = hierarchies["C_64"]
-    D = 0.01 * ad.omega_matrix(hier, 1.0, params022)
+    D = 0.01 * ad.omega2_matrix(hier, 1.0, 1.0, params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     I = np.eye(hier.size)
-    Ainv, rep = ad.neumann_invert(hier, params022, D, I, cstar)
+    C, rep = ad.neumann_invert(hier, params022, D, I, cstar)
     assert rep["residual"] <= 1e-9
-    assert np.abs((I - D) @ Ainv.entries - I).max() <= 1e-9
+    assert np.abs((I - D) @ (I + C.entries) - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] < 1
@@ -303,7 +300,7 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     # grid ratio for the one pair (1, 1/2); the dense product sums in
     # another order, so it agrees to rounding
     assert rep["c_star"] == cstar
-    W1 = ad.omega_matrix(hier, 0.5, params022)
+    W1 = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     dense = ((ad.omega2_matrix(hier, 0.5, 1.0, params022) @ W1) / W1).max()
     assert abs(rep["c_star"] / dense - 1.0) <= 1e-13
     norms = rep["term_ad_norms"]
@@ -321,7 +318,7 @@ def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
     prof = profiles[model]
     prm = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
                          dstar=max(prof.dstar, 0.0))
-    E = scale * ad.omega_matrix(hier, delta, prm)
+    E = scale * ad.omega2_matrix(hier, delta, delta, prm)
     if model == "T_8x8":  # c* = 45.1, delta_hat = 0.03
         E *= np.random.default_rng(0).uniform(-1, 1, E.shape)
     cstar = ad.lemma64_grid(hier, prm, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
@@ -333,7 +330,7 @@ def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
 
 def test_neumann_rejects_large_perturbation(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
-    W = ad.omega_matrix(hier, 0.5, params022)
+    W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     D = NetMatrix(hierarchy=hier, entries=0.6 * W, params=params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     with pytest.raises(ad.NeumannPreconditionError) as err:
@@ -369,8 +366,8 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
     I = np.eye(hier.size)
     ref = np.linalg.inv(I - D)
     for left, right in ((U * cm, V), (D, I)):
-        S, rep = ad.neumann_invert(hier, prm, left, right, cstar)
-        assert np.abs(S.entries - ref).max() <= 1e-12
+        C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
+        assert np.abs(I + C.entries - ref).max() <= 1e-12
         assert rep["geometric_decay_ok"] and rep["residual"] <= 1e-15
         assert len(rep["term_ad_norms"]) == rep["terms"] >= 2
         power = D
@@ -386,12 +383,13 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
                                                     hierarchies, frame_sets,
                                                     profiles):
     # A_m1 A_m2 = A_{m1 m2} on the frames' matrices, so
-    # (I - c A_m)^{-1} = I + A_{cm/(1-cm)}; S is dense, and its diagonal
-    # 1 + O(c) rounds at 1, so the two agree to rounding at 1
+    # (I - c A_m)^{-1} - I = A_{cm/(1-cm)}; C is taken before I is added,
+    # so the two agree to rounding at C's own scale
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         model, spectra, hierarchies, frame_sets, profiles)
-    S, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
+    C, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     closed = (U * (cm / (1.0 - cm))) @ V
-    closed.flat[::hier.size + 1] += 1.0
-    assert np.abs(S.entries - closed).max() <= np.finfo(float).eps
+    err = np.abs(C.entries - closed).max()
+    assert err <= np.finfo(float).eps
+    assert err <= 1e-13 * np.abs(closed).max()
     assert abs(rep["dhat_cstar"] - 0.5) <= 1e-14 and rep["geometric_decay_ok"]

@@ -241,8 +241,7 @@ def test_neumann_series_sums_the_geometric_series():
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     step = 0.5 * q
     seen = []
-    # on_term sees one reused array, so it keeps copies
-    total, terms, tail = ca.neumann_series(step, lambda t: seen.append(t.copy()))
+    total, terms, tail = ca.neumann_series(step, seen.append)
     # ||step^k||_F / ||step||_F = 0.5^(k-1) < NEUMANN_TAIL stops the series
     # at 40 terms
     assert terms == len(seen) == 40 and tail < ca.NEUMANN_TAIL
@@ -253,15 +252,14 @@ def test_neumann_series_sums_the_geometric_series():
 
 
 def test_neumann_series_matches_the_plain_product_loop():
-    # n = 300 takes its powers in row blocks of 38, the last one 34 rows.
-    # BLAS may round a row block's product in another order than the whole
-    # product's (OpenBLAS does where 300 columns leave a kernel tail), so
-    # each power agrees with the loop to k n eps of its largest entry
+    # each power is the one before it @ step, as in the loop below, so it
+    # agrees with the loop to k n eps of its largest entry (the bound holds
+    # for any summation order BLAS takes)
     n = 300
     rng = np.random.default_rng(3)
     step = rng.uniform(-1, 1, (n, n)) / 60
     seen = []
-    total, terms, tail = ca.neumann_series(step, lambda t: seen.append(t.copy()))
+    total, terms, tail = ca.neumann_series(step, seen.append)
     assert terms > 3 and len(seen) == terms
     ref, term = np.eye(n), step
     for k, got in enumerate(seen, start=1):

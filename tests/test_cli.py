@@ -407,6 +407,23 @@ def test_run_order_puts_every_gate_before_its_dependents(capsys):
     assert "late" not in cli.SUITES and "late" not in cli.AFTER
 
 
+def test_neumann_closed_form_at_rounding_on_a_small_resolvent(tmp_path,
+                                                              capsys):
+    # at spq = [2, 0.3, 0.3] max|(I - D)^{-1} - I| is about 5e-10, so the
+    # closed form is compared on C = (I - D)^{-1} - I, taken before I is
+    # added, whose entries do not round at 1
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_64", "spq": [2, 0.3, 0.3],
+                             "suites": ["thm6.3-neumann"],
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    status = _statuses(tmp_path / "out")["thm6.3-neumann"]
+    assert status.startswith("pass ")
+    closed = float(status.split(" closed_form=")[1].split()[0])
+    assert closed <= 1e-13
+
+
 def _statuses(outdir):
     """suite name -> the rest of its report line from status= on"""
     lines = (outdir / "report.txt").read_text().splitlines()[1:]
@@ -421,7 +438,7 @@ GATED = {
                           "thm6.3-neumann", "thm6.7-compact-dual",
                           "lemma7.2-molecules", "lemma7.3-gram",
                           "thm7.4-synthesis", "thm7.5-analysis",
-                          "thm7.9-atoms"},
+                          "thm7.9-atoms", "thm8.1-multiplier"},
     "prop6.6-theta": {"prop2.1-finite-speed", "thm6.7-compact-dual",
                       "thm7.9-atoms"},
     "thm6.7-compact-dual": {"thm7.9-atoms"},

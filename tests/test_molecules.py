@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mmframes import addiag as ad
 from mmframes import calculus as ca
 from mmframes import molecules as mo
 from mmframes import seqspace as sq
@@ -134,7 +135,10 @@ def test_gram_certificate(molecule_setup, params022):
     frame, dual, hier, spec, M, c = molecule_setup
     A, cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
-    assert cert["c"] == min(cert["scan"].values())
+    # ||A||_delta cannot fall as delta grows, so delta = 1/8 gives the least c
+    assert cert["delta"] == 0.125 and cert["c"] == ad.ad_norm(A, 0.125)
+    norms = [ad.ad_norm(A, d) for d in (0.125, 0.25, 0.5, 1.0, 2.0)]
+    assert all(a <= b for a, b in zip(norms, norms[1:]))
     # entrywise Cauchy-Schwarz sanity
     mu = hier.space.mu
     ns = np.sqrt(np.sum(mu[:, None] * frame.columns**2, axis=0))
