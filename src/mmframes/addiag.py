@@ -219,7 +219,9 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     series summed on G; each power D^{n+1} = left G^n right is formed in one
     m x m array, and its decay certified in the eps1-weighted norm, eps1 =
     epsilon/2 with epsilon = NEUMANN_EPSILON.  The inverse is I + C; C is
-    returned without I, so its small entries do not round at 1.
+    returned without I, so its small entries do not round at 1.  The
+    report's residual is the larger of |(I - D)(I + C) - I| and
+    |(I + C)(I - D) - I| over max|D| (0 when D is 0): C = 0 reads 1.
 
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
@@ -233,6 +235,7 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     power = left @ right
     delta_hat = ad_norm(NetMatrix(hierarchy=hier, entries=power,
                                   params=params), NEUMANN_EPSILON)
+    d_max = float(np.abs(power).max())
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
@@ -252,6 +255,7 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
 
     resid = max(defect(left @ (right + right @ C)),
                 defect((left + C @ left) @ right))
+    resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar
     geometric_ok = dhat_cstar < 1 and all(

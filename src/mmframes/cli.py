@@ -335,10 +335,10 @@ def _suite_lemma93(ctx):
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     worst = 0.0
     net_j = hier.levels[len(hier.levels) // 2]
-    for net_m in hier.levels:
-        h = np.abs(rng.standard_normal(len(net_m.centers)))
-        indic = h[net_m.owner]
-        mt = sq.maximal_Mt(indic, t, space)
+    hs = [np.abs(rng.standard_normal(len(net.centers))) for net in hier.levels]
+    mts = sq.maximal_Mt(np.array([h[net.owner] for h, net in
+                                  zip(hs, hier.levels)]), t, space)
+    for net_m, h, mt in zip(hier.levels, hs, mts):
         lhs = ((1.0 + space.dist[np.ix_(net_j.centers, net_m.centers)]
                 / max(net_j.delta, net_m.delta) /
                 (hier.b ** 2 / hier.gamma)) ** (-M)) @ h
@@ -484,7 +484,7 @@ def _suite_compact_dual(ctx):
     worst = np.divide(err, nf, out=np.zeros_like(nf), where=live).max(
         initial=0.0)
     ok = live.any() and worst <= 1e-6 and \
-        delta_hat < fr.COMPACT_DUAL_THRESHOLD
+        delta_hat < ad.NEUMANN_THRESHOLD
     return ("pass" if ok else "fail"), {
         "perturbation": delta_hat, "residual": worst}
 

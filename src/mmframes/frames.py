@@ -19,9 +19,8 @@ from mmframes.calculus import (
     neumann_series,
 )
 
-MAX_GAMMA_HALVINGS = 8        # halvings of gamma before the hierarchy gives up
-COMPACT_DUAL_THRESHOLD = 0.5  # the compact dual needs ||I - A||_eps below this
-COMPACT_SUP_ERR = 1e-6        # a compact level's polynomial error, relative sup
+MAX_GAMMA_HALVINGS = 8   # halvings of gamma before the hierarchy gives up
+COMPACT_SUP_ERR = 1e-6   # a compact level's polynomial error, relative sup
 
 
 @dataclass(frozen=True)
@@ -289,21 +288,22 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
 
     With D_{xi,eta} = <psi_eta - theta_eta, psi~_xi> the transfer operator
     T f = sum <f, psi~_xi> theta_xi satisfies coeff((I-T)g) = D coeff(g),
-    so T is invertible when ||D||_eps < COMPACT_DUAL_THRESHOLD at decay
-    eps = 1, and the dual columns are psi~ ((I - D)^{-1} B)^T with B the
-    primal/dual cross Gram.  D = Q^T M P has rank <= n (Q = psi~,
-    P = psi - theta, M = diag(mu)), so by push-through
-    (I - D)^{-1} B = Q^T (I_n - M P Q^T)^{-1} M psi, and the dual columns
-    are (Q psi^T M) solve(I_n - Q P^T M, Q): one n x n solve.
+    so T is invertible under Thm 6.3's precondition ||D||_eps <
+    addiag.NEUMANN_THRESHOLD at eps = addiag.NEUMANN_EPSILON, and the dual
+    columns are psi~ ((I - D)^{-1} B)^T with B the primal/dual cross Gram.
+    D = Q^T M P has rank <= n (Q = psi~, P = psi - theta, M = diag(mu)), so
+    by push-through (I - D)^{-1} B = Q^T (I_n - M P Q^T)^{-1} M psi, and the
+    dual columns are (Q psi^T M) solve(I_n - Q P^T M, Q): one n x n solve.
     """
     hier = frame1.hierarchy
     mu = hier.space.mu
     Q = dual.columns
     Dm = Q.T @ (mu[:, None] * (frame1.columns - compact.columns))
     delta_hat = addiag.ad_norm(
-        addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params), 1.0)
+        addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params),
+        addiag.NEUMANN_EPSILON)
     del Dm
-    if delta_hat >= COMPACT_DUAL_THRESHOLD:
+    if delta_hat >= addiag.NEUMANN_THRESHOLD:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{delta_hat:.3g} >= threshold")

@@ -102,39 +102,18 @@ def _envelope(hier: NetHierarchy, decay: float) -> np.ndarray:
     return hier.xi_bvol[None, :] ** -0.5 * (1.0 + rho / ell) ** (-decay)
 
 
-def _ladder(spec: SpectralData, cols: np.ndarray, top: int):
-    """L^nu cols for nu = 0..top, each from the one before."""
-    for nu in range(top + 1):
-        yield cols
-        if nu < top:
-            cols = apply_L_power(spec, cols, 1)
+def _worst(ladder: dict, powers, ell2, env, mask=slice(None)) -> float:
+    """Largest |L^mu cols| l(xi)^(2 mu) / env over mu in powers and the
+    centers in mask, reading L^mu cols from ladder[mu]; 0 on no centers."""
+    return max(float((np.abs(ladder[mu][:, mask]) * ell2[:, mask] ** mu
+                      / env[:, mask]).max(initial=0.0)) for mu in powers)
 
 
-def _companion(spec: SpectralData, cols, K: int, companions, hier,
-               mask) -> tuple:
-    """Cancellation companion h with L^K h = cols, spectral L^{-K} cols
-    unless given (K = 0 gives cols itself), and the relative factorization
-    residual |L^K h - cols| over the centers in mask."""
-    if K == 0:
-        return cols.copy(), 0.0
-    if companions is None:
-        companion = apply_L_power(spec, cols, -K)
-    else:
-        companion = _as_columns(companions, hier)
-    rebuilt = apply_L_power(spec, companion, K)
+def _factorization_residual(rebuilt, cols, mask) -> float:
+    """|L^K h - cols| over the centers in mask, relative to max(1, |cols|),
+    for rebuilt = L^K h."""
     scale = max(1.0, np.abs(cols).max())
-    resid = float(np.abs(rebuilt - cols)[:, mask].max() / scale) \
-        if mask.any() else 0.0
-    return companion, resid
-
-
-def _worst_constant(cols, env, mask=None) -> float:
-    R = np.abs(cols) / env
-    if mask is not None:
-        R = R[:, mask]
-        if R.size == 0:
-            return 0.0
-    return float(R.max())
+    return float(np.abs(rebuilt - cols)[:, mask].max(initial=0.0) / scale)
 
 
 def validate_molecule(family, hier: NetHierarchy, flavor: str,
@@ -162,36 +141,41 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     env = _envelope(hier, decay)
     ell2 = hier.xi_ell[None, :] ** 2
 
-    constants = {"size": _worst_constant(cols, env)}
-    fact_resid = 0.0
-
     # which centers the cancellation condition applies to
-    canc_mask = np.ones(hier.size, dtype=bool)
-    if hier.mode == "inhomogeneous":
-        canc_mask = hier.xi_level != 0
+    canc_mask = hier.xi_level != 0 if hier.mode == "inhomogeneous" \
+        else slice(None)
 
-    # synthesis: smoothness through L^N when s >= 0 (from nu = 1 in the
-    # classical flavor), cancellation through L^K when s is below the cap
-    # (and s >= 0 in the tilde flavor); analysis: smoothness through L^K
-    # and cancellation through L^N
+    # synthesis: smoothness through L^N when s >= 0 (from mu = 1 in the
+    # classical flavor), cancellation through L^-K when s is below the cap
+    # (and s >= 0 in the tilde flavor, up to mu = -1 in the classical one);
+    # analysis: smoothness through L^K and cancellation through L^-N.  Every
+    # power is read from one ladder of the family, the companion h = L^-K
+    # cols among them, unless the companions are given
     classical = space_flavor == "classical"
     if flavor == "synthesis":
         smooth, lo = orders.N, int(classical)
         canc = None if not classical and s < 0 else orders.K
-        canc_top = None if canc is None else canc - int(classical)
+        canc_hi = -int(classical)
     else:
         smooth, lo = orders.K, 0
-        canc = canc_top = orders.N
+        canc, canc_hi = orders.N, 0
+    depth = canc if canc is not None and companions is None else 0
+    ladder = apply_L_power(spec, cols, -depth, smooth or 0)
+    constants = {"size": _worst(ladder, [0], ell2, env)}
     if smooth is not None:
-        constants["smoothness"] = max(
-            _worst_constant(g * ell2**nu, env)
-            for nu, g in enumerate(_ladder(spec, cols, smooth)) if nu >= lo)
+        constants["smoothness"] = _worst(ladder, range(lo, smooth + 1),
+                                         ell2, env)
+    fact_resid = 0.0
     if canc is not None:
-        companion, fact_resid = _companion(spec, cols, canc, companions,
-                                           hier, canc_mask)
-        constants["companion_size"] = max(
-            _worst_constant(g / ell2 ** (canc - nu), env, canc_mask)
-            for nu, g in enumerate(_ladder(spec, companion, canc_top)))
+        if companions is None:
+            rebuilt = apply_L_power(spec, ladder[-canc], canc, canc)[canc]
+        else:
+            ladder = {nu - canc: g for nu, g in apply_L_power(
+                spec, _as_columns(companions, hier), 0, canc).items()}
+            rebuilt = ladder[0]
+        fact_resid = _factorization_residual(rebuilt, cols, canc_mask)
+        constants["companion_size"] = _worst(
+            ladder, range(-canc, canc_hi + 1), ell2, env, canc_mask)
 
     passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9
@@ -325,27 +309,26 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     ell2 = hier.xi_ell[None, :] ** 2
     base = hier.xi_bvol[None, :] ** -0.5
 
-    constants = {"smoothness": max(
-        _worst_constant(g * ell2**nu, base)
-        for nu, g in enumerate(_ladder(spec, cols, K_tilde)))}
-    companion, fact_resid = _companion(spec, cols, K, None, hier,
-                                       np.ones(hier.size, dtype=bool))
+    # one ladder L^mu cols, mu = -K..K~: the companion h = L^-K cols and
+    # its powers L^nu h = L^(nu-K) cols are the rungs mu <= 0
+    ladder = apply_L_power(spec, cols, -K, K_tilde)
+    constants = {"smoothness": _worst(ladder, range(K_tilde + 1), ell2, base),
+                 "companion_size": _worst(ladder, range(-K, 1), ell2, base)}
+    fact_resid = _factorization_residual(
+        apply_L_power(spec, ladder[-K], K, K)[K], cols, slice(None))
 
-    worst = 0.0
     supp_c = 0.0
     radii = {}
     dist = hier.space.dist[:, hier.xi_point]
     delta = np.repeat([net.delta for net in hier.levels],
                       [net.size for net in hier.levels])
-    for nu, g in enumerate(_ladder(spec, companion, K)):
-        worst = max(worst, _worst_constant(g / ell2 ** (K - nu), base))
-        g = np.abs(g)
+    for nu in range(K + 1):
+        g = np.abs(ladder[nu - K])
         live = g > SUPPORT_THRESHOLD * np.maximum(g.max(axis=0), 1e-300)
         r = np.where(live, dist, 0.0).max(axis=0, initial=0.0)
         supp_c = max(supp_c, float((r / delta).max(initial=0.0)))
         radii[nu] = {net.level: float(r[sl].max(initial=0.0))
                      for net, sl in zip(hier.levels, hier.blocks)}
-    constants["companion_size"] = worst
 
     passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9

@@ -146,27 +146,29 @@ def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
 
 
 def maximal_Mt(f, t: float, space: ModelSpace) -> np.ndarray:
-    """M_t f(x) = sup over balls containing x of (avg_mu |f|^t)^{1/t},
-    computed exactly by prefix enumeration of the sorted distance lists."""
+    """M_t f(x) = sup over balls containing x of (avg_mu |f|^t)^{1/t}, for
+    a function or for each row of a (k, n) table, computed exactly by
+    prefix enumeration of the sorted distance lists, each sorted once."""
     if t <= 0:
         raise ValueError("t must be positive")
     g = np.abs(np.asarray(f, dtype=float)) ** t
-    out = np.zeros(space.n)
+    rows = g.reshape(-1, space.n)
+    out = np.zeros_like(rows)
     for z in range(space.n):
         order = np.argsort(space.dist[z], kind="stable")
         dz = space.dist[z, order]
         w = space.mu[order]
-        gv = g[order] * w
-        avg = np.cumsum(gv) / np.cumsum(w)
+        avg = np.cumsum(rows[:, order] * w, axis=-1) / np.cumsum(w)
         # only prefixes ending strictly before the next distance value are
         # genuine balls (ties cannot be split by a radius)
         valid = np.empty(space.n, dtype=bool)
         valid[:-1] = dz[:-1] < dz[1:]
         valid[-1] = True
         avg = np.where(valid, avg, -np.inf)
-        best = np.maximum.accumulate(avg[::-1])[::-1]  # max over balls from here out
-        out[order] = np.maximum(out[order], best ** (1.0 / t))
-    return out
+        # max over balls from here out
+        best = np.maximum.accumulate(avg[:, ::-1], axis=-1)[:, ::-1]
+        out[:, order] = np.maximum(out[:, order], best ** (1.0 / t))
+    return out.reshape(g.shape)
 
 
 def fs_maximal_probe(family, p, q, t, space: ModelSpace) -> dict:
@@ -178,7 +180,7 @@ def fs_maximal_probe(family, p, q, t, space: ModelSpace) -> dict:
     rhs = space.lp_norm(_lq(fam, q, axis=0), p)
     if rhs == 0:
         return {"ratio": 0.0}
-    mfam = np.array([maximal_Mt(fv, t, space) for fv in fam])
+    mfam = maximal_Mt(fam, t, space)
     lhs = space.lp_norm(_lq(mfam, q, axis=0), p)
     return {"ratio": float(lhs / rhs)}
 

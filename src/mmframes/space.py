@@ -399,9 +399,6 @@ class NetHierarchy:
             raise KeyError(f"level {j} not in hierarchy")
         return j - self.j_min
 
-    def level_slice(self, j: int) -> slice:
-        return self.blocks[self._offset(j)]
-
     def net(self, j: int) -> Net:
         return self.levels[self._offset(j)]
 

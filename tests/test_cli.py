@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mmframes import addiag as ad
 from mmframes import cli
 
 
@@ -422,6 +423,33 @@ def test_neumann_closed_form_at_rounding_on_a_small_resolvent(tmp_path,
     assert status.startswith("pass ")
     closed = float(status.split(" closed_form=")[1].split()[0])
     assert closed <= 1e-13
+
+
+def test_neumann_residual_sees_a_wrong_inverse_on_a_small_resolvent(
+        tmp_path, capsys, monkeypatch):
+    # max|D| is about 5e-10 here, so a zero core (C = 0, the identity as
+    # the inverse) leaves an absolute defect max|D| below the 1e-9 gate;
+    # relative to max|D| it reads 1
+    monkeypatch.setattr(ad, "neumann_series",
+                        lambda step, on_term=None: (0.0 * step, 0, 0.0))
+    reports = []
+    neumann_invert = ad.neumann_invert
+
+    def invert(*args):
+        C, rep = neumann_invert(*args)
+        reports.append(rep)
+        return C, rep
+
+    monkeypatch.setattr(ad, "neumann_invert", invert)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_64", "spq": [2, 0.3, 0.3],
+                             "suites": ["thm6.3-neumann"],
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 1
+    capsys.readouterr()
+    assert not _statuses(tmp_path / "out")["thm6.3-neumann"].startswith(
+        "pass ")
+    assert len(reports) == 1 and reports[0]["residual"] > 1e-9
 
 
 def _statuses(outdir):

@@ -106,13 +106,33 @@ def test_oversized_family_fails_budget(molecule_setup, params022):
     assert not cert.passed
 
 
+def test_molecule_certificate_analyses_the_family_once(molecule_setup,
+                                                       params022,
+                                                       monkeypatch):
+    # one ladder of the family gives every power of L, the companion among
+    # them; the factorization residual's round trip analyses the companion
+    frame, _, hier, spec, M, _ = molecule_setup
+    calls = []
+    analyse = ca.SpectralData.coefficients
+
+    def counted(self, f):
+        calls.append(np.shape(f))
+        return analyse(self, f)
+
+    monkeypatch.setattr(ca.SpectralData, "coefficients", counted)
+    cert = mo.validate_molecule(frame.columns, hier, "synthesis",
+                                "classical", params022, spec, M=M)
+    assert set(cert.constants) == {"size", "smoothness", "companion_size"}
+    assert len(calls) <= 2
+
+
 def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
     # a tiny family supported only on level-0 centers, with no companions:
     # cancellation fails in homogeneous mode and is waived otherwise
     fam = np.zeros((64, hier.size))
-    sl = hier.level_slice(0)
+    sl = hier.blocks[-hier.j_min]  # level 0
     fam[:, sl] = 1e-6
     zeros = np.zeros_like(fam)
     hom = mo.validate_molecule(fam, hier, "synthesis", "classical",

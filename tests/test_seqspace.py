@@ -72,8 +72,7 @@ def test_seq_norm_small_hand_oracle(hierarchies):
     hier, _ = hierarchies["C_64"]
     params = sq.SpaceParams(s=1.0, p=2.0, q=2.0, family="besov")
     a = np.zeros(hier.size)
-    net = hier.levels[3]
-    sl = hier.level_slice(net.level)
+    net, sl = hier.levels[3], hier.blocks[3]
     a[sl.start] = 2.0
     vol = sp.ball_volumes(hier.space, hier.b ** (-net.level))[net.centers[0]]
     expected = hier.b ** (net.level * 1.0) * 2.0 * vol ** (1.0 / 2.0 - 0.5)
@@ -211,10 +210,14 @@ def test_maximal_matches_brute_force(models):
     for name in ("C_8", "P_10"):
         m = models[name]
         f = rng.standard_normal(m.n)
+        F = rng.standard_normal((3, m.n))
         for t in (0.5, 1.0, 2.0):
             fast = sq.maximal_Mt(f, t, m)
             slow = _maximal_brute(f, t, m)
             assert np.abs(fast - slow).max() < 1e-10
+            # a (k, n) table gives each row's maximal function, bit for bit
+            assert np.array_equal(sq.maximal_Mt(F, t, m),
+                                  [sq.maximal_Mt(row, t, m) for row in F])
 
 
 def test_maximal_dominates_function(models):

@@ -224,7 +224,6 @@ def test_hierarchy_flat_arrays_consistent(hierarchies):
                     hier.xi_bvol, hier.xi_svol):
             assert arr.shape == (hier.size,)
         for net, sl in zip(hier.levels, hier.blocks):
-            assert hier.level_slice(net.level) == sl
             assert hier.net(net.level) is net
             assert sl.stop - sl.start == net.size
             assert net.ell == hier.b ** (-net.level)
@@ -243,8 +242,6 @@ def test_hierarchy_flat_arrays_consistent(hierarchies):
 def test_hierarchy_lookups_outside_the_window(hierarchies):
     hier, _ = hierarchies["C_64"]
     for j in (hier.j_min - 1, hier.j_max + 1):
-        with pytest.raises(KeyError, match=f"level {j} not in hierarchy"):
-            hier.level_slice(j)
         with pytest.raises(KeyError, match=f"level {j} not in hierarchy"):
             hier.net(j)
     # the lookups index by j - j_min, so a gap in the levels is refused
@@ -265,10 +262,9 @@ def test_empty_level_window_is_refused(models):
 def test_hierarchy_holds_level_scale_ball_volumes(desc):
     spec = ca.eigendecompose(sp.build_model(desc))
     hier = sp.build_hierarchy(spec.space, 2.0, 0.5, *ca.level_window(spec))
-    for net in hier.levels:
+    for net, sl in zip(hier.levels, hier.blocks):
         vols = sp.ball_volumes(spec.space, 2.0 ** (-net.level))
-        assert np.array_equal(hier.xi_svol[hier.level_slice(net.level)],
-                              vols[net.centers])
+        assert np.array_equal(hier.xi_svol[sl], vols[net.centers])
 
 
 def test_weighted_tree_edges_set_both_metric_and_operator():
