@@ -2,7 +2,7 @@
 the weighted sup norm, composition bounds and Neumann inversion.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,18 +12,6 @@ from mmframes.seqspace import SpaceParams, seq_norm
 
 NEUMANN_EPSILON = 1.0    # neumann_invert's decay epsilon; eps1 = epsilon/2
 NEUMANN_THRESHOLD = 0.5  # neumann_invert needs ||D||_epsilon below this
-
-
-@dataclass(frozen=True)
-class NetMatrix:
-    hierarchy: NetHierarchy
-    entries: np.ndarray
-    params: SpaceParams
-
-    def __post_init__(self):
-        m = self.hierarchy.size
-        if self.entries.shape != (m, m):
-            raise ValueError("entry table does not match the hierarchy")
 
 
 class NeumannPreconditionError(RuntimeError):
@@ -108,8 +96,11 @@ def _max_ratio(entries, log_w, hier: NetHierarchy) -> float:
     """max |a| / omega = exp(max(log|a| - log omega)) for a log omega table,
     a row level at a time through one buffer.  A zero entry has
     log 0 = -inf and adds nothing, so an all-zero table gives 0."""
+    m = hier.size
+    if entries.shape != (m, m):
+        raise ValueError("entry table does not match the hierarchy")
     blocks = hier.blocks
-    buf = np.empty((max(sl.stop - sl.start for sl in blocks), hier.size))
+    buf = np.empty((max(sl.stop - sl.start for sl in blocks), m))
     best = -np.inf
     for sl in blocks:
         X = np.abs(entries[sl], out=buf[:sl.stop - sl.start])
@@ -120,30 +111,32 @@ def _max_ratio(entries, log_w, hier: NetHierarchy) -> float:
     return float(np.exp(best))
 
 
-def ad_norm(A: NetMatrix, delta: float) -> float:
-    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta)."""
-    return _max_ratio(A.entries, _log_omega(A.hierarchy, delta, delta,
-                                            A.params), A.hierarchy)
+def ad_norm(hier: NetHierarchy, params: SpaceParams, A,
+            delta: float) -> float:
+    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta) for an
+    m x m table A."""
+    return _max_ratio(A, _log_omega(hier, delta, delta, params), hier)
 
 
-def boundedness_probe(A: NetMatrix, delta: float, battery) -> dict:
-    """Measured boundedness ratio max ||A h|| / (||A||_delta ||h||) over a
-    battery of sequences (one per row), for each of the four sequence-space
-    flavors; sequences of norm 0 are left out."""
-    nrm = ad_norm(A, delta)
+def boundedness_probe(hier: NetHierarchy, params: SpaceParams, A,
+                      delta: float, battery) -> dict:
+    """Measured boundedness ratio max ||A h|| / (||A||_delta ||h||) of an
+    m x m table A over a battery of sequences (one per row), for each of
+    the four sequence-space flavors; sequences of norm 0 are left out."""
+    nrm = ad_norm(hier, params, A, delta)
     if nrm == 0:
         return {"b": 0.0, "b~": 0.0, "f": 0.0, "f~": 0.0, "ad_norm": 0.0}
     H = np.asarray(battery, dtype=float).T
-    AH = A.entries @ H
+    AH = A @ H
     out = {"ad_norm": nrm}
     for key, family, flavor in (("b", "besov", "classical"),
                                 ("b~", "besov", "tilde"),
                                 ("f", "triebel_lizorkin", "classical"),
                                 ("f~", "triebel_lizorkin", "tilde")):
-        prm = replace(A.params, flavor=flavor, family=family)
-        denom = seq_norm(H, prm, A.hierarchy)
+        prm = replace(params, flavor=flavor, family=family)
+        denom = seq_norm(H, prm, hier)
         live = denom > 0
-        ratios = seq_norm(AH[:, live], prm, A.hierarchy) / (nrm * denom[live])
+        ratios = seq_norm(AH[:, live], prm, hier) / (nrm * denom[live])
         out[key] = float(ratios.max(initial=0.0))
     return out
 
@@ -233,8 +226,7 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     1, so geometric_decay_ok is false when it is not.
     """
     power = left @ right
-    delta_hat = ad_norm(NetMatrix(hierarchy=hier, entries=power,
-                                  params=params), NEUMANN_EPSILON)
+    delta_hat = ad_norm(hier, params, power, NEUMANN_EPSILON)
     d_max = float(np.abs(power).max())
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
@@ -270,4 +262,4 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         "term_ad_norms": term_ad_norms,
         "geometric_decay_ok": bool(geometric_ok),
     }
-    return NetMatrix(hierarchy=hier, entries=C, params=params), report
+    return C, report

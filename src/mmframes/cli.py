@@ -178,15 +178,11 @@ def _suite_doubling(ctx):
 @_suite("lemma9.1", "Lemma 9.1", "net counting bound, exhaustive")
 def _suite_lemma91(ctx):
     space, prof, hier = ctx.get("space"), ctx.get("profile"), ctx.get("hier")
-    worst = 0.0
-    ok = True
-    for net in hier.levels:
-        for mult in (1.0, 2.0, 4.0):
-            rep = sp.check_net_count(space, net.centers, net.delta,
-                                     mult * net.delta, prof)
-            worst = max(worst, rep.worst_ratio)
-            ok = ok and rep.passed
-    return ("pass" if ok else "fail"), {"worst_ratio": worst}
+    ratios = [sp.check_net_count(space, net.centers, net.delta,
+                                 mult * net.delta, prof)
+              for net in hier.levels for mult in (1.0, 2.0, 4.0)]
+    ok = all(r <= 1.0 for r in ratios)  # a NaN ratio fails
+    return ("pass" if ok else "fail"), {"worst_ratio": max(ratios)}
 
 
 @_suite("lemma9.2", "Lemma 9.2",
@@ -194,23 +190,21 @@ def _suite_lemma91(ctx):
 def _suite_lemma92(ctx):
     space, prof, hier = ctx.get("space"), ctx.get("profile"), ctx.get("hier")
     sigma = prof.d + 1.0
-    worst = 0.0
-    ok = True
-    for net in hier.levels:
-        rep = sp.check_discrete_sum(space, net.centers, sigma, net.delta,
+    ratios = [sp.check_discrete_sum(space, net.centers, sigma, net.delta,
                                     net.delta, 2.0 * net.delta, prof)
-        worst = max(worst, rep.worst_ratio)
-        ok = ok and rep.passed
-    return ("pass" if ok else "fail"), {"sigma": sigma, "worst_ratio": worst}
+              for net in hier.levels]
+    ok = all(r <= 1.0 for r in ratios)
+    return ("pass" if ok else "fail"), {"sigma": sigma,
+                                        "worst_ratio": max(ratios)}
 
 
 @_suite("lemma2.3", "Lemma 2.3", "weighted volume sums (Peetre type)")
 def _suite_lemma23(ctx):
     space, prof = ctx.get("space"), ctx.get("profile")
     sigma = prof.d + 1.0
-    rep = sp.check_peetre_integrals(space, sigma, sigma + 1.0, 1.0, 2.0, prof)
-    return ("pass" if rep.passed else "fail"), {
-        "worst_ratio": rep.worst_ratio}
+    ratio = sp.check_peetre_integrals(space, sigma, sigma + 1.0, 1.0, 2.0,
+                                      prof)
+    return ("pass" if ratio <= 1.0 else "fail"), {"worst_ratio": ratio}
 
 
 @_suite("net-invariants", "(2.6)-(2.7)", "separation/maximality/sandwich")
@@ -377,8 +371,7 @@ def _suite_omega(ctx):
 def _multiplier_matrix(ctx, values):
     # the frames' A_m = psi~^T M m(sqrt(L)) psi = U diag(m) V, from m's values
     U, V = ctx.get("factors")
-    return ad.NetMatrix(hierarchy=ctx.get("hier"), params=ctx.get("params"),
-                        entries=(U * values) @ V)
+    return (U * values) @ V
 
 
 @_suite("thm6.2-boundedness", "Thm 6.2", "almost-diagonal boundedness probe",
@@ -388,7 +381,7 @@ def _suite_ad_boundedness(ctx):
     # ratios are taken against ||A_m||_1/2, so A_m's scale drops out
     A = _multiplier_matrix(ctx, 1.0 / (1.0 + ctx.get("spec").eigenvalues))
     H = ctx.get("dual").analyze(ctx.get("battery").T).T
-    out = ad.boundedness_probe(A, 0.5, H)
+    out = ad.boundedness_probe(ctx.get("hier"), ctx.get("params"), A, 0.5, H)
     return "record", {k.replace("~", "t"): v for k, v in out.items()}
 
 
@@ -423,14 +416,15 @@ def _suite_neumann(ctx):
     # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V
     U, V = ctx.get("factors")
     cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
-    cm /= 2.0 * cstar * ad.ad_norm(_multiplier_matrix(ctx, cm),
+    cm /= 2.0 * cstar * ad.ad_norm(hier, params, _multiplier_matrix(ctx, cm),
                                    ad.NEUMANN_EPSILON)
     C, rep = ad.neumann_invert(hier, params, U * cm, V, cstar)
-    C = C.entries
-    # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}
-    X = _multiplier_matrix(ctx, cm / (1.0 - cm)).entries
+    # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, taken
+    # relative to its own max, so a zero C reads 1
+    X = _multiplier_matrix(ctx, cm / (1.0 - cm))
+    x_max = max(X.max(), -X.min())
     X -= C
-    closed = float(np.abs(X, out=X).max() / np.abs(C, out=C).max())
+    closed = float(np.abs(X, out=X).max() / x_max)
     ok = max(rep["residual"], closed) <= 1e-9 and rep["geometric_decay_ok"]
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
@@ -571,7 +565,8 @@ def _suite_atoms(ctx):
 def _suite_multiplier(ctx):
     spec, params = ctx.get("spec"), ctx.get("params")
     sym = mx.check_mihlin("rational", 4, params, spec, b=ctx.cfg["b"])
-    am_norm = ad.ad_norm(_multiplier_matrix(ctx, spec.symbol(sym)), 0.5)
+    am_norm = ad.ad_norm(ctx.get("hier"), params,
+                         _multiplier_matrix(ctx, spec.symbol(sym)), 0.5)
     F = ctx.get("battery").T
     try:
         mx.apply_multiplier(sym, F, ctx.get("frame"), ctx.get("dual"), spec)
@@ -593,12 +588,11 @@ def _suite_multiplier(ctx):
 @_suite("lemma9.4-hardy", "Lemma 9.4", "discrete Hardy inequalities")
 def _suite_hardy(ctx):
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    worst = {10: 0.0, 20: 0.0, 40: 0.0}
-    for m in worst:
-        for _ in range(1000 // 3 + 1):
-            a = np.abs(rng.standard_normal(m))
-            rep = sq.hardy_check(a, gamma=0.5, q=2.0, b=ctx.cfg["b"])
-            worst[m] = max(worst[m], rep["down"], rep["up"])
+    worst = {}
+    for m in (10, 20, 40):
+        a = np.abs(rng.standard_normal((1000 // 3 + 1, m)))
+        rep = sq.hardy_check(a, gamma=0.5, q=2.0, b=ctx.cfg["b"])
+        worst[m] = float(max(rep["down"].max(), rep["up"].max()))
     vals = list(worst.values())
     spread = max(vals) / min(vals)
     ok = all(np.isfinite(v) for v in vals) and spread < 2.0

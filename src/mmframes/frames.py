@@ -299,9 +299,7 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     mu = hier.space.mu
     Q = dual.columns
     Dm = Q.T @ (mu[:, None] * (frame1.columns - compact.columns))
-    delta_hat = addiag.ad_norm(
-        addiag.NetMatrix(hierarchy=hier, entries=Dm, params=params),
-        addiag.NEUMANN_EPSILON)
+    delta_hat = addiag.ad_norm(hier, params, Dm, addiag.NEUMANN_EPSILON)
     del Dm
     if delta_hat >= addiag.NEUMANN_THRESHOLD:
         raise RuntimeError(

@@ -202,14 +202,12 @@ def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
     Reports the least c with |a_{xi,eta}| <= c omega_{xi,eta}(delta) at
     delta = 1/8: ||A||_delta cannot fall as delta grows, since log omega(delta)
     = log omega(0) - delta (G + |lam|) with G + |lam| >= 0.  Returns
-    (NetMatrix, certificate dict).
+    (A, certificate dict).
     """
     ms = _as_columns(synth_family, hier)
     ma = _as_columns(anal_family, hier)
-    mu = hier.space.mu
-    A = addiag.NetMatrix(hierarchy=hier, entries=ma.T @ (mu[:, None] * ms),
-                         params=params)
-    c = addiag.ad_norm(A, 0.125)
+    A = ma.T @ (hier.space.mu[:, None] * ms)
+    c = addiag.ad_norm(hier, params, A, 0.125)
     return A, {"delta": 0.125, "c": c, "passed": np.isfinite(c)}
 
 

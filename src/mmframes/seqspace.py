@@ -190,26 +190,34 @@ def fs_maximal_probe(family, p, q, t, space: ModelSpace) -> dict:
 
 
 def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
-    """Both window forms of the discrete Hardy inequality.
+    """Both window forms of the discrete Hardy inequality, for a sequence
+    or a (k, m) table of sequences, one per row.
 
     down: (sum_j (sum_{m>=j} b^{-(m-j)gamma} a_m)^q)^{1/q} <= c ||a||_q
     up:   (sum_j (sum_{m<=j} b^{-(j-m)gamma} a_m)^q)^{1/q} <= c ||a||_q
-    Returns the two measured ratios.
+    Returns the two measured ratios, one per row (floats for a sequence);
+    a zero sequence reads 0.  The window sums add one offset m - j at a
+    time, entrywise, so a row's ratios do not depend on the rows beside it
+    and no k x m x m table is formed.
     """
     if gamma <= 0 or q <= 0:
         raise ValueError("need gamma > 0, q > 0")
     a = np.asarray(a, dtype=float)
     if np.any(a < 0):
         raise ValueError("sequence must be nonnegative")
-    m = len(a)
-    idx = np.arange(m)
-    rhs = _lq(a, q)
-    if rhs == 0:
-        return {"down": 0.0, "up": 0.0}
-    K = idx[None, :] - idx[:, None]  # m - j
-    down = np.where(K >= 0, b ** (-gamma * np.maximum(K, 0)), 0.0) @ a
-    up = np.where(K <= 0, b ** (gamma * np.minimum(K, 0)), 0.0) @ a
-    return {"down": float(_lq(down, q) / rhs), "up": float(_lq(up, q) / rhs)}
+    A = np.atleast_2d(a)
+    m = A.shape[1]
+    down, up = np.zeros_like(A), np.zeros_like(A)
+    for off, w in enumerate(b ** (-gamma * np.arange(m))):  # off = |m - j|
+        down[:, :m - off] += w * A[:, off:]
+        up[:, off:] += w * A[:, :m - off]
+    rhs = _lq(A, q, axis=1)
+    out = {key: np.divide(_lq(sums, q, axis=1), rhs, out=np.zeros_like(rhs),
+                          where=rhs > 0)
+           for key, sums in (("down", down), ("up", up))}
+    if a.ndim == 1:
+        return {key: float(v[0]) for key, v in out.items()}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -421,23 +421,18 @@ def build_hierarchy(space: ModelSpace, b: float, gamma: float,
 # geometric lemma checks
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    passed: bool
-    worst_ratio: float  # largest left side over right side
-
-
 def check_net_count(space: ModelSpace, net_centers, delta, delta_star,
-                    profile: DoublingProfile) -> CheckReport:
+                    profile: DoublingProfile) -> float:
     """Counting bound: #(net ∩ B(x, delta*)) <= c0 * 6^d * (delta*/delta)^d
-    for every x, with measured (c0, d)."""
+    for every x, with measured (c0, d).  Returns left side over right side;
+    the bound holds when it is at most 1."""
     if delta > delta_star:
         raise ValueError("requires delta <= delta_star")
     centers = np.asarray(net_centers, dtype=int)
     counts = (space.dist[:, centers] < delta_star).sum(axis=1)
     lhs = int(counts.max())
     rhs = profile.c0 * 6.0**profile.d * (delta_star / delta) ** profile.d
-    return CheckReport(passed=lhs <= rhs, worst_ratio=lhs / rhs)
+    return lhs / rhs
 
 
 def _geom_series_const(c0, d, sigma):
@@ -449,8 +444,9 @@ def _geom_series_const(c0, d, sigma):
 
 def check_discrete_sum(space: ModelSpace, net_centers, sigma,
                        delta, delta1, delta2,
-                       profile: DoublingProfile) -> CheckReport:
-    """Net summation bounds with explicit constants.
+                       profile: DoublingProfile) -> float:
+    """Net summation bounds with explicit constants; returns the worst left
+    side over right side of both forms, which hold when it is at most 1.
 
     One-sided form: sum over centers of (1 + rho(x,xi)/delta*)^{-sigma}
     <= C_L * (delta*/delta)^d with C_L = c0*6^d*2^sigma/(1-2^(d-sigma)),
@@ -480,17 +476,17 @@ def check_discrete_sum(space: ModelSpace, net_centers, sigma,
     lhs = wx @ wy.T                                            # (n, n)
     c2s = 2.0 ** (2 * sigma + 1) * CL
     rhs = c2s * (delta1 / delta) ** d / (1.0 + space.dist / delta2) ** sigma
-    ratio_two = float((lhs / rhs).max())
+    ratio_two = (lhs / rhs).max()
 
-    passed = (ratio_one <= 1.0) and (ratio_two <= 1.0)
-    return CheckReport(passed=bool(passed),
-                       worst_ratio=max(float(ratio_one), ratio_two))
+    return float(np.maximum(ratio_one, ratio_two))  # a NaN ratio is kept
 
 
 def check_peetre_integrals(space: ModelSpace, sigma1, sigma2,
                            delta1, delta2,
-                           profile: DoublingProfile) -> CheckReport:
-    """Weighted-sum bounds against ball volumes, with explicit constants.
+                           profile: DoublingProfile) -> float:
+    """Weighted-sum bounds against ball volumes, with explicit constants;
+    returns the worst left side over right side of both forms, which hold
+    when it is at most 1.
 
     Single-center form: sum_u (1+rho(x,u)/delta)^{-sigma} mu(u)
       <= c28(sigma) * |B(x,delta)|,  c28 = 1 + c0*2^sigma*2^(d-sigma)/(1-2^(d-sigma)).
@@ -508,12 +504,12 @@ def check_peetre_integrals(space: ModelSpace, sigma1, sigma2,
         return 1.0 + profile.c0 * 2.0**sig * 2.0 ** (d - sig) / (1.0 - 2.0 ** (d - sig))
 
     # single-center form at both (sigma1, delta1) and (sigma2, delta2)
-    worst_single = 0.0
+    ratios = []
     for sig, dl in ((sigma1, delta1), (sigma2, delta2)):
         w = (1.0 + space.dist / dl) ** (-sig)
         lhs = w @ space.mu
         rhs = c28(sig) * ball_volumes(space, dl)
-        worst_single = max(worst_single, float((lhs / rhs).max()))
+        ratios.append((lhs / rhs).max())
 
     w1 = (1.0 + space.dist / delta1) ** (-sigma1)
     w2 = (1.0 + space.dist / delta2) ** (-sigma2)
@@ -523,10 +519,8 @@ def check_peetre_integrals(space: ModelSpace, sigma1, sigma2,
     c = 2.0 ** max(sigma1, sigma2) * max(c28(sigma1), c28(sigma2))
     rhs = c * (vx[:, None] / (1.0 + space.dist / delta2) ** sigma2
                + vy[None, :] / (1.0 + space.dist / delta1) ** sigma1)
-    worst_two = float((I / rhs).max())
-    passed = worst_single <= 1.0 and worst_two <= 1.0
-    return CheckReport(passed=bool(passed),
-                       worst_ratio=max(worst_single, worst_two))
+    ratios.append((I / rhs).max())
+    return float(np.max(ratios))  # a NaN ratio is kept
 
 
 def verify_net_invariants(space: ModelSpace, net: Net) -> None:

@@ -28,9 +28,9 @@ def test_criterion_01_exact_geometry_suite(models, profiles):
             centers = sp.build_maximal_net(m, delta)
             for mult in (1.0, 2.0, 4.0):
                 assert sp.check_net_count(m, centers, delta, mult * delta,
-                                          prof).passed
+                                          prof) <= 1.0
             assert sp.check_discrete_sum(m, centers, prof.d + 1.0, delta,
-                                         delta, 2.0 * delta, prof).passed
+                                         delta, 2.0 * delta, prof) <= 1.0
     assert time.monotonic() - t0 < 10.0
 
 
@@ -147,10 +147,9 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
     for name in ("C_64", "C_128"):
         hier, _ = hierarchies[name]
         W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-        A = ad.NetMatrix(hierarchy=hier, entries=W, params=params022)
-        assert abs(ad.ad_norm(A, 0.5) - 1.0) < 1e-12
+        assert abs(ad.ad_norm(hier, params022, W, 0.5) - 1.0) < 1e-12
         battery = rng.standard_normal((100, hier.size))
-        rep = ad.boundedness_probe(A, 0.5, battery)
+        rep = ad.boundedness_probe(hier, params022, W, 0.5, battery)
         vals = [rep[k] for k in ("b", "b~", "f", "f~")]
         assert all(np.isfinite(v) and v > 0 for v in vals)
         ratios[name] = max(vals)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mmframes import addiag as ad
 from mmframes import seqspace as sq
-from mmframes.addiag import NetMatrix
 
 
 def test_omega_diagonal_is_one(hierarchies, params022):
@@ -86,27 +85,28 @@ def test_omega_rejects_bad_exponents(hierarchies, params022):
         ad.omega2_matrix(hier, -0.5, -0.5, params022)
 
 
-def test_netmatrix_shape_check(hierarchies, params022):
+def test_ad_norm_shape_check(hierarchies, params022):
+    # an (m, 1) table would broadcast against the m x m log omega table
     hier, _ = hierarchies["C_64"]
-    with pytest.raises(ValueError):
-        NetMatrix(hierarchy=hier, entries=np.eye(hier.size + 1),
-                  params=params022)
+    m = hier.size
+    for shape in ((m + 1, m + 1), (m, 1)):
+        with pytest.raises(ValueError,
+                           match="entry table does not match the hierarchy"):
+            ad.ad_norm(hier, params022, np.ones(shape), 0.5)
 
 
 def test_ad_norm_scales_linearly(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     E = np.random.default_rng(3).standard_normal((hier.size, hier.size))
-    A = NetMatrix(hierarchy=hier, entries=E, params=params022)
-    B = NetMatrix(hierarchy=hier, entries=3.0 * E, params=params022)
-    na, nb = ad.ad_norm(A, 0.5), ad.ad_norm(B, 0.5)
+    na = ad.ad_norm(hier, params022, E, 0.5)
+    nb = ad.ad_norm(hier, params022, 3.0 * E, 0.5)
     assert abs(nb - 3.0 * na) <= 1e-9 * nb
 
 
 def test_ad_norm_of_scaled_omega_is_scale(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-    A = NetMatrix(hierarchy=hier, entries=0.3 * W, params=params022)
-    assert abs(ad.ad_norm(A, 0.5) - 0.3) < 1e-12
+    assert abs(ad.ad_norm(hier, params022, 0.3 * W, 0.5) - 0.3) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +209,16 @@ def test_ad_norm_matches_the_literal_ratio(model, flavor, hierarchies,
     E = ad.omega2_matrix(hier, 1.0, 1.0, prm) \
         * rng.uniform(-1, 1, (hier.size,) * 2)
     E[rng.random(E.shape) < 0.2] = 0.0
-    A = NetMatrix(hierarchy=hier, entries=E, params=prm)
-    zero = NetMatrix(hierarchy=hier, entries=np.zeros_like(E), params=prm)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for d in (0.125, 0.25, 0.5, 1.0, 2.0):
-            nrm = ad.ad_norm(A, d)
+            nrm = ad.ad_norm(hier, prm, E, d)
             assert type(nrm) is float
             W = ad.omega2_matrix(hier, d, d, prm)
             assert np.all(np.diag(W) == 1.0)
             assert abs(nrm / (np.abs(E) / W).max() - 1.0) <= 1e-13
         # an all-zero matrix has norm 0, and log 0 warns of nothing
-        assert ad.ad_norm(zero, 0.5) == 0.0
+        assert ad.ad_norm(hier, prm, np.zeros_like(E), 0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +228,9 @@ def test_ad_norm_matches_the_literal_ratio(model, flavor, hierarchies,
 def test_boundedness_probe_all_flavors(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-    A = NetMatrix(hierarchy=hier, entries=0.5 * W, params=params022)
     rng = np.random.default_rng(6)
     battery = rng.standard_normal((100, hier.size))
-    rep = ad.boundedness_probe(A, 0.5, battery)
+    rep = ad.boundedness_probe(hier, params022, 0.5 * W, 0.5, battery)
     for key in ("b", "b~", "f", "f~"):
         assert 0 < rep[key] < np.inf
 
@@ -242,13 +239,12 @@ def test_boundedness_probe_matches_per_vector_loop(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     rng = np.random.default_rng(6)
     W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-    A = NetMatrix(hierarchy=hier, entries=W * rng.uniform(-1, 1, W.shape),
-                  params=params022)
+    A = W * rng.uniform(-1, 1, W.shape)
     battery = rng.standard_normal((100, hier.size))
     battery[3] = 0.0
-    rep = ad.boundedness_probe(A, 0.5, battery)
-    nrm = ad.ad_norm(A, 0.5)
-    AH = A.entries @ battery.T
+    rep = ad.boundedness_probe(hier, params022, A, 0.5, battery)
+    nrm = ad.ad_norm(hier, params022, A, 0.5)
+    AH = A @ battery.T
     for key, family, flavor in (("b", "besov", "classical"),
                                 ("b~", "besov", "tilde"),
                                 ("f", "triebel_lizorkin", "classical"),
@@ -260,7 +256,7 @@ def test_boundedness_probe_matches_per_vector_loop(hierarchies, params022):
             denom = sq.seq_norm(h, prm, hier)
             if denom == 0:
                 continue
-            worst = max(worst, sq.seq_norm(A.entries @ h, prm, hier)
+            worst = max(worst, sq.seq_norm(A @ h, prm, hier)
                         / (nrm * denom))
         # one mat-vec and one matrix product sum in different orders, so
         # the two agree to rounding; on the product's columns, exactly
@@ -277,9 +273,8 @@ def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
     for name in ("C_64", "C_128"):
         hier, _ = hierarchies[name]
         W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-        A = NetMatrix(hierarchy=hier, entries=0.5 * W, params=params022)
         battery = rng.standard_normal((100, hier.size))
-        rep = ad.boundedness_probe(A, 0.5, battery)
+        rep = ad.boundedness_probe(hier, params022, 0.5 * W, 0.5, battery)
         worst[name] = max(rep[k] for k in ("b", "b~", "f", "f~"))
     assert worst["C_128"] <= 2.0 * worst["C_64"]
 
@@ -292,7 +287,7 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     I = np.eye(hier.size)
     C, rep = ad.neumann_invert(hier, params022, D, I, cstar)
     assert rep["residual"] <= 1e-9
-    assert np.abs((I - D) @ (I + C.entries) - I).max() <= 1e-9
+    assert np.abs((I - D) @ (I + C) - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] < 1
@@ -331,12 +326,11 @@ def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
 def test_neumann_rejects_large_perturbation(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-    D = NetMatrix(hierarchy=hier, entries=0.6 * W, params=params022)
+    D = 0.6 * W
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     with pytest.raises(ad.NeumannPreconditionError) as err:
-        ad.neumann_invert(hier, params022, D.entries, np.eye(hier.size),
-                          cstar)
-    assert err.value.delta_hat == ad.ad_norm(D, 1.0) >= 0.5
+        ad.neumann_invert(hier, params022, D, np.eye(hier.size), cstar)
+    assert err.value.delta_hat == ad.ad_norm(hier, params022, D, 1.0) >= 0.5
 
 
 def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):
@@ -351,8 +345,7 @@ def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):
     U, V = spec.coefficients(dual.columns).T, spec.coefficients(frame.columns)
     m = 1.0 / (1.0 + spec.eigenvalues)
     cstar = ad.lemma64_grid(hier, prm, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    A = NetMatrix(hierarchy=hier, entries=(U * m) @ V, params=prm)
-    c = 1.0 / (2.0 * cstar * ad.ad_norm(A, 1.0))
+    c = 1.0 / (2.0 * cstar * ad.ad_norm(hier, prm, (U * m) @ V, 1.0))
     return hier, prm, U, V, c * m, cstar
 
 
@@ -367,7 +360,7 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
     ref = np.linalg.inv(I - D)
     for left, right in ((U * cm, V), (D, I)):
         C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
-        assert np.abs(I + C.entries - ref).max() <= 1e-12
+        assert np.abs(I + C - ref).max() <= 1e-12
         # the residual is relative to max|D|: at most 1e-15 absolute, and
         # within rounding of max|D|
         assert rep["geometric_decay_ok"]
@@ -376,8 +369,7 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
         assert len(rep["term_ad_norms"]) == rep["terms"] >= 2
         power = D
         for got in rep["term_ad_norms"]:
-            want = ad.ad_norm(NetMatrix(hierarchy=hier, entries=power,
-                                        params=prm), 0.5)
+            want = ad.ad_norm(hier, prm, power, 0.5)
             assert abs(got / want - 1.0) <= 1e-12
             power = power @ D
 
@@ -393,7 +385,7 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
         model, spectra, hierarchies, frame_sets, profiles)
     C, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     closed = (U * (cm / (1.0 - cm))) @ V
-    err = np.abs(C.entries - closed).max()
+    err = np.abs(C - closed).max()
     assert err <= np.finfo(float).eps
     assert err <= 1e-13 * np.abs(closed).max()
     assert abs(rep["dhat_cstar"] - 0.5) <= 1e-14 and rep["geometric_decay_ok"]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
     assert cli._suite_lemma64(ctx)[0] == "fail"
 
 
+def test_net_count_suite_fails_on_a_nan_ratio(monkeypatch):
+    # a NaN ratio is not at most 1, so lemma9.1 fails on it, also where the
+    # largest ratio it reports is finite
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
+    assert cli.SUITES["lemma9.1"][2](ctx)[0] == "pass"
+    count = cli.sp.check_net_count
+    calls = []
+
+    def nan_second(*args):
+        calls.append(args)
+        return np.nan if len(calls) == 2 else count(*args)
+
+    monkeypatch.setattr(cli.sp, "check_net_count", nan_second)
+    assert cli.SUITES["lemma9.1"][2](ctx)[0] == "fail"
+    assert len(calls) > 2
+
+
 def test_neumann_suite_takes_one_lemma64_grid(tmp_path, capsys, monkeypatch):
     # the grid at beta = 1/2 is one resource: thm6.3-neumann reads its c*
     # from the pair (1, 1/2) that neumann_invert's certificate takes, and
@@ -450,6 +468,26 @@ def test_neumann_residual_sees_a_wrong_inverse_on_a_small_resolvent(
     assert not _statuses(tmp_path / "out")["thm6.3-neumann"].startswith(
         "pass ")
     assert len(reports) == 1 and reports[0]["residual"] > 1e-9
+
+
+def test_neumann_closed_form_fails_on_a_zero_inverse(tmp_path, capsys,
+                                                     monkeypatch):
+    # a zero core gives C = 0; the closed form is taken relative to
+    # max|A_{cm/(1-cm)}|, not max|C|, so it reads 1 and fails the gate
+    # instead of dividing 0 by 0
+    monkeypatch.setattr(ad, "neumann_series",
+                        lambda step, on_term=None: (0.0 * step, 0, 0.0))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_64", "spq": [2, 0.3, 0.3],
+                             "suites": ["thm6.3-neumann"],
+                             "output_dir": str(tmp_path / "out")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(p)]) == 1
+    capsys.readouterr()
+    status = _statuses(tmp_path / "out")["thm6.3-neumann"]
+    assert status.startswith("fail ")
+    assert " closed_form=1 " in status and " residual=1 " in status
 
 
 def _statuses(outdir):

@@ -156,14 +156,16 @@ def test_gram_certificate(molecule_setup, params022):
     A, cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
     # ||A||_delta cannot fall as delta grows, so delta = 1/8 gives the least c
-    assert cert["delta"] == 0.125 and cert["c"] == ad.ad_norm(A, 0.125)
-    norms = [ad.ad_norm(A, d) for d in (0.125, 0.25, 0.5, 1.0, 2.0)]
+    assert cert["delta"] == 0.125 \
+        and cert["c"] == ad.ad_norm(hier, params022, A, 0.125)
+    norms = [ad.ad_norm(hier, params022, A, d)
+             for d in (0.125, 0.25, 0.5, 1.0, 2.0)]
     assert all(a <= b for a, b in zip(norms, norms[1:]))
     # entrywise Cauchy-Schwarz sanity
     mu = hier.space.mu
     ns = np.sqrt(np.sum(mu[:, None] * frame.columns**2, axis=0))
     na = np.sqrt(np.sum(mu[:, None] * dual.columns**2, axis=0))
-    assert np.all(np.abs(A.entries) <= np.outer(na, ns) + 1e-12)
+    assert np.all(np.abs(A) <= np.outer(na, ns) + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,19 @@ def test_hardy_bound_is_window_free():
         assert max(rep["down"], rep["up"]) <= cbound
 
 
+def test_hardy_table_matches_its_rows():
+    # one call on a (k, m) table gives each row's ratios exactly as one call
+    # per row does, and a zero row reads 0
+    A = np.abs(np.random.default_rng(5).standard_normal((50, 20)))
+    A[7] = 0.0
+    rep = sq.hardy_check(A, gamma=0.5, q=2.0, b=3.0)
+    rows = [sq.hardy_check(a, gamma=0.5, q=2.0, b=3.0) for a in A]
+    for key in ("down", "up"):
+        assert rep[key].shape == (50,) and rep[key][7] == 0.0
+        assert all(type(row[key]) is float for row in rows)
+        assert np.array_equal(rep[key], [row[key] for row in rows])
+
+
 def test_hardy_rejects_bad_input():
     with pytest.raises(ValueError):
         sq.hardy_check(np.array([1.0, -1.0]), 0.5, 2.0)
