@@ -209,13 +209,19 @@ def make_cutoff(kind: str, b: float = 2.0) -> Cutoff:
 # level window and telescoping
 
 
+# a log_b sqrt(lambda) this close to an integer is a power of b up to
+# rounding: it sits on a band edge, where every band symbol is flat 0
+WINDOW_EDGE = 1e-9
+
+
 def level_window(spec: SpectralData, b: float = 2.0) -> tuple:
-    """Default window [j_min, j_max] covering the nonzero spectrum:
-    j_max = ceil(log_b sqrt(lambda_max)) + 1, j_min = floor(log_b
-    sqrt(lambda_2)) - 1."""
+    """Live window [j_min, j_max] covering the nonzero spectrum:
+    j_max = ceil(log_b sqrt(lambda_max)), j_min = floor(log_b
+    sqrt(lambda_2)), so both end bands (b^{j-1}, b^{j+1}) meet the spectrum;
+    the levels beyond them would be zero."""
     logb = np.log(b)
-    j_max = int(np.ceil(np.log(np.sqrt(spec.lambda_max)) / logb)) + 1
-    j_min = int(np.floor(np.log(np.sqrt(spec.lambda_2)) / logb)) - 1
+    j_max = int(np.ceil(np.log(np.sqrt(spec.lambda_max)) / logb - WINDOW_EDGE))
+    j_min = int(np.floor(np.log(np.sqrt(spec.lambda_2)) / logb + WINDOW_EDGE))
     return j_min, j_max
 
 

@@ -449,9 +449,7 @@ def _suite_theta(ctx):
 
 def _speed_checks(ctx):
     """(radius / reach, passed) per polynomial level: the compact frame's
-    support radius against k e, where a degree-k polynomial's kernel ends.
-    Never empty: the finest level's band symbol vanishes on [0, lambda_max],
-    so it is the zero polynomial of degree 1."""
+    support radius against k e, where a degree-k polynomial's kernel ends."""
     return [(lv.support / lv.reach, lv.support <= lv.reach)
             for lv in ctx.get("compact_supports").values() if lv.degree]
 
@@ -460,6 +458,8 @@ def _speed_checks(ctx):
         after=("prop6.6-theta",))
 def _suite_finite_speed(ctx):
     checks = _speed_checks(ctx)
+    if not checks:  # no polynomial level: nothing to check, nothing passes
+        return "record", {"c_tilde": ctx.get("ctilde"), "levels": 0}
     ok = all(passed for _, passed in checks)
     return ("pass" if ok else "fail"), {
         "c_tilde": ctx.get("ctilde"), "levels": len(checks),
@@ -546,7 +546,8 @@ def _suite_atoms(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     compact = ctx.get("compact")
     cert = mo.validate_atoms(compact.columns, hier, params, spec)
-    supp_ok = all(passed for _, passed in _speed_checks(ctx))
+    checks = _speed_checks(ctx)
+    supp_ok = all(passed for _, passed in checks)
     cstar = mo.scaling_for_budget(cert)
     _, _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
                                     ctx.get("compact_dual"), params, spec,
@@ -557,7 +558,7 @@ def _suite_atoms(ctx):
     return ("pass" if ok else "fail"), {
         "residual": worst, "cstar": cstar,
         "support_constant": cert.support_constant,
-        "support_ok": supp_ok}
+        "support_ok": supp_ok, "support_levels": len(checks)}
 
 
 @_suite("thm8.1-multiplier", "Thm 8.1", "Mihlin multiplier checks",

@@ -65,8 +65,7 @@ def params022(profiles):
 def compact_pipeline(spectra, params022):
     """The compact frame and its dual on C_64 at b = 4, where level 1 is a
     polynomial of degree 31 below the diameter 32; at b = 2 every level
-    of C_64 but the finest, whose band symbol vanishes on the spectrum,
-    keeps its band symbol."""
+    of C_64 keeps its band symbol."""
     spec = spectra["C_64"]
     hier, _ = fr.build_standard_hierarchy(spec, b=4.0)
     frame = fr.build_frame1(spec, hier)

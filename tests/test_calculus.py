@@ -177,12 +177,31 @@ def test_cutoff_rejects_bad_base():
 # windows, telescoping, localization
 
 
-def test_level_window_covers_spectrum(spectra):
-    spec = spectra["C_64"]
-    j_min, j_max = ca.level_window(spec, 2.0)
-    assert (j_min, j_max) == (-5, 2)
-    assert 2.0 ** (j_max - 1) >= np.sqrt(spec.lambda_max)
-    assert 2.0 ** (j_min + 1) <= np.sqrt(spec.lambda_2)
+def test_level_window_covers_spectrum(spectra, Phi):
+    # both end bands (b^{j-1}, b^{j+1}) meet the spectrum, and the window's
+    # bands still sum to 1 on the nonzero spectrum
+    assert ca.level_window(spectra["C_64"], 2.0) == (-4, 1)
+    for spec in spectra.values():
+        j_min, j_max = ca.level_window(spec, 2.0)
+        top, bottom = np.sqrt(spec.lambda_max), np.sqrt(spec.lambda_2)
+        assert 2.0 ** (j_max - 1) < top <= 2.0 ** j_max
+        assert 2.0 ** j_min <= bottom < 2.0 ** (j_min + 1)
+        total = ca.band_symbols(spec, Phi, (j_min, j_max)).sum(axis=1)
+        assert np.abs(total[spec.nullspace_dim:] - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("model, window", [
+    ("T_2x2", (1, 2)),
+    ({"kind": "tree", "n": 20, "edges": [[0, i, 1.0] for i in range(1, 20)]},
+     (0, 3))])
+def test_level_window_puts_a_power_of_b_on_the_band_edge(model, window):
+    # sqrt(lambda_2) is 2 on the 2x2 torus and 1 on the 20-point star, up
+    # to rounding: a band edge, so the level whose band ends there is not
+    # in the window, and both end bands are nonzero on the spectrum
+    spec = ca.eigendecompose(sp.build_model(model))
+    assert ca.level_window(spec, 2.0) == window
+    bands = ca.band_symbols(spec, ca.make_cutoff("a", 2.0), window)
+    assert np.abs(bands[:, [0, -1]]).max(axis=0).min() > 1e-6
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c", "scalar"])
@@ -223,14 +242,20 @@ def test_speed_constant_is_order_one(spectra):
 def test_finite_speed_saturates_on_small_models():
     from mmframes import cli
 
-    # the Prop 2.1 support bound as the CLI checks it, on C_64: no degree
-    # below the diameter 32 fits a live band, so the one polynomial level
-    # is the finest, whose band symbol vanishes on the spectrum
+    # the Prop 2.1 support bound as the CLI checks it. On C_64 no degree
+    # below the diameter 32 fits a live band, so there is no polynomial
+    # level and the suite only records; on P_128 level 1's degree-81
+    # kernel reaches exactly its 81 hops
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
-    checks = cli._speed_checks(ctx)
-    assert checks and all(passed for _, passed in checks)
+    assert not any(lv.degree for lv in ctx.get("compact_supports").values())
+    assert cli._speed_checks(ctx) == []
+    status, metrics = cli._suite_finite_speed(ctx)
+    assert status == "record" and metrics["levels"] == 0
+    assert metrics["c_tilde"] == ctx.get("ctilde")
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="P_128"))
     poly = [lv for lv in ctx.get("compact_supports").values() if lv.degree]
-    assert [(lv.degree, lv.support) for lv in poly] == [(1, 0.0)]
+    assert [(lv.degree, lv.support) for lv in poly] == [(81, 81.0)]
+    assert cli._speed_checks(ctx) == [(1.0, True)]
 
 
 def test_effective_support_radius_of_identity(spectra):

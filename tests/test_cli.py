@@ -271,8 +271,9 @@ def test_integer_b_runs_the_compact_frame_suites(tmp_path, capsys):
         assert cli.main(["run", str(p)]) == 0
         reports.append((out / "report.txt").read_text().splitlines()[1:])
     capsys.readouterr()
-    assert [line.split(" status=")[1][:4] for line in reports[0]] == \
-        ["pass"] * len(suites)
+    # C_16 has no polynomial level at b = 3, so prop2.1 only records
+    assert [line.split(" status=")[1].split()[0] for line in reports[0]] == \
+        ["record", "pass", "pass"]
     assert reports[0] == reports[1]
 
 
@@ -560,7 +561,7 @@ def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
     assert [status[name].split()[0] for name in suites] == \
         ["record", "pass", "pass", "pass"]
     assert " level1_degree=81 " in status["prop6.6-theta"]
-    assert " level1_support=81 " in status["prop6.6-theta"]
+    assert "level1_support=81" in status["prop6.6-theta"].split()
     assert status["prop2.1-finite-speed"].endswith(" worst_ratio=1")
     assert " support_ok=true" in status["thm7.9-atoms"]
 
