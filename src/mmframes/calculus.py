@@ -262,36 +262,6 @@ def measure_localization(table, delta: float, N, space: ModelSpace) -> dict:
     return out
 
 
-# heat-kernel entries below this multiple of n * eps_mach, relative to the
-# largest, are synthesis rounding rather than the Gaussian envelope
-SPEED_FIT_FLOOR = 1e4
-
-
-def fit_speed_constant(spec: SpectralData) -> float:
-    """Calibrate the propagation constant c_tilde from the heat kernel.
-
-    Fits the Gaussian envelope |p_t(x,y)| <= C exp(-c_star rho^2 / t) as a
-    lower envelope of t*(-log relative kernel)/rho^2 over t = 1/2, 1, 2,
-    on the entries above SPEED_FIT_FLOOR * n * eps_mach, and returns
-    c_tilde = 1 / (2 sqrt(c_star)).
-    """
-    space = spec.space
-    floor = SPEED_FIT_FLOOR * space.n * np.finfo(float).eps
-    cstars = []
-    for t in (0.5, 1.0, 2.0):
-        K = spec.kernel(spec.symbol(lambda u: np.exp(-(u**2)), np.sqrt(t)))
-        rel = np.abs(K) / np.abs(K).max()
-        mask = (space.dist > 0) & (rel > floor) & (rel < 1.0)
-        if not np.any(mask):
-            continue
-        vals = t * (-np.log(rel[mask])) / space.dist[mask] ** 2
-        cstars.append(float(vals.min()))
-    if not cstars:
-        return 1.0
-    c_star = min(cstars)
-    return 1.0 / (2.0 * np.sqrt(c_star))
-
-
 # an entry below this fraction of its table's (or column's) largest is
 # outside the effective support
 SUPPORT_THRESHOLD = 1e-9

@@ -142,9 +142,6 @@ class Context:
         return sq.random_battery(self.get("spec"), int(self.cfg["battery"]),
                                  seed=int(self.cfg["seed"]))
 
-    def _build_ctilde(self):
-        return ca.fit_speed_constant(self.get("spec"))
-
 
 # ---------------------------------------------------------------------------
 # suites
@@ -459,10 +456,10 @@ def _speed_checks(ctx):
 def _suite_finite_speed(ctx):
     checks = _speed_checks(ctx)
     if not checks:  # no polynomial level: nothing to check, nothing passes
-        return "record", {"c_tilde": ctx.get("ctilde"), "levels": 0}
+        return "record", {"levels": 0}
     ok = all(passed for _, passed in checks)
     return ("pass" if ok else "fail"), {
-        "c_tilde": ctx.get("ctilde"), "levels": len(checks),
+        "levels": len(checks),
         "worst_ratio": max(ratio for ratio, _ in checks)}
 
 
@@ -487,18 +484,16 @@ def _suite_compact_dual(ctx):
         after=("lemma4.1-sampling",))
 def _suite_molecule_constants(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
-    M = params.J + 0.5
     out = {}
     ok = True
     for name, cols in (("psi", ctx.get("frame").columns),
                        ("psit", ctx.get("dual").columns)):
         for flavor in ("synthesis", "analysis"):
-            cert = mo.validate_molecule(cols, hier, flavor, "classical",
-                                        params, spec, M)
+            cert = mo.validate_molecule(cols, hier, flavor, params, spec)
             # back off the exact budget boundary by a relative epsilon
             cstar = mo.scaling_for_budget(cert) * (1.0 - 1e-9)
-            scaled = mo.validate_molecule(cols * cstar, hier, flavor,
-                                          "classical", params, spec, M)
+            scaled = mo.validate_molecule(cols * cstar, hier, flavor, params,
+                                          spec)
             out[f"{name}_{flavor}_cstar"] = cstar
             ok = ok and scaled.passed and np.isfinite(cstar)
     return ("pass" if ok else "fail"), out
@@ -614,8 +609,8 @@ def _suite_inhomogeneous(ctx):
     ok = hier.j_min >= 0 and max(eps.values()) < 0.5
     params = ctx.get("params")
     frame = fr.build_frame1(spec, hier)
-    cert = mo.validate_molecule(frame.columns, hier, "synthesis",
-                                "classical", params, spec, params.J + 0.5)
+    cert = mo.validate_molecule(frame.columns, hier, "synthesis", params,
+                                spec)
     ok = ok and np.isfinite(max(cert.constants.values()))
     return ("pass" if ok else "fail"), {"j_min": hier.j_min,
                                         "eps_max": max(eps.values())}

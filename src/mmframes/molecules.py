@@ -45,16 +45,14 @@ class MoleculeOrders:
             raise ValueError("negative order N")
 
 
-def compute_orders(params: SpaceParams, flavor: str = "classical") -> MoleculeOrders:
-    """Exact integer orders for the molecule conditions.
+def compute_orders(params: SpaceParams) -> MoleculeOrders:
+    """Exact integer orders for the molecule conditions in params' flavor.
 
     classical: K = floor((J-s)/2)+1 for s <= J, N = floor(s/2)+1 for
     s >= 0, decay must exceed J.  tilde: the cancellation cap becomes
     J*d/dstar, K switches formula at s = 0, and decay must exceed J+|s|.
     """
-    if flavor not in ("classical", "tilde"):
-        raise ValueError("flavor must be classical or tilde")
-    s, J, d = params.s, params.J, params.d
+    flavor, s, J, d = params.flavor, params.s, params.J, params.d
     if flavor == "classical":
         cap = J
         K = int(np.floor((J - s) / 2.0)) + 1 if s <= cap else None
@@ -80,7 +78,6 @@ def compute_orders(params: SpaceParams, flavor: str = "classical") -> MoleculeOr
 @dataclass(frozen=True)
 class MoleculeCertificate:
     flavor: str            # synthesis | analysis
-    space_flavor: str      # classical | tilde
     orders: MoleculeOrders
     M: float
     constants: dict
@@ -117,14 +114,14 @@ def _factorization_residual(rebuilt, cols, mask) -> float:
 
 
 def validate_molecule(family, hier: NetHierarchy, flavor: str,
-                      space_flavor: str, params: SpaceParams,
-                      spec: SpectralData, M: float,
+                      params: SpaceParams, spec: SpectralData,
                       companions=None) -> MoleculeCertificate:
     """Smallest constants making the molecule bounds hold for the family,
     which passes when none exceeds 1.
 
-    flavor selects synthesis or analysis conditions; space_flavor selects
-    the classical or tilde order rules.  Cancellation companions default
+    flavor selects synthesis or analysis conditions; params.flavor selects
+    the classical or tilde order rules, and the decay rate M is half above
+    their threshold, M_threshold + 1/2.  Cancellation companions default
     to spectral negative powers of L applied to the family (requires
     mean-zero columns); pass companions explicitly for adversarial tests.
     On an inhomogeneous hierarchy the cancellation condition is skipped
@@ -132,9 +129,8 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     """
     if flavor not in ("synthesis", "analysis"):
         raise ValueError("flavor must be synthesis or analysis")
-    orders = compute_orders(params, space_flavor)
-    if not (M > orders.M_threshold):
-        raise ValueError("decay rate must exceed the flavor threshold")
+    orders = compute_orders(params)
+    M = orders.M_threshold + 0.5
     cols = _as_columns(family, hier)
     s = params.s
     decay = M if flavor == "synthesis" else M + params.d
@@ -151,7 +147,7 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
     # analysis: smoothness through L^K and cancellation through L^-N.  Every
     # power is read from one ladder of the family, the companion h = L^-K
     # cols among them, unless the companions are given
-    classical = space_flavor == "classical"
+    classical = orders.flavor == "classical"
     if flavor == "synthesis":
         smooth, lo = orders.N, int(classical)
         canc = None if not classical and s < 0 else orders.K
@@ -179,9 +175,8 @@ def validate_molecule(family, hier: NetHierarchy, flavor: str,
 
     passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9
-    return MoleculeCertificate(flavor=flavor, space_flavor=space_flavor,
-                               orders=orders, M=M, constants=constants,
-                               passed=passed,
+    return MoleculeCertificate(flavor=flavor, orders=orders, M=M,
+                               constants=constants, passed=passed,
                                factorization_residual=fact_resid)
 
 

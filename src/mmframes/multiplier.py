@@ -26,7 +26,6 @@ def _rational(u, nu):
 BUILTIN_SYMBOLS = {
     "one": lambda u, nu: np.full_like(u, float(nu == 0)),
     "rational": _rational,
-    "linear": lambda u, nu: u if nu == 0 else np.full_like(u, float(nu == 1)),
 }
 
 
@@ -36,8 +35,6 @@ class MihlinSymbol:
     ell: int = 0
     mihlin_sup: float = np.inf
     order_sups: tuple = ()
-    even_ok: bool = False
-    range_restricted: bool = False
     grid: tuple = (0.0, 0.0)
     threshold: float = np.inf
 
@@ -74,14 +71,11 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     on a log grid of 4000 points covering the model's spectral range
     extended by b^2 on both sides.
 
-    m is a built-in name ("one", "rational", "linear"), whose derivatives
-    are taken in closed form from its jet in BUILTIN_SYMBOLS.
+    m is a built-in name ("one", "rational"), whose derivatives are taken
+    in closed form from its jet in BUILTIN_SYMBOLS.
 
     The smoothness threshold is J + d/2 in general and relaxes to J when
     the volume growth fits the two-sided power bound within AHLFORS_BAND.
-    Symbols whose sups blow up only beyond the extended range, or that are
-    not even (the calculus only evaluates them at sqrt(lam) >= 0), are
-    flagged range_restricted rather than rejected.
     """
     if not isinstance(m, str) or m not in BUILTIN_SYMBOLS:
         raise ValueError(f"unknown symbol {m!r}; the built-in symbols "
@@ -100,26 +94,11 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     hi = b**2 * np.sqrt(spec.lambda_max)
     grid = np.geomspace(lo, hi, 4000)
 
-    m0 = jet(grid, 0)
-    even_err = float(np.abs(m0 - jet(-grid, 0)).max())
-    even_ok = even_err <= 1e-12 * max(1.0, float(np.abs(m0).max()))
-
-    # the sups, and range restriction: does a weighted sup keep growing
-    # toward the edge of the extended range?
-    sups = []
-    restricted = False
-    for nu in range(ell + 1):
-        wv = np.abs(grid**nu * jet(grid, nu))
-        sups.append(float(wv.max()))
-        head = max(float(wv[:-200].max()), 1e-300)
-        if float(wv[-1]) > 2.0 * head and wv[-1] >= wv[-100]:
-            restricted = True
-
+    sups = [float(np.abs(grid**nu * jet(grid, nu)).max())
+            for nu in range(ell + 1)]
     return MihlinSymbol(fn=lambda u: jet(np.asarray(u, dtype=float), 0),
                         ell=ell,
                         mihlin_sup=float(max(sups)), order_sups=tuple(sups),
-                        even_ok=even_ok,
-                        range_restricted=restricted or not even_ok,
                         grid=(float(lo), float(hi)), threshold=threshold)
 
 

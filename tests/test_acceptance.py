@@ -174,15 +174,14 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    M = params022.J + 1.0
     for cols, flavor in ((frame.columns, "synthesis"),
                          (dual.columns, "analysis")):
-        raw = mo.validate_molecule(cols, hier, flavor, "classical",
-                                   params022, spec, M=M)
+        raw = mo.validate_molecule(cols, hier, flavor, params022, spec)
+        assert raw.M == params022.J + 0.5
         assert all(np.isfinite(v) for v in raw.constants.values())
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-        assert mo.validate_molecule(c * cols, hier, flavor, "classical",
-                                    params022, spec, M=M).passed
+        assert mo.validate_molecule(c * cols, hier, flavor, params022,
+                                    spec).passed
     _, cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
     assert cert["delta"] > 0 and np.isfinite(cert["c"])

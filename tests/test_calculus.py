@@ -42,9 +42,6 @@ def test_eigendecompose_kernels_match_scipy_eigh(monkeypatch, desc):
         K = ref.kernel(ref.symbol(fn))
         assert np.abs(ours.kernel(ours.symbol(fn)) - K).max() \
             <= 1e-12 * np.abs(K).max()
-    # the envelope fit reads no rounding noise, so the solver barely moves it
-    ct = ca.fit_speed_constant(ref)
-    assert abs(ca.fit_speed_constant(ours) - ct) <= 1e-6 * ct
 
 
 def test_kernel_convention_identity(spectra):
@@ -234,11 +231,6 @@ def test_localization_ladder_increases_with_order(spectra):
     assert out[1.0] <= out[2.0] <= out[4.0]
 
 
-def test_speed_constant_is_order_one(spectra):
-    ct = ca.fit_speed_constant(spectra["C_64"])
-    assert 0.5 < ct < 20.0
-
-
 def test_finite_speed_saturates_on_small_models():
     from mmframes import cli
 
@@ -250,8 +242,7 @@ def test_finite_speed_saturates_on_small_models():
     assert not any(lv.degree for lv in ctx.get("compact_supports").values())
     assert cli._speed_checks(ctx) == []
     status, metrics = cli._suite_finite_speed(ctx)
-    assert status == "record" and metrics["levels"] == 0
-    assert metrics["c_tilde"] == ctx.get("ctilde")
+    assert (status, metrics) == ("record", {"levels": 0})
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="P_128"))
     poly = [lv for lv in ctx.get("compact_supports").values() if lv.degree]
     assert [(lv.degree, lv.support) for lv in poly] == [(81, 81.0)]

@@ -566,6 +566,42 @@ def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
     assert " support_ok=true" in status["thm7.9-atoms"]
 
 
+def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
+    # C_16 in the tilde flavor at s = 1.5: every certificate of the suite
+    # reads the tilde orders, with the decay M = J + |s| + 1/2
+    certs = []
+    validate = cli.mo.validate_molecule
+
+    def recorded(*args, **kwargs):
+        certs.append(validate(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(cli.mo, "validate_molecule", recorded)
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16",
+                           spq=[1.5, 4, 1], flavor="tilde"))
+    status, _ = cli._suite_molecule_constants(ctx)
+    assert status == "pass"
+    params = ctx.get("params")
+    assert len(certs) == 8
+    for cert in certs:
+        assert cert.orders.flavor == "tilde"
+        assert cert.M == params.J + abs(params.s) + 0.5
+
+
+def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):
+    # the classical decay M = J + 1/2 gives the default run's line
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"suites": ["lemma7.2-molecules"],
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    assert _statuses(tmp_path / "out")["lemma7.2-molecules"] == (
+        "pass psi_analysis_cstar=0.0011273015257 "
+        "psi_synthesis_cstar=0.137562373689 "
+        "psit_analysis_cstar=2.36904135028e-05 "
+        "psit_synthesis_cstar=0.0121830851484")
+
+
 def test_neumann_suites_peak_memory():
     # thm6.3-neumann, thm6.7-compact-dual and lemma6.4-W-bound, each run
     # alone on a C_64 context whose frames, frame factors and beta = 1/2

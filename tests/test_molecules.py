@@ -30,33 +30,20 @@ def test_orders_oracle_d1():
 
 def test_tilde_orders_boundary_agreement():
     p = SpaceParams(s=0.0, p=2.0, q=2.0, d=2.0, dstar=1.0, flavor="tilde")
-    o = mo.compute_orders(p, flavor="tilde")
+    o = mo.compute_orders(p)
+    assert o.flavor == "tilde"
     assert o.smoothness_cap == p.J * 2.0 / 1.0
     assert o.M_threshold == p.J
     # with no reverse-doubling information the cancellation cap is open
-    p2 = SpaceParams(s=5.0, p=2.0, q=2.0, d=2.0, dstar=0.0)
-    assert mo.compute_orders(p2, flavor="tilde").K is not None
-
-
-def test_orders_reject_bad_flavor(params022):
-    with pytest.raises(ValueError):
-        mo.compute_orders(params022, flavor="other")
-
-
-def test_decay_threshold_enforced(frame_sets, hierarchies, spectra, params022):
-    frame, _, _ = frame_sets["C_64"]
-    hier, _ = hierarchies["C_64"]
-    with pytest.raises(ValueError):
-        mo.validate_molecule(frame.columns, hier, "synthesis", "classical",
-                             params022, spectra["C_64"], M=params022.J)
+    p2 = SpaceParams(s=5.0, p=2.0, q=2.0, d=2.0, dstar=0.0, flavor="tilde")
+    assert mo.compute_orders(p2).K is not None
 
 
 def test_zero_family_passes(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
     zeros = np.zeros((64, hier.size))
-    cert = mo.validate_molecule(zeros, hier, "synthesis", "classical",
-                                params022, spectra["C_64"],
-                                M=params022.J + 1.0)
+    cert = mo.validate_molecule(zeros, hier, "synthesis", params022,
+                                spectra["C_64"])
     assert cert.passed
     assert max(cert.constants.values()) == 0.0
     assert mo.scaling_for_budget(cert) == np.inf
@@ -67,42 +54,41 @@ def molecule_setup(frame_sets, hierarchies, spectra, params022):
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    M = params022.J + 1.0
-    raw = mo.validate_molecule(frame.columns, hier, "synthesis", "classical",
-                               params022, spec, M=M)
+    raw = mo.validate_molecule(frame.columns, hier, "synthesis", params022,
+                               spec)
     c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-    return frame, dual, hier, spec, M, c
+    return frame, dual, hier, spec, c
 
 
 def test_rescaled_frame_is_a_molecule_family(molecule_setup, params022):
-    frame, dual, hier, spec, M, c = molecule_setup
+    frame, dual, hier, spec, c = molecule_setup
     cert = mo.validate_molecule(c * frame.columns, hier, "synthesis",
-                                "classical", params022, spec, M=M)
+                                params022, spec)
     assert cert.passed
     assert cert.factorization_residual <= 1e-9
-    raw = mo.validate_molecule(dual.columns, hier, "analysis", "classical",
-                               params022, spec, M=M)
+    raw = mo.validate_molecule(dual.columns, hier, "analysis", params022,
+                               spec)
     ca = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
     anal = mo.validate_molecule(ca * dual.columns, hier, "analysis",
-                                "classical", params022, spec, M=M)
+                                params022, spec)
     assert anal.passed
 
 
 def test_constants_scale_exactly(molecule_setup, params022):
-    frame, _, hier, spec, M, c = molecule_setup
-    c1 = mo.validate_molecule(frame.columns, hier, "synthesis", "classical",
-                              params022, spec, M=M)
+    frame, _, hier, spec, c = molecule_setup
+    c1 = mo.validate_molecule(frame.columns, hier, "synthesis", params022,
+                              spec)
     c2 = mo.validate_molecule(5.0 * frame.columns, hier, "synthesis",
-                              "classical", params022, spec, M=M)
+                              params022, spec)
     for key in c1.constants:
         assert abs(c2.constants[key] - 5.0 * c1.constants[key]) \
             <= 1e-9 * max(c2.constants[key], 1e-300)
 
 
 def test_oversized_family_fails_budget(molecule_setup, params022):
-    frame, _, hier, spec, M, c = molecule_setup
+    frame, _, hier, spec, c = molecule_setup
     cert = mo.validate_molecule(10.0 * c * frame.columns, hier, "synthesis",
-                                "classical", params022, spec, M=M)
+                                params022, spec)
     assert not cert.passed
 
 
@@ -111,7 +97,7 @@ def test_molecule_certificate_analyses_the_family_once(molecule_setup,
                                                        monkeypatch):
     # one ladder of the family gives every power of L, the companion among
     # them; the factorization residual's round trip analyses the companion
-    frame, _, hier, spec, M, _ = molecule_setup
+    frame, _, hier, spec, _ = molecule_setup
     calls = []
     analyse = ca.SpectralData.coefficients
 
@@ -120,8 +106,8 @@ def test_molecule_certificate_analyses_the_family_once(molecule_setup,
         return analyse(self, f)
 
     monkeypatch.setattr(ca.SpectralData, "coefficients", counted)
-    cert = mo.validate_molecule(frame.columns, hier, "synthesis",
-                                "classical", params022, spec, M=M)
+    cert = mo.validate_molecule(frame.columns, hier, "synthesis", params022,
+                                spec)
     assert set(cert.constants) == {"size", "smoothness", "companion_size"}
     assert len(calls) <= 2
 
@@ -135,13 +121,11 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
     sl = hier.blocks[-hier.j_min]  # level 0
     fam[:, sl] = 1e-6
     zeros = np.zeros_like(fam)
-    hom = mo.validate_molecule(fam, hier, "synthesis", "classical",
-                               params022, spec, M=params022.J + 1.0,
+    hom = mo.validate_molecule(fam, hier, "synthesis", params022, spec,
                                companions=zeros)
     assert not hom.passed
     inh_hier = dataclasses.replace(hier, mode="inhomogeneous")
-    inh = mo.validate_molecule(fam, inh_hier, "synthesis", "classical",
-                               params022, spec, M=params022.J + 1.0,
+    inh = mo.validate_molecule(fam, inh_hier, "synthesis", params022, spec,
                                companions=zeros)
     assert inh.factorization_residual <= 1e-9
     assert inh.passed
@@ -152,7 +136,7 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
 
 
 def test_gram_certificate(molecule_setup, params022):
-    frame, dual, hier, spec, M, c = molecule_setup
+    frame, dual, hier, spec, c = molecule_setup
     A, cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
     # ||A||_delta cannot fall as delta grows, so delta = 1/8 gives the least c
@@ -173,7 +157,7 @@ def test_gram_certificate(molecule_setup, params022):
 
 
 def test_molecular_analysis_identity(molecule_setup, params022):
-    frame, dual, hier, spec, M, c = molecule_setup
+    frame, dual, hier, spec, c = molecule_setup
     psi = ca.make_cutoff("b", 2.0)
     f = spec.project_mean_zero(np.cos(np.arange(64.0) / 3.0))
     coeffs, rep = mo.molecular_analysis(f, dual.columns, frame, dual,
@@ -185,7 +169,7 @@ def test_molecular_analysis_identity(molecule_setup, params022):
 
 def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
                                                        params022):
-    frame, dual, hier, spec, M, c = molecule_setup
+    frame, dual, hier, spec, c = molecule_setup
     psi = ca.make_cutoff("b", 2.0)
     F = np.random.default_rng(9).standard_normal((64, 5))
     F[:, 2] = 0.0
@@ -206,7 +190,7 @@ def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
 
 
 def test_molecular_round_trip(molecule_setup, params022):
-    frame, dual, hier, spec, M, c = molecule_setup
+    frame, dual, hier, spec, c = molecule_setup
     psi = ca.make_cutoff("b", 2.0)
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -220,7 +204,7 @@ def test_molecular_round_trip(molecule_setup, params022):
 
 
 def test_synthesis_rejects_wrong_length(molecule_setup, params022, Phi):
-    frame, _, hier, spec, M, c = molecule_setup
+    frame, _, hier, spec, c = molecule_setup
     with pytest.raises(ValueError):
         mo.molecular_synthesis(np.zeros(3), frame.columns, hier, params022,
                                spec, Phi)
