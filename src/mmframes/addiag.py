@@ -46,7 +46,7 @@ def _log_table(hier, scale, shift=None):
     """
     ell, pts = hier.xi_ell, hier.xi_point
     le = np.log(ell)
-    T = hier.space.dist[np.ix_(pts, pts)]
+    T = hier.space.dist.take(pts, 0).take(pts, 1)
     for sl in hier.blocks:
         t = T[sl]
         t /= np.maximum(ell[sl.start], ell)
@@ -92,18 +92,26 @@ def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
                   - _head(ell[k], bv[k], params))
 
 
-def _max_ratio(entries, log_w, hier: NetHierarchy) -> float:
-    """max |a| / omega = exp(max(log|a| - log omega)) for a log omega table,
-    a row level at a time through one buffer.  A zero entry has
-    log 0 = -inf and adds nothing, so an all-zero table gives 0."""
+def _row_levels(hier: NetHierarchy, left, right):
+    """(sl, left[sl] @ right) for each row level sl: the m x m table
+    left @ right a row level at a time, in one reused buffer, never whole.
+    The slab's rows are the full product's rows bit for bit."""
     m = hier.size
-    if entries.shape != (m, m):
+    if left.shape[0] != m or right.shape[1] != m:
         raise ValueError("entry table does not match the hierarchy")
     blocks = hier.blocks
     buf = np.empty((max(sl.stop - sl.start for sl in blocks), m))
-    best = -np.inf
     for sl in blocks:
-        X = np.abs(entries[sl], out=buf[:sl.stop - sl.start])
+        yield sl, np.matmul(left[sl], right, out=buf[:sl.stop - sl.start])
+
+
+def _max_ratio(left, right, log_w, hier: NetHierarchy) -> float:
+    """max |a| / omega = exp(max(log|a| - log omega)) for a = left @ right
+    and a log omega table, a row level at a time.  A zero entry has
+    log 0 = -inf and adds nothing, so an all-zero table gives 0."""
+    best = -np.inf
+    for sl, X in _row_levels(hier, left, right):
+        np.abs(X, out=X)
         with np.errstate(divide="ignore"):
             np.log(X, out=X)
         X -= log_w[sl]
@@ -111,23 +119,37 @@ def _max_ratio(entries, log_w, hier: NetHierarchy) -> float:
     return float(np.exp(best))
 
 
-def ad_norm(hier: NetHierarchy, params: SpaceParams, A,
+def max_abs(hier: NetHierarchy, left, right, C=None):
+    """(max |A|, max |A - C|) for A = left @ right, a row level at a time;
+    C = None reads as 0."""
+    a_max = d_max = 0.0
+    for sl, X in _row_levels(hier, left, right):
+        a_max = max(a_max, X.max(), -X.min())
+        if C is not None:
+            X -= C[sl]
+        d_max = max(d_max, np.abs(X, out=X).max())
+    return float(a_max), float(d_max)
+
+
+def ad_norm(hier: NetHierarchy, params: SpaceParams, left, right,
             delta: float) -> float:
-    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta) for an
-    m x m table A."""
-    return _max_ratio(A, _log_omega(hier, delta, delta, params), hier)
+    """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta) for the
+    m x m table A = left @ right, formed a row level at a time; a dense A
+    is passed as (A, np.eye(m))."""
+    return _max_ratio(left, right, _log_omega(hier, delta, delta, params),
+                      hier)
 
 
-def boundedness_probe(hier: NetHierarchy, params: SpaceParams, A,
+def boundedness_probe(hier: NetHierarchy, params: SpaceParams, left, right,
                       delta: float, battery) -> dict:
-    """Measured boundedness ratio max ||A h|| / (||A||_delta ||h||) of an
-    m x m table A over a battery of sequences (one per row), for each of
+    """Measured boundedness ratio max ||A h|| / (||A||_delta ||h||) of
+    A = left @ right over a battery of sequences (one per row), for each of
     the four sequence-space flavors; sequences of norm 0 are left out."""
-    nrm = ad_norm(hier, params, A, delta)
+    nrm = ad_norm(hier, params, left, right, delta)
     if nrm == 0:
         return {"b": 0.0, "b~": 0.0, "f": 0.0, "f~": 0.0, "ad_norm": 0.0}
     H = np.asarray(battery, dtype=float).T
-    AH = A @ H
+    AH = left @ (right @ H)
     out = {"ad_norm": nrm}
     for key, family, flavor in (("b", "besov", "classical"),
                                 ("b~", "besov", "tilde"),
@@ -178,19 +200,19 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     E1 = np.array([E[g1] for g1, _ in pairs])
     E2 = np.array([E[g2] for _, g2 in pairs])
     Emin = np.array([E[min(p)] for p in pairs])
-    L, m = len(blocks), hier.size
-    buf = np.empty(max(L * (m - sl.start) * (sl.stop - sl.start)
-                       for sl in blocks))
+    L = len(blocks)
+    widths = [sl.stop - sl.start for sl in blocks]
+    buf = np.empty(L * max(widths) ** 2)
     best = [(-np.inf, None)] * len(pairs)
     for j, rj in enumerate(blocks):
-        mj = rj.stop - rj.start
-        # Pt[l] stacks K[q, l] @ K[l, j] for every column level q >= j
-        Pt = buf[:L * (m - rj.start) * mj].reshape(L, m - rj.start, mj)
-        for l, rl in enumerate(blocks):
-            np.matmul(K[rj.start:, rl], K[rl, rj], out=Pt[l])
+        mj = widths[j]
         for q in range(j, L):
             rq = blocks[q]
-            P = Pt[:, rq.start - rj.start:rq.stop - rj.start].reshape(L, -1)
+            # P[l] holds K[q, l] @ K[l, j], one (q, j) block at a time
+            P = buf[:L * widths[q] * mj].reshape(L, widths[q], mj)
+            for l, rl in enumerate(blocks):
+                np.matmul(K[rq, rl], K[rl, rj], out=P[l])
+            P = P.reshape(L, -1)
             Kqj = K[rq, rj].reshape(-1)
             # block (q, j) reads P as it is, block (j, q) as its transpose
             for r, c in ((q, j), (j, q))[:1 + (q > j)]:
@@ -209,9 +231,9 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
                    cstar: float):
     """(I - D)^{-1} - I for D = left @ right (a dense D is passed as (D, I)),
     as C = left (I - G)^{-1} right with G = right @ left (push-through), the
-    series summed on G; each power D^{n+1} = left G^n right is formed in one
-    m x m array, and its decay certified in the eps1-weighted norm, eps1 =
-    epsilon/2 with epsilon = NEUMANN_EPSILON.  The inverse is I + C; C is
+    series summed on G; each power D^{n+1} = left G^n right is formed a row
+    level at a time, and its decay certified in the eps1-weighted norm, eps1
+    = epsilon/2 with epsilon = NEUMANN_EPSILON.  The inverse is I + C; C is
     returned without I, so its small entries do not round at 1.  The
     report's residual is the larger of |(I - D)(I + C) - I| and
     |(I + C)(I - D) - I| over max|D| (0 when D is 0): C = 0 reads 1.
@@ -225,28 +247,22 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     ||D^n||_{eps1} <= delta_hat^n c*^(n-1) decays only while it is below
     1, so geometric_decay_ok is false when it is not.
     """
-    power = left @ right
-    delta_hat = ad_norm(hier, params, power, NEUMANN_EPSILON)
-    d_max = float(np.abs(power).max())
+    delta_hat = ad_norm(hier, params, left, right, NEUMANN_EPSILON)
+    d_max = max_abs(hier, left, right)[0]
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
     log_w = _log_omega(hier, eps1, eps1, params)
-    term_ad_norms = [_max_ratio(power, log_w, hier)]
+    term_ad_norms = [_max_ratio(left, right, log_w, hier)]
     core, terms, _ = neumann_series(
         right @ left, lambda g: term_ad_norms.append(_max_ratio(
-            np.matmul(left @ g, right, out=power), log_w, hier)))
-    del log_w, power
+            left @ g, right, log_w, hier)))
+    del log_w
     C = (left @ core) @ right
-
-    def defect(P):
-        # |(I - D)(I + C) - I| = |DC + D - C| = |P - C| for P = D (I + C),
-        # one P at a time; or (I + C) D
-        P -= C
-        return float(np.abs(P, out=P).max())
-
-    resid = max(defect(left @ (right + right @ C)),
-                defect((left + C @ left) @ right))
+    # |(I - D)(I + C) - I| = |DC + D - C| = |left (right + right C) - C|,
+    # and |(I + C)(I - D) - I| = |(left + C left) right - C|
+    resid = max(max_abs(hier, left, right + right @ C, C)[1],
+                max_abs(hier, left + C @ left, right, C)[1])
     resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar

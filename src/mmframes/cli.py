@@ -365,20 +365,17 @@ def _suite_omega(ctx):
                                         "monotone": mono_ok}
 
 
-def _multiplier_matrix(ctx, values):
-    # the frames' A_m = psi~^T M m(sqrt(L)) psi = U diag(m) V, from m's values
-    U, V = ctx.get("factors")
-    return (U * values) @ V
-
-
 @_suite("thm6.2-boundedness", "Thm 6.2", "almost-diagonal boundedness probe",
         after=("lemma4.1-sampling",))
 def _suite_ad_boundedness(ctx):
-    # A_m of 1/(1 + lambda) on the battery's coefficients; the probe's
-    # ratios are taken against ||A_m||_1/2, so A_m's scale drops out
-    A = _multiplier_matrix(ctx, 1.0 / (1.0 + ctx.get("spec").eigenvalues))
+    # A_m = U diag(m) V of m = 1/(1 + lambda) on the battery's
+    # coefficients; the probe's ratios are taken against ||A_m||_1/2, so
+    # A_m's scale drops out
+    U, V = ctx.get("factors")
+    m = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
     H = ctx.get("dual").analyze(ctx.get("battery").T).T
-    out = ad.boundedness_probe(ctx.get("hier"), ctx.get("params"), A, 0.5, H)
+    out = ad.boundedness_probe(ctx.get("hier"), ctx.get("params"), U * m, V,
+                               0.5, H)
     return "record", {k.replace("~", "t"): v for k, v in out.items()}
 
 
@@ -413,15 +410,13 @@ def _suite_neumann(ctx):
     # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V
     U, V = ctx.get("factors")
     cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
-    cm /= 2.0 * cstar * ad.ad_norm(hier, params, _multiplier_matrix(ctx, cm),
+    cm /= 2.0 * cstar * ad.ad_norm(hier, params, U * cm, V,
                                    ad.NEUMANN_EPSILON)
     C, rep = ad.neumann_invert(hier, params, U * cm, V, cstar)
     # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, taken
     # relative to its own max, so a zero C reads 1
-    X = _multiplier_matrix(ctx, cm / (1.0 - cm))
-    x_max = max(X.max(), -X.min())
-    X -= C
-    closed = float(np.abs(X, out=X).max() / x_max)
+    x_max, err = ad.max_abs(hier, U * (cm / (1.0 - cm)), V, C)
+    closed = err / x_max
     ok = max(rep["residual"], closed) <= 1e-9 and rep["geometric_decay_ok"]
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
@@ -503,8 +498,8 @@ def _suite_molecule_constants(ctx):
         after=("lemma4.1-sampling",))
 def _suite_gram(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
-    A, cert = mo.gram(ctx.get("frame").columns, ctx.get("dual").columns,
-                      hier, params)
+    cert = mo.gram(ctx.get("frame").columns, ctx.get("dual").columns, hier,
+                   params)
     ok = bool(cert["passed"]) and cert["c"] > 0
     return ("pass" if ok else "fail"), {"delta": cert["delta"],
                                         "c": cert["c"]}
@@ -561,8 +556,8 @@ def _suite_atoms(ctx):
 def _suite_multiplier(ctx):
     spec, params = ctx.get("spec"), ctx.get("params")
     sym = mx.check_mihlin("rational", 4, params, spec, b=ctx.cfg["b"])
-    am_norm = ad.ad_norm(ctx.get("hier"), params,
-                         _multiplier_matrix(ctx, spec.symbol(sym)), 0.5)
+    U, V = ctx.get("factors")
+    am_norm = ad.ad_norm(ctx.get("hier"), params, U * spec.symbol(sym), V, 0.5)
     F = ctx.get("battery").T
     try:
         mx.apply_multiplier(sym, F, ctx.get("frame"), ctx.get("dual"), spec)

@@ -297,16 +297,14 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     """
     hier = frame1.hierarchy
     mu = hier.space.mu
-    Q = dual.columns
-    Dm = Q.T @ (mu[:, None] * (frame1.columns - compact.columns))
-    delta_hat = addiag.ad_norm(hier, params, Dm, addiag.NEUMANN_EPSILON)
-    del Dm
+    Q, P = dual.columns, frame1.columns - compact.columns
+    delta_hat = addiag.ad_norm(hier, params, Q.T, mu[:, None] * P,
+                               addiag.NEUMANN_EPSILON)
     if delta_hat >= addiag.NEUMANN_THRESHOLD:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{delta_hat:.3g} >= threshold")
-    QP = Q @ (frame1.columns - compact.columns).T
-    G = np.linalg.solve(np.eye(len(mu)) - QP * mu[None, :], Q)
+    G = np.linalg.solve(np.eye(len(mu)) - (Q @ P.T) * mu[None, :], Q)
     X = (Q @ frame1.columns.T) * mu[None, :]
     return Frame(hierarchy=hier, columns=X @ G), delta_hat
 

@@ -196,14 +196,14 @@ def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
 
     Reports the least c with |a_{xi,eta}| <= c omega_{xi,eta}(delta) at
     delta = 1/8: ||A||_delta cannot fall as delta grows, since log omega(delta)
-    = log omega(0) - delta (G + |lam|) with G + |lam| >= 0.  Returns
-    (A, certificate dict).
+    = log omega(0) - delta (G + |lam|) with G + |lam| >= 0.  Returns the
+    certificate dict; A = ma^T M ms is formed a row level at a time, never
+    whole.
     """
     ms = _as_columns(synth_family, hier)
     ma = _as_columns(anal_family, hier)
-    A = ma.T @ (hier.space.mu[:, None] * ms)
-    c = addiag.ad_norm(hier, params, A, 0.125)
-    return A, {"delta": 0.125, "c": c, "passed": np.isfinite(c)}
+    c = addiag.ad_norm(hier, params, ma.T, hier.space.mu[:, None] * ms, 0.125)
+    return {"delta": 0.125, "c": c, "passed": np.isfinite(c)}
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,10 @@ def test_criterion_09_boundedness_probe(hierarchies, params022):
     for name in ("C_64", "C_128"):
         hier, _ = hierarchies[name]
         W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-        assert abs(ad.ad_norm(hier, params022, W, 0.5) - 1.0) < 1e-12
+        I = np.eye(hier.size)
+        assert abs(ad.ad_norm(hier, params022, W, I, 0.5) - 1.0) < 1e-12
         battery = rng.standard_normal((100, hier.size))
-        rep = ad.boundedness_probe(hier, params022, W, 0.5, battery)
+        rep = ad.boundedness_probe(hier, params022, W, I, 0.5, battery)
         vals = [rep[k] for k in ("b", "b~", "f", "f~")]
         assert all(np.isfinite(v) and v > 0 for v in vals)
         ratios[name] = max(vals)
@@ -182,7 +183,7 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
         assert mo.validate_molecule(c * cols, hier, flavor, params022,
                                     spec).passed
-    _, cert = mo.gram(frame.columns, dual.columns, hier, params022)
+    cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
     assert cert["delta"] > 0 and np.isfinite(cert["c"])
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmframes import addiag as ad
+from mmframes import calculus as ca, frames as fr, space as sp
 from mmframes import seqspace as sq
 
 
@@ -92,21 +94,24 @@ def test_ad_norm_shape_check(hierarchies, params022):
     for shape in ((m + 1, m + 1), (m, 1)):
         with pytest.raises(ValueError,
                            match="entry table does not match the hierarchy"):
-            ad.ad_norm(hier, params022, np.ones(shape), 0.5)
+            ad.ad_norm(hier, params022, np.ones(shape),
+                       np.eye(shape[1]), 0.5)
 
 
 def test_ad_norm_scales_linearly(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     E = np.random.default_rng(3).standard_normal((hier.size, hier.size))
-    na = ad.ad_norm(hier, params022, E, 0.5)
-    nb = ad.ad_norm(hier, params022, 3.0 * E, 0.5)
+    I = np.eye(hier.size)
+    na = ad.ad_norm(hier, params022, E, I, 0.5)
+    nb = ad.ad_norm(hier, params022, 3.0 * E, I, 0.5)
     assert abs(nb - 3.0 * na) <= 1e-9 * nb
 
 
 def test_ad_norm_of_scaled_omega_is_scale(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
-    assert abs(ad.ad_norm(hier, params022, 0.3 * W, 0.5) - 0.3) < 1e-12
+    assert abs(ad.ad_norm(hier, params022, 0.3 * W, np.eye(hier.size), 0.5)
+               - 0.3) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +214,71 @@ def test_ad_norm_matches_the_literal_ratio(model, flavor, hierarchies,
     E = ad.omega2_matrix(hier, 1.0, 1.0, prm) \
         * rng.uniform(-1, 1, (hier.size,) * 2)
     E[rng.random(E.shape) < 0.2] = 0.0
+    I = np.eye(hier.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for d in (0.125, 0.25, 0.5, 1.0, 2.0):
-            nrm = ad.ad_norm(hier, prm, E, d)
+            nrm = ad.ad_norm(hier, prm, E, I, d)
             assert type(nrm) is float
             W = ad.omega2_matrix(hier, d, d, prm)
             assert np.all(np.diag(W) == 1.0)
             assert abs(nrm / (np.abs(E) / W).max() - 1.0) <= 1e-13
         # an all-zero matrix has norm 0, and log 0 warns of nothing
-        assert ad.ad_norm(hier, prm, np.zeros_like(E), 0.5) == 0.0
+        assert ad.ad_norm(hier, prm, np.zeros_like(E), I, 0.5) == 0.0
+
+
+def _frame_factors(spec, frame, dual):
+    """(U diag(m), V) of the frames' A_m = psi~^T M m(sqrt(L)) psi at
+    m(sqrt(lambda)) = 1/(1 + lambda), U = psi~^T M E and V = E^T M psi."""
+    U, V = spec.coefficients(dual.columns).T, spec.coefficients(frame.columns)
+    return U * (1.0 / (1.0 + spec.eigenvalues)), V
+
+
+@pytest.mark.parametrize("model", ["C_64", "T_16x16"])
+def test_factored_ad_norm_equals_the_formed_table(model, spectra, hierarchies,
+                                                  frame_sets, params022):
+    # each row level's slab left[sl] @ right is the formed table's rows bit
+    # for bit, so the norm from the factors is the dense norm exactly
+    if model == "T_16x16":
+        spec = ca.eigendecompose(sp.build_model(model))
+        hier = fr.build_standard_hierarchy(spec)[0]
+        frame, dual = (fr.build_frame1(spec, hier),
+                       fr.build_dual_frame(spec, hier)[0])
+    else:
+        spec, (hier, _) = spectra[model], hierarchies[model]
+        frame, dual, _ = frame_sets[model]
+    left, right = _frame_factors(spec, frame, dual)
+    A, I = left @ right, np.eye(hier.size)
+    for d in (0.125, 0.5, 1.0):
+        assert ad.ad_norm(hier, params022, left, right, d) \
+            == ad.ad_norm(hier, params022, A, I, d)
+
+
+def _traced_peak(fn):
+    """The peak traced allocation while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_factored_norms_hold_no_formed_product(spectra, hierarchies,
+                                               frame_sets, params022):
+    # C_128 (m = 736, n = 128): ad_norm holds its one log omega table and a
+    # row level, never the formed m x m product beside it; neumann_invert
+    # holds about two m x m tables, C included
+    spec, (hier, _) = spectra["C_128"], hierarchies["C_128"]
+    frame, dual, _ = frame_sets["C_128"]
+    left, right = _frame_factors(spec, frame, dual)
+    table = 8.0 * hier.size ** 2
+    assert _traced_peak(lambda: ad.ad_norm(
+        hier, params022, left, right, 1.0)) < 1.75 * table
+    cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
+    left /= 2.0 * cstar * ad.ad_norm(hier, params022, left, right, 1.0)
+    assert _traced_peak(lambda: ad.neumann_invert(
+        hier, params022, left, right, cstar)) < 2.1 * table
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +290,8 @@ def test_boundedness_probe_all_flavors(hierarchies, params022):
     W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
     rng = np.random.default_rng(6)
     battery = rng.standard_normal((100, hier.size))
-    rep = ad.boundedness_probe(hier, params022, 0.5 * W, 0.5, battery)
+    rep = ad.boundedness_probe(hier, params022, 0.5 * W, np.eye(hier.size),
+                               0.5, battery)
     for key in ("b", "b~", "f", "f~"):
         assert 0 < rep[key] < np.inf
 
@@ -242,8 +303,9 @@ def test_boundedness_probe_matches_per_vector_loop(hierarchies, params022):
     A = W * rng.uniform(-1, 1, W.shape)
     battery = rng.standard_normal((100, hier.size))
     battery[3] = 0.0
-    rep = ad.boundedness_probe(hier, params022, A, 0.5, battery)
-    nrm = ad.ad_norm(hier, params022, A, 0.5)
+    I = np.eye(hier.size)
+    rep = ad.boundedness_probe(hier, params022, A, I, 0.5, battery)
+    nrm = ad.ad_norm(hier, params022, A, I, 0.5)
     AH = A @ battery.T
     for key, family, flavor in (("b", "besov", "classical"),
                                 ("b~", "besov", "tilde"),
@@ -274,7 +336,8 @@ def test_boundedness_probe_stable_under_refinement(hierarchies, params022):
         hier, _ = hierarchies[name]
         W = ad.omega2_matrix(hier, 0.5, 0.5, params022)
         battery = rng.standard_normal((100, hier.size))
-        rep = ad.boundedness_probe(hier, params022, 0.5 * W, 0.5, battery)
+        rep = ad.boundedness_probe(hier, params022, 0.5 * W,
+                                   np.eye(hier.size), 0.5, battery)
         worst[name] = max(rep[k] for k in ("b", "b~", "f", "f~"))
     assert worst["C_128"] <= 2.0 * worst["C_64"]
 
@@ -319,7 +382,7 @@ def test_neumann_certificate_needs_dhat_cstar_below_one(model, scale, delta,
         # random signs, rescaled to delta_hat = 1.5 / c* (c* = 22.4), so
         # that delta_hat c* >= 1 is forced whatever c* the model measures
         E *= np.random.default_rng(0).uniform(-1, 1, E.shape)
-        E *= 1.5 / (cstar * ad.ad_norm(hier, prm, E, 1.0))
+        E *= 1.5 / (cstar * ad.ad_norm(hier, prm, E, np.eye(hier.size), 1.0))
     _, rep = ad.neumann_invert(hier, prm, E, np.eye(hier.size), cstar)
     assert rep["residual"] <= 1e-9 and rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] >= 1
@@ -333,7 +396,8 @@ def test_neumann_rejects_large_perturbation(hierarchies, params022):
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     with pytest.raises(ad.NeumannPreconditionError) as err:
         ad.neumann_invert(hier, params022, D, np.eye(hier.size), cstar)
-    assert err.value.delta_hat == ad.ad_norm(hier, params022, D, 1.0) >= 0.5
+    assert err.value.delta_hat == ad.ad_norm(hier, params022, D,
+                                             np.eye(hier.size), 1.0) >= 0.5
 
 
 def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):
@@ -348,7 +412,7 @@ def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):
     U, V = spec.coefficients(dual.columns).T, spec.coefficients(frame.columns)
     m = 1.0 / (1.0 + spec.eigenvalues)
     cstar = ad.lemma64_grid(hier, prm, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    c = 1.0 / (2.0 * cstar * ad.ad_norm(hier, prm, (U * m) @ V, 1.0))
+    c = 1.0 / (2.0 * cstar * ad.ad_norm(hier, prm, U * m, V, 1.0))
     return hier, prm, U, V, c * m, cstar
 
 
@@ -372,7 +436,7 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
         assert len(rep["term_ad_norms"]) == rep["terms"] >= 2
         power = D
         for got in rep["term_ad_norms"]:
-            want = ad.ad_norm(hier, prm, power, 0.5)
+            want = ad.ad_norm(hier, prm, power, I, 0.5)
             assert abs(got / want - 1.0) <= 1e-12
             power = power @ D
 

@@ -605,8 +605,8 @@ def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):
 def test_neumann_suites_peak_memory():
     # thm6.3-neumann, thm6.7-compact-dual and lemma6.4-W-bound, each run
     # alone on a C_64 context whose frames, frame factors and beta = 1/2
-    # grid are built, allocate at most 3.0, 2.5 and 3.0 m x m float64
-    # tables at their peak
+    # grid are built, allocate at most 2.0, 2.0 and 2.25 m x m float64
+    # tables at their peak: no weighted norm forms its table whole
     import tracemalloc
     # numpy imports np.random on its first use; import it here, so that
     # the peak is the suites' own tables whichever tests ran before
@@ -616,9 +616,9 @@ def test_neumann_suites_peak_memory():
                  "lemma64_half"):
         ctx.get(name)
     table = ctx.get("hier").size ** 2 * 8
-    for suite, bound in (("thm6.3-neumann", 3.0),
-                         ("thm6.7-compact-dual", 2.5),
-                         ("lemma6.4-W-bound", 3.0)):
+    for suite, bound in (("thm6.3-neumann", 2.0),
+                         ("thm6.7-compact-dual", 2.0),
+                         ("lemma6.4-W-bound", 2.25)):
         tracemalloc.start()
         try:
             status, _ = cli.SUITES[suite][2](ctx)

@@ -137,16 +137,19 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
 
 def test_gram_certificate(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
-    A, cert = mo.gram(frame.columns, dual.columns, hier, params022)
+    cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
-    # ||A||_delta cannot fall as delta grows, so delta = 1/8 gives the least c
+    # A = psi~^T M psi, certified from its factors; ||A||_delta cannot fall
+    # as delta grows, so delta = 1/8 gives the least c
+    mu = hier.space.mu
+    left, right = dual.columns.T, mu[:, None] * frame.columns
     assert cert["delta"] == 0.125 \
-        and cert["c"] == ad.ad_norm(hier, params022, A, 0.125)
-    norms = [ad.ad_norm(hier, params022, A, d)
+        and cert["c"] == ad.ad_norm(hier, params022, left, right, 0.125)
+    norms = [ad.ad_norm(hier, params022, left, right, d)
              for d in (0.125, 0.25, 0.5, 1.0, 2.0)]
     assert all(a <= b for a, b in zip(norms, norms[1:]))
     # entrywise Cauchy-Schwarz sanity
-    mu = hier.space.mu
+    A = left @ right
     ns = np.sqrt(np.sum(mu[:, None] * frame.columns**2, axis=0))
     na = np.sqrt(np.sum(mu[:, None] * dual.columns**2, axis=0))
     assert np.all(np.abs(A) <= np.outer(na, ns) + 1e-12)
