@@ -12,6 +12,7 @@ from mmframes.seqspace import SpaceParams, seq_norm
 
 NEUMANN_EPSILON = 1.0    # neumann_invert's decay epsilon; eps1 = epsilon/2
 NEUMANN_THRESHOLD = 0.5  # neumann_invert needs ||D||_epsilon below this
+_RATIO_CHUNK = 8192      # columns per lemma64_grid ratio chunk
 
 
 class NeumannPreconditionError(RuntimeError):
@@ -41,19 +42,26 @@ def _log_table(hier, scale, shift=None):
     """scale G + shift(lam) for every ordered pair (xi, eta), with
     G = log1p(rho / max(l_xi, l_eta)) and lam = log l_xi - log l_eta.
 
-    Built in place in the one gathered rho table, a row level at a time: l
-    is constant on the row level, so max(l_xi, l_eta) and lam are rows.
+    l falls by level, so max(l_xi, l_eta) = l_k on column level k against
+    row levels >= k and on row level k against column levels > k; those
+    blocks are gathered from one n x n table scale log1p(rho / l_k).
     """
-    ell, pts = hier.xi_ell, hier.xi_point
+    ell, pts, blocks = hier.xi_ell, hier.xi_point, hier.blocks
     le = np.log(ell)
-    T = hier.space.dist.take(pts, 0).take(pts, 1)
-    for sl in hier.blocks:
-        t = T[sl]
-        t /= np.maximum(ell[sl.start], ell)
-        np.log1p(t, out=t)
-        t *= scale
-        if shift is not None:
-            t += shift(le[sl.start] - le)
+    T, S = np.empty((hier.size, hier.size)), np.empty(hier.space.dist.shape)
+    for k, rk in enumerate(blocks):
+        np.divide(hier.space.dist, ell[rk.start], out=S)
+        np.log1p(S, out=S)
+        S *= scale
+        X = S.take(pts[rk], 1)
+        for r in blocks[k:]:
+            X.take(pts[r], 0, out=T[r, rk])
+        X = S.take(pts[rk], 0)
+        for c in blocks[k + 1:]:
+            X.take(pts[c], 1, out=T[rk, c])
+    if shift is not None:
+        for sl in blocks:
+            T[sl] += shift(le[sl.start] - le)
     return T
 
 
@@ -105,18 +113,19 @@ def _row_levels(hier: NetHierarchy, left, right):
         yield sl, np.matmul(left[sl], right, out=buf[:sl.stop - sl.start])
 
 
-def _max_ratio(left, right, log_w, hier: NetHierarchy) -> float:
-    """max |a| / omega = exp(max(log|a| - log omega)) for a = left @ right
-    and a log omega table, a row level at a time.  A zero entry has
-    log 0 = -inf and adds nothing, so an all-zero table gives 0."""
-    best = -np.inf
+def _max_ratio(left, right, log_w, hier: NetHierarchy) -> tuple:
+    """(max |a| / omega, max |a|) for a = left @ right and a log omega table,
+    a row level at a time; the ratio is exp(max(log|a| - log omega)).  A
+    zero entry has log 0 = -inf, so an all-zero table gives (0, 0)."""
+    best, a_max = -np.inf, 0.0
     for sl, X in _row_levels(hier, left, right):
         np.abs(X, out=X)
+        a_max = max(a_max, X.max())
         with np.errstate(divide="ignore"):
             np.log(X, out=X)
         X -= log_w[sl]
         best = np.maximum(best, X.max())
-    return float(np.exp(best))
+    return float(np.exp(best)), float(a_max)
 
 
 def max_abs(hier: NetHierarchy, left, right, C=None):
@@ -137,7 +146,7 @@ def ad_norm(hier: NetHierarchy, params: SpaceParams, left, right,
     m x m table A = left @ right, formed a row level at a time; a dense A
     is passed as (A, np.eye(m))."""
     return _max_ratio(left, right, _log_omega(hier, delta, delta, params),
-                      hier)
+                      hier)[0]
 
 
 def boundedness_probe(hier: NetHierarchy, params: SpaceParams, left, right,
@@ -200,9 +209,10 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     E1 = np.array([E[g1] for g1, _ in pairs])
     E2 = np.array([E[g2] for _, g2 in pairs])
     Emin = np.array([E[min(p)] for p in pairs])
-    L = len(blocks)
+    L, rows = len(blocks), np.arange(len(pairs))
     widths = [sl.stop - sl.start for sl in blocks]
     buf = np.empty(L * max(widths) ** 2)
+    rbuf = np.empty((len(pairs), min(_RATIO_CHUNK, max(widths) ** 2)))
     best = [(-np.inf, None)] * len(pairs)
     for j, rj in enumerate(blocks):
         mj = widths[j]
@@ -214,14 +224,23 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
                 np.matmul(K[rq, rl], K[rl, rj], out=P[l])
             P = P.reshape(L, -1)
             Kqj = K[rq, rj].reshape(-1)
-            # block (q, j) reads P as it is, block (j, q) as its transpose
+            # block (q, j) reads P as it is, block (j, q) as its transpose,
+            # in column chunks: argmax of the chunks' row maxima is the row's
             for r, c in ((q, j), (j, q))[:1 + (q > j)]:
-                R = (E1[:, r, :] * E2[:, :, c]) @ P
-                R /= Kqj
-                for p, a in enumerate(np.argmax(R, axis=1)):
-                    v = R[p, a] / Emin[p, r, c]
+                Wrc, tops, ats = E1[:, r, :] * E2[:, :, c], [], []
+                for s in range(0, len(Kqj), _RATIO_CHUNK):
+                    kc = Kqj[s:s + _RATIO_CHUNK]
+                    R = np.matmul(Wrc, P[:, s:s + len(kc)],
+                                  out=rbuf[:, :len(kc)])
+                    R /= kc
+                    a = np.argmax(R, axis=1)
+                    tops.append(R[rows, a])
+                    ats.append(a + s)
+                tops, ats = np.array(tops), np.array(ats)
+                for p, k in enumerate(np.argmax(tops, axis=0)):
+                    v = tops[k, p] / Emin[p, r, c]
                     if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
-                        aq, aj = divmod(int(a), mj)
+                        aq, aj = divmod(int(ats[k, p]), mj)
                         xi, eta = rq.start + aq, rj.start + aj
                         best[p] = (v, (xi, eta) if r == q else (eta, xi))
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
@@ -247,22 +266,21 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     ||D^n||_{eps1} <= delta_hat^n c*^(n-1) decays only while it is below
     1, so geometric_decay_ok is false when it is not.
     """
-    delta_hat = ad_norm(hier, params, left, right, NEUMANN_EPSILON)
-    d_max = max_abs(hier, left, right)[0]
+    delta_hat, d_max = _max_ratio(left, right, _log_omega(
+        hier, NEUMANN_EPSILON, NEUMANN_EPSILON, params), hier)
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
     log_w = _log_omega(hier, eps1, eps1, params)
-    term_ad_norms = [_max_ratio(left, right, log_w, hier)]
+    term_ad_norms = [_max_ratio(left, right, log_w, hier)[0]]
     core, terms, _ = neumann_series(
-        right @ left, lambda g: term_ad_norms.append(_max_ratio(
-            left @ g, right, log_w, hier)))
-    del log_w
-    C = (left @ core) @ right
-    # |(I - D)(I + C) - I| = |DC + D - C| = |left (right + right C) - C|,
-    # and |(I + C)(I - D) - I| = |(left + C left) right - C|
-    resid = max(max_abs(hier, left, right + right @ C, C)[1],
-                max_abs(hier, left + C @ left, right, C)[1])
+        G := right @ left, lambda g: term_ad_norms.append(_max_ratio(
+            left @ g, right, log_w, hier)[0]))
+    C = np.matmul(left @ core, right, out=log_w)  # log_w's table, reused
+    # |(I-D)(I+C) - I| = |left (right + G core right) - C| and
+    # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through
+    resid = max(max_abs(hier, left, right + (G @ core) @ right, C)[1],
+                max_abs(hier, left + left @ (core @ G), right, C)[1])
     resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar

@@ -194,6 +194,26 @@ def test_lemma64_grid_matches_dense_products(model, flavor, hierarchies,
             assert abs(R[res["argmax"]] / R.max() - 1.0) <= 1e-13
 
 
+@pytest.mark.parametrize("flavor", ["classical", "tilde"])
+@pytest.mark.parametrize("model", ["C_64", "P_64", "C_32~"])
+def test_lemma64_grid_chunks_are_invisible(model, flavor, monkeypatch,
+                                           hierarchies, p64_hierarchy,
+                                           skewed_hierarchy, params022):
+    # ratio chunks of 7 columns, narrower than any level block, give every
+    # max_ratio and argmax of the default chunk bit for bit
+    from mmframes.cli import _LEMMA64_GRID
+    hier = {"P_64": p64_hierarchy, "C_32~": skewed_hierarchy}.get(model) \
+        or hierarchies[model][0]
+    prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
+    betas, g1s, g2s = _LEMMA64_GRID
+    for beta in betas:
+        pairs = [(g1, g2) for g1 in g1s for g2 in g2s if beta < g1 + g2]
+        want = ad.lemma64_grid(hier, prm, beta, pairs)
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "_RATIO_CHUNK", 7)
+            assert ad.lemma64_grid(hier, prm, beta, pairs) == want
+
+
 @pytest.fixture(scope="module")
 def mu_hierarchy():
     # a ramp measure on a 9-cycle: ball volumes differ from point to point
@@ -225,6 +245,23 @@ def test_ad_norm_matches_the_literal_ratio(model, flavor, hierarchies,
             assert abs(nrm / (np.abs(E) / W).max() - 1.0) <= 1e-13
         # an all-zero matrix has norm 0, and log 0 warns of nothing
         assert ad.ad_norm(hier, prm, np.zeros_like(E), I, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("model", ["C_32~", "mu_9", "C_64 b=1.5"])
+def test_log_table_is_the_direct_formula(model, hierarchies, spectra,
+                                         skewed_hierarchy, mu_hierarchy):
+    # the level-scale gathers against scale log1p(rho / max(l, l')) taken
+    # on the whole gathered rho table, with and without the level term
+    hier = {"C_32~": skewed_hierarchy, "mu_9": mu_hierarchy}.get(model) \
+        or fr.build_standard_hierarchy(spectra["C_64"], b=1.5)[0]
+    ell, pts = hier.xi_ell, hier.xi_point
+    le = np.log(ell)
+    shift = lambda lam: ad._level_term(lam, 0.3, 1.7)  # noqa: E731
+    direct = -2.2 * np.log1p(hier.space.dist[np.ix_(pts, pts)]
+                             / np.maximum.outer(ell, ell))
+    assert np.array_equal(ad._log_table(hier, -2.2), direct)
+    assert np.array_equal(ad._log_table(hier, -2.2, shift),
+                          direct + shift(np.subtract.outer(le, le)))
 
 
 def _frame_factors(spec, frame, dual):
@@ -456,3 +493,34 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
     assert err <= np.finfo(float).eps
     assert err <= 1e-13 * np.abs(closed).max()
     assert abs(rep["dhat_cstar"] - 0.5) <= 1e-14 and rep["geometric_decay_ok"]
+
+
+def test_neumann_head_pass_and_pushed_through_defects(
+        spectra, hierarchies, frame_sets, profiles, monkeypatch):
+    # one pass over D's slabs takes delta_hat and max|D|, one more each
+    # power's eps1 norm, and one each of the two defects
+    hier, prm, U, V, cm, cstar = _resolvent_probe(
+        "C_64", spectra, hierarchies, frame_sets, profiles)
+    passes = []
+    row_levels = ad._row_levels
+
+    def counted(*args):
+        passes.append(1)
+        return row_levels(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "_row_levels", counted)
+        _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
+    assert len(passes) == len(rep["term_ad_norms"]) + 3
+    assert rep["residual"] <= 1e-13
+    # a wrong core makes a wrong C, and the defects pushed through the
+    # core still see it
+    series = ad.neumann_series
+
+    def wrong(step, on_term=None):
+        core, terms, tail = series(step, on_term)
+        return core + 1e-6 * np.eye(len(core)), terms, tail
+
+    monkeypatch.setattr(ad, "neumann_series", wrong)
+    _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
+    assert rep["residual"] > 1e-7
