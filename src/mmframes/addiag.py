@@ -38,6 +38,15 @@ def _head(ell, bvol, params):
     return (params.s / params.d + 0.5) * np.log(bvol)
 
 
+def _scaled_log1p(rho, ell, scale, out):
+    """scale log1p(rho / ell) entrywise: G's entries where the larger of the
+    two level scales is ell, times scale."""
+    out = np.divide(rho, ell, out=out)
+    np.log1p(out, out=out)
+    out *= scale
+    return out
+
+
 def _log_table(hier, scale, shift=None):
     """scale G + shift(lam) for every ordered pair (xi, eta), with
     G = log1p(rho / max(l_xi, l_eta)) and lam = log l_xi - log l_eta.
@@ -50,9 +59,7 @@ def _log_table(hier, scale, shift=None):
     le = np.log(ell)
     T, S = np.empty((hier.size, hier.size)), np.empty(hier.space.dist.shape)
     for k, rk in enumerate(blocks):
-        np.divide(hier.space.dist, ell[rk.start], out=S)
-        np.log1p(S, out=S)
-        S *= scale
+        _scaled_log1p(hier.space.dist, ell[rk.start], scale, out=S)
         X = S.take(pts[rk], 1)
         for r in blocks[k:]:
             X.take(pts[r], 0, out=T[r, rk])
@@ -188,8 +195,16 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     which is symmetric.  On level blocks, (W1 @ W2)[q, j] =
     sum_l E1[q,l] E2[l,j] K[q,l] @ K[l,j], so every pair shares the
     products K[q,l] @ K[l,j]; block (j, q) is block (q, j)'s products
-    transposed, so row level j takes them only for q >= j, half an m^3 in
-    all.
+    transposed, so only q >= j is formed, L^2 (L+1)/2 products.
+
+    K is never formed whole: K[q,l] = S_min(q,l)[X_q, X_l] with
+    S_k = exp(-(J+beta) log1p(rho / l_k)) on the n points and X_k level k's
+    centres, so a product depends on (q, l, j) only through the key
+    (min(q,l), min(l,j), X_q, X_l, X_j).  Levels with equal centres share
+    an id; each block S_k[X_r, X_c] is formed once, from rho[X_r, X_c], and
+    each key's product once, then freed after the last level pair (q, j)
+    that reads it.  The level pairs run in the order j, then q >= j, and
+    every product is the one formed from a dense K, bit for bit.
     """
     if not pairs:
         return []
@@ -200,49 +215,71 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
             raise ValueError("requires gamma1 != gamma2")
         if not (beta < gamma1 + gamma2):
             raise ValueError("requires beta < gamma1 + gamma2")
-    blocks = hier.blocks
+    blocks, pts = hier.blocks, [net.centers for net in hier.levels]
     lev = np.log([net.ell for net in hier.levels])
     lam = lev[:, None] - lev[None, :]
-    K = _log_table(hier, -(params.J + beta))
-    np.exp(K, out=K)
     E = {g: np.exp(_level_term(lam, g, params.J)) for p in pairs for g in p}
     E1 = np.array([E[g1] for g1, _ in pairs])
     E2 = np.array([E[g2] for _, g2 in pairs])
     Emin = np.array([E[min(p)] for p in pairs])
     L, rows = len(blocks), np.arange(len(pairs))
-    widths = [sl.stop - sl.start for sl in blocks]
-    buf = np.empty(L * max(widths) ** 2)
-    rbuf = np.empty((len(pairs), min(_RATIO_CHUNK, max(widths) ** 2)))
+    # levels with the same centres share one id, so their blocks do too
+    ids = [next(i for i in range(k + 1) if np.array_equal(pts[i], pts[k]))
+           for k in range(L)]
+    S = {}
+
+    def block(k, r, c):
+        """S_k[X_r, X_c], K's block (r, c) when min(r, c) = k"""
+        if (k, ids[r], ids[c]) not in S:
+            T = hier.space.dist[np.ix_(pts[r], pts[c])]
+            _scaled_log1p(T, hier.levels[k].ell, -(params.J + beta), out=T)
+            S[k, ids[r], ids[c]] = np.exp(T, out=T)
+        return S[k, ids[r], ids[c]]
+
+    order = [(q, j) for j in range(L) for q in range(j, L)]
+    keys = [[(min(q, l), min(l, j), ids[q], ids[l], ids[j]) for l in range(L)]
+            for q, j in order]
+    last = {k: t for t, ks in enumerate(keys) for k in ks}
+    prods = {}
+    width = max(sl.stop - sl.start for sl in blocks) ** 2
+    chunk = min(_RATIO_CHUNK, width)
+    cbuf, rbuf = np.empty((L, chunk)), np.empty((len(pairs), chunk))
+    tops = np.empty((2, -(-width // chunk), len(pairs)))
+    ats = np.empty(tops.shape, dtype=np.intp)
     best = [(-np.inf, None)] * len(pairs)
-    for j, rj in enumerate(blocks):
-        mj = widths[j]
-        for q in range(j, L):
-            rq = blocks[q]
-            # P[l] holds K[q, l] @ K[l, j], one (q, j) block at a time
-            P = buf[:L * widths[q] * mj].reshape(L, widths[q], mj)
-            for l, rl in enumerate(blocks):
-                np.matmul(K[rq, rl], K[rl, rj], out=P[l])
-            P = P.reshape(L, -1)
-            Kqj = K[rq, rj].reshape(-1)
-            # block (q, j) reads P as it is, block (j, q) as its transpose,
-            # in column chunks: argmax of the chunks' row maxima is the row's
-            for r, c in ((q, j), (j, q))[:1 + (q > j)]:
-                Wrc, tops, ats = E1[:, r, :] * E2[:, :, c], [], []
-                for s in range(0, len(Kqj), _RATIO_CHUNK):
-                    kc = Kqj[s:s + _RATIO_CHUNK]
-                    R = np.matmul(Wrc, P[:, s:s + len(kc)],
-                                  out=rbuf[:, :len(kc)])
-                    R /= kc
-                    a = np.argmax(R, axis=1)
-                    tops.append(R[rows, a])
-                    ats.append(a + s)
-                tops, ats = np.array(tops), np.array(ats)
-                for p, k in enumerate(np.argmax(tops, axis=0)):
-                    v = tops[k, p] / Emin[p, r, c]
-                    if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
-                        aq, aj = divmod(int(ats[k, p]), mj)
-                        xi, eta = rq.start + aq, rj.start + aj
-                        best[p] = (v, (xi, eta) if r == q else (eta, xi))
+    for t, ((q, j), ks) in enumerate(zip(order, keys)):
+        for l, k in enumerate(ks):
+            if k not in prods:
+                prods[k] = block(k[0], q, l) @ block(k[1], l, j)
+        P = [prods[k].reshape(-1) for k in ks]
+        Kqj = block(j, q, j).reshape(-1)
+        # block (q, j) reads the products as they are, block (j, q) as
+        # their transposes, in column chunks of their stack over l: the
+        # argmax of the chunks' row maxima is the row's
+        orient = ((q, j), (j, q))[:1 + (q > j)]
+        Wrc = [E1[:, r, :] * E2[:, :, c] for r, c in orient]
+        for ci, s in enumerate(range(0, len(Kqj), chunk)):
+            kc = Kqj[s:s + chunk]
+            Pc = cbuf[:, :len(kc)]
+            for l, f in enumerate(P):
+                Pc[l] = f[s:s + len(kc)]
+            for o, W in enumerate(Wrc):
+                R = np.matmul(W, Pc, out=rbuf[:, :len(kc)])
+                R /= kc
+                a = R.argmax(axis=1)
+                tops[o, ci] = R[rows, a]
+                ats[o, ci] = a + s
+        mj, nc = pts[j].size, ci + 1
+        for o, (r, c) in enumerate(orient):
+            for p, k in enumerate(tops[o, :nc].argmax(axis=0)):
+                v = tops[o, k, p] / Emin[p, r, c]
+                if v > best[p][0] or v != v:  # a NaN is kept, as argmax does
+                    aq, aj = divmod(int(ats[o, k, p]), mj)
+                    xi, eta = blocks[q].start + aq, blocks[j].start + aj
+                    best[p] = (v, (xi, eta) if r == q else (eta, xi))
+        for k in ks:
+            if last[k] == t:
+                prods.pop(k, None)
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 

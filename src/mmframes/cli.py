@@ -384,6 +384,7 @@ def _suite_ad_boundedness(ctx):
 # (betas, gamma1s, gamma2s) of the Lemma 6.4 grid; a combination with
 # beta >= gamma1 + gamma2 lies outside the lemma and is not measured
 _LEMMA64_GRID = ((0.25, 0.5, 1.0), (0.5, 1.0, 2.0), (0.6, 1.2, 2.4))
+_LEMMA64_SPOT = 4  # seeded pairs (xi, eta) per beta, besides the argmaxes
 
 
 def _lemma64_pairs(beta):
@@ -394,13 +395,33 @@ def _lemma64_pairs(beta):
 @_suite("lemma6.4-W-bound", "Lemma 6.4", "weight composition bound grid")
 def _suite_lemma64(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
-    ratios = []
+    rng = np.random.default_rng(int(ctx.cfg["seed"]))
+    theta = np.arange(hier.size)
+    ratios, spot_ok = [], True
     for beta in _LEMMA64_GRID[0]:  # beta = eps1's grid is shared with thm6.3
+        pairs = _lemma64_pairs(beta)
         grid = ctx.get("lemma64_half")[:-1] if beta == ad.NEUMANN_EPSILON / 2 \
-            else ad.lemma64_grid(hier, params, beta, _lemma64_pairs(beta))
-        ratios += [res["max_ratio"] for res in grid]
-    ok = bool(ratios) and bool(np.all(np.isfinite(ratios)))
-    return ("pass" if ok else "fail"), {"max_ratio": max(ratios, default=0.0)}
+            else ad.lemma64_grid(hier, params, beta, pairs)
+        # the ratio summed over theta from scratch, at every pair's argmax
+        # and at a seeded sample of (xi, eta): equal to max_ratio at its own
+        # argmax, and at most max_ratio everywhere
+        xi, eta = np.array([res["argmax"] for res in grid] + rng.integers(
+            0, hier.size, (_LEMMA64_SPOT, 2)).tolist()).T
+        g1s, g2s = (sorted({p[i] for p in pairs}) for i in (0, 1))
+        W1 = dict(zip(g1s, ad.omega2(hier, xi[:, None], theta, beta,
+                                     np.array(g1s)[:, None, None], params)))
+        W2 = dict(zip(g2s, ad.omega2(hier, theta, eta[:, None], beta,
+                                     np.array(g2s)[:, None, None], params)))
+        for p, ((g1, g2), res) in enumerate(zip(pairs, grid)):
+            r = res["max_ratio"]
+            w = (W1[g1] * W2[g2]).sum(axis=1) / ad.omega2(
+                hier, xi, eta, beta, min(g1, g2), params)
+            spot_ok &= bool(abs(w[p] - r) <= 1e-12 * r
+                            and np.all(w <= r * (1 + 1e-12)))
+            ratios.append(r)
+    ok = bool(ratios) and bool(np.all(np.isfinite(ratios))) and spot_ok
+    return ("pass" if ok else "fail"), {"max_ratio": max(ratios, default=0.0),
+                                        "spot_pairs": len(ratios)}
 
 
 @_suite("thm6.3-neumann", "Thm 6.3(ii)", "Neumann inversion with decay cert",

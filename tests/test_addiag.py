@@ -172,16 +172,35 @@ def skewed_hierarchy():
     return fr.build_standard_hierarchy(ca.eigendecompose(space))[0]
 
 
+@pytest.fixture(scope="module")
+def mu_hierarchy():
+    # a ramp measure on a 9-cycle: ball volumes differ from point to point
+    from mmframes import calculus as ca, frames as fr, space as sp
+    from test_space import MU_MODELS
+    return fr.build_standard_hierarchy(
+        ca.eigendecompose(sp.build_model(MU_MODELS[1])))[0]
+
+
+def _grid_hierarchy(model, hierarchies, p64_hierarchy, skewed_hierarchy,
+                    mu_hierarchy):
+    return {"P_64": p64_hierarchy, "C_32~": skewed_hierarchy,
+            "mu_9": mu_hierarchy}.get(model) or hierarchies[model][0]
+
+
+# T_8x8's levels all hold every point, so every level pair shares products
+_GRID_MODELS = ["C_64", "P_64", "C_32~", "T_8x8", "mu_9"]
+
+
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])
-@pytest.mark.parametrize("model", ["C_64", "P_64", "C_32~"])
+@pytest.mark.parametrize("model", _GRID_MODELS)
 def test_lemma64_grid_matches_dense_products(model, flavor, hierarchies,
                                              p64_hierarchy, skewed_hierarchy,
-                                             params022):
+                                             mu_hierarchy, params022):
     # the level-block grid against (W1 @ W2) / omega(beta, min gamma) built
     # densely, over the whole grid of the lemma6.4-W-bound suite
     from mmframes.cli import _LEMMA64_GRID
-    hier = {"P_64": p64_hierarchy, "C_32~": skewed_hierarchy}.get(model) \
-        or hierarchies[model][0]
+    hier = _grid_hierarchy(model, hierarchies, p64_hierarchy,
+                           skewed_hierarchy, mu_hierarchy)
     prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
     betas, g1s, g2s = _LEMMA64_GRID
     for beta in betas:
@@ -195,15 +214,16 @@ def test_lemma64_grid_matches_dense_products(model, flavor, hierarchies,
 
 
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])
-@pytest.mark.parametrize("model", ["C_64", "P_64", "C_32~"])
+@pytest.mark.parametrize("model", _GRID_MODELS)
 def test_lemma64_grid_chunks_are_invisible(model, flavor, monkeypatch,
                                            hierarchies, p64_hierarchy,
-                                           skewed_hierarchy, params022):
+                                           skewed_hierarchy, mu_hierarchy,
+                                           params022):
     # ratio chunks of 7 columns, narrower than any level block, give every
     # max_ratio and argmax of the default chunk bit for bit
     from mmframes.cli import _LEMMA64_GRID
-    hier = {"P_64": p64_hierarchy, "C_32~": skewed_hierarchy}.get(model) \
-        or hierarchies[model][0]
+    hier = _grid_hierarchy(model, hierarchies, p64_hierarchy,
+                           skewed_hierarchy, mu_hierarchy)
     prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
     betas, g1s, g2s = _LEMMA64_GRID
     for beta in betas:
@@ -214,13 +234,59 @@ def test_lemma64_grid_chunks_are_invisible(model, flavor, monkeypatch,
             assert ad.lemma64_grid(hier, prm, beta, pairs) == want
 
 
-@pytest.fixture(scope="module")
-def mu_hierarchy():
-    # a ramp measure on a 9-cycle: ball volumes differ from point to point
-    from mmframes import calculus as ca, frames as fr, space as sp
-    from test_space import MU_MODELS
-    return fr.build_standard_hierarchy(
-        ca.eigendecompose(sp.build_model(MU_MODELS[1])))[0]
+def _grid_reference(hier, params, beta, pairs):
+    """lemma64_grid's result from the dense K = exp(-(J+beta) G), with
+    every block product K[q,l] @ K[l,j] formed directly and each block's
+    ratios taken whole, in the grid's block, orientation and row order."""
+    K = np.exp(ad._log_table(hier, -(params.J + beta)))
+    lev = np.log([net.ell for net in hier.levels])
+    lam = lev[:, None] - lev[None, :]
+    E = {g: np.exp(ad._level_term(lam, g, params.J)) for p in pairs
+         for g in p}
+    E1, E2 = (np.array([E[p[i]] for p in pairs]) for i in (0, 1))
+    blocks, best = hier.blocks, [(-np.inf, None)] * len(pairs)
+    for j, rj in enumerate(blocks):
+        for q in range(j, len(blocks)):
+            rq = blocks[q]
+            P = np.array([(K[rq, rl] @ K[rl, rj]).ravel() for rl in blocks])
+            for r, c in ((q, j), (j, q))[:1 + (q > j)]:
+                R = (E1[:, r, :] * E2[:, :, c]) @ P / K[rq, rj].ravel()
+                for p, a in enumerate(np.argmax(R, axis=1)):
+                    v = R[p, a] / E[min(pairs[p])][r, c]
+                    if v > best[p][0] or v != v:
+                        aq, aj = divmod(int(a), rj.stop - rj.start)
+                        xi, eta = rq.start + aq, rj.start + aj
+                        best[p] = (v, (xi, eta) if r == q else (eta, xi))
+    return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
+
+
+@pytest.mark.parametrize("model", ["C_64", "C_128", "T_8x8"])
+def test_lemma64_grid_shared_products_are_the_direct_ones(model, hierarchies,
+                                                          params022):
+    # each distinct block product is formed once, from its K blocks, and
+    # read by every level pair with its key: every max_ratio and argmax
+    # equal those of the products formed one by one, bit for bit
+    from mmframes.cli import _LEMMA64_GRID, _lemma64_pairs
+    hier = hierarchies[model][0]
+    for beta in _LEMMA64_GRID[0]:
+        pairs = _lemma64_pairs(beta) + [(1.0, 0.5)]
+        assert ad.lemma64_grid(hier, params022, beta, pairs) \
+            == _grid_reference(hier, params022, beta, pairs)
+
+
+def test_lemma64_grid_holds_no_m_by_m_table(hierarchies, params022):
+    # C_128 (m = 736): the level-scale blocks, the live products and the
+    # ratio buffers stay below one m x m table
+    from mmframes.cli import _lemma64_pairs
+    import numpy.random  # noqa: F401  (numpy imports it on first use)
+    hier = hierarchies["C_128"][0]
+    tracemalloc.start()
+    try:
+        ad.lemma64_grid(hier, params022, 0.5, _lemma64_pairs(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hier.size ** 2 * 8, peak / (hier.size ** 2 * 8)
 
 
 @pytest.mark.parametrize("flavor", ["classical", "tilde"])

@@ -293,6 +293,27 @@ def test_lemma64_suite_fails_on_an_empty_sample(monkeypatch):
     assert cli._suite_lemma64(ctx)[0] == "fail"
 
 
+@pytest.mark.parametrize("mutation", ["none", "ratio", "transpose"])
+def test_lemma64_spot_check_can_fail(mutation, monkeypatch):
+    # the suite re-sums each pair's ratio over theta with omega2: a
+    # max_ratio 1e-9 off, or an argmax read transposed, fails it on C_64
+    grid = cli.ad.lemma64_grid
+
+    def mutated(hier, params, beta, pairs):
+        out = grid(hier, params, beta, pairs)
+        if mutation == "ratio":
+            return [dict(r, max_ratio=r["max_ratio"] * (1 + 1e-9))
+                    for r in out]
+        if mutation == "transpose":
+            return [dict(r, argmax=r["argmax"][::-1]) for r in out]
+        return out
+
+    monkeypatch.setattr(cli.ad, "lemma64_grid", mutated)
+    status, metrics = cli._suite_lemma64(cli.Context(dict(cli.DEFAULT_CONFIG)))
+    assert metrics["spot_pairs"] == 27
+    assert status == ("pass" if mutation == "none" else "fail")
+
+
 def test_net_count_suite_fails_on_a_nan_ratio(monkeypatch):
     # a NaN ratio is not at most 1, so lemma9.1 fails on it, also where the
     # largest ratio it reports is finite
@@ -607,7 +628,8 @@ def test_neumann_suites_peak_memory():
     # alone on a C_64 context whose frames, frame factors and beta = 1/2
     # grid are built, allocate at most 2.0 m x m float64 tables at their
     # peak: no weighted norm forms its table whole, and the grid holds its
-    # K table, one (q, j) block's products and one ratio chunk
+    # level-scale blocks, the block products still to be read and one
+    # ratio chunk
     import tracemalloc
     # numpy imports np.random on its first use; import it here, so that
     # the peak is the suites' own tables whichever tests ran before
