@@ -100,49 +100,94 @@ def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
     k; each of i, k, beta and gamma is a scalar or an array, and they
     broadcast together.  The same formula as omega2_matrix, pair by pair."""
     ell, bv, pts = hier.xi_ell, hier.xi_bvol, hier.xi_point
-    W = np.log1p(hier.space.dist[pts[i], pts[k]] / np.maximum(ell[i], ell[k]))
+    rho = hier.space.dist.take(pts[i] * hier.space.n + pts[k])  # flat gather
+    W = np.log1p(rho / np.maximum(ell[i], ell[k]))
     W = W * -(params.J + beta) + _level_term(np.log(ell[i]) - np.log(ell[k]),
                                              gamma, params.J)
     return np.exp(W + _head(ell[i], bv[i], params)
                   - _head(ell[k], bv[k], params))
 
 
-def _row_levels(hier: NetHierarchy, left, right):
-    """(sl, left[sl] @ right) for each row level sl: the m x m table
-    left @ right a row level at a time, in one reused buffer, never whole.
-    The slab's rows are the full product's rows bit for bit."""
+def _span(live):
+    """[lo, hi) from the first to the last True of live, or (0, 0)."""
+    idx = np.flatnonzero(live)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+def _level_spans(hier: NetHierarchy, left, right) -> list:
+    """(sl, sc, lo, hi) for the blocks of left @ right, row level sl by
+    column levels sc: left's nonzero column span on the row level met with
+    right's nonzero row span on the column level, each read once.  Outside
+    [lo, hi) one factor of every term is 0, so the block is
+    left[sl, lo:hi] @ right[lo:hi, sc], and exactly 0 when lo = hi = 0.
+    Neighbouring column levels with the same span share one block.
+
+    The frames' coefficient factors are exactly 0 off each level's band,
+    and eigenvalues ascend, so a level's span is its band's index range; a
+    dense factor spans everything, and its row levels are whole slabs."""
     m = hier.size
     if left.shape[0] != m or right.shape[1] != m:
         raise ValueError("entry table does not match the hierarchy")
     blocks = hier.blocks
-    buf = np.empty((max(sl.stop - sl.start for sl in blocks), m))
-    for sl in blocks:
-        yield sl, np.matmul(left[sl], right, out=buf[:sl.stop - sl.start])
+    cols = [_span(left[sl].any(axis=0)) for sl in blocks]
+    rows = [_span(right[:, sc].any(axis=1)) for sc in blocks]
+    out = []
+    for sl, (a, b) in zip(blocks, cols):
+        for sc, (c, d) in zip(blocks, rows):
+            span = (max(a, c), min(b, d)) if max(a, c) < min(b, d) else (0, 0)
+            if sc.start and out[-1][2:] == span:
+                sc = slice(out.pop()[1].start, sc.stop)
+            out.append((sl, sc) + span)
+    return out
+
+
+def _level_blocks(hier: NetHierarchy, left, right):
+    """(sl, sc, X) for each level block of left @ right (_level_spans): X
+    the block formed over its span in one reused buffer, or None for a
+    block that is exactly 0, which is not formed.  The m x m table is never
+    formed whole."""
+    spans = _level_spans(hier, left, right)
+    buf = np.empty(max(sl.stop - sl.start for sl in hier.blocks) * hier.size)
+    for sl, sc, lo, hi in spans:
+        if lo == hi:
+            yield sl, sc, None
+            continue
+        shape = (sl.stop - sl.start, sc.stop - sc.start)
+        X = buf[:shape[0] * shape[1]].reshape(shape)
+        yield sl, sc, np.matmul(left[sl, lo:hi], right[lo:hi, sc], out=X)
 
 
 def _max_ratio(left, right, log_w, hier: NetHierarchy) -> tuple:
     """(max |a| / omega, max |a|) for a = left @ right and a log omega table,
-    a row level at a time; the ratio is exp(max(log|a| - log omega)).  A
-    zero entry has log 0 = -inf, so an all-zero table gives (0, 0)."""
+    a level block at a time; the ratio is exp(max(log|a| - log omega)).  A
+    zero entry has log 0 = -inf, so a block that is exactly 0 is skipped,
+    and an all-zero table gives (0, 0)."""
     best, a_max = -np.inf, 0.0
-    for sl, X in _row_levels(hier, left, right):
-        np.abs(X, out=X)
-        a_max = max(a_max, X.max())
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for sl, sc, X in _level_blocks(hier, left, right):
+            if X is None:
+                continue
+            np.abs(X, out=X)
+            a_max = max(a_max, X.max())
             np.log(X, out=X)
-        X -= log_w[sl]
-        best = np.maximum(best, X.max())
+            X -= log_w[sl, sc]
+            best = np.maximum(best, X.max())
     return float(np.exp(best)), float(a_max)
 
 
 def max_abs(hier: NetHierarchy, left, right, C=None):
-    """(max |A|, max |A - C|) for A = left @ right, a row level at a time;
-    C = None reads as 0."""
+    """(max |A|, max |A - C|) for A = left @ right, a level block at a time;
+    C = None reads as 0, and on a block of A that is exactly 0, C is
+    compared alone."""
     a_max = d_max = 0.0
-    for sl, X in _row_levels(hier, left, right):
+    for sl, sc, X in _level_blocks(hier, left, right):
+        if X is None:
+            if C is not None:
+                d_max = max(d_max, C[sl, sc].max(), -C[sl, sc].min())
+            continue
         a_max = max(a_max, X.max(), -X.min())
         if C is not None:
-            X -= C[sl]
+            X -= C[sl, sc]
         d_max = max(d_max, np.abs(X, out=X).max())
     return float(a_max), float(d_max)
 
@@ -150,8 +195,9 @@ def max_abs(hier: NetHierarchy, left, right, C=None):
 def ad_norm(hier: NetHierarchy, params: SpaceParams, left, right,
             delta: float) -> float:
     """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta) for the
-    m x m table A = left @ right, formed a row level at a time; a dense A
-    is passed as (A, np.eye(m))."""
+    m x m table A = left @ right, formed a level block at a time over the
+    factors' spans (_level_spans); a dense A is passed as (A, np.eye(m)),
+    whose column levels span only themselves."""
     return _max_ratio(left, right, _log_omega(hier, delta, delta, params),
                       hier)[0]
 
@@ -287,8 +333,8 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
                    cstar: float):
     """(I - D)^{-1} - I for D = left @ right (a dense D is passed as (D, I)),
     as C = left (I - G)^{-1} right with G = right @ left (push-through), the
-    series summed on G; each power D^{n+1} = left G^n right is formed a row
-    level at a time, and its decay certified in the eps1-weighted norm, eps1
+    series summed on G; each power D^{n+1} = left G^n right is formed a level
+    block at a time, and its decay certified in the eps1-weighted norm, eps1
     = epsilon/2 with epsilon = NEUMANN_EPSILON.  The inverse is I + C; C is
     returned without I, so its small entries do not round at 1.  The
     report's residual is the larger of |(I - D)(I + C) - I| and
@@ -313,7 +359,11 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     core, terms, _ = neumann_series(
         G := right @ left, lambda g: term_ad_norms.append(_max_ratio(
             left @ g, right, log_w, hier)[0]))
-    C = np.matmul(left @ core, right, out=log_w)  # log_w's table, reused
+    # C = (left core) right in log_w's table, reused, over the same spans;
+    # an empty span writes 0
+    C, lc = log_w, left @ core
+    for sl, sc, lo, hi in _level_spans(hier, lc, right):
+        np.matmul(lc[sl, lo:hi], right[lo:hi, sc], out=C[sl, sc])
     # |(I-D)(I+C) - I| = |left (right + G core right) - C| and
     # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through
     resid = max(max_abs(hier, left, right + (G @ core) @ right, C)[1],

@@ -127,10 +127,18 @@ class Context:
                                      self.get("compact"), self.get("params"))
 
     def _build_factors(self):
-        # (U, V) = (psi~^T M E, E^T M psi): A_m = U diag(m(sqrt(lambda))) V
-        spec = self.get("spec")
-        return (spec.coefficients(self.get("dual").columns).T,
-                spec.coefficients(self.get("frame").columns))
+        # (U, V) = (psi~^T M E, E^T M psi): A_m = U diag(m(sqrt(lambda))) V.
+        # A level's elements have coefficients only where its band symbol
+        # is nonzero, g_j for the dual and Psi_j for the primal; elsewhere
+        # the measured coefficients are rounding noise, set to exactly 0
+        spec, hier = self.get("spec"), self.get("hier")
+        U = spec.coefficients(self.get("dual").columns).T
+        V = spec.coefficients(self.get("frame").columns)
+        for sl, psi, g in zip(hier.blocks, *(t.T for t in fr.level_bands(
+                spec, hier))):
+            U[sl, g == 0] = 0.0
+            V[psi == 0, sl] = 0.0
+        return U, V
 
     def _build_lemma64_half(self):
         # lemma6.4-W-bound's pairs at beta = eps1, then Thm 6.3(ii)'s c* pair

@@ -13,7 +13,6 @@ from mmframes.calculus import (
     SpectralData,
     eigendecompose,
     make_cutoff,
-    band_symbols,
     level_window,
     effective_support_radius,
     neumann_series,
@@ -51,12 +50,24 @@ class DualBuildReport:
     sampling_ratios: dict          # level -> (lower, upper) of the sampling form
 
 
+def level_bands(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
+    """(Psi, g): (n, L) tables, one column per level j, of the primal band
+    symbol Psi_j = Phi(b^{-j} .) - Phi(b^{1-j} .), nonzero on
+    (b^{j-1}, b^{j+1}), and the dual band symbol g_j = Phi(b^{-j-1} .) -
+    Phi(b^{2-j} .), 1 on the primal band and nonzero on (b^{j-2}, b^{j+2}),
+    both at sqrt(lambda) from one symbol call; Phi is the low-pass cutoff
+    at the hierarchy's base b.  Each is exactly 0 off its band."""
+    b = hierarchy.b
+    scales = np.array([b ** (-j) for j in range(hierarchy.j_min - 2,
+                                                hierarchy.j_max + 2)])
+    vals = spec.symbol(make_cutoff("a", b), scales)
+    return vals[:, 2:-1] - vals[:, 1:-2], vals[:, 3:] - vals[:, :-3]
+
+
 def build_frame1(spec: SpectralData, hierarchy: NetHierarchy) -> Frame:
-    """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with
-    Psi(u) = Phi(u) - Phi(b u) and Phi the low-pass cutoff at the
-    hierarchy's base b."""
-    psi = band_symbols(spec, make_cutoff("a", hierarchy.b),
-                       (hierarchy.j_min, hierarchy.j_max))
+    """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with Psi_j
+    the level's primal band symbol (level_bands)."""
+    psi = level_bands(spec, hierarchy)[0]
     cols = [spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
             for net, vals in zip(hierarchy.levels, psi.T)]
     return Frame(hierarchy=hierarchy, columns=np.hstack(cols))
@@ -103,9 +114,8 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
 def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     """Dual frame via the per-level correction operator.
 
-    Phi is the low-pass cutoff at the hierarchy's base b.  Per level j the
-    band symbol g(u) = Phi(b^{-2}u) - Phi(b u) scaled to level j equals 1
-    on the primal band and vanishes beyond b^{j+2}; with
+    Per level j the dual band symbol g = g_j (level_bands) equals 1 on the
+    primal band and vanishes beyond b^{j+2}; with
     sampling weights w_eta = |A_eta|/(1+eps_j) the operator R = g^2 - V
     (V the sampled quadrature of g^2) inverts the sampling defect through
     T = I + sum_k R^k, and the dual elements are
@@ -118,13 +128,11 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     of G in [1-eps_j, 1+eps_j], so ||K||_2 <= 2 eps_j/(1+eps_j) < 2/3 and
     the series converges whenever eps_j < 1/2.
     """
-    b = hierarchy.b
-    Phi = make_cutoff("a", b)
     cols = []
     ratios = {}
     worst_terms, worst_tail = 0, 0.0
 
-    for net in hierarchy.levels:
+    for net, g in zip(hierarchy.levels, level_bands(spec, hierarchy)[1].T):
         j = net.level
         sel, X, G = _sampling_gram(spec, hierarchy, j)
         w = np.linalg.eigvalsh(G)
@@ -133,9 +141,7 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
         if eps >= 0.5:
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={eps}")
 
-        # scale so the plateau [1, b^2] covers the primal band [b^{j-1}, b^{j+1}]
-        g = (spec.symbol(Phi, b ** (-j - 1))
-             - spec.symbol(Phi, b ** (-j + 2)))[sel]
+        g = g[sel]
         K = np.diag(g**2) - np.outer(g, g) * G / (1.0 + eps)
         T, terms, tail = neumann_series(K)
         worst_terms = max(worst_terms, terms)
@@ -249,9 +255,8 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     returns (Frame, {level: CompactLevel}).
 
     p_j is the least-degree lambda q_j(lambda) within COMPACT_SUP_ERR of the
-    band symbol Psi_j(lambda) = Psi(b^{-j} sqrt(lambda)) on the spectrum
-    (_level_polynomial), Psi(u) = Phi(u) - Phi(b u) with Phi the low-pass
-    cutoff at the hierarchy's base b.  L has the graph's sparsity, so the
+    level's primal band symbol Psi_j (level_bands) on the spectrum
+    (_level_polynomial).  L has the graph's sparsity, so the
     kernel of a degree-k polynomial in L vanishes beyond k edges, that is
     beyond k e in rho: an exact finite speed.  A level that no degree with
     k e below the diameter fits keeps Psi_j, so its block is build_frame1's.
@@ -267,7 +272,7 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     # the heaviest edge continues into a longer path
     vander = chebvander(2.0 * lam / lam[-1] - 1.0,
                         int(np.ceil(space.diameter / edge)) - 2)
-    psi = band_symbols(spec, Phi, (hierarchy.j_min, hierarchy.j_max))
+    psi = level_bands(spec, hierarchy)[0]
     cols = []
     levels = {}
     for net, vals in zip(hierarchy.levels, psi.T):

@@ -197,7 +197,7 @@ def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
     Reports the least c with |a_{xi,eta}| <= c omega_{xi,eta}(delta) at
     delta = 1/8: ||A||_delta cannot fall as delta grows, since log omega(delta)
     = log omega(0) - delta (G + |lam|) with G + |lam| >= 0.  Returns the
-    certificate dict; A = ma^T M ms is formed a row level at a time, never
+    certificate dict; A = ma^T M ms is formed a level block at a time, never
     whole.
     """
     ms = _as_columns(synth_family, hier)

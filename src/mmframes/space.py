@@ -259,7 +259,9 @@ def measure_doubling(space: ModelSpace) -> DoublingProfile:
 
     Scans every point and every distinct positive distance value (plus the
     half values, where open balls change).  Radii with 2r beyond the
-    diameter are excluded and flagged as truncation.
+    diameter are excluded and flagged as truncation.  Each point's distance
+    row is sorted once: |B(x, r)| is the cumulative mu along it up to the
+    last distance below r.
     """
     diam = space.diameter
     vals = np.unique(space.dist[space.dist > 0])
@@ -268,13 +270,16 @@ def measure_doubling(space: ModelSpace) -> DoublingProfile:
     radii = radii[2 * radii <= diam]
     if radii.size == 0:
         raise ValueError("no admissible radii")
-    c0, c2 = 1.0, np.inf
-    for r in radii:
-        v1 = ball_volumes(space, r)
-        v2 = ball_volumes(space, 2 * r)
-        ratios = v2 / v1
-        c0 = max(c0, float(ratios.max()))
-        c2 = min(c2, float(ratios.min()))
+    order = np.argsort(space.dist, axis=1)
+    rows = np.take_along_axis(space.dist, order, axis=1)
+    vols = np.cumsum(space.mu[order], axis=1)
+    c0, c2, k = 1.0, np.inf, radii.size
+    both = np.concatenate([radii, 2 * radii])
+    for row, vol in zip(rows, vols):
+        # the last entry below r and below 2r; rho(x, x) = 0 < r
+        v = vol[np.searchsorted(row, both) - 1]
+        ratios = v[k:] / v[:k]
+        c0, c2 = max(c0, float(ratios.max())), min(c2, float(ratios.min()))
     return DoublingProfile(c0=c0, d=float(np.log2(c0)), c2=c2,
                            dstar=float(np.log2(c2)), truncated=truncated)
 

@@ -340,8 +340,9 @@ def _frame_factors(spec, frame, dual):
 @pytest.mark.parametrize("model", ["C_64", "T_16x16"])
 def test_factored_ad_norm_equals_the_formed_table(model, spectra, hierarchies,
                                                   frame_sets, params022):
-    # each row level's slab left[sl] @ right is the formed table's rows bit
-    # for bit, so the norm from the factors is the dense norm exactly
+    # dense factors span every level, so each block left[sl] @ right[:, sc]
+    # is the formed table's block bit for bit, and the norm from the
+    # factors is the dense norm exactly
     if model == "T_16x16":
         spec = ca.eigendecompose(sp.build_model(model))
         hier = fr.build_standard_hierarchy(spec)[0]
@@ -370,7 +371,7 @@ def _traced_peak(fn):
 def test_factored_norms_hold_no_formed_product(spectra, hierarchies,
                                                frame_sets, params022):
     # C_128 (m = 736, n = 128): ad_norm holds its one log omega table and a
-    # row level, never the formed m x m product beside it; neumann_invert
+    # level block, never the formed m x m product beside it; neumann_invert
     # holds about two m x m tables, C included
     spec, (hier, _) = spectra["C_128"], hierarchies["C_128"]
     frame, dual, _ = frame_sets["C_128"]
@@ -563,19 +564,19 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
 
 def test_neumann_head_pass_and_pushed_through_defects(
         spectra, hierarchies, frame_sets, profiles, monkeypatch):
-    # one pass over D's slabs takes delta_hat and max|D|, one more each
-    # power's eps1 norm, and one each of the two defects
+    # one pass over D's level blocks takes delta_hat and max|D|, one more
+    # each power's eps1 norm, and one each of the two defects
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         "C_64", spectra, hierarchies, frame_sets, profiles)
     passes = []
-    row_levels = ad._row_levels
+    level_blocks = ad._level_blocks
 
     def counted(*args):
         passes.append(1)
-        return row_levels(*args)
+        return level_blocks(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(ad, "_row_levels", counted)
+        mp.setattr(ad, "_level_blocks", counted)
         _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     assert len(passes) == len(rep["term_ad_norms"]) + 3
     assert rep["residual"] <= 1e-13
@@ -590,3 +591,99 @@ def test_neumann_head_pass_and_pushed_through_defects(
     monkeypatch.setattr(ad, "neumann_series", wrong)
     _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     assert rep["residual"] > 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the frame factors on their spectral bands
+
+
+@pytest.fixture(scope="module")
+def band_contexts(skewed_hierarchy):
+    """Run contexts on C_64, C_32~, mu_9 and T_8x8 with the frame factors
+    (U, V) built: A_m = U diag(m) V, U = psi~^T M E, V = E^T M psi."""
+    from mmframes import cli
+    from test_space import MU_MODELS
+    out = {}
+    for name, model in (("C_64", "C_64"), ("C_32~", "C_32"),
+                        ("mu_9", MU_MODELS[1]), ("T_8x8", "T_8x8")):
+        ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model=model))
+        if name == "C_32~":
+            ctx._cache["space"] = skewed_hierarchy.space
+        ctx.get("factors")
+        out[name] = ctx
+    return out
+
+
+@pytest.mark.parametrize("model", ["C_64", "C_32~", "mu_9", "T_8x8"])
+def test_factors_zero_only_rounding_noise(model, band_contexts):
+    # the factors are the measured coefficients, set to exactly 0 where the
+    # level's band symbol is 0, and there the measured value is noise
+    ctx = band_contexts[model]
+    spec = ctx.get("spec")
+    U, V = ctx.get("factors")
+    measured = (spec.coefficients(ctx.get("dual").columns).T,
+                spec.coefficients(ctx.get("frame").columns))
+    for table, raw in zip((U, V), measured):
+        zeroed = (table == 0) & (raw != 0)
+        assert zeroed.any()
+        assert np.array_equal(table[~zeroed], raw[~zeroed])
+        assert np.abs(raw[zeroed]).max() <= 1e-13 * np.abs(raw).max()
+
+
+def _dense_blocks(hier, left, right):
+    """left @ right from _level_blocks, with the blocks it skips as 0."""
+    A = np.full((hier.size, hier.size), np.nan)
+    for sl, sc, X in ad._level_blocks(hier, left, right):
+        A[sl, sc] = 0.0 if X is None else X
+    return A
+
+
+@pytest.mark.parametrize("model", ["C_64", "T_8x8", "mu_9"])
+def test_level_blocks_are_the_dense_product(model, band_contexts):
+    # each block is formed over the span where both factors are nonzero,
+    # and equals the dense product of the same factors bit for bit; a
+    # column level whose factor is all 0 forms no block and reads 0
+    ctx = band_contexts[model]
+    hier = ctx.get("hier")
+    U, V = ctx.get("factors")
+    left = U * (1.0 / (1.0 + ctx.get("spec").eigenvalues))
+    spans = ad._level_spans(hier, left, V)
+    assert any(lo == hi for *_, lo, hi in spans)
+    assert any(0 < hi - lo < len(V) for *_, lo, hi in spans)
+    assert np.array_equal(_dense_blocks(hier, left, V), left @ V)
+    right = V.copy()
+    right[:, hier.blocks[-2]] = 0.0
+    assert all(lo == hi for sl, sc, lo, hi in ad._level_spans(
+        hier, left, right) if sc.start <= hier.blocks[-2].start < sc.stop)
+    A = _dense_blocks(hier, left, right)
+    assert np.array_equal(A, left @ right)
+    assert not A[:, hier.blocks[-2]].any()
+    # the norms read the same blocks: equal to those of the dense table,
+    # and max_abs compares C on the blocks it does not form
+    C = A + 1e-3
+    C[:, hier.blocks[-2]] += 1.0
+    I = np.eye(hier.size)
+    for r in (V, right):
+        assert ad.max_abs(hier, left, r, C) == ad.max_abs(hier, left @ r, I, C)
+        assert ad.ad_norm(hier, ctx.get("params"), left, r, 0.5) \
+            == ad.ad_norm(hier, ctx.get("params"), left @ r, I, 0.5)
+
+
+def test_compact_dual_on_c64_forms_no_block(band_contexts, monkeypatch):
+    # C_64 has no polynomial level, so psi - theta is exactly 0 and the
+    # compact dual's ||D||_eps reads 0 without forming any block
+    ctx = band_contexts["C_64"]
+    assert not any(lv.degree for lv in ctx.get("compact_supports").values())
+    formed = []
+    level_blocks = ad._level_blocks
+
+    def recorded(*args):
+        for block in level_blocks(*args):
+            formed.append(block[2] is not None)
+            yield block
+
+    monkeypatch.setattr(ad, "_level_blocks", recorded)
+    _, delta_hat = fr.build_compact_dual(ctx.get("frame"), ctx.get("dual"),
+                                         ctx.get("compact"),
+                                         ctx.get("params"))
+    assert delta_hat == 0.0 and formed and not any(formed)

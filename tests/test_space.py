@@ -100,6 +100,27 @@ def test_doubling_radii_exclude_degenerate_doubles(models):
     assert prof.truncated
 
 
+_WEIGHTED_TREE = {"kind": "tree", "n": 6,
+                  "edges": [[0, 1, 1.0], [1, 2, 0.7], [1, 3, 2.5],
+                            [3, 4, 0.3], [3, 5, 1.1]]}
+
+
+@pytest.mark.parametrize("desc", ["C_64", "P_64", "T_8x8", _WEIGHTED_TREE]
+                         + MU_MODELS, ids=str)
+def test_doubling_profile_is_the_ball_volume_scan(desc):
+    # the sorted distance rows with cumulative mu give every ratio
+    # |B(x, 2r)| / |B(x, r)| of the scan over (rho < r) @ mu at each radius,
+    # so c0 and c2 are the scan's bit for bit
+    m = sp.build_model(desc)
+    vals = np.unique(m.dist[m.dist > 0])
+    radii = np.unique(np.concatenate([vals, vals / 2.0]))
+    radii = radii[2 * radii <= m.diameter]
+    ratios = np.array([sp.ball_volumes(m, 2 * r) / sp.ball_volumes(m, r)
+                       for r in radii])
+    prof = sp.measure_doubling(m)
+    assert (prof.c0, prof.c2) == (max(1.0, ratios.max()), ratios.min())
+
+
 def test_net_invariants_brute_force(models, hierarchies):
     for name in ("C_32", "C_64", "T_8x8"):
         hier, _ = hierarchies[name]
