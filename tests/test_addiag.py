@@ -687,3 +687,22 @@ def test_compact_dual_on_c64_forms_no_block(band_contexts, monkeypatch):
                                          ctx.get("compact"),
                                          ctx.get("params"))
     assert delta_hat == 0.0 and formed and not any(formed)
+
+
+def test_neumann_writes_zero_on_blocks_it_does_not_form(band_contexts):
+    # with an all-zero column level in right, that level's blocks of C have
+    # an empty span: they read exactly 0, not the reused log omega table,
+    # and C is the dense inverse's
+    ctx = band_contexts["C_64"]
+    hier, prm = ctx.get("hier"), ctx.get("params")
+    U, V = ctx.get("factors")
+    right = V.copy()
+    right[:, hier.blocks[-2]] = 0.0
+    cstar = ctx.get("lemma64_half")[-1]["max_ratio"]
+    left = U * (1.0 / (1.0 + ctx.get("spec").eigenvalues))
+    left /= 2.0 * cstar * ad.ad_norm(hier, prm, left, right, 1.0)
+    C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
+    I = np.eye(hier.size)
+    assert not C[:, hier.blocks[-2]].any()
+    assert np.abs(I + C - np.linalg.inv(I - left @ right)).max() <= 1e-12
+    assert rep["residual"] <= 1e-13 and rep["geometric_decay_ok"]
