@@ -108,10 +108,11 @@ def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
                   - _head(ell[k], bv[k], params))
 
 
-def _span(live):
-    """[lo, hi) from the first to the last True of live, or (0, 0)."""
-    idx = np.flatnonzero(live)
-    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+def column_spans(hier: NetHierarchy, table) -> list:
+    """[lo, hi) from the first to the last nonzero row of table on each
+    column level, or (0, 0) on a level that is all 0."""
+    rows = [np.flatnonzero(table[:, sc].any(axis=1)) for sc in hier.blocks]
+    return [(int(r[0]), int(r[-1]) + 1) if r.size else (0, 0) for r in rows]
 
 
 def _level_spans(hier: NetHierarchy, left, right) -> list:
@@ -128,12 +129,9 @@ def _level_spans(hier: NetHierarchy, left, right) -> list:
     m = hier.size
     if left.shape[0] != m or right.shape[1] != m:
         raise ValueError("entry table does not match the hierarchy")
-    blocks = hier.blocks
-    cols = [_span(left[sl].any(axis=0)) for sl in blocks]
-    rows = [_span(right[:, sc].any(axis=1)) for sc in blocks]
-    out = []
-    for sl, (a, b) in zip(blocks, cols):
-        for sc, (c, d) in zip(blocks, rows):
+    rows, out = column_spans(hier, right), []
+    for sl, (a, b) in zip(hier.blocks, column_spans(hier, left.T)):
+        for sc, (c, d) in zip(hier.blocks, rows):
             span = (max(a, c), min(b, d)) if max(a, c) < min(b, d) else (0, 0)
             if sc.start and out[-1][2:] == span:
                 sc = slice(out.pop()[1].start, sc.stop)

@@ -509,19 +509,18 @@ def _suite_compact_dual(ctx):
 @_suite("lemma7.2-molecules", "Lemma 7.2", "scaled frames are molecules",
         after=("lemma4.1-sampling",))
 def _suite_molecule_constants(ctx):
-    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
-    out = {}
-    ok = True
-    for name, cols in (("psi", ctx.get("frame").columns),
-                       ("psit", ctx.get("dual").columns)):
-        for flavor in ("synthesis", "analysis"):
-            cert = mo.validate_molecule(cols, hier, flavor, params, spec)
+    # psi from V and psi~ from U^T, each exactly 0 off every level's band
+    U, V = ctx.get("factors")
+    families = mo.validate_molecule(
+        [(V, ctx.get("frame").columns), (U.T, ctx.get("dual").columns)],
+        ctx.get("hier"), ctx.get("params"), ctx.get("spec"))
+    out, ok = {}, True
+    for name, certs in zip(("psi", "psit"), families):
+        for flavor, cert in certs.items():
             # back off the exact budget boundary by a relative epsilon
             cstar = mo.scaling_for_budget(cert) * (1.0 - 1e-9)
-            scaled = mo.validate_molecule(cols * cstar, hier, flavor, params,
-                                          spec)
             out[f"{name}_{flavor}_cstar"] = cstar
-            ok = ok and scaled.passed and np.isfinite(cstar)
+            ok = ok and cert.scaled(cstar).passed and np.isfinite(cstar)
     return ("pass" if ok else "fail"), out
 
 
@@ -633,11 +632,11 @@ def _suite_inhomogeneous(ctx):
                                             gamma=ctx.cfg["gamma"],
                                             mode="inhomogeneous")
     ok = hier.j_min >= 0 and max(eps.values()) < 0.5
-    params = ctx.get("params")
-    frame = fr.build_frame1(spec, hier)
-    cert = mo.validate_molecule(frame.columns, hier, "synthesis", params,
-                                spec)
-    ok = ok and np.isfinite(max(cert.constants.values()))
+    cols = fr.build_frame1(spec, hier).columns
+    certs = mo.validate_molecule([(spec.coefficients(cols), cols)], hier,
+                                 ctx.get("params"), spec)[0]
+    ok = ok and all(np.isfinite(max(cert.constants.values()))
+                    for cert in certs.values())
     return ("pass" if ok else "fail"), {"j_min": hier.j_min,
                                         "eps_max": max(eps.values())}
 

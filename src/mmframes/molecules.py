@@ -8,7 +8,7 @@ smallest constant making each bound hold, exhaustively over all centers
 and points; atoms additionally carry a compact-support certificate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,12 +37,6 @@ class MoleculeOrders:
     N: int
     M_threshold: float
     smoothness_cap: float        # largest s for which cancellation applies
-
-    def __post_init__(self):
-        if self.K is not None and self.K < 0:
-            raise ValueError("negative order K")
-        if self.N is not None and self.N < 0:
-            raise ValueError("negative order N")
 
 
 def compute_orders(params: SpaceParams) -> MoleculeOrders:
@@ -77,12 +71,29 @@ def compute_orders(params: SpaceParams) -> MoleculeOrders:
 
 @dataclass(frozen=True)
 class MoleculeCertificate:
+    """One flavour's constants for one family; the factorization residual
+    is factorization_defect = max |L^K h - cols| over max(1, max |cols|)."""
     flavor: str            # synthesis | analysis
     orders: MoleculeOrders
     M: float
     constants: dict
-    passed: bool
-    factorization_residual: float
+    factorization_defect: float
+    column_max: float      # max |cols|
+
+    @property
+    def factorization_residual(self) -> float:
+        return self.factorization_defect / max(1.0, self.column_max)
+
+    @property
+    def passed(self) -> bool:
+        return all(c <= 1.0 for c in self.constants.values()) and \
+            self.factorization_residual <= 1e-9
+
+    def scaled(self, c: float):
+        """The certificate of the family times c > 0."""
+        return replace(self, column_max=c * self.column_max,
+                       factorization_defect=c * self.factorization_defect,
+                       constants={k: c * v for k, v in self.constants.items()})
 
 
 def _as_columns(family, hier: NetHierarchy) -> np.ndarray:
@@ -92,92 +103,82 @@ def _as_columns(family, hier: NetHierarchy) -> np.ndarray:
     return cols
 
 
-def _envelope(hier: NetHierarchy, decay: float) -> np.ndarray:
-    """(n, size) table of |B_xi|^{-1/2} (1 + rho(x,xi)/l(xi))^{-decay}."""
-    rho = hier.space.dist[:, hier.xi_point]
-    ell = hier.xi_ell[None, :]
-    return hier.xi_bvol[None, :] ** -0.5 * (1.0 + rho / ell) ** (-decay)
+def _column_max(X, env) -> np.ndarray:
+    """max over x (the first axis) of |X| / env."""
+    return (np.abs(X) / env).max(axis=0, initial=0.0)
 
 
-def _worst(ladder: dict, powers, ell2, env, mask=slice(None)) -> float:
-    """Largest |L^mu cols| l(xi)^(2 mu) / env over mu in powers and the
-    centers in mask, reading L^mu cols from ladder[mu]; 0 on no centers."""
-    return max(float((np.abs(ladder[mu][:, mask]) * ell2[:, mask] ** mu
-                      / env[:, mask]).max(initial=0.0)) for mu in powers)
+def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
+                      spec: SpectralData) -> list:
+    """{flavor: MoleculeCertificate}, synthesis and analysis, per family
+    (coeffs, cols): an (n, m) column table and its coefficient table in the
+    eigenbasis, spec.coefficients(cols) or the frames' band tables.  One
+    passes when no constant exceeds 1 and the factorization residual is at
+    most 1e-9; M = M_threshold + 1/2 (M + d for analysis) in params.flavor.
 
-
-def _factorization_residual(rebuilt, cols, mask) -> float:
-    """|L^K h - cols| over the centers in mask, relative to max(1, |cols|),
-    for rebuilt = L^K h."""
-    scale = max(1.0, np.abs(cols).max())
-    return float(np.abs(rebuilt - cols)[:, mask].max(initial=0.0) / scale)
-
-
-def validate_molecule(family, hier: NetHierarchy, flavor: str,
-                      params: SpaceParams, spec: SpectralData,
-                      companions=None) -> MoleculeCertificate:
-    """Smallest constants making the molecule bounds hold for the family,
-    which passes when none exceeds 1.
-
-    flavor selects synthesis or analysis conditions; params.flavor selects
-    the classical or tilde order rules, and the decay rate M is half above
-    their threshold, M_threshold + 1/2.  Cancellation companions default
-    to spectral negative powers of L applied to the family (requires
-    mean-zero columns); pass companions explicitly for adversarial tests.
-    On an inhomogeneous hierarchy the cancellation condition is skipped
-    for centers at level 0.
-    """
-    if flavor not in ("synthesis", "analysis"):
-        raise ValueError("flavor must be synthesis or analysis")
+    One ladder per family serves both flavours: L^mu cols, mu = -max(K, N)
+    .. max(K, N), synthesises lambda^mu coeffs (0 on the nullspace) a level
+    at a time over its span of coeffs (addiag.column_spans); rung 0 is cols
+    itself.  Each (rung, flavour) reduces to the column maxima of |L^mu
+    cols| / envelope, times l(xi)^(2 mu); each constant is a maximum of
+    those.  The defect reads L^K h as coeffs synthesised off the nullspace;
+    an inhomogeneous hierarchy waives it and cancellation at level 0."""
     orders = compute_orders(params)
     M = orders.M_threshold + 0.5
-    cols = _as_columns(family, hier)
-    s = params.s
-    decay = M if flavor == "synthesis" else M + params.d
-    env = _envelope(hier, decay)
-    ell2 = hier.xi_ell[None, :] ** 2
+    # powers[flavor][constant] = (lowest, highest) mu, a void one left out.
+    # Synthesis: smoothness through L^N when s >= 0 (from mu = 1 in the
+    # classical flavour), cancellation through L^-K when s is below the cap
+    # (and s >= 0 in the tilde flavour, to mu = -1 in the classical one);
+    # analysis: smoothness through L^K and cancellation through L^-N
+    c, K, N = int(orders.flavor == "classical"), orders.K, orders.N
+    canc = None if not c and params.s < 0 else K
+    powers = {flavor: {name: mus for name, mus in conds.items()
+                       if None not in mus} for flavor, conds in (
+        ("synthesis", {"size": (0, 0), "smoothness": (c, N),
+                       "companion_size": (canc and -canc, -c)}),
+        ("analysis", {"size": (0, 0), "smoothness": (0, K),
+                      "companion_size": (N and -N, 0)}))}
+    depth = max(K or 0, N or 0)
+    mus = np.arange(-depth, depth + 1)
+    lam, E, dist = spec.eigenvalues, spec.eigenfunctions, hier.space.dist
+    pw = np.zeros((len(lam), len(mus)))
+    pw[lam > 0] = lam[lam > 0, None] ** mus
 
-    # which centers the cancellation condition applies to
+    families = [(_as_columns(t, hier), _as_columns(cols, hier))
+                for t, cols in families]
+    spans = [addiag.column_spans(hier, t) for t, _ in families]
+    # maxima[i, flavour, depth + mu, xi], synthesis then analysis
+    maxima = np.empty((len(families), 2, len(mus), hier.size))
+    defect = np.empty((len(families), hier.size))
+    for k, sl in enumerate(hier.blocks):
+        # |B_xi|^{-1/2} (1 + rho(x, xi)/l(xi))^{-decay} on the level
+        grow = 1.0 + dist[:, hier.xi_point[sl]] / hier.xi_ell[sl]
+        env = [hier.xi_bvol[sl] ** -0.5 * grow ** -decay
+               for decay in (M, M + params.d)]
+        shape = (len(mus), sl.stop - sl.start)
+        for i, (coeffs, cols) in enumerate(families):
+            lo, hi = spans[i][k]
+            Y = (E[:, lo:hi] @ (pw[lo:hi, :, None] * coeffs[lo:hi, None, sl])
+                 .reshape(hi - lo, np.prod(shape))).reshape(-1, *shape)
+            # the synthesised rung 0 is L^K h; the ladder's rung 0 is cols
+            defect[i, sl] = np.abs(Y[:, depth] - cols[:, sl]).max(axis=0)
+            Y[:, depth] = cols[:, sl]
+            for f, e in enumerate(env):
+                maxima[i, f, :, sl] = _column_max(Y, e[:, None])
+    maxima *= (hier.xi_ell ** 2) ** mus[:, None]
+
     canc_mask = hier.xi_level != 0 if hier.mode == "inhomogeneous" \
         else slice(None)
-
-    # synthesis: smoothness through L^N when s >= 0 (from mu = 1 in the
-    # classical flavor), cancellation through L^-K when s is below the cap
-    # (and s >= 0 in the tilde flavor, up to mu = -1 in the classical one);
-    # analysis: smoothness through L^K and cancellation through L^-N.  Every
-    # power is read from one ladder of the family, the companion h = L^-K
-    # cols among them, unless the companions are given
-    classical = orders.flavor == "classical"
-    if flavor == "synthesis":
-        smooth, lo = orders.N, int(classical)
-        canc = None if not classical and s < 0 else orders.K
-        canc_hi = -int(classical)
-    else:
-        smooth, lo = orders.K, 0
-        canc, canc_hi = orders.N, 0
-    depth = canc if canc is not None and companions is None else 0
-    ladder = apply_L_power(spec, cols, -depth, smooth or 0)
-    constants = {"size": _worst(ladder, [0], ell2, env)}
-    if smooth is not None:
-        constants["smoothness"] = _worst(ladder, range(lo, smooth + 1),
-                                         ell2, env)
-    fact_resid = 0.0
-    if canc is not None:
-        if companions is None:
-            rebuilt = apply_L_power(spec, ladder[-canc], canc, canc)[canc]
-        else:
-            ladder = {nu - canc: g for nu, g in apply_L_power(
-                spec, _as_columns(companions, hier), 0, canc).items()}
-            rebuilt = ladder[0]
-        fact_resid = _factorization_residual(rebuilt, cols, canc_mask)
-        constants["companion_size"] = _worst(
-            ladder, range(-canc, canc_hi + 1), ell2, env, canc_mask)
-
-    passed = all(c <= 1.0 for c in constants.values()) and \
-        fact_resid <= 1e-9
-    return MoleculeCertificate(flavor=flavor, orders=orders, M=M,
-                               constants=constants, passed=passed,
-                               factorization_residual=fact_resid)
+    return [{flavor: MoleculeCertificate(
+        flavor=flavor, orders=orders, M=M,
+        factorization_defect=float(d[canc_mask].max(initial=0.0)),
+        column_max=float(np.abs(cols).max(initial=0.0)),
+        constants={name: float(v[depth + a:depth + b + 1, canc_mask if
+                                 name == "companion_size" else slice(None)]
+                               .max(initial=0.0))
+                   for name, (a, b) in powers[flavor].items()})
+        for flavor, v in zip(powers, fam)}
+        for (_, cols), fam, d in zip(families, maxima, defect)]
 
 
 def scaling_for_budget(cert) -> float:
@@ -299,16 +300,18 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     """
     K, K_tilde = minimal_atom_orders(params)
     cols = _as_columns(family, hier)
-    ell2 = hier.xi_ell[None, :] ** 2
-    base = hier.xi_bvol[None, :] ** -0.5
+    ell2 = hier.xi_ell ** 2
+    base = hier.xi_bvol ** -0.5
 
     # one ladder L^mu cols, mu = -K..K~: the companion h = L^-K cols and
     # its powers L^nu h = L^(nu-K) cols are the rungs mu <= 0
     ladder = apply_L_power(spec, cols, -K, K_tilde)
-    constants = {"smoothness": _worst(ladder, range(K_tilde + 1), ell2, base),
-                 "companion_size": _worst(ladder, range(-K, 1), ell2, base)}
-    fact_resid = _factorization_residual(
-        apply_L_power(spec, ladder[-K], K, K)[K], cols, slice(None))
+    maxima = np.array([_column_max(ladder[mu], base) * ell2 ** mu
+                       for mu in range(-K, K_tilde + 1)])
+    constants = {"smoothness": float(maxima[K:].max(initial=0.0)),
+                 "companion_size": float(maxima[:K + 1].max(initial=0.0))}
+    fact_resid = np.abs(apply_L_power(spec, ladder[-K], K, K)[K] - cols) \
+        .max(initial=0.0) / max(1.0, np.abs(cols).max(initial=0.0))
 
     supp_c = 0.0
     radii = {}

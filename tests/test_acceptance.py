@@ -17,6 +17,7 @@ from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes import space as sp
 from mmframes.seqspace import SpaceParams
+from test_molecules import column_certificate
 
 
 def test_criterion_01_exact_geometry_suite(models, profiles):
@@ -177,12 +178,12 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
     spec = spectra["C_64"]
     for cols, flavor in ((frame.columns, "synthesis"),
                          (dual.columns, "analysis")):
-        raw = mo.validate_molecule(cols, hier, flavor, params022, spec)
+        raw = column_certificate(cols, hier, flavor, params022, spec)
         assert raw.M == params022.J + 0.5
         assert all(np.isfinite(v) for v in raw.constants.values())
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-        assert mo.validate_molecule(c * cols, hier, flavor, params022,
-                                    spec).passed
+        assert column_certificate(c * cols, hier, flavor, params022,
+                                  spec).passed
     cert = mo.gram(frame.columns, dual.columns, hier, params022)
     assert cert["passed"]
     assert cert["delta"] > 0 and np.isfinite(cert["c"])

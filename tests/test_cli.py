@@ -589,13 +589,15 @@ def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
 
 def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
     # C_16 in the tilde flavor at s = 1.5: every certificate of the suite
-    # reads the tilde orders, with the decay M = J + |s| + 1/2
-    certs = []
+    # reads the tilde orders, with the decay M = J + |s| + 1/2; one call
+    # certifies both families in both flavours, and the scaled
+    # re-validation scales those certificates
+    calls = []
     validate = cli.mo.validate_molecule
 
     def recorded(*args, **kwargs):
-        certs.append(validate(*args, **kwargs))
-        return certs[-1]
+        calls.append(validate(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(cli.mo, "validate_molecule", recorded)
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16",
@@ -603,14 +605,17 @@ def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
     status, _ = cli._suite_molecule_constants(ctx)
     assert status == "pass"
     params = ctx.get("params")
-    assert len(certs) == 8
+    assert len(calls) == 1 and len(calls[0]) == 2
+    certs = [cert for family in calls[0] for cert in family.values()]
+    assert len(certs) == 4
     for cert in certs:
         assert cert.orders.flavor == "tilde"
         assert cert.M == params.J + abs(params.s) + 0.5
 
 
 def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):
-    # the classical decay M = J + 1/2 gives the default run's line
+    # the classical decay M = J + 1/2 gives the default run's line, read
+    # from the frames' band coefficients
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"suites": ["lemma7.2-molecules"],
                              "output_dir": str(tmp_path / "out")}))
@@ -619,8 +624,25 @@ def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):
     assert _statuses(tmp_path / "out")["lemma7.2-molecules"] == (
         "pass psi_analysis_cstar=0.0011273015257 "
         "psi_synthesis_cstar=0.137562373689 "
-        "psit_analysis_cstar=2.36904135028e-05 "
+        "psit_analysis_cstar=2.36904135029e-05 "
         "psit_synthesis_cstar=0.0121830851484")
+
+
+def test_molecule_suite_passes_on_a_small_resolvent(tmp_path, capsys):
+    # at spq = [2, 0.3, 0.3] the ladder reaches L^-2; read from the frames'
+    # band coefficients, exactly 0 off each level's band, it multiplies no
+    # rounding noise by lambda^-2, and every family passes at the 1 - 1e-9
+    # back-off
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_64", "spq": [2, 0.3, 0.3],
+                             "suites": ["lemma7.2-molecules"],
+                             "output_dir": str(tmp_path / "out")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    assert _statuses(tmp_path / "out")["lemma7.2-molecules"].startswith(
+        "pass ")
 
 
 def test_neumann_suites_peak_memory():

@@ -10,6 +10,13 @@ from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
 
 
+def column_certificate(cols, hier, flavor, params, spec):
+    """The flavour's certificate for a family given by its columns alone,
+    whose coefficient table is spec.coefficients(cols)."""
+    return mo.validate_molecule([(spec.coefficients(cols), cols)], hier,
+                                params, spec)[0][flavor]
+
+
 def test_orders_oracle_d1():
     # d = 1, p = q = 2 gives J = 1
     p0 = SpaceParams(s=0.0, p=2.0, q=2.0, d=1.0)
@@ -42,8 +49,8 @@ def test_tilde_orders_boundary_agreement():
 def test_zero_family_passes(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
     zeros = np.zeros((64, hier.size))
-    cert = mo.validate_molecule(zeros, hier, "synthesis", params022,
-                                spectra["C_64"])
+    cert = column_certificate(zeros, hier, "synthesis", params022,
+                              spectra["C_64"])
     assert cert.passed
     assert max(cert.constants.values()) == 0.0
     assert mo.scaling_for_budget(cert) == np.inf
@@ -54,32 +61,32 @@ def molecule_setup(frame_sets, hierarchies, spectra, params022):
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    raw = mo.validate_molecule(frame.columns, hier, "synthesis", params022,
-                               spec)
+    raw = column_certificate(frame.columns, hier, "synthesis", params022,
+                             spec)
     c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
     return frame, dual, hier, spec, c
 
 
 def test_rescaled_frame_is_a_molecule_family(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
-    cert = mo.validate_molecule(c * frame.columns, hier, "synthesis",
-                                params022, spec)
+    cert = column_certificate(c * frame.columns, hier, "synthesis",
+                              params022, spec)
     assert cert.passed
     assert cert.factorization_residual <= 1e-9
-    raw = mo.validate_molecule(dual.columns, hier, "analysis", params022,
-                               spec)
+    raw = column_certificate(dual.columns, hier, "analysis", params022,
+                             spec)
     ca = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-    anal = mo.validate_molecule(ca * dual.columns, hier, "analysis",
-                                params022, spec)
+    anal = column_certificate(ca * dual.columns, hier, "analysis",
+                              params022, spec)
     assert anal.passed
 
 
 def test_constants_scale_exactly(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
-    c1 = mo.validate_molecule(frame.columns, hier, "synthesis", params022,
-                              spec)
-    c2 = mo.validate_molecule(5.0 * frame.columns, hier, "synthesis",
-                              params022, spec)
+    c1 = column_certificate(frame.columns, hier, "synthesis", params022,
+                            spec)
+    c2 = column_certificate(5.0 * frame.columns, hier, "synthesis",
+                            params022, spec)
     for key in c1.constants:
         assert abs(c2.constants[key] - 5.0 * c1.constants[key]) \
             <= 1e-9 * max(c2.constants[key], 1e-300)
@@ -87,46 +94,108 @@ def test_constants_scale_exactly(molecule_setup, params022):
 
 def test_oversized_family_fails_budget(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
-    cert = mo.validate_molecule(10.0 * c * frame.columns, hier, "synthesis",
-                                params022, spec)
+    cert = column_certificate(10.0 * c * frame.columns, hier, "synthesis",
+                              params022, spec)
     assert not cert.passed
 
 
-def test_molecule_certificate_analyses_the_family_once(molecule_setup,
-                                                       params022,
-                                                       monkeypatch):
-    # one ladder of the family gives every power of L, the companion among
-    # them; the factorization residual's round trip analyses the companion
+def test_molecule_certificate_analyses_nothing(molecule_setup, params022,
+                                               monkeypatch):
+    # every power of L, the companion and the factorization residual's
+    # L^K h among them, is synthesised from the given coefficient table
     frame, _, hier, spec, _ = molecule_setup
     calls = []
     analyse = ca.SpectralData.coefficients
+    V = analyse(spec, frame.columns)
 
     def counted(self, f):
         calls.append(np.shape(f))
         return analyse(self, f)
 
     monkeypatch.setattr(ca.SpectralData, "coefficients", counted)
-    cert = mo.validate_molecule(frame.columns, hier, "synthesis", params022,
-                                spec)
-    assert set(cert.constants) == {"size", "smoothness", "companion_size"}
-    assert len(calls) <= 2
+    certs = mo.validate_molecule([(V, frame.columns)], hier, params022,
+                                 spec)[0]
+    assert set(certs["synthesis"].constants) == \
+        {"size", "smoothness", "companion_size"}
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def factor_contexts():
+    """Run contexts on C_64 and T_16x16 with the frame factors (U, V)
+    built: V holds psi's band coefficients and U^T psi~'s."""
+    from mmframes import cli
+    out = {}
+    for model in ("C_64", "T_16x16"):
+        ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model=model))
+        ctx.get("factors")
+        out[model] = ctx
+    return out
+
+
+@pytest.mark.parametrize("model", ["C_64", "T_16x16"])
+def test_band_coefficients_and_columns_give_one_certificate(model,
+                                                            factor_contexts):
+    # psi from V and psi~ from U^T, exactly 0 off each level's band, against
+    # the same families analysed from their columns: the tables represent
+    # the columns to rounding, and every constant of both flavours agrees
+    ctx = factor_contexts[model]
+    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
+    U, V = ctx.get("factors")
+    families = [(V, ctx.get("frame").columns), (U.T, ctx.get("dual").columns)]
+    for (_, cols), certs in zip(families, mo.validate_molecule(
+            families, hier, params, spec)):
+        assert set(certs) == {"synthesis", "analysis"}
+        for flavor, cert in certs.items():
+            assert cert.factorization_residual <= 1e-12
+            ref = column_certificate(cols, hier, flavor, params, spec)
+            assert cert.constants.keys() == ref.constants.keys()
+            for key, value in cert.constants.items():
+                assert abs(value - ref.constants[key]) <= \
+                    1e-9 * ref.constants[key]
+
+
+def test_an_off_band_coefficient_fails_the_factorization_residual(
+        factor_contexts):
+    # one entry of 1e-6 on a level's zeroed row of V, just above its band:
+    # the table no longer represents psi, and the certificate fails through
+    # its factorization residual alone
+    ctx = factor_contexts["C_64"]
+    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
+    V = ctx.get("factors")[1].copy()
+    sl = hier.blocks[2]
+    hi = ad.column_spans(hier, V)[2][1]
+    assert hi < spec.space.n and not V[hi, sl].any()
+    V[hi, sl.start] = 1e-6
+    certs = mo.validate_molecule([(V, ctx.get("frame").columns)], hier,
+                                 params, spec)[0]
+    for cert in certs.values():
+        assert not cert.passed and cert.factorization_residual > 1e-9
+        assert all(np.isfinite(v) for v in cert.constants.values())
+    # scaled within budget, every constant is at most 1 and the synthesis
+    # family still fails
+    cert = certs["synthesis"]
+    scaled = cert.scaled(mo.scaling_for_budget(cert) * (1.0 - 1e-9))
+    assert max(scaled.constants.values()) <= 1.0 and not scaled.passed
 
 
 def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    # a tiny family supported only on level-0 centers, with no companions:
-    # cancellation fails in homogeneous mode and is waived otherwise
+    # a tiny family supported only on level-0 centers, given a zero
+    # coefficient table, so no companion L^-K h reproduces it: cancellation
+    # fails in homogeneous mode and is waived otherwise
     fam = np.zeros((64, hier.size))
     sl = hier.blocks[-hier.j_min]  # level 0
     fam[:, sl] = 1e-6
     zeros = np.zeros_like(fam)
-    hom = mo.validate_molecule(fam, hier, "synthesis", params022, spec,
-                               companions=zeros)
+    hom = mo.validate_molecule([(zeros, fam)], hier, params022,
+                               spec)[0]["synthesis"]
+    assert hom.factorization_residual == 1e-6
     assert not hom.passed
     inh_hier = dataclasses.replace(hier, mode="inhomogeneous")
-    inh = mo.validate_molecule(fam, inh_hier, "synthesis", params022, spec,
-                               companions=zeros)
+    inh = mo.validate_molecule([(zeros, fam)], inh_hier, params022,
+                               spec)[0]["synthesis"]
     assert inh.factorization_residual <= 1e-9
     assert inh.passed
 
