@@ -38,61 +38,71 @@ def _head(ell, bvol, params):
     return (params.s / params.d + 0.5) * np.log(bvol)
 
 
-def _scaled_log1p(rho, ell, scale, out):
-    """scale log1p(rho / ell) entrywise: G's entries where the larger of the
-    two level scales is ell, times scale."""
-    out = np.divide(rho, ell, out=out)
-    np.log1p(out, out=out)
-    out *= scale
-    return out
-
-
-def _log_table(hier, scale, shift=None):
-    """scale G + shift(lam) for every ordered pair (xi, eta), with
-    G = log1p(rho / max(l_xi, l_eta)) and lam = log l_xi - log l_eta.
-
-    l falls by level, so max(l_xi, l_eta) = l_k on column level k against
-    row levels >= k and on row level k against column levels > k; those
-    blocks are gathered from one n x n table scale log1p(rho / l_k).
-    """
-    ell, pts, blocks = hier.xi_ell, hier.xi_point, hier.blocks
-    le = np.log(ell)
-    T, S = np.empty((hier.size, hier.size)), np.empty(hier.space.dist.shape)
-    for k, rk in enumerate(blocks):
-        _scaled_log1p(hier.space.dist, ell[rk.start], scale, out=S)
-        X = S.take(pts[rk], 1)
-        for r in blocks[k:]:
-            X.take(pts[r], 0, out=T[r, rk])
-        X = S.take(pts[rk], 0)
-        for c in blocks[k + 1:]:
-            X.take(pts[c], 1, out=T[rk, c])
-    if shift is not None:
-        for sl in blocks:
-            T[sl] += shift(le[sl.start] - le)
+def _log_rho(hier: NetHierarchy, k, scale, rows, cols):
+    """scale log1p(rho[rows, cols] / l_k) on the points rows by cols: G's
+    entries, times scale, where level k is the coarser of the two centres'
+    levels (l falls by level, so max(l_xi, l_eta) = l_k there)."""
+    T = hier.space.dist[np.ix_(rows, cols)]
+    np.divide(T, hier.levels[k].ell, out=T)
+    np.log1p(T, out=T)
+    T *= scale
     return T
 
 
 def _log_omega(hier: NetHierarchy, beta: float, gamma: float,
-               params: SpaceParams) -> np.ndarray:
-    """log omega_{xi,eta}(beta, gamma) of Def 6.1 for every ordered pair
-    (xi, eta): h_xi - h_eta - (J+beta) G + min{gamma lam, -(J+gamma) lam},
-    every term exactly 0 on the diagonal."""
+               params: SpaceParams):
+    """block(i, j): log omega_{xi,eta}(beta, gamma) of Def 6.1 on row level
+    i by column level j, h_xi - h_eta - (J+beta) G + min{gamma lam,
+    -(J+gamma) lam} with G = log1p(rho / max(l_xi, l_eta)) and lam = log l_xi
+    - log l_eta, every term exactly 0 on the diagonal.
+
+    G's block is gathered from level k = min(i, j)'s slab -(J+beta)
+    log1p(rho / l_k) on every point by level k's centres, built on first use
+    and kept for the call: its rows at level i's centres for j <= i, and, rho
+    being exactly symmetric, the transpose of its rows at level j's centres
+    for j > i.  The m x m table is never formed."""
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta, gamma must be positive")
-    J = params.J
-    W = _log_table(hier, -(J + beta), lambda lam: _level_term(lam, gamma, J))
+    J, pts, blocks = params.J, hier.xi_point, hier.blocks
+    le = np.log(hier.xi_ell)
     h = _head(hier.xi_ell, hier.xi_bvol, params)
-    W += h[:, None]
-    W -= h
-    return W
+    every, slabs = np.arange(hier.space.n), {}
+
+    def block(i, j):
+        ri, rj = blocks[i], blocks[j]
+        k = min(i, j)
+        if k not in slabs:
+            slabs[k] = _log_rho(hier, k, -(J + beta), every, pts[blocks[k]])
+        if j <= i:
+            W = slabs[j].take(pts[ri], 0)
+        else:
+            W = slabs[i].take(pts[rj], 0).T
+        W += _level_term(le[ri.start] - le[rj], gamma, J)
+        W += h[ri, None]
+        W -= h[rj]
+        return W
+    return block
+
+
+def omega2_rows(hier: NetHierarchy, beta: float, gamma: float,
+                params: SpaceParams):
+    """(sl, omega[sl, :]) for each row level sl of omega2_matrix's table,
+    from log omega's level blocks (_log_omega), one row level at a time."""
+    log_w = _log_omega(hier, beta, gamma, params)
+    for i, sl in enumerate(hier.blocks):
+        W = np.empty((sl.stop - sl.start, hier.size))
+        for j, sc in enumerate(hier.blocks):
+            W[:, sc] = log_w(i, j)
+        yield sl, np.exp(W, out=W)
 
 
 def omega2_matrix(hier: NetHierarchy, beta: float, gamma: float,
                   params: SpaceParams) -> np.ndarray:
     """Def 6.1 decay weight omega_{xi,eta}(beta, gamma) for every ordered
-    pair (xi, eta); the diagonal is exactly 1."""
-    W = _log_omega(hier, beta, gamma, params)
-    return np.exp(W, out=W)
+    pair (xi, eta); the diagonal is exactly 1.  A library and test entry
+    point: no run forms it."""
+    return np.concatenate([W for _, W in omega2_rows(hier, beta, gamma,
+                                                     params)])
 
 
 def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
@@ -108,84 +118,77 @@ def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
                   - _head(ell[k], bv[k], params))
 
 
+def _span(mask) -> tuple:
+    """[lo, hi) from the first to the last True entry of mask, or (0, 0)
+    when there is none."""
+    r = np.flatnonzero(mask)
+    return (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
+
+
 def column_spans(hier: NetHierarchy, table) -> list:
     """[lo, hi) from the first to the last nonzero row of table on each
     column level, or (0, 0) on a level that is all 0."""
-    rows = [np.flatnonzero(table[:, sc].any(axis=1)) for sc in hier.blocks]
-    return [(int(r[0]), int(r[-1]) + 1) if r.size else (0, 0) for r in rows]
+    return [_span(table[:, sc].any(axis=1)) for sc in hier.blocks]
 
 
 def _level_spans(hier: NetHierarchy, left, right) -> list:
-    """(sl, sc, lo, hi) for the blocks of left @ right, row level sl by
-    column levels sc: left's nonzero column span on the row level met with
-    right's nonzero row span on the column level, each read once.  Outside
+    """(i, j, lo, hi) for the blocks of left @ right, row level i by column
+    level j: left's nonzero column span on the row level met with right's
+    nonzero row span on the column level, each read once.  Outside
     [lo, hi) one factor of every term is 0, so the block is
     left[sl, lo:hi] @ right[lo:hi, sc], and exactly 0 when lo = hi = 0.
-    Neighbouring column levels with the same span share one block.
 
     The frames' coefficient factors are exactly 0 off each level's band,
     and eigenvalues ascend, so a level's span is its band's index range; a
-    dense factor spans everything, and its row levels are whole slabs."""
+    dense factor spans everything."""
     m = hier.size
     if left.shape[0] != m or right.shape[1] != m:
         raise ValueError("entry table does not match the hierarchy")
     rows, out = column_spans(hier, right), []
-    for sl, (a, b) in zip(hier.blocks, column_spans(hier, left.T)):
-        for sc, (c, d) in zip(hier.blocks, rows):
+    for i, (a, b) in enumerate(column_spans(hier, left.T)):
+        for j, (c, d) in enumerate(rows):
             span = (max(a, c), min(b, d)) if max(a, c) < min(b, d) else (0, 0)
-            if sc.start and out[-1][2:] == span:
-                sc = slice(out.pop()[1].start, sc.stop)
-            out.append((sl, sc) + span)
+            out.append((i, j) + span)
     return out
 
 
 def _level_blocks(hier: NetHierarchy, left, right):
-    """(sl, sc, X) for each level block of left @ right (_level_spans): X
-    the block formed over its span in one reused buffer, or None for a
-    block that is exactly 0, which is not formed.  The m x m table is never
-    formed whole."""
+    """(i, j, X) for each level block of left @ right (_level_spans), row
+    by row: X the block formed over its span in one reused buffer of the
+    widest level squared, or None for a block that is exactly 0, which is
+    not formed.  The m x m table is never formed whole."""
+    blocks = hier.blocks
     spans = _level_spans(hier, left, right)
-    buf = np.empty(max(sl.stop - sl.start for sl in hier.blocks) * hier.size)
-    for sl, sc, lo, hi in spans:
+    buf = np.empty(max(sl.stop - sl.start for sl in blocks) ** 2)
+    for i, j, lo, hi in spans:
         if lo == hi:
-            yield sl, sc, None
+            yield i, j, None
             continue
+        sl, sc = blocks[i], blocks[j]
         shape = (sl.stop - sl.start, sc.stop - sc.start)
         X = buf[:shape[0] * shape[1]].reshape(shape)
-        yield sl, sc, np.matmul(left[sl, lo:hi], right[lo:hi, sc], out=X)
-
-
-def _max_ratio(left, right, log_w, hier: NetHierarchy) -> tuple:
-    """(max |a| / omega, max |a|) for a = left @ right and a log omega table,
-    a level block at a time; the ratio is exp(max(log|a| - log omega)).  A
-    zero entry has log 0 = -inf, so a block that is exactly 0 is skipped,
-    and an all-zero table gives (0, 0)."""
-    best, a_max = -np.inf, 0.0
-    with np.errstate(divide="ignore"):
-        for sl, sc, X in _level_blocks(hier, left, right):
-            if X is None:
-                continue
-            np.abs(X, out=X)
-            a_max = max(a_max, X.max())
-            np.log(X, out=X)
-            X -= log_w[sl, sc]
-            best = np.maximum(best, X.max())
-    return float(np.exp(best)), float(a_max)
+        yield i, j, np.matmul(left[sl, lo:hi], right[lo:hi, sc], out=X)
 
 
 def max_abs(hier: NetHierarchy, left, right, C=None):
-    """(max |A|, max |A - C|) for A = left @ right, a level block at a time;
-    C = None reads as 0, and on a block of A that is exactly 0, C is
-    compared alone."""
+    """(max |A|, max |A - C|) for A = left @ right and C given by its
+    factors (C_left, C_right), or None for 0, a level block at a time: each
+    table's blocks are formed over its own spans (_level_blocks), and where
+    one of the two blocks is exactly 0, the other is compared alone."""
+    m = hier.size
+    if C is None:
+        C = np.zeros((m, 0)), np.zeros((0, m))
     a_max = d_max = 0.0
-    for sl, sc, X in _level_blocks(hier, left, right):
-        if X is None:
-            if C is not None:
-                d_max = max(d_max, C[sl, sc].max(), -C[sl, sc].min())
+    for (_, _, X), (_, _, Y) in zip(_level_blocks(hier, left, right),
+                                    _level_blocks(hier, *C)):
+        if X is not None:
+            a_max = max(a_max, X.max(), -X.min())
+            if Y is not None:
+                X -= Y
+        elif Y is not None:
+            X = Y
+        else:
             continue
-        a_max = max(a_max, X.max(), -X.min())
-        if C is not None:
-            X -= C[sl, sc]
         d_max = max(d_max, np.abs(X, out=X).max())
     return float(a_max), float(d_max)
 
@@ -196,8 +199,8 @@ def ad_norm(hier: NetHierarchy, params: SpaceParams, left, right,
     m x m table A = left @ right, formed a level block at a time over the
     factors' spans (_level_spans); a dense A is passed as (A, np.eye(m)),
     whose column levels span only themselves."""
-    return _max_ratio(left, right, _log_omega(hier, delta, delta, params),
-                      hier)[0]
+    return _max_ratio(hier, left, right,
+                      _log_omega(hier, delta, delta, params))[0][0]
 
 
 def boundedness_probe(hier: NetHierarchy, params: SpaceParams, left, right,
@@ -275,8 +278,7 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     def block(k, r, c):
         """S_k[X_r, X_c], K's block (r, c) when min(r, c) = k"""
         if (k, ids[r], ids[c]) not in S:
-            T = hier.space.dist[np.ix_(pts[r], pts[c])]
-            _scaled_log1p(T, hier.levels[k].ell, -(params.J + beta), out=T)
+            T = _log_rho(hier, k, -(params.J + beta), pts[r], pts[c])
             S[k, ids[r], ids[c]] = np.exp(T, out=T)
         return S[k, ids[r], ids[c]]
 
@@ -327,16 +329,62 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 
+def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
+               terms=0) -> list:
+    """[(max |a| / omega, max |a|)] for a = left G^t right, t = 0, ...,
+    terms (a = left @ right alone by default), against a log omega block
+    builder (_log_omega), one level pair at a time; the ratio is
+    exp(max(log|a| - log omega)).  On each row level the rows of left G^t
+    are formed from those of left G^(t-1), and each block of log omega is
+    built once, beside the first product block that reads it, and kept for
+    the row level's later powers.  A block is formed over its span (_level_spans); a zero
+    entry has log 0 = -inf, so a block that is exactly 0 is skipped, and
+    an all-zero table gives (0, 0)."""
+    if left.shape[0] != hier.size or right.shape[1] != hier.size:
+        raise ValueError("entry table does not match the hierarchy")
+    cols = column_spans(hier, right)
+    best, a_max = [-np.inf] * (terms + 1), [0.0] * (terms + 1)
+    width = max(sl.stop - sl.start for sl in hier.blocks)
+    buf = np.empty(width * width)
+    with np.errstate(divide="ignore"):
+        for i, sl in enumerate(hier.blocks):
+            W, rows = {}, left[sl]
+            for t in range(terms + 1):
+                if t:
+                    rows = rows[:, a:b] @ G[a:b]
+                a, b = _span(rows.any(axis=0))
+                for j, (sc, (c, d)) in enumerate(zip(hier.blocks, cols)):
+                    lo, hi = max(a, c), min(b, d)
+                    if lo >= hi:
+                        continue
+                    shape = (sl.stop - sl.start, sc.stop - sc.start)
+                    X = np.matmul(rows[:, lo:hi], right[lo:hi, sc],
+                                  out=buf[:shape[0] * shape[1]].reshape(shape))
+                    np.abs(X, out=X)
+                    a_max[t] = max(a_max[t], X.max())
+                    np.log(X, out=X)
+                    w = W.get(j)
+                    if w is None:
+                        w = log_w(i, j)
+                        if t < terms:  # kept for the powers still to come
+                            W[j] = w
+                    X -= w
+                    best[t] = np.maximum(best[t], X.max())
+    return [(float(np.exp(v)), float(x)) for v, x in zip(best, a_max)]
+
+
 def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
                    cstar: float):
     """(I - D)^{-1} - I for D = left @ right (a dense D is passed as (D, I)),
     as C = left (I - G)^{-1} right with G = right @ left (push-through), the
-    series summed on G; each power D^{n+1} = left G^n right is formed a level
-    block at a time, and its decay certified in the eps1-weighted norm, eps1
-    = epsilon/2 with epsilon = NEUMANN_EPSILON.  The inverse is I + C; C is
-    returned without I, so its small entries do not round at 1.  The
-    report's residual is the larger of |(I - D)(I + C) - I| and
-    |(I + C)(I - D) - I| over max|D| (0 when D is 0): C = 0 reads 1.
+    series summed on G; C is returned as its factors (left @ core, right),
+    never formed whole.  Each power D^{n+1} = left G^n right is formed a
+    level block at a time, and its decay certified in the eps1-weighted
+    norm, eps1 = epsilon/2 with epsilon = NEUMANN_EPSILON, all powers in
+    one sweep (_max_ratio).  The inverse is I + C; C is returned without
+    I, so its small entries do not round at 1.  The report's residual is
+    the larger of |(I - D)(I + C) - I| and |(I + C)(I - D) - I| over max|D|
+    (0 when D is 0): C = 0 reads 1.
 
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
@@ -347,25 +395,25 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     ||D^n||_{eps1} <= delta_hat^n c*^(n-1) decays only while it is below
     1, so geometric_decay_ok is false when it is not.
     """
-    delta_hat, d_max = _max_ratio(left, right, _log_omega(
-        hier, NEUMANN_EPSILON, NEUMANN_EPSILON, params), hier)
+    [(delta_hat, d_max)] = _max_ratio(hier, left, right, _log_omega(
+        hier, NEUMANN_EPSILON, NEUMANN_EPSILON, params))
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
-    log_w = _log_omega(hier, eps1, eps1, params)
-    term_ad_norms = [_max_ratio(left, right, log_w, hier)[0]]
-    core, terms, _ = neumann_series(
-        G := right @ left, lambda g: term_ad_norms.append(_max_ratio(
-            left @ g, right, log_w, hier)[0]))
-    # C = (left core) right in log_w's table, reused, over the same spans;
-    # an empty span writes 0
-    C, lc = log_w, left @ core
-    for sl, sc, lo, hi in _level_spans(hier, lc, right):
-        np.matmul(lc[sl, lo:hi], right[lo:hi, sc], out=C[sl, sc])
+    core, terms, _ = neumann_series(G := right @ left)
+    term_ad_norms = [r for r, _ in _max_ratio(
+        hier, left, right, _log_omega(hier, eps1, eps1, params), G, terms)]
+    C = (left @ core, right)
     # |(I-D)(I+C) - I| = |left (right + G core right) - C| and
-    # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through
-    resid = max(max_abs(hier, left, right + (G @ core) @ right, C)[1],
-                max_abs(hier, left + left @ (core @ G), right, C)[1])
+    # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through;
+    # each sum is taken in place, and freed before the next
+    R = (G @ core) @ right
+    R += right
+    resid = max_abs(hier, left, R, C)[1]
+    del R
+    L = left @ (core @ G)
+    L += left
+    resid = max(resid, max_abs(hier, L, right, C)[1])
     resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar

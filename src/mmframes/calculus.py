@@ -286,12 +286,12 @@ NEUMANN_TAIL = 1e-12  # stop once ||next term||_F / ||first term||_F is below
 NEUMANN_CAP = 500     # most terms one series may take
 
 
-def neumann_series(step, on_term=None) -> tuple:
-    """Sum I + step + step @ step + ... in order, calling on_term on each
-    power of step, until the next power's Frobenius norm is below
-    NEUMANN_TAIL times step's; returns (total, terms, that ratio), terms
-    the number of powers added.  RuntimeError when five terms running
-    barely shrink (the series diverges), or at NEUMANN_CAP terms.
+def neumann_series(step) -> tuple:
+    """Sum I + step + step @ step + ... in order, until the next power's
+    Frobenius norm is below NEUMANN_TAIL times step's; returns (total,
+    terms, that ratio), terms the number of powers added.  RuntimeError
+    when five terms running barely shrink (the series diverges), or at
+    NEUMANN_CAP terms.
 
     The first power is step itself; each later one is the power before it
     @ step."""
@@ -302,8 +302,6 @@ def neumann_series(step, on_term=None) -> tuple:
     term, prev, stall = step, first, 0
     for terms in range(1, NEUMANN_CAP + 1):
         total += term
-        if on_term is not None:
-            on_term(term)
         term = term @ step
         cur = np.linalg.norm(term)
         stall = stall + 1 if cur > 0.999 * prev else 0

@@ -17,6 +17,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not a POSIX system: no peak RSS in the summary
+    resource = None
+
 import numpy as np
 
 from mmframes import space as sp
@@ -358,14 +363,17 @@ def _suite_omega(ctx):
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     # the table's diagonal is 1; on 1000 random pairs the pairwise form
     # equals the table, and omega(eps) is at most omega(beta, gamma) for
-    # beta <= gamma < eps
-    W = ad.omega2_matrix(hier, 0.7, 0.3, params)
-    diag_err = np.abs(np.diagonal(W) - 1.0).max()
+    # beta <= gamma < eps.  The table is read one row level at a time
     i, k = rng.integers(0, hier.size, (2, 1000))
     eps = rng.uniform(0.05, 2.0, 1000)
     bg = np.sort(rng.uniform(0.05, eps, (2, 1000)), axis=0)
-    pair_err = np.abs(ad.omega2(hier, i, k, 0.7, 0.3, params) / W[i, k]
-                      - 1.0).max()
+    ratio, diag = ad.omega2(hier, i, k, 0.7, 0.3, params), []
+    for sl, W in ad.omega2_rows(hier, 0.7, 0.3, params):
+        on = (sl.start <= i) & (i < sl.stop)
+        ratio[on] /= W[i[on] - sl.start, k[on]]
+        diag.append(np.diagonal(W[:, sl]).copy())
+    diag_err = np.abs(np.concatenate(diag) - 1.0).max()
+    pair_err = np.abs(ratio - 1.0).max()
     mono_ok = bool(np.all(ad.omega2(hier, i, k, eps, eps, params)
                           <= ad.omega2(hier, i, k, bg[0], bg[1], params)
                           * (1 + 1e-12)))
@@ -517,10 +525,13 @@ def _suite_molecule_constants(ctx):
     out, ok = {}, True
     for name, certs in zip(("psi", "psit"), families):
         for flavor, cert in certs.items():
-            # back off the exact budget boundary by a relative epsilon
+            # back off the exact budget boundary by a relative epsilon; the
+            # residual is gated on the family as given too, since scaled by
+            # a small c* it is taken against max(1, c* max|cols|) = 1
             cstar = mo.scaling_for_budget(cert) * (1.0 - 1e-9)
             out[f"{name}_{flavor}_cstar"] = cstar
-            ok = ok and cert.scaled(cstar).passed and np.isfinite(cstar)
+            ok = ok and cert.scaled(cstar).passed and np.isfinite(cstar) \
+                and cert.factorization_residual <= 1e-9
     return ("pass" if ok else "fail"), out
 
 
@@ -744,9 +755,20 @@ def run(cfg) -> int:
     n_rec = sum(1 for r in records if r[2] == "record")
     n_bad = sum(1 for r in records if r[2] in ("fail", "error"))
     n_skip = sum(1 for r in records if r[2] == "skip")
+    # the hierarchy's size when the run built it, and the peak RSS so far
+    # (ru_maxrss is in KiB on Linux, in bytes on macOS)
+    sizes = ""
+    hier = ctx._cache.get("hier")
+    if hier is not None:
+        sizes += (f"; n={hier.space.n} m={hier.size} "
+                  f"levels={len(hier.levels)}")
+    if resource is not None:
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rss /= 2.0 ** (20 if sys.platform == "darwin" else 10)
+        sizes += f"; peak_rss_mb={rss:.1f}"
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(f"model {model}: {n_pass} passed, {n_rec} recorded, "
-                 f"{n_bad} failed, {n_skip} skipped\n")
+                 f"{n_bad} failed, {n_skip} skipped{sizes}\n")
         for name, anchor, status, _ in records:
             rt = runtimes.get(name)
             rts = "" if rt is None else f" ({rt:.2f}s)"

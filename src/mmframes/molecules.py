@@ -105,7 +105,9 @@ def _as_columns(family, hier: NetHierarchy) -> np.ndarray:
 
 def _column_max(X, env) -> np.ndarray:
     """max over x (the first axis) of |X| / env."""
-    return (np.abs(X) / env).max(axis=0, initial=0.0)
+    A = np.abs(X)
+    A /= env
+    return A.max(axis=0, initial=0.0)
 
 
 def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
@@ -310,8 +312,12 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
                        for mu in range(-K, K_tilde + 1)])
     constants = {"smoothness": float(maxima[K:].max(initial=0.0)),
                  "companion_size": float(maxima[:K + 1].max(initial=0.0))}
-    fact_resid = np.abs(apply_L_power(spec, ladder[-K], K, K)[K] - cols) \
-        .max(initial=0.0) / max(1.0, np.abs(cols).max(initial=0.0))
+    # the rungs above 0 are read no further
+    ladder = {mu: ladder[mu] for mu in range(-K, 1)}
+    defect = apply_L_power(spec, ladder[-K], K, K)[K] - cols
+    fact_resid = np.abs(defect, out=defect).max(initial=0.0) \
+        / max(1.0, np.abs(cols).max(initial=0.0))
+    del defect
 
     supp_c = 0.0
     radii = {}

@@ -162,9 +162,12 @@ def test_criterion_10_neumann_inversion(hierarchies, params022):
     hier, _ = hierarchies["C_64"]
     W = ad.omega2_matrix(hier, 1.0, 1.0, params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    Ainv, rep = ad.neumann_invert(hier, params022, -0.01 * W,
-                                  np.eye(hier.size), cstar)
+    I = np.eye(hier.size)
+    (left, right), rep = ad.neumann_invert(hier, params022, -0.01 * W, I,
+                                           cstar)
     assert rep["residual"] <= 1e-9
+    # C comes back as its factors; I + C inverts I + 0.01 W
+    assert np.abs((I + 0.01 * W) @ (I + left @ right) - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     for n, val in enumerate(rep["term_ad_norms"], start=1):
         assert val <= rep["delta_hat"] ** n * rep["c_star"] ** (n - 1) \

@@ -234,11 +234,19 @@ def test_lemma64_grid_chunks_are_invisible(model, flavor, monkeypatch,
             assert ad.lemma64_grid(hier, prm, beta, pairs) == want
 
 
+def _scaled_G(hier, scale):
+    """scale G = scale log1p(rho / max(l_xi, l_eta)) for every ordered pair
+    (xi, eta), taken on the whole gathered rho table."""
+    ell, pts = hier.xi_ell, hier.xi_point
+    return scale * np.log1p(hier.space.dist[np.ix_(pts, pts)]
+                            / np.maximum.outer(ell, ell))
+
+
 def _grid_reference(hier, params, beta, pairs):
     """lemma64_grid's result from the dense K = exp(-(J+beta) G), with
     every block product K[q,l] @ K[l,j] formed directly and each block's
     ratios taken whole, in the grid's block, orientation and row order."""
-    K = np.exp(ad._log_table(hier, -(params.J + beta)))
+    K = np.exp(_scaled_G(hier, -(params.J + beta)))
     lev = np.log([net.ell for net in hier.levels])
     lam = lev[:, None] - lev[None, :]
     E = {g: np.exp(ad._level_term(lam, g, params.J)) for p in pairs
@@ -313,21 +321,31 @@ def test_ad_norm_matches_the_literal_ratio(model, flavor, hierarchies,
         assert ad.ad_norm(hier, prm, np.zeros_like(E), I, 0.5) == 0.0
 
 
-@pytest.mark.parametrize("model", ["C_32~", "mu_9", "C_64 b=1.5"])
+@pytest.mark.parametrize("model", ["C_32~", "mu_9", "C_64 b=1.5", "C_64",
+                                   "T_8x8"])
 def test_log_table_is_the_direct_formula(model, hierarchies, spectra,
-                                         skewed_hierarchy, mu_hierarchy):
-    # the level-scale gathers against scale log1p(rho / max(l, l')) taken
-    # on the whole gathered rho table, with and without the level term
+                                         skewed_hierarchy, mu_hierarchy,
+                                         params022):
+    # log omega's level blocks, each gathered from its coarser level's slab
+    # (the transposed rows right of the diagonal), assembled, against
+    # -(J+beta) log1p(rho / max(l, l')) + the level term + the heads taken
+    # on the whole gathered rho table, in that order: bit for bit
     hier = {"C_32~": skewed_hierarchy, "mu_9": mu_hierarchy}.get(model) \
-        or fr.build_standard_hierarchy(spectra["C_64"], b=1.5)[0]
-    ell, pts = hier.xi_ell, hier.xi_point
-    le = np.log(ell)
-    shift = lambda lam: ad._level_term(lam, 0.3, 1.7)  # noqa: E731
-    direct = -2.2 * np.log1p(hier.space.dist[np.ix_(pts, pts)]
-                             / np.maximum.outer(ell, ell))
-    assert np.array_equal(ad._log_table(hier, -2.2), direct)
-    assert np.array_equal(ad._log_table(hier, -2.2, shift),
-                          direct + shift(np.subtract.outer(le, le)))
+        or (fr.build_standard_hierarchy(spectra["C_64"], b=1.5)[0]
+            if model == "C_64 b=1.5" else hierarchies[model][0])
+    le, L = np.log(hier.xi_ell), len(hier.blocks)
+    for flavor in ("classical", "tilde"):
+        prm = dataclasses.replace(params022, s=0.75, flavor=flavor)
+        h = ad._head(hier.xi_ell, hier.xi_bvol, prm)
+        direct = _scaled_G(hier, -(prm.J + 0.7)) \
+            + ad._level_term(np.subtract.outer(le, le), 0.3, prm.J) \
+            + h[:, None] - h[None, :]
+        block = ad._log_omega(hier, 0.7, 0.3, prm)
+        assert np.array_equal(np.block([[block(i, j) for j in range(L)]
+                                        for i in range(L)]), direct)
+        # and omega2_matrix is its exp, row level by row level
+        assert np.array_equal(ad.omega2_matrix(hier, 0.7, 0.3, prm),
+                              np.exp(direct))
 
 
 def _frame_factors(spec, frame, dual):
@@ -370,19 +388,19 @@ def _traced_peak(fn):
 
 def test_factored_norms_hold_no_formed_product(spectra, hierarchies,
                                                frame_sets, params022):
-    # C_128 (m = 736, n = 128): ad_norm holds its one log omega table and a
-    # level block, never the formed m x m product beside it; neumann_invert
-    # holds about two m x m tables, C included
+    # C_128 (m = 736, n = 128): ad_norm holds log omega's n x m level-scale
+    # slabs and a row level's product block, never an m x m table;
+    # neumann_invert holds C as its factors and n x m sums, and no table
     spec, (hier, _) = spectra["C_128"], hierarchies["C_128"]
     frame, dual, _ = frame_sets["C_128"]
     left, right = _frame_factors(spec, frame, dual)
     table = 8.0 * hier.size ** 2
     assert _traced_peak(lambda: ad.ad_norm(
-        hier, params022, left, right, 1.0)) < 1.75 * table
+        hier, params022, left, right, 1.0)) < 0.6 * table
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     left /= 2.0 * cstar * ad.ad_norm(hier, params022, left, right, 1.0)
     assert _traced_peak(lambda: ad.neumann_invert(
-        hier, params022, left, right, cstar)) < 2.1 * table
+        hier, params022, left, right, cstar)) < 0.9 * table
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +470,9 @@ def test_neumann_inversion_of_small_perturbation(hierarchies, params022):
     D = 0.01 * ad.omega2_matrix(hier, 1.0, 1.0, params022)
     cstar = ad.lemma64_grid(hier, params022, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     I = np.eye(hier.size)
-    C, rep = ad.neumann_invert(hier, params022, D, I, cstar)
+    (left, right), rep = ad.neumann_invert(hier, params022, D, I, cstar)
     assert rep["residual"] <= 1e-9
-    assert np.abs((I - D) @ (I + C) - I).max() <= 1e-9
+    assert np.abs((I - D) @ (I + left @ right) - I).max() <= 1e-9
     assert rep["geometric_decay_ok"]
     assert rep["delta_hat"] < 0.5
     assert rep["dhat_cstar"] == rep["delta_hat"] * rep["c_star"] < 1
@@ -531,7 +549,9 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
     ref = np.linalg.inv(I - D)
     for left, right in ((U * cm, V), (D, I)):
         C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
-        assert np.abs(I + C - ref).max() <= 1e-12
+        # C is returned as its factors (left @ core, right)
+        assert C[0].shape == (hier.size, len(right)) and C[1] is right
+        assert np.abs(I + C[0] @ C[1] - ref).max() <= 1e-12
         # the residual is relative to max|D|: at most 1e-15 absolute, and
         # within rounding of max|D|
         assert rep["geometric_decay_ok"]
@@ -554,9 +574,9 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
     # so the two agree to rounding at C's own scale
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         model, spectra, hierarchies, frame_sets, profiles)
-    C, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
+    (left, right), rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     closed = (U * (cm / (1.0 - cm))) @ V
-    err = np.abs(C - closed).max()
+    err = np.abs(left @ right - closed).max()
     assert err <= np.finfo(float).eps
     assert err <= 1e-13 * np.abs(closed).max()
     assert abs(rep["dhat_cstar"] - 0.5) <= 1e-14 and rep["geometric_decay_ok"]
@@ -564,28 +584,48 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
 
 def test_neumann_head_pass_and_pushed_through_defects(
         spectra, hierarchies, frame_sets, profiles, monkeypatch):
-    # one pass over D's level blocks takes delta_hat and max|D|, one more
-    # each power's eps1 norm, and one each of the two defects
+    # one pass over D's level blocks takes delta_hat and max|D|, one sweep
+    # each power's eps1 norm, and one each of the two defects, with C's
+    # blocks beside it; every block of each weight is built at most once
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         "C_64", spectra, hierarchies, frame_sets, profiles)
-    passes = []
-    level_blocks = ad._level_blocks
+    passes, built = [], []
+    max_ratio, level_blocks = ad._max_ratio, ad._level_blocks
+    log_omega = ad._log_omega
 
     def counted(*args):
-        passes.append(1)
+        passes.append(args[4:])
+        return max_ratio(*args)
+
+    def defect(*args):
+        passes.append("defect")
         return level_blocks(*args)
 
+    def recorded(hier, beta, gamma, params):
+        block = log_omega(hier, beta, gamma, params)
+
+        def logged(i, j):
+            built.append((beta, i, j))
+            return block(i, j)
+        return logged
+
     with monkeypatch.context() as mp:
-        mp.setattr(ad, "_level_blocks", counted)
+        mp.setattr(ad, "_max_ratio", counted)
+        mp.setattr(ad, "_level_blocks", defect)
+        mp.setattr(ad, "_log_omega", recorded)
         _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
-    assert len(passes) == len(rep["term_ad_norms"]) + 3
+    assert rep["terms"] >= 3 and len(rep["term_ad_norms"]) == rep["terms"]
+    assert passes[:2] == [(), (passes[1][0], rep["terms"] - 1)]
+    assert passes[2:] == ["defect"] * 4
+    assert len(built) == len(set(built))
+    assert {beta for beta, _, _ in built} == {1.0, 0.5}
     assert rep["residual"] <= 1e-13
     # a wrong core makes a wrong C, and the defects pushed through the
     # core still see it
     series = ad.neumann_series
 
-    def wrong(step, on_term=None):
-        core, terms, tail = series(step, on_term)
+    def wrong(step):
+        core, terms, tail = series(step)
         return core + 1e-6 * np.eye(len(core)), terms, tail
 
     monkeypatch.setattr(ad, "neumann_series", wrong)
@@ -633,8 +673,8 @@ def test_factors_zero_only_rounding_noise(model, band_contexts):
 def _dense_blocks(hier, left, right):
     """left @ right from _level_blocks, with the blocks it skips as 0."""
     A = np.full((hier.size, hier.size), np.nan)
-    for sl, sc, X in ad._level_blocks(hier, left, right):
-        A[sl, sc] = 0.0 if X is None else X
+    for i, j, X in ad._level_blocks(hier, left, right):
+        A[hier.blocks[i], hier.blocks[j]] = 0.0 if X is None else X
     return A
 
 
@@ -653,45 +693,52 @@ def test_level_blocks_are_the_dense_product(model, band_contexts):
     assert np.array_equal(_dense_blocks(hier, left, V), left @ V)
     right = V.copy()
     right[:, hier.blocks[-2]] = 0.0
-    assert all(lo == hi for sl, sc, lo, hi in ad._level_spans(
-        hier, left, right) if sc.start <= hier.blocks[-2].start < sc.stop)
+    L = len(hier.blocks)
+    assert all(lo == hi for i, j, lo, hi in ad._level_spans(
+        hier, left, right) if j == L - 2)
     A = _dense_blocks(hier, left, right)
     assert np.array_equal(A, left @ right)
     assert not A[:, hier.blocks[-2]].any()
     # the norms read the same blocks: equal to those of the dense table,
-    # and max_abs compares C on the blocks it does not form
+    # and max_abs compares C, given as its factors and formed over its own
+    # level blocks, on the blocks of A it does not form
     C = A + 1e-3
     C[:, hier.blocks[-2]] += 1.0
     I = np.eye(hier.size)
     for r in (V, right):
-        assert ad.max_abs(hier, left, r, C) == ad.max_abs(hier, left @ r, I, C)
+        want = np.abs(left @ r).max(), np.abs(left @ r - C).max()
+        assert ad.max_abs(hier, left, r, (C, I)) == want
+        assert ad.max_abs(hier, left @ r, I, (C, I)) == want
         assert ad.ad_norm(hier, ctx.get("params"), left, r, 0.5) \
             == ad.ad_norm(hier, ctx.get("params"), left @ r, I, 0.5)
 
 
 def test_compact_dual_on_c64_forms_no_block(band_contexts, monkeypatch):
     # C_64 has no polynomial level, so psi - theta is exactly 0 and the
-    # compact dual's ||D||_eps reads 0 without forming any block
+    # compact dual's ||D||_eps reads 0 without forming any block: a weight
+    # block is built beside the first product block of its level pair, and
+    # none is built
     ctx = band_contexts["C_64"]
     assert not any(lv.degree for lv in ctx.get("compact_supports").values())
-    formed = []
-    level_blocks = ad._level_blocks
+    calls, built = [], []
+    log_omega = ad._log_omega
 
     def recorded(*args):
-        for block in level_blocks(*args):
-            formed.append(block[2] is not None)
-            yield block
+        calls.append(args[1:3])
+        block = log_omega(*args)
+        return lambda i, j: built.append((i, j)) or block(i, j)
 
-    monkeypatch.setattr(ad, "_level_blocks", recorded)
+    monkeypatch.setattr(ad, "_log_omega", recorded)
     _, delta_hat = fr.build_compact_dual(ctx.get("frame"), ctx.get("dual"),
                                          ctx.get("compact"),
                                          ctx.get("params"))
-    assert delta_hat == 0.0 and formed and not any(formed)
+    assert delta_hat == 0.0 and calls == [(ad.NEUMANN_EPSILON,) * 2]
+    assert not built
 
 
 def test_neumann_writes_zero_on_blocks_it_does_not_form(band_contexts):
     # with an all-zero column level in right, that level's blocks of C have
-    # an empty span: they read exactly 0, not the reused log omega table,
+    # an empty span: C's factors leave them exactly 0, they are not formed,
     # and C is the dense inverse's
     ctx = band_contexts["C_64"]
     hier, prm = ctx.get("hier"), ctx.get("params")
@@ -701,8 +748,13 @@ def test_neumann_writes_zero_on_blocks_it_does_not_form(band_contexts):
     cstar = ctx.get("lemma64_half")[-1]["max_ratio"]
     left = U * (1.0 / (1.0 + ctx.get("spec").eigenvalues))
     left /= 2.0 * cstar * ad.ad_norm(hier, prm, left, right, 1.0)
-    C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
+    (c_left, c_right), rep = ad.neumann_invert(hier, prm, left, right, cstar)
     I = np.eye(hier.size)
+    C = _dense_blocks(hier, c_left, c_right)
+    L = len(hier.blocks)
+    assert all(X is None for i, j, X in ad._level_blocks(
+        hier, c_left, c_right) if j == L - 2)
     assert not C[:, hier.blocks[-2]].any()
+    assert np.array_equal(C, c_left @ c_right)
     assert np.abs(I + C - np.linalg.inv(I - left @ right)).max() <= 1e-12
     assert rep["residual"] <= 1e-13 and rep["geometric_decay_ok"]

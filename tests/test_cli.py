@@ -236,6 +236,30 @@ def test_suite_metrics_in_report(tmp_path):
     assert "doubling" in summary
 
 
+def test_summary_first_line_shows_sizes_and_peak_rss(tmp_path, capsys):
+    # the hierarchy's n, m and number of levels, and the peak RSS, follow
+    # the counts; a run that builds no hierarchy prints none of its sizes
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"suites": ["doubling", "lemma9.1"],
+                             "model": "C_32",
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "out" / "summary.txt").read_text().splitlines()[0]
+    counts, *fields = first.split("; ")
+    assert counts == "model C_32: 1 passed, 1 recorded, 0 failed, 0 skipped"
+    hier = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_32")).get("hier")
+    assert fields[0] == (f"n=32 m={hier.size} levels={len(hier.levels)}")
+    assert fields[1].startswith("peak_rss_mb=")
+    assert float(fields[1].split("=")[1]) > 0
+    p.write_text(json.dumps({"suites": ["doubling"], "model": "C_32",
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "out" / "summary.txt").read_text().splitlines()[0]
+    assert first.split("; ")[1].startswith("peak_rss_mb=")
+
+
 def test_summary_shows_the_first_line_of_an_error(tmp_path, capsys,
                                                   monkeypatch):
     def boom(ctx):
@@ -370,13 +394,13 @@ def test_neumann_suite_takes_one_lemma64_grid(tmp_path, capsys, monkeypatch):
 
 
 def test_omega_suite_fails_when_the_table_and_pairs_disagree(monkeypatch):
-    # pair_err compares omega2 pair by pair with the omega2_matrix table, so
-    # a table off by 1e-12 relative fails the 1e-14 gate
+    # pair_err compares omega2 pair by pair with the table's row levels
+    # (omega2_rows), so a table off by 1e-12 relative fails the 1e-14 gate
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
     assert cli.SUITES["def6.1-omega"][2](ctx)[0] == "pass"
-    table = cli.ad.omega2_matrix
-    monkeypatch.setattr(cli.ad, "omega2_matrix",
-                        lambda *args: table(*args) * (1 + 1e-12))
+    rows = cli.ad.omega2_rows
+    monkeypatch.setattr(cli.ad, "omega2_rows", lambda *args: (
+        (sl, W * (1 + 1e-12)) for sl, W in rows(*args)))
     status, metrics = cli.SUITES["def6.1-omega"][2](ctx)
     assert status == "fail" and metrics["pair_err"] > 1e-14
 
@@ -386,14 +410,15 @@ def test_omega_suite_fails_when_the_table_diagonal_is_not_one(monkeypatch):
     # diag_err, read from the table itself, can catch it
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
     assert cli.SUITES["def6.1-omega"][2](ctx)[0] == "pass"
-    table = cli.ad.omega2_matrix
+    rows = cli.ad.omega2_rows
 
     def off_diagonal(*args):
-        W = table(*args)
-        W[np.diag_indices_from(W)] *= 1 + 2.0 ** -52
-        return W
+        for sl, W in rows(*args):
+            D = W[:, sl]
+            D[np.diag_indices_from(D)] *= 1 + 2.0 ** -52
+            yield sl, W
 
-    monkeypatch.setattr(cli.ad, "omega2_matrix", off_diagonal)
+    monkeypatch.setattr(cli.ad, "omega2_rows", off_diagonal)
     status, metrics = cli.SUITES["def6.1-omega"][2](ctx)
     assert status == "fail" and metrics["diag_err"] > 0
     assert metrics["pair_err"] < 1e-14
@@ -471,7 +496,7 @@ def test_neumann_residual_sees_a_wrong_inverse_on_a_small_resolvent(
     # the inverse) leaves an absolute defect max|D| below the 1e-9 gate;
     # relative to max|D| it reads 1
     monkeypatch.setattr(ad, "neumann_series",
-                        lambda step, on_term=None: (0.0 * step, 0, 0.0))
+                        lambda step: (0.0 * step, 0, 0.0))
     reports = []
     neumann_invert = ad.neumann_invert
 
@@ -498,7 +523,7 @@ def test_neumann_closed_form_fails_on_a_zero_inverse(tmp_path, capsys,
     # max|A_{cm/(1-cm)}|, not max|C|, so it reads 1 and fails the gate
     # instead of dividing 0 by 0
     monkeypatch.setattr(ad, "neumann_series",
-                        lambda step, on_term=None: (0.0 * step, 0, 0.0))
+                        lambda step: (0.0 * step, 0, 0.0))
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": "C_64", "spq": [2, 0.3, 0.3],
                              "suites": ["thm6.3-neumann"],
@@ -611,6 +636,31 @@ def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
     for cert in certs:
         assert cert.orders.flavor == "tilde"
         assert cert.M == params.J + abs(params.s) + 0.5
+
+
+@pytest.mark.parametrize("entry", [1e-6, 3e-8])
+def test_molecule_suite_gates_the_raw_factorization_residual(entry):
+    # one entry on a zeroed row of V, just above level 2's band: the table
+    # no longer represents psi.  At 3e-8 the raw residual reads 5.3e-9, and
+    # both psi certificates scaled by their c* (0.14 and 1.1e-3) pass, their
+    # residual taken against max(1, c* max|cols|) = 1; only the gate on the
+    # family as given fails the suite
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
+    hier = ctx.get("hier")
+    U, V = ctx.get("factors")
+    sl, hi = hier.blocks[2], cli.ad.column_spans(hier, V)[2][1]
+    assert not V[hi, sl].any()
+    V = V.copy()
+    V[hi, sl.start] = entry
+    ctx._cache["factors"] = U, V
+    assert cli.SUITES["lemma7.2-molecules"][2](ctx)[0] == "fail"
+    certs = cli.mo.validate_molecule([(V, ctx.get("frame").columns)], hier,
+                                     ctx.get("params"), ctx.get("spec"))[0]
+    for cert in certs.values():
+        assert cert.factorization_residual > 1e-9
+        if entry < 1e-6:
+            cstar = cli.mo.scaling_for_budget(cert) * (1.0 - 1e-9)
+            assert cert.scaled(cstar).passed
 
 
 def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):

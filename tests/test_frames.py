@@ -288,9 +288,10 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     D = left @ right
     B = dual.columns.T @ (mu[:, None] * frame.columns)
     cstar = ad.lemma64_grid(hier, params, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
-    C, rep = ad.neumann_invert(hier, params, left, right, cstar)
+    (c_left, c_right), rep = ad.neumann_invert(hier, params, left, right,
+                                               cstar)
     dense = dual.columns @ np.linalg.solve(np.eye(hier.size) - D, B).T
-    certified = dual.columns @ (B + C @ B).T
+    certified = dual.columns @ (B + c_left @ (c_right @ B)).T
     for ref in (dense, certified):
         err = np.abs(cdual.columns - ref).max() / np.abs(ref).max()
         assert err <= 1e-12, err
