@@ -131,65 +131,60 @@ def column_spans(hier: NetHierarchy, table) -> list:
     return [_span(table[:, sc].any(axis=1)) for sc in hier.blocks]
 
 
-def _level_spans(hier: NetHierarchy, left, right) -> list:
-    """(i, j, lo, hi) for the blocks of left @ right, row level i by column
-    level j: left's nonzero column span on the row level met with right's
-    nonzero row span on the column level, each read once.  Outside
-    [lo, hi) one factor of every term is 0, so the block is
-    left[sl, lo:hi] @ right[lo:hi, sc], and exactly 0 when lo = hi = 0.
+def _block_pass(hier: NetHierarchy, left, right) -> tuple:
+    """(column_spans(hier, right), a buffer for the widest level block):
+    what a pass over the level blocks of left @ right needs, once that
+    product is checked to be an m x m table."""
+    if left.shape[0] != hier.size or right.shape[1] != hier.size:
+        raise ValueError("entry table does not match the hierarchy")
+    width = max(sl.stop - sl.start for sl in hier.blocks)
+    return column_spans(hier, right), np.empty(width * width)
+
+
+def _row_blocks(hier: NetHierarchy, rows, right, spans, buf):
+    """X for each column level's block of rows @ right, rows one row
+    level's slab of a left factor and (spans, buf) = _block_pass: X is
+    rows[:, lo:hi] @ right[lo:hi, sc], formed in buf, over the span [lo, hi)
+    where rows' nonzero columns meet right's nonzero rows on the column
+    level; outside it one factor of every term is 0, so an empty span
+    yields None, for a block that is exactly 0 and not formed.
 
     The frames' coefficient factors are exactly 0 off each level's band,
     and eigenvalues ascend, so a level's span is its band's index range; a
     dense factor spans everything."""
-    m = hier.size
-    if left.shape[0] != m or right.shape[1] != m:
-        raise ValueError("entry table does not match the hierarchy")
-    rows, out = column_spans(hier, right), []
-    for i, (a, b) in enumerate(column_spans(hier, left.T)):
-        for j, (c, d) in enumerate(rows):
-            span = (max(a, c), min(b, d)) if max(a, c) < min(b, d) else (0, 0)
-            out.append((i, j) + span)
-    return out
-
-
-def _level_blocks(hier: NetHierarchy, left, right):
-    """(i, j, X) for each level block of left @ right (_level_spans), row
-    by row: X the block formed over its span in one reused buffer of the
-    widest level squared, or None for a block that is exactly 0, which is
-    not formed.  The m x m table is never formed whole."""
-    blocks = hier.blocks
-    spans = _level_spans(hier, left, right)
-    buf = np.empty(max(sl.stop - sl.start for sl in blocks) ** 2)
-    for i, j, lo, hi in spans:
-        if lo == hi:
-            yield i, j, None
+    a, b = _span(rows.any(axis=0))
+    for sc, (c, d) in zip(hier.blocks, spans):
+        lo, hi = max(a, c), min(b, d)
+        if lo >= hi:
+            yield None
             continue
-        sl, sc = blocks[i], blocks[j]
-        shape = (sl.stop - sl.start, sc.stop - sc.start)
-        X = buf[:shape[0] * shape[1]].reshape(shape)
-        yield i, j, np.matmul(left[sl, lo:hi], right[lo:hi, sc], out=X)
+        shape = (len(rows), sc.stop - sc.start)
+        yield np.matmul(rows[:, lo:hi], right[lo:hi, sc],
+                        out=buf[:shape[0] * shape[1]].reshape(shape))
 
 
 def max_abs(hier: NetHierarchy, left, right, C=None):
     """(max |A|, max |A - C|) for A = left @ right and C given by its
     factors (C_left, C_right), or None for 0, a level block at a time: each
-    table's blocks are formed over its own spans (_level_blocks), and where
+    table's blocks are formed over its own spans (_row_blocks), and where
     one of the two blocks is exactly 0, the other is compared alone."""
     m = hier.size
     if C is None:
         C = np.zeros((m, 0)), np.zeros((0, m))
+    a_pass, c_pass = _block_pass(hier, left, right), _block_pass(hier, *C)
     a_max = d_max = 0.0
-    for (_, _, X), (_, _, Y) in zip(_level_blocks(hier, left, right),
-                                    _level_blocks(hier, *C)):
-        if X is not None:
-            a_max = max(a_max, X.max(), -X.min())
-            if Y is not None:
-                X -= Y
-        elif Y is not None:
-            X = Y
-        else:
-            continue
-        d_max = max(d_max, np.abs(X, out=X).max())
+    for sl in hier.blocks:
+        for X, Y in zip(_row_blocks(hier, left[sl], right, *a_pass),
+                        _row_blocks(hier, C[0][sl], C[1], *c_pass)):
+            if X is not None:
+                a_max = max(a_max, X.max(), -X.min())
+                if Y is not None:
+                    X -= Y
+            elif Y is not None:
+                X = Y
+            else:
+                continue
+            d_max = max(d_max, np.abs(X, out=X).max())
     return float(a_max), float(d_max)
 
 
@@ -197,7 +192,7 @@ def ad_norm(hier: NetHierarchy, params: SpaceParams, left, right,
             delta: float) -> float:
     """||A||_delta = max |a_{xi,eta}| / omega_{xi,eta}(delta, delta) for the
     m x m table A = left @ right, formed a level block at a time over the
-    factors' spans (_level_spans); a dense A is passed as (A, np.eye(m)),
+    factors' spans (_row_blocks); a dense A is passed as (A, np.eye(m)),
     whose column levels span only themselves."""
     return _max_ratio(hier, left, right,
                       _log_omega(hier, delta, delta, params))[0][0]
@@ -337,29 +332,22 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
     exp(max(log|a| - log omega)).  On each row level the rows of left G^t
     are formed from those of left G^(t-1), and each block of log omega is
     built once, beside the first product block that reads it, and kept for
-    the row level's later powers.  A block is formed over its span (_level_spans); a zero
-    entry has log 0 = -inf, so a block that is exactly 0 is skipped, and
-    an all-zero table gives (0, 0)."""
-    if left.shape[0] != hier.size or right.shape[1] != hier.size:
-        raise ValueError("entry table does not match the hierarchy")
-    cols = column_spans(hier, right)
+    the row level's later powers.  A block is formed over its span
+    (_row_blocks); a zero entry has log 0 = -inf, so a block that is exactly
+    0 is skipped, and an all-zero table gives (0, 0)."""
+    cols, buf = _block_pass(hier, left, right)
     best, a_max = [-np.inf] * (terms + 1), [0.0] * (terms + 1)
-    width = max(sl.stop - sl.start for sl in hier.blocks)
-    buf = np.empty(width * width)
     with np.errstate(divide="ignore"):
         for i, sl in enumerate(hier.blocks):
             W, rows = {}, left[sl]
             for t in range(terms + 1):
                 if t:
+                    a, b = _span(rows.any(axis=0))
                     rows = rows[:, a:b] @ G[a:b]
-                a, b = _span(rows.any(axis=0))
-                for j, (sc, (c, d)) in enumerate(zip(hier.blocks, cols)):
-                    lo, hi = max(a, c), min(b, d)
-                    if lo >= hi:
+                for j, X in enumerate(_row_blocks(hier, rows, right, cols,
+                                                  buf)):
+                    if X is None:
                         continue
-                    shape = (sl.stop - sl.start, sc.stop - sc.start)
-                    X = np.matmul(rows[:, lo:hi], right[lo:hi, sc],
-                                  out=buf[:shape[0] * shape[1]].reshape(shape))
                     np.abs(X, out=X)
                     a_max[t] = max(a_max[t], X.max())
                     np.log(X, out=X)

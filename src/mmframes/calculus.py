@@ -115,27 +115,6 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
     return data
 
 
-def apply_L_power(spec: SpectralData, g, lo: int, hi: int) -> dict:
-    """{mu: L^mu g} for mu = lo..hi, g a function or an (n, k) column
-    table, all from one coefficient table of g: L^mu g is the synthesis of
-    lambda^mu times those coefficients, 0 on the nullspace, and L^0 g is g.
-    A negative lo, taken modulo the nullspace, requires mean-zero columns."""
-    lam = spec.eigenvalues
-    nz = lam > 0
-    c = spec.coefficients(g)
-    if lo < 0 and np.any(~nz) and \
-            np.abs(c[~nz]).max() > 1e-10 * max(1.0, np.abs(c).max()):
-        raise ValueError("negative power on a function with nullspace component")
-    c = c.reshape(len(lam), -1)
-    ladder = {}
-    for mu in range(lo, hi + 1):
-        vals = np.zeros_like(lam)
-        vals[nz] = lam[nz] ** mu
-        ladder[mu] = g if mu == 0 else \
-            spec.synthesize(vals[:, None] * c).reshape(np.shape(g))
-    return ladder
-
-
 # ---------------------------------------------------------------------------
 # cutoff symbols
 

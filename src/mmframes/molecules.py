@@ -14,7 +14,7 @@ import numpy as np
 
 from mmframes import addiag
 from mmframes.space import NetHierarchy
-from mmframes.calculus import SpectralData, SUPPORT_THRESHOLD, apply_L_power
+from mmframes.calculus import SpectralData, SUPPORT_THRESHOLD
 from mmframes.seqspace import SpaceParams, seq_norm, function_norm
 
 
@@ -110,6 +110,35 @@ def _column_max(X, env) -> np.ndarray:
     return A.max(axis=0, initial=0.0)
 
 
+def _ladder(hier: NetHierarchy, spec: SpectralData, families, mus):
+    """(sl, i, Y, defect) for each level sl (hier.blocks) and, within it,
+    each family i = (coeffs, cols), (n, m) tables with coeffs the
+    coefficients of cols in the eigenbasis: Y[:, r] = L^mus[r] cols[:, sl],
+    the synthesis of lambda^mu coeffs (0 on the nullspace) over the level's
+    span of coeffs (addiag.column_spans), with cols itself as rung 0 (mus
+    holds 0).  Y is written in one reused buffer, so it holds until the
+    next yield.  defect is the column maxima of |synthesised rung 0 - cols|,
+    the size of cols' nullspace part (and of rounding)."""
+    lam, E = spec.eigenvalues, spec.eigenfunctions
+    pw = np.zeros((len(lam), len(mus)))
+    pw[lam > 0] = lam[lam > 0, None] ** mus
+    zero = list(mus).index(0)
+    spans = [addiag.column_spans(hier, coeffs) for coeffs, _ in families]
+    buf = np.empty(len(lam) * len(mus) * max(
+        sl.stop - sl.start for sl in hier.blocks))
+    for k, sl in enumerate(hier.blocks):
+        shape = (len(mus), sl.stop - sl.start)
+        out = buf[:len(lam) * np.prod(shape)].reshape(len(lam), -1)
+        for i, (coeffs, cols) in enumerate(families):
+            lo, hi = spans[i][k]
+            Y = np.matmul(E[:, lo:hi], (pw[lo:hi, :, None] * coeffs[
+                lo:hi, None, sl]).reshape(hi - lo, np.prod(shape)),
+                out=out).reshape(-1, *shape)
+            defect = np.abs(Y[:, zero] - cols[:, sl]).max(axis=0)
+            Y[:, zero] = cols[:, sl]
+            yield sl, i, Y, defect
+
+
 def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
                       spec: SpectralData) -> list:
     """{flavor: MoleculeCertificate}, synthesis and analysis, per family
@@ -119,12 +148,11 @@ def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
     most 1e-9; M = M_threshold + 1/2 (M + d for analysis) in params.flavor.
 
     One ladder per family serves both flavours: L^mu cols, mu = -max(K, N)
-    .. max(K, N), synthesises lambda^mu coeffs (0 on the nullspace) a level
-    at a time over its span of coeffs (addiag.column_spans); rung 0 is cols
-    itself.  Each (rung, flavour) reduces to the column maxima of |L^mu
-    cols| / envelope, times l(xi)^(2 mu); each constant is a maximum of
-    those.  The defect reads L^K h as coeffs synthesised off the nullspace;
-    an inhomogeneous hierarchy waives it and cancellation at level 0."""
+    .. max(K, N), a level at a time (_ladder).  Each (rung, flavour)
+    reduces to the column maxima of |L^mu cols| / envelope, times
+    l(xi)^(2 mu); each constant is a maximum of those.  The defect reads
+    L^K h as coeffs synthesised off the nullspace; an inhomogeneous
+    hierarchy waives it and cancellation at level 0."""
     orders = compute_orders(params)
     M = orders.M_threshold + 0.5
     # powers[flavor][constant] = (lowest, highest) mu, a void one left out.
@@ -142,31 +170,22 @@ def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
                       "companion_size": (N and -N, 0)}))}
     depth = max(K or 0, N or 0)
     mus = np.arange(-depth, depth + 1)
-    lam, E, dist = spec.eigenvalues, spec.eigenfunctions, hier.space.dist
-    pw = np.zeros((len(lam), len(mus)))
-    pw[lam > 0] = lam[lam > 0, None] ** mus
 
     families = [(_as_columns(t, hier), _as_columns(cols, hier))
                 for t, cols in families]
-    spans = [addiag.column_spans(hier, t) for t, _ in families]
     # maxima[i, flavour, depth + mu, xi], synthesis then analysis
     maxima = np.empty((len(families), 2, len(mus), hier.size))
     defect = np.empty((len(families), hier.size))
-    for k, sl in enumerate(hier.blocks):
-        # |B_xi|^{-1/2} (1 + rho(x, xi)/l(xi))^{-decay} on the level
-        grow = 1.0 + dist[:, hier.xi_point[sl]] / hier.xi_ell[sl]
-        env = [hier.xi_bvol[sl] ** -0.5 * grow ** -decay
-               for decay in (M, M + params.d)]
-        shape = (len(mus), sl.stop - sl.start)
-        for i, (coeffs, cols) in enumerate(families):
-            lo, hi = spans[i][k]
-            Y = (E[:, lo:hi] @ (pw[lo:hi, :, None] * coeffs[lo:hi, None, sl])
-                 .reshape(hi - lo, np.prod(shape))).reshape(-1, *shape)
-            # the synthesised rung 0 is L^K h; the ladder's rung 0 is cols
-            defect[i, sl] = np.abs(Y[:, depth] - cols[:, sl]).max(axis=0)
-            Y[:, depth] = cols[:, sl]
-            for f, e in enumerate(env):
-                maxima[i, f, :, sl] = _column_max(Y, e[:, None])
+    for sl, i, Y, d in _ladder(hier, spec, families, mus):
+        defect[i, sl] = d
+        if i == 0:
+            # |B_xi|^{-1/2} (1 + rho(x, xi)/l(xi))^{-decay} on the level
+            grow = 1.0 + hier.space.dist[:, hier.xi_point[sl]] \
+                / hier.xi_ell[sl]
+            env = [hier.xi_bvol[sl] ** -0.5 * grow ** -decay
+                   for decay in (M, M + params.d)]
+        for f, e in enumerate(env):
+            maxima[i, f, :, sl] = _column_max(Y, e[:, None])
     maxima *= (hier.xi_ell ** 2) ** mus[:, None]
 
     canc_mask = hier.xi_level != 0 if hier.mode == "inhomogeneous" \
@@ -302,35 +321,35 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     """
     K, K_tilde = minimal_atom_orders(params)
     cols = _as_columns(family, hier)
-    ell2 = hier.xi_ell ** 2
+    coeffs = spec.coefficients(cols)
+    # powers below 0 are taken modulo the nullspace
+    if K and np.abs(coeffs[:spec.nullspace_dim]).max(initial=0.0) > \
+            1e-10 * max(1.0, np.abs(coeffs).max(initial=0.0)):
+        raise ValueError("negative power on a function with nullspace component")
     base = hier.xi_bvol ** -0.5
+    mus = np.arange(-K, K_tilde + 1)
+    maxima, defect = np.empty((len(mus), hier.size)), np.empty(hier.size)
+    supp_c, radii = 0.0, {nu: {} for nu in range(K + 1)}
 
-    # one ladder L^mu cols, mu = -K..K~: the companion h = L^-K cols and
-    # its powers L^nu h = L^(nu-K) cols are the rungs mu <= 0
-    ladder = apply_L_power(spec, cols, -K, K_tilde)
-    maxima = np.array([_column_max(ladder[mu], base) * ell2 ** mu
-                       for mu in range(-K, K_tilde + 1)])
+    # one ladder L^mu cols, mu = -K..K~, a level at a time (_ladder): the
+    # companion h = L^-K cols and its powers L^nu h = L^(nu-K) cols are the
+    # rungs mu <= 0, and L^K h - cols is the synthesised rung 0's defect
+    for (sl, _, Y, d), net in zip(_ladder(hier, spec, [(coeffs, cols)], mus),
+                                  hier.levels):
+        maxima[:, sl], defect[sl] = _column_max(Y, base[sl]), d
+        live = np.abs(Y[:, :K + 1])
+        live = live > SUPPORT_THRESHOLD * np.maximum(live.max(axis=0), 1e-300)
+        r = np.where(live, hier.space.dist[:, None, hier.xi_point[sl]],
+                     0.0).max(axis=0, initial=0.0)
+        supp_c = max(supp_c, float((r / net.delta).max(initial=0.0)))
+        for nu in range(K + 1):
+            radii[nu][net.level] = float(r[nu].max(initial=0.0))
+    maxima *= (hier.xi_ell ** 2) ** mus[:, None]
     constants = {"smoothness": float(maxima[K:].max(initial=0.0)),
                  "companion_size": float(maxima[:K + 1].max(initial=0.0))}
-    # the rungs above 0 are read no further
-    ladder = {mu: ladder[mu] for mu in range(-K, 1)}
-    defect = apply_L_power(spec, ladder[-K], K, K)[K] - cols
-    fact_resid = np.abs(defect, out=defect).max(initial=0.0) \
-        / max(1.0, np.abs(cols).max(initial=0.0))
-    del defect
-
-    supp_c = 0.0
-    radii = {}
-    dist = hier.space.dist[:, hier.xi_point]
-    delta = np.repeat([net.delta for net in hier.levels],
-                      [net.size for net in hier.levels])
-    for nu in range(K + 1):
-        g = np.abs(ladder[nu - K])
-        live = g > SUPPORT_THRESHOLD * np.maximum(g.max(axis=0), 1e-300)
-        r = np.where(live, dist, 0.0).max(axis=0, initial=0.0)
-        supp_c = max(supp_c, float((r / delta).max(initial=0.0)))
-        radii[nu] = {net.level: float(r[sl].max(initial=0.0))
-                     for net, sl in zip(hier.levels, hier.blocks)}
+    # at K = 0, h is cols itself: nothing is factored
+    fact_resid = defect.max() / max(1.0, np.abs(cols).max(initial=0.0)) \
+        if K else 0.0
 
     passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9

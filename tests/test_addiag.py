@@ -585,21 +585,22 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
 def test_neumann_head_pass_and_pushed_through_defects(
         spectra, hierarchies, frame_sets, profiles, monkeypatch):
     # one pass over D's level blocks takes delta_hat and max|D|, one sweep
-    # each power's eps1 norm, and one each of the two defects, with C's
-    # blocks beside it; every block of each weight is built at most once
+    # each power's eps1 norm, and one max_abs pass each of the two defects,
+    # with C's blocks beside it; every block of each weight is built at
+    # most once
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         "C_64", spectra, hierarchies, frame_sets, profiles)
     passes, built = [], []
-    max_ratio, level_blocks = ad._max_ratio, ad._level_blocks
+    max_ratio, max_abs = ad._max_ratio, ad.max_abs
     log_omega = ad._log_omega
 
     def counted(*args):
         passes.append(args[4:])
         return max_ratio(*args)
 
-    def defect(*args):
-        passes.append("defect")
-        return level_blocks(*args)
+    def defect(hier, left, right, C=None):
+        passes.append("defect" if C is not None else "no C")
+        return max_abs(hier, left, right, C)
 
     def recorded(hier, beta, gamma, params):
         block = log_omega(hier, beta, gamma, params)
@@ -611,12 +612,12 @@ def test_neumann_head_pass_and_pushed_through_defects(
 
     with monkeypatch.context() as mp:
         mp.setattr(ad, "_max_ratio", counted)
-        mp.setattr(ad, "_level_blocks", defect)
+        mp.setattr(ad, "max_abs", defect)
         mp.setattr(ad, "_log_omega", recorded)
         _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     assert rep["terms"] >= 3 and len(rep["term_ad_norms"]) == rep["terms"]
     assert passes[:2] == [(), (passes[1][0], rep["terms"] - 1)]
-    assert passes[2:] == ["defect"] * 4
+    assert passes[2:] == ["defect"] * 2
     assert len(built) == len(set(built))
     assert {beta for beta, _, _ in built} == {1.0, 0.5}
     assert rep["residual"] <= 1e-13
@@ -670,10 +671,20 @@ def test_factors_zero_only_rounding_noise(model, band_contexts):
         assert np.abs(raw[zeroed]).max() <= 1e-13 * np.abs(raw).max()
 
 
+def _blocks(hier, left, right):
+    """(i, j, X) for each level block of left @ right, a row level at a
+    time from _row_blocks: X is None for a block it does not form."""
+    spans, buf = ad._block_pass(hier, left, right)
+    for i, sl in enumerate(hier.blocks):
+        for j, X in enumerate(ad._row_blocks(hier, left[sl], right, spans,
+                                             buf)):
+            yield i, j, X
+
+
 def _dense_blocks(hier, left, right):
-    """left @ right from _level_blocks, with the blocks it skips as 0."""
+    """left @ right from _row_blocks, with the blocks it skips as 0."""
     A = np.full((hier.size, hier.size), np.nan)
-    for i, j, X in ad._level_blocks(hier, left, right):
+    for i, j, X in _blocks(hier, left, right):
         A[hier.blocks[i], hier.blocks[j]] = 0.0 if X is None else X
     return A
 
@@ -687,15 +698,20 @@ def test_level_blocks_are_the_dense_product(model, band_contexts):
     hier = ctx.get("hier")
     U, V = ctx.get("factors")
     left = U * (1.0 / (1.0 + ctx.get("spec").eigenvalues))
-    spans = ad._level_spans(hier, left, V)
-    assert any(lo == hi for *_, lo, hi in spans)
-    assert any(0 < hi - lo < len(V) for *_, lo, hi in spans)
+    # the span of block (i, j): left's nonzero columns on row level i met
+    # with V's nonzero rows on column level j
+    spans = [(max(a, c), min(b, d)) for a, b in ad.column_spans(hier, left.T)
+             for c, d in ad.column_spans(hier, V)]
+    assert any(lo >= hi for lo, hi in spans)
+    assert any(0 < hi - lo < len(V) for lo, hi in spans)
+    assert [X is None for *_, X in _blocks(hier, left, V)] == \
+        [lo >= hi for lo, hi in spans]
     assert np.array_equal(_dense_blocks(hier, left, V), left @ V)
     right = V.copy()
     right[:, hier.blocks[-2]] = 0.0
     L = len(hier.blocks)
-    assert all(lo == hi for i, j, lo, hi in ad._level_spans(
-        hier, left, right) if j == L - 2)
+    assert all(X is None for i, j, X in _blocks(hier, left, right)
+               if j == L - 2)
     A = _dense_blocks(hier, left, right)
     assert np.array_equal(A, left @ right)
     assert not A[:, hier.blocks[-2]].any()
@@ -752,8 +768,8 @@ def test_neumann_writes_zero_on_blocks_it_does_not_form(band_contexts):
     I = np.eye(hier.size)
     C = _dense_blocks(hier, c_left, c_right)
     L = len(hier.blocks)
-    assert all(X is None for i, j, X in ad._level_blocks(
-        hier, c_left, c_right) if j == L - 2)
+    assert all(X is None for i, j, X in _blocks(hier, c_left, c_right)
+               if j == L - 2)
     assert not C[:, hier.blocks[-2]].any()
     assert np.array_equal(C, c_left @ c_right)
     assert np.abs(I + C - np.linalg.inv(I - left @ right)).max() <= 1e-12

@@ -80,42 +80,6 @@ def test_symbol_application_routes_agree(spectra):
     assert np.array_equal(spec.symbol(lambda u: 2.0), np.full(64, 2.0))
 
 
-def test_L_power_ladder_roundtrip(spectra):
-    # L^2 and then L^-2, on a vector and on a 32-column table; the ladder's
-    # rung 0 is its input
-    spec = spectra["C_32"]
-    f = spec.project_mean_zero(np.sin(np.arange(32)))
-    F = spec.project_mean_zero(
-        np.random.default_rng(1).standard_normal((32, 32)))
-    for g in (f, F):
-        up = ca.apply_L_power(spec, g, 0, 2)
-        assert sorted(up) == [0, 1, 2] and up[0] is g
-        back = ca.apply_L_power(spec, up[2], -2, -2)
-        assert sorted(back) == [-2]
-        assert back[-2].shape == g.shape
-        assert np.allclose(back[-2], g, atol=1e-8)
-
-
-def test_negative_power_ladder_requires_mean_zero(spectra):
-    spec = spectra["C_32"]
-    with pytest.raises(ValueError, match="nullspace component"):
-        ca.apply_L_power(spec, np.ones(32), -1, 1)
-    # positive powers take the constant to 0
-    assert np.abs(ca.apply_L_power(spec, np.ones(32), 0, 1)[1]).max() \
-        <= 1e-12
-
-
-def test_L_power_ladder_matches_matrix_action(spectra):
-    spec = spectra["C_32"]
-    f = np.cos(np.arange(32) / 3.0)
-    cols = np.random.default_rng(2).standard_normal((32, 5))
-    L = spec.space.L
-    for g in (f, cols):
-        ladder = ca.apply_L_power(spec, g, 1, 2)
-        assert np.allclose(ladder[1], L @ g, atol=1e-9)
-        assert np.allclose(ladder[2], L @ (L @ g), atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # cutoffs
 

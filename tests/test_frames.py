@@ -196,7 +196,6 @@ def test_theta_jets_vanish(compact_pipeline):
     coeffs = cp.spec.coefficients(cp.compact.columns)
     null = coeffs[:cp.spec.nullspace_dim]
     assert np.abs(null).max() <= 1e-13 * np.abs(coeffs).max()
-    ca.apply_L_power(cp.spec, cp.compact.columns, -1, -1)
 
 
 def test_compact_frame_supports_within_speed_bound(compact_pipeline):

@@ -283,6 +283,51 @@ def test_synthesis_rejects_wrong_length(molecule_setup, params022, Phi):
 
 
 # ---------------------------------------------------------------------------
+# the L-power ladder
+
+
+def _ladder_tables(hier, spec, cols, mus):
+    """({mu: L^mu cols}, defect) assembled from _ladder's level slices."""
+    rungs, defect = np.empty((len(mus),) + cols.shape), np.empty(hier.size)
+    for sl, i, Y, d in mo._ladder(hier, spec,
+                                  [(spec.coefficients(cols), cols)], mus):
+        assert i == 0 and Y.shape == (len(cols), len(mus), sl.stop - sl.start)
+        rungs[:, :, sl] = Y.transpose(1, 0, 2)
+        defect[sl] = d
+    return dict(zip(mus.tolist(), rungs)), defect
+
+
+def test_L_power_ladder_roundtrip(spectra, hierarchies):
+    # L^2 and then L^-2 on a mean-zero table; the ladder's rung 0 is its
+    # input, which the synthesised rung 0 meets to rounding
+    spec, (hier, _) = spectra["C_32"], hierarchies["C_32"]
+    F = spec.project_mean_zero(
+        np.random.default_rng(1).standard_normal((32, hier.size)))
+    up, defect = _ladder_tables(hier, spec, F, np.arange(0, 3))
+    assert sorted(up) == [0, 1, 2] and np.array_equal(up[0], F)
+    assert defect.max() <= 1e-12
+    back, _ = _ladder_tables(hier, spec, up[2], np.arange(-2, 1))
+    assert np.allclose(back[-2], F, atol=1e-8)
+
+
+def test_L_power_ladder_matches_matrix_action(spectra, hierarchies):
+    # rung 1 is L @ cols and rung 2 is L @ L @ cols; the defect is the size
+    # of cols' nullspace part, and positive powers take the constant to 0
+    spec, (hier, _) = spectra["C_32"], hierarchies["C_32"]
+    cols = np.random.default_rng(2).standard_normal((32, hier.size))
+    cols[:, 0] = np.cos(np.arange(32) / 3.0)
+    L = spec.space.L
+    ladder, defect = _ladder_tables(hier, spec, cols, np.arange(0, 3))
+    assert np.allclose(ladder[1], L @ cols, atol=1e-9)
+    assert np.allclose(ladder[2], L @ (L @ cols), atol=1e-9)
+    null = np.abs(cols - spec.project_mean_zero(cols)).max(axis=0)
+    assert np.allclose(defect, null, rtol=0.0, atol=1e-12) and null.min() > 0
+    ones, _ = _ladder_tables(hier, spec, np.ones((32, hier.size)),
+                             np.arange(0, 2))
+    assert np.abs(ones[1]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # atoms
 
 
@@ -319,6 +364,22 @@ def test_atom_certificate_and_decomposition(compact_pipeline, params022):
         assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
         assert rep["analysis_constant"] > 0
         assert rep["synthesis_constant"] > 0
+
+
+def test_negative_power_ladder_requires_mean_zero(compact_pipeline,
+                                                 params022):
+    # below mu = 0 the atom ladder takes powers modulo the nullspace, so at
+    # K >= 1 a family with a nullspace part is refused; at K = 0 (s > J +
+    # 2) it stays at mu >= 0, factors nothing, and takes the family
+    cp = compact_pipeline
+    ones = np.ones((64, cp.hier.size))
+    assert mo.minimal_atom_orders(params022)[0] >= 1
+    with pytest.raises(ValueError, match="nullspace component"):
+        mo.validate_atoms(ones, cp.hier, params022, cp.spec)
+    high = dataclasses.replace(params022, s=params022.J + 3.0)
+    cert = mo.validate_atoms(1e-6 * ones, cp.hier, high, cp.spec)
+    assert cert.K == 0 and sorted(cert.support_radii) == [0]
+    assert cert.passed
 
 
 def test_norm_layer_reads_the_base_from_its_cutoff(compact_pipeline,
