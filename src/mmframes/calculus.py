@@ -204,22 +204,25 @@ def level_window(spec: SpectralData, b: float = 2.0) -> tuple:
     return j_min, j_max
 
 
-def band_symbols(spec: SpectralData, Phi: Cutoff, window):
-    """(n, L) table of Psi(b^{-j} sqrt(lambda_i)), Psi(u) = Phi(u) - Phi(b u)
-    with b = Phi.b, one column per level j of the window, from one symbol
-    call."""
+def level_bands(spec: SpectralData, Phi: Cutoff, window) -> tuple:
+    """(Psi, g): (n, L) tables, one column per level j of the window, of the
+    primal band symbol Psi_j = Phi(b^{-j} .) - Phi(b^{1-j} .), nonzero on
+    (b^{j-1}, b^{j+1}), and the dual band symbol g_j = Phi(b^{-j-1} .) -
+    Phi(b^{2-j} .), 1 on the primal band and nonzero on (b^{j-2}, b^{j+2}),
+    both at sqrt(lambda) from one symbol call, b = Phi.b.  Each is exactly 0
+    off its band."""
     j_min, j_max = window
     b = Phi.b
-    scales = np.array([b ** (-j) for j in range(j_min - 1, j_max + 1)])
+    scales = np.array([b ** (-j) for j in range(j_min - 2, j_max + 2)])
     vals = spec.symbol(Phi, scales)
-    return vals[:, 1:] - vals[:, :-1]
+    return vals[:, 2:-1] - vals[:, 1:-2], vals[:, 3:] - vals[:, :-3]
 
 
 def telescope(spec: SpectralData, Phi: Cutoff, window, f) -> np.ndarray:
-    """Windowed multiscale sum: sum_j Psi(b^{-j} sqrt(L)) f (band_symbols);
-    equals the mean-zero part of f when the window covers the nonzero spectrum."""
+    """Windowed multiscale sum: sum_j Psi_j(sqrt(L)) f (level_bands); equals
+    the mean-zero part of f when the window covers the nonzero spectrum."""
     total = np.zeros(len(spec.eigenvalues))
-    for band in band_symbols(spec, Phi, window).T:
+    for band in level_bands(spec, Phi, window)[0].T:
         total += band
     return spec.apply(total, f)
 

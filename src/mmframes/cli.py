@@ -68,7 +68,8 @@ def _fmt(v):
 # resources whose builder returns (value, by-product), and the by-product's
 # own resource name
 BYPRODUCTS = {"hier": "sampling_eps", "compact": "compact_supports",
-              "compact_dual": "compact_dual_perturbation"}
+              "compact_dual": "compact_dual_perturbation",
+              "factors": "band_leaks"}
 BUILT_BY = {product: name for name, product in BYPRODUCTS.items()}
 
 
@@ -132,18 +133,14 @@ class Context:
                                      self.get("compact"), self.get("params"))
 
     def _build_factors(self):
-        # (U, V) = (psi~^T M E, E^T M psi): A_m = U diag(m(sqrt(lambda))) V.
-        # A level's elements have coefficients only where its band symbol
-        # is nonzero, g_j for the dual and Psi_j for the primal; elsewhere
-        # the measured coefficients are rounding noise, set to exactly 0
-        spec, hier = self.get("spec"), self.get("hier")
-        U = spec.coefficients(self.get("dual").columns).T
-        V = spec.coefficients(self.get("frame").columns)
-        for sl, psi, g in zip(hier.blocks, *(t.T for t in fr.level_bands(
-                spec, hier))):
-            U[sl, g == 0] = 0.0
-            V[psi == 0, sl] = 0.0
-        return U, V
+        # (U, V) = (psi~^T M E, E^T M psi): A_m = U diag(m(sqrt(lambda))) V,
+        # each exactly 0 off its level's band, g_j for the dual and Psi_j
+        # for the primal; by-product (dual leak, primal leak)
+        spec = self.get("spec")
+        psi, g = fr.hierarchy_bands(spec, self.get("hier"))
+        U, dual_leak = fr.band_coefficients(spec, self.get("dual"), g)
+        V, primal_leak = fr.band_coefficients(spec, self.get("frame"), psi)
+        return (U.T, V), (dual_leak, primal_leak)
 
     def _build_lemma64_half(self):
         # lemma6.4-W-bound's pairs at beta = eps1, then Thm 6.3(ii)'s c* pair
@@ -289,11 +286,15 @@ def _suite_reconstruction(ctx):
                                         "upper": probe["upper"]}
 
 
-@_suite("thm4.2-bands", "Thm 4.2/(4.10)", "dual frame spectral bands",
+@_suite("thm4.2-bands", "Thm 4.2/(4.10)", "frame and dual spectral bands",
         after=("lemma4.1-sampling",))
 def _suite_bands(ctx):
-    leak = fr.check_band_containment(ctx.get("spec"), ctx.get("dual"))
-    return ("pass" if leak <= 1e-10 else "fail"), {"leak": leak}
+    # the largest coefficient the factors' band mask sets to 0, over the
+    # largest coefficient, for the dual (leak) and the primal frame
+    leak, primal_leak = ctx.get("band_leaks")
+    ok = max(leak, primal_leak) <= 1e-10
+    return ("pass" if ok else "fail"), {"leak": leak,
+                                        "primal_leak": primal_leak}
 
 
 def _characterization(ctx, family):
@@ -538,12 +539,14 @@ def _suite_molecule_constants(ctx):
 @_suite("lemma7.3-gram", "Lemma 7.3", "Gram matrix decay certificate",
         after=("lemma4.1-sampling",))
 def _suite_gram(ctx):
-    hier, params = ctx.get("hier"), ctx.get("params")
-    cert = mo.gram(ctx.get("frame").columns, ctx.get("dual").columns, hier,
-                   params)
-    ok = bool(cert["passed"]) and cert["c"] > 0
-    return ("pass" if ok else "fail"), {"delta": cert["delta"],
-                                        "c": cert["c"]}
+    # the least c with |a_{xi,eta}| <= c omega_{xi,eta}(delta) for the Gram
+    # A = psi~^T M psi = U V, Thm 6.2's A_m at m = 1, at delta = 1/8:
+    # ||A||_delta cannot fall as delta grows, since log omega(delta) =
+    # log omega(0) - delta (G + |lam|) with G + |lam| >= 0
+    c = ad.ad_norm(ctx.get("hier"), ctx.get("params"), *ctx.get("factors"),
+                   0.125)
+    ok = np.isfinite(c) and c > 0
+    return ("pass" if ok else "fail"), {"delta": 0.125, "c": c}
 
 
 @_suite("thm7.4-synthesis", "Thm 7.4", "molecular synthesis ratios",

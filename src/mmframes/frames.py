@@ -14,6 +14,7 @@ from mmframes.calculus import (
     eigendecompose,
     make_cutoff,
     level_window,
+    level_bands,
     effective_support_radius,
     neumann_series,
 )
@@ -50,24 +51,17 @@ class DualBuildReport:
     sampling_ratios: dict          # level -> (lower, upper) of the sampling form
 
 
-def level_bands(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
-    """(Psi, g): (n, L) tables, one column per level j, of the primal band
-    symbol Psi_j = Phi(b^{-j} .) - Phi(b^{1-j} .), nonzero on
-    (b^{j-1}, b^{j+1}), and the dual band symbol g_j = Phi(b^{-j-1} .) -
-    Phi(b^{2-j} .), 1 on the primal band and nonzero on (b^{j-2}, b^{j+2}),
-    both at sqrt(lambda) from one symbol call; Phi is the low-pass cutoff
-    at the hierarchy's base b.  Each is exactly 0 off its band."""
-    b = hierarchy.b
-    scales = np.array([b ** (-j) for j in range(hierarchy.j_min - 2,
-                                                hierarchy.j_max + 2)])
-    vals = spec.symbol(make_cutoff("a", b), scales)
-    return vals[:, 2:-1] - vals[:, 1:-2], vals[:, 3:] - vals[:, :-3]
+def hierarchy_bands(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
+    """(Psi, g) of calculus.level_bands over the hierarchy's levels, with the
+    low-pass cutoff at its base b."""
+    return level_bands(spec, make_cutoff("a", hierarchy.b),
+                       (hierarchy.j_min, hierarchy.j_max))
 
 
 def build_frame1(spec: SpectralData, hierarchy: NetHierarchy) -> Frame:
     """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with Psi_j
-    the level's primal band symbol (level_bands)."""
-    psi = level_bands(spec, hierarchy)[0]
+    the level's primal band symbol (hierarchy_bands)."""
+    psi = hierarchy_bands(spec, hierarchy)[0]
     cols = [spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
             for net, vals in zip(hierarchy.levels, psi.T)]
     return Frame(hierarchy=hierarchy, columns=np.hstack(cols))
@@ -114,10 +108,10 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
 def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     """Dual frame via the per-level correction operator.
 
-    Per level j the dual band symbol g = g_j (level_bands) equals 1 on the
-    primal band and vanishes beyond b^{j+2}; with
-    sampling weights w_eta = |A_eta|/(1+eps_j) the operator R = g^2 - V
-    (V the sampled quadrature of g^2) inverts the sampling defect through
+    Per level j the dual band symbol g = g_j (hierarchy_bands) equals 1 on
+    the primal band and vanishes beyond b^{j+2}; with sampling weights
+    w_eta = |A_eta|/(1+eps_j) the operator R = g^2 - V (V the sampled
+    quadrature of g^2) inverts the sampling defect through
     T = I + sum_k R^k, and the dual elements are
     psi~_xi = |A_xi|^{1/2}/(1+eps_j) * T[g_j(sqrt(L))(., xi)].
 
@@ -132,7 +126,8 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     ratios = {}
     worst_terms, worst_tail = 0, 0.0
 
-    for net, g in zip(hierarchy.levels, level_bands(spec, hierarchy)[1].T):
+    for net, g in zip(hierarchy.levels,
+                      hierarchy_bands(spec, hierarchy)[1].T):
         j = net.level
         sel, X, G = _sampling_gram(spec, hierarchy, j)
         w = np.linalg.eigvalsh(G)
@@ -156,21 +151,20 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     return frame, report
 
 
-def check_band_containment(spec: SpectralData, frame: Frame) -> float:
-    """Worst coefficient of any frame element on eigenfunctions outside its
-    level's dual band [b^{j-2}, b^{j+2}], which holds the primal band
-    [b^{j-1}, b^{j+1}]; construction should keep it at rounding level."""
-    worst = 0.0
-    roots = np.sqrt(spec.eigenvalues)
-    coeffs = spec.coefficients(frame.columns)
-    scale = np.abs(coeffs).max()
-    hier = frame.hierarchy
-    for net, sl in zip(hier.levels, hier.blocks):
-        lo, hi = hier.b ** (net.level - 2), hier.b ** (net.level + 2)
-        outside = (roots < lo - 1e-12) | (roots > hi + 1e-12)
-        if np.any(outside):
-            worst = max(worst, float(np.abs(coeffs[outside, sl]).max()))
-    return worst / max(scale, 1e-300)
+def band_coefficients(spec: SpectralData, frame: Frame, bands) -> tuple:
+    """(table, leak): the frame's coefficients in the eigenbasis, (n, m),
+    with each level's set to exactly 0 where its column of bands, an (n, L)
+    band-symbol table (hierarchy_bands), is 0, and the largest entry so set
+    to 0 over the table's largest.  A level's elements live on its band, so
+    off it the measured coefficients are rounding noise, and the leak reads
+    at rounding level."""
+    table = spec.coefficients(frame.columns)
+    scale, leak = np.abs(table).max(), 0.0
+    for sl, band in zip(frame.hierarchy.blocks, bands.T):
+        off = band == 0
+        leak = max(leak, np.abs(table[off, sl]).max(initial=0.0))
+        table[off, sl] = 0.0
+    return table, leak / max(scale, 1e-300)
 
 
 def reconstruct(frame: Frame, dual: Frame, f) -> np.ndarray:
@@ -255,7 +249,7 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     returns (Frame, {level: CompactLevel}).
 
     p_j is the least-degree lambda q_j(lambda) within COMPACT_SUP_ERR of the
-    level's primal band symbol Psi_j (level_bands) on the spectrum
+    level's primal band symbol Psi_j (hierarchy_bands) on the spectrum
     (_level_polynomial).  L has the graph's sparsity, so the
     kernel of a degree-k polynomial in L vanishes beyond k edges, that is
     beyond k e in rho: an exact finite speed.  A level that no degree with
@@ -265,21 +259,20 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     from numpy.polynomial.chebyshev import chebvander
 
     b, space, lam = hierarchy.b, spec.space, spec.eigenvalues
-    Phi = make_cutoff("a", b)
+    Psi = make_cutoff("b", b)
     edge = longest_edge(space)
     # the degrees k with k e below the diameter.  Every accepted model has
     # diameter above e: unit edges with hop diameter >= 2, or a tree, where
     # the heaviest edge continues into a longer path
     vander = chebvander(2.0 * lam / lam[-1] - 1.0,
                         int(np.ceil(space.diameter / edge)) - 2)
-    psi = level_bands(spec, hierarchy)[0]
+    psi = hierarchy_bands(spec, hierarchy)[0]
     cols = []
     levels = {}
     for net, vals in zip(hierarchy.levels, psi.T):
         j = net.level
         degree, vals, err = _level_polynomial(
-            lam, vander, vals, lambda mu: Phi(b ** -j * np.sqrt(mu))
-            - Phi(b ** (1 - j) * np.sqrt(mu)))
+            lam, vander, vals, lambda mu: Psi(b ** -j * np.sqrt(mu)))
         P = spec.kernel(vals, net.centers)
         levels[j] = CompactLevel(
             degree=degree, reach=degree * edge, sup_err=err,

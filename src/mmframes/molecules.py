@@ -1,5 +1,5 @@
-"""Molecule and atom validators, Gram almost-diagonality, molecular
-synthesis/analysis operators and the atomic decomposition.
+"""Molecule and atom validators, molecular synthesis/analysis operators
+and the atomic decomposition.
 
 A molecule family is a set of functions indexed by the hierarchy, one per
 net center, obeying localized size, smoothness (powers of L) and
@@ -207,25 +207,6 @@ def scaling_for_budget(cert) -> float:
     within 1, from a MoleculeCertificate or an AtomCertificate."""
     worst = max(cert.constants.values())
     return np.inf if worst == 0 else 1.0 / worst
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices
-
-
-def gram(synth_family, anal_family, hier: NetHierarchy, params: SpaceParams):
-    """Cross Gram a_{xi,eta} = <m_eta, m~_xi>_mu with a decay certificate.
-
-    Reports the least c with |a_{xi,eta}| <= c omega_{xi,eta}(delta) at
-    delta = 1/8: ||A||_delta cannot fall as delta grows, since log omega(delta)
-    = log omega(0) - delta (G + |lam|) with G + |lam| >= 0.  Returns the
-    certificate dict; A = ma^T M ms is formed a level block at a time, never
-    whole.
-    """
-    ms = _as_columns(synth_family, hier)
-    ma = _as_columns(anal_family, hier)
-    c = addiag.ad_norm(hier, params, ma.T, hier.space.mu[:, None] * ms, 0.125)
-    return {"delta": 0.125, "c": c, "passed": np.isfinite(c)}
 
 
 # ---------------------------------------------------------------------------

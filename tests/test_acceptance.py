@@ -75,7 +75,8 @@ def test_criterion_04_frame_duality(frame_sets, spectra):
 def test_criterion_05_dual_bands_exact(frame_sets, spectra):
     for name in ("C_64", "T_8x8"):
         _, dual, _ = frame_sets[name]
-        assert fr.check_band_containment(spectra[name], dual) <= 1e-10
+        g = fr.hierarchy_bands(spectra[name], dual.hierarchy)[1]
+        assert fr.band_coefficients(spectra[name], dual, g)[1] <= 1e-10
 
 
 def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
@@ -187,9 +188,11 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
         assert column_certificate(c * cols, hier, flavor, params022,
                                   spec).passed
-    cert = mo.gram(frame.columns, dual.columns, hier, params022)
-    assert cert["passed"]
-    assert cert["delta"] > 0 and np.isfinite(cert["c"])
+    # the Gram psi~^T M psi from the frames' band factors
+    psi, g = fr.hierarchy_bands(spec, hier)
+    c = ad.ad_norm(hier, params022, fr.band_coefficients(spec, dual, g)[0].T,
+                   fr.band_coefficients(spec, frame, psi)[0], 0.125)
+    assert 0 < c < np.inf
 
 
 def test_criterion_12_atomic_decomposition(compact_pipeline, params022):

@@ -147,7 +147,7 @@ def test_level_window_covers_spectrum(spectra, Phi):
         top, bottom = np.sqrt(spec.lambda_max), np.sqrt(spec.lambda_2)
         assert 2.0 ** (j_max - 1) < top <= 2.0 ** j_max
         assert 2.0 ** j_min <= bottom < 2.0 ** (j_min + 1)
-        total = ca.band_symbols(spec, Phi, (j_min, j_max)).sum(axis=1)
+        total = ca.level_bands(spec, Phi, (j_min, j_max))[0].sum(axis=1)
         assert np.abs(total[spec.nullspace_dim:] - 1.0).max() <= 1e-14
 
 
@@ -161,8 +161,32 @@ def test_level_window_puts_a_power_of_b_on_the_band_edge(model, window):
     # in the window, and both end bands are nonzero on the spectrum
     spec = ca.eigendecompose(sp.build_model(model))
     assert ca.level_window(spec, 2.0) == window
-    bands = ca.band_symbols(spec, ca.make_cutoff("a", 2.0), window)
+    bands = ca.level_bands(spec, ca.make_cutoff("a", 2.0), window)[0]
     assert np.abs(bands[:, [0, -1]]).max(axis=0).min() > 1e-6
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 4.0])
+def test_level_bands_live_on_their_open_bands(spectra, b):
+    # Psi_j is exactly 0 off (b^{j-1}, b^{j+1}) and g_j off (b^{j-2},
+    # b^{j+2}), band edges included; g_j is exactly 1 wherever Psi_j is
+    # nonzero, which build_dual_frame assumes; the Psi_j sum to 1 on the
+    # nonzero spectrum.  The 2x2 torus and the 20-point star put sqrt(lambda)
+    # on a power of 2
+    star = {"kind": "tree", "n": 20,
+            "edges": [[0, i, 1.0] for i in range(1, 20)]}
+    specs = list(spectra.values()) + [
+        ca.eigendecompose(sp.build_model(m)) for m in ("T_2x2", star)]
+    for spec in specs:
+        window = ca.level_window(spec, b)
+        psi, g = ca.level_bands(spec, ca.make_cutoff("a", b), window)
+        roots = np.sqrt(spec.eigenvalues)[:, None]
+        j = np.arange(window[0], window[1] + 1)
+        assert psi.shape == g.shape == (spec.space.n, len(j))
+        assert not psi[(roots <= b ** (j - 1)) | (roots >= b ** (j + 1))].any()
+        assert not g[(roots <= b ** (j - 2)) | (roots >= b ** (j + 2))].any()
+        assert np.all(g[psi != 0] == 1.0)
+        total = psi.sum(axis=1)
+        assert np.abs(total[spec.nullspace_dim:] - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c", "scalar"])

@@ -612,6 +612,45 @@ def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
     assert " support_ok=true" in status["thm7.9-atoms"]
 
 
+@pytest.mark.parametrize("resource, level, key", [
+    ("dual", -1, "leak"), ("frame", 0, "primal_leak")])
+def test_band_suite_fails_on_a_band_edge(resource, level, key):
+    # 1e-3 max|column| of eigenvector 63 on C_64, sqrt(lambda) = 2, added to
+    # one column of a level whose band ends there: b^{j+2} for the dual's
+    # g_{-1}, b^{j+1} for the primal's Psi_0.  The factors' band mask sets
+    # it to 0, and the suite reads it as that frame's leak and fails
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
+    spec, hier = ctx.get("spec"), ctx.get("hier")
+    cols = ctx.get(resource).columns.copy()
+    cols[:, hier.blocks[level - hier.j_min].start] += \
+        1e-3 * np.abs(cols).max() * spec.eigenfunctions[:, 63]
+    ctx._cache[resource] = cli.fr.Frame(hier, cols)
+    status, metrics = cli.SUITES["thm4.2-bands"][2](ctx)
+    assert status == "fail" and metrics[key] >= 1e-3
+    assert min(metrics.values()) <= 1e-14
+
+
+def test_a_run_analyses_each_frame_once(monkeypatch):
+    # every suite on C_16: the primal and dual columns go through
+    # spec.coefficients once each, when the factors are built, and
+    # lemma7.3-gram takes its Gram from those factors, as thm6.2 does
+    analysed, calls = [], []
+    coefficients = cli.ca.SpectralData.coefficients
+    monkeypatch.setattr(cli.ca.SpectralData, "coefficients",
+                        lambda spec, f: analysed.append(f)
+                        or coefficients(spec, f))
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
+    for name, (_, _, fn) in cli.SUITES.items():
+        assert fn(ctx)[0] in ("pass", "record"), name
+    for name in ("frame", "dual"):
+        assert sum(f is ctx.get(name).columns for f in analysed) == 1
+    monkeypatch.setattr(cli.ad, "ad_norm",
+                        lambda *args: calls.append(args) or 1.0)
+    cli.SUITES["lemma7.3-gram"][2](ctx)
+    U, V = ctx.get("factors")
+    assert len(calls) == 1 and calls[0][2] is U and calls[0][3] is V
+
+
 def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
     # C_16 in the tilde flavor at s = 1.5: every certificate of the suite
     # reads the tilde orders, with the decay M = J + |s| + 1/2; one call

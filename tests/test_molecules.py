@@ -5,6 +5,7 @@ import pytest
 
 from mmframes import addiag as ad
 from mmframes import calculus as ca
+from mmframes import frames as fr
 from mmframes import molecules as mo
 from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
@@ -205,20 +206,23 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
 
 
 def test_gram_certificate(molecule_setup, params022):
+    # lemma7.3's Gram A = psi~^T M psi is U V, the frames' band factors
+    # (U, V) = (psi~^T M E, E^T M psi), each exactly 0 off its band: its
+    # ||A||_1/8 agrees with the certificate taken on the column factors,
+    # cannot fall as delta grows, and A obeys entrywise Cauchy-Schwarz
     frame, dual, hier, spec, c = molecule_setup
-    cert = mo.gram(frame.columns, dual.columns, hier, params022)
-    assert cert["passed"]
-    # A = psi~^T M psi, certified from its factors; ||A||_delta cannot fall
-    # as delta grows, so delta = 1/8 gives the least c
+    psi, g = fr.hierarchy_bands(spec, hier)
+    U = fr.band_coefficients(spec, dual, g)[0].T
+    V = fr.band_coefficients(spec, frame, psi)[0]
     mu = hier.space.mu
-    left, right = dual.columns.T, mu[:, None] * frame.columns
-    assert cert["delta"] == 0.125 \
-        and cert["c"] == ad.ad_norm(hier, params022, left, right, 0.125)
-    norms = [ad.ad_norm(hier, params022, left, right, d)
+    cert = ad.ad_norm(hier, params022, U, V, 0.125)
+    dense = ad.ad_norm(hier, params022, dual.columns.T,
+                       mu[:, None] * frame.columns, 0.125)
+    assert np.isfinite(cert) and abs(cert - dense) <= 1e-13 * dense
+    norms = [ad.ad_norm(hier, params022, U, V, d)
              for d in (0.125, 0.25, 0.5, 1.0, 2.0)]
     assert all(a <= b for a, b in zip(norms, norms[1:]))
-    # entrywise Cauchy-Schwarz sanity
-    A = left @ right
+    A = U @ V
     ns = np.sqrt(np.sum(mu[:, None] * frame.columns**2, axis=0))
     na = np.sqrt(np.sum(mu[:, None] * dual.columns**2, axis=0))
     assert np.all(np.abs(A) <= np.outer(na, ns) + 1e-12)
