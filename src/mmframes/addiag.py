@@ -42,7 +42,7 @@ def _log_rho(hier: NetHierarchy, k, scale, rows, cols):
     """scale log1p(rho[rows, cols] / l_k) on the points rows by cols: G's
     entries, times scale, where level k is the coarser of the two centres'
     levels (l falls by level, so max(l_xi, l_eta) = l_k there)."""
-    T = hier.space.dist[np.ix_(rows, cols)]
+    T = hier.space.dist.take(rows, 0).take(cols, 1)
     np.divide(T, hier.levels[k].ell, out=T)
     np.log1p(T, out=T)
     T *= scale

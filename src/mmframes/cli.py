@@ -78,6 +78,8 @@ class Context:
         self.cfg = cfg
         self._cache = {}
         self._errors = {}
+        # resource -> seconds in its builder less those in builds nested in it
+        self.build_s, self._nested = {}, 0.0
 
     def get(self, name):
         if name in self._errors:
@@ -85,11 +87,16 @@ class Context:
         if name in BUILT_BY and name not in self._cache:
             self.get(BUILT_BY[name])
         if name not in self._cache:
+            t0, outer, self._nested = time.perf_counter(), self._nested, 0.0
             try:
                 value = getattr(self, "_build_" + name)()
             except Exception as exc:
                 self._errors[name] = exc
                 raise
+            finally:
+                spent = time.perf_counter() - t0
+                self.build_s[name] = spent - self._nested
+                self._nested = outer + spent
             if name in BYPRODUCTS:
                 value, self._cache[BYPRODUCTS[name]] = value
             self._cache[name] = value
@@ -123,7 +130,8 @@ class Context:
         return fr.build_frame1(self.get("spec"), self.get("hier"))
 
     def _build_dual(self):
-        return fr.build_dual_frame(self.get("spec"), self.get("hier"))[0]
+        return fr.build_dual_frame(self.get("spec"), self.get("hier"),
+                                   self.get("sampling_eps"))[0]
 
     def _build_compact(self):
         return fr.build_compact_frame(self.get("spec"), self.get("hier"))
@@ -772,6 +780,8 @@ def run(cfg) -> int:
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(f"model {model}: {n_pass} passed, {n_rec} recorded, "
                  f"{n_bad} failed, {n_skip} skipped{sizes}\n")
+        fh.write("resources:" + "".join(f" {name} {t:.3f}s" for name, t
+                                        in ctx.build_s.items()) + "\n")
         for name, anchor, status, _ in records:
             rt = runtimes.get(name)
             rts = "" if rt is None else f" ({rt:.2f}s)"

@@ -48,7 +48,6 @@ class Frame:
 class DualBuildReport:
     neumann_terms: int             # max series length over levels
     neumann_tail: float            # worst relative tail norm
-    sampling_ratios: dict          # level -> (lower, upper) of the sampling form
 
 
 def hierarchy_bands(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
@@ -73,7 +72,7 @@ def _sampling_gram(spec: SpectralData, hierarchy: NetHierarchy, j: int):
     X = E[centres, sel] and G = X^T diag(|A_xi|) X, symmetrised."""
     net = hierarchy.net(j)
     sel = np.sqrt(spec.eigenvalues) <= hierarchy.b ** (j + 2)
-    X = spec.eigenfunctions[np.ix_(net.centers, np.nonzero(sel)[0])]
+    X = spec.eigenfunctions.take(net.centers, 0).take(np.nonzero(sel)[0], 1)
     G = X.T @ (net.a_vol[:, None] * X)
     return sel, X, (G + G.T) / 2
 
@@ -105,7 +104,7 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
     raise RuntimeError("sampling epsilon < 1/2 unreachable; gamma exhausted")
 
 
-def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
+def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy, eps):
     """Dual frame via the per-level correction operator.
 
     Per level j the dual band symbol g = g_j (hierarchy_bands) equals 1 on
@@ -120,34 +119,30 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy):
     K = diag(g^2) - (g g^T * G)/(1+eps_j), and the series is summed on K.
     K = diag(g) (I - G/(1+eps_j)) diag(g) with |g| <= 1 and the spectrum
     of G in [1-eps_j, 1+eps_j], so ||K||_2 <= 2 eps_j/(1+eps_j) < 2/3 and
-    the series converges whenever eps_j < 1/2.
+    the series converges whenever eps_j < 1/2.  eps, the {level: eps_j} of
+    build_standard_hierarchy, was measured on these Grams.
     """
     cols = []
-    ratios = {}
     worst_terms, worst_tail = 0, 0.0
 
     for net, g in zip(hierarchy.levels,
                       hierarchy_bands(spec, hierarchy)[1].T):
-        j = net.level
+        j, e = net.level, eps[net.level]
+        if e >= 0.5:
+            raise RuntimeError(f"sampling precondition failed at level {j}: eps={e}")
         sel, X, G = _sampling_gram(spec, hierarchy, j)
-        w = np.linalg.eigvalsh(G)
-        lo, hi = ratios[j] = float(w[0]), float(w[-1])
-        eps = max(1.0 - lo, hi - 1.0)
-        if eps >= 0.5:
-            raise RuntimeError(f"sampling precondition failed at level {j}: eps={eps}")
 
         g = g[sel]
-        K = np.diag(g**2) - np.outer(g, g) * G / (1.0 + eps)
+        K = np.diag(g**2) - np.outer(g, g) * G / (1.0 + e)
         T, terms, tail = neumann_series(K)
         worst_terms = max(worst_terms, terms)
         worst_tail = max(worst_tail, tail)
 
         block = spec.eigenfunctions[:, sel] @ (T @ (g[:, None] * X.T))
-        cols.append(block * (np.sqrt(net.a_vol) / (1.0 + eps))[None, :])
+        cols.append(block * (np.sqrt(net.a_vol) / (1.0 + e))[None, :])
 
     frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols))
-    report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail,
-                             sampling_ratios=ratios)
+    report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail)
     return frame, report
 
 
@@ -313,5 +308,5 @@ def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):
     spec = eigendecompose(space)
     hier, eps = build_standard_hierarchy(spec, b=b, gamma=gamma)
     frame = build_frame1(spec, hier)
-    dual, report = build_dual_frame(spec, hier)
+    dual, report = build_dual_frame(spec, hier, eps)
     return space, spec, hier, make_cutoff("a", hier.b), frame, dual, report

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mmframes.space import ModelSpace, ball_volumes
+from mmframes.space import ModelSpace, _distinct, ball_volumes
 from mmframes.calculus import SpectralData
 from mmframes.seqspace import SpaceParams, function_norm
 
@@ -48,7 +48,7 @@ def ahlfors_scan(space: ModelSpace, d: float) -> dict:
     Returns the smallest c with c^{-1} r^d <= |B(x,r)| <= c r^d over all
     centers and radii up to the diameter, plus the band width c^2.
     """
-    radii = np.unique(space.dist[space.dist > 0])
+    radii = _distinct(space.dist[space.dist > 0])
     hi = 0.0
     lo = np.inf
     for r in radii:

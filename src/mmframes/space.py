@@ -80,10 +80,18 @@ def _validate_model(space: ModelSpace) -> None:
         raise ValueError("distinct points must have positive distance")
     if not np.isfinite(d).all():
         raise ValueError("disconnected model: infinite distances")
-    # triangle inequality, exhaustive (n <= a few hundred at desk scale)
-    for k in range(n):
-        if np.any(d > d[:, [k]] + d[[k], :] + 1e-12):
-            raise ValueError("triangle inequality violated")
+    # triangle inequality, exhaustive, in one min-plus pass in two buffers:
+    # low = min_k fl(d[:, k] + d[k, :]); rounding is monotone, so d >
+    # fl(low + 1e-12) just where d > fl(fl(d[:, k] + d[k, :]) + 1e-12) at a k
+    low, step = off, np.empty_like(d)
+    np.add(d[:, 0, None], d[None, 0, :], out=low)
+    for k in range(1, n):
+        np.add(d[:, k, None], d[None, k, :], out=step)
+        np.minimum(low, step, out=low)
+    low += 1e-12
+    if np.any(d > low):
+        raise ValueError("triangle inequality violated")
+    del low, step, off
     # symmetry of L w.r.t. mu:  diag(mu) L must be symmetric
     ML = mu[:, None] * L
     if not np.allclose(ML, ML.T, atol=1e-10 * max(1.0, np.abs(ML).max())):
@@ -245,6 +253,13 @@ def ball_volumes(space: ModelSpace, r) -> np.ndarray:
     return inside @ space.mu
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of a table of finite values: np.unique's
+    values, without the numpy.ma import that np.unique makes."""
+    v = np.sort(values, axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 @dataclass(frozen=True)
 class DoublingProfile:
     c0: float
@@ -264,8 +279,8 @@ def measure_doubling(space: ModelSpace) -> DoublingProfile:
     last distance below r.
     """
     diam = space.diameter
-    vals = np.unique(space.dist[space.dist > 0])
-    radii = np.unique(np.concatenate([vals, vals / 2.0]))
+    vals = _distinct(space.dist[space.dist > 0])
+    radii = _distinct(np.concatenate([vals, vals / 2.0]))
     truncated = bool(np.any(2 * radii > diam))
     radii = radii[2 * radii <= diam]
     if radii.size == 0:
@@ -311,16 +326,22 @@ def build_partition(space: ModelSpace, centers, delta: float) -> np.ndarray:
     centers = np.asarray(centers, dtype=int)
     D = space.dist[:, centers]
     owner = np.argmin(D, axis=1)  # argmin takes the first (lowest) minimizer
-    # safety: the partition must satisfy the net sandwich
-    chosen = D[np.arange(space.n), owner]
-    if chosen.max() >= delta:
+    _check_sandwich(D, owner, delta)
+    return owner
+
+
+def _check_sandwich(D, owner, delta) -> None:
+    """Raise unless B(xi, delta/2) subset A_xi subset B(xi, delta) for every
+    centre, given D[x, k] = rho(x, xi_k) and A_xi = {x: owner[x] = k}: each
+    point lies within delta of its own centre and delta/2 of no other."""
+    own = (np.arange(len(owner)), owner)
+    if D[own].max() >= delta:
         raise AssertionError("partition cell escapes B(xi, delta); "
                              "net is not maximal for this delta")
-    for k, xi in enumerate(centers):
-        inner = np.nonzero(space.dist[xi] < delta / 2.0)[0]
-        if not np.all(owner[inner] == k):
-            raise AssertionError("B(xi, delta/2) not contained in A_xi")
-    return owner
+    inner = D < delta / 2.0
+    inner[own] = False
+    if inner.any():
+        raise AssertionError("B(xi, delta/2) not contained in A_xi")
 
 
 @dataclass(frozen=True)
@@ -539,11 +560,5 @@ def verify_net_invariants(space: ModelSpace, net: Net) -> None:
         raise AssertionError("net separation violated")
     if space.dist[:, c].min(axis=1).max() >= net.delta:
         raise AssertionError("net maximality violated")
-    # partition: disjoint cover is structural (owner is a function); sandwich:
-    for k, xi in enumerate(c):
-        cell = np.nonzero(net.owner == k)[0]
-        if space.dist[xi, cell].max() >= net.delta:
-            raise AssertionError("A_xi escapes B(xi, delta)")
-        inner = np.nonzero(space.dist[xi] < net.delta / 2)[0]
-        if not np.all(net.owner[inner] == k):
-            raise AssertionError("B(xi, delta/2) not inside A_xi")
+    # partition: disjoint cover is structural (owner is a function)
+    _check_sandwich(space.dist[:, c], net.owner, net.delta)

@@ -47,9 +47,9 @@ def frame_sets(spectra, hierarchies):
     out = {}
     for name in ("C_64", "C_128", "T_8x8"):
         spec = spectra[name]
-        hier, _ = hierarchies[name]
+        hier, eps = hierarchies[name]
         frame = fr.build_frame1(spec, hier)
-        dual, report = fr.build_dual_frame(spec, hier)
+        dual, report = fr.build_dual_frame(spec, hier, eps)
         out[name] = (frame, dual, report)
     return out
 
@@ -67,9 +67,9 @@ def compact_pipeline(spectra, params022):
     polynomial of degree 31 below the diameter 32; at b = 2 every level
     of C_64 keeps its band symbol."""
     spec = spectra["C_64"]
-    hier, _ = fr.build_standard_hierarchy(spec, b=4.0)
+    hier, eps = fr.build_standard_hierarchy(spec, b=4.0)
     frame = fr.build_frame1(spec, hier)
-    dual, _ = fr.build_dual_frame(spec, hier)
+    dual, _ = fr.build_dual_frame(spec, hier, eps)
     compact, levels = fr.build_compact_frame(spec, hier)
     cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params022)
     return SimpleNamespace(spec=spec, hier=hier,

@@ -363,9 +363,9 @@ def test_factored_ad_norm_equals_the_formed_table(model, spectra, hierarchies,
     # factors is the dense norm exactly
     if model == "T_16x16":
         spec = ca.eigendecompose(sp.build_model(model))
-        hier = fr.build_standard_hierarchy(spec)[0]
+        hier, eps = fr.build_standard_hierarchy(spec)
         frame, dual = (fr.build_frame1(spec, hier),
-                       fr.build_dual_frame(spec, hier)[0])
+                       fr.build_dual_frame(spec, hier, eps)[0])
     else:
         spec, (hier, _) = spectra[model], hierarchies[model]
         frame, dual, _ = frame_sets[model]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -146,15 +147,28 @@ def test_smallest_models_run_clean(tmp_path, capsys, model):
                for line in report[1:])
 
 
+# the library path's set-up: frames, doubling profile and Mihlin symbol
+APPLY_SETUP = (
+    "; from mmframes import frames, multiplier, seqspace, space"
+    "; s, spec, *_ = frames.default_frames('C_16')"
+    "; p = space.measure_doubling(s)"
+    "; multiplier.check_mihlin('rational', 4, seqspace.SpaceParams("
+    "s=0.0, p=2.0, q=2.0, d=p.d, dstar=max(p.dstar, 0.0)), spec)")
+
+
 @pytest.mark.parametrize("module, run", [
     ("sympy", None), ("scipy.sparse", None), ("scipy", None),
     ("sympy", {"model": "C_4", "suites": ["thm8.1-multiplier"]}),
-    ("scipy", {"model": "C_16"})],
+    ("scipy", {"model": "C_16"}), ("numpy.ma", {"model": "C_16"}),
+    ("numpy.ma", APPLY_SETUP)],
     ids=["sympy", "scipy.sparse", "scipy", "sympy-after-multiplier-run",
-         "scipy-after-full-run"])
+         "scipy-after-full-run", "numpy.ma-after-full-run",
+         "numpy.ma-after-apply-setup"])
 def test_cli_import_leaves_sympy_unloaded(tmp_path, module, run):
     script = "import sys, mmframes.cli"
-    if run:
+    if isinstance(run, str):
+        script += run
+    elif run:
         # a multiplier run takes its Mihlin derivatives without sympy, and
         # a full run needs numpy only
         cfg = tmp_path / "cfg.json"
@@ -258,6 +272,31 @@ def test_summary_first_line_shows_sizes_and_peak_rss(tmp_path, capsys):
     capsys.readouterr()
     first = (tmp_path / "out" / "summary.txt").read_text().splitlines()[0]
     assert first.split("; ")[1].startswith("peak_rss_mb=")
+
+
+def test_summary_second_line_lists_resource_build_times(tmp_path, capsys,
+                                                        monkeypatch):
+    # each resource the run built, in the order its build ended, with the
+    # seconds in its builder less those of the builds nested in it
+    clock = itertools.count()
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"suites": ["doubling", "lemma9.1"],
+                             "model": "C_16",
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    second = (tmp_path / "out" / "summary.txt").read_text().splitlines()[1]
+    # one clock tick per reading: space is built inside profile, spec inside
+    # hier, so each leaf spends 1 tick and each parent 3 less its child's 1
+    assert second == ("resources: space 1.000s profile 2.000s spec 1.000s "
+                      "hier 2.000s")
+    p.write_text(json.dumps({"suites": [], "model": "C_16",
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "summary.txt").read_text().splitlines()[1] \
+        == "resources:"
 
 
 def test_summary_shows_the_first_line_of_an_error(tmp_path, capsys,

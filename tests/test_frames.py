@@ -100,13 +100,15 @@ def test_frame_column_norms_track_ball_volumes(frame_sets, spectra):
         assert ratios.max() / ratios.min() < 50.0
 
 
-def test_dual_report_contents(frame_sets, hierarchies):
+def test_dual_report_contents(frame_sets, hierarchies, spectra):
+    # the dual reads the hierarchy's eps_j, which are check_sampling's
     for name in ("C_64", "C_128", "T_8x8"):
         _, _, report = frame_sets[name]
-        _, eps = hierarchies[name]
+        hier, eps = hierarchies[name]
         assert report.neumann_tail <= 1e-10
-        assert sorted(report.sampling_ratios) == sorted(eps)
-        for j, (lo, hi) in report.sampling_ratios.items():
+        assert sorted(eps) == [net.level for net in hier.levels]
+        for j in eps:
+            lo, hi = fr.check_sampling(spectra[name], hier, j)
             assert max(1.0 - lo, hi - 1.0) == eps[j] < 0.5
 
 
@@ -145,8 +147,8 @@ RAMP_PATH = {"kind": "path", "n": 64,
                          ids=["C_64", "T_8x8", "mu_16", "ramp_path_64"])
 def test_dual_on_the_sampling_gram_matches_kernel_tables(desc, Phi):
     spec = ca.eigendecompose(sp.build_model(desc))
-    hier, _ = fr.build_standard_hierarchy(spec)
-    dual, report = fr.build_dual_frame(spec, hier)
+    hier, eps = fr.build_standard_hierarchy(spec)
+    dual, report = fr.build_dual_frame(spec, hier, eps)
     ref, terms = _dual_on_kernel_tables(spec, hier, Phi)
     err = np.abs(dual.columns - ref).max() / np.abs(ref).max()
     assert err <= 1e-12
@@ -161,8 +163,29 @@ def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
         raise AssertionError("the dual frame built a kernel table")
 
     monkeypatch.setattr(ca.SpectralData, "kernel", no_kernel)
-    dual, _ = fr.build_dual_frame(spectra["C_64"], hierarchies["C_64"][0])
+    dual, _ = fr.build_dual_frame(spectra["C_64"], *hierarchies["C_64"])
     assert np.array_equal(dual.columns, ref.columns)
+
+
+def test_dual_frame_takes_no_sampling_spectrum(monkeypatch, spectra,
+                                               hierarchies, frame_sets):
+    # the dual reads eps_j from the hierarchy, which measured them
+    _, ref, _ = frame_sets["T_8x8"]
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the dual frame took a Gram's spectrum")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    dual, _ = fr.build_dual_frame(spectra["T_8x8"], *hierarchies["T_8x8"])
+    assert np.array_equal(dual.columns, ref.columns)
+
+
+def test_dual_frame_refuses_eps_of_one_half(spectra, hierarchies):
+    hier, eps = hierarchies["C_64"]
+    j = hier.j_max
+    with pytest.raises(RuntimeError,
+                       match=f"sampling precondition failed at level {j}"):
+        fr.build_dual_frame(spectra["C_64"], hier, {**eps, j: 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +308,12 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     # the n x n route against two m x m references: the dense
     # solve(I - D, B) and the certified Neumann inverse of Thm 6.3(ii)
     spec = ca.eigendecompose(sp.build_model(desc))
-    hier, _ = fr.build_standard_hierarchy(spec, b=b)
+    hier, eps = fr.build_standard_hierarchy(spec, b=b)
     prof = sp.measure_doubling(spec.space)
     params = sq.SpaceParams(s=0.0, p=2.0, q=2.0, d=prof.d,
                             dstar=max(prof.dstar, 0.0))
     frame = fr.build_frame1(spec, hier)
-    dual, _ = fr.build_dual_frame(spec, hier)
+    dual, _ = fr.build_dual_frame(spec, hier, eps)
     compact, _ = fr.build_compact_frame(spec, hier)
     cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params)
     mu = spec.space.mu

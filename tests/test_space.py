@@ -288,6 +288,99 @@ def test_hierarchy_holds_level_scale_ball_volumes(desc):
         assert np.array_equal(hier.xi_svol[sl], vols[net.centers])
 
 
+def test_partition_of_a_net_too_dense_for_delta_is_refused():
+    # C_32's maximal 1-net holds every point, and every cell is a single
+    # point, inside B(xi, 4); but B(xi, 2) holds the neighbours too
+    m = sp.build_model("C_32")
+    centers = sp.build_maximal_net(m, 1.0)
+    assert len(centers) == 32
+    with pytest.raises(AssertionError,
+                       match=r"B\(xi, delta/2\) not contained in A_xi"):
+        sp.build_partition(m, centers, 4.0)
+    # two centres 1 apart on C_8 at delta = 4: point 0 lies in B(1, 2)
+    with pytest.raises(AssertionError, match="not contained in A_xi"):
+        sp.build_partition(sp.build_model("C_8"), [0, 1], 4.0)
+
+
+def test_net_invariants_refuse_a_point_moved_to_another_cell(models):
+    # delta = 4 on C_32: centres 0, 4, 8, ...; point 1 handed to centre 4
+    # stays within delta of it, but lies within delta/2 of centre 0
+    net = sp.build_net(models["C_32"], -5, 2.0, 0.5)
+    assert net.delta == 4.0 and list(net.centers[:2]) == [0, 4]
+    sp.verify_net_invariants(models["C_32"], net)
+    owner = net.owner.copy()
+    owner[1] = 1
+    with pytest.raises(AssertionError, match="not contained in A_xi"):
+        sp.verify_net_invariants(models["C_32"],
+                                 dataclasses.replace(net, owner=owner))
+
+
+def _violates_triangle_per_k(d):
+    # the per-k loop that the min-plus pass replaced
+    return any(np.any(d > d[:, [k]] + d[[k], :] + 1e-12)
+               for k in range(d.shape[0]))
+
+
+def _with_table(m, dist):
+    return sp.ModelSpace(name="hand", dist=dist, mu=m.mu, L=m.L)
+
+
+@pytest.mark.parametrize("raise_by, refused", [(2e-12, True), (5e-13, False)])
+def test_triangle_check_against_its_slack(raise_by, refused):
+    # rho(0, 2) = 2 = rho(0, 1) + rho(1, 2) on C_32; the check allows 1e-12
+    m = sp.build_model("C_32")
+    d = m.dist.copy()
+    d[0, 2] = d[2, 0] = 2.0 + raise_by
+    assert _violates_triangle_per_k(d) == refused
+    if refused:
+        with pytest.raises(ValueError, match="triangle inequality violated"):
+            _with_table(m, d)
+    else:
+        assert _with_table(m, d).dist[0, 2] == 2.0 + raise_by
+
+
+@pytest.mark.parametrize("desc", ["C_16", "P_12", _weighted_tree(12, 5)],
+                         ids=["C_16", "P_12", "tree_12"])
+def test_triangle_check_matches_the_per_k_loop(desc):
+    # a few symmetric pairs moved by about the slack, up or down, to the
+    # ulp: the one min-plus pass refuses exactly the tables the loop refused
+    m = sp.build_model(desc)
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(40):
+        d = m.dist.copy()
+        for _ in range(rng.integers(1, 4)):
+            i, j = rng.choice(m.n, 2, replace=False)
+            step = rng.choice([0.5, 1.0, 1.5, 2.0]) * 1e-12 \
+                + rng.integers(-4, 5) * 2.0 ** -52
+            d[i, j] = d[j, i] = d[i, j] + rng.choice([-1, 1]) * step
+        refused = _violates_triangle_per_k(d)
+        verdicts.add(refused)
+        try:
+            _with_table(m, d)
+        except ValueError as exc:
+            assert refused and str(exc) == "triangle inequality violated"
+        else:
+            assert not refused
+    assert verdicts == {True, False}
+
+
+GEOMETRIC_PATH = {"kind": "path", "n": 32,
+                  "mu": np.geomspace(1.0, 50.0, 32).tolist()}
+
+
+@pytest.mark.parametrize("desc", [
+    *MU_MODELS, GEOMETRIC_PATH, _weighted_tree(48, 11),
+    {"kind": "path", "n": 64, "mu": [1 + i / 63 for i in range(64)]}],
+    ids=str)
+def test_distinct_values_are_np_unique(desc):
+    m = sp.build_model(desc)
+    vals = m.dist[m.dist > 0]
+    vols = np.cumsum(m.mu[np.argsort(m.dist, axis=1)], axis=1)
+    for table in (vals, np.concatenate([vals, vals / 2.0]), m.dist, vols):
+        assert np.array_equal(sp._distinct(table), np.unique(table))
+
+
 def test_weighted_tree_edges_set_both_metric_and_operator():
     m = sp.build_model({"kind": "tree", "n": 3,
                         "edges": [[0, 1, 2.0], [1, 2, 1.0]]})
