@@ -12,6 +12,7 @@ from mmframes.seqspace import SpaceParams, seq_norm
 
 NEUMANN_EPSILON = 1.0    # neumann_invert's decay epsilon; eps1 = epsilon/2
 NEUMANN_THRESHOLD = 0.5  # neumann_invert needs ||D||_epsilon below this
+CORE_LEAK_GATE = 1e-10   # largest off-diagonal |G| / max|G| a diagonal core drops
 _RATIO_CHUNK = 8192      # columns per lemma64_grid ratio chunk
 
 
@@ -330,7 +331,8 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
     terms (a = left @ right alone by default), against a log omega block
     builder (_log_omega), one level pair at a time; the ratio is
     exp(max(log|a| - log omega)).  On each row level the rows of left G^t
-    are formed from those of left G^(t-1), and each block of log omega is
+    are formed from those of left G^(t-1), times G's diagonal when G is 1-D
+    (so they keep left's zero columns), and each block of log omega is
     built once, beside the first product block that reads it, and kept for
     the row level's later powers.  A block is formed over its span
     (_row_blocks); a zero entry has log 0 = -inf, so a block that is exactly
@@ -341,7 +343,9 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
         for i, sl in enumerate(hier.blocks):
             W, rows = {}, left[sl]
             for t in range(terms + 1):
-                if t:
+                if t and G.ndim == 1:
+                    rows = rows * G
+                elif t:
                     a, b = _span(rows.any(axis=0))
                     rows = rows[:, a:b] @ G[a:b]
                 for j, X in enumerate(_row_blocks(hier, rows, right, cols,
@@ -374,6 +378,14 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     the larger of |(I - D)(I + C) - I| and |(I + C)(I - D) - I| over max|D|
     (0 when D is 0): C = 0 reads 1.
 
+    The core leak, G's largest off-diagonal entry over max|G|, is measured
+    once and reported.  At most CORE_LEAK_GATE, G is kept as its diagonal
+    g, as on the frames' factors, where G = V U diag(c m) is diagonal up to
+    rounding (Thm 4.2's V U = I - e0 e0^T): the series, the powers and C's
+    factor (left * core) are then entrywise, and keep left's zero columns.
+    Above it, the full n x n core is kept.  The residual is taken on the
+    core kept, so only the leak certifies what a diagonal core drops.
+
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
     caller's composition constant c* = cstar, which must be
@@ -388,18 +400,29 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     if delta_hat >= NEUMANN_THRESHOLD:
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
-    core, terms, _ = neumann_series(G := right @ left)
+    G = right @ left
+    g = G.diagonal().copy()
+    np.fill_diagonal(G, 0.0)
+    off = float(np.abs(G).max())
+    top = max(off, float(np.abs(g).max()))
+    leak = off / top if top > 0 else 0.0
+    diagonal = leak <= CORE_LEAK_GATE
+    if diagonal:
+        G = g
+    else:
+        np.fill_diagonal(G, g)
+    core, terms, _ = neumann_series(G)
     term_ad_norms = [r for r, _ in _max_ratio(
         hier, left, right, _log_omega(hier, eps1, eps1, params), G, terms)]
-    C = (left @ core, right)
+    C = (left * core if diagonal else left @ core, right)
     # |(I-D)(I+C) - I| = |left (right + G core right) - C| and
     # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through;
-    # each sum is taken in place, and freed before the next
-    R = (G @ core) @ right
+    # each table is formed, read and freed before the next
+    R = (G * core)[:, None] * right if diagonal else (G @ core) @ right
     R += right
     resid = max_abs(hier, left, R, C)[1]
     del R
-    L = left @ (core @ G)
+    L = left * (core * G) if diagonal else left @ (core @ G)
     L += left
     resid = max(resid, max_abs(hier, L, right, C)[1])
     resid = resid / d_max if d_max > 0 else 0.0
@@ -416,5 +439,6 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         "residual": resid,
         "term_ad_norms": term_ad_norms,
         "geometric_decay_ok": bool(geometric_ok),
+        "core_leak": leak,
     }
     return C, report

@@ -465,12 +465,16 @@ def _suite_neumann(ctx):
     # relative to its own max, so a zero C reads 1
     x_max, err = ad.max_abs(hier, U * (cm / (1.0 - cm)), V, C)
     closed = err / x_max
-    ok = max(rep["residual"], closed) <= 1e-9 and rep["geometric_decay_ok"]
+    # core_leak: G = V U diag(c m)'s largest off-diagonal entry over max|G|,
+    # which the diagonal core drops and the residual does not see
+    ok = (max(rep["residual"], closed) <= 1e-9 and rep["geometric_decay_ok"]
+          and rep["core_leak"] <= ad.CORE_LEAK_GATE)
     return ("pass" if ok else "fail"), {
         "residual": rep["residual"], "delta_hat": rep["delta_hat"],
         "c_star": rep["c_star"], "dhat_cstar": rep["dhat_cstar"],
         "terms": rep["terms"], "closed_form": closed,
-        "geometric": rep["geometric_decay_ok"]}
+        "geometric": rep["geometric_decay_ok"],
+        "core_leak": rep["core_leak"]}
 
 
 @_suite("prop6.6-theta", "Prop 6.6", "per-level polynomial symbols")

@@ -539,16 +539,23 @@ def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):
 
 
 def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
-                                               frame_sets, profiles):
-    # the series summed on the n x n core, and on a dense D passed as
-    # (D, I), against the powers of D and the inverse of I - D taken densely
+                                               frame_sets, profiles,
+                                               monkeypatch):
+    # the series summed on the frame factors' diagonal core, and on a dense
+    # D passed as (D, I), whose full core G = D is kept, against the powers
+    # of D and the inverse of I - D taken densely
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         "C_64", spectra, hierarchies, frame_sets, profiles)
     D = (U * cm) @ V
     I = np.eye(hier.size)
     ref = np.linalg.inv(I - D)
-    for left, right in ((U * cm, V), (D, I)):
+    steps, series = [], ad.neumann_series
+    monkeypatch.setattr(ad, "neumann_series",
+                        lambda step: steps.append(step.ndim) or series(step))
+    for left, right, ndim in ((U * cm, V, 1), (D, I, 2)):
         C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
+        assert steps.pop() == ndim
+        assert (rep["core_leak"] <= ad.CORE_LEAK_GATE) == (ndim == 1)
         # C is returned as its factors (left @ core, right)
         assert C[0].shape == (hier.size, len(right)) and C[1] is right
         assert np.abs(I + C[0] @ C[1] - ref).max() <= 1e-12
@@ -622,12 +629,14 @@ def test_neumann_head_pass_and_pushed_through_defects(
     assert {beta for beta, _, _ in built} == {1.0, 0.5}
     assert rep["residual"] <= 1e-13
     # a wrong core makes a wrong C, and the defects pushed through the
-    # core still see it
+    # core still see it; the frame factors' core is G's diagonal
+    assert rep["core_leak"] <= ad.CORE_LEAK_GATE
     series = ad.neumann_series
 
     def wrong(step):
         core, terms, tail = series(step)
-        return core + 1e-6 * np.eye(len(core)), terms, tail
+        assert core.ndim == 1
+        return core + 1e-6, terms, tail
 
     monkeypatch.setattr(ad, "neumann_series", wrong)
     _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
@@ -774,3 +783,34 @@ def test_neumann_writes_zero_on_blocks_it_does_not_form(band_contexts):
     assert np.array_equal(C, c_left @ c_right)
     assert np.abs(I + C - np.linalg.inv(I - left @ right)).max() <= 1e-12
     assert rep["residual"] <= 1e-13 and rep["geometric_decay_ok"]
+
+
+def test_neumann_suite_work_is_at_most_one_band_pass_per_pass(band_contexts,
+                                                              monkeypatch):
+    # thm6.3-neumann on C_64: every pass over level blocks (the scale, the
+    # head pass, each power, both defects and the closed form, with C's
+    # blocks beside them) keeps the band spans of the frame factors, so its
+    # multiply-adds through _row_blocks are at most one band pass over A_m
+    # each; a dense core spreads every power across all n eigen-indices
+    from mmframes import cli
+    ctx = band_contexts["C_64"]
+    hier = ctx.get("hier")
+    U, V = ctx.get("factors")
+    ctx.get("lemma64_half")
+    work, row_blocks = [], ad._row_blocks
+
+    def counted(hier, rows, right, spans, buf):
+        a, b = ad._span(rows.any(axis=0))
+        work.append(sum(len(rows) * max(0, min(b, d) - max(a, c))
+                        * (sc.stop - sc.start)
+                        for sc, (c, d) in zip(hier.blocks, spans)))
+        return row_blocks(hier, rows, right, spans, buf)
+
+    monkeypatch.setattr(ad, "_row_blocks", counted)
+    ad.max_abs(hier, U, V)
+    band_pass, work[:] = sum(work), []
+    status, _ = cli.SUITES["thm6.3-neumann"][2](ctx)
+    assert status == "pass"
+    passes = len(work) // len(hier.blocks)
+    assert len(work) == passes * len(hier.blocks) and passes >= 10
+    assert sum(work) <= passes * band_pass

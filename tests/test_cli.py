@@ -576,6 +576,39 @@ def test_neumann_closed_form_fails_on_a_zero_inverse(tmp_path, capsys,
     assert " closed_form=1 " in status and " residual=1 " in status
 
 
+@pytest.mark.parametrize("size, passes", [(1e-8, False), (1e-13, True)])
+def test_neumann_core_leak_gates_an_off_band_coefficient(size, passes,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    # one coefficient of V planted off its band, at size times max|V|,
+    # leaks off G's diagonal; the diagonal core would drop it, and the
+    # residual, taken on the core kept, would not see it, so the gate fails
+    # the suite at 1e-8 while residual and closed_form still pass; at
+    # 1e-13 the leak is rounding and the suite passes
+    build = cli.Context._build_factors
+
+    def planted(self):
+        (U, V), leaks = build(self)
+        k, xi = 1, self.get("hier").blocks[-1].start
+        assert V[k, xi] == 0  # the finest band is far from lambda_1
+        V = V.copy()
+        V[k, xi] = size * np.abs(V).max()
+        return (U, V), leaks
+
+    monkeypatch.setattr(cli.Context, "_build_factors", planted)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"model": "C_64",
+                             "suites": ["thm6.3-neumann"],
+                             "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(p)]) == (0 if passes else 1)
+    capsys.readouterr()
+    status = _statuses(tmp_path / "out")["thm6.3-neumann"]
+    values = dict(kv.split("=") for kv in status.split()[1:])
+    assert status.split()[0] == ("pass" if passes else "fail")
+    assert (float(values["core_leak"]) > ad.CORE_LEAK_GATE) != passes
+    assert max(float(values["residual"]), float(values["closed_form"])) <= 1e-9
+
+
 def _statuses(outdir):
     """suite name -> the rest of its report line from status= on"""
     lines = (outdir / "report.txt").read_text().splitlines()[1:]
