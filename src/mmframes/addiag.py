@@ -12,7 +12,7 @@ from mmframes.seqspace import SpaceParams, seq_norm
 
 NEUMANN_EPSILON = 1.0    # neumann_invert's decay epsilon; eps1 = epsilon/2
 NEUMANN_THRESHOLD = 0.5  # neumann_invert needs ||D||_epsilon below this
-CORE_LEAK_GATE = 1e-10   # largest off-diagonal |G| / max|G| a diagonal core drops
+CORE_LEAK_GATE = 1e-10   # neumann_invert keeps G's diagonal up to this leak
 _RATIO_CHUNK = 8192      # columns per lemma64_grid ratio chunk
 
 
@@ -331,8 +331,7 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
     terms (a = left @ right alone by default), against a log omega block
     builder (_log_omega), one level pair at a time; the ratio is
     exp(max(log|a| - log omega)).  On each row level the rows of left G^t
-    are formed from those of left G^(t-1), times G's diagonal when G is 1-D
-    (so they keep left's zero columns), and each block of log omega is
+    are formed from those of left G^(t-1), and each block of log omega is
     built once, beside the first product block that reads it, and kept for
     the row level's later powers.  A block is formed over its span
     (_row_blocks); a zero entry has log 0 = -inf, so a block that is exactly
@@ -343,9 +342,7 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
         for i, sl in enumerate(hier.blocks):
             W, rows = {}, left[sl]
             for t in range(terms + 1):
-                if t and G.ndim == 1:
-                    rows = rows * G
-                elif t:
+                if t:
                     a, b = _span(rows.any(axis=0))
                     rows = rows[:, a:b] @ G[a:b]
                 for j, X in enumerate(_row_blocks(hier, rows, right, cols,
@@ -365,6 +362,20 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
     return [(float(np.exp(v)), float(x)) for v, x in zip(best, a_max)]
 
 
+def _dropped(left, right, E, core) -> tuple:
+    """Bounds on what a diagonal core drops from the pushed-through defects
+    of neumann_invert, max|left E core right| and max|left core E right|,
+    for E = |G| off its diagonal and core diagonal.  By Cauchy-Schwarz each
+    entry is at most left's largest row 2-norm times right's largest column
+    2-norm times the Frobenius norm of E core, or of core E; each factor is
+    read once, and no m x n table is formed."""
+    s = np.sqrt(np.einsum("ij,ij->i", left, left).max()
+                * np.einsum("ij,ij->j", right, right).max())
+    E2, k2 = E * E, core.diagonal() ** 2
+    return (float(s * np.sqrt(np.einsum("kl,l->", E2, k2))),
+            float(s * np.sqrt(np.einsum("kl,k->", E2, k2))))
+
+
 def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
                    cstar: float):
     """(I - D)^{-1} - I for D = left @ right (a dense D is passed as (D, I)),
@@ -376,15 +387,18 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     one sweep (_max_ratio).  The inverse is I + C; C is returned without
     I, so its small entries do not round at 1.  The report's residual is
     the larger of |(I - D)(I + C) - I| and |(I + C)(I - D) - I| over max|D|
-    (0 when D is 0): C = 0 reads 1.
+    (0 when D is 0), each with what a diagonal core drops bounded in: C = 0
+    reads 1.
 
-    The core leak, G's largest off-diagonal entry over max|G|, is measured
-    once and reported.  At most CORE_LEAK_GATE, G is kept as its diagonal
-    g, as on the frames' factors, where G = V U diag(c m) is diagonal up to
-    rounding (Thm 4.2's V U = I - e0 e0^T): the series, the powers and C's
-    factor (left * core) are then entrywise, and keep left's zero columns.
-    Above it, the full n x n core is kept.  The residual is taken on the
-    core kept, so only the leak certifies what a diagonal core drops.
+    The core leak, G's largest off-diagonal |entry| over max|G|, is
+    measured once and reported.  At most CORE_LEAK_GATE, as on the frames'
+    factors, where G = V U diag(c m) is diagonal up to rounding (Thm 4.2's
+    V U = I - e0 e0^T), the core is G's diagonal, kept as an n x n matrix:
+    every power and table then keeps left's zero columns and right's zero
+    rows, so each pass skips the blocks off the factors' band spans.  Above
+    it, the full core is kept.  Each side of the residual is taken on the
+    core kept, plus a bound on what a diagonal core drops (_dropped), so the
+    residual certifies both forms.
 
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
@@ -401,30 +415,29 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
     G = right @ left
-    g = G.diagonal().copy()
-    np.fill_diagonal(G, 0.0)
-    off = float(np.abs(G).max())
-    top = max(off, float(np.abs(g).max()))
-    leak = off / top if top > 0 else 0.0
+    E = np.abs(G)
+    top = float(E.max())
+    np.fill_diagonal(E, 0.0)
+    leak = float(E.max()) / top if top > 0 else 0.0
     diagonal = leak <= CORE_LEAK_GATE
     if diagonal:
-        G = g
-    else:
-        np.fill_diagonal(G, g)
+        G = np.diag(G.diagonal())
     core, terms, _ = neumann_series(G)
+    drop_r, drop_l = _dropped(left, right, E, core) if diagonal else (0.0, 0.0)
+    del E
     term_ad_norms = [r for r, _ in _max_ratio(
         hier, left, right, _log_omega(hier, eps1, eps1, params), G, terms)]
-    C = (left * core if diagonal else left @ core, right)
+    C = (left @ core, right)
     # |(I-D)(I+C) - I| = |left (right + G core right) - C| and
     # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through;
-    # each table is formed, read and freed before the next
-    R = (G * core)[:, None] * right if diagonal else (G @ core) @ right
+    # each sum is taken in place, and freed before the next
+    R = (G @ core) @ right
     R += right
-    resid = max_abs(hier, left, R, C)[1]
+    resid = max_abs(hier, left, R, C)[1] + drop_r
     del R
-    L = left * (core * G) if diagonal else left @ (core @ G)
+    L = left @ (core @ G)
     L += left
-    resid = max(resid, max_abs(hier, L, right, C)[1])
+    resid = max(resid, max_abs(hier, L, right, C)[1] + drop_l)
     resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar

@@ -276,18 +276,15 @@ def neumann_series(step) -> tuple:
     NEUMANN_CAP terms.
 
     The first power is step itself; each later one is the power before it
-    @ step.  A 1-D step is a diagonal matrix given by its diagonal: the
-    series is summed entrywise, total is the sum's diagonal, and the
-    stopping rule reads the same norms."""
-    diagonal = step.ndim == 1
-    total = np.ones(len(step)) if diagonal else np.eye(len(step))
+    @ step."""
+    total = np.eye(len(step))
     first = np.linalg.norm(step)
     if first == 0:
         return total, 0, 0.0
     term, prev, stall = step, first, 0
     for terms in range(1, NEUMANN_CAP + 1):
         total += term
-        term = term * step if diagonal else term @ step
+        term = term @ step
         cur = np.linalg.norm(term)
         stall = stall + 1 if cur > 0.999 * prev else 0
         if stall >= 5:

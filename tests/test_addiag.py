@@ -550,12 +550,16 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
     I = np.eye(hier.size)
     ref = np.linalg.inv(I - D)
     steps, series = [], ad.neumann_series
-    monkeypatch.setattr(ad, "neumann_series",
-                        lambda step: steps.append(step.ndim) or series(step))
-    for left, right, ndim in ((U * cm, V, 1), (D, I, 2)):
+
+    def recorded(step):
+        steps.append(np.array_equal(step, np.diag(step.diagonal())))
+        return series(step)
+
+    monkeypatch.setattr(ad, "neumann_series", recorded)
+    for left, right, diagonal in ((U * cm, V, True), (D, I, False)):
         C, rep = ad.neumann_invert(hier, prm, left, right, cstar)
-        assert steps.pop() == ndim
-        assert (rep["core_leak"] <= ad.CORE_LEAK_GATE) == (ndim == 1)
+        assert steps.pop() == diagonal
+        assert (rep["core_leak"] <= ad.CORE_LEAK_GATE) == diagonal
         # C is returned as its factors (left @ core, right)
         assert C[0].shape == (hier.size, len(right)) and C[1] is right
         assert np.abs(I + C[0] @ C[1] - ref).max() <= 1e-12
@@ -570,6 +574,16 @@ def test_factored_neumann_matches_dense_powers(spectra, hierarchies,
             want = ad.ad_norm(hier, prm, power, I, 0.5)
             assert abs(got / want - 1.0) <= 1e-12
             power = power @ D
+    # with the gate at 1, (D, I) keeps only D's diagonal, so C is wrong;
+    # the residual bounds what that core drops, so it is at least the true
+    # defect, taken densely as C - D - D C and C - D - C D
+    monkeypatch.setattr(ad, "CORE_LEAK_GATE", 1.0)
+    C, rep = ad.neumann_invert(hier, prm, D, I, cstar)
+    assert steps.pop()
+    X = C[0] @ C[1]
+    true = max(np.abs(X - D - D @ X).max(),
+               np.abs(X - D - X @ D).max()) / np.abs(D).max()
+    assert 1e-5 < true <= rep["residual"]
 
 
 @pytest.mark.parametrize("model", ["C_64", "T_8x8"])
@@ -635,8 +649,8 @@ def test_neumann_head_pass_and_pushed_through_defects(
 
     def wrong(step):
         core, terms, tail = series(step)
-        assert core.ndim == 1
-        return core + 1e-6, terms, tail
+        assert np.array_equal(core, np.diag(core.diagonal()))
+        return core + 1e-6 * np.eye(len(core)), terms, tail
 
     monkeypatch.setattr(ad, "neumann_series", wrong)
     _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)

@@ -277,20 +277,6 @@ def test_neumann_series_matches_the_plain_product_loop():
     assert abs(tail / (np.linalg.norm(term) / np.linalg.norm(step)) - 1) <= 1e-6
 
 
-def test_neumann_series_sums_a_diagonal_step_entrywise():
-    # a 1-D step is a diagonal matrix's diagonal: the entrywise series takes
-    # the same products, so it stops at the same term with the same sum
-    step = np.random.default_rng(1).uniform(-0.5, 0.5, 6)
-    total, terms, tail = ca.neumann_series(step)
-    dense, dense_terms, dense_tail = ca.neumann_series(np.diag(step))
-    assert total.shape == (6,) and terms == dense_terms > 3
-    assert np.array_equal(total, np.diag(dense))
-    assert abs(tail / dense_tail - 1) <= 1e-12 and tail < ca.NEUMANN_TAIL
-    assert np.abs(total - 1 / (1 - step)).max() <= 1e-11
-    total, terms, tail = ca.neumann_series(np.zeros(3))
-    assert np.array_equal(total, np.ones(3)) and (terms, tail) == (0, 0.0)
-
-
 def test_neumann_series_rejects_a_series_that_does_not_shrink():
     with pytest.raises(RuntimeError, match="diverges"):
         ca.neumann_series(np.eye(3))

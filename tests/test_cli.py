@@ -576,15 +576,20 @@ def test_neumann_closed_form_fails_on_a_zero_inverse(tmp_path, capsys,
     assert " closed_form=1 " in status and " residual=1 " in status
 
 
-@pytest.mark.parametrize("size, passes", [(1e-8, False), (1e-13, True)])
-def test_neumann_core_leak_gates_an_off_band_coefficient(size, passes,
+@pytest.mark.parametrize("size, gate, passes", [(1e-8, None, True),
+                                               (1e-8, 1.0, True),
+                                               (1e-4, 1.0, False),
+                                               (1e-13, None, True)])
+def test_neumann_residual_bounds_an_off_band_coefficient(size, gate, passes,
                                                          tmp_path, capsys,
                                                          monkeypatch):
     # one coefficient of V planted off its band, at size times max|V|,
-    # leaks off G's diagonal; the diagonal core would drop it, and the
-    # residual, taken on the core kept, would not see it, so the gate fails
-    # the suite at 1e-8 while residual and closed_form still pass; at
-    # 1e-13 the leak is rounding and the suite passes
+    # leaks off G's diagonal.  At 1e-8 the leak is above the gate, the full
+    # core is kept and nothing is dropped.  With the gate at 1 the
+    # diagonal core drops the coefficient, and the residual, which bounds
+    # what was dropped, reads it: 6e-13 at 1e-8, and above 1e-9 at 1e-4,
+    # where the suite fails while closed_form (blind to it) passes.  At
+    # 1e-13 the leak is under the gate and the suite passes
     build = cli.Context._build_factors
 
     def planted(self):
@@ -596,6 +601,8 @@ def test_neumann_core_leak_gates_an_off_band_coefficient(size, passes,
         return (U, V), leaks
 
     monkeypatch.setattr(cli.Context, "_build_factors", planted)
+    if gate is not None:
+        monkeypatch.setattr(ad, "CORE_LEAK_GATE", gate)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": "C_64",
                              "suites": ["thm6.3-neumann"],
@@ -605,8 +612,10 @@ def test_neumann_core_leak_gates_an_off_band_coefficient(size, passes,
     status = _statuses(tmp_path / "out")["thm6.3-neumann"]
     values = dict(kv.split("=") for kv in status.split()[1:])
     assert status.split()[0] == ("pass" if passes else "fail")
-    assert (float(values["core_leak"]) > ad.CORE_LEAK_GATE) != passes
-    assert max(float(values["residual"]), float(values["closed_form"])) <= 1e-9
+    assert (float(values["core_leak"]) > 1e-10) == (size > 1e-10)
+    assert (float(values["residual"]) > 1e-14) == (gate is not None)
+    assert (float(values["residual"]) <= 1e-9) == passes
+    assert float(values["closed_form"]) <= 1e-9
 
 
 def _statuses(outdir):
