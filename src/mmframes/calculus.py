@@ -45,6 +45,12 @@ class SpectralData:
     def synthesize(self, coeffs) -> np.ndarray:
         return self.eigenfunctions @ np.asarray(coeffs)
 
+    def basis_defect(self) -> float:
+        """||E^T M E - I||_inf (largest absolute row sum)."""
+        E = self.eigenfunctions
+        D = E.T @ (self.space.mu[:, None] * E) - np.eye(len(E))
+        return float(np.abs(D).sum(axis=1).max())
+
     def symbol(self, fn, scale=1.0) -> np.ndarray:
         """fn(scale*sqrt(lambda_i)) for every eigenvalue, in one vectorized
         call: (n,) for one scale, and the (n, L) table with one column per
@@ -124,8 +130,10 @@ def _smooth_step(t):
     t = np.asarray(t, dtype=float)
 
     def g(u):
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            return np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+        # exp(-1/u) is 0 for u <= 1/708, where it falls below 3.3e-308, near
+        # the smallest normal double: a subnormal value carries no precision
+        # and slows every product that reads a table of it
+        return np.where(u > 1 / 708, np.exp(-1.0 / np.maximum(u, 1 / 708)), 0.0)
 
     a, bq = g(1.0 - t), g(t)
     return a / (a + bq)

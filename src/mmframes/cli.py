@@ -68,8 +68,7 @@ def _fmt(v):
 # resources whose builder returns (value, by-product), and the by-product's
 # own resource name
 BYPRODUCTS = {"hier": "sampling_eps", "compact": "compact_supports",
-              "compact_dual": "compact_dual_perturbation",
-              "factors": "band_leaks"}
+              "compact_dual": "compact_dual_perturbation"}
 BUILT_BY = {product: name for name, product in BYPRODUCTS.items()}
 
 
@@ -141,14 +140,9 @@ class Context:
                                      self.get("compact"), self.get("params"))
 
     def _build_factors(self):
-        # (U, V) = (psi~^T M E, E^T M psi): A_m = U diag(m(sqrt(lambda))) V,
-        # each exactly 0 off its level's band, g_j for the dual and Psi_j
-        # for the primal; by-product (dual leak, primal leak)
-        spec = self.get("spec")
-        psi, g = fr.hierarchy_bands(spec, self.get("hier"))
-        U, dual_leak = fr.band_coefficients(spec, self.get("dual"), g)
-        V, primal_leak = fr.band_coefficients(spec, self.get("frame"), psi)
-        return (U.T, V), (dual_leak, primal_leak)
+        # (U, V) = (psi~^T M E, E^T M psi), the frames' tables, each 0 off
+        # its level's band: A_m = U diag(m(sqrt(lambda))) V
+        return self.get("dual").coeffs.T, self.get("frame").coeffs
 
     def _build_lemma64_half(self):
         # lemma6.4-W-bound's pairs at beta = eps1, then Thm 6.3(ii)'s c* pair
@@ -297,12 +291,15 @@ def _suite_reconstruction(ctx):
 @_suite("thm4.2-bands", "Thm 4.2/(4.10)", "frame and dual spectral bands",
         after=("lemma4.1-sampling",))
 def _suite_bands(ctx):
-    # the largest coefficient the factors' band mask sets to 0, over the
-    # largest coefficient, for the dual (leak) and the primal frame
-    leak, primal_leak = ctx.get("band_leaks")
-    ok = max(leak, primal_leak) <= 1e-10
-    return ("pass" if ok else "fail"), {"leak": leak,
-                                        "primal_leak": primal_leak}
+    # the dual's (leak) and the primal's off-band coefficients, 0 unless a
+    # builder writes off band, and how far E is from mu-orthonormal
+    spec = ctx.get("spec")
+    psi, g = fr.hierarchy_bands(spec, ctx.get("hier"))
+    out = {"leak": fr.band_leak(ctx.get("dual"), g),
+           "primal_leak": fr.band_leak(ctx.get("frame"), psi),
+           "basis_defect": spec.basis_defect()}
+    ok = max(out.values()) <= 1e-10
+    return ("pass" if ok else "fail"), out
 
 
 def _characterization(ctx, family):
@@ -479,15 +476,16 @@ def _suite_neumann(ctx):
 
 @_suite("prop6.6-theta", "Prop 6.6", "per-level polynomial symbols")
 def _suite_theta(ctx):
-    # degree 0 marks a level that keeps the band symbol; const is the
+    # a polynomial level also records its degree, sup_err and const, the
     # support constant degree * b^j in units of the level's scale b^{-j}
     b = ctx.get("hier").b
     out = {}
     for j, lv in ctx.get("compact_supports").items():
-        out.update({f"level{j}_degree": lv.degree,
-                    f"level{j}_support": lv.support,
-                    f"level{j}_const": lv.degree * b ** j,
-                    f"level{j}_sup_err": lv.sup_err})
+        out[f"level{j}_support"] = lv.support
+        if lv.degree:
+            out.update({f"level{j}_degree": lv.degree,
+                        f"level{j}_const": lv.degree * b ** j,
+                        f"level{j}_sup_err": lv.sup_err})
     return "record", out
 
 
@@ -532,9 +530,8 @@ def _suite_compact_dual(ctx):
 def _suite_molecule_constants(ctx):
     # psi from V and psi~ from U^T, each exactly 0 off every level's band
     U, V = ctx.get("factors")
-    families = mo.validate_molecule(
-        [(V, ctx.get("frame").columns), (U.T, ctx.get("dual").columns)],
-        ctx.get("hier"), ctx.get("params"), ctx.get("spec"))
+    families = mo.validate_molecule([V, U.T], ctx.get("hier"),
+                                    ctx.get("params"), ctx.get("spec"))
     out, ok = {}, True
     for name, certs in zip(("psi", "psit"), families):
         for flavor, cert in certs.items():
@@ -567,7 +564,7 @@ def _suite_synthesis(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     T = rng.standard_normal((int(ctx.cfg["battery"]), hier.size)).T
-    _, rep = mo.molecular_synthesis(T, ctx.get("frame").columns, hier, params,
+    _, rep = mo.molecular_synthesis(T, ctx.get("frame").coeffs, hier, params,
                                     spec, ctx.get("psi"))
     return "record", {"max_ratio": rep["ratio"].max(initial=0.0)}
 
@@ -577,7 +574,7 @@ def _suite_synthesis(ctx):
 def _suite_analysis(ctx):
     params, spec = ctx.get("params"), ctx.get("spec")
     _, rep = mo.molecular_analysis(ctx.get("battery").T,
-                                   ctx.get("dual").columns, ctx.get("frame"),
+                                   ctx.get("dual").coeffs, ctx.get("frame"),
                                    ctx.get("dual"), params, spec, ctx.get("psi"))
     worst_resid = rep["identity_residual"].max(initial=0.0)
     ok = np.any(rep["function_norm"] > 0) and worst_resid <= 1e-9
@@ -591,13 +588,13 @@ def _suite_analysis(ctx):
 def _suite_atoms(ctx):
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     compact = ctx.get("compact")
-    cert = mo.validate_atoms(compact.columns, hier, params, spec)
+    cert = mo.validate_atoms(compact.coeffs, hier, params, spec)
     checks = _speed_checks(ctx)
     supp_ok = all(passed for _, passed in checks)
     cstar = mo.scaling_for_budget(cert)
-    _, _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
-                                    ctx.get("compact_dual"), params, spec,
-                                    ctx.get("psi"), cstar=cstar)
+    _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
+                                 ctx.get("compact_dual"), params, spec,
+                                 ctx.get("psi"), cstar=cstar)
     worst = rep["residual"].max(initial=0.0)
     ok = np.any(rep["l2_norm"] > 0) and worst <= 1e-6 and supp_ok and \
         np.isfinite(cert.support_constant)
@@ -658,8 +655,7 @@ def _suite_inhomogeneous(ctx):
                                             gamma=ctx.cfg["gamma"],
                                             mode="inhomogeneous")
     ok = hier.j_min >= 0 and max(eps.values()) < 0.5
-    cols = fr.build_frame1(spec, hier).columns
-    certs = mo.validate_molecule([(spec.coefficients(cols), cols)], hier,
+    certs = mo.validate_molecule([fr.build_frame1(spec, hier).coeffs], hier,
                                  ctx.get("params"), spec)[0]
     ok = ok and all(np.isfinite(max(cert.constants.values()))
                     for cert in certs.values())

@@ -25,23 +25,26 @@ COMPACT_SUP_ERR = 1e-6   # a compact level's polynomial error, relative sup
 
 @dataclass(frozen=True)
 class Frame:
-    """Net-indexed family of functions.
+    """Net-indexed family of functions, held as its (n, m) eigenbasis
+    coefficient table: coeffs[:, k] = E^T M psi_k for flat net index k."""
 
-    columns[:, k] is the element attached to flat net index k.
-    """
-
+    spec: SpectralData
     hierarchy: NetHierarchy
-    columns: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The (n, m) column table, synthesised on each read."""
+        return self.spec.synthesize(self.coeffs)
 
     def analyze(self, f) -> np.ndarray:
         """Coefficients <f, psi_xi> in the mu-inner product; an (n, k) table
         of functions gives an (m, k) table, one column per function."""
-        mu = self.hierarchy.space.mu
-        return self.columns.T @ (mu * np.asarray(f).T).T
+        return self.coeffs.T @ self.spec.coefficients(f)
 
     def synthesize(self, coeffs) -> np.ndarray:
         """sum_xi c_xi psi_xi, column by column for an (m, k) table."""
-        return self.columns @ np.asarray(coeffs)
+        return self.spec.synthesize(self.coeffs @ np.asarray(coeffs))
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,20 @@ def hierarchy_bands(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
                        (hierarchy.j_min, hierarchy.j_max))
 
 
+def _level_coeffs(spec: SpectralData, net, vals) -> np.ndarray:
+    """The level's table of |A_xi|^{1/2} s(sqrt(L))(., xi), s = vals, in C
+    order: the weighted norms read a table's rows a level at a time."""
+    return np.ascontiguousarray(vals[:, None] * spec.eigenfunctions[
+        net.centers].T) * np.sqrt(net.a_vol)[None, :]
+
+
 def build_frame1(spec: SpectralData, hierarchy: NetHierarchy) -> Frame:
     """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with Psi_j
     the level's primal band symbol (hierarchy_bands)."""
     psi = hierarchy_bands(spec, hierarchy)[0]
-    cols = [spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)[None, :]
-            for net, vals in zip(hierarchy.levels, psi.T)]
-    return Frame(hierarchy=hierarchy, columns=np.hstack(cols))
+    return Frame(spec, hierarchy, np.hstack([
+        _level_coeffs(spec, net, vals)
+        for net, vals in zip(hierarchy.levels, psi.T)]))
 
 
 def _sampling_gram(spec: SpectralData, hierarchy: NetHierarchy, j: int):
@@ -120,13 +130,14 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy, eps):
     K = diag(g) (I - G/(1+eps_j)) diag(g) with |g| <= 1 and the spectrum
     of G in [1-eps_j, 1+eps_j], so ||K||_2 <= 2 eps_j/(1+eps_j) < 2/3 and
     the series converges whenever eps_j < 1/2.  eps, the {level: eps_j} of
-    build_standard_hierarchy, was measured on these Grams.
+    build_standard_hierarchy, was measured on these Grams.  The level's
+    table is T (g X^T) on sel's rows, scaled per centre: 0 where g is.
     """
-    cols = []
+    coeffs = np.zeros((len(spec.eigenvalues), hierarchy.size))
     worst_terms, worst_tail = 0, 0.0
 
-    for net, g in zip(hierarchy.levels,
-                      hierarchy_bands(spec, hierarchy)[1].T):
+    for net, sl, g in zip(hierarchy.levels, hierarchy.blocks,
+                          hierarchy_bands(spec, hierarchy)[1].T):
         j, e = net.level, eps[net.level]
         if e >= 0.5:
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={e}")
@@ -138,28 +149,20 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy, eps):
         worst_terms = max(worst_terms, terms)
         worst_tail = max(worst_tail, tail)
 
-        block = spec.eigenfunctions[:, sel] @ (T @ (g[:, None] * X.T))
-        cols.append(block * (np.sqrt(net.a_vol) / (1.0 + e))[None, :])
+        coeffs[sel, sl] = (T @ (g[:, None] * X.T)) \
+            * (np.sqrt(net.a_vol) / (1.0 + e))[None, :]
 
-    frame = Frame(hierarchy=hierarchy, columns=np.hstack(cols))
+    frame = Frame(spec, hierarchy, coeffs)
     report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail)
     return frame, report
 
 
-def band_coefficients(spec: SpectralData, frame: Frame, bands) -> tuple:
-    """(table, leak): the frame's coefficients in the eigenbasis, (n, m),
-    with each level's set to exactly 0 where its column of bands, an (n, L)
-    band-symbol table (hierarchy_bands), is 0, and the largest entry so set
-    to 0 over the table's largest.  A level's elements live on its band, so
-    off it the measured coefficients are rounding noise, and the leak reads
-    at rounding level."""
-    table = spec.coefficients(frame.columns)
-    scale, leak = np.abs(table).max(), 0.0
-    for sl, band in zip(frame.hierarchy.blocks, bands.T):
-        off = band == 0
-        leak = max(leak, np.abs(table[off, sl]).max(initial=0.0))
-        table[off, sl] = 0.0
-    return table, leak / max(scale, 1e-300)
+def band_leak(frame: Frame, bands) -> float:
+    """The largest |coefficient| where its level's band symbol (a column of
+    hierarchy_bands' table) is 0, over the largest."""
+    t = np.abs(frame.coeffs)
+    return float(max(t[band == 0, sl].max(initial=0.0) for sl, band in zip(
+        frame.hierarchy.blocks, bands.T)) / max(t.max(), 1e-300))
 
 
 def reconstruct(frame: Frame, dual: Frame, f) -> np.ndarray:
@@ -262,18 +265,18 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     vander = chebvander(2.0 * lam / lam[-1] - 1.0,
                         int(np.ceil(space.diameter / edge)) - 2)
     psi = hierarchy_bands(spec, hierarchy)[0]
-    cols = []
+    coeffs = []
     levels = {}
     for net, vals in zip(hierarchy.levels, psi.T):
         j = net.level
         degree, vals, err = _level_polynomial(
             lam, vander, vals, lambda mu: Psi(b ** -j * np.sqrt(mu)))
-        P = spec.kernel(vals, net.centers)
         levels[j] = CompactLevel(
             degree=degree, reach=degree * edge, sup_err=err,
-            support=effective_support_radius(P, space, net.centers))
-        cols.append(P * np.sqrt(net.a_vol)[None, :])
-    return Frame(hierarchy=hierarchy, columns=np.hstack(cols)), levels
+            support=effective_support_radius(spec.kernel(vals, net.centers),
+                                             space, net.centers))
+        coeffs.append(_level_coeffs(spec, net, vals))
+    return Frame(spec, hierarchy, np.hstack(coeffs)), levels
 
 
 def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
@@ -283,23 +286,19 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     T f = sum <f, psi~_xi> theta_xi satisfies coeff((I-T)g) = D coeff(g),
     so T is invertible under Thm 6.3's precondition ||D||_eps <
     addiag.NEUMANN_THRESHOLD at eps = addiag.NEUMANN_EPSILON, and the dual
-    columns are psi~ ((I - D)^{-1} B)^T with B the primal/dual cross Gram.
-    D = Q^T M P has rank <= n (Q = psi~, P = psi - theta, M = diag(mu)), so
-    by push-through (I - D)^{-1} B = Q^T (I_n - M P Q^T)^{-1} M psi, and the
-    dual columns are (Q psi^T M) solve(I_n - Q P^T M, Q): one n x n solve.
+    is psi~ ((I - D)^{-1} B)^T, B = U~^T V, with U~, V, V_theta the tables
+    of psi~, psi, theta.  D = U~^T P, P = V - V_theta, has rank <= n, so by
+    push-through the dual's table is (U~ V^T) solve(I_n - U~ P^T, U~).
     """
-    hier = frame1.hierarchy
-    mu = hier.space.mu
-    Q, P = dual.columns, frame1.columns - compact.columns
-    delta_hat = addiag.ad_norm(hier, params, Q.T, mu[:, None] * P,
-                               addiag.NEUMANN_EPSILON)
+    hier, U = frame1.hierarchy, dual.coeffs
+    P = frame1.coeffs - compact.coeffs
+    delta_hat = addiag.ad_norm(hier, params, U.T, P, addiag.NEUMANN_EPSILON)
     if delta_hat >= addiag.NEUMANN_THRESHOLD:
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{delta_hat:.3g} >= threshold")
-    G = np.linalg.solve(np.eye(len(mu)) - (Q @ P.T) * mu[None, :], Q)
-    X = (Q @ frame1.columns.T) * mu[None, :]
-    return Frame(hierarchy=hier, columns=X @ G), delta_hat
+    G = np.linalg.solve(np.eye(len(U)) - U @ P.T, U)
+    return Frame(frame1.spec, hier, (U @ frame1.coeffs.T) @ G), delta_hat
 
 
 def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):

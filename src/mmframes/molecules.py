@@ -5,7 +5,8 @@ A molecule family is a set of functions indexed by the hierarchy, one per
 net center, obeying localized size, smoothness (powers of L) and
 cancellation (L^{+-k} factorization) bounds.  Validators measure the
 smallest constant making each bound hold, exhaustively over all centers
-and points; atoms additionally carry a compact-support certificate.
+and points; atoms additionally carry a compact-support certificate.  A
+family is given by its (n, m) eigenbasis coefficient table, a Frame's.
 """
 
 from dataclasses import dataclass, replace
@@ -96,11 +97,11 @@ class MoleculeCertificate:
                        constants={k: c * v for k, v in self.constants.items()})
 
 
-def _as_columns(family, hier: NetHierarchy) -> np.ndarray:
-    cols = np.asarray(family, dtype=float)
-    if cols.shape != (hier.space.n, hier.size):
-        raise ValueError("family must be an (n, hierarchy size) column table")
-    return cols
+def _as_table(family, hier: NetHierarchy) -> np.ndarray:
+    table = np.asarray(family, dtype=float)
+    if table.shape != (hier.space.n, hier.size):
+        raise ValueError("family must be an (n, m) coefficient table")
+    return table
 
 
 def _column_max(X, env) -> np.ndarray:
@@ -111,47 +112,41 @@ def _column_max(X, env) -> np.ndarray:
 
 
 def _ladder(hier: NetHierarchy, spec: SpectralData, families, mus):
-    """(sl, i, Y, defect) for each level sl (hier.blocks) and, within it,
-    each family i = (coeffs, cols), (n, m) tables with coeffs the
-    coefficients of cols in the eigenbasis: Y[:, r] = L^mus[r] cols[:, sl],
-    the synthesis of lambda^mu coeffs (0 on the nullspace) over the level's
-    span of coeffs (addiag.column_spans), with cols itself as rung 0 (mus
-    holds 0).  Y is written in one reused buffer, so it holds until the
-    next yield.  defect is the column maxima of |synthesised rung 0 - cols|,
-    the size of cols' nullspace part (and of rounding)."""
-    lam, E = spec.eigenvalues, spec.eigenfunctions
+    """(sl, i, Y, defect) for each level sl and family table i: Y[:, r] is
+    L^mus[r] of its columns a on sl, lambda^mu coeffs (0^0 = 1, else 0 on
+    the nullspace) synthesised over the level's span (addiag.column_spans),
+    in one buffer reused at the next yield; defect is the column maxima of
+    |a's nullspace part| = |L^K h - a|, h = L^-K a."""
+    lam, E, k0 = spec.eigenvalues, spec.eigenfunctions, spec.nullspace_dim
     pw = np.zeros((len(lam), len(mus)))
     pw[lam > 0] = lam[lam > 0, None] ** mus
-    zero = list(mus).index(0)
-    spans = [addiag.column_spans(hier, coeffs) for coeffs, _ in families]
+    pw[lam == 0] = np.asarray(mus) == 0
+    spans = [addiag.column_spans(hier, coeffs) for coeffs in families]
     buf = np.empty(len(lam) * len(mus) * max(
         sl.stop - sl.start for sl in hier.blocks))
     for k, sl in enumerate(hier.blocks):
         shape = (len(mus), sl.stop - sl.start)
         out = buf[:len(lam) * np.prod(shape)].reshape(len(lam), -1)
-        for i, (coeffs, cols) in enumerate(families):
+        for i, coeffs in enumerate(families):
             lo, hi = spans[i][k]
             Y = np.matmul(E[:, lo:hi], (pw[lo:hi, :, None] * coeffs[
                 lo:hi, None, sl]).reshape(hi - lo, np.prod(shape)),
                 out=out).reshape(-1, *shape)
-            defect = np.abs(Y[:, zero] - cols[:, sl]).max(axis=0)
-            Y[:, zero] = cols[:, sl]
-            yield sl, i, Y, defect
+            null = E[:, :k0] @ coeffs[:k0, sl]
+            yield sl, i, Y, np.abs(null).max(axis=0, initial=0.0)
 
 
 def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
                       spec: SpectralData) -> list:
-    """{flavor: MoleculeCertificate}, synthesis and analysis, per family
-    (coeffs, cols): an (n, m) column table and its coefficient table in the
-    eigenbasis, spec.coefficients(cols) or the frames' band tables.  One
-    passes when no constant exceeds 1 and the factorization residual is at
-    most 1e-9; M = M_threshold + 1/2 (M + d for analysis) in params.flavor.
+    """{flavor: MoleculeCertificate}, synthesis and analysis, per family's
+    table.  One passes when no constant exceeds 1 and the factorization
+    residual is at most 1e-9; M = M_threshold + 1/2 (M + d for analysis).
 
-    One ladder per family serves both flavours: L^mu cols, mu = -max(K, N)
-    .. max(K, N), a level at a time (_ladder).  Each (rung, flavour)
-    reduces to the column maxima of |L^mu cols| / envelope, times
-    l(xi)^(2 mu); each constant is a maximum of those.  The defect reads
-    L^K h as coeffs synthesised off the nullspace; an inhomogeneous
+    One ladder per family serves both flavours: L^mu of its columns,
+    mu = -max(K, N) .. max(K, N), a level at a time (_ladder).  Each
+    (rung, flavour) reduces to the column maxima of |L^mu cols| /
+    envelope, times l(xi)^(2 mu); each constant is a maximum of those.  The
+    defect, L^K h - cols, is the family's nullspace part; an inhomogeneous
     hierarchy waives it and cancellation at level 0."""
     orders = compute_orders(params)
     M = orders.M_threshold + 0.5
@@ -171,13 +166,14 @@ def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
     depth = max(K or 0, N or 0)
     mus = np.arange(-depth, depth + 1)
 
-    families = [(_as_columns(t, hier), _as_columns(cols, hier))
-                for t, cols in families]
+    families = [_as_table(t, hier) for t in families]
     # maxima[i, flavour, depth + mu, xi], synthesis then analysis
     maxima = np.empty((len(families), 2, len(mus), hier.size))
     defect = np.empty((len(families), hier.size))
+    top = np.zeros(len(families))
     for sl, i, Y, d in _ladder(hier, spec, families, mus):
         defect[i, sl] = d
+        top[i] = max(top[i], np.abs(Y[:, depth]).max(initial=0.0))
         if i == 0:
             # |B_xi|^{-1/2} (1 + rho(x, xi)/l(xi))^{-decay} on the level
             grow = 1.0 + hier.space.dist[:, hier.xi_point[sl]] \
@@ -193,13 +189,13 @@ def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
     return [{flavor: MoleculeCertificate(
         flavor=flavor, orders=orders, M=M,
         factorization_defect=float(d[canc_mask].max(initial=0.0)),
-        column_max=float(np.abs(cols).max(initial=0.0)),
+        column_max=float(col_max),
         constants={name: float(v[depth + a:depth + b + 1, canc_mask if
                                  name == "companion_size" else slice(None)]
                                .max(initial=0.0))
                    for name, (a, b) in powers[flavor].items()})
         for flavor, v in zip(powers, fam)}
-        for (_, cols), fam, d in zip(families, maxima, defect)]
+        for fam, col_max, d in zip(maxima, top, defect)]
 
 
 def scaling_for_budget(cert) -> float:
@@ -228,15 +224,15 @@ def _ratio(num, den):
 
 def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
                         spec: SpectralData, phi):
-    """f = sum_xi t_xi m_xi with the measured norm ratio
+    """f = sum_xi t_xi m_xi, m given by its table, with the measured ratio
     ||f||_F / ||t||_f; an (m, k) table of sequences gives k functions and
     k of each report value."""
-    cols = _as_columns(family, hier)
+    table = _as_table(family, hier)
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[0] != hier.size:
         raise ValueError("coefficient sequence does not match the hierarchy")
     T = t.reshape(hier.size, -1)
-    f = cols @ T
+    f = spec.synthesize(table @ T)
     tn = seq_norm(T, params, hier)
     fn = function_norm(f, params, spec, phi)
     return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
@@ -246,21 +242,20 @@ def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
 def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
                        spec: SpectralData, phi):
     """Coefficients <f, m~_xi> through the frame expansion
-    sum_eta <m~_xi, psi_eta> <f, psi~_eta>, with the measured ratio
-    ||coeffs||_f / ||f||_F; an (n, k) table of functions gives an (m, k)
-    table and k of each report value.  The expansion is taken as
-    <m~_xi, sum_eta <f, psi~_eta> psi_eta>, so no m x m Gram is formed.
-
-    On a finite model the expansion collapses to the direct mu-inner
-    product for mean-zero f; the residual between the two is reported.
+    sum_eta <m~_xi, psi_eta> <f, psi~_eta>, m~ given by its table, with
+    the measured ratio ||coeffs||_f / ||f||_F; an (n, k) table of functions
+    gives an (m, k) table and k of each report value.  The expansion is
+    taken on the tables as m~^T (V (U~^T c)), c the coefficients of f, so
+    no m x m Gram is formed.  On a finite model it collapses to the direct
+    m~^T c for mean-zero f; the residual between the two is reported.
     """
     hier = frame.hierarchy
-    cols = _as_columns(anal_family, hier)
-    mu = hier.space.mu[:, None]
+    table = _as_table(anal_family, hier)
     F = spec.project_mean_zero(
         np.asarray(f, dtype=float).reshape(hier.space.n, -1))
-    coeffs = cols.T @ (mu * frame.synthesize(dual.analyze(F)))
-    direct = cols.T @ (mu * F)
+    c = spec.coefficients(F)
+    coeffs = table.T @ (frame.coeffs @ (dual.coeffs.T @ c))
+    direct = table.T @ c
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
     fn = function_norm(F, params, spec, phi)
     cn = seq_norm(coeffs, params, hier)
@@ -293,16 +288,15 @@ def minimal_atom_orders(params: SpaceParams) -> tuple:
 
 def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
                    spec: SpectralData) -> AtomCertificate:
-    """Atom certificate at the minimal orders (K, K~): factorization through
-    L^K, plain (undecayed) size bounds for powers of L up to K~, and the
-    compact-support constant; it passes when no constant exceeds 1.
+    """Atom certificate of a family's table at the minimal orders (K, K~):
+    factorization through L^K, undecayed size bounds for powers of L up to
+    K~ and the compact-support constant; it passes when none exceeds 1.
 
     The support constant is the smallest c with every effective support
     (relative threshold SUPPORT_THRESHOLD) inside c B_xi.
     """
     K, K_tilde = minimal_atom_orders(params)
-    cols = _as_columns(family, hier)
-    coeffs = spec.coefficients(cols)
+    coeffs = _as_table(family, hier)
     # powers below 0 are taken modulo the nullspace
     if K and np.abs(coeffs[:spec.nullspace_dim]).max(initial=0.0) > \
             1e-10 * max(1.0, np.abs(coeffs).max(initial=0.0)):
@@ -310,15 +304,17 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     base = hier.xi_bvol ** -0.5
     mus = np.arange(-K, K_tilde + 1)
     maxima, defect = np.empty((len(mus), hier.size)), np.empty(hier.size)
+    top = 0.0
     supp_c, radii = 0.0, {nu: {} for nu in range(K + 1)}
 
-    # one ladder L^mu cols, mu = -K..K~, a level at a time (_ladder): the
-    # companion h = L^-K cols and its powers L^nu h = L^(nu-K) cols are the
-    # rungs mu <= 0, and L^K h - cols is the synthesised rung 0's defect
-    for (sl, _, Y, d), net in zip(_ladder(hier, spec, [(coeffs, cols)], mus),
+    # one ladder L^mu a, mu = -K..K~, a level at a time (_ladder): the
+    # companion h = L^-K a and its powers L^nu h = L^(nu-K) a are the rungs
+    # mu <= 0, and rung 0 is the family a itself
+    for (sl, _, Y, d), net in zip(_ladder(hier, spec, [coeffs], mus),
                                   hier.levels):
         maxima[:, sl], defect[sl] = _column_max(Y, base[sl]), d
         live = np.abs(Y[:, :K + 1])
+        top = max(top, live[:, K].max(initial=0.0))
         live = live > SUPPORT_THRESHOLD * np.maximum(live.max(axis=0), 1e-300)
         r = np.where(live, hier.space.dist[:, None, hier.xi_point[sl]],
                      0.0).max(axis=0, initial=0.0)
@@ -328,9 +324,8 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     maxima *= (hier.xi_ell ** 2) ** mus[:, None]
     constants = {"smoothness": float(maxima[K:].max(initial=0.0)),
                  "companion_size": float(maxima[:K + 1].max(initial=0.0))}
-    # at K = 0, h is cols itself: nothing is factored
-    fact_resid = defect.max() / max(1.0, np.abs(cols).max(initial=0.0)) \
-        if K else 0.0
+    # at K = 0, h is a itself: nothing is factored
+    fact_resid = defect.max() / max(1.0, top) if K else 0.0
 
     passed = all(c <= 1.0 for c in constants.values()) and \
         fact_resid <= 1e-9
@@ -342,27 +337,27 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
 def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
                      spec: SpectralData, phi, cstar: float = 1.0):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
-    compact frame and t_xi = <f, theta~_xi> / cstar; an (n, k) table of
-    functions gives an (m, k) table t and k of each report value.
+    compact frame and t_xi = <f, theta~_xi> / cstar, as (t, report); an
+    (n, k) table of functions gives an (m, k) table t and k of each report
+    value.
 
-    Reports the reconstruction residual relative to l2_norm, the L^2 norm
-    of f, and both measured norm constants ||t||_f / ||f||_F and
+    Reports the reconstruction sum t a's residual relative to l2_norm, the
+    L^2 norm of f, and both measured norm constants ||t||_f / ||f||_F and
     ||sum t a|| / ||t||.
     """
     space = spec.space
     F = spec.project_mean_zero(np.asarray(f, dtype=float).reshape(space.n, -1))
     raw = compact_dual.analyze(F)
     nf = space.norm2(F)
-    residual = _ratio(space.norm2(compact.synthesize(raw) - F), nf)
+    recon = compact.synthesize(raw)
+    residual = _ratio(space.norm2(recon - F), nf)
     t = raw / cstar
-    atoms = compact.columns * cstar
     fn = function_norm(F, params, spec, phi)
     tn = seq_norm(t, params, compact.hierarchy)
     t, report = _per_column(f, t, {
         "residual": residual, "l2_norm": nf,
         "analysis_constant": _ratio(tn, fn),
         "synthesis_constant": _ratio(
-            function_norm(atoms @ t, params, spec, phi), tn),
+            function_norm(recon, params, spec, phi), tn),
     })
-    report["cstar"] = cstar
-    return t, atoms, report
+    return t, report

@@ -104,13 +104,14 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
 
 def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
     """m(sqrt(L)) f computed through the frame expansion
-    sum_xi <f, psi~_xi> m(sqrt(L)) psi_xi, cross-checked against direct
-    spectral application to a relative 1e-9; f is one function or an (n, k)
-    table."""
-    fv = spec.project_mean_zero(np.asarray(f, dtype=float))
-    mvals = spec.symbol(symbol)
-    direct = spec.apply(mvals, fv)
-    framed = spec.apply(mvals, frame.columns @ dual.analyze(fv))
+    sum_xi <f, psi~_xi> m(sqrt(L)) psi_xi, on the frames' tables, and
+    cross-checked against direct spectral application to a relative 1e-9;
+    f is one function or an (n, k) table."""
+    c = spec.coefficients(np.asarray(f, dtype=float))
+    c[:spec.nullspace_dim] = 0.0  # f's mean-zero part
+    mvals = spec.symbol(symbol).reshape((-1,) + (1,) * (c.ndim - 1))
+    direct = spec.synthesize(mvals * c)
+    framed = spec.synthesize(mvals * (frame.coeffs @ (dual.coeffs.T @ c)))
     scale = max(1.0, float(np.abs(direct).max()))
     resid = float(np.abs(framed - direct).max() / scale)
     if resid > 1e-9:

@@ -17,7 +17,7 @@ from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes import space as sp
 from mmframes.seqspace import SpaceParams
-from test_molecules import column_certificate
+from test_molecules import certificate
 
 
 def test_criterion_01_exact_geometry_suite(models, profiles):
@@ -76,7 +76,8 @@ def test_criterion_05_dual_bands_exact(frame_sets, spectra):
     for name in ("C_64", "T_8x8"):
         _, dual, _ = frame_sets[name]
         g = fr.hierarchy_bands(spectra[name], dual.hierarchy)[1]
-        assert fr.band_coefficients(spectra[name], dual, g)[1] <= 1e-10
+        assert fr.band_leak(dual, g) == 0.0
+        assert spectra[name].basis_defect() <= 1e-10
 
 
 def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
@@ -180,27 +181,24 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    for cols, flavor in ((frame.columns, "synthesis"),
-                         (dual.columns, "analysis")):
-        raw = column_certificate(cols, hier, flavor, params022, spec)
+    for table, flavor in ((frame.coeffs, "synthesis"),
+                          (dual.coeffs, "analysis")):
+        raw = certificate(table, hier, flavor, params022, spec)
         assert raw.M == params022.J + 0.5
         assert all(np.isfinite(v) for v in raw.constants.values())
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-        assert column_certificate(c * cols, hier, flavor, params022,
-                                  spec).passed
-    # the Gram psi~^T M psi from the frames' band factors
-    psi, g = fr.hierarchy_bands(spec, hier)
-    c = ad.ad_norm(hier, params022, fr.band_coefficients(spec, dual, g)[0].T,
-                   fr.band_coefficients(spec, frame, psi)[0], 0.125)
+        assert certificate(c * table, hier, flavor, params022, spec).passed
+    # the Gram psi~^T M psi from the frames' coefficient tables
+    c = ad.ad_norm(hier, params022, dual.coeffs.T, frame.coeffs, 0.125)
     assert 0 < c < np.inf
 
 
 def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     cp = compact_pipeline
     hier, spec = cp.hier, cp.spec
-    raw = mo.validate_atoms(cp.compact.columns, hier, params022, spec)
+    raw = mo.validate_atoms(cp.compact.coeffs, hier, params022, spec)
     scale = (1.0 - 1e-9) / max(raw.constants.values())
-    cert = mo.validate_atoms(scale * cp.compact.columns, hier, params022,
+    cert = mo.validate_atoms(scale * cp.compact.coeffs, hier, params022,
                              spec)
     assert cert.passed
     # the atoms' effective support is within k e at every polynomial level:
@@ -218,11 +216,11 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, atoms, rep = mo.atomic_decompose(f, cp.compact, cp.cdual,
-                                            params022, spec, psi,
-                                            cstar=cstar)
+        t, rep = mo.atomic_decompose(f, cp.compact, cp.cdual, params022,
+                                     spec, psi, cstar=cstar)
         assert rep["residual"] <= 1e-6
-        assert spec.space.norm2(atoms @ t - f) <= 1e-6 * spec.space.norm2(f)
+        atoms_t = cp.compact.synthesize(cstar * t)
+        assert spec.space.norm2(atoms_t - f) <= 1e-6 * spec.space.norm2(f)
 
 
 def test_criterion_13_multiplier(spectra, frame_sets, params022):

@@ -680,17 +680,20 @@ def band_contexts(skewed_hierarchy):
 
 @pytest.mark.parametrize("model", ["C_64", "C_32~", "mu_9", "T_8x8"])
 def test_factors_zero_only_rounding_noise(model, band_contexts):
-    # the factors are the measured coefficients, set to exactly 0 where the
-    # level's band symbol is 0, and there the measured value is noise
+    # the factors are the frames' own tables, equal to the analysis of their
+    # synthesised columns to rounding; where the table is exactly 0 and the
+    # analysis is not, the analysed value is noise
     ctx = band_contexts[model]
     spec = ctx.get("spec")
     U, V = ctx.get("factors")
+    assert V is ctx.get("frame").coeffs
+    assert np.array_equal(U.T, ctx.get("dual").coeffs)
     measured = (spec.coefficients(ctx.get("dual").columns).T,
                 spec.coefficients(ctx.get("frame").columns))
     for table, raw in zip((U, V), measured):
         zeroed = (table == 0) & (raw != 0)
         assert zeroed.any()
-        assert np.array_equal(table[~zeroed], raw[~zeroed])
+        assert np.abs(table - raw).max() <= 1e-13 * np.abs(raw).max()
         assert np.abs(raw[zeroed]).max() <= 1e-13 * np.abs(raw).max()
 
 

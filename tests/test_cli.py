@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -593,12 +594,12 @@ def test_neumann_residual_bounds_an_off_band_coefficient(size, gate, passes,
     build = cli.Context._build_factors
 
     def planted(self):
-        (U, V), leaks = build(self)
+        U, V = build(self)
         k, xi = 1, self.get("hier").blocks[-1].start
         assert V[k, xi] == 0  # the finest band is far from lambda_1
         V = V.copy()
         V[k, xi] = size * np.abs(V).max()
-        return (U, V), leaks
+        return U, V
 
     monkeypatch.setattr(cli.Context, "_build_factors", planted)
     if gate is not None:
@@ -696,40 +697,60 @@ def test_compact_suites_run_clean_on_a_polynomial_level(tmp_path, capsys):
 @pytest.mark.parametrize("resource, level, key", [
     ("dual", -1, "leak"), ("frame", 0, "primal_leak")])
 def test_band_suite_fails_on_a_band_edge(resource, level, key):
-    # 1e-3 max|column| of eigenvector 63 on C_64, sqrt(lambda) = 2, added to
-    # one column of a level whose band ends there: b^{j+2} for the dual's
-    # g_{-1}, b^{j+1} for the primal's Psi_0.  The factors' band mask sets
-    # it to 0, and the suite reads it as that frame's leak and fails
+    # one coefficient of 1e-3 max|table| planted on C_64's eigenvector 63,
+    # sqrt(lambda) = 2, in one column of a level whose band ends there:
+    # b^{j+2} for the dual's g_{-1}, b^{j+1} for the primal's Psi_0.  The
+    # suite reads it as that table's leak and fails; the other table's
+    # leak stays 0
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
-    spec, hier = ctx.get("spec"), ctx.get("hier")
-    cols = ctx.get(resource).columns.copy()
-    cols[:, hier.blocks[level - hier.j_min].start] += \
-        1e-3 * np.abs(cols).max() * spec.eigenfunctions[:, 63]
-    ctx._cache[resource] = cli.fr.Frame(hier, cols)
+    hier, frame = ctx.get("hier"), ctx.get(resource)
+    coeffs = frame.coeffs.copy()
+    xi = hier.blocks[level - hier.j_min].start
+    assert coeffs[63, xi] == 0
+    coeffs[63, xi] = 1e-3 * np.abs(coeffs).max()
+    ctx._cache[resource] = dataclasses.replace(frame, coeffs=coeffs)
     status, metrics = cli.SUITES["thm4.2-bands"][2](ctx)
-    assert status == "fail" and metrics[key] >= 1e-3
-    assert min(metrics.values()) <= 1e-14
+    assert status == "fail" and metrics[key] == pytest.approx(1e-3)
+    other = {"leak": "primal_leak", "primal_leak": "leak"}[key]
+    assert metrics[other] == 0.0 and metrics["basis_defect"] <= 1e-14
 
 
-def test_a_run_analyses_each_frame_once(monkeypatch):
-    # every suite on C_16: the primal and dual columns go through
-    # spec.coefficients once each, when the factors are built, and
-    # lemma7.3-gram takes its Gram from those factors, as thm6.2 does
-    analysed, calls = [], []
-    coefficients = cli.ca.SpectralData.coefficients
-    monkeypatch.setattr(cli.ca.SpectralData, "coefficients",
-                        lambda spec, f: analysed.append(f)
-                        or coefficients(spec, f))
-    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="C_16"))
-    for name, (_, _, fn) in cli.SUITES.items():
-        assert fn(ctx)[0] in ("pass", "record"), name
-    for name in ("frame", "dual"):
-        assert sum(f is ctx.get(name).columns for f in analysed) == 1
-    monkeypatch.setattr(cli.ad, "ad_norm",
-                        lambda *args: calls.append(args) or 1.0)
-    cli.SUITES["lemma7.3-gram"][2](ctx)
-    U, V = ctx.get("factors")
-    assert len(calls) == 1 and calls[0][2] is U and calls[0][3] is V
+def test_band_suite_fails_on_a_scaled_basis():
+    # eigenfunctions scaled by 1 + 1e-8 are no longer mu-orthonormal:
+    # E^T M E = (1 + 1e-8)^2 I, a basis defect of 2e-8, and the suite fails
+    # on it while both tables' leaks read 0
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
+    ctx.get("frame"), ctx.get("dual")
+    spec = ctx.get("spec")
+    ctx._cache["spec"] = dataclasses.replace(
+        spec, eigenfunctions=spec.eigenfunctions * (1.0 + 1e-8))
+    status, metrics = cli.SUITES["thm4.2-bands"][2](ctx)
+    assert status == "fail"
+    assert metrics["basis_defect"] == pytest.approx(2e-8, rel=1e-6)
+    assert metrics["leak"] == metrics["primal_leak"] == 0.0
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "C_64"},
+    {"model": "P_128", "suites": ["prop6.6-theta", "prop2.1-finite-speed",
+                                  "thm6.7-compact-dual", "thm7.9-atoms"]}],
+    ids=["C_64", "P_128-compact"])
+def test_no_suite_reads_frame_columns(config, tmp_path, capsys, monkeypatch):
+    # with Frame.columns made to raise, every suite on C_64 and the compact
+    # suites on P_128 end as they do without it: each run reads every frame
+    # as its coefficient table
+    def raises(frame):
+        raise AssertionError("a suite synthesised a frame's columns")
+
+    monkeypatch.setattr(cli.fr.Frame, "columns", property(raises))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    status = _statuses(tmp_path / "out")
+    assert all(rest.split()[0] in ("pass", "record")
+               for rest in status.values())
+    assert len(status) == len(config.get("suites", cli.SUITES))
 
 
 def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
@@ -760,24 +781,24 @@ def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
 
 @pytest.mark.parametrize("entry", [1e-6, 3e-8])
 def test_molecule_suite_gates_the_raw_factorization_residual(entry):
-    # one entry on a zeroed row of V, just above level 2's band: the table
-    # no longer represents psi.  At 3e-8 the raw residual reads 5.3e-9, and
+    # one entry on V's nullspace row, the constant's, off every band: psi is
+    # no longer mean-zero, and the factorization residual reads the entry
+    # times the constant eigenfunction 1/8.  At 3e-8 that is 3.75e-9, and
     # both psi certificates scaled by their c* (0.14 and 1.1e-3) pass, their
     # residual taken against max(1, c* max|cols|) = 1; only the gate on the
     # family as given fails the suite
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
     hier = ctx.get("hier")
     U, V = ctx.get("factors")
-    sl, hi = hier.blocks[2], cli.ad.column_spans(hier, V)[2][1]
-    assert not V[hi, sl].any()
+    assert not V[0].any()
     V = V.copy()
-    V[hi, sl.start] = entry
+    V[0, hier.blocks[2].start] = entry
     ctx._cache["factors"] = U, V
     assert cli.SUITES["lemma7.2-molecules"][2](ctx)[0] == "fail"
-    certs = cli.mo.validate_molecule([(V, ctx.get("frame").columns)], hier,
-                                     ctx.get("params"), ctx.get("spec"))[0]
+    certs = cli.mo.validate_molecule([V], hier, ctx.get("params"),
+                                     ctx.get("spec"))[0]
     for cert in certs.values():
-        assert cert.factorization_residual > 1e-9
+        assert cert.factorization_residual == pytest.approx(entry / 8.0)
         if entry < 1e-6:
             cstar = cli.mo.scaling_for_budget(cert) * (1.0 - 1e-9)
             assert cert.scaled(cstar).passed
@@ -785,7 +806,7 @@ def test_molecule_suite_gates_the_raw_factorization_residual(entry):
 
 def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):
     # the classical decay M = J + 1/2 gives the default run's line, read
-    # from the frames' band coefficients
+    # from the frames' coefficient tables
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"suites": ["lemma7.2-molecules"],
                              "output_dir": str(tmp_path / "out")}))
@@ -800,7 +821,7 @@ def test_molecule_suite_line_on_the_default_config(tmp_path, capsys):
 
 def test_molecule_suite_passes_on_a_small_resolvent(tmp_path, capsys):
     # at spq = [2, 0.3, 0.3] the ladder reaches L^-2; read from the frames'
-    # band coefficients, exactly 0 off each level's band, it multiplies no
+    # coefficient tables, exactly 0 off each level's band, it multiplies no
     # rounding noise by lambda^-2, and every family passes at the 1 - 1e-9
     # back-off
     p = tmp_path / "cfg.json"

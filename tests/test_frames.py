@@ -40,26 +40,36 @@ def test_two_sided_reconstruction(frame_sets, spectra):
 
 
 def test_dual_bands_exact(frame_sets, spectra, compact_pipeline):
-    # each frame's coefficients off its own band, Psi_j for the primal and
-    # g_j for the dual, are rounding noise: band_coefficients sets them to
-    # exactly 0, leaves the rest as measured, and reads the largest over
-    # the table's largest as the leak; the compact pipeline's frames are at
-    # b = 4
+    # each frame's table is written exactly 0 off its own band, Psi_j for
+    # the primal and g_j for the dual, so its leak reads 0, and it is the
+    # analysis of its synthesised columns to rounding, which off the band
+    # is noise the table does not hold; the compact pipeline's frames are
+    # at b = 4
     cp = compact_pipeline
     frames = [(spectra[name], frame_sets[name][:2]) for name in
               ("C_64", "T_8x8")] + [(cp.spec, (cp.frame, cp.dual))]
     for spec, pair in frames:
         bands = fr.hierarchy_bands(spec, pair[0].hierarchy)
         for frame, band in zip(pair, bands):
-            table, leak = fr.band_coefficients(spec, frame, band)
-            raw = spec.coefficients(frame.columns)
-            zeroed = table != raw
-            assert zeroed.any()
-            assert leak == np.abs(raw[zeroed]).max() / np.abs(raw).max()
-            assert leak <= 1e-10
+            table, raw = frame.coeffs, spec.coefficients(frame.columns)
+            assert fr.band_leak(frame, band) == 0.0
+            assert np.abs(table - raw).max() <= 1e-13 * np.abs(raw).max()
+            assert ((table == 0) & (raw != 0)).any()
             for sl, col in zip(frame.hierarchy.blocks, band.T):
-                assert np.array_equal(table[col != 0, sl], raw[col != 0, sl])
                 assert not table[col == 0, sl].any()
+
+
+def test_primal_table_analyses_the_kernel_columns(frame_sets, spectra):
+    # level j's table is Psi_j(sqrt(lambda)) E[xi, :]^T |A_xi|^{1/2}: the
+    # coefficients of the kernel columns |A_xi|^{1/2} Psi_j(sqrt(L))(., xi)
+    for name in ("C_64", "T_8x8"):
+        frame, spec = frame_sets[name][0], spectra[name]
+        hier = frame.hierarchy
+        psi = fr.hierarchy_bands(spec, hier)[0]
+        for net, sl, vals in zip(hier.levels, hier.blocks, psi.T):
+            cols = spec.kernel(vals, net.centers) * np.sqrt(net.a_vol)
+            assert np.abs(frame.columns[:, sl] - cols).max() <= \
+                1e-13 * np.abs(cols).max()
 
 
 def test_frame_bounds_probe_finite(frame_sets, spectra):
@@ -153,6 +163,10 @@ def test_dual_on_the_sampling_gram_matches_kernel_tables(desc, Phi):
     err = np.abs(dual.columns - ref).max() / np.abs(ref).max()
     assert err <= 1e-12
     assert report.neumann_terms == terms
+    # the level's table is T (g X^T) on the rows of sel: exactly the
+    # analysis of the kernel-table dual up to rounding
+    ref = spec.coefficients(ref)
+    assert np.abs(dual.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
@@ -164,7 +178,7 @@ def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
 
     monkeypatch.setattr(ca.SpectralData, "kernel", no_kernel)
     dual, _ = fr.build_dual_frame(spectra["C_64"], *hierarchies["C_64"])
-    assert np.array_equal(dual.columns, ref.columns)
+    assert np.array_equal(dual.coeffs, ref.coeffs)
 
 
 def test_dual_frame_takes_no_sampling_spectrum(monkeypatch, spectra,
@@ -177,7 +191,7 @@ def test_dual_frame_takes_no_sampling_spectrum(monkeypatch, spectra,
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
     dual, _ = fr.build_dual_frame(spectra["T_8x8"], *hierarchies["T_8x8"])
-    assert np.array_equal(dual.columns, ref.columns)
+    assert np.array_equal(dual.coeffs, ref.coeffs)
 
 
 def test_dual_frame_refuses_eps_of_one_half(spectra, hierarchies):
@@ -196,7 +210,7 @@ def _level_symbols(spec, frame):
     """{level: values on the spectrum} of the symbol behind each level's
     block |A_xi|^{1/2} s(L)(., xi): row i of its coefficients is s_i v_i
     with v_i = E[centres, i] |A|^{1/2}."""
-    coeffs = spec.coefficients(frame.columns)
+    coeffs = frame.coeffs
     hier = frame.hierarchy
     out = {}
     for net, sl in zip(hier.levels, hier.blocks):
@@ -227,8 +241,10 @@ def test_theta_reproduces_band_symbol(compact_pipeline):
 
 def test_theta_jets_vanish(compact_pipeline):
     # the factor lambda: every symbol vanishes at 0, so every column is
-    # mean-zero and factors through L
+    # mean-zero and factors through L: its table's nullspace rows are 0,
+    # and its analysed columns' to rounding
     cp = compact_pipeline
+    assert not cp.compact.coeffs[:cp.spec.nullspace_dim].any()
     coeffs = cp.spec.coefficients(cp.compact.columns)
     null = coeffs[:cp.spec.nullspace_dim]
     assert np.abs(null).max() <= 1e-13 * np.abs(coeffs).max()
@@ -251,8 +267,8 @@ def test_fallback_level_block_is_the_primal_block(compact_pipeline):
     cp = compact_pipeline
     fallback = 0
     for net, sl in zip(cp.hier.levels, cp.hier.blocks):
-        same = np.array_equal(cp.compact.columns[:, sl],
-                              cp.frame.columns[:, sl])
+        same = np.array_equal(cp.compact.coeffs[:, sl],
+                              cp.frame.coeffs[:, sl])
         if cp.levels[net.level].degree == 0:
             fallback += 1
             assert same
@@ -305,8 +321,8 @@ def test_compact_dual_reconstructs(compact_pipeline):
 @pytest.mark.parametrize("desc, b", [("C_64", 4.0), (MU_MODELS[0], 2.0)],
                          ids=["C_64", "mu_16"])
 def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
-    # the n x n route against two m x m references: the dense
-    # solve(I - D, B) and the certified Neumann inverse of Thm 6.3(ii)
+    # the n x n route against two m x m references, in coefficients: the
+    # dense solve(I - D, B) and the certified Neumann inverse of Thm 6.3(ii)
     spec = ca.eigendecompose(sp.build_model(desc))
     hier, eps = fr.build_standard_hierarchy(spec, b=b)
     prof = sp.measure_doubling(spec.space)
@@ -316,19 +332,19 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     dual, _ = fr.build_dual_frame(spec, hier, eps)
     compact, _ = fr.build_compact_frame(spec, hier)
     cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params)
-    mu = spec.space.mu
-    # D = Q^T (M (psi - theta)), passed to the Neumann route as its factors
-    left = dual.columns.T
-    right = mu[:, None] * (frame.columns - compact.columns)
+    # D = U~^T (V - V_theta), passed to the Neumann route as its factors,
+    # and B = U~^T V
+    left = dual.coeffs.T
+    right = frame.coeffs - compact.coeffs
     D = left @ right
-    B = dual.columns.T @ (mu[:, None] * frame.columns)
+    B = left @ frame.coeffs
     cstar = ad.lemma64_grid(hier, params, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     (c_left, c_right), rep = ad.neumann_invert(hier, params, left, right,
                                                cstar)
-    dense = dual.columns @ np.linalg.solve(np.eye(hier.size) - D, B).T
-    certified = dual.columns @ (B + c_left @ (c_right @ B)).T
+    dense = dual.coeffs @ np.linalg.solve(np.eye(hier.size) - D, B).T
+    certified = dual.coeffs @ (B + c_left @ (c_right @ B)).T
     for ref in (dense, certified):
-        err = np.abs(cdual.columns - ref).max() / np.abs(ref).max()
+        err = np.abs(cdual.coeffs - ref).max() / np.abs(ref).max()
         assert err <= 1e-12, err
     assert delta_hat == rep["delta_hat"]
     assert (delta_hat > 0) == (desc == "C_64")
@@ -338,7 +354,7 @@ def test_default_frames_one_call():
     space, spec, hier, Phi, frame, dual, report = fr.default_frames("C_32")
     # the returned cutoff is the one every builder takes at the base
     assert Phi.b == hier.b
-    assert np.array_equal(fr.build_frame1(spec, hier).columns, frame.columns)
+    assert np.array_equal(fr.build_frame1(spec, hier).coeffs, frame.coeffs)
     f = spec.project_mean_zero(np.sin(np.arange(32.0)))
     r = spec.space.norm2(fr.reconstruct(frame, dual, f) - f)
     assert r <= 1e-9 * spec.space.norm2(f)
@@ -348,8 +364,8 @@ def test_default_frames_one_call():
 
 def test_compact_dual_precondition_message(compact_pipeline, params022):
     cp = compact_pipeline
-    # scaled compact columns move D = <psi - theta, psi~> far from 0
-    scaled = dataclasses.replace(cp.compact, columns=3.0 * cp.compact.columns)
+    # a scaled compact frame moves D = <psi - theta, psi~> far from 0
+    scaled = dataclasses.replace(cp.compact, coeffs=3.0 * cp.compact.coeffs)
     with pytest.raises(RuntimeError,
                        match="compact-dual precondition failed"):
         fr.build_compact_dual(cp.frame, cp.dual, scaled, params022)

@@ -5,17 +5,15 @@ import pytest
 
 from mmframes import addiag as ad
 from mmframes import calculus as ca
-from mmframes import frames as fr
 from mmframes import molecules as mo
 from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
 
 
-def column_certificate(cols, hier, flavor, params, spec):
-    """The flavour's certificate for a family given by its columns alone,
-    whose coefficient table is spec.coefficients(cols)."""
-    return mo.validate_molecule([(spec.coefficients(cols), cols)], hier,
-                                params, spec)[0][flavor]
+def certificate(coeffs, hier, flavor, params, spec):
+    """The flavour's certificate for a family given by its coefficient
+    table."""
+    return mo.validate_molecule([coeffs], hier, params, spec)[0][flavor]
 
 
 def test_orders_oracle_d1():
@@ -50,8 +48,7 @@ def test_tilde_orders_boundary_agreement():
 def test_zero_family_passes(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
     zeros = np.zeros((64, hier.size))
-    cert = column_certificate(zeros, hier, "synthesis", params022,
-                              spectra["C_64"])
+    cert = certificate(zeros, hier, "synthesis", params022, spectra["C_64"])
     assert cert.passed
     assert max(cert.constants.values()) == 0.0
     assert mo.scaling_for_budget(cert) == np.inf
@@ -62,32 +59,26 @@ def molecule_setup(frame_sets, hierarchies, spectra, params022):
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    raw = column_certificate(frame.columns, hier, "synthesis", params022,
-                             spec)
+    raw = certificate(frame.coeffs, hier, "synthesis", params022, spec)
     c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
     return frame, dual, hier, spec, c
 
 
 def test_rescaled_frame_is_a_molecule_family(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
-    cert = column_certificate(c * frame.columns, hier, "synthesis",
-                              params022, spec)
+    cert = certificate(c * frame.coeffs, hier, "synthesis", params022, spec)
     assert cert.passed
     assert cert.factorization_residual <= 1e-9
-    raw = column_certificate(dual.columns, hier, "analysis", params022,
-                             spec)
+    raw = certificate(dual.coeffs, hier, "analysis", params022, spec)
     ca = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-    anal = column_certificate(ca * dual.columns, hier, "analysis",
-                              params022, spec)
+    anal = certificate(ca * dual.coeffs, hier, "analysis", params022, spec)
     assert anal.passed
 
 
 def test_constants_scale_exactly(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
-    c1 = column_certificate(frame.columns, hier, "synthesis", params022,
-                            spec)
-    c2 = column_certificate(5.0 * frame.columns, hier, "synthesis",
-                            params022, spec)
+    c1 = certificate(frame.coeffs, hier, "synthesis", params022, spec)
+    c2 = certificate(5.0 * frame.coeffs, hier, "synthesis", params022, spec)
     for key in c1.constants:
         assert abs(c2.constants[key] - 5.0 * c1.constants[key]) \
             <= 1e-9 * max(c2.constants[key], 1e-300)
@@ -95,8 +86,8 @@ def test_constants_scale_exactly(molecule_setup, params022):
 
 def test_oversized_family_fails_budget(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
-    cert = column_certificate(10.0 * c * frame.columns, hier, "synthesis",
-                              params022, spec)
+    cert = certificate(10.0 * c * frame.coeffs, hier, "synthesis",
+                       params022, spec)
     assert not cert.passed
 
 
@@ -107,15 +98,13 @@ def test_molecule_certificate_analyses_nothing(molecule_setup, params022,
     frame, _, hier, spec, _ = molecule_setup
     calls = []
     analyse = ca.SpectralData.coefficients
-    V = analyse(spec, frame.columns)
 
     def counted(self, f):
         calls.append(np.shape(f))
         return analyse(self, f)
 
     monkeypatch.setattr(ca.SpectralData, "coefficients", counted)
-    certs = mo.validate_molecule([(V, frame.columns)], hier, params022,
-                                 spec)[0]
+    certs = mo.validate_molecule([frame.coeffs], hier, params022, spec)[0]
     assert set(certs["synthesis"].constants) == \
         {"size", "smoothness", "companion_size"}
     assert calls == []
@@ -124,7 +113,7 @@ def test_molecule_certificate_analyses_nothing(molecule_setup, params022,
 @pytest.fixture(scope="module")
 def factor_contexts():
     """Run contexts on C_64 and T_16x16 with the frame factors (U, V)
-    built: V holds psi's band coefficients and U^T psi~'s."""
+    built: V is psi's coefficient table and U^T psi~'s."""
     from mmframes import cli
     out = {}
     for model in ("C_64", "T_16x16"):
@@ -138,18 +127,19 @@ def factor_contexts():
 def test_band_coefficients_and_columns_give_one_certificate(model,
                                                             factor_contexts):
     # psi from V and psi~ from U^T, exactly 0 off each level's band, against
-    # the same families analysed from their columns: the tables represent
-    # the columns to rounding, and every constant of both flavours agrees
+    # the same families analysed from their synthesised columns: the tables
+    # agree to rounding, and every constant of both flavours agrees
     ctx = factor_contexts[model]
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     U, V = ctx.get("factors")
-    families = [(V, ctx.get("frame").columns), (U.T, ctx.get("dual").columns)]
-    for (_, cols), certs in zip(families, mo.validate_molecule(
+    families = [V, U.T]
+    for table, certs in zip(families, mo.validate_molecule(
             families, hier, params, spec)):
         assert set(certs) == {"synthesis", "analysis"}
+        analysed = spec.coefficients(spec.synthesize(table))
         for flavor, cert in certs.items():
             assert cert.factorization_residual <= 1e-12
-            ref = column_certificate(cols, hier, flavor, params, spec)
+            ref = certificate(analysed, hier, flavor, params, spec)
             assert cert.constants.keys() == ref.constants.keys()
             for key, value in cert.constants.items():
                 assert abs(value - ref.constants[key]) <= \
@@ -158,18 +148,17 @@ def test_band_coefficients_and_columns_give_one_certificate(model,
 
 def test_an_off_band_coefficient_fails_the_factorization_residual(
         factor_contexts):
-    # one entry of 1e-6 on a level's zeroed row of V, just above its band:
-    # the table no longer represents psi, and the certificate fails through
-    # its factorization residual alone
+    # one entry of 1e-6 on the nullspace row of V, the constant's, which is
+    # off every band: the family is no longer mean-zero, no companion
+    # L^-K h reproduces it, and the certificate fails through its
+    # factorization residual alone
     ctx = factor_contexts["C_64"]
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     V = ctx.get("factors")[1].copy()
     sl = hier.blocks[2]
-    hi = ad.column_spans(hier, V)[2][1]
-    assert hi < spec.space.n and not V[hi, sl].any()
-    V[hi, sl.start] = 1e-6
-    certs = mo.validate_molecule([(V, ctx.get("frame").columns)], hier,
-                                 params, spec)[0]
+    assert spec.nullspace_dim == 1 and not V[0].any()
+    V[0, sl.start] = 1e-6
+    certs = mo.validate_molecule([V], hier, params, spec)[0]
     for cert in certs.values():
         assert not cert.passed and cert.factorization_residual > 1e-9
         assert all(np.isfinite(v) for v in cert.constants.values())
@@ -183,19 +172,19 @@ def test_an_off_band_coefficient_fails_the_factorization_residual(
 def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    # a tiny family supported only on level-0 centers, given a zero
-    # coefficient table, so no companion L^-K h reproduces it: cancellation
-    # fails in homogeneous mode and is waived otherwise
+    # a tiny constant family on level-0 centers, all in the nullspace, so
+    # no companion L^-K h reproduces it: cancellation fails in homogeneous
+    # mode and is waived otherwise
     fam = np.zeros((64, hier.size))
     sl = hier.blocks[-hier.j_min]  # level 0
     fam[:, sl] = 1e-6
-    zeros = np.zeros_like(fam)
-    hom = mo.validate_molecule([(zeros, fam)], hier, params022,
+    table = spec.coefficients(fam)
+    hom = mo.validate_molecule([table], hier, params022,
                                spec)[0]["synthesis"]
-    assert hom.factorization_residual == 1e-6
+    assert hom.factorization_residual == pytest.approx(1e-6, rel=1e-12)
     assert not hom.passed
     inh_hier = dataclasses.replace(hier, mode="inhomogeneous")
-    inh = mo.validate_molecule([(zeros, fam)], inh_hier, params022,
+    inh = mo.validate_molecule([table], inh_hier, params022,
                                spec)[0]["synthesis"]
     assert inh.factorization_residual <= 1e-9
     assert inh.passed
@@ -206,14 +195,12 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
 
 
 def test_gram_certificate(molecule_setup, params022):
-    # lemma7.3's Gram A = psi~^T M psi is U V, the frames' band factors
-    # (U, V) = (psi~^T M E, E^T M psi), each exactly 0 off its band: its
-    # ||A||_1/8 agrees with the certificate taken on the column factors,
-    # cannot fall as delta grows, and A obeys entrywise Cauchy-Schwarz
+    # lemma7.3's Gram A = psi~^T M psi is U V, the frames' tables (U, V) =
+    # (psi~^T M E, E^T M psi), each exactly 0 off its band: its ||A||_1/8
+    # agrees with the certificate taken on the column factors, cannot fall
+    # as delta grows, and A obeys entrywise Cauchy-Schwarz
     frame, dual, hier, spec, c = molecule_setup
-    psi, g = fr.hierarchy_bands(spec, hier)
-    U = fr.band_coefficients(spec, dual, g)[0].T
-    V = fr.band_coefficients(spec, frame, psi)[0]
+    U, V = dual.coeffs.T, frame.coeffs
     mu = hier.space.mu
     cert = ad.ad_norm(hier, params022, U, V, 0.125)
     dense = ad.ad_norm(hier, params022, dual.columns.T,
@@ -236,7 +223,7 @@ def test_molecular_analysis_identity(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
     psi = ca.make_cutoff("b", 2.0)
     f = spec.project_mean_zero(np.cos(np.arange(64.0) / 3.0))
-    coeffs, rep = mo.molecular_analysis(f, dual.columns, frame, dual,
+    coeffs, rep = mo.molecular_analysis(f, dual.coeffs, frame, dual,
                                         params022, spec, psi)
     assert rep["identity_residual"] <= 1e-9
     assert np.allclose(coeffs, dual.analyze(f), atol=1e-10)
@@ -249,12 +236,12 @@ def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
     psi = ca.make_cutoff("b", 2.0)
     F = np.random.default_rng(9).standard_normal((64, 5))
     F[:, 2] = 0.0
-    coeffs, rep = mo.molecular_analysis(F, dual.columns, frame, dual,
+    coeffs, rep = mo.molecular_analysis(F, dual.coeffs, frame, dual,
                                         params022, spec, psi)
     assert coeffs.shape == (hier.size, 5)
     assert rep["function_norm"][2] == 0.0 and rep["ratio"][2] == 0.0
     for i in range(5):
-        ci, ri = mo.molecular_analysis(F[:, i], dual.columns, frame, dual,
+        ci, ri = mo.molecular_analysis(F[:, i], dual.coeffs, frame, dual,
                                        params022, spec, psi)
         assert np.abs(coeffs[:, i] - ci).max() <= \
             1e-12 * max(np.abs(ci).max(), 1.0)
@@ -271,9 +258,9 @@ def test_molecular_round_trip(molecule_setup, params022):
     rng = np.random.default_rng(8)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        coeffs, _ = mo.molecular_analysis(f, dual.columns, frame, dual,
+        coeffs, _ = mo.molecular_analysis(f, dual.coeffs, frame, dual,
                                           params022, spec, psi)
-        g, rep = mo.molecular_synthesis(coeffs, frame.columns, hier,
+        g, rep = mo.molecular_synthesis(coeffs, frame.coeffs, hier,
                                         params022, spec, psi)
         assert spec.space.norm2(g - f) <= 1e-9 * spec.space.norm2(f)
         assert rep["ratio"] > 0
@@ -282,7 +269,7 @@ def test_molecular_round_trip(molecule_setup, params022):
 def test_synthesis_rejects_wrong_length(molecule_setup, params022, Phi):
     frame, _, hier, spec, c = molecule_setup
     with pytest.raises(ValueError):
-        mo.molecular_synthesis(np.zeros(3), frame.columns, hier, params022,
+        mo.molecular_synthesis(np.zeros(3), frame.coeffs, hier, params022,
                                spec, Phi)
 
 
@@ -291,10 +278,10 @@ def test_synthesis_rejects_wrong_length(molecule_setup, params022, Phi):
 
 
 def _ladder_tables(hier, spec, cols, mus):
-    """({mu: L^mu cols}, defect) assembled from _ladder's level slices."""
+    """({mu: L^mu cols}, defect) assembled from _ladder's level slices on
+    the coefficients of cols."""
     rungs, defect = np.empty((len(mus),) + cols.shape), np.empty(hier.size)
-    for sl, i, Y, d in mo._ladder(hier, spec,
-                                  [(spec.coefficients(cols), cols)], mus):
+    for sl, i, Y, d in mo._ladder(hier, spec, [spec.coefficients(cols)], mus):
         assert i == 0 and Y.shape == (len(cols), len(mus), sl.stop - sl.start)
         rungs[:, :, sl] = Y.transpose(1, 0, 2)
         defect[sl] = d
@@ -303,12 +290,12 @@ def _ladder_tables(hier, spec, cols, mus):
 
 def test_L_power_ladder_roundtrip(spectra, hierarchies):
     # L^2 and then L^-2 on a mean-zero table; the ladder's rung 0 is its
-    # input, which the synthesised rung 0 meets to rounding
+    # input, synthesised from its coefficients, to rounding
     spec, (hier, _) = spectra["C_32"], hierarchies["C_32"]
     F = spec.project_mean_zero(
         np.random.default_rng(1).standard_normal((32, hier.size)))
     up, defect = _ladder_tables(hier, spec, F, np.arange(0, 3))
-    assert sorted(up) == [0, 1, 2] and np.array_equal(up[0], F)
+    assert sorted(up) == [0, 1, 2] and np.allclose(up[0], F, atol=1e-13)
     assert defect.max() <= 1e-12
     back, _ = _ladder_tables(hier, spec, up[2], np.arange(-2, 1))
     assert np.allclose(back[-2], F, atol=1e-8)
@@ -346,9 +333,9 @@ def test_minimal_atom_orders(params022):
 def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     cp = compact_pipeline
     compact, cdual, hier, spec = cp.compact, cp.cdual, cp.hier, cp.spec
-    raw = mo.validate_atoms(compact.columns, hier, params022, spec)
+    raw = mo.validate_atoms(compact.coeffs, hier, params022, spec)
     scale = 1.0 / max(raw.constants.values()) * (1.0 - 1e-9)
-    cert = mo.validate_atoms(scale * compact.columns, hier, params022, spec)
+    cert = mo.validate_atoms(scale * compact.coeffs, hier, params022, spec)
     assert cert.passed
     assert cert.support_constant > 0
     # on this small model the supports may fill the whole space, but never
@@ -361,10 +348,10 @@ def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, atoms, rep = mo.atomic_decompose(f, compact, cdual, params022,
-                                            spec, psi, cstar=cstar)
+        t, rep = mo.atomic_decompose(f, compact, cdual, params022, spec, psi,
+                                     cstar=cstar)
         assert rep["residual"] <= 1e-6
-        recon = atoms @ t
+        recon = compact.synthesize(cstar * t)
         assert spec.space.norm2(recon - f) <= 1e-6 * spec.space.norm2(f)
         assert rep["analysis_constant"] > 0
         assert rep["synthesis_constant"] > 0
@@ -376,7 +363,7 @@ def test_negative_power_ladder_requires_mean_zero(compact_pipeline,
     # K >= 1 a family with a nullspace part is refused; at K = 0 (s > J +
     # 2) it stays at mu >= 0, factors nothing, and takes the family
     cp = compact_pipeline
-    ones = np.ones((64, cp.hier.size))
+    ones = cp.spec.coefficients(np.ones((64, cp.hier.size)))
     assert mo.minimal_atom_orders(params022)[0] >= 1
     with pytest.raises(ValueError, match="nullspace component"):
         mo.validate_atoms(ones, cp.hier, params022, cp.spec)
@@ -401,16 +388,16 @@ def test_norm_layer_reads_the_base_from_its_cutoff(compact_pipeline,
         def norm(G):
             return sq.function_norm(G, prm, spec, psi, 4.0)
 
-        f, rep = mo.molecular_synthesis(T, cp.frame.columns, hier, prm, spec,
+        f, rep = mo.molecular_synthesis(T, cp.frame.coeffs, hier, prm, spec,
                                         psi)
         assert np.array_equal(rep["function_norm"], norm(f))
-        _, rep = mo.molecular_analysis(F, cp.dual.columns, cp.frame, cp.dual,
+        _, rep = mo.molecular_analysis(F, cp.dual.coeffs, cp.frame, cp.dual,
                                        prm, spec, psi)
         assert np.array_equal(rep["function_norm"],
                               norm(spec.project_mean_zero(F)))
-        t, atoms, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm,
-                                            spec, psi)
+        t, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm, spec, psi)
         tn = sq.seq_norm(t, prm, hier)
         assert np.array_equal(rep["analysis_constant"],
                               tn / norm(spec.project_mean_zero(F)))
-        assert np.array_equal(rep["synthesis_constant"], norm(atoms @ t) / tn)
+        assert np.array_equal(rep["synthesis_constant"],
+                              norm(cp.compact.synthesize(t)) / tn)

@@ -77,7 +77,7 @@ def test_frame_route_agrees_with_calculus(spectra, frame_sets, params022):
     out = mp.apply_multiplier(sym, f, frame, dual, spec)
     assert out.shape == (64,)
     # a dual that no longer reconstructs must trip the cross-check
-    bad = dataclasses.replace(dual, columns=dual.columns * (1.0 + 1e-6))
+    bad = dataclasses.replace(dual, coeffs=dual.coeffs * (1.0 + 1e-6))
     with pytest.raises(RuntimeError, match="frame route disagrees"):
         mp.apply_multiplier(sym, f, frame, bad, spec)
 
