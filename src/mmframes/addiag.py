@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mmframes.calculus import neumann_series
+from mmframes.calculus import neumann_series, nonzero_span
 from mmframes.space import NetHierarchy
 from mmframes.seqspace import SpaceParams, seq_norm
 
@@ -119,17 +119,10 @@ def omega2(hier: NetHierarchy, i, k, beta, gamma, params: SpaceParams):
                   - _head(ell[k], bv[k], params))
 
 
-def _span(mask) -> tuple:
-    """[lo, hi) from the first to the last True entry of mask, or (0, 0)
-    when there is none."""
-    r = np.flatnonzero(mask)
-    return (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
-
-
 def column_spans(hier: NetHierarchy, table) -> list:
     """[lo, hi) from the first to the last nonzero row of table on each
     column level, or (0, 0) on a level that is all 0."""
-    return [_span(table[:, sc].any(axis=1)) for sc in hier.blocks]
+    return [nonzero_span(table[:, sc].any(axis=1)) for sc in hier.blocks]
 
 
 def _block_pass(hier: NetHierarchy, left, right) -> tuple:
@@ -153,7 +146,7 @@ def _row_blocks(hier: NetHierarchy, rows, right, spans, buf):
     The frames' coefficient factors are exactly 0 off each level's band,
     and eigenvalues ascend, so a level's span is its band's index range; a
     dense factor spans everything."""
-    a, b = _span(rows.any(axis=0))
+    a, b = nonzero_span(rows.any(axis=0))
     for sc, (c, d) in zip(hier.blocks, spans):
         lo, hi = max(a, c), min(b, d)
         if lo >= hi:
@@ -343,7 +336,7 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
             W, rows = {}, left[sl]
             for t in range(terms + 1):
                 if t:
-                    a, b = _span(rows.any(axis=0))
+                    a, b = nonzero_span(rows.any(axis=0))
                     rows = rows[:, a:b] @ G[a:b]
                 for j, X in enumerate(_row_blocks(hier, rows, right, cols,
                                                   buf)):

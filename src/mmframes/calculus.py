@@ -12,6 +12,13 @@ import numpy as np
 from mmframes.space import ModelSpace, ball_volumes
 
 
+def nonzero_span(mask) -> tuple:
+    """[lo, hi) from the first to the last nonzero entry of mask, or (0, 0)
+    when there is none."""
+    r = np.flatnonzero(mask)
+    return (int(r[0]), int(r[-1]) + 1) if r.size else (0, 0)
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Eigendecomposition of L in the mu-inner product.
@@ -74,9 +81,12 @@ class SpectralData:
 
     def kernel(self, values, points=slice(None)) -> np.ndarray:
         """Columns at points of the kernel table E diag(values) E^T, which
-        acts by integration against mu."""
-        E = self.eigenfunctions
-        return (E * np.asarray(values)[None, :]) @ E[points].T
+        acts by integration against mu, summed over the span of values'
+        nonzero entries (nonzero_span): every term outside it is 0."""
+        values = np.asarray(values)
+        lo, hi = nonzero_span(values)
+        E = self.eigenfunctions[:, lo:hi]
+        return (E * values[None, lo:hi]) @ E[points].T
 
     def project_mean_zero(self, f) -> np.ndarray:
         """Remove the nullspace (constant) component."""

@@ -3,7 +3,7 @@ Neumann correction summed on the level's sampling Gram, and a compactly
 supported variant built from per-level polynomials in L.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,25 +26,52 @@ COMPACT_SUP_ERR = 1e-6   # a compact level's polynomial error, relative sup
 @dataclass(frozen=True)
 class Frame:
     """Net-indexed family of functions, held as its (n, m) eigenbasis
-    coefficient table: coeffs[:, k] = E^T M psi_k for flat net index k."""
+    coefficient table: coeffs[:, k] = E^T M psi_k for flat net index k.
+
+    The table is read-only, and spans holds each level's [lo, hi) from its
+    first to its last nonzero row (addiag.column_spans): the products
+    rmatvec and matvec run a level at a time over them, so they read every
+    nonzero entry and equal the dense products up to summation order."""
 
     spec: SpectralData
     hierarchy: NetHierarchy
     coeffs: np.ndarray
+    spans: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.coeffs.flags.writeable = False
+        object.__setattr__(self, "spans",
+                           addiag.column_spans(self.hierarchy, self.coeffs))
 
     @property
     def columns(self) -> np.ndarray:
         """The (n, m) column table, synthesised on each read."""
         return self.spec.synthesize(self.coeffs)
 
+    def rmatvec(self, c) -> np.ndarray:
+        """coeffs^T c for eigenbasis coefficients c, (n,) or (n, k)."""
+        c = np.asarray(c)
+        out = np.empty((self.coeffs.shape[1],) + c.shape[1:])
+        for sl, (lo, hi) in zip(self.hierarchy.blocks, self.spans):
+            out[sl] = self.coeffs[lo:hi, sl].T @ c[lo:hi]
+        return out
+
+    def matvec(self, a) -> np.ndarray:
+        """coeffs a for net coefficients a, (m,) or (m, k)."""
+        a = np.asarray(a)
+        out = np.zeros((self.coeffs.shape[0],) + a.shape[1:])
+        for sl, (lo, hi) in zip(self.hierarchy.blocks, self.spans):
+            out[lo:hi] += self.coeffs[lo:hi, sl] @ a[sl]
+        return out
+
     def analyze(self, f) -> np.ndarray:
         """Coefficients <f, psi_xi> in the mu-inner product; an (n, k) table
         of functions gives an (m, k) table, one column per function."""
-        return self.coeffs.T @ self.spec.coefficients(f)
+        return self.rmatvec(self.spec.coefficients(f))
 
     def synthesize(self, coeffs) -> np.ndarray:
         """sum_xi c_xi psi_xi, column by column for an (m, k) table."""
-        return self.spec.synthesize(self.coeffs @ np.asarray(coeffs))
+        return self.spec.synthesize(self.matvec(coeffs))
 
 
 @dataclass(frozen=True)

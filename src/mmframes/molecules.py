@@ -254,7 +254,7 @@ def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
     F = spec.project_mean_zero(
         np.asarray(f, dtype=float).reshape(hier.space.n, -1))
     c = spec.coefficients(F)
-    coeffs = table.T @ (frame.coeffs @ (dual.coeffs.T @ c))
+    coeffs = table.T @ frame.matvec(dual.rmatvec(c))
     direct = table.T @ c
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
     fn = function_norm(F, params, spec, phi)

@@ -111,7 +111,7 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
     c[:spec.nullspace_dim] = 0.0  # f's mean-zero part
     mvals = spec.symbol(symbol).reshape((-1,) + (1,) * (c.ndim - 1))
     direct = spec.synthesize(mvals * c)
-    framed = spec.synthesize(mvals * (frame.coeffs @ (dual.coeffs.T @ c)))
+    framed = spec.synthesize(mvals * frame.matvec(dual.rmatvec(c)))
     scale = max(1.0, float(np.abs(direct).max()))
     resid = float(np.abs(framed - direct).max() / scale)
     if resid > 1e-9:

@@ -817,7 +817,7 @@ def test_neumann_suite_work_is_at_most_one_band_pass_per_pass(band_contexts,
     work, row_blocks = [], ad._row_blocks
 
     def counted(hier, rows, right, spans, buf):
-        a, b = ad._span(rows.any(axis=0))
+        a, b = ca.nonzero_span(rows.any(axis=0))
         work.append(sum(len(rows) * max(0, min(b, d) - max(a, c))
                         * (sc.stop - sc.start)
                         for sc, (c, d) in zip(hier.blocks, spans)))

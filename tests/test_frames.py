@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from mmframes import addiag as ad
 from mmframes import calculus as ca
 from mmframes import frames as fr
+from mmframes import molecules as mo
+from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes import space as sp
 from test_space import MU_MODELS
@@ -369,3 +372,101 @@ def test_compact_dual_precondition_message(compact_pipeline, params022):
     with pytest.raises(RuntimeError,
                        match="compact-dual precondition failed"):
         fr.build_compact_dual(cp.frame, cp.dual, scaled, params022)
+
+
+TORUS_FRAMES = ("frame", "dual", "compact", "compact_dual")
+
+
+@pytest.fixture(scope="module")
+def torus_context():
+    """A run context on T_16x16 with its four frames built; the compact
+    dual's table is dense but for the constant's row."""
+    from mmframes import cli
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="T_16x16"))
+    for name in TORUS_FRAMES:
+        ctx.get(name)
+    return ctx
+
+
+@pytest.mark.parametrize("name", TORUS_FRAMES)
+def test_span_products_are_the_dense_products(torus_context, name):
+    # rmatvec and matvec run a level at a time over the spans, for one
+    # vector and for a table
+    frame = torus_context.get(name)
+    n, m = frame.coeffs.shape
+    rng = np.random.default_rng(3)
+    for k in ((), (5,)):
+        c, a = rng.standard_normal((n,) + k), rng.standard_normal((m,) + k)
+        for got, want in ((frame.rmatvec(c), frame.coeffs.T @ c),
+                          (frame.matvec(a), frame.coeffs @ a)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_frame_table_is_read_only(torus_context):
+    frame = torus_context.get("frame")
+    with pytest.raises(ValueError, match="read-only"):
+        frame.coeffs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["frame", "dual"])
+def test_span_products_read_a_planted_entry(torus_context, name):
+    # one coefficient of 1e-3 max|table| planted in the first column of the
+    # lowest level, one row past that level's span: the replaced frame's
+    # span takes it in, so analyze reads it as the dense product does and
+    # the multiplier's frame route leaves direct calculus.  A span taken
+    # from the band symbol would skip it
+    ctx = torus_context
+    spec, frames = ctx.get("spec"), {k: ctx.get(k) for k in ("frame", "dual")}
+    frame = frames[name]
+    (lo, hi), xi = frame.spans[0], frame.hierarchy.blocks[0].start
+    coeffs = frame.coeffs.copy()
+    assert hi < len(coeffs) and coeffs[hi, xi] == 0
+    coeffs[hi, xi] = 1e-3 * np.abs(coeffs).max()
+    frames[name] = dataclasses.replace(frame, coeffs=coeffs)
+    assert frames[name].spans == [(lo, hi + 1)] + frame.spans[1:]
+    f = spec.project_mean_zero(
+        np.random.default_rng(5).standard_normal(spec.space.n))
+    want = coeffs.T @ spec.coefficients(f)
+    assert np.abs(frames[name].analyze(f) - want).max() \
+        <= 1e-13 * np.abs(want).max()
+    sym = mp.check_mihlin("rational", 4, ctx.get("params"), spec)
+    with pytest.raises(RuntimeError, match="frame route disagrees"):
+        mp.apply_multiplier(sym, f, frames["frame"], frames["dual"], spec)
+
+
+def test_frame_products_read_only_the_spans(torus_context):
+    # the spans cover at most 0.40 n m of the primal table and 0.70 n m of
+    # the dual's (0.37 and 0.68 measured).  With every entry off them set
+    # to 1 once the spans are recorded, analysis, synthesis, the
+    # multiplier's frame route and molecular analysis give what they give
+    # on the frames themselves: no product reads the whole table
+    ctx = torus_context
+    spec, params = ctx.get("spec"), ctx.get("params")
+    frame, dual = ctx.get("frame"), ctx.get("dual")
+    n, m = frame.coeffs.shape
+    for fr_, bound in ((frame, 0.40), (dual, 0.70)):
+        assert sum((hi - lo) * (sl.stop - sl.start) for sl, (lo, hi) in zip(
+            fr_.hierarchy.blocks, fr_.spans)) <= bound * n * m
+
+    def off_span_ones(fr_):
+        table = np.ones_like(fr_.coeffs)
+        for sl, (lo, hi) in zip(fr_.hierarchy.blocks, fr_.spans):
+            table[lo:hi, sl] = fr_.coeffs[lo:hi, sl]
+        probe = copy.copy(fr_)
+        object.__setattr__(probe, "coeffs", table)
+        return probe
+
+    probe, probe_dual = off_span_ones(frame), off_span_ones(dual)
+    F = spec.project_mean_zero(
+        np.random.default_rng(9).standard_normal((spec.space.n, 3)))
+    a = dual.analyze(F)
+    assert np.array_equal(probe_dual.analyze(F), a)
+    assert np.array_equal(probe.synthesize(a), frame.synthesize(a))
+    sym = mp.check_mihlin("rational", 4, params, spec)
+    mp.apply_multiplier(sym, F, probe, probe_dual, spec)
+    phi = ca.make_cutoff("c", 2.0)
+    got, want = (mo.molecular_analysis(F, frame.coeffs, *pair, params, spec,
+                                       phi)[0]
+                 for pair in ((probe, probe_dual), (frame, dual)))
+    assert np.array_equal(got, want)
