@@ -157,29 +157,16 @@ def _row_blocks(hier: NetHierarchy, rows, right, spans, buf):
                         out=buf[:shape[0] * shape[1]].reshape(shape))
 
 
-def max_abs(hier: NetHierarchy, left, right, C=None):
-    """(max |A|, max |A - C|) for A = left @ right and C given by its
-    factors (C_left, C_right), or None for 0, a level block at a time: each
-    table's blocks are formed over its own spans (_row_blocks), and where
-    one of the two blocks is exactly 0, the other is compared alone."""
-    m = hier.size
-    if C is None:
-        C = np.zeros((m, 0)), np.zeros((0, m))
-    a_pass, c_pass = _block_pass(hier, left, right), _block_pass(hier, *C)
-    a_max = d_max = 0.0
+def max_abs(hier: NetHierarchy, left, right) -> float:
+    """max |A| for A = left @ right, a level block at a time over the
+    factors' spans (_row_blocks); a block that is exactly 0 is not formed."""
+    cols, buf = _block_pass(hier, left, right)
+    top = 0.0
     for sl in hier.blocks:
-        for X, Y in zip(_row_blocks(hier, left[sl], right, *a_pass),
-                        _row_blocks(hier, C[0][sl], C[1], *c_pass)):
+        for X in _row_blocks(hier, left[sl], right, cols, buf):
             if X is not None:
-                a_max = max(a_max, X.max(), -X.min())
-                if Y is not None:
-                    X -= Y
-            elif Y is not None:
-                X = Y
-            else:
-                continue
-            d_max = max(d_max, np.abs(X, out=X).max())
-    return float(a_max), float(d_max)
+                top = max(top, X.max(), -X.min())
+    return float(top)
 
 
 def ad_norm(hier: NetHierarchy, params: SpaceParams, left, right,
@@ -404,7 +391,7 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     """
     [(delta_hat, d_max)] = _max_ratio(hier, left, right, _log_omega(
         hier, NEUMANN_EPSILON, NEUMANN_EPSILON, params))
-    if delta_hat >= NEUMANN_THRESHOLD:
+    if not delta_hat < NEUMANN_THRESHOLD:  # a NaN fails too
         raise NeumannPreconditionError(delta_hat)
     eps1 = NEUMANN_EPSILON / 2.0
     G = right @ left
@@ -420,17 +407,12 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     del E
     term_ad_norms = [r for r, _ in _max_ratio(
         hier, left, right, _log_omega(hier, eps1, eps1, params), G, terms)]
-    C = (left @ core, right)
-    # |(I-D)(I+C) - I| = |left (right + G core right) - C| and
-    # |(I+C)(I-D) - I| = |(left + left core G) right - C|, pushed through;
-    # each sum is taken in place, and freed before the next
-    R = (G @ core) @ right
-    R += right
-    resid = max_abs(hier, left, R, C)[1] + drop_r
-    del R
-    L = left @ (core @ G)
-    L += left
-    resid = max(resid, max_abs(hier, L, right, C)[1] + drop_l)
+    # (I-D)(I+C) - I = left (core - I - G core) right and (I+C)(I-D) - I =
+    # left (core - I - core G) right, pushed through: each defect is
+    # differenced on the k x k core and taken in one pass over its blocks
+    I = np.eye(len(core))
+    resid = max(max_abs(hier, left, (core - I - G @ core) @ right) + drop_r,
+                max_abs(hier, left @ (core - I - core @ G), right) + drop_l)
     resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar
@@ -447,4 +429,4 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         "geometric_decay_ok": bool(geometric_ok),
         "core_leak": leak,
     }
-    return C, report
+    return (left @ core, right), report

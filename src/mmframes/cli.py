@@ -303,14 +303,13 @@ def _suite_bands(ctx):
 
 
 def _characterization(ctx, family):
-    spec = ctx.get("spec")
     out = {}
     ok = True
     for flavor in ("classical", "tilde"):
         prm = dataclasses.replace(ctx.get("params"), flavor=flavor,
                                   family=family)
         rep = sq.check_frame_characterization(
-            ctx.get("battery"), prm, spec, ctx.get("frame"), ctx.get("dual"),
+            ctx.get("battery"), prm, ctx.get("frame"), ctx.get("dual"),
             ctx.get("psi"))
         lo, hi = rep["ratio_band"]
         out[f"{flavor}_lower"] = lo
@@ -457,11 +456,12 @@ def _suite_neumann(ctx):
     cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
     cm /= 2.0 * cstar * ad.ad_norm(hier, params, U * cm, V,
                                    ad.NEUMANN_EPSILON)
-    C, rep = ad.neumann_invert(hier, params, U * cm, V, cstar)
-    # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, taken
-    # relative to its own max, so a zero C reads 1
-    x_max, err = ad.max_abs(hier, U * (cm / (1.0 - cm)), V, C)
-    closed = err / x_max
+    (c_left, _), rep = ad.neumann_invert(hier, params, U * cm, V, cstar)
+    # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, whose
+    # right factor is C's, V: the difference is one table, taken relative
+    # to the closed form's max, so a zero C reads 1
+    X = U * (cm / (1.0 - cm))
+    closed = ad.max_abs(hier, X - c_left, V) / ad.max_abs(hier, X, V)
     # core_leak, G = V U diag(c m)'s largest off-diagonal entry over max|G|,
     # is recorded: it picks the core's form, and the residual bounds what a
     # diagonal core drops
@@ -528,10 +528,9 @@ def _suite_compact_dual(ctx):
 @_suite("lemma7.2-molecules", "Lemma 7.2", "scaled frames are molecules",
         after=("lemma4.1-sampling",))
 def _suite_molecule_constants(ctx):
-    # psi from V and psi~ from U^T, each exactly 0 off every level's band
-    U, V = ctx.get("factors")
-    families = mo.validate_molecule([V, U.T], ctx.get("hier"),
-                                    ctx.get("params"), ctx.get("spec"))
+    # psi and psi~ from their tables, each exactly 0 off every level's band
+    families = mo.validate_molecule([ctx.get("frame"), ctx.get("dual")],
+                                    ctx.get("params"))
     out, ok = {}, True
     for name, certs in zip(("psi", "psit"), families):
         for flavor, cert in certs.items():
@@ -561,21 +560,20 @@ def _suite_gram(ctx):
 @_suite("thm7.4-synthesis", "Thm 7.4", "molecular synthesis ratios",
         after=("lemma4.1-sampling",))
 def _suite_synthesis(ctx):
-    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
-    T = rng.standard_normal((int(ctx.cfg["battery"]), hier.size)).T
-    _, rep = mo.molecular_synthesis(T, ctx.get("frame").coeffs, hier, params,
-                                    spec, ctx.get("psi"))
+    T = rng.standard_normal((int(ctx.cfg["battery"]), ctx.get("hier").size)).T
+    _, rep = mo.molecular_synthesis(T, ctx.get("frame"), ctx.get("params"),
+                                    ctx.get("psi"))
     return "record", {"max_ratio": rep["ratio"].max(initial=0.0)}
 
 
 @_suite("thm7.5-analysis", "Thm 7.5/(7.11)", "molecular analysis identity",
         after=("lemma4.1-sampling",))
 def _suite_analysis(ctx):
-    params, spec = ctx.get("params"), ctx.get("spec")
-    _, rep = mo.molecular_analysis(ctx.get("battery").T,
-                                   ctx.get("dual").coeffs, ctx.get("frame"),
-                                   ctx.get("dual"), params, spec, ctx.get("psi"))
+    dual = ctx.get("dual")
+    _, rep = mo.molecular_analysis(ctx.get("battery").T, dual,
+                                   ctx.get("frame"), dual, ctx.get("params"),
+                                   ctx.get("psi"))
     worst_resid = rep["identity_residual"].max(initial=0.0)
     ok = np.any(rep["function_norm"] > 0) and worst_resid <= 1e-9
     return ("pass" if ok else "fail"), {
@@ -586,14 +584,13 @@ def _suite_analysis(ctx):
 @_suite("thm7.9-atoms", "Thm 7.9", "atomic decomposition",
         after=("lemma4.1-sampling", "prop6.6-theta", "thm6.7-compact-dual"))
 def _suite_atoms(ctx):
-    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
-    compact = ctx.get("compact")
-    cert = mo.validate_atoms(compact.coeffs, hier, params, spec)
+    params, compact = ctx.get("params"), ctx.get("compact")
+    cert = mo.validate_atoms(compact, params)
     checks = _speed_checks(ctx)
     supp_ok = all(passed for _, passed in checks)
     cstar = mo.scaling_for_budget(cert)
     _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
-                                 ctx.get("compact_dual"), params, spec,
+                                 ctx.get("compact_dual"), params,
                                  ctx.get("psi"), cstar=cstar)
     worst = rep["residual"].max(initial=0.0)
     ok = np.any(rep["l2_norm"] > 0) and worst <= 1e-6 and supp_ok and \
@@ -655,8 +652,8 @@ def _suite_inhomogeneous(ctx):
                                             gamma=ctx.cfg["gamma"],
                                             mode="inhomogeneous")
     ok = hier.j_min >= 0 and max(eps.values()) < 0.5
-    certs = mo.validate_molecule([fr.build_frame1(spec, hier).coeffs], hier,
-                                 ctx.get("params"), spec)[0]
+    certs = mo.validate_molecule([fr.build_frame1(spec, hier)],
+                                 ctx.get("params"))[0]
     ok = ok and all(np.isfinite(max(cert.constants.values()))
                     for cert in certs.values())
     return ("pass" if ok else "fail"), {"j_min": hier.j_min,

@@ -320,7 +320,7 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     hier, U = frame1.hierarchy, dual.coeffs
     P = frame1.coeffs - compact.coeffs
     delta_hat = addiag.ad_norm(hier, params, U.T, P, addiag.NEUMANN_EPSILON)
-    if delta_hat >= addiag.NEUMANN_THRESHOLD:
+    if not delta_hat < addiag.NEUMANN_THRESHOLD:  # a NaN fails too
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{delta_hat:.3g} >= threshold")

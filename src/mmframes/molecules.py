@@ -6,16 +6,16 @@ net center, obeying localized size, smoothness (powers of L) and
 cancellation (L^{+-k} factorization) bounds.  Validators measure the
 smallest constant making each bound hold, exhaustively over all centers
 and points; atoms additionally carry a compact-support certificate.  A
-family is given by its (n, m) eigenbasis coefficient table, a Frame's.
+family is a Frame: its hierarchy, spectrum, coefficient table and the
+table's level spans are read from it, and every product runs over the
+spans (Frame.matvec, Frame.rmatvec, _ladder).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mmframes import addiag
-from mmframes.space import NetHierarchy
-from mmframes.calculus import SpectralData, SUPPORT_THRESHOLD
+from mmframes.calculus import SUPPORT_THRESHOLD
 from mmframes.seqspace import SpaceParams, seq_norm, function_norm
 
 
@@ -97,13 +97,6 @@ class MoleculeCertificate:
                        constants={k: c * v for k, v in self.constants.items()})
 
 
-def _as_table(family, hier: NetHierarchy) -> np.ndarray:
-    table = np.asarray(family, dtype=float)
-    if table.shape != (hier.space.n, hier.size):
-        raise ValueError("family must be an (n, m) coefficient table")
-    return table
-
-
 def _column_max(X, env) -> np.ndarray:
     """max over x (the first axis) of |X| / env."""
     A = np.abs(X)
@@ -111,24 +104,27 @@ def _column_max(X, env) -> np.ndarray:
     return A.max(axis=0, initial=0.0)
 
 
-def _ladder(hier: NetHierarchy, spec: SpectralData, families, mus):
-    """(sl, i, Y, defect) for each level sl and family table i: Y[:, r] is
-    L^mus[r] of its columns a on sl, lambda^mu coeffs (0^0 = 1, else 0 on
-    the nullspace) synthesised over the level's span (addiag.column_spans),
-    in one buffer reused at the next yield; defect is the column maxima of
-    |a's nullspace part| = |L^K h - a|, h = L^-K a."""
+def _ladder(families, mus):
+    """(sl, i, Y, defect) for each level sl and Frame i of families, which
+    share one hierarchy: Y[:, r] is L^mus[r] of its columns a on sl,
+    lambda^mu coeffs (0^0 = 1, else 0 on the nullspace) synthesised over the
+    frame's span on the level, in one buffer reused at the next yield;
+    defect is the column maxima of |a's nullspace part| = |L^K h - a|,
+    h = L^-K a."""
+    hier, spec = families[0].hierarchy, families[0].spec
+    if any(f.hierarchy is not hier or f.spec is not spec for f in families):
+        raise ValueError("families must share one hierarchy and spectrum")
     lam, E, k0 = spec.eigenvalues, spec.eigenfunctions, spec.nullspace_dim
     pw = np.zeros((len(lam), len(mus)))
     pw[lam > 0] = lam[lam > 0, None] ** mus
     pw[lam == 0] = np.asarray(mus) == 0
-    spans = [addiag.column_spans(hier, coeffs) for coeffs in families]
     buf = np.empty(len(lam) * len(mus) * max(
         sl.stop - sl.start for sl in hier.blocks))
     for k, sl in enumerate(hier.blocks):
         shape = (len(mus), sl.stop - sl.start)
         out = buf[:len(lam) * np.prod(shape)].reshape(len(lam), -1)
-        for i, coeffs in enumerate(families):
-            lo, hi = spans[i][k]
+        for i, fam in enumerate(families):
+            (lo, hi), coeffs = fam.spans[k], fam.coeffs
             Y = np.matmul(E[:, lo:hi], (pw[lo:hi, :, None] * coeffs[
                 lo:hi, None, sl]).reshape(hi - lo, np.prod(shape)),
                 out=out).reshape(-1, *shape)
@@ -136,11 +132,11 @@ def _ladder(hier: NetHierarchy, spec: SpectralData, families, mus):
             yield sl, i, Y, np.abs(null).max(axis=0, initial=0.0)
 
 
-def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
-                      spec: SpectralData) -> list:
-    """{flavor: MoleculeCertificate}, synthesis and analysis, per family's
-    table.  One passes when no constant exceeds 1 and the factorization
-    residual is at most 1e-9; M = M_threshold + 1/2 (M + d for analysis).
+def validate_molecule(families, params: SpaceParams) -> list:
+    """{flavor: MoleculeCertificate}, synthesis and analysis, per Frame of
+    families, which share one hierarchy.  One passes when no constant
+    exceeds 1 and the factorization residual is at most 1e-9;
+    M = M_threshold + 1/2 (M + d for analysis).
 
     One ladder per family serves both flavours: L^mu of its columns,
     mu = -max(K, N) .. max(K, N), a level at a time (_ladder).  Each
@@ -166,12 +162,12 @@ def validate_molecule(families, hier: NetHierarchy, params: SpaceParams,
     depth = max(K or 0, N or 0)
     mus = np.arange(-depth, depth + 1)
 
-    families = [_as_table(t, hier) for t in families]
+    hier = families[0].hierarchy
     # maxima[i, flavour, depth + mu, xi], synthesis then analysis
     maxima = np.empty((len(families), 2, len(mus), hier.size))
     defect = np.empty((len(families), hier.size))
     top = np.zeros(len(families))
-    for sl, i, Y, d in _ladder(hier, spec, families, mus):
+    for sl, i, Y, d in _ladder(families, mus):
         defect[i, sl] = d
         top[i] = max(top[i], np.abs(Y[:, depth]).max(initial=0.0))
         if i == 0:
@@ -222,40 +218,37 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
 
 
-def molecular_synthesis(t, family, hier: NetHierarchy, params: SpaceParams,
-                        spec: SpectralData, phi):
-    """f = sum_xi t_xi m_xi, m given by its table, with the measured ratio
+def molecular_synthesis(t, family, params: SpaceParams, phi):
+    """f = sum_xi t_xi m_xi, m the Frame family, with the measured ratio
     ||f||_F / ||t||_f; an (m, k) table of sequences gives k functions and
     k of each report value."""
-    table = _as_table(family, hier)
+    hier, spec = family.hierarchy, family.spec
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[0] != hier.size:
         raise ValueError("coefficient sequence does not match the hierarchy")
     T = t.reshape(hier.size, -1)
-    f = spec.synthesize(table @ T)
+    f = family.synthesize(T)
     tn = seq_norm(T, params, hier)
     fn = function_norm(f, params, spec, phi)
     return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
                               "ratio": _ratio(fn, tn)})
 
 
-def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams,
-                       spec: SpectralData, phi):
+def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams, phi):
     """Coefficients <f, m~_xi> through the frame expansion
-    sum_eta <m~_xi, psi_eta> <f, psi~_eta>, m~ given by its table, with
+    sum_eta <m~_xi, psi_eta> <f, psi~_eta>, m~ the Frame anal_family, with
     the measured ratio ||coeffs||_f / ||f||_F; an (n, k) table of functions
     gives an (m, k) table and k of each report value.  The expansion is
     taken on the tables as m~^T (V (U~^T c)), c the coefficients of f, so
     no m x m Gram is formed.  On a finite model it collapses to the direct
     m~^T c for mean-zero f; the residual between the two is reported.
     """
-    hier = frame.hierarchy
-    table = _as_table(anal_family, hier)
+    hier, spec = frame.hierarchy, frame.spec
     F = spec.project_mean_zero(
         np.asarray(f, dtype=float).reshape(hier.space.n, -1))
     c = spec.coefficients(F)
-    coeffs = table.T @ frame.matvec(dual.rmatvec(c))
-    direct = table.T @ c
+    coeffs = anal_family.rmatvec(frame.matvec(dual.rmatvec(c)))
+    direct = anal_family.rmatvec(c)
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
     fn = function_norm(F, params, spec, phi)
     cn = seq_norm(coeffs, params, hier)
@@ -286,9 +279,8 @@ def minimal_atom_orders(params: SpaceParams) -> tuple:
     return K, Kt
 
 
-def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
-                   spec: SpectralData) -> AtomCertificate:
-    """Atom certificate of a family's table at the minimal orders (K, K~):
+def validate_atoms(family, params: SpaceParams) -> AtomCertificate:
+    """Atom certificate of a Frame family at the minimal orders (K, K~):
     factorization through L^K, undecayed size bounds for powers of L up to
     K~ and the compact-support constant; it passes when none exceeds 1.
 
@@ -296,7 +288,7 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     (relative threshold SUPPORT_THRESHOLD) inside c B_xi.
     """
     K, K_tilde = minimal_atom_orders(params)
-    coeffs = _as_table(family, hier)
+    hier, spec, coeffs = family.hierarchy, family.spec, family.coeffs
     # powers below 0 are taken modulo the nullspace
     if K and np.abs(coeffs[:spec.nullspace_dim]).max(initial=0.0) > \
             1e-10 * max(1.0, np.abs(coeffs).max(initial=0.0)):
@@ -310,8 +302,7 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
     # one ladder L^mu a, mu = -K..K~, a level at a time (_ladder): the
     # companion h = L^-K a and its powers L^nu h = L^(nu-K) a are the rungs
     # mu <= 0, and rung 0 is the family a itself
-    for (sl, _, Y, d), net in zip(_ladder(hier, spec, [coeffs], mus),
-                                  hier.levels):
+    for (sl, _, Y, d), net in zip(_ladder([family], mus), hier.levels):
         maxima[:, sl], defect[sl] = _column_max(Y, base[sl]), d
         live = np.abs(Y[:, :K + 1])
         top = max(top, live[:, K].max(initial=0.0))
@@ -334,8 +325,8 @@ def validate_atoms(family, hier: NetHierarchy, params: SpaceParams,
                            passed=passed)
 
 
-def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
-                     spec: SpectralData, phi, cstar: float = 1.0):
+def atomic_decompose(f, compact, compact_dual, params: SpaceParams, phi,
+                     cstar: float = 1.0):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
     compact frame and t_xi = <f, theta~_xi> / cstar, as (t, report); an
     (n, k) table of functions gives an (m, k) table t and k of each report
@@ -345,7 +336,7 @@ def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
     L^2 norm of f, and both measured norm constants ||t||_f / ||f||_F and
     ||sum t a|| / ||t||.
     """
-    space = spec.space
+    spec, space = compact.spec, compact.hierarchy.space
     F = spec.project_mean_zero(np.asarray(f, dtype=float).reshape(space.n, -1))
     raw = compact_dual.analyze(F)
     nf = space.norm2(F)

@@ -114,7 +114,7 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
     framed = spec.synthesize(mvals * frame.matvec(dual.rmatvec(c)))
     scale = max(1.0, float(np.abs(direct).max()))
     resid = float(np.abs(framed - direct).max() / scale)
-    if resid > 1e-9:
+    if not resid <= 1e-9:  # a NaN fails too
         raise RuntimeError(
             f"frame route disagrees with direct calculus: {resid:.3g}")
     return direct

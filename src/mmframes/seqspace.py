@@ -224,17 +224,18 @@ def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
 # frame characterization
 
 
-def check_frame_characterization(battery, params: SpaceParams,
-                                 spec: SpectralData, frame, dual, phi) -> dict:
+def check_frame_characterization(battery, params: SpaceParams, frame, dual,
+                                 phi) -> dict:
     """Measured equivalence of coefficient and function norms over a battery
-    (one function per row), taken on one table.
+    (one function per row), taken on one table; the hierarchy and spectrum
+    are the frame's.
 
     Reports min/max of ||coeff||_seq / ||f||_func with dual-frame analysis
     and the worst reconstruction residual, over the samples: the functions
     with a nonzero norm.
     """
+    spec, hier = frame.spec, frame.hierarchy
     space = spec.space
-    hier = frame.hierarchy
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
     fn = function_norm(F, params, spec, phi)
     live = fn > 0

@@ -17,7 +17,7 @@ from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes import space as sp
 from mmframes.seqspace import SpaceParams
-from test_molecules import certificate
+from test_molecules import certificate, scaled
 
 
 def test_criterion_01_exact_geometry_suite(models, profiles):
@@ -99,7 +99,7 @@ def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
                             prm = SpaceParams(s=s, p=p, q=q, flavor=flavor,
                                               family=family, d=d, dstar=dstar)
                             rep = sq.check_frame_characterization(
-                                battery, prm, spec, frame, dual, psi)
+                                battery, prm, frame, dual, psi)
                             lo, hi = rep["ratio_band"]
                             assert 0 < lo <= hi < np.inf
                             worst = max(worst, hi / lo)
@@ -177,17 +177,15 @@ def test_criterion_10_neumann_inversion(hierarchies, params022):
 
 
 def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
-                                                  spectra, params022):
+                                                  params022):
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
-    spec = spectra["C_64"]
-    for table, flavor in ((frame.coeffs, "synthesis"),
-                          (dual.coeffs, "analysis")):
-        raw = certificate(table, hier, flavor, params022, spec)
+    for family, flavor in ((frame, "synthesis"), (dual, "analysis")):
+        raw = certificate(family, flavor, params022)
         assert raw.M == params022.J + 0.5
         assert all(np.isfinite(v) for v in raw.constants.values())
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-        assert certificate(c * table, hier, flavor, params022, spec).passed
+        assert certificate(scaled(family, c), flavor, params022).passed
     # the Gram psi~^T M psi from the frames' coefficient tables
     c = ad.ad_norm(hier, params022, dual.coeffs.T, frame.coeffs, 0.125)
     assert 0 < c < np.inf
@@ -196,10 +194,9 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
 def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     cp = compact_pipeline
     hier, spec = cp.hier, cp.spec
-    raw = mo.validate_atoms(cp.compact.coeffs, hier, params022, spec)
+    raw = mo.validate_atoms(cp.compact, params022)
     scale = (1.0 - 1e-9) / max(raw.constants.values())
-    cert = mo.validate_atoms(scale * cp.compact.coeffs, hier, params022,
-                             spec)
+    cert = mo.validate_atoms(scaled(cp.compact, scale), params022)
     assert cert.passed
     # the atoms' effective support is within k e at every polynomial level:
     # level 1 is a polynomial of degree 31 on C_64 at b = 4.  Their
@@ -217,7 +214,7 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, rep = mo.atomic_decompose(f, cp.compact, cp.cdual, params022,
-                                     spec, psi, cstar=cstar)
+                                     psi, cstar=cstar)
         assert rep["residual"] <= 1e-6
         atoms_t = cp.compact.synthesize(cstar * t)
         assert spec.space.norm2(atoms_t - f) <= 1e-6 * spec.space.norm2(f)

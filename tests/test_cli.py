@@ -781,22 +781,22 @@ def test_molecule_suite_checks_the_configured_flavor(monkeypatch):
 
 @pytest.mark.parametrize("entry", [1e-6, 3e-8])
 def test_molecule_suite_gates_the_raw_factorization_residual(entry):
-    # one entry on V's nullspace row, the constant's, off every band: psi is
-    # no longer mean-zero, and the factorization residual reads the entry
-    # times the constant eigenfunction 1/8.  At 3e-8 that is 3.75e-9, and
-    # both psi certificates scaled by their c* (0.14 and 1.1e-3) pass, their
+    # one entry on the nullspace row of psi's table V, the constant's, off
+    # every band, planted into the run's primal frame: psi is no longer
+    # mean-zero, and the factorization residual reads the entry times the
+    # constant eigenfunction 1/8.  At 3e-8 that is 3.75e-9, and both psi
+    # certificates scaled by their c* (0.14 and 1.1e-3) pass, their
     # residual taken against max(1, c* max|cols|) = 1; only the gate on the
     # family as given fails the suite
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
-    hier = ctx.get("hier")
-    U, V = ctx.get("factors")
-    assert not V[0].any()
-    V = V.copy()
+    hier, frame = ctx.get("hier"), ctx.get("frame")
+    assert not frame.coeffs[0].any()
+    V = frame.coeffs.copy()
     V[0, hier.blocks[2].start] = entry
-    ctx._cache["factors"] = U, V
+    ctx._cache["frame"] = dataclasses.replace(frame, coeffs=V)
     assert cli.SUITES["lemma7.2-molecules"][2](ctx)[0] == "fail"
-    certs = cli.mo.validate_molecule([V], hier, ctx.get("params"),
-                                     ctx.get("spec"))[0]
+    certs = cli.mo.validate_molecule([ctx.get("frame")],
+                                     ctx.get("params"))[0]
     for cert in certs.values():
         assert cert.factorization_residual == pytest.approx(entry / 8.0)
         if entry < 1e-6:

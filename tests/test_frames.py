@@ -374,6 +374,21 @@ def test_compact_dual_precondition_message(compact_pipeline, params022):
         fr.build_compact_dual(cp.frame, cp.dual, scaled, params022)
 
 
+def test_compact_dual_rejects_a_nan(frame_sets, spectra, hierarchies,
+                                    params022):
+    # one NaN in C_64's compact table makes ||I - A||_eps NaN, which is
+    # not below the threshold: no NaN table is returned
+    spec, (hier, _) = spectra["C_64"], hierarchies["C_64"]
+    frame, dual, _ = frame_sets["C_64"]
+    compact, _ = fr.build_compact_frame(spec, hier)
+    coeffs = compact.coeffs.copy()
+    coeffs[5, 7] = np.nan
+    with pytest.raises(RuntimeError,
+                       match="compact-dual precondition failed"):
+        fr.build_compact_dual(frame, dual, fr.Frame(spec, hier, coeffs),
+                              params022)
+
+
 TORUS_FRAMES = ("frame", "dual", "compact", "compact_dual")
 
 
@@ -439,8 +454,9 @@ def test_frame_products_read_only_the_spans(torus_context):
     # the spans cover at most 0.40 n m of the primal table and 0.70 n m of
     # the dual's (0.37 and 0.68 measured).  With every entry off them set
     # to 1 once the spans are recorded, analysis, synthesis, the
-    # multiplier's frame route and molecular analysis give what they give
-    # on the frames themselves: no product reads the whole table
+    # multiplier's frame route, molecular synthesis and molecular analysis,
+    # its analysing family included, give what they give on the frames
+    # themselves: no product reads the whole table
     ctx = torus_context
     spec, params = ctx.get("spec"), ctx.get("params")
     frame, dual = ctx.get("frame"), ctx.get("dual")
@@ -466,7 +482,10 @@ def test_frame_products_read_only_the_spans(torus_context):
     sym = mp.check_mihlin("rational", 4, params, spec)
     mp.apply_multiplier(sym, F, probe, probe_dual, spec)
     phi = ca.make_cutoff("c", 2.0)
-    got, want = (mo.molecular_analysis(F, frame.coeffs, *pair, params, spec,
-                                       phi)[0]
-                 for pair in ((probe, probe_dual), (frame, dual)))
+    got, want = (mo.molecular_analysis(F, *fams, params, phi)[0]
+                 for fams in ((probe_dual, probe, probe_dual),
+                              (dual, frame, dual)))
+    assert np.array_equal(got, want)
+    got, want = (mo.molecular_synthesis(a, fam, params, phi)[0]
+                 for fam in (probe, frame))
     assert np.array_equal(got, want)

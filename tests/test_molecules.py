@@ -5,15 +5,20 @@ import pytest
 
 from mmframes import addiag as ad
 from mmframes import calculus as ca
+from mmframes import frames as fr
 from mmframes import molecules as mo
 from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
 
 
-def certificate(coeffs, hier, flavor, params, spec):
-    """The flavour's certificate for a family given by its coefficient
-    table."""
-    return mo.validate_molecule([coeffs], hier, params, spec)[0][flavor]
+def certificate(family, flavor, params):
+    """The flavour's certificate for one Frame family."""
+    return mo.validate_molecule([family], params)[0][flavor]
+
+
+def scaled(family, c):
+    """The Frame family times c."""
+    return dataclasses.replace(family, coeffs=c * family.coeffs)
 
 
 def test_orders_oracle_d1():
@@ -47,8 +52,8 @@ def test_tilde_orders_boundary_agreement():
 
 def test_zero_family_passes(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
-    zeros = np.zeros((64, hier.size))
-    cert = certificate(zeros, hier, "synthesis", params022, spectra["C_64"])
+    zeros = fr.Frame(spectra["C_64"], hier, np.zeros((64, hier.size)))
+    cert = certificate(zeros, "synthesis", params022)
     assert cert.passed
     assert max(cert.constants.values()) == 0.0
     assert mo.scaling_for_budget(cert) == np.inf
@@ -59,26 +64,26 @@ def molecule_setup(frame_sets, hierarchies, spectra, params022):
     frame, dual, _ = frame_sets["C_64"]
     hier, _ = hierarchies["C_64"]
     spec = spectra["C_64"]
-    raw = certificate(frame.coeffs, hier, "synthesis", params022, spec)
+    raw = certificate(frame, "synthesis", params022)
     c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
     return frame, dual, hier, spec, c
 
 
 def test_rescaled_frame_is_a_molecule_family(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
-    cert = certificate(c * frame.coeffs, hier, "synthesis", params022, spec)
+    cert = certificate(scaled(frame, c), "synthesis", params022)
     assert cert.passed
     assert cert.factorization_residual <= 1e-9
-    raw = certificate(dual.coeffs, hier, "analysis", params022, spec)
+    raw = certificate(dual, "analysis", params022)
     ca = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
-    anal = certificate(ca * dual.coeffs, hier, "analysis", params022, spec)
+    anal = certificate(scaled(dual, ca), "analysis", params022)
     assert anal.passed
 
 
 def test_constants_scale_exactly(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
-    c1 = certificate(frame.coeffs, hier, "synthesis", params022, spec)
-    c2 = certificate(5.0 * frame.coeffs, hier, "synthesis", params022, spec)
+    c1 = certificate(frame, "synthesis", params022)
+    c2 = certificate(scaled(frame, 5.0), "synthesis", params022)
     for key in c1.constants:
         assert abs(c2.constants[key] - 5.0 * c1.constants[key]) \
             <= 1e-9 * max(c2.constants[key], 1e-300)
@@ -86,15 +91,14 @@ def test_constants_scale_exactly(molecule_setup, params022):
 
 def test_oversized_family_fails_budget(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
-    cert = certificate(10.0 * c * frame.coeffs, hier, "synthesis",
-                       params022, spec)
+    cert = certificate(scaled(frame, 10.0 * c), "synthesis", params022)
     assert not cert.passed
 
 
 def test_molecule_certificate_analyses_nothing(molecule_setup, params022,
                                                monkeypatch):
     # every power of L, the companion and the factorization residual's
-    # L^K h among them, is synthesised from the given coefficient table
+    # L^K h among them, is synthesised from the frame's coefficient table
     frame, _, hier, spec, _ = molecule_setup
     calls = []
     analyse = ca.SpectralData.coefficients
@@ -104,7 +108,7 @@ def test_molecule_certificate_analyses_nothing(molecule_setup, params022,
         return analyse(self, f)
 
     monkeypatch.setattr(ca.SpectralData, "coefficients", counted)
-    certs = mo.validate_molecule([frame.coeffs], hier, params022, spec)[0]
+    certs = mo.validate_molecule([frame], params022)[0]
     assert set(certs["synthesis"].constants) == \
         {"size", "smoothness", "companion_size"}
     assert calls == []
@@ -112,13 +116,13 @@ def test_molecule_certificate_analyses_nothing(molecule_setup, params022,
 
 @pytest.fixture(scope="module")
 def factor_contexts():
-    """Run contexts on C_64 and T_16x16 with the frame factors (U, V)
-    built: V is psi's coefficient table and U^T psi~'s."""
+    """Run contexts on C_64 and T_16x16 with the primal and dual frames
+    built."""
     from mmframes import cli
     out = {}
     for model in ("C_64", "T_16x16"):
         ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model=model))
-        ctx.get("factors")
+        ctx.get("dual")
         out[model] = ctx
     return out
 
@@ -126,20 +130,21 @@ def factor_contexts():
 @pytest.mark.parametrize("model", ["C_64", "T_16x16"])
 def test_band_coefficients_and_columns_give_one_certificate(model,
                                                             factor_contexts):
-    # psi from V and psi~ from U^T, exactly 0 off each level's band, against
-    # the same families analysed from their synthesised columns: the tables
-    # agree to rounding, and every constant of both flavours agrees
+    # psi and psi~ from their tables, exactly 0 off each level's band,
+    # against the same families analysed from their synthesised columns:
+    # the tables agree to rounding, and every constant of both flavours
+    # agrees
     ctx = factor_contexts[model]
-    hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
-    U, V = ctx.get("factors")
-    families = [V, U.T]
-    for table, certs in zip(families, mo.validate_molecule(
-            families, hier, params, spec)):
+    params, spec = ctx.get("params"), ctx.get("spec")
+    families = [ctx.get("frame"), ctx.get("dual")]
+    for family, certs in zip(families, mo.validate_molecule(families,
+                                                            params)):
         assert set(certs) == {"synthesis", "analysis"}
-        analysed = spec.coefficients(spec.synthesize(table))
+        analysed = dataclasses.replace(
+            family, coeffs=spec.coefficients(family.columns))
         for flavor, cert in certs.items():
             assert cert.factorization_residual <= 1e-12
-            ref = certificate(analysed, hier, flavor, params, spec)
+            ref = certificate(analysed, flavor, params)
             assert cert.constants.keys() == ref.constants.keys()
             for key, value in cert.constants.items():
                 assert abs(value - ref.constants[key]) <= \
@@ -148,17 +153,19 @@ def test_band_coefficients_and_columns_give_one_certificate(model,
 
 def test_an_off_band_coefficient_fails_the_factorization_residual(
         factor_contexts):
-    # one entry of 1e-6 on the nullspace row of V, the constant's, which is
-    # off every band: the family is no longer mean-zero, no companion
-    # L^-K h reproduces it, and the certificate fails through its
-    # factorization residual alone
+    # one entry of 1e-6 on the nullspace row of psi's table V, the
+    # constant's, which is off every band: the family is no longer
+    # mean-zero, no companion L^-K h reproduces it, and the certificate
+    # fails through its factorization residual alone
     ctx = factor_contexts["C_64"]
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
-    V = ctx.get("factors")[1].copy()
+    frame = ctx.get("frame")
+    V = frame.coeffs.copy()
     sl = hier.blocks[2]
     assert spec.nullspace_dim == 1 and not V[0].any()
     V[0, sl.start] = 1e-6
-    certs = mo.validate_molecule([V], hier, params, spec)[0]
+    certs = mo.validate_molecule([dataclasses.replace(frame, coeffs=V)],
+                                 params)[0]
     for cert in certs.values():
         assert not cert.passed and cert.factorization_residual > 1e-9
         assert all(np.isfinite(v) for v in cert.constants.values())
@@ -167,6 +174,15 @@ def test_an_off_band_coefficient_fails_the_factorization_residual(
     cert = certs["synthesis"]
     scaled = cert.scaled(mo.scaling_for_budget(cert) * (1.0 - 1e-9))
     assert max(scaled.constants.values()) <= 1.0 and not scaled.passed
+
+
+def test_families_must_share_one_hierarchy(molecule_setup, compact_pipeline,
+                                           params022):
+    # C_64's frames at b = 2 and at b = 4 hold 352 and 256 columns: the
+    # ladder reads one hierarchy's levels, so it refuses the pair
+    frame = molecule_setup[0]
+    with pytest.raises(ValueError, match="share one hierarchy"):
+        mo.validate_molecule([frame, compact_pipeline.frame], params022)
 
 
 def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
@@ -179,13 +195,12 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
     sl = hier.blocks[-hier.j_min]  # level 0
     fam[:, sl] = 1e-6
     table = spec.coefficients(fam)
-    hom = mo.validate_molecule([table], hier, params022,
-                               spec)[0]["synthesis"]
+    hom = certificate(fr.Frame(spec, hier, table), "synthesis", params022)
     assert hom.factorization_residual == pytest.approx(1e-6, rel=1e-12)
     assert not hom.passed
     inh_hier = dataclasses.replace(hier, mode="inhomogeneous")
-    inh = mo.validate_molecule([table], inh_hier, params022,
-                               spec)[0]["synthesis"]
+    inh = certificate(fr.Frame(spec, inh_hier, table), "synthesis",
+                      params022)
     assert inh.factorization_residual <= 1e-9
     assert inh.passed
 
@@ -223,8 +238,7 @@ def test_molecular_analysis_identity(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
     psi = ca.make_cutoff("b", 2.0)
     f = spec.project_mean_zero(np.cos(np.arange(64.0) / 3.0))
-    coeffs, rep = mo.molecular_analysis(f, dual.coeffs, frame, dual,
-                                        params022, spec, psi)
+    coeffs, rep = mo.molecular_analysis(f, dual, frame, dual, params022, psi)
     assert rep["identity_residual"] <= 1e-9
     assert np.allclose(coeffs, dual.analyze(f), atol=1e-10)
     assert rep["ratio"] > 0
@@ -236,13 +250,12 @@ def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
     psi = ca.make_cutoff("b", 2.0)
     F = np.random.default_rng(9).standard_normal((64, 5))
     F[:, 2] = 0.0
-    coeffs, rep = mo.molecular_analysis(F, dual.coeffs, frame, dual,
-                                        params022, spec, psi)
+    coeffs, rep = mo.molecular_analysis(F, dual, frame, dual, params022, psi)
     assert coeffs.shape == (hier.size, 5)
     assert rep["function_norm"][2] == 0.0 and rep["ratio"][2] == 0.0
     for i in range(5):
-        ci, ri = mo.molecular_analysis(F[:, i], dual.coeffs, frame, dual,
-                                       params022, spec, psi)
+        ci, ri = mo.molecular_analysis(F[:, i], dual, frame, dual,
+                                       params022, psi)
         assert np.abs(coeffs[:, i] - ci).max() <= \
             1e-12 * max(np.abs(ci).max(), 1.0)
         for key, value in ri.items():
@@ -258,10 +271,9 @@ def test_molecular_round_trip(molecule_setup, params022):
     rng = np.random.default_rng(8)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        coeffs, _ = mo.molecular_analysis(f, dual.coeffs, frame, dual,
-                                          params022, spec, psi)
-        g, rep = mo.molecular_synthesis(coeffs, frame.coeffs, hier,
-                                        params022, spec, psi)
+        coeffs, _ = mo.molecular_analysis(f, dual, frame, dual, params022,
+                                          psi)
+        g, rep = mo.molecular_synthesis(coeffs, frame, params022, psi)
         assert spec.space.norm2(g - f) <= 1e-9 * spec.space.norm2(f)
         assert rep["ratio"] > 0
 
@@ -269,8 +281,7 @@ def test_molecular_round_trip(molecule_setup, params022):
 def test_synthesis_rejects_wrong_length(molecule_setup, params022, Phi):
     frame, _, hier, spec, c = molecule_setup
     with pytest.raises(ValueError):
-        mo.molecular_synthesis(np.zeros(3), frame.coeffs, hier, params022,
-                               spec, Phi)
+        mo.molecular_synthesis(np.zeros(3), frame, params022, Phi)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +292,8 @@ def _ladder_tables(hier, spec, cols, mus):
     """({mu: L^mu cols}, defect) assembled from _ladder's level slices on
     the coefficients of cols."""
     rungs, defect = np.empty((len(mus),) + cols.shape), np.empty(hier.size)
-    for sl, i, Y, d in mo._ladder(hier, spec, [spec.coefficients(cols)], mus):
+    family = fr.Frame(spec, hier, spec.coefficients(cols))
+    for sl, i, Y, d in mo._ladder([family], mus):
         assert i == 0 and Y.shape == (len(cols), len(mus), sl.stop - sl.start)
         rungs[:, :, sl] = Y.transpose(1, 0, 2)
         defect[sl] = d
@@ -333,9 +345,9 @@ def test_minimal_atom_orders(params022):
 def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     cp = compact_pipeline
     compact, cdual, hier, spec = cp.compact, cp.cdual, cp.hier, cp.spec
-    raw = mo.validate_atoms(compact.coeffs, hier, params022, spec)
+    raw = mo.validate_atoms(compact, params022)
     scale = 1.0 / max(raw.constants.values()) * (1.0 - 1e-9)
-    cert = mo.validate_atoms(scale * compact.coeffs, hier, params022, spec)
+    cert = mo.validate_atoms(scaled(compact, scale), params022)
     assert cert.passed
     assert cert.support_constant > 0
     # on this small model the supports may fill the whole space, but never
@@ -348,7 +360,7 @@ def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, rep = mo.atomic_decompose(f, compact, cdual, params022, spec, psi,
+        t, rep = mo.atomic_decompose(f, compact, cdual, params022, psi,
                                      cstar=cstar)
         assert rep["residual"] <= 1e-6
         recon = compact.synthesize(cstar * t)
@@ -363,12 +375,13 @@ def test_negative_power_ladder_requires_mean_zero(compact_pipeline,
     # K >= 1 a family with a nullspace part is refused; at K = 0 (s > J +
     # 2) it stays at mu >= 0, factors nothing, and takes the family
     cp = compact_pipeline
-    ones = cp.spec.coefficients(np.ones((64, cp.hier.size)))
+    ones = fr.Frame(cp.spec, cp.hier,
+                    cp.spec.coefficients(np.ones((64, cp.hier.size))))
     assert mo.minimal_atom_orders(params022)[0] >= 1
     with pytest.raises(ValueError, match="nullspace component"):
-        mo.validate_atoms(ones, cp.hier, params022, cp.spec)
+        mo.validate_atoms(ones, params022)
     high = dataclasses.replace(params022, s=params022.J + 3.0)
-    cert = mo.validate_atoms(1e-6 * ones, cp.hier, high, cp.spec)
+    cert = mo.validate_atoms(scaled(ones, 1e-6), high)
     assert cert.K == 0 and sorted(cert.support_radii) == [0]
     assert cert.passed
 
@@ -388,14 +401,13 @@ def test_norm_layer_reads_the_base_from_its_cutoff(compact_pipeline,
         def norm(G):
             return sq.function_norm(G, prm, spec, psi, 4.0)
 
-        f, rep = mo.molecular_synthesis(T, cp.frame.coeffs, hier, prm, spec,
-                                        psi)
+        f, rep = mo.molecular_synthesis(T, cp.frame, prm, psi)
         assert np.array_equal(rep["function_norm"], norm(f))
-        _, rep = mo.molecular_analysis(F, cp.dual.coeffs, cp.frame, cp.dual,
-                                       prm, spec, psi)
+        _, rep = mo.molecular_analysis(F, cp.dual, cp.frame, cp.dual, prm,
+                                       psi)
         assert np.array_equal(rep["function_norm"],
                               norm(spec.project_mean_zero(F)))
-        t, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm, spec, psi)
+        t, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm, psi)
         tn = sq.seq_norm(t, prm, hier)
         assert np.array_equal(rep["analysis_constant"],
                               tn / norm(spec.project_mean_zero(F)))

@@ -82,6 +82,20 @@ def test_frame_route_agrees_with_calculus(spectra, frame_sets, params022):
         mp.apply_multiplier(sym, f, frame, bad, spec)
 
 
+def test_frame_route_rejects_a_nan(spectra, frame_sets, params022):
+    # one NaN in the dual's table, inside its lowest level's span, makes
+    # the frame route and its residual NaN: the cross-check fails it
+    spec = spectra["C_64"]
+    frame, dual, _ = frame_sets["C_64"]
+    sym = mp.check_mihlin("rational", 4, params022, spec)
+    coeffs = dual.coeffs.copy()
+    coeffs[dual.spans[0][0], dual.hierarchy.blocks[0].start] = np.nan
+    bad = dataclasses.replace(dual, coeffs=coeffs)
+    with pytest.raises(RuntimeError, match="frame route disagrees"):
+        mp.apply_multiplier(sym, np.sin(np.arange(64.0) / 2.0), frame, bad,
+                            spec)
+
+
 def test_l2_ratio_below_symbol_sup(spectra, params022, Phi):
     # on F^0_{2,2} the operator norm is at most sup |m| on the spectrum
     spec = spectra["C_64"]

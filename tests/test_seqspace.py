@@ -305,8 +305,8 @@ def test_characterization_bands_finite_and_stable(spectra, frame_sets,
         spec = spectra[name]
         frame, dual, _ = frame_sets[name]
         battery = sq.random_battery(spec, 20, seed=0)
-        rep = sq.check_frame_characterization(battery, params022, spec,
-                                              frame, dual, psi)
+        rep = sq.check_frame_characterization(battery, params022, frame,
+                                              dual, psi)
         lo, hi = rep["ratio_band"]
         assert 0 < lo <= hi < np.inf
         assert rep["reconstruction_residual"] <= 1e-9
