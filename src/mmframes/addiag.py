@@ -8,7 +8,7 @@ import numpy as np
 
 from mmframes.calculus import neumann_series, nonzero_span
 from mmframes.space import NetHierarchy
-from mmframes.seqspace import SpaceParams, seq_norm
+from mmframes.seqspace import FLAVOURS, SpaceParams, seq_norm
 
 NEUMANN_EPSILON = 1.0    # neumann_invert's decay epsilon; eps1 = epsilon/2
 NEUMANN_THRESHOLD = 0.5  # neumann_invert needs ||D||_epsilon below this
@@ -21,7 +21,7 @@ class NeumannPreconditionError(RuntimeError):
 
     def __init__(self, delta_hat):
         super().__init__(f"Neumann precondition failed: ||I-A||_eps = "
-                         f"{delta_hat:.4g} >= {NEUMANN_THRESHOLD}")
+                         f"{delta_hat:.4g} is not below {NEUMANN_THRESHOLD}")
         self.delta_hat = delta_hat
 
 
@@ -186,14 +186,11 @@ def boundedness_probe(hier: NetHierarchy, params: SpaceParams, left, right,
     the four sequence-space flavors; sequences of norm 0 are left out."""
     nrm = ad_norm(hier, params, left, right, delta)
     if nrm == 0:
-        return {"b": 0.0, "b~": 0.0, "f": 0.0, "f~": 0.0, "ad_norm": 0.0}
+        return {**{key: 0.0 for key, _, _ in FLAVOURS}, "ad_norm": 0.0}
     H = np.asarray(battery, dtype=float).T
     AH = left @ (right @ H)
     out = {"ad_norm": nrm}
-    for key, family, flavor in (("b", "besov", "classical"),
-                                ("b~", "besov", "tilde"),
-                                ("f", "triebel_lizorkin", "classical"),
-                                ("f~", "triebel_lizorkin", "tilde")):
+    for key, family, flavor in FLAVOURS:
         prm = replace(params, flavor=flavor, family=family)
         denom = seq_norm(H, prm, hier)
         live = denom > 0

@@ -122,9 +122,6 @@ class Context:
         return fr.build_standard_hierarchy(
             self.get("spec"), b=self.cfg["b"], gamma=self.cfg["gamma"])
 
-    def _build_psi(self):
-        return ca.make_cutoff("b", self.cfg["b"])
-
     def _build_frame(self):
         return fr.build_frame1(self.get("spec"), self.get("hier"))
 
@@ -309,8 +306,7 @@ def _characterization(ctx, family):
         prm = dataclasses.replace(ctx.get("params"), flavor=flavor,
                                   family=family)
         rep = sq.check_frame_characterization(
-            ctx.get("battery"), prm, ctx.get("frame"), ctx.get("dual"),
-            ctx.get("psi"))
+            ctx.get("battery"), prm, ctx.get("frame"), ctx.get("dual"))
         lo, hi = rep["ratio_band"]
         out[f"{flavor}_lower"] = lo
         out[f"{flavor}_upper"] = hi
@@ -562,8 +558,7 @@ def _suite_gram(ctx):
 def _suite_synthesis(ctx):
     rng = np.random.default_rng(int(ctx.cfg["seed"]))
     T = rng.standard_normal((int(ctx.cfg["battery"]), ctx.get("hier").size)).T
-    _, rep = mo.molecular_synthesis(T, ctx.get("frame"), ctx.get("params"),
-                                    ctx.get("psi"))
+    _, rep = mo.molecular_synthesis(T, ctx.get("frame"), ctx.get("params"))
     return "record", {"max_ratio": rep["ratio"].max(initial=0.0)}
 
 
@@ -572,8 +567,7 @@ def _suite_synthesis(ctx):
 def _suite_analysis(ctx):
     dual = ctx.get("dual")
     _, rep = mo.molecular_analysis(ctx.get("battery").T, dual,
-                                   ctx.get("frame"), dual, ctx.get("params"),
-                                   ctx.get("psi"))
+                                   ctx.get("frame"), dual, ctx.get("params"))
     worst_resid = rep["identity_residual"].max(initial=0.0)
     ok = np.any(rep["function_norm"] > 0) and worst_resid <= 1e-9
     return ("pass" if ok else "fail"), {
@@ -590,8 +584,7 @@ def _suite_atoms(ctx):
     supp_ok = all(passed for _, passed in checks)
     cstar = mo.scaling_for_budget(cert)
     _, rep = mo.atomic_decompose(ctx.get("battery").T, compact,
-                                 ctx.get("compact_dual"), params,
-                                 ctx.get("psi"), cstar=cstar)
+                                 ctx.get("compact_dual"), params, cstar=cstar)
     worst = rep["residual"].max(initial=0.0)
     ok = np.any(rep["l2_norm"] > 0) and worst <= 1e-6 and supp_ok and \
         np.isfinite(cert.support_constant)
@@ -614,8 +607,8 @@ def _suite_multiplier(ctx):
         route_ok = True
     except RuntimeError:
         route_ok = False
-    rep = mx.boundedness_report(sym, params, ctx.get("battery"), spec,
-                                ctx.get("psi"))
+    rep = mx.boundedness_report(sym, params, ctx.get("battery"),
+                                ctx.get("frame"))
     l2_ok = rep["f"]["ratio"] <= sym.order_sups[0] + 1e-9
     mult = mx.multiplicativity_residual(
         sym, lambda u: np.exp(-np.asarray(u) ** 2), F, spec)

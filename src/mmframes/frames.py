@@ -323,7 +323,7 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     if not delta_hat < addiag.NEUMANN_THRESHOLD:  # a NaN fails too
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
-            f"{delta_hat:.3g} >= threshold")
+            f"{delta_hat:.4g} is not below {addiag.NEUMANN_THRESHOLD}")
     G = np.linalg.solve(np.eye(len(U)) - U @ P.T, U)
     return Frame(frame1.spec, hier, (U @ frame1.coeffs.T) @ G), delta_hat
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from mmframes.calculus import SUPPORT_THRESHOLD
-from mmframes.seqspace import SpaceParams, seq_norm, function_norm
+from mmframes.seqspace import SpaceParams, seq_norm, frame_norm
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +218,23 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
 
 
-def molecular_synthesis(t, family, params: SpaceParams, phi):
+def molecular_synthesis(t, family, params: SpaceParams):
     """f = sum_xi t_xi m_xi, m the Frame family, with the measured ratio
     ||f||_F / ||t||_f; an (m, k) table of sequences gives k functions and
     k of each report value."""
-    hier, spec = family.hierarchy, family.spec
+    hier = family.hierarchy
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[0] != hier.size:
         raise ValueError("coefficient sequence does not match the hierarchy")
     T = t.reshape(hier.size, -1)
     f = family.synthesize(T)
     tn = seq_norm(T, params, hier)
-    fn = function_norm(f, params, spec, phi)
+    fn = frame_norm(f, params, family)
     return _per_column(t, f, {"function_norm": fn, "seq_norm": tn,
                               "ratio": _ratio(fn, tn)})
 
 
-def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams, phi):
+def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams):
     """Coefficients <f, m~_xi> through the frame expansion
     sum_eta <m~_xi, psi_eta> <f, psi~_eta>, m~ the Frame anal_family, with
     the measured ratio ||coeffs||_f / ||f||_F; an (n, k) table of functions
@@ -250,7 +250,7 @@ def molecular_analysis(f, anal_family, frame, dual, params: SpaceParams, phi):
     coeffs = anal_family.rmatvec(frame.matvec(dual.rmatvec(c)))
     direct = anal_family.rmatvec(c)
     scale = np.maximum(1.0, np.abs(direct).max(axis=0, initial=0.0))
-    fn = function_norm(F, params, spec, phi)
+    fn = frame_norm(F, params, frame)
     cn = seq_norm(coeffs, params, hier)
     return _per_column(f, coeffs, {
         "seq_norm": cn, "function_norm": fn, "ratio": _ratio(cn, fn),
@@ -325,7 +325,7 @@ def validate_atoms(family, params: SpaceParams) -> AtomCertificate:
                            passed=passed)
 
 
-def atomic_decompose(f, compact, compact_dual, params: SpaceParams, phi,
+def atomic_decompose(f, compact, compact_dual, params: SpaceParams,
                      cstar: float = 1.0):
     """f = sum_xi t_xi a_xi with atoms a_xi = cstar theta_xi from the
     compact frame and t_xi = <f, theta~_xi> / cstar, as (t, report); an
@@ -343,12 +343,12 @@ def atomic_decompose(f, compact, compact_dual, params: SpaceParams, phi,
     recon = compact.synthesize(raw)
     residual = _ratio(space.norm2(recon - F), nf)
     t = raw / cstar
-    fn = function_norm(F, params, spec, phi)
+    fn = frame_norm(F, params, compact)
     tn = seq_norm(t, params, compact.hierarchy)
     t, report = _per_column(f, t, {
         "residual": residual, "l2_norm": nf,
         "analysis_constant": _ratio(tn, fn),
         "synthesis_constant": _ratio(
-            function_norm(recon, params, spec, phi), tn),
+            frame_norm(recon, params, compact), tn),
     })
     return t, report

@@ -11,7 +11,7 @@ import numpy as np
 
 from mmframes.space import ModelSpace, _distinct, ball_volumes
 from mmframes.calculus import SpectralData
-from mmframes.seqspace import SpaceParams, function_norm
+from mmframes.seqspace import FLAVOURS, SpaceParams, frame_norm
 
 
 def _rational(u, nu):
@@ -121,30 +121,27 @@ def apply_multiplier(symbol, f, frame, dual, spec: SpectralData) -> np.ndarray:
 
 
 def boundedness_report(symbol: MihlinSymbol, params: SpaceParams, battery,
-                       spec: SpectralData, phi) -> dict:
+                       frame) -> dict:
     """Max over the battery (one function per row) of ||m(sqrt(L)) f|| / ||f||
     in each of the four flavors, with the per-flavor smoothness requirement
-    recorded.  Functions of norm 0 are left out; samples is the fewest
+    recorded: the tilde flavors need |s| more.  The norms are the frame's
+    (frame_norm).  Functions of norm 0 are left out; samples is the fewest
     functions measured in any flavor."""
-    s = params.s
+    spec = frame.spec
     out = {"mihlin_sup": symbol.mihlin_sup}
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
     G = spec.apply(spec.symbol(symbol), F)
-    base = symbol.threshold
     samples = []
-    for key, family, flavor, extra in (
-            ("f", "triebel_lizorkin", "classical", 0.0),
-            ("f~", "triebel_lizorkin", "tilde", abs(s)),
-            ("b", "besov", "classical", 0.0),
-            ("b~", "besov", "tilde", abs(s))):
+    for key, family, flavor in FLAVOURS:
         prm = replace(params, family=family, flavor=flavor)
-        denom = function_norm(F, prm, spec, phi)
+        order = symbol.threshold + abs(params.s) * (flavor == "tilde")
+        denom = frame_norm(F, prm, frame)
         live = denom > 0
-        ratios = function_norm(G[:, live], prm, spec, phi) / denom[live]
+        ratios = frame_norm(G[:, live], prm, frame) / denom[live]
         samples.append(int(live.sum()))
         out[key] = {"ratio": float(ratios.max(initial=0.0)),
-                    "required_order": base + extra,
-                    "order_ok": symbol.ell > base + extra}
+                    "required_order": order,
+                    "order_ok": symbol.ell > order}
     out["samples"] = min(samples)
     return out
 

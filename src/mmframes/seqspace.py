@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmframes.space import ModelSpace, NetHierarchy, ball_volumes
-from mmframes.calculus import SpectralData, level_window
+from mmframes.calculus import SpectralData, level_window, make_cutoff
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,12 @@ class SpaceParams:
         if self.family == "besov":
             return self.d / min(1.0, self.p)
         return self.d / min(1.0, self.p, self.q)
+
+
+# the four spaces, as (report key, family, flavor)
+FLAVOURS = (("b", "besov", "classical"), ("b~", "besov", "tilde"),
+            ("f", "triebel_lizorkin", "classical"),
+            ("f~", "triebel_lizorkin", "tilde"))
 
 
 def _lq(values, q, axis=0):
@@ -103,6 +109,13 @@ def function_norm(f, params: SpaceParams, spec: SpectralData, phi, b=None):
     if params.family == "besov":
         return besov_norm(f, params, spec, phi, b)
     return tl_norm(f, params, spec, phi, b)
+
+
+def frame_norm(f, params: SpaceParams, frame):
+    """function_norm of f with the band the frame's hierarchy is cut by:
+    phi = make_cutoff("b", b) at the hierarchy's base b."""
+    return function_norm(f, params, frame.spec,
+                         make_cutoff("b", frame.hierarchy.b))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +237,11 @@ def hardy_check(a, gamma: float, q: float, b: float = 2.0) -> dict:
 # frame characterization
 
 
-def check_frame_characterization(battery, params: SpaceParams, frame, dual,
-                                 phi) -> dict:
+def check_frame_characterization(battery, params: SpaceParams, frame,
+                                 dual) -> dict:
     """Measured equivalence of coefficient and function norms over a battery
     (one function per row), taken on one table; the hierarchy and spectrum
-    are the frame's.
+    are the frame's, and so is the band of the function norm (frame_norm).
 
     Reports min/max of ||coeff||_seq / ||f||_func with dual-frame analysis
     and the worst reconstruction residual, over the samples: the functions
@@ -237,7 +250,7 @@ def check_frame_characterization(battery, params: SpaceParams, frame, dual,
     spec, hier = frame.spec, frame.hierarchy
     space = spec.space
     F = spec.project_mean_zero(np.asarray(battery, dtype=float).T)
-    fn = function_norm(F, params, spec, phi)
+    fn = frame_norm(F, params, frame)
     live = fn > 0
     F, fn = F[:, live], fn[live]
     c1 = dual.analyze(F)

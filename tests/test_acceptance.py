@@ -1,10 +1,13 @@
 """Acceptance gate: one test per release criterion, at the stated
 tolerances and scales."""
 
+import ast
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +85,6 @@ def test_criterion_05_dual_bands_exact(frame_sets, spectra):
 
 def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
                                               profiles):
-    psi = ca.make_cutoff("b", 2.0)
     prof = profiles["C_64"]
     d, dstar = prof.d, max(prof.dstar, 0.0)
     widths = {}
@@ -99,7 +101,7 @@ def test_criterion_06_norm_equivalence_suites(spectra, frame_sets,
                             prm = SpaceParams(s=s, p=p, q=q, flavor=flavor,
                                               family=family, d=d, dstar=dstar)
                             rep = sq.check_frame_characterization(
-                                battery, prm, frame, dual, psi)
+                                battery, prm, frame, dual)
                             lo, hi = rep["ratio_band"]
                             assert 0 < lo <= hi < np.inf
                             worst = max(worst, hi / lo)
@@ -193,7 +195,7 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
 
 def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     cp = compact_pipeline
-    hier, spec = cp.hier, cp.spec
+    spec = cp.spec
     raw = mo.validate_atoms(cp.compact, params022)
     scale = (1.0 - 1e-9) / max(raw.constants.values())
     cert = mo.validate_atoms(scaled(cp.compact, scale), params022)
@@ -208,13 +210,12 @@ def test_criterion_12_atomic_decomposition(compact_pipeline, params022):
     for j, lv in poly.items():
         assert cert.support_radii[cert.K][j] <= lv.reach
 
-    psi = ca.make_cutoff("b", hier.b)
     cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = spec.project_mean_zero(rng.standard_normal(64))
         t, rep = mo.atomic_decompose(f, cp.compact, cp.cdual, params022,
-                                     psi, cstar=cstar)
+                                     cstar=cstar)
         assert rep["residual"] <= 1e-6
         atoms_t = cp.compact.synthesize(cstar * t)
         assert spec.space.norm2(atoms_t - f) <= 1e-6 * spec.space.norm2(f)
@@ -228,9 +229,8 @@ def test_criterion_13_multiplier(spectra, frame_sets, params022):
         sym = mp.check_mihlin("rational", 4, params022, spec)
         f = np.sin(np.arange(spec.space.n) / 3.0)
         mp.apply_multiplier(sym, f, frame, dual, spec)
-        phi = ca.make_cutoff("c", 2.0)
         battery = sq.random_battery(spec, 30, seed=6)
-        rep = mp.boundedness_report(sym, params022, battery, spec, phi)
+        rep = mp.boundedness_report(sym, params022, battery, frame)
         ratios[name] = rep["f"]["ratio"]
         roots = np.sqrt(spec.eigenvalues)
         sup_m = np.abs(np.asarray(sym(roots[1:]))).max()
@@ -269,3 +269,25 @@ def test_criterion_15_deterministic_reports(tmp_path):
                     for line in reports[-1].decode().splitlines()[1:]}
         assert statuses <= {"pass", "record"}, statuses
     assert reports[0] == reports[1]
+
+
+def test_modules_import_only_those_listed_before_them():
+    # README's "Modules, in dependency order" table names every module, and
+    # no module imports, anywhere in its body, one listed after it
+    root = Path(__file__).resolve().parents[1]
+    order = re.findall(r"^\| `(\w+)` +\|", (root / "README.md").read_text(),
+                       re.M)
+    package = root / "src" / "mmframes"
+    assert sorted(order) == sorted(
+        p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    for k, name in enumerate(order):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "mmframes":
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        imported = {m.removeprefix("mmframes.") for m in imported}
+        assert not imported & set(order[k:]), name

@@ -532,6 +532,8 @@ def test_neumann_rejects_a_nan_entry(hierarchies, params022):
     with pytest.raises(ad.NeumannPreconditionError) as err:
         ad.neumann_invert(hier, params022, D, np.eye(hier.size), cstar)
     assert np.isnan(err.value.delta_hat)
+    assert str(err.value) == ("Neumann precondition failed: ||I-A||_eps = "
+                              "nan is not below 0.5")
 
 
 def _resolvent_probe(model, spectra, hierarchies, frame_sets, profiles):

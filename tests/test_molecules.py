@@ -7,6 +7,7 @@ from mmframes import addiag as ad
 from mmframes import calculus as ca
 from mmframes import frames as fr
 from mmframes import molecules as mo
+from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
 
@@ -236,9 +237,8 @@ def test_gram_certificate(molecule_setup, params022):
 
 def test_molecular_analysis_identity(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
-    psi = ca.make_cutoff("b", 2.0)
     f = spec.project_mean_zero(np.cos(np.arange(64.0) / 3.0))
-    coeffs, rep = mo.molecular_analysis(f, dual, frame, dual, params022, psi)
+    coeffs, rep = mo.molecular_analysis(f, dual, frame, dual, params022)
     assert rep["identity_residual"] <= 1e-9
     assert np.allclose(coeffs, dual.analyze(f), atol=1e-10)
     assert rep["ratio"] > 0
@@ -247,15 +247,14 @@ def test_molecular_analysis_identity(molecule_setup, params022):
 def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
                                                        params022):
     frame, dual, hier, spec, c = molecule_setup
-    psi = ca.make_cutoff("b", 2.0)
     F = np.random.default_rng(9).standard_normal((64, 5))
     F[:, 2] = 0.0
-    coeffs, rep = mo.molecular_analysis(F, dual, frame, dual, params022, psi)
+    coeffs, rep = mo.molecular_analysis(F, dual, frame, dual, params022)
     assert coeffs.shape == (hier.size, 5)
     assert rep["function_norm"][2] == 0.0 and rep["ratio"][2] == 0.0
     for i in range(5):
         ci, ri = mo.molecular_analysis(F[:, i], dual, frame, dual,
-                                       params022, psi)
+                                       params022)
         assert np.abs(coeffs[:, i] - ci).max() <= \
             1e-12 * max(np.abs(ci).max(), 1.0)
         for key, value in ri.items():
@@ -267,21 +266,19 @@ def test_molecular_analysis_of_a_table_matches_columns(molecule_setup,
 
 def test_molecular_round_trip(molecule_setup, params022):
     frame, dual, hier, spec, c = molecule_setup
-    psi = ca.make_cutoff("b", 2.0)
     rng = np.random.default_rng(8)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        coeffs, _ = mo.molecular_analysis(f, dual, frame, dual, params022,
-                                          psi)
-        g, rep = mo.molecular_synthesis(coeffs, frame, params022, psi)
+        coeffs, _ = mo.molecular_analysis(f, dual, frame, dual, params022)
+        g, rep = mo.molecular_synthesis(coeffs, frame, params022)
         assert spec.space.norm2(g - f) <= 1e-9 * spec.space.norm2(f)
         assert rep["ratio"] > 0
 
 
-def test_synthesis_rejects_wrong_length(molecule_setup, params022, Phi):
+def test_synthesis_rejects_wrong_length(molecule_setup, params022):
     frame, _, hier, spec, c = molecule_setup
     with pytest.raises(ValueError):
-        mo.molecular_synthesis(np.zeros(3), frame, params022, Phi)
+        mo.molecular_synthesis(np.zeros(3), frame, params022)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +341,7 @@ def test_minimal_atom_orders(params022):
 
 def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     cp = compact_pipeline
-    compact, cdual, hier, spec = cp.compact, cp.cdual, cp.hier, cp.spec
+    compact, cdual, spec = cp.compact, cp.cdual, cp.spec
     raw = mo.validate_atoms(compact, params022)
     scale = 1.0 / max(raw.constants.values()) * (1.0 - 1e-9)
     cert = mo.validate_atoms(scaled(compact, scale), params022)
@@ -355,12 +352,11 @@ def test_atom_certificate_and_decomposition(compact_pipeline, params022):
     for level_radii in cert.support_radii.values():
         assert max(level_radii.values()) <= spec.space.diameter
 
-    psi = ca.make_cutoff("b", hier.b)
     cstar = mo.scaling_for_budget(cert)
     rng = np.random.default_rng(12)
     for _ in range(5):
         f = spec.project_mean_zero(rng.standard_normal(64))
-        t, rep = mo.atomic_decompose(f, compact, cdual, params022, psi,
+        t, rep = mo.atomic_decompose(f, compact, cdual, params022,
                                      cstar=cstar)
         assert rep["residual"] <= 1e-6
         recon = compact.synthesize(cstar * t)
@@ -386,30 +382,38 @@ def test_negative_power_ladder_requires_mean_zero(compact_pipeline,
     assert cert.passed
 
 
-def test_norm_layer_reads_the_base_from_its_cutoff(compact_pipeline,
-                                                   params022):
-    # C_64 at b = 4: each reported function norm is function_norm's at the
-    # cutoff's own base, so the level window and the weights b^{js} are
+def test_probes_read_the_base_from_their_frame(compact_pipeline, params022):
+    # C_64 at b = 4: each probe's function norm is function_norm's at the
+    # frame's own base, so the level window and the weights b^{js} are
     # base 4's, not base 2's
     cp = compact_pipeline
     spec, hier = cp.spec, cp.hier
     psi = ca.make_cutoff("b", 4.0)
     F = spec.project_mean_zero(
         np.random.default_rng(13).standard_normal((64, 3)))
+    P = spec.project_mean_zero(F)  # what each probe measures
     T = np.random.default_rng(14).standard_normal((hier.size, 3))
+    sym = mp.check_mihlin("rational", 4, params022, spec, b=4.0)
+    G = spec.apply(spec.symbol(sym), P)
     for prm in (params022, dataclasses.replace(params022, s=1.0)):
-        def norm(G):
-            return sq.function_norm(G, prm, spec, psi, 4.0)
+        def norm(X, prm=prm):
+            return sq.function_norm(X, prm, spec, psi, 4.0)
 
-        f, rep = mo.molecular_synthesis(T, cp.frame, prm, psi)
+        f, rep = mo.molecular_synthesis(T, cp.frame, prm)
         assert np.array_equal(rep["function_norm"], norm(f))
-        _, rep = mo.molecular_analysis(F, cp.dual, cp.frame, cp.dual, prm,
-                                       psi)
-        assert np.array_equal(rep["function_norm"],
-                              norm(spec.project_mean_zero(F)))
-        t, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm, psi)
+        _, rep = mo.molecular_analysis(F, cp.dual, cp.frame, cp.dual, prm)
+        assert np.array_equal(rep["function_norm"], norm(P))
+        t, rep = mo.atomic_decompose(F, cp.compact, cp.cdual, prm)
         tn = sq.seq_norm(t, prm, hier)
-        assert np.array_equal(rep["analysis_constant"],
-                              tn / norm(spec.project_mean_zero(F)))
+        assert np.array_equal(rep["analysis_constant"], tn / norm(P))
         assert np.array_equal(rep["synthesis_constant"],
                               norm(cp.compact.synthesize(t)) / tn)
+        rep = sq.check_frame_characterization(F.T, prm, cp.frame, cp.dual)
+        r = sq.seq_norm(cp.dual.analyze(P), prm, hier) / norm(P)
+        assert rep["ratio_band"] == (r.min(), r.max())
+        rep = mp.boundedness_report(sym, prm, F.T, cp.frame)
+        for key, family, flavor in sq.FLAVOURS:
+            fam = dataclasses.replace(prm, family=family, flavor=flavor)
+            assert rep[key]["ratio"] == (norm(G, fam) / norm(P, fam)).max()
+            assert rep[key]["required_order"] == sym.threshold + (
+                abs(prm.s) if flavor == "tilde" else 0.0)

@@ -96,14 +96,13 @@ def test_frame_route_rejects_a_nan(spectra, frame_sets, params022):
                             spec)
 
 
-def test_l2_ratio_below_symbol_sup(spectra, params022, Phi):
+def test_l2_ratio_below_symbol_sup(spectra, frame_sets, params022):
     # on F^0_{2,2} the operator norm is at most sup |m| on the spectrum
     spec = spectra["C_64"]
     sym = mp.check_mihlin("rational", 4, params022, spec)
-    phi = __import__("mmframes.calculus", fromlist=["make_cutoff"]) \
-        .make_cutoff("c", 2.0)
     battery = sq.random_battery(spec, 30, seed=1)
-    rep = mp.boundedness_report(sym, params022, battery, spec, phi)
+    rep = mp.boundedness_report(sym, params022, battery,
+                                frame_sets["C_64"][0])
     roots = np.sqrt(spec.eigenvalues)
     sup_on_spec = np.abs(np.asarray(sym(roots[1:]))).max()
     assert rep["f"]["ratio"] <= sup_on_spec + 1e-9

@@ -299,14 +299,13 @@ def test_hardy_rejects_bad_input():
 
 def test_characterization_bands_finite_and_stable(spectra, frame_sets,
                                                   params022):
-    psi = ca.make_cutoff("b", 2.0)
     bands = {}
     for name in ("C_64", "C_128"):
         spec = spectra[name]
         frame, dual, _ = frame_sets[name]
         battery = sq.random_battery(spec, 20, seed=0)
         rep = sq.check_frame_characterization(battery, params022, frame,
-                                              dual, psi)
+                                              dual)
         lo, hi = rep["ratio_band"]
         assert 0 < lo <= hi < np.inf
         assert rep["reconstruction_residual"] <= 1e-9
