@@ -305,7 +305,8 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
 def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
                terms=0) -> list:
     """[(max |a| / omega, max |a|)] for a = left G^t right, t = 0, ...,
-    terms (a = left @ right alone by default), against a log omega block
+    terms (a = left @ right alone by default; a 1-D G is a diagonal core,
+    which scales the columns), against a log omega block
     builder (_log_omega), one level pair at a time; the ratio is
     exp(max(log|a| - log omega)).  On each row level the rows of left G^t
     are formed from those of left G^(t-1), and each block of log omega is
@@ -319,7 +320,9 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
         for i, sl in enumerate(hier.blocks):
             W, rows = {}, left[sl]
             for t in range(terms + 1):
-                if t:
+                if t and G.ndim == 1:
+                    rows = rows * G
+                elif t:
                     a, b = nonzero_span(rows.any(axis=0))
                     rows = rows[:, a:b] @ G[a:b]
                 for j, X in enumerate(_row_blocks(hier, rows, right, cols,
@@ -342,13 +345,14 @@ def _max_ratio(hier: NetHierarchy, left, right, log_w, G=None,
 def _dropped(left, right, E, core) -> tuple:
     """Bounds on what a diagonal core drops from the pushed-through defects
     of neumann_invert, max|left E core right| and max|left core E right|,
-    for E = |G| off its diagonal and core diagonal.  By Cauchy-Schwarz each
+    for E = |G| off its diagonal and core the diagonal, a vector.  By
+    Cauchy-Schwarz each
     entry is at most left's largest row 2-norm times right's largest column
     2-norm times the Frobenius norm of E core, or of core E; each factor is
     read once, and no m x n table is formed."""
     s = np.sqrt(np.einsum("ij,ij->i", left, left).max()
                 * np.einsum("ij,ij->j", right, right).max())
-    E2, k2 = E * E, core.diagonal() ** 2
+    E2, k2 = E * E, core ** 2
     return (float(s * np.sqrt(np.einsum("kl,l->", E2, k2))),
             float(s * np.sqrt(np.einsum("kl,k->", E2, k2))))
 
@@ -370,10 +374,11 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     The core leak, G's largest off-diagonal |entry| over max|G|, is
     measured once and reported.  At most CORE_LEAK_GATE, as on the frames'
     factors, where G = V U diag(c m) is diagonal up to rounding (Thm 4.2's
-    V U = I - e0 e0^T), the core is G's diagonal, kept as an n x n matrix:
-    every power and table then keeps left's zero columns and right's zero
-    rows, so each pass skips the blocks off the factors' band spans.  Above
-    it, the full core is kept.  Each side of the residual is taken on the
+    V U = I - e0 e0^T), the core is G's diagonal, kept as a vector: every
+    product with it is a row or column scaling, so each power and table
+    keeps left's zero columns and right's zero rows, and each pass skips
+    the blocks off the factors' band spans.  Above it, the full core is
+    kept.  Each side of the residual is taken on the
     core kept, plus a bound on what a diagonal core drops (_dropped), so the
     residual certifies both forms.
 
@@ -398,7 +403,7 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     leak = float(E.max()) / top if top > 0 else 0.0
     diagonal = leak <= CORE_LEAK_GATE
     if diagonal:
-        G = np.diag(G.diagonal())
+        G = G.diagonal().copy()
     core, terms, _ = neumann_series(G)
     drop_r, drop_l = _dropped(left, right, E, core) if diagonal else (0.0, 0.0)
     del E
@@ -406,10 +411,18 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         hier, left, right, _log_omega(hier, eps1, eps1, params), G, terms)]
     # (I-D)(I+C) - I = left (core - I - G core) right and (I+C)(I-D) - I =
     # left (core - I - core G) right, pushed through: each defect is
-    # differenced on the k x k core and taken in one pass over its blocks
-    I = np.eye(len(core))
-    resid = max(max_abs(hier, left, (core - I - G @ core) @ right) + drop_r,
-                max_abs(hier, left @ (core - I - core @ G), right) + drop_l)
+    # differenced on the k x k core and taken in one pass over its blocks;
+    # on a diagonal core both are the one scaling core - 1 - G core
+    if diagonal:
+        r = core - 1.0 - G * core
+        resid = max(max_abs(hier, left, r[:, None] * right) + drop_r,
+                    max_abs(hier, left * r, right) + drop_l)
+        c_left = left * core
+    else:
+        I = np.eye(len(core))
+        resid = max(max_abs(hier, left, (core - I - G @ core) @ right),
+                    max_abs(hier, left @ (core - I - core @ G), right))
+        c_left = left @ core
     resid = resid / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar
@@ -426,4 +439,4 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
         "geometric_decay_ok": bool(geometric_ok),
         "core_leak": leak,
     }
-    return (left @ core, right), report
+    return (c_left, right), report

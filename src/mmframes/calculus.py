@@ -136,17 +136,20 @@ def eigendecompose(space: ModelSpace) -> SpectralData:
 
 
 def _smooth_step(t):
-    """C-infinity step: 1 for t <= 0, 0 for t >= 1."""
+    """C-infinity step: 1 for t <= 0, 0 for t >= 1, and NaN on a NaN.
+
+    It is g(1 - t) / (g(1 - t) + g(t)), g(u) = exp(-1/u) taken as 0 for
+    u <= 1/708, where it is below 3.3e-308: a subnormal value carries no
+    precision and slows every product that reads a table of it.  So it is
+    exactly 1 or 0 unless both are nonzero, the only place the exps run."""
     t = np.asarray(t, dtype=float)
-
-    def g(u):
-        # exp(-1/u) is 0 for u <= 1/708, where it falls below 3.3e-308, near
-        # the smallest normal double: a subnormal value carries no precision
-        # and slows every product that reads a table of it
-        return np.where(u > 1 / 708, np.exp(-1.0 / np.maximum(u, 1 / 708)), 0.0)
-
-    a, bq = g(1.0 - t), g(t)
-    return a / (a + bq)
+    u = 1.0 - t
+    a, bq = u > 1 / 708, t > 1 / 708
+    out = np.where(a, 1.0, np.where(bq, 0.0, np.nan))
+    mid = a & bq
+    a, bq = np.exp(-1.0 / u[mid]), np.exp(-1.0 / t[mid])
+    out[mid] = a / (a + bq)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -291,18 +294,19 @@ def neumann_series(step) -> tuple:
     Frobenius norm is below NEUMANN_TAIL times step's; returns (total,
     terms, that ratio), terms the number of powers added.  RuntimeError
     when five terms running barely shrink (the series diverges), or at
-    NEUMANN_CAP terms.
+    NEUMANN_CAP terms.  A 1-D step is a diagonal matrix's diagonal, and
+    the series is summed on it elementwise.
 
     The first power is step itself; each later one is the power before it
     @ step."""
-    total = np.eye(len(step))
+    total = np.eye(len(step)) if step.ndim == 2 else np.ones(len(step))
     first = np.linalg.norm(step)
     if first == 0:
         return total, 0, 0.0
     term, prev, stall = step, first, 0
     for terms in range(1, NEUMANN_CAP + 1):
         total += term
-        term = term @ step
+        term = term @ step if step.ndim == 2 else term * step
         cur = np.linalg.norm(term)
         stall = stall + 1 if cur > 0.999 * prev else 0
         if stall >= 5:

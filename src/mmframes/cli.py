@@ -136,11 +136,6 @@ class Context:
         return fr.build_compact_dual(self.get("frame"), self.get("dual"),
                                      self.get("compact"), self.get("params"))
 
-    def _build_factors(self):
-        # (U, V) = (psi~^T M E, E^T M psi), the frames' tables, each 0 off
-        # its level's band: A_m = U diag(m(sqrt(lambda))) V
-        return self.get("dual").coeffs.T, self.get("frame").coeffs
-
     def _build_lemma64_half(self):
         # lemma6.4-W-bound's pairs at beta = eps1, then Thm 6.3(ii)'s c* pair
         eps = ad.NEUMANN_EPSILON
@@ -150,6 +145,14 @@ class Context:
     def _build_battery(self):
         return sq.random_battery(self.get("spec"), int(self.cfg["battery"]),
                                  seed=int(self.cfg["seed"]))
+
+
+def _factors(ctx):
+    """(U, V) = (psi~^T M E, E^T M psi), the frames' tables, each 0 off its
+    level's band: A_m = U diag(m(sqrt(lambda))) V.  They are formed from
+    the frames' level blocks on each call, so a suite may scale them in
+    place, and are dropped when it returns."""
+    return ctx.get("dual").table().T, ctx.get("frame").table()
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +393,10 @@ def _suite_ad_boundedness(ctx):
     # A_m = U diag(m) V of m = 1/(1 + lambda) on the battery's
     # coefficients; the probe's ratios are taken against ||A_m||_1/2, so
     # A_m's scale drops out
-    U, V = ctx.get("factors")
-    m = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
+    U, V = _factors(ctx)
+    U *= 1.0 / (1.0 + ctx.get("spec").eigenvalues)
     H = ctx.get("dual").analyze(ctx.get("battery").T).T
-    out = ad.boundedness_probe(ctx.get("hier"), ctx.get("params"), U * m, V,
+    out = ad.boundedness_probe(ctx.get("hier"), ctx.get("params"), U, V,
                                0.5, H)
     return "record", {k.replace("~", "t"): v for k, v in out.items()}
 
@@ -447,17 +450,23 @@ def _suite_neumann(ctx):
     hier, params = ctx.get("hier"), ctx.get("params")
     cstar = ctx.get("lemma64_half")[-1]["max_ratio"]
     # D = c A_m of m = 1/(1 + lambda) at ||D||_1 = 1/(2 c*), so delta_hat c*
-    # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V
-    U, V = ctx.get("factors")
+    # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V.  U is
+    # scaled in place, and formed again for the closed form
+    U, V = _factors(ctx)
     cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
     cm /= 2.0 * cstar * ad.ad_norm(hier, params, U * cm, V,
                                    ad.NEUMANN_EPSILON)
-    (c_left, _), rep = ad.neumann_invert(hier, params, U * cm, V, cstar)
+    U *= cm
+    (c_left, _), rep = ad.neumann_invert(hier, params, U, V, cstar)
+    del U
     # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, whose
     # right factor is C's, V: the difference is one table, taken relative
     # to the closed form's max, so a zero C reads 1
-    X = U * (cm / (1.0 - cm))
-    closed = ad.max_abs(hier, X - c_left, V) / ad.max_abs(hier, X, V)
+    X = ctx.get("dual").table().T
+    X *= cm / (1.0 - cm)
+    top = ad.max_abs(hier, X, V)
+    X -= c_left
+    closed = ad.max_abs(hier, X, V) / top
     # core_leak, G = V U diag(c m)'s largest off-diagonal entry over max|G|,
     # is recorded: it picks the core's form, and the residual bounds what a
     # diagonal core drops
@@ -547,8 +556,7 @@ def _suite_gram(ctx):
     # A = psi~^T M psi = U V, Thm 6.2's A_m at m = 1, at delta = 1/8:
     # ||A||_delta cannot fall as delta grows, since log omega(delta) =
     # log omega(0) - delta (G + |lam|) with G + |lam| >= 0
-    c = ad.ad_norm(ctx.get("hier"), ctx.get("params"), *ctx.get("factors"),
-                   0.125)
+    c = ad.ad_norm(ctx.get("hier"), ctx.get("params"), *_factors(ctx), 0.125)
     ok = np.isfinite(c) and c > 0
     return ("pass" if ok else "fail"), {"delta": 0.125, "c": c}
 
@@ -599,8 +607,10 @@ def _suite_atoms(ctx):
 def _suite_multiplier(ctx):
     spec, params = ctx.get("spec"), ctx.get("params")
     sym = mx.check_mihlin("rational", 4, params, spec, b=ctx.cfg["b"])
-    U, V = ctx.get("factors")
-    am_norm = ad.ad_norm(ctx.get("hier"), params, U * spec.symbol(sym), V, 0.5)
+    U, V = _factors(ctx)
+    U *= spec.symbol(sym)
+    am_norm = ad.ad_norm(ctx.get("hier"), params, U, V, 0.5)
+    del U, V
     F = ctx.get("battery").T
     try:
         mx.apply_multiplier(sym, F, ctx.get("frame"), ctx.get("dual"), spec)

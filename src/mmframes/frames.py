@@ -3,7 +3,7 @@ Neumann correction summed on the level's sampling Gram, and a compactly
 supported variant built from per-level polynomials in L.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from mmframes.calculus import (
     level_bands,
     effective_support_radius,
     neumann_series,
+    nonzero_span,
 )
 
 MAX_GAMMA_HALVINGS = 8   # halvings of gamma before the hierarchy gives up
@@ -25,44 +26,115 @@ COMPACT_SUP_ERR = 1e-6   # a compact level's polynomial error, relative sup
 
 @dataclass(frozen=True)
 class Frame:
-    """Net-indexed family of functions, held as its (n, m) eigenbasis
-    coefficient table: coeffs[:, k] = E^T M psi_k for flat net index k.
+    """Net-indexed family psi_xi, held per level in the eigenbasis: level k
+    is the band symbol s_k = symbols[:, k] at its centres, psi_xi =
+    |A_xi|^{1/2} s_k(sqrt(L))(., xi), whose coefficients E^T M psi_xi are
+    |A_xi|^{1/2} s_k E[xi, :]^T (_level_coeffs), or, for k in tables, its
+    stored (n, m_k) coefficient table.  With an (n, n) map H, each
+    coefficient column is H times that.
 
-    The table is read-only, and spans holds each level's [lo, hi) from its
-    first to its last nonzero row (addiag.column_spans): the products
-    rmatvec and matvec run a level at a time over them, so they read every
-    nonzero entry and equal the dense products up to summation order."""
+    The symbols and tables are read-only; spans holds each level's [lo, hi)
+    from the first to the last nonzero row of its symbol or table.
+    rmatvec and matvec take every symbol level whose centres are all the
+    points in one product with E, read at the centres, and each other
+    level's block over its span (E's rows gathered at the centres of a
+    symbol level): no (n, m) table is formed, and block and table form the
+    coefficients on demand."""
 
     spec: SpectralData
     hierarchy: NetHierarchy
-    coeffs: np.ndarray
+    symbols: np.ndarray
+    tables: dict = field(default_factory=dict)
+    H: np.ndarray = None
     spans: list = field(init=False, repr=False, compare=False)
+    _flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs.flags.writeable = False
-        object.__setattr__(self, "spans",
-                           addiag.column_spans(self.hierarchy, self.coeffs))
+        for a in (self.symbols, *self.tables.values()):
+            a.flags.writeable = False
+        hier = self.hierarchy
+        if self.symbols.shape != (len(self.symbols), len(hier.levels)):
+            raise ValueError("symbols must hold one column per level")
+        object.__setattr__(self, "spans", [
+            nonzero_span(self.tables[k].any(axis=1)) if k in self.tables
+            else nonzero_span(self.symbols[:, k])
+            for k in range(len(hier.levels))])
+        # the symbol levels whose centres are every point, in order: their
+        # symbols and flat indices; |A_xi|^{1/2}; and the other levels
+        n, flat = len(self.symbols), np.arange(hier.size)
+        every = [k for k, net in enumerate(hier.levels) if k not in
+                 self.tables and np.array_equal(net.centers, np.arange(n))]
+        object.__setattr__(self, "_flat", (
+            np.ascontiguousarray(self.symbols[:, every]),
+            np.concatenate([flat[:0]] + [flat[hier.blocks[k]] for k in every]),
+            np.sqrt(hier.xi_avol)[:, None],
+            [k for k in range(len(hier.levels)) if k not in every]))
+
+    def _own(self, k: int) -> tuple:
+        """block(k) before H."""
+        lo, hi = self.spans[k]
+        if k in self.tables:
+            return lo, hi, self.tables[k][lo:hi]
+        return lo, hi, _level_coeffs(self.spec, self.hierarchy.levels[k],
+                                     self.symbols[lo:hi, k], lo, hi)
+
+    def block(self, k: int) -> tuple:
+        """(lo, hi, B): level k's (hi - lo, m_k) coefficients on the rows
+        [lo, hi), outside which they are 0, formed on each call."""
+        lo, hi, B = self._own(k)
+        if self.H is None:
+            return lo, hi, B
+        return 0, len(self.H), self.H[:, lo:hi] @ B
+
+    def table(self) -> np.ndarray:
+        """The (n, m) coefficient table, E^T M psi_xi in column xi, formed
+        from the level blocks on each call."""
+        out = np.zeros((len(self.symbols), self.hierarchy.size))
+        for k, sl in enumerate(self.hierarchy.blocks):
+            lo, hi, B = self.block(k)
+            out[lo:hi, sl] = B
+        return out
 
     @property
     def columns(self) -> np.ndarray:
         """The (n, m) column table, synthesised on each read."""
-        return self.spec.synthesize(self.coeffs)
+        return self.spec.synthesize(self.table())
 
     def rmatvec(self, c) -> np.ndarray:
-        """coeffs^T c for eigenbasis coefficients c, (n,) or (n, k)."""
+        """Coefficients^T c for eigenbasis coefficients c, (n,) or (n, k)."""
         c = np.asarray(c)
-        out = np.empty((self.coeffs.shape[1],) + c.shape[1:])
-        for sl, (lo, hi) in zip(self.hierarchy.blocks, self.spans):
-            out[sl] = self.coeffs[lo:hi, sl].T @ c[lo:hi]
-        return out
+        if self.H is not None:
+            c = self.H.T @ c
+        E, c2, hier = self.spec.eigenfunctions, c.reshape(len(c), -1), \
+            self.hierarchy
+        S, idx, root, rest = self._flat
+        out = np.empty((hier.size, c2.shape[1]))
+        # E (S (.) c) by (level, point, column): these levels' centres are
+        # every point, in order
+        Y = (E @ (S[:, :, None] * c2[:, None]).reshape(len(E), -1)).reshape(
+            len(E), len(S.T), len(c2.T)).transpose(1, 0, 2)
+        out[idx] = root[idx] * Y.reshape(len(idx), len(c2.T))
+        for k in rest:
+            lo, hi, B = self._own(k)
+            out[hier.blocks[k]] = B.T @ c2[lo:hi]
+        return out.reshape(out.shape[:1] + c.shape[1:])
 
-    def matvec(self, a) -> np.ndarray:
-        """coeffs a for net coefficients a, (m,) or (m, k)."""
-        a = np.asarray(a)
-        out = np.zeros((self.coeffs.shape[0],) + a.shape[1:])
-        for sl, (lo, hi) in zip(self.hierarchy.blocks, self.spans):
-            out[lo:hi] += self.coeffs[lo:hi, sl] @ a[sl]
-        return out
+    def matvec(self, x) -> np.ndarray:
+        """Coefficients x for net coefficients x, (m,) or (m, k)."""
+        x = np.asarray(x)
+        E, x2, hier = self.spec.eigenfunctions, x.reshape(len(x), -1), \
+            self.hierarchy
+        S, idx, root, rest = self._flat
+        # |A|^{1/2} x by (point, level, column), through E^T, times S
+        W = (root[idx] * x2[idx]).reshape(
+            S.shape[1], len(E), x2.shape[1]).transpose(1, 0, 2)
+        out = np.einsum("il,ilk->ik", S, (E.T @ W.reshape(len(E), -1))
+                        .reshape(W.shape))
+        for k in rest:
+            lo, hi, B = self._own(k)
+            out[lo:hi] += B @ x2[hier.blocks[k]]
+        out = out.reshape(out.shape[:1] + x.shape[1:])
+        return out if self.H is None else self.H @ out
 
     def analyze(self, f) -> np.ndarray:
         """Coefficients <f, psi_xi> in the mu-inner product; an (n, k) table
@@ -87,20 +159,17 @@ def hierarchy_bands(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
                        (hierarchy.j_min, hierarchy.j_max))
 
 
-def _level_coeffs(spec: SpectralData, net, vals) -> np.ndarray:
-    """The level's table of |A_xi|^{1/2} s(sqrt(L))(., xi), s = vals, in C
-    order: the weighted norms read a table's rows a level at a time."""
-    return np.ascontiguousarray(vals[:, None] * spec.eigenfunctions[
-        net.centers].T) * np.sqrt(net.a_vol)[None, :]
+def _level_coeffs(spec: SpectralData, net, vals, lo=0, hi=None):
+    """Rows [lo, hi) of the level's table of |A_xi|^{1/2} s(sqrt(L))(., xi),
+    for vals the symbol s on those rows."""
+    return (vals[:, None] * spec.eigenfunctions[net.centers, lo:hi].T) \
+        * np.sqrt(net.a_vol)[None, :]
 
 
 def build_frame1(spec: SpectralData, hierarchy: NetHierarchy) -> Frame:
     """Primal frame psi_xi = |A_xi|^{1/2} Psi_j(sqrt(L))(., xi), with Psi_j
     the level's primal band symbol (hierarchy_bands)."""
-    psi = hierarchy_bands(spec, hierarchy)[0]
-    return Frame(spec, hierarchy, np.hstack([
-        _level_coeffs(spec, net, vals)
-        for net, vals in zip(hierarchy.levels, psi.T)]))
+    return Frame(spec, hierarchy, hierarchy_bands(spec, hierarchy)[0])
 
 
 def _sampling_gram(spec: SpectralData, hierarchy: NetHierarchy, j: int):
@@ -142,7 +211,8 @@ def build_standard_hierarchy(spec: SpectralData, b: float = 2.0,
 
 
 def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy, eps):
-    """Dual frame via the per-level correction operator.
+    """Dual frame via the per-level correction operator; returns (Frame,
+    DualBuildReport), the report over the levels that sum a series.
 
     Per level j the dual band symbol g = g_j (hierarchy_bands) equals 1 on
     the primal band and vanishes beyond b^{j+2}; with sampling weights
@@ -159,15 +229,22 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy, eps):
     the series converges whenever eps_j < 1/2.  eps, the {level: eps_j} of
     build_standard_hierarchy, was measured on these Grams.  The level's
     table is T (g X^T) on sel's rows, scaled per centre: 0 where g is.
-    """
-    coeffs = np.zeros((len(spec.eigenvalues), hierarchy.size))
-    worst_terms, worst_tail = 0, 0.0
 
-    for net, sl, g in zip(hierarchy.levels, hierarchy.blocks,
-                          hierarchy_bands(spec, hierarchy)[1].T):
+    On a level whose centres are all the points, A_xi = {xi}, so G is
+    E^T M E = I restricted to sel, K = 0 and T = I: the level is its
+    symbol g_j, held as such, with no series and no (1 + eps_j) factor.
+    Its eps_j is still measured by build_standard_hierarchy, and thm4.2's
+    basis_defect, ||E^T M E - I||_inf, bounds what that exactness drops.
+    """
+    n, bands = len(spec.eigenvalues), hierarchy_bands(spec, hierarchy)[1]
+    tables, worst_terms, worst_tail = {}, 0, 0.0
+
+    for k, (net, g) in enumerate(zip(hierarchy.levels, bands.T)):
         j, e = net.level, eps[net.level]
         if e >= 0.5:
             raise RuntimeError(f"sampling precondition failed at level {j}: eps={e}")
+        if np.array_equal(net.centers, np.arange(n)):
+            continue  # every point: T = I
         sel, X, G = _sampling_gram(spec, hierarchy, j)
 
         g = g[sel]
@@ -176,20 +253,26 @@ def build_dual_frame(spec: SpectralData, hierarchy: NetHierarchy, eps):
         worst_terms = max(worst_terms, terms)
         worst_tail = max(worst_tail, tail)
 
-        coeffs[sel, sl] = (T @ (g[:, None] * X.T)) \
+        tables[k] = np.zeros((n, net.size))
+        tables[k][sel] = (T @ (g[:, None] * X.T)) \
             * (np.sqrt(net.a_vol) / (1.0 + e))[None, :]
 
-    frame = Frame(spec, hierarchy, coeffs)
+    frame = Frame(spec, hierarchy, bands, tables)
     report = DualBuildReport(neumann_terms=worst_terms, neumann_tail=worst_tail)
     return frame, report
 
 
 def band_leak(frame: Frame, bands) -> float:
     """The largest |coefficient| where its level's band symbol (a column of
-    hierarchy_bands' table) is 0, over the largest."""
-    t = np.abs(frame.coeffs)
-    return float(max(t[band == 0, sl].max(initial=0.0) for sl, band in zip(
-        frame.hierarchy.blocks, bands.T)) / max(t.max(), 1e-300))
+    hierarchy_bands' table) is 0, over the largest; each level's block is
+    formed over its span (Frame.block), and is 0 outside it."""
+    leak = top = 0.0
+    for k, band in enumerate(bands.T):
+        lo, hi, B = frame.block(k)
+        B = np.abs(B)
+        leak = max(leak, B[band[lo:hi] == 0].max(initial=0.0))
+        top = max(top, B.max(initial=0.0))
+    return float(leak / max(top, 1e-300))
 
 
 def reconstruct(frame: Frame, dual: Frame, f) -> np.ndarray:
@@ -291,19 +374,18 @@ def build_compact_frame(spec: SpectralData, hierarchy: NetHierarchy) -> tuple:
     # the heaviest edge continues into a longer path
     vander = chebvander(2.0 * lam / lam[-1] - 1.0,
                         int(np.ceil(space.diameter / edge)) - 2)
-    psi = hierarchy_bands(spec, hierarchy)[0]
-    coeffs = []
+    symbols = hierarchy_bands(spec, hierarchy)[0]
     levels = {}
-    for net, vals in zip(hierarchy.levels, psi.T):
+    for net, vals in zip(hierarchy.levels, symbols.T):
         j = net.level
-        degree, vals, err = _level_polynomial(
+        # vals is the level's column of symbols: p_j is written into it
+        degree, vals[:], err = _level_polynomial(
             lam, vander, vals, lambda mu: Psi(b ** -j * np.sqrt(mu)))
         levels[j] = CompactLevel(
             degree=degree, reach=degree * edge, sup_err=err,
             support=effective_support_radius(spec.kernel(vals, net.centers),
                                              space, net.centers))
-        coeffs.append(_level_coeffs(spec, net, vals))
-    return Frame(spec, hierarchy, np.hstack(coeffs)), levels
+    return Frame(spec, hierarchy, symbols), levels
 
 
 def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
@@ -315,17 +397,29 @@ def build_compact_dual(frame1: Frame, dual: Frame, compact: Frame, params):
     addiag.NEUMANN_THRESHOLD at eps = addiag.NEUMANN_EPSILON, and the dual
     is psi~ ((I - D)^{-1} B)^T, B = U~^T V, with U~, V, V_theta the tables
     of psi~, psi, theta.  D = U~^T P, P = V - V_theta, has rank <= n, so by
-    push-through the dual's table is (U~ V^T) solve(I_n - U~ P^T, U~).
+    push-through the dual's table is H U~ with the n x n map
+    H = (U~ V^T) (I_n - U~ P^T)^{-1}: it is held as psi~ and H
+    (Frame.H), and analyses as psi~.rmatvec(H^T c).
+
+    psi and theta are symbol frames at the same centres, so P is the symbol
+    frame Psi_j - p_j, 0 on every level that keeps Psi_j; U~ V^T is summed
+    over psi's level blocks, and no n x m table is formed after P.
     """
-    hier, U = frame1.hierarchy, dual.coeffs
-    P = frame1.coeffs - compact.coeffs
+    hier, U = frame1.hierarchy, dual.table()
+    P = replace(frame1, symbols=frame1.symbols - compact.symbols).table()
     delta_hat = addiag.ad_norm(hier, params, U.T, P, addiag.NEUMANN_EPSILON)
     if not delta_hat < addiag.NEUMANN_THRESHOLD:  # a NaN fails too
         raise RuntimeError(
             f"compact-dual precondition failed: ||I - A||_eps = "
             f"{delta_hat:.4g} is not below {addiag.NEUMANN_THRESHOLD}")
-    G = np.linalg.solve(np.eye(len(U)) - U @ P.T, U)
-    return Frame(frame1.spec, hier, (U @ frame1.coeffs.T) @ G), delta_hat
+    A = np.eye(len(U)) - U @ P.T
+    del P
+    B = np.zeros_like(A)
+    for k, sl in enumerate(hier.blocks):
+        lo, hi, V = frame1.block(k)
+        B[:, lo:hi] += U[:, sl] @ V.T
+    H = np.linalg.solve(A.T, B.T).T
+    return replace(dual, H=H), delta_hat
 
 
 def default_frames(model_name: str, b: float = 2.0, gamma: float = 0.5):

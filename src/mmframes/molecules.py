@@ -6,9 +6,9 @@ net center, obeying localized size, smoothness (powers of L) and
 cancellation (L^{+-k} factorization) bounds.  Validators measure the
 smallest constant making each bound hold, exhaustively over all centers
 and points; atoms additionally carry a compact-support certificate.  A
-family is a Frame: its hierarchy, spectrum, coefficient table and the
-table's level spans are read from it, and every product runs over the
-spans (Frame.matvec, Frame.rmatvec, _ladder).
+family is a Frame: its hierarchy, spectrum and level spans are read from
+it, and every product runs over the spans (Frame.matvec, Frame.rmatvec,
+and _ladder, on each level's block formed on demand).
 """
 
 from dataclasses import dataclass, replace
@@ -108,7 +108,8 @@ def _ladder(families, mus):
     """(sl, i, Y, defect) for each level sl and Frame i of families, which
     share one hierarchy: Y[:, r] is L^mus[r] of its columns a on sl,
     lambda^mu coeffs (0^0 = 1, else 0 on the nullspace) synthesised over the
-    frame's span on the level, in one buffer reused at the next yield;
+    frame's span on the level (Frame.block), in one buffer reused at the
+    next yield;
     defect is the column maxima of |a's nullspace part| = |L^K h - a|,
     h = L^-K a."""
     hier, spec = families[0].hierarchy, families[0].spec
@@ -124,11 +125,12 @@ def _ladder(families, mus):
         shape = (len(mus), sl.stop - sl.start)
         out = buf[:len(lam) * np.prod(shape)].reshape(len(lam), -1)
         for i, fam in enumerate(families):
-            (lo, hi), coeffs = fam.spans[k], fam.coeffs
-            Y = np.matmul(E[:, lo:hi], (pw[lo:hi, :, None] * coeffs[
-                lo:hi, None, sl]).reshape(hi - lo, np.prod(shape)),
-                out=out).reshape(-1, *shape)
-            null = E[:, :k0] @ coeffs[:k0, sl]
+            lo, hi, B = fam.block(k)
+            Y = np.matmul(E[:, lo:hi], (pw[lo:hi, :, None] * B[:, None])
+                          .reshape(hi - lo, np.prod(shape)),
+                          out=out).reshape(-1, *shape)
+            z = max(min(k0, hi) - lo, 0)  # B's rows on the nullspace
+            null = E[:, lo:lo + z] @ B[:z]
             yield sl, i, Y, np.abs(null).max(axis=0, initial=0.0)
 
 
@@ -288,10 +290,15 @@ def validate_atoms(family, params: SpaceParams) -> AtomCertificate:
     (relative threshold SUPPORT_THRESHOLD) inside c B_xi.
     """
     K, K_tilde = minimal_atom_orders(params)
-    hier, spec, coeffs = family.hierarchy, family.spec, family.coeffs
+    hier, spec = family.hierarchy, family.spec
     # powers below 0 are taken modulo the nullspace
-    if K and np.abs(coeffs[:spec.nullspace_dim]).max(initial=0.0) > \
-            1e-10 * max(1.0, np.abs(coeffs).max(initial=0.0)):
+    null = top = 0.0
+    for k in range(len(hier.levels)) if K else ():
+        lo, hi, B = family.block(k)
+        B = np.abs(B)
+        null = max(null, B[:max(spec.nullspace_dim - lo, 0)].max(initial=0.0))
+        top = max(top, B.max(initial=0.0))
+    if null > 1e-10 * max(1.0, top):
         raise ValueError("negative power on a function with nullspace component")
     base = hier.xi_bvol ** -0.5
     mus = np.arange(-K, K_tilde + 1)

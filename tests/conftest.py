@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mmframes import space as sp
@@ -9,6 +10,14 @@ from mmframes.seqspace import SpaceParams
 
 
 MODEL_NAMES = ("C_8", "C_32", "C_64", "C_128", "P_10", "T_8x8")
+
+
+def table_frame(spec, hier, table):
+    """A Frame that holds every level as its block of the (n, m)
+    coefficient table."""
+    return fr.Frame(spec, hier, np.zeros((len(table), len(hier.levels))),
+                    {k: np.array(table[:, sl])
+                     for k, sl in enumerate(hier.blocks)})
 
 
 @pytest.fixture(scope="session")

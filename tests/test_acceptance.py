@@ -189,7 +189,7 @@ def test_criterion_11_molecule_and_gram_constants(frame_sets, hierarchies,
         c = mo.scaling_for_budget(raw) * (1.0 - 1e-9)
         assert certificate(scaled(family, c), flavor, params022).passed
     # the Gram psi~^T M psi from the frames' coefficient tables
-    c = ad.ad_norm(hier, params022, dual.coeffs.T, frame.coeffs, 0.125)
+    c = ad.ad_norm(hier, params022, dual.table().T, frame.table(), 0.125)
     assert 0 < c < np.inf
 
 

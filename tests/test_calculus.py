@@ -280,3 +280,52 @@ def test_neumann_series_matches_the_plain_product_loop():
 def test_neumann_series_rejects_a_series_that_does_not_shrink():
     with pytest.raises(RuntimeError, match="diverges"):
         ca.neumann_series(np.eye(3))
+
+
+def _smooth_step_formula(t):
+    """The step as g(1 - t) / (g(1 - t) + g(t)), its exps taken at every
+    point: the reference for _smooth_step."""
+    t = np.asarray(t, dtype=float)
+
+    def g(u):
+        return np.where(u > 1 / 708, np.exp(-1.0 / np.maximum(u, 1 / 708)),
+                        0.0)
+
+    a, bq = g(1.0 - t), g(t)
+    with np.errstate(invalid="ignore"):
+        return a / (a + bq)
+
+
+def test_smooth_step_is_its_formula_bit_for_bit():
+    # the exps are taken only on the transition 1/708 < t < 1 - 1/708, and
+    # elsewhere the step writes the exact 1 and 0 that its formula yields:
+    # equal on a fine grid, at the transition's edges and one ulp either
+    # side, at the extremes, for a 0-d input, and NaN on a NaN
+    c = 1 / 708
+    edges = [0.0, -0.0, 1.0, c, 1.0 - c, 5e-324, np.inf, -np.inf]
+    edges += [np.nextafter(x, y) for x in (c, 1.0 - c) for y in (0.0, 2.0)]
+    t = np.concatenate([np.linspace(-3.0, 4.0, 2_000_001), edges])
+    assert np.array_equal(ca._smooth_step(t), _smooth_step_formula(t))
+    for x in edges:
+        got = ca._smooth_step(x)
+        assert np.ndim(got) == 0 and got == _smooth_step_formula(x)
+    assert np.isnan(ca._smooth_step(np.nan))
+    assert np.isnan(ca._smooth_step(np.array([0.5, np.nan]))[1])
+
+
+def test_neumann_series_of_a_vector_is_the_diagonal_series(frame_sets,
+                                                           spectra):
+    # a 1-D step is a diagonal matrix's diagonal, summed elementwise: the
+    # core is the n x n diagonal series' diagonal, and the term count its,
+    # bit for bit, on a random diagonal and on the frames' push-through
+    # core G = V U diag(m) of C_64, whose off-diagonal entries are rounding
+    frame, dual, _ = frame_sets["C_64"]
+    m = 1.0 / (1.0 + spectra["C_64"].eigenvalues)
+    G = (frame.table() @ dual.table().T) * m / 2.0
+    rng = np.random.default_rng(5)
+    for d in (rng.uniform(-0.5, 0.5, 200), G.diagonal().copy()):
+        core, terms, _ = ca.neumann_series(d)
+        full, full_terms, _ = ca.neumann_series(np.diag(d))
+        assert core.shape == d.shape and terms == full_terms >= 5
+        assert np.array_equal(core, full.diagonal())
+        assert not (full - np.diag(core)).any()

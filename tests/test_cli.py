@@ -10,6 +10,7 @@ import pytest
 
 from mmframes import addiag as ad
 from mmframes import cli
+from conftest import table_frame
 
 
 def _run(args, env=None):
@@ -591,17 +592,16 @@ def test_neumann_residual_bounds_an_off_band_coefficient(size, gate, passes,
     # what was dropped, reads it: 6e-13 at 1e-8, and above 1e-9 at 1e-4,
     # where the suite fails while closed_form (blind to it) passes.  At
     # 1e-13 the leak is under the gate and the suite passes
-    build = cli.Context._build_factors
+    factors = cli._factors
 
-    def planted(self):
-        U, V = build(self)
-        k, xi = 1, self.get("hier").blocks[-1].start
+    def planted(ctx):
+        U, V = factors(ctx)
+        k, xi = 1, ctx.get("hier").blocks[-1].start
         assert V[k, xi] == 0  # the finest band is far from lambda_1
-        V = V.copy()
         V[k, xi] = size * np.abs(V).max()
         return U, V
 
-    monkeypatch.setattr(cli.Context, "_build_factors", planted)
+    monkeypatch.setattr(cli, "_factors", planted)
     if gate is not None:
         monkeypatch.setattr(ad, "CORE_LEAK_GATE", gate)
     p = tmp_path / "cfg.json"
@@ -704,11 +704,11 @@ def test_band_suite_fails_on_a_band_edge(resource, level, key):
     # leak stays 0
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
     hier, frame = ctx.get("hier"), ctx.get(resource)
-    coeffs = frame.coeffs.copy()
+    coeffs = frame.table().copy()
     xi = hier.blocks[level - hier.j_min].start
     assert coeffs[63, xi] == 0
     coeffs[63, xi] = 1e-3 * np.abs(coeffs).max()
-    ctx._cache[resource] = dataclasses.replace(frame, coeffs=coeffs)
+    ctx._cache[resource] = table_frame(frame.spec, frame.hierarchy, coeffs)
     status, metrics = cli.SUITES["thm4.2-bands"][2](ctx)
     assert status == "fail" and metrics[key] == pytest.approx(1e-3)
     other = {"leak": "primal_leak", "primal_leak": "leak"}[key]
@@ -790,10 +790,10 @@ def test_molecule_suite_gates_the_raw_factorization_residual(entry):
     # family as given fails the suite
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
     hier, frame = ctx.get("hier"), ctx.get("frame")
-    assert not frame.coeffs[0].any()
-    V = frame.coeffs.copy()
+    assert not frame.table()[0].any()
+    V = frame.table().copy()
     V[0, hier.blocks[2].start] = entry
-    ctx._cache["frame"] = dataclasses.replace(frame, coeffs=V)
+    ctx._cache["frame"] = table_frame(frame.spec, frame.hierarchy, V)
     assert cli.SUITES["lemma7.2-molecules"][2](ctx)[0] == "fail"
     certs = cli.mo.validate_molecule([ctx.get("frame")],
                                      ctx.get("params"))[0]
@@ -838,8 +838,9 @@ def test_molecule_suite_passes_on_a_small_resolvent(tmp_path, capsys):
 
 def test_neumann_suites_peak_memory():
     # thm6.3-neumann, thm6.7-compact-dual and lemma6.4-W-bound, each run
-    # alone on a C_64 context whose frames, frame factors and beta = 1/2
-    # grid are built, allocate at most 2.0 m x m float64 tables at their
+    # alone on a C_64 context whose frames and beta = 1/2 grid are built
+    # (the frame factors are formed inside each suite that reads them),
+    # allocate at most 2.0 m x m float64 tables at their
     # peak: no weighted norm forms its table whole, and the grid holds its
     # level-scale blocks, the block products still to be read and one
     # ratio chunk
@@ -848,7 +849,7 @@ def test_neumann_suites_peak_memory():
     # the peak is the suites' own tables whichever tests ran before
     import numpy.random  # noqa: F401
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
-    for name in ("hier", "params", "frame", "dual", "compact", "factors",
+    for name in ("hier", "params", "frame", "dual", "compact",
                  "lemma64_half"):
         ctx.get(name)
     table = ctx.get("hier").size ** 2 * 8

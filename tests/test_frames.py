@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 
 import numpy as np
@@ -12,6 +11,7 @@ from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes import space as sp
 from test_space import MU_MODELS
+from conftest import table_frame
 
 
 def test_standard_hierarchy_sampling_epsilons(hierarchies):
@@ -54,7 +54,7 @@ def test_dual_bands_exact(frame_sets, spectra, compact_pipeline):
     for spec, pair in frames:
         bands = fr.hierarchy_bands(spec, pair[0].hierarchy)
         for frame, band in zip(pair, bands):
-            table, raw = frame.coeffs, spec.coefficients(frame.columns)
+            table, raw = frame.table(), spec.coefficients(frame.columns)
             assert fr.band_leak(frame, band) == 0.0
             assert np.abs(table - raw).max() <= 1e-13 * np.abs(raw).max()
             assert ((table == 0) & (raw != 0)).any()
@@ -128,7 +128,8 @@ def test_dual_report_contents(frame_sets, hierarchies, spectra):
 def _dual_on_kernel_tables(spec, hier, Phi):
     """Reference dual of Thm 4.2 on n x n kernel tables composed under M:
     R = G2 - V, S = R + R M R + ..., columns (G_c + S M G_c) scaled per
-    centre; returns (columns, the longest series)."""
+    centre; returns (columns, the longest series over the levels whose
+    centres are not every point: the builder sums none on the others)."""
     mu, b = spec.space.mu, hier.b
     cols, most = [], 0
     for net in hier.levels:
@@ -146,7 +147,8 @@ def _dual_on_kernel_tables(spec, hier, Phi):
             term = term @ (mu[:, None] * R)
             if np.linalg.norm(term) < ca.NEUMANN_TAIL * first:
                 break
-        most = max(most, terms)
+        if net.size < spec.space.n:
+            most = max(most, terms)
         TG = Gc + S @ (mu[:, None] * Gc)
         cols.append(TG * (np.sqrt(net.a_vol) / (1.0 + eps))[None, :])
     return np.hstack(cols), most
@@ -169,7 +171,7 @@ def test_dual_on_the_sampling_gram_matches_kernel_tables(desc, Phi):
     # the level's table is T (g X^T) on the rows of sel: exactly the
     # analysis of the kernel-table dual up to rounding
     ref = spec.coefficients(ref)
-    assert np.abs(dual.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(dual.table() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
@@ -181,7 +183,7 @@ def test_dual_frame_composes_no_kernel_table(monkeypatch, spectra,
 
     monkeypatch.setattr(ca.SpectralData, "kernel", no_kernel)
     dual, _ = fr.build_dual_frame(spectra["C_64"], *hierarchies["C_64"])
-    assert np.array_equal(dual.coeffs, ref.coeffs)
+    assert np.array_equal(dual.table(), ref.table())
 
 
 def test_dual_frame_takes_no_sampling_spectrum(monkeypatch, spectra,
@@ -194,7 +196,7 @@ def test_dual_frame_takes_no_sampling_spectrum(monkeypatch, spectra,
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
     dual, _ = fr.build_dual_frame(spectra["T_8x8"], *hierarchies["T_8x8"])
-    assert np.array_equal(dual.coeffs, ref.coeffs)
+    assert np.array_equal(dual.table(), ref.table())
 
 
 def test_dual_frame_refuses_eps_of_one_half(spectra, hierarchies):
@@ -213,7 +215,7 @@ def _level_symbols(spec, frame):
     """{level: values on the spectrum} of the symbol behind each level's
     block |A_xi|^{1/2} s(L)(., xi): row i of its coefficients is s_i v_i
     with v_i = E[centres, i] |A|^{1/2}."""
-    coeffs = frame.coeffs
+    coeffs = frame.table()
     hier = frame.hierarchy
     out = {}
     for net, sl in zip(hier.levels, hier.blocks):
@@ -247,7 +249,7 @@ def test_theta_jets_vanish(compact_pipeline):
     # mean-zero and factors through L: its table's nullspace rows are 0,
     # and its analysed columns' to rounding
     cp = compact_pipeline
-    assert not cp.compact.coeffs[:cp.spec.nullspace_dim].any()
+    assert not cp.compact.table()[:cp.spec.nullspace_dim].any()
     coeffs = cp.spec.coefficients(cp.compact.columns)
     null = coeffs[:cp.spec.nullspace_dim]
     assert np.abs(null).max() <= 1e-13 * np.abs(coeffs).max()
@@ -270,8 +272,8 @@ def test_fallback_level_block_is_the_primal_block(compact_pipeline):
     cp = compact_pipeline
     fallback = 0
     for net, sl in zip(cp.hier.levels, cp.hier.blocks):
-        same = np.array_equal(cp.compact.coeffs[:, sl],
-                              cp.frame.coeffs[:, sl])
+        same = np.array_equal(cp.compact.table()[:, sl],
+                              cp.frame.table()[:, sl])
         if cp.levels[net.level].degree == 0:
             fallback += 1
             assert same
@@ -337,17 +339,18 @@ def test_compact_dual_matches_the_dense_and_certified_inverses(desc, b):
     cdual, delta_hat = fr.build_compact_dual(frame, dual, compact, params)
     # D = U~^T (V - V_theta), passed to the Neumann route as its factors,
     # and B = U~^T V
-    left = dual.coeffs.T
-    right = frame.coeffs - compact.coeffs
+    left = dual.table().T
+    right = dataclasses.replace(frame, symbols=frame.symbols
+                                - compact.symbols).table()
     D = left @ right
-    B = left @ frame.coeffs
+    B = left @ frame.table()
     cstar = ad.lemma64_grid(hier, params, 0.5, [(1.0, 0.5)])[0]["max_ratio"]
     (c_left, c_right), rep = ad.neumann_invert(hier, params, left, right,
                                                cstar)
-    dense = dual.coeffs @ np.linalg.solve(np.eye(hier.size) - D, B).T
-    certified = dual.coeffs @ (B + c_left @ (c_right @ B)).T
+    dense = dual.table() @ np.linalg.solve(np.eye(hier.size) - D, B).T
+    certified = dual.table() @ (B + c_left @ (c_right @ B)).T
     for ref in (dense, certified):
-        err = np.abs(cdual.coeffs - ref).max() / np.abs(ref).max()
+        err = np.abs(cdual.table() - ref).max() / np.abs(ref).max()
         assert err <= 1e-12, err
     assert delta_hat == rep["delta_hat"]
     assert (delta_hat > 0) == (desc == "C_64")
@@ -357,18 +360,20 @@ def test_default_frames_one_call():
     space, spec, hier, Phi, frame, dual, report = fr.default_frames("C_32")
     # the returned cutoff is the one every builder takes at the base
     assert Phi.b == hier.b
-    assert np.array_equal(fr.build_frame1(spec, hier).coeffs, frame.coeffs)
+    assert np.array_equal(fr.build_frame1(spec, hier).table(), frame.table())
     f = spec.project_mean_zero(np.sin(np.arange(32.0)))
     r = spec.space.norm2(fr.reconstruct(frame, dual, f) - f)
     assert r <= 1e-9 * spec.space.norm2(f)
-    # the contract a caller reads: the longest per-level series
-    assert type(report.neumann_terms) is int and report.neumann_terms >= 1
+    # the contract a caller reads: the longest per-level series, none on
+    # C_32, whose every level holds every point
+    assert all(net.size == 32 for net in hier.levels)
+    assert type(report.neumann_terms) is int and report.neumann_terms == 0
 
 
 def test_compact_dual_precondition_message(compact_pipeline, params022):
     cp = compact_pipeline
     # a scaled compact frame moves D = <psi - theta, psi~> far from 0
-    scaled = dataclasses.replace(cp.compact, coeffs=3.0 * cp.compact.coeffs)
+    scaled = dataclasses.replace(cp.compact, symbols=3.0 * cp.compact.symbols)
     with pytest.raises(RuntimeError,
                        match="compact-dual precondition failed"):
         fr.build_compact_dual(cp.frame, cp.dual, scaled, params022)
@@ -376,16 +381,16 @@ def test_compact_dual_precondition_message(compact_pipeline, params022):
 
 def test_compact_dual_rejects_a_nan(frame_sets, spectra, hierarchies,
                                     params022):
-    # one NaN in C_64's compact table makes ||I - A||_eps NaN, which is
-    # not below the threshold: no NaN table is returned
+    # one NaN in C_64's compact symbols makes ||I - A||_eps NaN, which is
+    # not below the threshold: no NaN map is returned
     spec, (hier, _) = spectra["C_64"], hierarchies["C_64"]
     frame, dual, _ = frame_sets["C_64"]
     compact, _ = fr.build_compact_frame(spec, hier)
-    coeffs = compact.coeffs.copy()
-    coeffs[5, 7] = np.nan
+    symbols = compact.symbols.copy()
+    symbols[5, 0] = np.nan
     with pytest.raises(RuntimeError) as err:
-        fr.build_compact_dual(frame, dual, fr.Frame(spec, hier, coeffs),
-                              params022)
+        fr.build_compact_dual(frame, dual, dataclasses.replace(
+            compact, symbols=symbols), params022)
     assert str(err.value) == ("compact-dual precondition failed: "
                               "||I - A||_eps = nan is not below 0.5")
 
@@ -395,8 +400,9 @@ TORUS_FRAMES = ("frame", "dual", "compact", "compact_dual")
 
 @pytest.fixture(scope="module")
 def torus_context():
-    """A run context on T_16x16 with its four frames built; the compact
-    dual's table is dense but for the constant's row."""
+    """A run context on T_16x16 with its four frames built: every level
+    holds every point, so the dual holds no table, and the compact dual is
+    the dual with a dense n x n map."""
     from mmframes import cli
     ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model="T_16x16"))
     for name in TORUS_FRAMES:
@@ -406,23 +412,87 @@ def torus_context():
 
 @pytest.mark.parametrize("name", TORUS_FRAMES)
 def test_span_products_are_the_dense_products(torus_context, name):
-    # rmatvec and matvec run a level at a time over the spans, for one
-    # vector and for a table
+    # rmatvec and matvec, for one vector and for a table, against the
+    # products of the table formed from the level blocks
     frame = torus_context.get(name)
-    n, m = frame.coeffs.shape
+    table = frame.table()
+    n, m = table.shape
     rng = np.random.default_rng(3)
     for k in ((), (5,)):
         c, a = rng.standard_normal((n,) + k), rng.standard_normal((m,) + k)
-        for got, want in ((frame.rmatvec(c), frame.coeffs.T @ c),
-                          (frame.matvec(a), frame.coeffs @ a)):
+        for got, want in ((frame.rmatvec(c), table.T @ c),
+                          (frame.matvec(a), table @ a)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_frame_table_is_read_only(torus_context):
-    frame = torus_context.get("frame")
-    with pytest.raises(ValueError, match="read-only"):
-        frame.coeffs[0, 0] = 1.0
+GEO_PATH = {"kind": "path", "n": 64,
+            "mu": [10 ** (6 * i / 63) for i in range(64)]}
+
+
+def _neumann_level_table(spec, hier, eps, k):
+    """Level k's dual table summed on its sampling Gram, as build_dual_frame
+    sums it on a subsampled level: T (g X^T) |A|^{1/2} / (1 + eps_j)."""
+    net = hier.levels[k]
+    g = fr.hierarchy_bands(spec, hier)[1][:, k]
+    sel, X, G = fr._sampling_gram(spec, hier, net.level)
+    e = eps[net.level]
+    K = np.diag(g[sel] ** 2) - np.outer(g[sel], g[sel]) * G / (1.0 + e)
+    out = np.zeros((len(g), net.size))
+    out[sel] = ca.neumann_series(K)[0] @ (g[sel, None] * X.T) \
+        * (np.sqrt(net.a_vol) / (1.0 + e))
+    return out
+
+
+@pytest.mark.parametrize("desc", ["C_64", "P_64", "T_16x16", GEO_PATH],
+                         ids=["C_64", "P_64", "T_16x16", "geo_path_64"])
+def test_symbol_products_are_the_level_table_products(desc):
+    # each frame's products against those of the table built level by
+    # level with _level_coeffs from its symbols (and the dual's subsampled
+    # tables), for one vector and for an (n, 5) table.  On every level at
+    # every point, the dual's symbol block g_j is the table that the
+    # Neumann series builds there, to 1e-13; the others are subsampled
+    spec = ca.eigendecompose(sp.build_model(desc))
+    hier, eps = fr.build_standard_hierarchy(spec)
+    n = spec.space.n
+    frame = fr.build_frame1(spec, hier)
+    dual, _ = fr.build_dual_frame(spec, hier, eps)
+    compact, _ = fr.build_compact_frame(spec, hier)
+    every = [k for k, net in enumerate(hier.levels)
+             if np.array_equal(net.centers, np.arange(n))]
+    assert sorted(dual.tables) == sorted(set(range(len(hier.levels)))
+                                         - set(every))
+    assert (len(every) < len(hier.levels)) == (desc != "T_16x16")
+    rng = np.random.default_rng(8)
+    for fam in (frame, dual, compact):
+        table = np.hstack([
+            fam.tables[k] if k in fam.tables else
+            fr._level_coeffs(spec, net, fam.symbols[:, k])
+            for k, net in enumerate(hier.levels)])
+        for k in ((), (5,)):
+            c = rng.standard_normal((n,) + k)
+            a = rng.standard_normal((hier.size,) + k)
+            for got, want in ((fam.rmatvec(c), table.T @ c),
+                              (fam.matvec(a), table @ a)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= \
+                    1e-13 * np.abs(want).max()
+    for k in every:
+        ref = _neumann_level_table(spec, hier, eps, k)
+        lo, hi, B = dual.block(k)
+        got = np.zeros_like(ref)
+        got[lo:hi] = B
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_frame_symbols_and_tables_are_read_only(frame_sets):
+    frame, dual, _ = frame_sets["C_64"]
+    assert dual.tables and not frame.tables
+    for array in (frame.symbols, dual.symbols, *dual.tables.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    with pytest.raises(ValueError, match="one column per level"):
+        fr.Frame(frame.spec, frame.hierarchy, frame.table())
 
 
 @pytest.mark.parametrize("name", ["frame", "dual"])
@@ -436,10 +506,10 @@ def test_span_products_read_a_planted_entry(torus_context, name):
     spec, frames = ctx.get("spec"), {k: ctx.get(k) for k in ("frame", "dual")}
     frame = frames[name]
     (lo, hi), xi = frame.spans[0], frame.hierarchy.blocks[0].start
-    coeffs = frame.coeffs.copy()
+    coeffs = frame.table().copy()
     assert hi < len(coeffs) and coeffs[hi, xi] == 0
     coeffs[hi, xi] = 1e-3 * np.abs(coeffs).max()
-    frames[name] = dataclasses.replace(frame, coeffs=coeffs)
+    frames[name] = table_frame(frame.spec, frame.hierarchy, coeffs)
     assert frames[name].spans == [(lo, hi + 1)] + frame.spans[1:]
     f = spec.project_mean_zero(
         np.random.default_rng(5).standard_normal(spec.space.n))
@@ -453,25 +523,29 @@ def test_span_products_read_a_planted_entry(torus_context, name):
 
 def test_frame_products_read_only_the_spans(torus_context):
     # the spans cover at most 0.40 n m of the primal table and 0.70 n m of
-    # the dual's (0.37 and 0.68 measured).  With every entry off them set
-    # to 1 once the spans are recorded, analysis, synthesis, the
-    # multiplier's frame route, molecular synthesis and molecular analysis,
-    # its analysing family included, give what they give on the frames
-    # themselves: no product reads the whole table
+    # the dual's (0.37 and 0.68 measured).  Held as tables with every entry
+    # off the spans set to 1 once the spans are recorded, analysis,
+    # synthesis, the multiplier's frame route, molecular synthesis and
+    # molecular analysis, its analysing family included, give what they
+    # give on the same tables without those entries: no table level's
+    # product reads the whole table
     ctx = torus_context
     spec, params = ctx.get("spec"), ctx.get("params")
-    frame, dual = ctx.get("frame"), ctx.get("dual")
-    n, m = frame.coeffs.shape
-    for fr_, bound in ((frame, 0.40), (dual, 0.70)):
+    n, m = ctx.get("frame").table().shape
+    for name, bound in (("frame", 0.40), ("dual", 0.70)):
+        fr_ = ctx.get(name)
         assert sum((hi - lo) * (sl.stop - sl.start) for sl, (lo, hi) in zip(
             fr_.hierarchy.blocks, fr_.spans)) <= bound * n * m
+    frame, dual = (table_frame(spec, ctx.get("hier"), ctx.get(name).table())
+                   for name in ("frame", "dual"))
 
     def off_span_ones(fr_):
-        table = np.ones_like(fr_.coeffs)
-        for sl, (lo, hi) in zip(fr_.hierarchy.blocks, fr_.spans):
-            table[lo:hi, sl] = fr_.coeffs[lo:hi, sl]
-        probe = copy.copy(fr_)
-        object.__setattr__(probe, "coeffs", table)
+        table = np.ones((n, m))
+        for k, (sl, (lo, hi)) in enumerate(zip(fr_.hierarchy.blocks,
+                                               fr_.spans)):
+            table[lo:hi, sl] = fr_.tables[k][lo:hi]
+        probe = table_frame(spec, fr_.hierarchy, table)
+        object.__setattr__(probe, "spans", fr_.spans)
         return probe
 
     probe, probe_dual = off_span_ones(frame), off_span_ones(dual)

@@ -5,11 +5,11 @@ import pytest
 
 from mmframes import addiag as ad
 from mmframes import calculus as ca
-from mmframes import frames as fr
 from mmframes import molecules as mo
 from mmframes import multiplier as mp
 from mmframes import seqspace as sq
 from mmframes.seqspace import SpaceParams
+from conftest import table_frame
 
 
 def certificate(family, flavor, params):
@@ -19,7 +19,7 @@ def certificate(family, flavor, params):
 
 def scaled(family, c):
     """The Frame family times c."""
-    return dataclasses.replace(family, coeffs=c * family.coeffs)
+    return table_frame(family.spec, family.hierarchy, c * family.table())
 
 
 def test_orders_oracle_d1():
@@ -53,7 +53,7 @@ def test_tilde_orders_boundary_agreement():
 
 def test_zero_family_passes(hierarchies, spectra, params022):
     hier, _ = hierarchies["C_64"]
-    zeros = fr.Frame(spectra["C_64"], hier, np.zeros((64, hier.size)))
+    zeros = table_frame(spectra["C_64"], hier, np.zeros((64, hier.size)))
     cert = certificate(zeros, "synthesis", params022)
     assert cert.passed
     assert max(cert.constants.values()) == 0.0
@@ -141,8 +141,8 @@ def test_band_coefficients_and_columns_give_one_certificate(model,
     for family, certs in zip(families, mo.validate_molecule(families,
                                                             params)):
         assert set(certs) == {"synthesis", "analysis"}
-        analysed = dataclasses.replace(
-            family, coeffs=spec.coefficients(family.columns))
+        analysed = table_frame(spec, family.hierarchy,
+                               spec.coefficients(family.columns))
         for flavor, cert in certs.items():
             assert cert.factorization_residual <= 1e-12
             ref = certificate(analysed, flavor, params)
@@ -161,11 +161,11 @@ def test_an_off_band_coefficient_fails_the_factorization_residual(
     ctx = factor_contexts["C_64"]
     hier, params, spec = ctx.get("hier"), ctx.get("params"), ctx.get("spec")
     frame = ctx.get("frame")
-    V = frame.coeffs.copy()
+    V = frame.table().copy()
     sl = hier.blocks[2]
     assert spec.nullspace_dim == 1 and not V[0].any()
     V[0, sl.start] = 1e-6
-    certs = mo.validate_molecule([dataclasses.replace(frame, coeffs=V)],
+    certs = mo.validate_molecule([table_frame(frame.spec, frame.hierarchy, V)],
                                  params)[0]
     for cert in certs.values():
         assert not cert.passed and cert.factorization_residual > 1e-9
@@ -196,11 +196,11 @@ def test_inhomogeneous_mode_skips_level_zero(hierarchies, spectra, params022):
     sl = hier.blocks[-hier.j_min]  # level 0
     fam[:, sl] = 1e-6
     table = spec.coefficients(fam)
-    hom = certificate(fr.Frame(spec, hier, table), "synthesis", params022)
+    hom = certificate(table_frame(spec, hier, table), "synthesis", params022)
     assert hom.factorization_residual == pytest.approx(1e-6, rel=1e-12)
     assert not hom.passed
     inh_hier = dataclasses.replace(hier, mode="inhomogeneous")
-    inh = certificate(fr.Frame(spec, inh_hier, table), "synthesis",
+    inh = certificate(table_frame(spec, inh_hier, table), "synthesis",
                       params022)
     assert inh.factorization_residual <= 1e-9
     assert inh.passed
@@ -216,7 +216,7 @@ def test_gram_certificate(molecule_setup, params022):
     # agrees with the certificate taken on the column factors, cannot fall
     # as delta grows, and A obeys entrywise Cauchy-Schwarz
     frame, dual, hier, spec, c = molecule_setup
-    U, V = dual.coeffs.T, frame.coeffs
+    U, V = dual.table().T, frame.table()
     mu = hier.space.mu
     cert = ad.ad_norm(hier, params022, U, V, 0.125)
     dense = ad.ad_norm(hier, params022, dual.columns.T,
@@ -289,7 +289,7 @@ def _ladder_tables(hier, spec, cols, mus):
     """({mu: L^mu cols}, defect) assembled from _ladder's level slices on
     the coefficients of cols."""
     rungs, defect = np.empty((len(mus),) + cols.shape), np.empty(hier.size)
-    family = fr.Frame(spec, hier, spec.coefficients(cols))
+    family = table_frame(spec, hier, spec.coefficients(cols))
     for sl, i, Y, d in mo._ladder([family], mus):
         assert i == 0 and Y.shape == (len(cols), len(mus), sl.stop - sl.start)
         rungs[:, :, sl] = Y.transpose(1, 0, 2)
@@ -371,8 +371,8 @@ def test_negative_power_ladder_requires_mean_zero(compact_pipeline,
     # K >= 1 a family with a nullspace part is refused; at K = 0 (s > J +
     # 2) it stays at mu >= 0, factors nothing, and takes the family
     cp = compact_pipeline
-    ones = fr.Frame(cp.spec, cp.hier,
-                    cp.spec.coefficients(np.ones((64, cp.hier.size))))
+    ones = table_frame(cp.spec, cp.hier,
+                       cp.spec.coefficients(np.ones((64, cp.hier.size))))
     assert mo.minimal_atom_orders(params022)[0] >= 1
     with pytest.raises(ValueError, match="nullspace component"):
         mo.validate_atoms(ones, params022)

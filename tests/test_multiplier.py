@@ -1,11 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import sympy
 
 from mmframes import multiplier as mp
 from mmframes import seqspace as sq
+from conftest import table_frame
 
 
 @pytest.mark.parametrize("name, source", [
@@ -77,7 +76,7 @@ def test_frame_route_agrees_with_calculus(spectra, frame_sets, params022):
     out = mp.apply_multiplier(sym, f, frame, dual, spec)
     assert out.shape == (64,)
     # a dual that no longer reconstructs must trip the cross-check
-    bad = dataclasses.replace(dual, coeffs=dual.coeffs * (1.0 + 1e-6))
+    bad = table_frame(dual.spec, dual.hierarchy, dual.table() * (1.0 + 1e-6))
     with pytest.raises(RuntimeError, match="frame route disagrees"):
         mp.apply_multiplier(sym, f, frame, bad, spec)
 
@@ -88,9 +87,9 @@ def test_frame_route_rejects_a_nan(spectra, frame_sets, params022):
     spec = spectra["C_64"]
     frame, dual, _ = frame_sets["C_64"]
     sym = mp.check_mihlin("rational", 4, params022, spec)
-    coeffs = dual.coeffs.copy()
+    coeffs = dual.table().copy()
     coeffs[dual.spans[0][0], dual.hierarchy.blocks[0].start] = np.nan
-    bad = dataclasses.replace(dual, coeffs=coeffs)
+    bad = table_frame(dual.spec, dual.hierarchy, coeffs)
     with pytest.raises(RuntimeError, match="frame route disagrees"):
         mp.apply_multiplier(sym, np.sin(np.arange(64.0) / 2.0), frame, bad,
                             spec)
