@@ -223,8 +223,9 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
     (min(q,l), min(l,j), X_q, X_l, X_j).  Levels with equal centres share
     an id; each block S_k[X_r, X_c] is formed once, from rho[X_r, X_c], and
     each key's product once, then freed after the last level pair (q, j)
-    that reads it.  The level pairs run in the order j, then q >= j, and
-    every product is the one formed from a dense K, bit for bit.
+    that reads it.  The level pairs run coarse-first (j, then q from L-1
+    down to j), so the blocks that hold the maxima come first, and every
+    product is the one formed from a dense K, bit for bit.
     """
     if not pairs:
         return []
@@ -255,7 +256,7 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
             S[k, ids[r], ids[c]] = np.exp(T, out=T)
         return S[k, ids[r], ids[c]]
 
-    order = [(q, j) for j in range(L) for q in range(j, L)]
+    order = [(q, j) for j in range(L) for q in range(L - 1, j - 1, -1)]
     keys = [[(min(q, l), min(l, j), ids[q], ids[l], ids[j]) for l in range(L)]
             for q, j in order]
     last = {k: t for t, ks in enumerate(keys) for k in ks}
@@ -274,20 +275,30 @@ def lemma64_grid(hier: NetHierarchy, params: SpaceParams, beta: float,
         Kqj = block(j, q, j).reshape(-1)
         # block (q, j) reads the products as they are, block (j, q) as
         # their transposes, in column chunks of their stack over l: the
-        # argmax of the chunks' row maxima is the row's
+        # argmax of the chunks' row maxima is the row's.  W, P/K >= 0, so a
+        # chunk whose bound W @ (P/K's row maxima) is below every pair's
+        # floor (its best so far, or an earlier chunk's top) by more than
+        # the sums' rounding cannot win and is skipped; NaN never skips
         orient = ((q, j), (j, q))[:1 + (q > j)]
         Wrc = [E1[:, r, :] * E2[:, :, c] for r, c in orient]
+        floor = [np.array([v for v, _ in best]) * Emin[:, r, c]
+                 for r, c in orient]
         for ci, s in enumerate(range(0, len(Kqj), chunk)):
-            kc = Kqj[s:s + chunk]
-            Pc = cbuf[:, :len(kc)]
+            cw = min(chunk, len(Kqj) - s)
+            inv = np.divide(1.0, Kqj[s:s + cw], out=rbuf[0, :cw])  # 1/K once
+            Pc = cbuf[:, :cw]
             for l, f in enumerate(P):
-                Pc[l] = f[s:s + len(kc)]
+                np.multiply(f[s:s + cw], inv, out=Pc[l])
+            qmax = Pc.max(axis=1)
             for o, W in enumerate(Wrc):
-                R = np.matmul(W, Pc, out=rbuf[:, :len(kc)])
-                R /= kc
+                if np.all((W @ qmax) * (1 + 1e-12) <= floor[o]):
+                    tops[o, ci] = -np.inf
+                    continue
+                R = np.matmul(W, Pc, out=rbuf[:, :cw])
                 a = R.argmax(axis=1)
                 tops[o, ci] = R[rows, a]
                 ats[o, ci] = a + s
+                np.maximum(floor[o], tops[o, ci], out=floor[o])
         mj, nc = pts[j].size, ci + 1
         for o, (r, c) in enumerate(orient):
             for p, k in enumerate(tops[o, :nc].argmax(axis=0)):

@@ -451,12 +451,14 @@ def _suite_neumann(ctx):
     cstar = ctx.get("lemma64_half")[-1]["max_ratio"]
     # D = c A_m of m = 1/(1 + lambda) at ||D||_1 = 1/(2 c*), so delta_hat c*
     # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V.  U is
-    # scaled in place, and formed again for the closed form
+    # scaled in place, by m then c, and formed again for the closed form
     U, V = _factors(ctx)
     cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
-    cm /= 2.0 * cstar * ad.ad_norm(hier, params, U * cm, V,
-                                   ad.NEUMANN_EPSILON)
     U *= cm
+    c = 1.0 / (2.0 * cstar * ad.ad_norm(hier, params, U, V,
+                                        ad.NEUMANN_EPSILON))
+    U *= c
+    cm *= c
     (c_left, _), rep = ad.neumann_invert(hier, params, U, V, cstar)
     del U
     # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, whose

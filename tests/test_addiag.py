@@ -245,7 +245,8 @@ def _scaled_G(hier, scale):
 def _grid_reference(hier, params, beta, pairs):
     """lemma64_grid's result from the dense K = exp(-(J+beta) G), with
     every block product K[q,l] @ K[l,j] formed directly and each block's
-    ratios taken whole, in the grid's block, orientation and row order."""
+    ratios, the weighted sums of the products times 1/K, taken whole, in the
+    grid's coarse-first block, orientation and row order."""
     K = np.exp(_scaled_G(hier, -(params.J + beta)))
     lev = np.log([net.ell for net in hier.levels])
     lam = lev[:, None] - lev[None, :]
@@ -254,11 +255,12 @@ def _grid_reference(hier, params, beta, pairs):
     E1, E2 = (np.array([E[p[i]] for p in pairs]) for i in (0, 1))
     blocks, best = hier.blocks, [(-np.inf, None)] * len(pairs)
     for j, rj in enumerate(blocks):
-        for q in range(j, len(blocks)):
+        for q in range(len(blocks) - 1, j - 1, -1):
             rq = blocks[q]
             P = np.array([(K[rq, rl] @ K[rl, rj]).ravel() for rl in blocks])
+            P *= 1.0 / K[rq, rj].ravel()
             for r, c in ((q, j), (j, q))[:1 + (q > j)]:
-                R = (E1[:, r, :] * E2[:, :, c]) @ P / K[rq, rj].ravel()
+                R = (E1[:, r, :] * E2[:, :, c]) @ P
                 for p, a in enumerate(np.argmax(R, axis=1)):
                     v = R[p, a] / E[min(pairs[p])][r, c]
                     if v > best[p][0] or v != v:
@@ -268,18 +270,46 @@ def _grid_reference(hier, params, beta, pairs):
     return [{"max_ratio": float(v), "argmax": idx} for v, idx in best]
 
 
-@pytest.mark.parametrize("model", ["C_64", "C_128", "T_8x8"])
-def test_lemma64_grid_shared_products_are_the_direct_ones(model, hierarchies,
-                                                          params022):
+@pytest.mark.parametrize("model", ["C_64", "C_128", "T_8x8", "P_64", "C_32~",
+                                   "mu_9"])
+def test_lemma64_grid_shared_products_are_the_direct_ones(
+        model, hierarchies, p64_hierarchy, skewed_hierarchy, mu_hierarchy,
+        params022):
     # each distinct block product is formed once, from its K blocks, and
-    # read by every level pair with its key: every max_ratio and argmax
-    # equal those of the products formed one by one, bit for bit
+    # read by every level pair with its key, and each skipped ratio chunk
+    # could not have won: every max_ratio and argmax equal those of the
+    # products formed one by one and every ratio taken, bit for bit (on
+    # P_64 only about half the chunks skip)
     from mmframes.cli import _LEMMA64_GRID, _lemma64_pairs
-    hier = hierarchies[model][0]
+    hier = _grid_hierarchy(model, hierarchies, p64_hierarchy,
+                           skewed_hierarchy, mu_hierarchy)
     for beta in _LEMMA64_GRID[0]:
         pairs = _lemma64_pairs(beta) + [(1.0, 0.5)]
         assert ad.lemma64_grid(hier, params022, beta, pairs) \
             == _grid_reference(hier, params022, beta, pairs)
+
+
+def test_lemma64_grid_never_skips_a_nan(monkeypatch, hierarchies,
+                                        params022):
+    # one NaN in the finest level's own block S_{L-1}[X_{L-1}, X_{L-1}],
+    # formed for the last level pair, when every pair's running maximum is
+    # already finite: its chunk's bound is NaN and is not skipped, so every
+    # pair reads NaN, and the lemma6.4-W-bound suite fails on it
+    from mmframes.cli import _lemma64_pairs
+    hier = hierarchies["C_64"][0]
+    log_rho, finest = ad._log_rho, len(hier.levels) - 1
+
+    def planted(hier, k, *args):
+        T = log_rho(hier, k, *args)
+        if k == finest:
+            T[0, 0] = np.nan
+        return T
+
+    monkeypatch.setattr(ad, "_log_rho", planted)
+    for res in ad.lemma64_grid(hier, params022, 0.5, _lemma64_pairs(0.5)):
+        assert np.isnan(res["max_ratio"])
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG))
+    assert cli._suite_lemma64(ctx)[0] == "fail"
 
 
 def test_lemma64_grid_holds_no_m_by_m_table(hierarchies, params022):
