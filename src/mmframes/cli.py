@@ -181,7 +181,8 @@ def _suite(name, anchor, description, after=()):
 def _suite_doubling(ctx):
     prof = ctx.get("profile")
     return "record", {"c0": prof.c0, "d": prof.d, "c2": prof.c2,
-                      "dstar": prof.dstar, "truncated": prof.truncated}
+                      "dstar": prof.dstar, "ahlfors_band": prof.ahlfors_band,
+                      "truncated": prof.truncated}
 
 
 @_suite("lemma9.1", "Lemma 9.1", "net counting bound, exhaustive")

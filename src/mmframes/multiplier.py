@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mmframes.space import ModelSpace, _distinct, ball_volumes
+from mmframes.space import measure_doubling
 from mmframes.calculus import SpectralData
 from mmframes.seqspace import FLAVOURS, SpaceParams, frame_norm
 
@@ -42,24 +42,6 @@ class MihlinSymbol:
         return self.fn(u)
 
 
-def ahlfors_scan(space: ModelSpace, d: float) -> dict:
-    """Fit of the two-sided volume bound |B(x,r)| asymptotically r^d.
-
-    Returns the smallest c with c^{-1} r^d <= |B(x,r)| <= c r^d over all
-    centers and radii up to the diameter, plus the band width c^2.
-    """
-    radii = _distinct(space.dist[space.dist > 0])
-    hi = 0.0
-    lo = np.inf
-    for r in radii:
-        vols = ball_volumes(space, float(r) * (1 + 1e-12))
-        ratio = vols / float(r) ** d
-        hi = max(hi, float(ratio.max()))
-        lo = min(lo, float(ratio.min()))
-    c4 = max(hi, 1.0 / lo)
-    return {"c4": c4, "band": hi / lo, "d": d}
-
-
 # volume growth within this band of the two-sided power bound counts as
 # Ahlfors regular, and relaxes the Mihlin smoothness threshold to J
 AHLFORS_BAND = 50.0
@@ -75,16 +57,17 @@ def check_mihlin(m, ell: int, params: SpaceParams, spec: SpectralData,
     in closed form from its jet in BUILTIN_SYMBOLS.
 
     The smoothness threshold is J + d/2 in general and relaxes to J when
-    the volume growth fits the two-sided power bound within AHLFORS_BAND.
+    the volume growth fits the two-sided power bound within AHLFORS_BAND:
+    the band is measure_doubling(spec.space).ahlfors_band, taken at the
+    model's measured d.
     """
     if not isinstance(m, str) or m not in BUILTIN_SYMBOLS:
         raise ValueError(f"unknown symbol {m!r}; the built-in symbols "
                          f"are {', '.join(BUILTIN_SYMBOLS)}")
     jet = BUILTIN_SYMBOLS[m]
 
-    scan = ahlfors_scan(spec.space, params.d)
-    threshold = params.J + (0.0 if scan["band"] <= AHLFORS_BAND
-                            else params.d / 2.0)
+    band = measure_doubling(spec.space).ahlfors_band
+    threshold = params.J + (0.0 if band <= AHLFORS_BAND else params.d / 2.0)
     if not (ell > threshold):
         raise ValueError(
             f"smoothness order {ell} does not exceed the threshold "

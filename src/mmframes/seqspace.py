@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmframes.space import ModelSpace, NetHierarchy, ball_volumes
+from mmframes.space import ModelSpace, NetHierarchy, _sorted_rows, ball_volumes
 from mmframes.calculus import SpectralData, level_window, make_cutoff
 
 
@@ -161,17 +161,14 @@ def seq_norm(a, params: SpaceParams, hier: NetHierarchy):
 def maximal_Mt(f, t: float, space: ModelSpace) -> np.ndarray:
     """M_t f(x) = sup over balls containing x of (avg_mu |f|^t)^{1/t}, for
     a function or for each row of a (k, n) table, computed exactly by
-    prefix enumeration of the sorted distance lists, each sorted once."""
+    prefix enumeration of the distance rows, sorted once by _sorted_rows."""
     if t <= 0:
         raise ValueError("t must be positive")
     g = np.abs(np.asarray(f, dtype=float)) ** t
     rows = g.reshape(-1, space.n)
     out = np.zeros_like(rows)
-    for z in range(space.n):
-        order = np.argsort(space.dist[z], kind="stable")
-        dz = space.dist[z, order]
-        w = space.mu[order]
-        avg = np.cumsum(rows[:, order] * w, axis=-1) / np.cumsum(w)
+    for order, dz, vol in zip(*_sorted_rows(space)):
+        avg = np.cumsum(rows[:, order] * space.mu[order], axis=-1) / vol
         # only prefixes ending strictly before the next distance value are
         # genuine balls (ties cannot be split by a radius)
         valid = np.empty(space.n, dtype=bool)

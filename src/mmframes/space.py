@@ -260,23 +260,36 @@ def _distinct(values) -> np.ndarray:
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
+def _sorted_rows(space: ModelSpace):
+    """Every point's distance row sorted once, ties in index order: returns
+    (order, rows, vols) with rows[x] = dist[x, order[x]] and vols[x] the
+    cumulative mu along it, so |B(x, r)| is vols[x] at the last entry of
+    rows[x] below r."""
+    order = np.argsort(space.dist, axis=1, kind="stable")
+    return (order, np.take_along_axis(space.dist, order, axis=1),
+            np.cumsum(space.mu[order], axis=1))
+
+
 @dataclass(frozen=True)
 class DoublingProfile:
     c0: float
     d: float
     c2: float
     dstar: float
+    ahlfors_band: float  # max |B(x, r)| / r^d over min, over x and r
     truncated: bool = False  # some radii skipped because 2r > diameter
 
 
 def measure_doubling(space: ModelSpace) -> DoublingProfile:
-    """Measure doubling and reverse-doubling constants exhaustively.
+    """Measure doubling and reverse-doubling constants exhaustively, and
+    the Ahlfors band of the two-sided power bound |B(x, r)| ~ r^d.
 
     Scans every point and every distinct positive distance value (plus the
     half values, where open balls change).  Radii with 2r beyond the
-    diameter are excluded and flagged as truncation.  Each point's distance
-    row is sorted once: |B(x, r)| is the cumulative mu along it up to the
-    last distance below r.
+    diameter are excluded and flagged as truncation.  The same sweep of the
+    rows of _sorted_rows queries every distinct distance r as r(1 + 1e-12),
+    a closed ball: the band is max |B(x, r)| / r^d over min, over all x and
+    r, at the measured d.
     """
     diam = space.diameter
     vals = _distinct(space.dist[space.dist > 0])
@@ -285,18 +298,22 @@ def measure_doubling(space: ModelSpace) -> DoublingProfile:
     radii = radii[2 * radii <= diam]
     if radii.size == 0:
         raise ValueError("no admissible radii")
-    order = np.argsort(space.dist, axis=1)
-    rows = np.take_along_axis(space.dist, order, axis=1)
-    vols = np.cumsum(space.mu[order], axis=1)
+    _, rows, vols = _sorted_rows(space)
     c0, c2, k = 1.0, np.inf, radii.size
-    both = np.concatenate([radii, 2 * radii])
+    query = np.concatenate([radii, 2 * radii, vals * (1 + 1e-12)])
+    big, small = np.zeros(vals.size), np.full(vals.size, np.inf)
     for row, vol in zip(rows, vols):
-        # the last entry below r and below 2r; rho(x, x) = 0 < r
-        v = vol[np.searchsorted(row, both) - 1]
-        ratios = v[k:] / v[:k]
+        # the last entry below each query; rho(x, x) = 0 < r
+        v = vol[np.searchsorted(row, query) - 1]
+        ratios = v[k:2 * k] / v[:k]
         c0, c2 = max(c0, float(ratios.max())), min(c2, float(ratios.min()))
-    return DoublingProfile(c0=c0, d=float(np.log2(c0)), c2=c2,
-                           dstar=float(np.log2(c2)), truncated=truncated)
+        np.maximum(big, v[2 * k:], out=big)
+        np.minimum(small, v[2 * k:], out=small)
+    d = float(np.log2(c0))
+    power = vals ** d
+    band = float((big / power).max() / (small / power).min())
+    return DoublingProfile(c0=c0, d=d, c2=c2, dstar=float(np.log2(c2)),
+                           ahlfors_band=band, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

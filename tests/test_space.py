@@ -121,6 +121,25 @@ def test_doubling_profile_is_the_ball_volume_scan(desc):
     assert (prof.c0, prof.c2) == (max(1.0, ratios.max()), ratios.min())
 
 
+@pytest.mark.parametrize("desc", [
+    "C_64", "P_64", "T_16x16",
+    {"kind": "path", "n": 64, "mu": [1 + i / 63 for i in range(64)]},
+    {"kind": "torus", "nx": 8, "ny": 4,
+     "mu": np.random.default_rng(3).uniform(0.5, 2.0, 32).tolist()}],
+    ids=["C_64", "P_64", "T_16x16", "ramp_64", "random_mu_8x4"])
+def test_ahlfors_band_is_the_ball_volume_scan(desc):
+    # the band the doubling sweep reads from the sorted rows is the one of
+    # a scan over (rho < r(1 + 1e-12)) @ mu at every distinct distance r,
+    # at the profile's d; only the order of the mu sums differs
+    m = sp.build_model(desc)
+    prof = sp.measure_doubling(m)
+    hi, lo = 0.0, np.inf
+    for r in np.unique(m.dist[m.dist > 0]):
+        ratio = sp.ball_volumes(m, r * (1 + 1e-12)) / r ** prof.d
+        hi, lo = max(hi, ratio.max()), min(lo, ratio.min())
+    assert abs(prof.ahlfors_band - hi / lo) <= 1e-14 * hi / lo
+
+
 def test_net_invariants_brute_force(models, hierarchies):
     for name in ("C_32", "C_64", "T_8x8"):
         hier, _ = hierarchies[name]
