@@ -389,9 +389,10 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     product with it is a row or column scaling, so each power and table
     keeps left's zero columns and right's zero rows, and each pass skips
     the blocks off the factors' band spans.  Above it, the full core is
-    kept.  Each side of the residual is taken on the
-    core kept, plus a bound on what a diagonal core drops (_dropped), so the
-    residual certifies both forms.
+    kept.  Both sides of the residual are one table on the core kept,
+    which commutes with G, taken with the larger of the bounds on what a
+    diagonal core drops from each side (_dropped), so the residual
+    certifies both forms.
 
     Preconditions: delta_hat = ||D||_epsilon < NEUMANN_THRESHOLD
     (NeumannPreconditionError otherwise), and delta_hat * c* < 1 with the
@@ -416,25 +417,24 @@ def neumann_invert(hier: NetHierarchy, params: SpaceParams, left, right,
     if diagonal:
         G = G.diagonal().copy()
     core, terms, _ = neumann_series(G)
-    drop_r, drop_l = _dropped(left, right, E, core) if diagonal else (0.0, 0.0)
+    drop = max(_dropped(left, right, E, core)) if diagonal else 0.0
     del E
     term_ad_norms = [r for r, _ in _max_ratio(
         hier, left, right, _log_omega(hier, eps1, eps1, params), G, terms)]
-    # (I-D)(I+C) - I = left (core - I - G core) right and (I+C)(I-D) - I =
-    # left (core - I - core G) right, pushed through: each defect is
-    # differenced on the k x k core and taken in one pass over its blocks;
-    # on a diagonal core both are the one scaling core - 1 - G core
+    # (I-D)(I+C) - I = left (core - I - G core) right, pushed through, and
+    # the core is a polynomial in G (neumann_series), so G core = core G
+    # and (I+C)(I-D) - I is the same table: one defect, differenced on the
+    # k x k core (on a diagonal core, the scaling core - 1 - G core) and
+    # taken in one pass over its blocks.  What a diagonal core drops does
+    # not commute with it, so the larger of both sides' bounds is added
     if diagonal:
-        r = core - 1.0 - G * core
-        resid = max(max_abs(hier, left, r[:, None] * right) + drop_r,
-                    max_abs(hier, left * r, right) + drop_l)
+        resid = max_abs(hier, left * (core - 1.0 - G * core), right)
         c_left = left * core
     else:
-        I = np.eye(len(core))
-        resid = max(max_abs(hier, left, (core - I - G @ core) @ right),
-                    max_abs(hier, left @ (core - I - core @ G), right))
+        resid = max_abs(hier, left @ (core - np.eye(len(core)) - G @ core),
+                        right)
         c_left = left @ core
-    resid = resid / d_max if d_max > 0 else 0.0
+    resid = (resid + drop) / d_max if d_max > 0 else 0.0
     # certified decay: ||D^n||_{eps1} <= delta_hat^n * c*^{n-1}
     dhat_cstar = delta_hat * cstar
     geometric_ok = dhat_cstar < 1 and all(

@@ -67,7 +67,8 @@ def _fmt(v):
 
 # resources whose builder returns (value, by-product), and the by-product's
 # own resource name
-BYPRODUCTS = {"hier": "sampling_eps", "compact": "compact_supports",
+BYPRODUCTS = {"hier": "sampling_eps", "dual": "dual_report",
+              "compact": "compact_supports",
               "compact_dual": "compact_dual_perturbation"}
 BUILT_BY = {product: name for name, product in BYPRODUCTS.items()}
 
@@ -127,7 +128,7 @@ class Context:
 
     def _build_dual(self):
         return fr.build_dual_frame(self.get("spec"), self.get("hier"),
-                                   self.get("sampling_eps"))[0]
+                                   self.get("sampling_eps"))
 
     def _build_compact(self):
         return fr.build_compact_frame(self.get("spec"), self.get("hier"))
@@ -284,9 +285,10 @@ def _suite_reconstruction(ctx):
     spec, frame, dual = ctx.get("spec"), ctx.get("frame"), ctx.get("dual")
     probe = fr.frame_bounds_probe(frame, dual, ctx.get("battery"))
     ok = probe["samples"] > 0 and probe["residual"] <= 1e-9
-    return ("pass" if ok else "fail"), {"residual": probe["residual"],
-                                        "lower": probe["lower"],
-                                        "upper": probe["upper"]}
+    return ("pass" if ok else "fail"), {
+        "residual": probe["residual"], "lower": probe["lower"],
+        "upper": probe["upper"],
+        "dual_terms": ctx.get("dual_report").neumann_terms}
 
 
 @_suite("thm4.2-bands", "Thm 4.2/(4.10)", "frame and dual spectral bands",
@@ -452,7 +454,7 @@ def _suite_neumann(ctx):
     cstar = ctx.get("lemma64_half")[-1]["max_ratio"]
     # D = c A_m of m = 1/(1 + lambda) at ||D||_1 = 1/(2 c*), so delta_hat c*
     # = 1/2 < 1 as Thm 6.3(ii) requires; passed as (U diag(c m)) @ V.  U is
-    # scaled in place, by m then c, and formed again for the closed form
+    # scaled in place, by m then c
     U, V = _factors(ctx)
     cm = 1.0 / (1.0 + ctx.get("spec").eigenvalues)
     U *= cm
@@ -461,15 +463,15 @@ def _suite_neumann(ctx):
     U *= c
     cm *= c
     (c_left, _), rep = ad.neumann_invert(hier, params, U, V, cstar)
-    del U
-    # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}, whose
-    # right factor is C's, V: the difference is one table, taken relative
-    # to the closed form's max, so a zero C reads 1
-    X = ctx.get("dual").table().T
-    X *= cm / (1.0 - cm)
-    top = ad.max_abs(hier, X, V)
-    X -= c_left
-    closed = ad.max_abs(hier, X, V) / top
+    # the algebra's closed form (I - c A_m)^{-1} - I = A_{cm/(1-cm)}: U is
+    # the dual's table times diag(c m), and neumann_invert leaves it as it
+    # is, so U / (1 - c m) is the closed form's left factor; its right
+    # factor is C's, V, so the difference is one table, taken relative to
+    # the closed form's max: a zero C reads 1
+    U /= 1.0 - cm
+    top = ad.max_abs(hier, U, V)
+    U -= c_left
+    closed = ad.max_abs(hier, U, V) / top
     # core_leak, G = V U diag(c m)'s largest off-diagonal entry over max|G|,
     # is recorded: it picks the core's form, and the residual bounds what a
     # diagonal core drops

@@ -288,8 +288,9 @@ def frame_bounds_probe(frame: Frame, dual: Frame, battery) -> dict:
     F = np.asarray(battery, dtype=float).T
     nf = space.norm2(F)
     live = nf > 0
-    quad = np.sum(np.ascontiguousarray(dual.analyze(F).T) ** 2, axis=1)
-    resid = np.maximum(space.norm2(reconstruct(frame, dual, F) - F),
+    A = dual.analyze(F)
+    quad = np.sum(np.ascontiguousarray(A.T) ** 2, axis=1)
+    resid = np.maximum(space.norm2(frame.synthesize(A) - F),
                        space.norm2(reconstruct(dual, frame, F) - F))
     quad, resid = quad[live] / nf[live] ** 2, resid[live] / nf[live]
     return {"lower": quad.min(initial=np.inf), "upper": quad.max(initial=0.0),

@@ -508,14 +508,13 @@ def check_discrete_sum(space: ModelSpace, net_centers, sigma,
     CL = _geom_series_const(profile.c0, profile.d, sigma)
     d = profile.d
 
-    # one-sided, delta* = delta1
-    one = ((1.0 + space.dist[:, centers] / delta1) ** (-sigma)).sum(axis=1)
-    rhs_one = CL * (delta1 / delta) ** d
-    ratio_one = one.max() / rhs_one
-
-    # two-sided, exhaustive double loop in vectorized form
     wx = (1.0 + space.dist[:, centers] / delta1) ** (-sigma)   # (n, m)
     wy = (1.0 + space.dist[:, centers] / delta2) ** (-sigma)   # (n, m)
+
+    # one-sided, delta* = delta1
+    ratio_one = wx.sum(axis=1).max() / (CL * (delta1 / delta) ** d)
+
+    # two-sided, exhaustive double loop in vectorized form
     lhs = wx @ wy.T                                            # (n, n)
     c2s = 2.0 ** (2 * sigma + 1) * CL
     rhs = c2s * (delta1 / delta) ** d / (1.0 + space.dist / delta2) ** sigma
@@ -546,19 +545,16 @@ def check_peetre_integrals(space: ModelSpace, sigma1, sigma2,
     def c28(sig):
         return 1.0 + profile.c0 * 2.0**sig * 2.0 ** (d - sig) / (1.0 - 2.0 ** (d - sig))
 
-    # single-center form at both (sigma1, delta1) and (sigma2, delta2)
-    ratios = []
-    for sig, dl in ((sigma1, delta1), (sigma2, delta2)):
-        w = (1.0 + space.dist / dl) ** (-sig)
-        lhs = w @ space.mu
-        rhs = c28(sig) * ball_volumes(space, dl)
-        ratios.append((lhs / rhs).max())
-
     w1 = (1.0 + space.dist / delta1) ** (-sigma1)
     w2 = (1.0 + space.dist / delta2) ** (-sigma2)
-    I = (w1 * space.mu[None, :]) @ w2.T    # I[x, y]
     vx = ball_volumes(space, delta1)
     vy = ball_volumes(space, delta2)
+
+    # single-center form at both (sigma1, delta1) and (sigma2, delta2)
+    ratios = [(w @ space.mu / (c28(sig) * v)).max()
+              for w, sig, v in ((w1, sigma1, vx), (w2, sigma2, vy))]
+
+    I = (w1 * space.mu[None, :]) @ w2.T    # I[x, y]
     c = 2.0 ** max(sigma1, sigma2) * max(c28(sigma1), c28(sigma2))
     rhs = c * (vx[:, None] / (1.0 + space.dist / delta2) ** sigma2
                + vy[None, :] / (1.0 + space.dist / delta1) ** sigma1)

@@ -650,9 +650,9 @@ def test_neumann_inverse_is_the_algebra_closed_form(model, spectra,
 def test_neumann_head_pass_and_pushed_through_defects(
         spectra, hierarchies, frame_sets, profiles, monkeypatch):
     # one pass over D's level blocks takes delta_hat and max|D|, one sweep
-    # each power's eps1 norm, and one max_abs pass each of the two defects,
-    # each one table differenced on the core; every block of each weight is
-    # built at most once
+    # each power's eps1 norm, and one max_abs pass for the two defects,
+    # which are one table differenced on the core, since the core commutes
+    # with G; every block of each weight is built at most once
     hier, prm, U, V, cm, cstar = _resolvent_probe(
         "C_64", spectra, hierarchies, frame_sets, profiles)
     passes, built = [], []
@@ -683,7 +683,7 @@ def test_neumann_head_pass_and_pushed_through_defects(
     assert rep["terms"] >= 3 and len(rep["term_ad_norms"]) == rep["terms"]
     assert passes[:2] == [(), (passes[1][0], rep["terms"] - 1)]
     k = len(V)
-    assert passes[2:] == [("defect", (hier.size, k), (k, hier.size))] * 2
+    assert passes[2:] == [("defect", (hier.size, k), (k, hier.size))]
     assert len(built) == len(set(built))
     assert {beta for beta, _, _ in built} == {1.0, 0.5}
     assert rep["residual"] <= 1e-13
@@ -700,6 +700,31 @@ def test_neumann_head_pass_and_pushed_through_defects(
     monkeypatch.setattr(ad, "neumann_series", wrong)
     _, rep = ad.neumann_invert(hier, prm, U * cm, V, cstar)
     assert rep["residual"] > 1e-7
+
+
+def test_neumann_defect_sees_a_wrong_full_core(spectra, hierarchies,
+                                               frame_sets, profiles,
+                                               monkeypatch):
+    # a dense D, passed as (D, I), keeps the full core G = D; a core moved
+    # by a table that does not commute with G breaks G core = core G, on
+    # which the one defect pass stands, and that pass still sees it
+    hier, prm, U, V, cm, cstar = _resolvent_probe(
+        "C_64", spectra, hierarchies, frame_sets, profiles)
+    D, I = (U * cm) @ V, np.eye(hier.size)
+    P = 1e-6 * np.random.default_rng(7).standard_normal(D.shape)
+    assert np.abs(P @ D - D @ P).max() > 0.1 * np.abs(P @ D).max()
+    series = ad.neumann_series
+
+    def wrong(step):
+        core, terms, tail = series(step)
+        assert core.shape == P.shape  # the full core
+        return core + P, terms, tail
+
+    _, rep = ad.neumann_invert(hier, prm, D, I, cstar)
+    assert rep["core_leak"] > ad.CORE_LEAK_GATE and rep["residual"] <= 1e-13
+    monkeypatch.setattr(ad, "neumann_series", wrong)
+    _, rep = ad.neumann_invert(hier, prm, D, I, cstar)
+    assert rep["residual"] > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +872,14 @@ def test_neumann_writes_zero_on_blocks_it_does_not_form(band_contexts):
 
 def test_neumann_suite_work_is_at_most_one_band_pass_per_pass(band_contexts,
                                                               monkeypatch):
-    # thm6.3-neumann on C_64 makes 2 + terms + 2 + 2 passes over level
-    # blocks: the scale and the head pass, one per power, one per defect
-    # and two for the closed form (its difference and its max), each over
-    # one table.  Every pass keeps the band spans of the frame factors, so
-    # its multiply-adds through _row_blocks are at most one band pass over
-    # A_m each; a dense core spreads every power across all n eigen-indices
+    # thm6.3-neumann on C_64 makes 2 + terms + 1 + 2 passes over level
+    # blocks: the scale and the head pass, one per power, one for the two
+    # defects and two for the closed form (its difference and its max),
+    # each over one table.  Every pass keeps the band spans of the frame
+    # factors, so its multiply-adds through _row_blocks are at most one
+    # band pass over A_m each; a dense core spreads every power across all
+    # n eigen-indices.  A dense D, passed as (D, I), takes the full core
+    # and makes 1 + terms + 1 passes, each at most one pass over (D, I)
     ctx = band_contexts["C_64"]
     hier = ctx.get("hier")
     U, V = cli._factors(ctx)
@@ -873,5 +900,17 @@ def test_neumann_suite_work_is_at_most_one_band_pass_per_pass(band_contexts,
     assert status == "pass"
     passes = len(work) // len(hier.blocks)
     assert len(work) == passes * len(hier.blocks)
-    assert passes == 2 + out["terms"] + 2 + 2 == 11
+    assert passes == 2 + out["terms"] + 1 + 2 == 10
     assert sum(work) <= passes * band_pass
+    left = U * (1.0 / (1.0 + ctx.get("spec").eigenvalues))
+    left /= 2.0 * out["c_star"] * ad.ad_norm(hier, ctx.get("params"), left,
+                                              V, ad.NEUMANN_EPSILON)
+    D, I = left @ V, np.eye(hier.size)
+    ad.max_abs(hier, D, I)
+    dense_pass, work[:] = sum(work), []
+    _, rep = ad.neumann_invert(hier, ctx.get("params"), D, I, out["c_star"])
+    assert rep["core_leak"] > ad.CORE_LEAK_GATE
+    passes = len(work) // len(hier.blocks)
+    assert len(work) == passes * len(hier.blocks)
+    assert passes == 1 + rep["terms"] + 1
+    assert sum(work) <= passes * dense_pass

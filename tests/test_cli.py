@@ -10,6 +10,7 @@ import pytest
 
 from mmframes import addiag as ad
 from mmframes import cli
+from mmframes import frames as fr
 from conftest import table_frame
 
 
@@ -475,6 +476,20 @@ def test_battery_suites_fail_on_an_all_zero_battery():
     ctx._cache["battery"] = np.zeros_like(ctx.get("battery"))
     for name in names:
         assert cli.SUITES[name][2](ctx)[0] == "fail", name
+
+
+@pytest.mark.parametrize("model", ["C_64", "C_32"])
+def test_reconstruction_records_the_dual_series_length(model):
+    # thm4.2 records the dual build report's neumann_terms, a by-product of
+    # the dual resource: the longest per-level series, none on C_32, whose
+    # every level holds every point
+    ctx = cli.Context(dict(cli.DEFAULT_CONFIG, model=model))
+    _, out = cli.SUITES["thm4.2-reconstruction"][2](ctx)
+    _, report = fr.build_dual_frame(ctx.get("spec"), ctx.get("hier"),
+                                    ctx.get("sampling_eps"))
+    assert type(out["dual_terms"]) is int
+    assert out["dual_terms"] == report.neumann_terms
+    assert (out["dual_terms"] > 0) == (model == "C_64")
 
 
 def test_norm_suites_measure_with_a_band_symbol(monkeypatch):
